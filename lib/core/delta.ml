@@ -23,10 +23,8 @@ type t = {
 
 let diff old_p new_p =
   let prog = Profile.prog old_p in
-  if
-    Profile.prog new_p != prog
-    && (Profile.prog new_p).Prog.name <> prog.Prog.name
-  then invalid_arg "Delta.diff: profiles of different programs";
+  if not (Profile.same_shape old_p new_p) then
+    invalid_arg "Delta.diff: profiles of different programs";
   let n = Prog.n_procs prog in
   let dirty = Array.make n false in
   let n_dirty = ref 0 in

@@ -14,8 +14,8 @@ type t
 
 val diff : Olayout_profile.Profile.t -> Olayout_profile.Profile.t -> t
 (** [diff old_profile new_profile].
-    @raise Invalid_argument when the profiles describe different
-    programs. *)
+    @raise Invalid_argument when the profiles' programs differ in shape
+    ({!Olayout_profile.Profile.same_shape}). *)
 
 val prog : t -> Prog.t
 val n_procs : t -> int

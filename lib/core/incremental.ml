@@ -207,7 +207,7 @@ let update t new_profile =
   let n = Prog.n_procs (Profile.prog t.profile) in
   Telemetry.incr c_updates;
   Telemetry.add c_scratch (scratch_cost t.algo n);
-  let delta = Delta.diff t.profile new_profile in
+  let delta = Telemetry.span "delta" (fun () -> Delta.diff t.profile new_profile) in
   if (not (profile_sensitive t.algo)) || Delta.is_empty delta then begin
     (* Nothing the layout reads has changed: reuse the placement whole. *)
     t.profile <- new_profile;

@@ -1,6 +1,6 @@
 module Temporal = Olayout_profile.Temporal
 
-let order temporal ~heat segments =
+let pair_weights temporal ~heat segments =
   let seg_arr = Array.of_list segments in
   (* The graph is procedure-granular (as in Gloy et al.); when splitting has
      produced several segments per procedure, the procedure's affinities
@@ -13,14 +13,16 @@ let order temporal ~heat segments =
       | Some j when heat seg_arr.(j) >= heat seg_arr.(i) -> ()
       | Some _ | None -> Hashtbl.replace representative seg.proc i)
     seg_arr;
-  let weights =
-    List.filter_map
-      (fun ((pa, pb), w) ->
-        match (Hashtbl.find_opt representative pa, Hashtbl.find_opt representative pb) with
-        | Some i, Some j -> Some ((i, j), w)
-        | _, _ -> None)
-      (Temporal.pairs temporal)
-  in
-  Pettis_hansen.order_weighted ~pass:"temporal_order" ~weights
+  List.filter_map
+    (fun ((pa, pb), w) ->
+      match (Hashtbl.find_opt representative pa, Hashtbl.find_opt representative pb) with
+      | Some i, Some j -> Some ((i, j), w)
+      | _, _ -> None)
+    (Temporal.pairs temporal)
+
+let order temporal ~heat segments =
+  let seg_arr = Array.of_list segments in
+  Pettis_hansen.order_weighted ~pass:"temporal_order"
+    ~weights:(pair_weights temporal ~heat segments)
     ~heat:(fun i -> heat seg_arr.(i))
     segments

@@ -15,3 +15,11 @@ val order :
 (** Reorder segments (a permutation).  Pair affinity is the temporal
     weight of the segments' owning procedures; when several segments share
     an owner the procedure's affinities attach to its hottest segment. *)
+
+val pair_weights :
+  Olayout_profile.Temporal.t ->
+  heat:(Segment.t -> float) ->
+  Segment.t list ->
+  ((int * int) * float) list
+(** The weights {!order} hands the merge engine, by input segment index;
+    exposed for tests. *)

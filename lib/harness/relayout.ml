@@ -149,16 +149,22 @@ let run ?(combo = Spike.All) ?(cadences = default_cadences)
                  The battery keeps its state — the moved code's cold misses
                  are the disruption cost. *)
               Render.flush merger;
-              let p = Windowed.merged wp ~lo:(w - cadence) ~hi:w in
+              let p =
+                Telemetry.span "profile_merge" (fun () ->
+                    Windowed.merged wp ~lo:(w - cadence) ~hi:w)
+              in
               placement := Incremental.update m p;
               render := Render.create ~placement:!placement ~owner:Run.App merger;
               incr relayouts
           | _ -> ());
-          let sink = Render.sink !render in
-          for i = starts.a.(w) to starts.a.(w + 1) - 1 do
-            sink ~proc:ep.a.(i) ~block:eb.a.(i) ~arm:ea.a.(i)
-          done;
-          Render.flush merger;
+          (* Render the window under the current placement; the merger
+             feeds the battery as it goes. *)
+          Telemetry.span "replay" (fun () ->
+              let sink = Render.sink !render in
+              for i = starts.a.(w) to starts.a.(w + 1) - 1 do
+                sink ~proc:ep.a.(i) ~block:eb.a.(i) ~arm:ea.a.(i)
+              done;
+              Render.flush merger);
           let m = Battery.misses battery config.Icache.name in
           window_misses.(w) <- m - !prev;
           prev := m

@@ -1,43 +1,101 @@
 open Olayout_ir
 
-type t = {
-  prog : Prog.t;
-  blocks : int array array;
-  arms : int array array array;
-}
+(* Counts live in two flat arrays read through per-program offset tables:
+   procedure [p]'s blocks are [blocks.(block_off.(p)) ..
+   blocks.(block_off.(p + 1) - 1)], and flat block [g]'s arms are
+   [arms.(arm_off.(g)) .. arms.(arm_off.(g + 1) - 1)].  Profiles of one
+   program share one shape, so merging is two array sums. *)
+type shape = { block_off : int array; arm_off : int array }
+type t = { prog : Prog.t; shape : shape; blocks : int array; arms : int array }
+
+let compute_shape prog =
+  let n = Prog.n_procs prog in
+  let block_off = Array.make (n + 1) 0 in
+  Array.iteri
+    (fun pid (p : Proc.t) -> block_off.(pid + 1) <- block_off.(pid) + Proc.n_blocks p)
+    prog.Prog.procs;
+  let arm_off = Array.make (block_off.(n) + 1) 0 in
+  let g = ref 0 in
+  Prog.iter_blocks prog (fun _ b ->
+      arm_off.(!g + 1) <- arm_off.(!g) + Block.arm_count b;
+      incr g);
+  { block_off; arm_off }
+
+(* The shape of the program profiled last: a window sink creates one
+   profile per window of the same program. *)
+let last_shape : (Prog.t * shape) option Atomic.t = Atomic.make None
+
+let shape_of prog =
+  match Atomic.get last_shape with
+  | Some (p, s) when p == prog -> s
+  | _ ->
+      let s = compute_shape prog in
+      Atomic.set last_shape (Some (prog, s));
+      s
 
 let create prog =
-  let shape f =
-    Array.map (fun (p : Proc.t) -> Array.map f p.blocks) prog.Prog.procs
-  in
-  {
-    prog;
-    blocks = shape (fun _ -> 0);
-    arms = shape (fun b -> Array.make (Block.arm_count b) 0);
-  }
+  let shape = shape_of prog in
+  let n_blocks = Array.length shape.arm_off - 1 in
+  { prog; shape; blocks = Array.make n_blocks 0; arms = Array.make shape.arm_off.(n_blocks) 0 }
 
 let prog t = t.prog
 
+(* Checked flat indices: a block past its procedure's row or an arm past
+   its block's arms is an error, not the neighbour's count. *)
+let block_index fn t ~proc ~block =
+  let off = t.shape.block_off in
+  if proc < 0 || proc >= Array.length off - 1 then
+    invalid_arg (Printf.sprintf "Profile.%s: procedure %d out of range" fn proc);
+  let g = off.(proc) + block in
+  if block < 0 || g >= off.(proc + 1) then
+    invalid_arg (Printf.sprintf "Profile.%s: block %d out of range in procedure %d" fn block proc);
+  g
+
+let arm_index fn t g ~arm =
+  let off = t.shape.arm_off in
+  let i = off.(g) + arm in
+  if arm < 0 || i >= off.(g + 1) then
+    invalid_arg (Printf.sprintf "Profile.%s: arm %d out of range" fn arm);
+  i
+
 let record t ~proc ~block ~arm =
-  t.blocks.(proc).(block) <- t.blocks.(proc).(block) + 1;
-  let arms = t.arms.(proc).(block) in
-  arms.(arm) <- arms.(arm) + 1
+  let g = block_index "record" t ~proc ~block in
+  let i = arm_index "record" t g ~arm in
+  t.blocks.(g) <- t.blocks.(g) + 1;
+  t.arms.(i) <- t.arms.(i) + 1
 
 let record_block t ~proc ~block ~count =
-  t.blocks.(proc).(block) <- t.blocks.(proc).(block) + count
+  let g = block_index "record_block" t ~proc ~block in
+  t.blocks.(g) <- t.blocks.(g) + count
 
-let block_count t ~proc ~block = t.blocks.(proc).(block)
-let arm_count t ~proc ~block ~arm = t.arms.(proc).(block).(arm)
+let block_count t ~proc ~block = t.blocks.(block_index "block_count" t ~proc ~block)
 
-let proc_entry_count t p =
-  let entry = (Prog.proc t.prog p).Proc.entry in
-  t.blocks.(p).(entry)
+let arm_count t ~proc ~block ~arm =
+  t.arms.(arm_index "arm_count" t (block_index "arm_count" t ~proc ~block) ~arm)
+
+(* Unchecked views for the whole-program loops below, which only visit
+   blocks and arms the program has. *)
+let flat t pid bid = t.shape.block_off.(pid) + bid
+let count t pid bid = t.blocks.(flat t pid bid)
+let arm_slot t pid bid arm = t.shape.arm_off.(flat t pid bid) + arm
+
+let iter_nonzero_arms t f =
+  let { block_off; arm_off } = t.shape in
+  for proc = 0 to Array.length block_off - 2 do
+    for g = block_off.(proc) to block_off.(proc + 1) - 1 do
+      for i = arm_off.(g) to arm_off.(g + 1) - 1 do
+        let c = t.arms.(i) in
+        if c <> 0 then f ~proc ~block:(g - block_off.(proc)) ~arm:(i - arm_off.(g)) c
+      done
+    done
+  done
+
+let proc_entry_count t p = count t p (Prog.proc t.prog p).Proc.entry
 
 let dynamic_instrs t =
   let total = ref 0 in
   Prog.iter_blocks t.prog (fun p b ->
-      let c = t.blocks.(p.Proc.id).(b.Block.id) in
-      total := !total + (c * Block.source_instrs b));
+      total := !total + (count t p.Proc.id b.Block.id * Block.source_instrs b));
   !total
 
 type flow_edge = { src : Block.id; arm : int; dst : Block.id; weight : float }
@@ -52,7 +110,7 @@ let proc_flow_edges t pid =
         match Block.arm_target b arm with
         | None -> ()
         | Some dst ->
-            let weight = float_of_int t.arms.(pid).(b.id).(arm) in
+            let weight = float_of_int t.arms.(arm_slot t pid b.id arm) in
             edges := { src = b.id; arm; dst; weight } :: !edges
       done)
     p.blocks;
@@ -63,38 +121,33 @@ let call_site_counts t =
   Prog.iter_blocks t.prog (fun p b ->
       match b.Block.term with
       | Block.Call { callee; _ } ->
-          let c = t.blocks.(p.Proc.id).(b.Block.id) in
+          let c = count t p.Proc.id b.Block.id in
           if c > 0 then acc := (p.Proc.id, callee, c) :: !acc
       | _ -> ());
   List.rev !acc
 
 let estimate_arms t =
-  let t' = create t.prog in
-  Array.iteri
-    (fun pid row -> Array.iteri (fun bid c -> t'.blocks.(pid).(bid) <- c) row)
-    t.blocks;
+  let t' = { t with blocks = Array.copy t.blocks; arms = Array.make (Array.length t.arms) 0 } in
   Prog.iter_blocks t.prog (fun p b ->
       let pid = p.Proc.id and bid = b.Block.id in
-      let c = t.blocks.(pid).(bid) in
+      let c = count t pid bid in
+      let slot arm = arm_slot t pid bid arm in
       let n = Block.arm_count b in
-      if n = 1 then t'.arms.(pid).(bid).(0) <- c
+      if n = 1 then t'.arms.(slot 0) <- c
       else begin
         (* Apportion in proportion to successor block counts; fall back to a
            uniform split when all successors are cold. *)
         let succ_counts =
           Array.init n (fun arm ->
-              match Block.arm_target b arm with
-              | Some d -> t.blocks.(pid).(d)
-              | None -> 0)
+              match Block.arm_target b arm with Some d -> count t pid d | None -> 0)
         in
         let total = Array.fold_left ( + ) 0 succ_counts in
-        if total = 0 then
-          Array.iteri (fun arm _ -> t'.arms.(pid).(bid).(arm) <- c / n) succ_counts
+        if total = 0 then Array.iteri (fun arm _ -> t'.arms.(slot arm) <- c / n) succ_counts
         else begin
           let assigned = ref 0 in
           for arm = 0 to n - 1 do
             let share = c * succ_counts.(arm) / total in
-            t'.arms.(pid).(bid).(arm) <- share;
+            t'.arms.(slot arm) <- share;
             assigned := !assigned + share
           done;
           (* Give rounding leftovers to the heaviest arm. *)
@@ -102,41 +155,49 @@ let estimate_arms t =
           for arm = 1 to n - 1 do
             if succ_counts.(arm) > succ_counts.(!best) then best := arm
           done;
-          t'.arms.(pid).(bid).(!best) <-
-            t'.arms.(pid).(bid).(!best) + (c - !assigned)
+          t'.arms.(slot !best) <- t'.arms.(slot !best) + (c - !assigned)
         end
       end);
   t'
 
-let map2_profile f a b =
-  let t = create a.prog in
-  Array.iteri
-    (fun pid row ->
-      Array.iteri
-        (fun bid _ ->
-          t.blocks.(pid).(bid) <- f a.blocks.(pid).(bid) b.blocks.(pid).(bid);
-          Array.iteri
-            (fun arm _ ->
-              t.arms.(pid).(bid).(arm) <-
-                f a.arms.(pid).(bid).(arm) b.arms.(pid).(bid).(arm))
-            t.arms.(pid).(bid))
-        row)
-    t.blocks;
-  t
-
 let scale a factor =
-  let f x _ = int_of_float (float_of_int x *. factor) in
-  map2_profile f a a
+  let f x = int_of_float (float_of_int x *. factor) in
+  { a with blocks = Array.map f a.blocks; arms = Array.map f a.arms }
+
+(* Programs are compared by shape — procedures, blocks per procedure, arms
+   per block — not by name: every generated binary has the same name. *)
+let same_shape a b =
+  a.shape == b.shape || a.prog == b.prog
+  || (a.shape.block_off = b.shape.block_off && a.shape.arm_off = b.shape.arm_off)
+
+let merge_into ~into t =
+  if not (same_shape into t) then invalid_arg "Profile.merge_into: different programs";
+  for i = 0 to Array.length t.blocks - 1 do
+    into.blocks.(i) <- into.blocks.(i) + t.blocks.(i)
+  done;
+  for i = 0 to Array.length t.arms - 1 do
+    into.arms.(i) <- into.arms.(i) + t.arms.(i)
+  done
 
 let merge a b =
-  if a.prog != b.prog && a.prog.Prog.name <> b.prog.Prog.name then
-    invalid_arg "Profile.merge: different programs";
-  map2_profile ( + ) a b
+  if not (same_shape a b) then invalid_arg "Profile.merge: different programs";
+  { a with blocks = Array.map2 ( + ) a.blocks b.blocks; arms = Array.map2 ( + ) a.arms b.arms }
 
-let proc_equal a b pid = a.blocks.(pid) = b.blocks.(pid) && a.arms.(pid) = b.arms.(pid)
+let proc_equal a b pid =
+  let rows t = (t.shape.block_off.(pid), t.shape.block_off.(pid + 1)) in
+  let slice_equal x x0 y y0 len =
+    let rec go i = i = len || (x.(x0 + i) = y.(y0 + i) && go (i + 1)) in
+    go 0
+  in
+  let a0, a1 = rows a and b0, b1 = rows b in
+  let aa0 = a.shape.arm_off.(a0) and ba0 = b.shape.arm_off.(b0) in
+  let arms = a.shape.arm_off.(a1) - aa0 in
+  a1 - a0 = b1 - b0
+  && arms = b.shape.arm_off.(b1) - ba0
+  && slice_equal a.blocks a0 b.blocks b0 (a1 - a0)
+  && slice_equal a.arms aa0 b.arms ba0 arms
 
-let total_block_events t =
-  Array.fold_left (fun acc row -> Array.fold_left ( + ) acc row) 0 t.blocks
+let total_block_events t = Array.fold_left ( + ) 0 t.blocks
 
 (* --- persistence --- *)
 
@@ -146,15 +207,16 @@ let output oc t =
   Printf.fprintf oc "%s\n" magic;
   Printf.fprintf oc "program %s %d\n" t.prog.Prog.name (Prog.n_procs t.prog);
   Array.iteri
-    (fun pid row ->
-      Printf.fprintf oc "proc %d %d\n" pid (Array.length row);
-      Array.iteri
-        (fun bid count ->
-          Printf.fprintf oc "%d" count;
-          Array.iter (fun a -> Printf.fprintf oc " %d" a) t.arms.(pid).(bid);
-          Printf.fprintf oc "\n")
-        row)
-    t.blocks
+    (fun pid (p : Proc.t) ->
+      Printf.fprintf oc "proc %d %d\n" pid (Proc.n_blocks p);
+      for bid = 0 to Proc.n_blocks p - 1 do
+        Printf.fprintf oc "%d" (count t pid bid);
+        for arm = 0 to Block.arm_count (Proc.block p bid) - 1 do
+          Printf.fprintf oc " %d" t.arms.(arm_slot t pid bid arm)
+        done;
+        Printf.fprintf oc "\n"
+      done)
+    t.prog.Prog.procs
 
 let input prog ic =
   let fail fmt = Printf.ksprintf failwith fmt in
@@ -168,17 +230,18 @@ let input prog ic =
   | _ -> fail "Profile.input: bad program header");
   let t = create prog in
   for pid = 0 to Prog.n_procs prog - 1 do
+    let p = Prog.proc prog pid in
     (match String.split_on_char ' ' (line ()) with
-    | [ "proc"; p; n ] ->
-        if int_of_string p <> pid then fail "Profile.input: procedure order";
-        if int_of_string n <> Array.length t.blocks.(pid) then
+    | [ "proc"; p'; n ] ->
+        if int_of_string p' <> pid then fail "Profile.input: procedure order";
+        if int_of_string n <> Proc.n_blocks p then
           fail "Profile.input: block count mismatch in proc %d" pid
     | _ -> fail "Profile.input: bad proc header");
-    for bid = 0 to Array.length t.blocks.(pid) - 1 do
+    for bid = 0 to Proc.n_blocks p - 1 do
       match List.map int_of_string (String.split_on_char ' ' (line ())) with
-      | count :: arms when List.length arms = Array.length t.arms.(pid).(bid) ->
-          t.blocks.(pid).(bid) <- count;
-          List.iteri (fun arm a -> t.arms.(pid).(bid).(arm) <- a) arms
+      | count :: arms when List.length arms = Block.arm_count (Proc.block p bid) ->
+          t.blocks.(flat t pid bid) <- count;
+          List.iteri (fun arm a -> t.arms.(arm_slot t pid bid arm) <- a) arms
       | _ -> fail "Profile.input: bad block line (proc %d block %d)" pid bid
     done
   done;

@@ -17,7 +17,9 @@ val prog : t -> Prog.t
 
 val record : t -> proc:int -> block:int -> arm:int -> unit
 (** Count one execution of [block] leaving through control outcome [arm].
-    This is the executor sink. *)
+    This is the executor sink.
+    @raise Invalid_argument when [proc], [block] or [arm] is out of range
+    (here and in {!record_block}, {!block_count} and {!arm_count}). *)
 
 val record_block : t -> proc:int -> block:int -> count:int -> unit
 (** Add [count] executions of [block] without arm information (used by the
@@ -26,6 +28,11 @@ val record_block : t -> proc:int -> block:int -> count:int -> unit
 
 val block_count : t -> proc:int -> block:int -> int
 val arm_count : t -> proc:int -> block:int -> arm:int -> int
+
+val iter_nonzero_arms : t -> (proc:int -> block:int -> arm:int -> int -> unit) -> unit
+(** [f ~proc ~block ~arm count] for every arm whose count is nonzero, in
+    procedure, block, arm order.  One pass over the flat arm counts, so a
+    sparse profile costs what it holds. *)
 
 val proc_entry_count : t -> int -> int
 (** Executions of a procedure's entry block. *)
@@ -57,7 +64,17 @@ val scale : t -> float -> t
     of different lengths before merging. *)
 
 val merge : t -> t -> t
-(** Pointwise sum of two profiles over the same program. *)
+(** Pointwise sum of two profiles over the same program.
+    @raise Invalid_argument unless {!same_shape}. *)
+
+val merge_into : into:t -> t -> unit
+(** [merge_into ~into p] adds [p]'s counts to [into] in place.
+    @raise Invalid_argument unless {!same_shape}. *)
+
+val same_shape : t -> t -> bool
+(** Do the two profiles' programs have the same procedures, blocks per
+    procedure and arms per block?  Names are not compared: every generated
+    binary carries the same name whatever its seed. *)
 
 val total_block_events : t -> int
 (** Sum of all block counts (the number of recorded block executions). *)

@@ -60,12 +60,12 @@ let profile t w =
   match t.profiles.(w) with Some p -> p | None -> Profile.create t.prog
 
 (* Merge the half-open window range [lo, hi) into one profile (the
-   per-phase grouping of the staleness matrix). *)
+   per-phase grouping of the staleness matrix), summing in place. *)
 let merged t ~lo ~hi =
-  let acc = ref (Profile.create t.prog) in
+  let acc = Profile.create t.prog in
   for w = max 0 lo to min t.n hi - 1 do
     match t.profiles.(w) with
-    | Some p -> acc := Profile.merge !acc p
+    | Some p -> Profile.merge_into ~into:acc p
     | None -> ()
   done;
-  !acc
+  acc

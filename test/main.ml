@@ -8,6 +8,7 @@ let () =
       Test_ir.suite;
       Test_placement.suite;
       Test_layout.suite;
+      Test_ph_oracle.suite;
       Test_profile.suite;
       Test_exec.suite;
       Test_cachesim.suite;

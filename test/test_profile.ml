@@ -151,6 +151,109 @@ let test_profile_io_mismatch () =
            false
          with Failure _ -> true))
 
+(* --- flat storage: bounds, sums, per-procedure identity ---------------- *)
+
+let raises_invalid f = match f () with exception Invalid_argument _ -> true | _ -> false
+
+let test_flat_bounds () =
+  let prog = Olayout_codegen.Binary.prog (Helpers.random_program 23) in
+  let p = Profile.create prog in
+  (* Index 0's row ends where procedure 1's begins: one past its last block
+     must not read or write procedure 1's first count. *)
+  let past = Proc.n_blocks (Prog.proc prog 0) in
+  let check what f = Alcotest.(check bool) what true (raises_invalid f) in
+  check "block_count past the row" (fun () -> Profile.block_count p ~proc:0 ~block:past);
+  check "arm_count past the row" (fun () -> Profile.arm_count p ~proc:0 ~block:past ~arm:0);
+  check "record past the row" (fun () -> Profile.record p ~proc:0 ~block:past ~arm:0);
+  check "record_block past the row" (fun () ->
+      Profile.record_block p ~proc:0 ~block:past ~count:1);
+  check "negative block" (fun () -> Profile.block_count p ~proc:0 ~block:(-1));
+  check "procedure past the program" (fun () ->
+      Profile.block_count p ~proc:(Prog.n_procs prog) ~block:0);
+  (* An arm past a block's arms must not reach the next block's arms. *)
+  let b = Proc.block (Prog.proc prog 0) 0 in
+  let arms = Block.arm_count b in
+  check "arm_count past the block" (fun () -> Profile.arm_count p ~proc:0 ~block:0 ~arm:arms);
+  check "record past the block" (fun () -> Profile.record p ~proc:0 ~block:0 ~arm:arms);
+  check "negative arm" (fun () -> Profile.arm_count p ~proc:0 ~block:0 ~arm:(-1));
+  Alcotest.(check int) "rejected records count nothing" 0 (Profile.total_block_events p);
+  Alcotest.(check int) "next block untouched" 0
+    (Profile.arm_count p ~proc:0 ~block:1 ~arm:0)
+
+let equal_profiles a b =
+  let prog = Profile.prog a in
+  List.for_all (Profile.proc_equal a b) (List.init (Prog.n_procs prog) Fun.id)
+
+let test_windowed_merged_is_fold () =
+  let prog = Olayout_codegen.Binary.prog (Helpers.random_program 24) in
+  let w = Olayout_profile.Windowed.create ~window:16 prog in
+  let walk = Olayout_exec.Walk.create ~prog ~rng:(Olayout_util.Rng.create 24) in
+  Olayout_exec.Walk.add_sink walk (Olayout_profile.Windowed.sink w);
+  for _ = 1 to 4 do
+    for pid = 0 to Prog.n_procs prog - 1 do
+      Olayout_exec.Walk.call walk pid
+    done
+  done;
+  let n = Olayout_profile.Windowed.windows w in
+  Alcotest.(check bool) "several windows" true (n > 8);
+  List.iter
+    (fun (lo, hi) ->
+      let fold = ref (Profile.create prog) in
+      for i = max 0 lo to min n hi - 1 do
+        fold := Profile.merge !fold (Olayout_profile.Windowed.profile w i)
+      done;
+      let merged = Olayout_profile.Windowed.merged w ~lo ~hi in
+      Alcotest.(check bool) (Printf.sprintf "merged [%d, %d)" lo hi) true
+        (equal_profiles !fold merged);
+      Alcotest.(check int) (Printf.sprintf "events [%d, %d)" lo hi)
+        (Profile.total_block_events !fold) (Profile.total_block_events merged))
+    [ (0, n); (2, 5); (-3, 2); (n - 2, n + 10); (3, 3); (5, 2); (n + 1, n + 5); (-5, -1) ];
+  (* Summing in place leaves the windows themselves untouched. *)
+  let before = Profile.total_block_events (Olayout_profile.Windowed.profile w 0) in
+  ignore (Olayout_profile.Windowed.merged w ~lo:0 ~hi:n);
+  Alcotest.(check int) "window 0 unchanged" before
+    (Profile.total_block_events (Olayout_profile.Windowed.profile w 0))
+
+let test_proc_equal_last_arm () =
+  let prog = Olayout_codegen.Binary.prog (Helpers.random_program 25) in
+  let last = Prog.n_procs prog - 1 in
+  let p = Prog.proc prog last in
+  let block = Proc.n_blocks p - 1 in
+  let arm = Block.arm_count (Proc.block p block) - 1 in
+  let a = Helpers.walked_profile ~calls:3 prog and b = Helpers.walked_profile ~calls:3 prog in
+  Alcotest.(check bool) "equal before" true (equal_profiles a b);
+  (* Both gain one execution of the block; only [a] says which arm. *)
+  Profile.record a ~proc:last ~block ~arm;
+  Profile.record_block b ~proc:last ~block ~count:1;
+  Alcotest.(check int) "block counts agree" (Profile.block_count a ~proc:last ~block)
+    (Profile.block_count b ~proc:last ~block);
+  Alcotest.(check bool) "last procedure differs" false (Profile.proc_equal a b last);
+  Alcotest.(check bool) "other procedures equal" true
+    (List.for_all (Profile.proc_equal a b) (List.init last Fun.id))
+
+(* Every App_model binary is named "oltp-app"; seeds 7 and 8 differ in
+   shape, so neither merging nor diffing their profiles may proceed. *)
+let test_shape_not_name () =
+  let app seed = Olayout_codegen.Binary.prog (Olayout_oltp.App_model.build ~seed) in
+  let p7 = app 7 and p8 = app 8 in
+  Alcotest.(check string) "same name" p7.Prog.name p8.Prog.name;
+  Alcotest.(check bool) "different block counts" true (Prog.n_blocks p7 <> Prog.n_blocks p8);
+  let a = Profile.create p7 and b = Profile.create p8 in
+  Alcotest.(check bool) "shapes differ" false (Profile.same_shape a b);
+  Alcotest.check_raises "merge" (Invalid_argument "Profile.merge: different programs")
+    (fun () -> ignore (Profile.merge a b));
+  Alcotest.check_raises "merge_into" (Invalid_argument "Profile.merge_into: different programs")
+    (fun () -> Profile.merge_into ~into:a b);
+  Alcotest.check_raises "Delta.diff"
+    (Invalid_argument "Delta.diff: profiles of different programs") (fun () ->
+      ignore (Olayout_core.Delta.diff a b));
+  (* A second build of the same seed is another value of the same shape. *)
+  let a' = Profile.create (app 7) in
+  Profile.record a' ~proc:0 ~block:0 ~arm:0;
+  Alcotest.(check bool) "same shape" true (Profile.same_shape a a');
+  Alcotest.(check int) "merges" 1 (Profile.total_block_events (Profile.merge a a'));
+  Alcotest.(check int) "diffs" 1 (Olayout_core.Delta.n_dirty (Olayout_core.Delta.diff a a'))
+
 let qcheck_estimate_preserves_block_counts =
   QCheck.Test.make ~name:"estimate_arms preserves block counts" ~count:20 QCheck.small_int
     (fun seed ->
@@ -213,5 +316,9 @@ let suite =
       Alcotest.test_case "profile io mismatch" `Quick test_profile_io_mismatch;
       Alcotest.test_case "temporal basics" `Quick test_temporal_basics;
       Alcotest.test_case "temporal window" `Quick test_temporal_window_limits;
+      Alcotest.test_case "flat bounds" `Quick test_flat_bounds;
+      Alcotest.test_case "windowed merged is a fold" `Quick test_windowed_merged_is_fold;
+      Alcotest.test_case "proc_equal sees one arm" `Quick test_proc_equal_last_arm;
+      Alcotest.test_case "shape, not name" `Quick test_shape_not_name;
       QCheck_alcotest.to_alcotest qcheck_estimate_preserves_block_counts;
     ] )
