@@ -6,11 +6,28 @@ module Provenance = Olayout_telemetry.Provenance
 let c_chains = Telemetry.counter "core.chains_formed"
 let c_edges_linked = Telemetry.counter "core.chain_edges_linked"
 
-(* Atoms: maximal runs of blocks glued by Call terminators.  [atom_of.(b)] is
-   the atom index of block b; [atoms.(a)] is the block list of atom a.  Atom
-   heads are exactly the blocks that are not the return continuation of the
-   textually previous block. *)
-let build_atoms (p : Proc.t) =
+(* What chaining needs from the program alone.  Atoms — maximal runs of
+   blocks glued by Call terminators — are contiguous block ranges: atom [a]
+   is blocks [start.(a)] to [start.(a + 1) - 1], and [atom_of.(b)] is block
+   b's atom.  Atom heads are exactly the blocks that are not the return
+   continuation of the textually previous block.  The candidate edges run
+   from an atom's tail terminator to another atom's head, sorted by
+   (source atom, destination atom); edge [i] leaves block [e_block.(i)]
+   through arm [e_arm.(i)].  Call arms are intra-atom and excluded by
+   construction (a Call block is never an atom tail, since its ret glue
+   follows it in the atom). *)
+type shape = {
+  pid : int;
+  start : int array;
+  atom_of : int array;
+  entry_atom : int;
+  e_block : int array;
+  e_arm : int array;
+  e_dst : int array;
+}
+
+let shape prog pid =
+  let p = Prog.proc prog pid in
   let n = Proc.n_blocks p in
   let glued_to_prev = Array.make n false in
   Array.iter
@@ -19,94 +36,139 @@ let build_atoms (p : Proc.t) =
       | Block.Call { ret; _ } -> glued_to_prev.(ret) <- true
       | _ -> ())
     p.blocks;
-  let atoms = ref [] and atom_of = Array.make n (-1) in
+  let start = Array.make (n + 1) n and atom_of = Array.make n (-1) in
   let count = ref 0 in
-  let i = ref 0 in
-  while !i < n do
-    let start = !i in
-    let blocks = ref [ start ] in
-    atom_of.(start) <- !count;
-    incr i;
-    while !i < n && glued_to_prev.(!i) do
-      blocks := !i :: !blocks;
-      atom_of.(!i) <- !count;
-      incr i
-    done;
-    atoms := List.rev !blocks :: !atoms;
-    incr count
+  for b = 0 to n - 1 do
+    if not (b > 0 && glued_to_prev.(b)) then begin
+      start.(!count) <- b;
+      incr count
+    end;
+    atom_of.(b) <- !count - 1
   done;
-  (Array.of_list (List.rev !atoms), atom_of)
+  let start = Array.sub start 0 (!count + 1) in
+  let cap = Array.fold_left (fun acc b -> acc + Block.arm_count b) 0 p.blocks in
+  let e_block = Array.make cap 0 and e_arm = Array.make cap 0 and e_dst = Array.make cap 0 in
+  let n_edges = ref 0 in
+  for a = 0 to !count - 1 do
+    let tail = start.(a + 1) - 1 in
+    let b = Proc.block p tail in
+    let first = !n_edges in
+    for arm = 0 to Block.arm_count b - 1 do
+      match Block.arm_target b arm with
+      | Some d when d = start.(atom_of.(d)) && atom_of.(d) <> a ->
+          (* Insert among this tail's edges by destination, after equal
+             ones. *)
+          let dst = atom_of.(d) in
+          let j = ref !n_edges in
+          while !j > first && e_dst.(!j - 1) > dst do
+            e_dst.(!j) <- e_dst.(!j - 1);
+            e_arm.(!j) <- e_arm.(!j - 1);
+            decr j
+          done;
+          e_block.(!n_edges) <- tail;
+          e_arm.(!j) <- arm;
+          e_dst.(!j) <- dst;
+          incr n_edges
+      | Some _ | None -> ()
+    done
+  done;
+  let sub a = Array.sub a 0 !n_edges in
+  {
+    pid;
+    start;
+    atom_of;
+    entry_atom = atom_of.(p.entry);
+    e_block = sub e_block;
+    e_arm = sub e_arm;
+    e_dst = sub e_dst;
+  }
 
 (* Union-find for cycle prevention while linking chains. *)
 let rec find parent x = if parent.(x) = x then x else find parent parent.(x)
 
-let chain_proc profile pid =
-  let prog = Profile.prog profile in
-  let p = Prog.proc prog pid in
-  let atoms, atom_of = build_atoms p in
-  let n_atoms = Array.length atoms in
-  let atom_tail a = List.nth atoms.(a) (List.length atoms.(a) - 1) in
-  (* Chainable edges: atom-tail terminator to atom-head destination.  Call
-     arms are intra-atom and excluded by construction (a Call block is never
-     an atom tail unless its ret glue follows, which build_atoms guarantees,
-     so a tail's terminator is never Call). *)
-  let edges =
-    Profile.proc_flow_edges profile pid
-    |> List.filter_map (fun (e : Profile.flow_edge) ->
-           let src_atom = atom_of.(e.src) and dst_atom = atom_of.(e.dst) in
-           if e.src <> atom_tail src_atom then None
-           else if e.dst <> List.hd atoms.(dst_atom) then None
-           else if src_atom = dst_atom then None
-           else Some (e.weight, src_atom, dst_atom))
-  in
-  (* Heaviest first; ties broken by source order for determinism. *)
-  let edges =
-    List.stable_sort
-      (fun (w1, s1, d1) (w2, s2, d2) ->
-        match compare w2 w1 with 0 -> compare (s1, d1) (s2, d2) | c -> c)
-      edges
+let chain s profile =
+  let { pid; start; atom_of; entry_atom; e_block; e_arm; e_dst } = s in
+  let n_atoms = Array.length start - 1 in
+  let n_edges = Array.length e_block in
+  let w =
+    Array.init n_edges (fun i ->
+        Profile.arm_count profile ~proc:pid ~block:e_block.(i) ~arm:e_arm.(i))
   in
   let succ = Array.make n_atoms (-1) and pred = Array.make n_atoms (-1) in
-  let parent = Array.init n_atoms (fun i -> i) in
-  let linked = ref 0 and top_weight = ref 0.0 in
-  List.iter
-    (fun (w, s, d) ->
-      if succ.(s) = -1 && pred.(d) = -1 && find parent s <> find parent d then begin
-        succ.(s) <- d;
-        pred.(d) <- s;
-        parent.(find parent s) <- find parent d;
-        Telemetry.incr c_edges_linked;
-        incr linked;
-        if w > !top_weight then top_weight := w
+  let parent = Array.init n_atoms Fun.id in
+  let linked = ref 0 and top_weight = ref 0 in
+  let try_link i =
+    let src = atom_of.(e_block.(i)) and dst = e_dst.(i) in
+    if succ.(src) = -1 && pred.(dst) = -1 && find parent src <> find parent dst then begin
+      succ.(src) <- dst;
+      pred.(dst) <- src;
+      parent.(find parent src) <- find parent dst;
+      Telemetry.incr c_edges_linked;
+      incr linked;
+      if w.(i) > !top_weight then top_weight := w.(i)
+    end
+  in
+  (* Heaviest first; ties broken by source then destination atom.  The
+     shape lists the edges in (source, destination) order, so a stable
+     sort of the weighted edges by weight alone gives that order, and the
+     unweighted ones follow as listed. *)
+  let weighted = Array.make (Array.fold_left (fun acc c -> if c > 0 then acc + 1 else acc) 0 w) 0 in
+  let k = ref 0 in
+  Array.iteri
+    (fun i c ->
+      if c > 0 then begin
+        weighted.(!k) <- i;
+        incr k
       end)
-    edges;
-  (* Collect chains from atom heads. *)
-  let chains = ref [] in
-  for a = 0 to n_atoms - 1 do
+    w;
+  Array.stable_sort (fun i j -> compare w.(j) w.(i)) weighted;
+  Array.iter try_link weighted;
+  for i = 0 to n_edges - 1 do
+    if w.(i) <= 0 then try_link i
+  done;
+  (* Chains are named by their first atom.  The entry chain leads; the
+     rest follow by their first block's count, hottest first, ties in atom
+     order. *)
+  let entry_head =
+    let a = ref entry_atom in
+    while pred.(!a) <> -1 do
+      a := pred.(!a)
+    done;
+    !a
+  in
+  let n_chains = ref 0 and rest = ref [] in
+  for a = n_atoms - 1 downto 0 do
     if pred.(a) = -1 then begin
-      let rec walk a acc = if a = -1 then List.rev acc else walk succ.(a) (a :: acc) in
-      chains := walk a [] :: !chains
+      incr n_chains;
+      if a <> entry_head then
+        rest := (Profile.block_count profile ~proc:pid ~block:start.(a), a) :: !rest
     end
   done;
-  let chains = List.rev !chains in
-  Telemetry.add c_chains (List.length chains);
+  Telemetry.add c_chains !n_chains;
   if Provenance.enabled () then
     Provenance.record ~pass:"chaining" ~subject:pid
       [
         ("atoms", Provenance.Int n_atoms);
-        ("chains", Provenance.Int (List.length chains));
+        ("chains", Provenance.Int !n_chains);
         ("edges_linked", Provenance.Int !linked);
-        ("top_edge_weight", Provenance.Float !top_weight);
+        ("top_edge_weight", Provenance.Float (float_of_int !top_weight));
       ];
-  let first_block chain = List.hd atoms.(List.hd chain) in
-  let count chain = Profile.block_count profile ~proc:pid ~block:(first_block chain) in
-  let entry_atom = atom_of.(p.entry) in
-  let entry_chain, rest = List.partition (fun c -> List.mem entry_atom c) chains in
-  let rest =
-    List.stable_sort (fun c1 c2 -> compare (count c2) (count c1)) rest
+  let rest = List.stable_sort (fun (c1, _) (c2, _) -> compare (c2 : int) c1) !rest in
+  (* A chain's blocks, walking its atoms from the last one back. *)
+  let blocks head =
+    let rec last a = if succ.(a) = -1 then a else last succ.(a) in
+    let acc = ref [] and a = ref (last head) in
+    while !a <> -1 do
+      for b = start.(!a + 1) - 1 downto start.(!a) do
+        acc := b :: !acc
+      done;
+      a := pred.(!a)
+    done;
+    !acc
   in
-  entry_chain @ rest
-  |> List.map (fun chain -> List.concat_map (fun a -> atoms.(a)) chain)
+  blocks entry_head :: List.map (fun (_, a) -> blocks a) rest
+
+let chain_proc profile pid = chain (shape (Profile.prog profile) pid) profile
 
 let segments_one_per_proc profile =
   let prog = Profile.prog profile in

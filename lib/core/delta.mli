@@ -28,18 +28,3 @@ val is_empty : t -> bool
 
 val dirty_procs : t -> int list
 (** Dirty procedure ids, ascending. *)
-
-val new_hot : t -> int
-(** Dirty procedures whose total block count went zero to nonzero (newly
-    hot code the old layout has never seen). *)
-
-val gone_cold : t -> int
-(** Dirty procedures whose total block count went nonzero to zero. *)
-
-val blocks_changed : t -> int
-(** Blocks whose execution count differs. *)
-
-val arms_changed : t -> int
-(** Terminator arms whose count differs. *)
-
-val pp : Format.formatter -> t -> unit

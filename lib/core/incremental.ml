@@ -5,22 +5,27 @@ module Telemetry = Olayout_telemetry.Telemetry
 
 (* The delta-driven incremental layout engine (ROADMAP item 4).
 
-   A memo holds the last profile a layout was built from, the per-procedure
-   chains that build produced, and the finished placement.  [update] diffs
-   the new profile against the memoized one (Delta), recomputes chains only
-   for dirty procedures, reuses the memoized chains for clean ones, then
-   re-runs the global passes (Pettis-Hansen / temporal order / coloring /
-   address assignment) over the reassembled segment list.  When the delta
-   is empty — or the algorithm never reads the profile (Base) — the
-   memoized placement is returned outright and every pass is skipped.
+   A memo holds the last profile a layout was built from, each procedure's
+   segments encoded segment-relative (Placement.rows), and the finished
+   placement.  [update] diffs the new profile against the memoized one
+   (Delta), re-chains, re-cuts and re-encodes only the dirty procedures,
+   then re-runs the global passes (Pettis-Hansen / temporal order /
+   coloring / address assignment) over every procedure's rows.  Those
+   passes cost what the change costs: Pettis-Hansen works on the weighted
+   subgraph alone, and address assignment is one prefix sum over segment
+   sizes.  When the delta is empty — or the algorithm never reads the
+   profile (Base) — the memoized placement is returned outright and every
+   pass is skipped.
 
    Equivalence guarantee: the result is byte-identical to a from-scratch
    build on the new profile ({!scratch}; asserted by Placement.equal in
-   the test suite, including a randomized property test).  It holds
-   because (a) Chaining.chain_proc is a pure function of the procedure's
-   own profile rows, so identical rows imply identical chains; (b) segment
-   assembly visits procedures in the same order as the scratch pipeline;
-   and (c) the global passes are pure functions of (profile, segments).
+   the test suite, including a randomized property test and a chain of
+   real re-layout ticks).  It holds because (a) Chaining.chain_proc is a
+   pure function of the procedure's own profile rows, so identical rows
+   imply identical chains, segments and encodings; (b) segments are
+   numbered procedure by procedure, as the scratch pipeline lists them, so
+   the ordering passes see the same indices and break the same ties; and
+   (c) the global passes are pure functions of (profile, segments).
 
    Work accounting: every memo operation also books what a from-scratch
    build of the same layout would have cost, so the relayout.* counters
@@ -115,10 +120,31 @@ let global_passes = function
    of the program: one segment per procedure in source order. *)
 let profile_sensitive = function Combo Spike.Base -> false | _ -> true
 
+(* How a recipe turns a procedure into segments: source order (no
+   chaining), its chains concatenated, or one segment per chain (fine-grain
+   splitting). *)
+type recipe = Source | Per_proc | Per_chain
+
+let recipe = function
+  | Combo (Spike.Base | Spike.Porder) -> Source
+  | Combo (Spike.Chain | Spike.Chain_porder) -> Per_proc
+  | Combo (Spike.Chain_split | Spike.All) | Temporal _ | Colored _ -> Per_chain
+
+(* The memo: per procedure, its segments encoded segment-relative and the
+   local segments whose head block has a count (the ordering passes' hot
+   singletons).  Both depend only on the procedure's own rows of the
+   profile, so only dirty procedures rebuild them.  Segment [i] of
+   procedure [p] is numbered [base.(p) + i] (Placement.numbering), its
+   position in the procedure-by-procedure segment list the from-scratch
+   pipeline builds, so Pettis-Hansen sees the same pair keys and breaks
+   the same ties. *)
 type t = {
   algo : algo;
   mutable profile : Profile.t;
-  chains : Block.id list list array;  (* per procedure; [||] for chainless *)
+  shapes : Chaining.shape array;  (* per procedure; [||] for chainless *)
+  rows : Placement.rows array;
+  hot : int list array;
+  ph : Pettis_hansen.buffers;
   mutable placement : Placement.t;
 }
 
@@ -126,7 +152,7 @@ let algo t = t.algo
 let profile t = t.profile
 let placement t = t.placement
 
-(* --- the pipeline, parameterized by chain source ----------------------- *)
+(* --- the pipeline over the memo ------------------------------------------ *)
 
 let chaining_span f = Telemetry.span "chaining" f
 let splitting_span f = Telemetry.span "splitting" f
@@ -134,51 +160,97 @@ let porder_span f = Telemetry.span "pettis_hansen" f
 let torder_span f = Telemetry.span "temporal_order" f
 let placement_span f = Telemetry.span "placement" f
 
-let proc_segments prog =
-  Array.to_list (Array.map Segment.of_proc prog.Prog.procs)
+let head_count profile (seg : Segment.t) =
+  Profile.block_count profile ~proc:seg.Segment.proc ~block:(Segment.head seg)
 
-(* Assemble the final placement from per-procedure chains, mirroring the
-   from-scratch pipelines (Spike.segments_for, fig_temporal and
-   fig_coloring's segment recipes) operation for operation. *)
-let build_placement algo profile chains =
+(* One procedure's rows from its chains (unused by [Source]). *)
+let encode algo profile pid chains =
   let prog = Profile.prog profile in
-  let n = Prog.n_procs prog in
-  let one_per_proc () =
-    chaining_span (fun () ->
-        List.init n (fun pid ->
-            { Segment.proc = pid; blocks = List.concat chains.(pid) }))
+  let segments =
+    match recipe algo with
+    | Source -> [| Segment.of_proc (Prog.proc prog pid) |]
+    | Per_proc -> [| { Segment.proc = pid; blocks = List.concat chains } |]
+    | Per_chain -> Array.of_list (List.map (fun blocks -> { Segment.proc = pid; blocks }) chains)
   in
-  let fine_grain () =
-    splitting_span (fun () ->
-        Splitting.fine_grain_of_chains prog
-          (List.init n (fun pid -> (pid, chains.(pid)))))
+  Placement.encode prog pid segments
+
+let hot_segments profile (rows : Placement.rows) =
+  List.filter
+    (fun i -> head_count profile rows.Placement.segs.(i) > 0)
+    (List.init (Array.length rows.Placement.segs) Fun.id)
+
+(* The segment stage runs under the span the list pipeline gave it:
+   splitting cuts chains into segments and books its cuts, and the
+   one-segment-per-procedure recipes concatenate chains under
+   "chaining".  [f] (re)builds rows and returns them all. *)
+let segment_stage algo f =
+  match recipe algo with
+  | Per_chain ->
+      splitting_span (fun () ->
+          let rows = f () in
+          Splitting.record_cuts ~n_procs:(Array.length rows)
+            ~segments:(fun pid -> Array.length rows.(pid).Placement.segs)
+            ~blocks:(fun pid -> Array.length rows.(pid).Placement.seg_of);
+          rows)
+  | Per_proc -> chaining_span f
+  | Source -> f ()
+
+(* Which procedure owns segment [g]: the last [p] with [base.(p) <= g]. *)
+let owner base g =
+  let lo = ref 0 and hi = ref (Array.length base - 2) in
+  while !lo < !hi do
+    let mid = (!lo + !hi + 1) / 2 in
+    if base.(mid) <= g then lo := mid else hi := mid - 1
+  done;
+  !lo
+
+(* The global passes over every entry: the segment order, then addresses.
+   [order_indices] reads heat only for the weighted segments and the hot
+   singletons, so its cost follows the weighted subgraph. *)
+let layout algo ph profile rows hot =
+  let prog = Profile.prog profile in
+  let base = Placement.numbering rows in
+  let n = base.(Array.length rows) in
+  let segment g =
+    let p = owner base g in
+    rows.(p).Placement.segs.(g - base.(p))
   in
-  let place ?(align = 4) segments =
-    placement_span (fun () -> Placement.of_segments ~align prog segments)
+  let run ?pass weights =
+    Pettis_hansen.order_indices ph ?pass ~n ~weights
+      ~heat:(fun g -> float_of_int (head_count profile (segment g)))
+      ~hot:(fun f -> Array.iteri (fun p segs -> List.iter (fun i -> f (base.(p) + i)) segs) hot)
+      ~proc_of:(owner base) ()
+  in
+  let porder () =
+    porder_span (fun () ->
+        run
+          (Pettis_hansen.pair_weights_of profile ~seg_of:(fun p b ->
+               base.(p) + rows.(p).Placement.seg_of.(b))))
+  in
+  let place ?(align = 4) order =
+    placement_span (fun () -> Placement.of_rows ~align prog rows ~order)
   in
   match algo with
-  | Combo Spike.Base -> place ~align:16 (proc_segments prog)
-  | Combo Spike.Porder ->
-      place (porder_span (fun () -> Pettis_hansen.order profile (proc_segments prog)))
-  | Combo Spike.Chain -> place (one_per_proc ())
-  | Combo Spike.Chain_split -> place (fine_grain ())
-  | Combo Spike.Chain_porder ->
-      let chained = one_per_proc () in
-      place (porder_span (fun () -> Pettis_hansen.order profile chained))
-  | Combo Spike.All ->
-      let split = fine_grain () in
-      place (porder_span (fun () -> Pettis_hansen.order profile split))
+  | Combo Spike.Base -> place ~align:16 (Array.init n Fun.id)
+  | Combo (Spike.Chain | Spike.Chain_split) -> place (Array.init n Fun.id)
+  | Combo (Spike.Porder | Spike.Chain_porder | Spike.All) -> place (porder ())
   | Temporal temporal ->
-      let split = fine_grain () in
-      let heat (seg : Segment.t) =
-        float_of_int
-          (Profile.block_count profile ~proc:seg.Segment.proc
-             ~block:(Segment.head seg))
+      (* Each procedure's affinities attach to its hottest segment, the
+         first on a tie. *)
+      let rep p =
+        let segs = rows.(p).Placement.segs in
+        let best = ref 0 in
+        Array.iteri
+          (fun i seg -> if head_count profile seg > head_count profile segs.(!best) then best := i)
+          segs;
+        Some (base.(p) + !best)
       in
-      place (torder_span (fun () -> Temporal_order.order temporal ~heat split))
+      place
+        (torder_span (fun () ->
+             run ~pass:"temporal_order" (Temporal_order.weights_by temporal ~rep)))
   | Colored { cache_bytes; max_gap_lines } ->
-      let split = fine_grain () in
-      let segments = porder_span (fun () -> Pettis_hansen.order profile split) in
+      let order = porder () in
+      let segments = Array.fold_right (fun g acc -> segment g :: acc) order [] in
       Telemetry.span "coloring" (fun () ->
           Coloring.place profile ~segments ~cache_bytes ?max_gap_lines ())
 
@@ -190,18 +262,28 @@ let scratch_cost algo n =
 let create algo initial_profile =
   let prog = Profile.prog initial_profile in
   let n = Prog.n_procs prog in
-  let chains =
+  let shapes, chains =
     if uses_chains algo then
       chaining_span (fun () ->
-          Array.init n (fun pid -> Chaining.chain_proc initial_profile pid))
-    else [||]
+          let shapes = Array.init n (Chaining.shape prog) in
+          (shapes, Array.map (fun s -> Chaining.chain s initial_profile) shapes))
+    else ([||], Array.make n [])
   in
-  let placement = build_placement algo initial_profile chains in
+  let hot = Array.make n [] in
+  let rows =
+    segment_stage algo (fun () ->
+        Array.init n (fun pid ->
+            let r = encode algo initial_profile pid chains.(pid) in
+            hot.(pid) <- hot_segments initial_profile r;
+            r))
+  in
+  let ph = Pettis_hansen.buffers () in
+  let placement = layout algo ph initial_profile rows hot in
   Telemetry.incr c_full;
   Telemetry.add c_invocations (scratch_cost algo n);
   Telemetry.add c_scratch (scratch_cost algo n);
   Telemetry.add c_passes_run (global_passes algo);
-  { algo; profile = initial_profile; chains; placement }
+  { algo; profile = initial_profile; shapes; rows; hot; ph; placement }
 
 let update t new_profile =
   let n = Prog.n_procs (Profile.prog t.profile) in
@@ -216,18 +298,33 @@ let update t new_profile =
     t.placement
   end
   else begin
+    let dirty = Delta.dirty_procs delta in
     let n_dirty = Delta.n_dirty delta in
-    if uses_chains t.algo then begin
-      chaining_span (fun () ->
-          List.iter
-            (fun pid -> t.chains.(pid) <- Chaining.chain_proc new_profile pid)
-            (Delta.dirty_procs delta));
-      Telemetry.add c_replaced n_dirty;
-      Telemetry.add c_reused (n - n_dirty);
-      Telemetry.add c_invocations n_dirty
-    end;
+    let chains =
+      if uses_chains t.algo then begin
+        let chains =
+          chaining_span (fun () ->
+              List.map (fun pid -> (pid, Chaining.chain t.shapes.(pid) new_profile)) dirty)
+        in
+        Telemetry.add c_replaced n_dirty;
+        Telemetry.add c_reused (n - n_dirty);
+        Telemetry.add c_invocations n_dirty;
+        chains
+      end
+      else List.map (fun pid -> (pid, [])) dirty
+    in
     t.profile <- new_profile;
-    t.placement <- build_placement t.algo new_profile t.chains;
+    let rows =
+      segment_stage t.algo (fun () ->
+          List.iter
+            (fun (pid, chains) ->
+              let r = encode t.algo new_profile pid chains in
+              t.rows.(pid) <- r;
+              t.hot.(pid) <- hot_segments new_profile r)
+            chains;
+          t.rows)
+    in
+    t.placement <- layout t.algo t.ph new_profile rows t.hot;
     Telemetry.add c_passes_run (global_passes t.algo);
     Telemetry.add c_invocations (global_passes t.algo);
     t.placement

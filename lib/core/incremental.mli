@@ -1,21 +1,25 @@
 (** Delta-driven incremental layout: memoized pipeline re-runs over dirty
     procedures only (ROADMAP item 4's engine half).
 
-    A memo pairs the profile a layout was last built from with the
-    per-procedure chains that build produced and the finished placement.
-    {!update} diffs the new profile against the memo ({!Delta}),
-    recomputes chains only for dirty procedures, then re-runs the global
-    passes (Pettis-Hansen / temporal order / coloring / address
-    assignment) over the reassembled segments; an empty delta — or a
+    A memo pairs the profile a layout was last built from with each
+    procedure's segments, encoded segment-relative
+    ({!Placement.rows}), and the finished placement.  {!update} diffs the
+    new profile against the memo ({!Delta}), rebuilds the entries of dirty
+    procedures only, then re-runs the global passes (Pettis-Hansen /
+    temporal order / coloring / address assignment) over every entry;
+    Pettis-Hansen visits only the weighted segments and address assignment
+    is one prefix sum over segment sizes.  An empty delta — or a
     profile-insensitive algorithm ([Combo Base]) — returns the memoized
     placement with every pass skipped.
 
     {b Equivalence guarantee}: the incremental result is byte-identical
     ({!Placement.equal}) to a from-scratch build on the new profile
     ({!scratch}), because chaining is a pure function of a procedure's own
-    profile rows, assembly visits procedures in scratch order, and the
-    global passes are pure functions of (profile, segments).  The test
-    suite asserts this, including under randomized profile deltas.
+    profile rows, segments are numbered procedure by procedure exactly as
+    the from-scratch segment list orders them, and the global passes are
+    pure functions of (profile, segments).  The test suite asserts this,
+    including under randomized profile deltas and along a chain of real
+    re-layout ticks.
 
     Work is booked into the [relayout.*] counters: [pass_invocations]
     (per-procedure chaining invocations actually performed plus global

@@ -15,24 +15,42 @@ let shape prog v =
 
 let align_up a alignment = (a + alignment - 1) / alignment * alignment
 
-(* Encoded terminator for block [b] when the block placed next (in the same
-   segment) is [next].  Returns (static terminator instrs, exec arm0, exec arm1). *)
-let encode (b : Block.t) (next : Block.id option) =
+(* Encoded terminator instrs for block [b] when block [next] (-1: none) is
+   placed right after it in the same segment. *)
+let term_instrs (b : Block.t) next =
   match b.term with
-  | Block.Fall d -> if next = Some d then (0, 0, 0) else (1, 1, 1)
-  | Block.Jump d -> if next = Some d then (0, 0, 0) else (1, 1, 1)
+  | Block.Fall d | Block.Jump d -> if next = d then 0 else 1
   | Block.Cond { taken; fall; _ } ->
-      if next = Some fall then (1, 1, 1)
-      else if next = Some taken then (1, 1, 1) (* inverted condition *)
-      else (2, 1, 2) (* cond + companion branch; fall path executes both *)
-  | Block.Call _ -> (1, 1, 1)
-  | Block.Ijump _ -> (1, 1, 1)
-  | Block.Ret -> (1, 1, 1)
-  | Block.Halt -> (0, 0, 0)
+      (* Fall-through adjacent, or taken adjacent with the condition
+         inverted: one instruction; neither: cond + companion branch. *)
+      if next = fall || next = taken then 1 else 2
+  | Block.Call _ | Block.Ijump _ | Block.Ret -> 1
+  | Block.Halt -> 0
+
+(* Walk one segment's blocks with each one's encoded size (instrs,
+   terminator included) and the terminator instrs executed on arms 0 and
+   1: a conditional branch costs one on the taken arm, and its fall path
+   also executes the companion branch; other terminators execute what
+   they encode.  A segment's encoding depends on its own block order
+   alone. *)
+let iter_encoded (p : Proc.t) blocks f =
+  let rec go = function
+    | [] -> ()
+    | b :: rest ->
+        let blk = Proc.block p b in
+        let t = term_instrs blk (match rest with nb :: _ -> nb | [] -> -1) in
+        let e0 = match blk.Block.term with Block.Cond _ -> 1 | _ -> t in
+        f b (blk.Block.body + t) e0 t;
+        go rest
+  in
+  go blocks
+
+let check_align align =
+  if align < Block.bytes_per_instr || align mod Block.bytes_per_instr <> 0 then
+    invalid_arg "Placement.of_segments: bad alignment"
 
 let of_segments_at ?(align = 16) prog ~addr_of segments =
-  if align < Block.bytes_per_instr || align mod Block.bytes_per_instr <> 0 then
-    invalid_arg "Placement.of_segments: bad alignment";
+  check_align align;
   Segment.check_cover prog segments;
   let addr = shape prog 0 in
   let static_sz = shape prog 0 in
@@ -41,27 +59,17 @@ let of_segments_at ?(align = 16) prog ~addr_of segments =
   let cursor = ref prog.Prog.base_addr in
   List.iter
     (fun (seg : Segment.t) ->
-      let p = Prog.proc prog seg.proc in
       let start = addr_of seg (align_up !cursor align) in
       if start < !cursor then invalid_arg "Placement: addr_of moved backwards";
       if start mod Block.bytes_per_instr <> 0 then
         invalid_arg "Placement: addr_of returned unaligned address";
       cursor := start;
-      let rec place = function
-        | [] -> ()
-        | b :: rest ->
-            let blk = Proc.block p b in
-            let next = match rest with nb :: _ -> Some nb | [] -> None in
-            let t_static, e0, e1 = encode blk next in
-            let sz = blk.Block.body + t_static in
-            addr.(seg.proc).(b) <- !cursor;
-            static_sz.(seg.proc).(b) <- sz;
-            extra0.(seg.proc).(b) <- e0;
-            extra1.(seg.proc).(b) <- e1;
-            cursor := !cursor + (sz * Block.bytes_per_instr);
-            place rest
-      in
-      place seg.blocks)
+      iter_encoded (Prog.proc prog seg.proc) seg.blocks (fun b sz e0 e1 ->
+          addr.(seg.proc).(b) <- !cursor;
+          static_sz.(seg.proc).(b) <- sz;
+          extra0.(seg.proc).(b) <- e0;
+          extra1.(seg.proc).(b) <- e1;
+          cursor := !cursor + (sz * Block.bytes_per_instr)))
     segments;
   {
     prog;
@@ -71,6 +79,93 @@ let of_segments_at ?(align = 16) prog ~addr_of segments =
     extra1;
     text_bytes = !cursor - prog.Prog.base_addr;
     segments;
+  }
+
+type rows = {
+  proc : int;
+  segs : Segment.t array;
+  seg_of : int array;
+  offset : int array;
+  size : int array;
+  exec0 : int array;
+  exec1 : int array;
+  seg_bytes : int array;
+}
+
+let encode prog pid segments =
+  let seg_of = Segment.index prog pid segments in
+  let n = Array.length seg_of in
+  let offset = Array.make n 0 and size = Array.make n 0 in
+  let exec0 = Array.make n 0 and exec1 = Array.make n 0 in
+  let p = Prog.proc prog pid in
+  let seg_bytes =
+    Array.map
+      (fun (seg : Segment.t) ->
+        let cursor = ref 0 in
+        iter_encoded p seg.blocks (fun b sz e0 e1 ->
+            offset.(b) <- !cursor;
+            size.(b) <- sz;
+            exec0.(b) <- e0;
+            exec1.(b) <- e1;
+            cursor := !cursor + (sz * Block.bytes_per_instr));
+        !cursor)
+      segments
+  in
+  { proc = pid; segs = segments; seg_of; offset; size; exec0; exec1; seg_bytes }
+
+let numbering rows =
+  let base = Array.make (Array.length rows + 1) 0 in
+  Array.iteri (fun p r -> base.(p + 1) <- base.(p) + Array.length r.segs) rows;
+  base
+
+let of_rows ?(align = 16) prog rows ~order =
+  check_align align;
+  if Array.length rows <> Prog.n_procs prog then
+    invalid_arg "Placement.of_rows: one row set per procedure";
+  Array.iteri
+    (fun p r -> if r.proc <> p then invalid_arg "Placement.of_rows: rows out of procedure order")
+    rows;
+  let base = numbering rows in
+  let n = base.(Array.length rows) in
+  if Array.length order <> n then invalid_arg "Placement.of_rows: order is not a permutation";
+  let bytes = Array.concat (Array.to_list (Array.map (fun r -> r.seg_bytes) rows)) in
+  (* One prefix sum over the segment sizes, in order, starts every segment;
+     a segment met twice (hence one never met) is refused.  A block's
+     address is its segment's start plus its offset. *)
+  let start = Array.make n (-1) in
+  let cursor = ref prog.Prog.base_addr in
+  for k = 0 to n - 1 do
+    let g = order.(k) in
+    if g < 0 || g >= n || start.(g) >= 0 then
+      invalid_arg "Placement.of_rows: order is not a permutation";
+    let s = align_up !cursor align in
+    start.(g) <- s;
+    cursor := s + bytes.(g)
+  done;
+  let addr =
+    Array.mapi
+      (fun p r ->
+        let b0 = base.(p) and seg_of = r.seg_of and offset = r.offset in
+        let a = Array.make (Array.length seg_of) 0 in
+        for b = 0 to Array.length a - 1 do
+          a.(b) <- start.(b0 + seg_of.(b)) + offset.(b)
+        done;
+        a)
+      rows
+  in
+  let segs = Array.concat (Array.to_list (Array.map (fun r -> r.segs) rows)) in
+  let segments = ref [] in
+  for k = n - 1 downto 0 do
+    segments := segs.(order.(k)) :: !segments
+  done;
+  {
+    prog;
+    addr;
+    static_sz = Array.map (fun r -> r.size) rows;
+    extra0 = Array.map (fun r -> r.exec0) rows;
+    extra1 = Array.map (fun r -> r.exec1) rows;
+    text_bytes = !cursor - prog.Prog.base_addr;
+    segments = !segments;
   }
 
 let of_segments ?align prog segments =

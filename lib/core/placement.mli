@@ -34,6 +34,43 @@ val of_segments_at :
     returns the placement address for segment [seg] when the next free byte
     is [a] (it must return a value [>= a], 4-byte aligned). *)
 
+(** {1 Segment-relative placement}
+
+    A segment's encoding depends only on its own block order, so each
+    procedure's segments can be encoded once, as offsets from their
+    segment's start, and re-used by every placement that keeps them.
+    Segments are numbered procedure-major: procedure [p]'s segment [i] is
+    [base.(p) + i], [base] being {!numbering}'s prefix sum. *)
+
+type rows = private {
+  proc : int;  (** the procedure *)
+  segs : Segment.t array;  (** its segments, in local order *)
+  seg_of : int array;  (** block -> local segment *)
+  offset : int array;  (** block -> byte offset within its segment *)
+  size : int array;  (** block -> encoded instrs, terminator included *)
+  exec0 : int array;  (** block -> executed terminator instrs, arm 0 *)
+  exec1 : int array;  (** block -> executed terminator instrs, arm 1 *)
+  seg_bytes : int array;  (** local segment -> encoded bytes *)
+}
+
+val encode : Prog.t -> int -> Segment.t array -> rows
+(** [encode prog pid segments] encodes all of procedure [pid]'s segments.
+    Checks the procedure's share of {!Segment.check_cover}
+    ({!Segment.index}). *)
+
+val numbering : rows array -> int array
+(** [base]: [base.(p)] is the number of procedure [p]'s first segment;
+    [base.(n_procs)] is the segment count. *)
+
+val of_rows : ?align:int -> Prog.t -> rows array -> order:int array -> t
+(** Lay out the segments of [rows] (procedure [p]'s at index [p]) in [order], a
+    permutation of their numbers, each start aligned to [align] bytes
+    (default 16): one prefix sum over the segment sizes.  Equal to
+    {!of_segments} on the same segments in the same order; its size and
+    terminator rows are [rows]' own arrays, shared, not copied.
+    @raise Invalid_argument unless [order] is a permutation and [rows]
+    holds each procedure's rows at its index. *)
+
 val original : ?align:int -> Prog.t -> t
 (** The compiler's source-order layout: one segment per procedure, original
     block order.  This is the paper's "base" binary. *)

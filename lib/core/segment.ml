@@ -14,43 +14,46 @@ let n_blocks t = List.length t.blocks
 
 let contains_entry (p : Proc.t) t = t.proc = p.id && List.mem p.entry t.blocks
 
-let check_cover prog segments =
-  let seen =
-    Array.map (fun (p : Proc.t) -> Array.make (Proc.n_blocks p) false) prog.Prog.procs
-  in
-  List.iter
-    (fun seg ->
-      let p = Prog.proc prog seg.proc in
+(* The block -> local segment map of one procedure's segments, built while
+   checking that they partition its blocks with call glue intact. *)
+let index prog pid segments =
+  let p = Prog.proc prog pid in
+  let seg_of = Array.make (Proc.n_blocks p) (-1) in
+  Array.iteri
+    (fun i seg ->
+      if seg.proc <> pid then
+        invalid_arg
+          (Printf.sprintf "Segment.index: p%d segment among p%d's" seg.proc pid);
       let rec go = function
         | [] -> ()
         | b :: rest ->
             if b < 0 || b >= Proc.n_blocks p then
-              invalid_arg
-                (Printf.sprintf "Segment.check_cover: p%d b%d out of range" seg.proc b);
-            if seen.(seg.proc).(b) then
-              invalid_arg
-                (Printf.sprintf "Segment.check_cover: p%d b%d placed twice" seg.proc b);
-            seen.(seg.proc).(b) <- true;
+              invalid_arg (Printf.sprintf "Segment.check_cover: p%d b%d out of range" pid b);
+            if seg_of.(b) >= 0 then
+              invalid_arg (Printf.sprintf "Segment.check_cover: p%d b%d placed twice" pid b);
+            seg_of.(b) <- i;
             (match (Proc.block p b).Block.term with
-            | Block.Call { ret; _ } ->
-                (match rest with
+            | Block.Call { ret; _ } -> (
+                match rest with
                 | next :: _ when next = ret -> ()
                 | _ ->
                     invalid_arg
                       (Printf.sprintf
-                         "Segment.check_cover: p%d b%d call not glued to its return block"
-                         seg.proc b))
+                         "Segment.check_cover: p%d b%d call not glued to its return block" pid
+                         b))
             | _ -> ());
             go rest
       in
       go seg.blocks)
     segments;
   Array.iteri
-    (fun pid row ->
-      Array.iteri
-        (fun bid placed ->
-          if not placed then
-            invalid_arg
-              (Printf.sprintf "Segment.check_cover: p%d b%d never placed" pid bid))
-        row)
-    seen
+    (fun bid i ->
+      if i < 0 then
+        invalid_arg (Printf.sprintf "Segment.check_cover: p%d b%d never placed" pid bid))
+    seg_of;
+  seg_of
+
+let check_cover prog segments =
+  let by_proc = Array.make (Prog.n_procs prog) [] in
+  List.iter (fun seg -> by_proc.(seg.proc) <- seg :: by_proc.(seg.proc)) (List.rev segments);
+  Array.iteri (fun pid segs -> ignore (index prog pid (Array.of_list segs))) by_proc

@@ -25,3 +25,11 @@ val check_cover : Prog.t -> t list -> unit
     block of every procedure appears in exactly one segment, and call-return
     glue pairs stay adjacent within a segment.
     @raise Invalid_argument otherwise. *)
+
+val index : Prog.t -> int -> t array -> int array
+(** [index prog pid segments]: the block -> segment map of one procedure,
+    [segments] being all of procedure [pid]'s segments; entry [b] is the
+    position in [segments] of the segment holding block [b].  Checks the
+    procedure's share of {!check_cover}: the segments belong to [pid] and
+    partition its blocks, with call glue intact.
+    @raise Invalid_argument otherwise. *)

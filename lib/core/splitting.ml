@@ -5,26 +5,27 @@ module Provenance = Olayout_telemetry.Provenance
 
 let c_segments = Telemetry.counter "core.split_segments_cut"
 
-let fine_grain_of_chains _prog proc_chains =
+let record_cuts ~n_procs ~segments ~blocks =
+  let total = ref 0 in
   let prov = Provenance.enabled () in
-  List.concat_map
-    (fun (pid, chains) ->
-      Telemetry.add c_segments (List.length chains);
-      if prov then
-        Provenance.record ~pass:"splitting" ~subject:pid
-          [
-            ("segments", Provenance.Int (List.length chains));
-            ( "blocks",
-              Provenance.Int
-                (List.fold_left (fun acc c -> acc + List.length c) 0 chains) );
-          ];
-      List.map (fun blocks -> { Segment.proc = pid; blocks }) chains)
-    proc_chains
+  for pid = 0 to n_procs - 1 do
+    let n = segments pid in
+    total := !total + n;
+    if prov then
+      Provenance.record ~pass:"splitting" ~subject:pid
+        [ ("segments", Provenance.Int n); ("blocks", Provenance.Int (blocks pid)) ]
+  done;
+  Telemetry.add c_segments !total
 
 let fine_grain profile =
   let prog = Profile.prog profile in
-  fine_grain_of_chains prog
-    (List.init (Prog.n_procs prog) (fun pid -> (pid, Chaining.chain_proc profile pid)))
+  let chains = Array.init (Prog.n_procs prog) (Chaining.chain_proc profile) in
+  record_cuts ~n_procs:(Array.length chains)
+    ~segments:(fun pid -> List.length chains.(pid))
+    ~blocks:(fun pid -> List.fold_left (fun acc c -> acc + List.length c) 0 chains.(pid));
+  List.concat
+    (List.init (Array.length chains) (fun pid ->
+         List.map (fun blocks -> { Segment.proc = pid; blocks }) chains.(pid)))
 
 let hot_cold ?(threshold = 0) profile =
   let prog = Profile.prog profile in

@@ -10,14 +10,17 @@
     here for the ablation benches — splits each procedure into just two
     segments: the blocks that executed during profiling, and the rest. *)
 
-open Olayout_ir
-
 val fine_grain : Olayout_profile.Profile.t -> Segment.t list
 (** One segment per chain, for every procedure; procedures in original
     order, chains in chaining's emission order. *)
 
-val fine_grain_of_chains : Prog.t -> (int * Block.id list list) list -> Segment.t list
-(** As {!fine_grain} for pre-computed chains [(proc, chains)]. *)
+val record_cuts : n_procs:int -> segments:(int -> int) -> blocks:(int -> int) -> unit
+(** Book one fine-grain build of procedures [0 .. n_procs-1], procedure
+    [pid] cut into [segments pid] segments holding [blocks pid] blocks:
+    the [core.split_segments_cut] counter takes the total and, while
+    provenance is enabled, each procedure gets its ["splitting"] event, in
+    procedure order.  {!fine_grain} books through this; so does
+    {!Incremental}, which keeps the segments themselves. *)
 
 val hot_cold : ?threshold:int -> Olayout_profile.Profile.t -> Segment.t list
 (** Stock-Spike splitting: per procedure, a hot segment (chained blocks with

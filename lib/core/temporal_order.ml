@@ -1,5 +1,11 @@
 module Temporal = Olayout_profile.Temporal
 
+let weights_by temporal ~rep =
+  List.filter_map
+    (fun ((pa, pb), w) ->
+      match (rep pa, rep pb) with Some i, Some j -> Some ((i, j), w) | _, _ -> None)
+    (Temporal.pairs temporal)
+
 let pair_weights temporal ~heat segments =
   let seg_arr = Array.of_list segments in
   (* The graph is procedure-granular (as in Gloy et al.); when splitting has
@@ -13,12 +19,7 @@ let pair_weights temporal ~heat segments =
       | Some j when heat seg_arr.(j) >= heat seg_arr.(i) -> ()
       | Some _ | None -> Hashtbl.replace representative seg.proc i)
     seg_arr;
-  List.filter_map
-    (fun ((pa, pb), w) ->
-      match (Hashtbl.find_opt representative pa, Hashtbl.find_opt representative pb) with
-      | Some i, Some j -> Some ((i, j), w)
-      | _, _ -> None)
-    (Temporal.pairs temporal)
+  weights_by temporal ~rep:(Hashtbl.find_opt representative)
 
 let order temporal ~heat segments =
   let seg_arr = Array.of_list segments in

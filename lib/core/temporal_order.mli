@@ -23,3 +23,10 @@ val pair_weights :
   ((int * int) * float) list
 (** The weights {!order} hands the merge engine, by input segment index;
     exposed for tests. *)
+
+val weights_by :
+  Olayout_profile.Temporal.t -> rep:(int -> int option) -> ((int * int) * float) list
+(** The temporal graph's pairs moved onto segments: procedure [p]'s
+    affinities attach to segment [rep p] (pairs with an unrepresented
+    procedure are dropped).  {!pair_weights} is this with each procedure's
+    hottest segment, the first on a tie. *)

@@ -81,13 +81,21 @@ let arm_slot t pid bid arm = t.shape.arm_off.(flat t pid bid) + arm
 
 let iter_nonzero_arms t f =
   let { block_off; arm_off } = t.shape in
-  for proc = 0 to Array.length block_off - 2 do
-    for g = block_off.(proc) to block_off.(proc + 1) - 1 do
-      for i = arm_off.(g) to arm_off.(g + 1) - 1 do
-        let c = t.arms.(i) in
-        if c <> 0 then f ~proc ~block:(g - block_off.(proc)) ~arm:(i - arm_off.(g)) c
-      done
-    done
+  let arms = t.arms in
+  (* One pass over the flat arm counts; the block and procedure cursors
+     only move forward, and only when a count is found. *)
+  let g = ref 0 and proc = ref 0 in
+  for i = 0 to Array.length arms - 1 do
+    let c = arms.(i) in
+    if c <> 0 then begin
+      while arm_off.(!g + 1) <= i do
+        incr g
+      done;
+      while block_off.(!proc + 1) <= !g do
+        incr proc
+      done;
+      f ~proc:!proc ~block:(!g - block_off.(!proc)) ~arm:(i - arm_off.(!g)) c
+    end
   done
 
 let proc_entry_count t p = count t p (Prog.proc t.prog p).Proc.entry
@@ -170,12 +178,13 @@ let same_shape a b =
   a.shape == b.shape || a.prog == b.prog
   || (a.shape.block_off = b.shape.block_off && a.shape.arm_off = b.shape.arm_off)
 
-let merge_into ~into t =
-  if not (same_shape into t) then invalid_arg "Profile.merge_into: different programs";
-  for i = 0 to Array.length t.blocks - 1 do
+let merge_proc_into ~into t pid =
+  if not (same_shape into t) then invalid_arg "Profile.merge_proc_into: different programs";
+  let { block_off; arm_off } = t.shape in
+  for i = block_off.(pid) to block_off.(pid + 1) - 1 do
     into.blocks.(i) <- into.blocks.(i) + t.blocks.(i)
   done;
-  for i = 0 to Array.length t.arms - 1 do
+  for i = arm_off.(block_off.(pid)) to arm_off.(block_off.(pid + 1)) - 1 do
     into.arms.(i) <- into.arms.(i) + t.arms.(i)
   done
 
@@ -183,19 +192,24 @@ let merge a b =
   if not (same_shape a b) then invalid_arg "Profile.merge: different programs";
   { a with blocks = Array.map2 ( + ) a.blocks b.blocks; arms = Array.map2 ( + ) a.arms b.arms }
 
+(* Two slice comparisons over the flat rows, no allocation: Delta.diff
+   runs this for every procedure on every re-layout tick. *)
 let proc_equal a b pid =
-  let rows t = (t.shape.block_off.(pid), t.shape.block_off.(pid + 1)) in
-  let slice_equal x x0 y y0 len =
-    let rec go i = i = len || (x.(x0 + i) = y.(y0 + i) && go (i + 1)) in
-    go 0
+  let ab0 = a.shape.block_off.(pid) and ab1 = a.shape.block_off.(pid + 1) in
+  let bb0 = b.shape.block_off.(pid) and bb1 = b.shape.block_off.(pid + 1) in
+  let aa0 = a.shape.arm_off.(ab0) and aa1 = a.shape.arm_off.(ab1) in
+  let ba0 = b.shape.arm_off.(bb0) and ba1 = b.shape.arm_off.(bb1) in
+  let slice_equal (x : int array) x0 (y : int array) y0 len =
+    let i = ref 0 in
+    while !i < len && x.(x0 + !i) = y.(y0 + !i) do
+      incr i
+    done;
+    !i = len
   in
-  let a0, a1 = rows a and b0, b1 = rows b in
-  let aa0 = a.shape.arm_off.(a0) and ba0 = b.shape.arm_off.(b0) in
-  let arms = a.shape.arm_off.(a1) - aa0 in
-  a1 - a0 = b1 - b0
-  && arms = b.shape.arm_off.(b1) - ba0
-  && slice_equal a.blocks a0 b.blocks b0 (a1 - a0)
-  && slice_equal a.arms aa0 b.arms ba0 arms
+  ab1 - ab0 = bb1 - bb0
+  && aa1 - aa0 = ba1 - ba0
+  && slice_equal a.blocks ab0 b.blocks bb0 (ab1 - ab0)
+  && slice_equal a.arms aa0 b.arms ba0 (aa1 - aa0)
 
 let total_block_events t = Array.fold_left ( + ) 0 t.blocks
 

@@ -67,8 +67,9 @@ val merge : t -> t -> t
 (** Pointwise sum of two profiles over the same program.
     @raise Invalid_argument unless {!same_shape}. *)
 
-val merge_into : into:t -> t -> unit
-(** [merge_into ~into p] adds [p]'s counts to [into] in place.
+val merge_proc_into : into:t -> t -> int -> unit
+(** [merge_proc_into ~into p pid] adds procedure [pid]'s counts in [p] to
+    [into], in place.
     @raise Invalid_argument unless {!same_shape}. *)
 
 val same_shape : t -> t -> bool

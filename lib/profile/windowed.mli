@@ -33,9 +33,11 @@ val events : t -> int
 
 val profile : t -> int -> Profile.t
 (** The profile of one window (a zeroed profile for in-range windows that
-    saw no events).
+    saw no events).  It belongs to the capture: read it, do not record
+    into it ({!merged} sums only the procedures the sink recorded).
     @raise Invalid_argument when the index is out of range. *)
 
 val merged : t -> lo:int -> hi:int -> Profile.t
 (** Pointwise sum of the windows in [\[lo, hi)], clamped to the captured
-    range. *)
+    range.  Costs what the windows touched: each window adds only the
+    rows of the procedures its sink recorded into. *)

@@ -430,6 +430,44 @@ let test_cfa_rejects_bad_args () =
        false
      with Invalid_argument _ -> true)
 
+(* Chaining against its list-based oracle: the same chains, the same
+   number of linked edges and of chains formed, for every procedure of
+   random programs under dense, sparse and empty profiles (an empty
+   profile links every candidate edge at weight zero, in source/destination
+   order). *)
+let test_chaining_oracle () =
+  let module Telemetry = Olayout_telemetry.Telemetry in
+  let counter name = Option.value (List.assoc_opt name (Telemetry.counters ())) ~default:0 in
+  List.iter
+    (fun seed ->
+      let prog = Olayout_codegen.Binary.prog (Helpers.random_program seed) in
+      let sparse = Profile.create prog in
+      let walk = Olayout_exec.Walk.create ~prog ~rng:(Olayout_util.Rng.create seed) in
+      Olayout_exec.Walk.add_sink walk (fun ~proc ~block ~arm ->
+          Profile.record sparse ~proc ~block ~arm);
+      Olayout_exec.Walk.call walk (seed mod Prog.n_procs prog);
+      List.iter
+        (fun (what, profile) ->
+          for pid = 0 to Prog.n_procs prog - 1 do
+            let name = Printf.sprintf "program %d, %s profile, p%d" seed what pid in
+            let want, linked = Chain_reference.chain_proc profile pid in
+            let was_enabled = Telemetry.enabled () in
+            Telemetry.set_enabled true;
+            let l0 = counter "core.chain_edges_linked" and c0 = counter "core.chains_formed" in
+            let got = Chaining.chain_proc profile pid in
+            let l1 = counter "core.chain_edges_linked" and c1 = counter "core.chains_formed" in
+            Telemetry.set_enabled was_enabled;
+            Alcotest.(check (list (list int))) (name ^ ": chains") want got;
+            Alcotest.(check int) (name ^ ": edges linked") linked (l1 - l0);
+            Alcotest.(check int) (name ^ ": chains formed") (List.length want) (c1 - c0)
+          done)
+        [
+          ("dense", Helpers.walked_profile ~calls:(10 + seed) ~seed prog);
+          ("sparse", sparse);
+          ("empty", Profile.create prog);
+        ])
+    (List.init 16 (fun i -> 60 + i))
+
 let suite =
   ( "core.layout",
     [
@@ -440,6 +478,7 @@ let suite =
       Alcotest.test_case "chaining loop rotation" `Quick test_chaining_loop_rotation;
       Alcotest.test_case "chaining deterministic" `Quick test_chaining_deterministic;
       QCheck_alcotest.to_alcotest qcheck_chaining_partitions;
+      Alcotest.test_case "chaining = list oracle" `Quick test_chaining_oracle;
       Alcotest.test_case "fine-grain segments" `Quick test_fine_grain_segments_end_unconditionally;
       Alcotest.test_case "hot/cold split" `Quick test_hot_cold_split;
       Alcotest.test_case "P-H simple order" `Quick test_ph_simple_order;

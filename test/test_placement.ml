@@ -160,6 +160,52 @@ let test_long_branches () =
   Alcotest.(check bool) "tiny reach flags branches" true
     (Placement.long_branches near ~max_displacement:8 () > 0)
 
+(* Segment-relative placement against the list constructor: encoding each
+   procedure's segments once and laying them out by one prefix sum gives
+   the placement [of_segments] gives for the same segments in the same
+   order, at either alignment; an order that is not a permutation is
+   refused. *)
+let test_of_rows_matches_of_segments () =
+  List.iter
+    (fun seed ->
+      let prog = Olayout_codegen.Binary.prog (Helpers.random_program seed) in
+      let profile = Helpers.walked_profile ~calls:20 ~seed prog in
+      let segments = Array.of_list (Olayout_core.Splitting.fine_grain profile) in
+      let rows =
+        Array.init (Prog.n_procs prog) (fun pid ->
+            Placement.encode prog pid
+              (Array.of_list
+                 (List.filter (fun (s : Segment.t) -> s.proc = pid) (Array.to_list segments))))
+      in
+      let n = Array.length segments in
+      let order = Array.init n Fun.id in
+      let rng = Olayout_util.Rng.create seed in
+      for i = n - 1 downto 1 do
+        let j = Olayout_util.Rng.int rng (i + 1) in
+        let t = order.(i) in
+        order.(i) <- order.(j);
+        order.(j) <- t
+      done;
+      List.iter
+        (fun align ->
+          let want =
+            Placement.of_segments ~align prog (Array.to_list (Array.map (Array.get segments) order))
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "program %d, align %d: same placement" seed align)
+            true
+            (Placement.equal want (Placement.of_rows ~align prog rows ~order)))
+        [ 4; 16 ];
+      if n > 1 then begin
+        let dup = Array.copy order in
+        dup.(0) <- dup.(1);
+        Alcotest.(check bool) "repeated segment refused" true
+          (match Placement.of_rows prog rows ~order:dup with
+          | exception Invalid_argument _ -> true
+          | _ -> false)
+      end)
+    (List.init 8 (fun i -> 40 + i))
+
 let suite =
   ( "core.placement",
     [
@@ -173,4 +219,5 @@ let suite =
       Alcotest.test_case "no overlaps (random)" `Quick test_no_overlaps_random;
       Alcotest.test_case "cond branch outcomes" `Quick test_cond_branch_outcomes;
       Alcotest.test_case "long branches" `Quick test_long_branches;
+      Alcotest.test_case "of_rows = of_segments" `Quick test_of_rows_matches_of_segments;
     ] )

@@ -242,8 +242,9 @@ let test_shape_not_name () =
   Alcotest.(check bool) "shapes differ" false (Profile.same_shape a b);
   Alcotest.check_raises "merge" (Invalid_argument "Profile.merge: different programs")
     (fun () -> ignore (Profile.merge a b));
-  Alcotest.check_raises "merge_into" (Invalid_argument "Profile.merge_into: different programs")
-    (fun () -> Profile.merge_into ~into:a b);
+  Alcotest.check_raises "merge_proc_into"
+    (Invalid_argument "Profile.merge_proc_into: different programs") (fun () ->
+      Profile.merge_proc_into ~into:a b 0);
   Alcotest.check_raises "Delta.diff"
     (Invalid_argument "Delta.diff: profiles of different programs") (fun () ->
       ignore (Olayout_core.Delta.diff a b));

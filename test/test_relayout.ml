@@ -27,6 +27,7 @@ module Artifact = Olayout_regress.Artifact
 module Diff = Olayout_regress.Diff
 module Rng = Olayout_util.Rng
 module Walk = Olayout_exec.Walk
+module Windowed = Olayout_profile.Windowed
 
 (* A profile from walking a random subset of procedures a random number of
    times: versus another seed this produces weight perturbations, deleted
@@ -66,8 +67,9 @@ let test_delta_empty () =
   Alcotest.(check bool) "identical recordings: empty" true (Delta.is_empty d);
   Alcotest.(check int) "no dirty procs" 0 (Delta.n_dirty d);
   Alcotest.(check (list int)) "dirty list empty" [] (Delta.dirty_procs d);
-  Alcotest.(check int) "no new hot" 0 (Delta.new_hot d);
-  Alcotest.(check int) "no gone cold" 0 (Delta.gone_cold d)
+  Alcotest.(check int) "covers every procedure" (Prog.n_procs prog) (Delta.n_procs d);
+  Alcotest.(check bool) "no procedure dirty" false
+    (List.exists (Delta.is_dirty d) (List.init (Delta.n_procs d) Fun.id))
 
 let test_delta_dirty () =
   let prog = Olayout_codegen.Binary.prog (Helpers.random_program 11) in
@@ -80,7 +82,7 @@ let test_delta_dirty () =
   Alcotest.(check (list int)) "exactly proc 1 dirty" [ 1 ] (Delta.dirty_procs d);
   Alcotest.(check bool) "is_dirty agrees" true (Delta.is_dirty d 1);
   Alcotest.(check bool) "clean proc stays clean" false (Delta.is_dirty d 0);
-  Alcotest.(check bool) "block rows changed" true (Delta.blocks_changed d > 0)
+  Alcotest.(check int) "one dirty procedure" 1 (Delta.n_dirty d)
 
 let test_delta_hot_cold () =
   let prog = Helpers.call_prog () in
@@ -90,11 +92,13 @@ let test_delta_hot_cold () =
   Profile.record hot ~proc:0 ~block:0 ~arm:0;
   Profile.record hot ~proc:1 ~block:0 ~arm:0;
   let d = Delta.diff cold hot in
-  Alcotest.(check int) "callee newly hot" 1 (Delta.new_hot d);
-  Alcotest.(check int) "nothing went cold" 0 (Delta.gone_cold d);
+  Alcotest.(check (list int)) "callee newly hot: only the callee dirty" [ 1 ]
+    (Delta.dirty_procs d);
+  Alcotest.(check bool) "caller stays clean" false (Delta.is_dirty d 0);
   let back = Delta.diff hot cold in
-  Alcotest.(check int) "reverse: gone cold" 1 (Delta.gone_cold back);
-  Alcotest.(check int) "reverse: none new" 0 (Delta.new_hot back)
+  Alcotest.(check (list int)) "reverse: callee gone cold, only it dirty" [ 1 ]
+    (Delta.dirty_procs back);
+  Alcotest.(check int) "reverse: one dirty procedure" 1 (Delta.n_dirty back)
 
 let test_delta_validation () =
   let a = Profile.create (Helpers.call_prog ()) in
@@ -302,18 +306,104 @@ let test_combined_work_gate () =
     (w.Incremental.w_scratch_invocations >= 2 * w.Incremental.w_invocations)
 
 let test_driver_equivalence_at_scale () =
-  (* One full-size spot check on the real workload profile: an incremental
-     update from the training profile to a drifted window span matches the
-     from-scratch pipeline byte for byte. *)
+  (* The scheduled rotation's windows, captured once, drive chains of real
+     re-layout ticks on the full-size program, as the closed loop feeds
+     them: after every tick the incremental placement must match the
+     from-scratch pipeline byte for byte.  Window profiles have their own
+     nonzero support, so ticks move procedures between hot and cold and
+     change procedures' segment counts, which shifts the numbers of every
+     later procedure's segments. *)
   let c = Lazy.force ctx in
   ignore (Lazy.force results);
   let train = Context.app_profile c in
-  let memo = Incremental.create (Incremental.Combo Spike.All) train in
-  let drifted = Profile.merge train (Profile.scale train 0.5) in
-  let incr = Incremental.update memo drifted in
-  Alcotest.(check bool) "quick-context update = scratch" true
-    (Placement.equal incr
-       (Incremental.scratch (Incremental.Combo Spike.All) drifted))
+  let prog = Profile.prog train in
+  let wp = Windowed.create ~window:Relayout.default_window prog in
+  let (_ : Olayout_oltp.Server.result) =
+    Context.measure_raw c
+      ~schedule:(Olayout_oltp.Schedule.rotation ~slots:Relayout.default_slots)
+      ~app_sinks:[ Windowed.sink wp ] ~renders:[] ()
+  in
+  let algo = Incremental.Combo Spike.All in
+  let shifted = ref 0 and moved = ref 0 in
+  let segment_counts pl =
+    let counts = Array.make (Prog.n_procs prog) 0 in
+    List.iter
+      (fun (seg : Olayout_core.Segment.t) -> counts.(seg.proc) <- counts.(seg.proc) + 1)
+      (Placement.segments pl);
+    counts
+  in
+  let hot_procs p = Array.init (Prog.n_procs prog) (fun pid -> Profile.proc_entry_count p pid > 0) in
+  let chain cadence ticks =
+    let memo = Incremental.create algo train in
+    let prev_counts = ref (segment_counts (Incremental.placement memo)) in
+    let prev_hot = ref (hot_procs train) in
+    for k = 1 to ticks do
+      let p = Windowed.merged wp ~lo:((k - 1) * cadence) ~hi:(k * cadence) in
+      let next = Incremental.update memo p in
+      Alcotest.(check bool)
+        (Printf.sprintf "cadence %d tick %d = scratch" cadence k)
+        true
+        (Placement.equal next (Incremental.scratch algo p));
+      let counts = segment_counts next and hot = hot_procs p in
+      if counts <> !prev_counts then incr shifted;
+      if hot <> !prev_hot then incr moved;
+      prev_counts := counts;
+      prev_hot := hot
+    done
+  in
+  Alcotest.(check bool) "enough windows" true (Windowed.windows wp >= 16);
+  chain 1 16;
+  chain 4 4;
+  Alcotest.(check bool) "some tick re-numbered segments" true (!shifted > 0);
+  Alcotest.(check bool) "some tick moved procedures between hot and cold" true (!moved > 0)
+
+(* The memo path records the same decisions as the from-scratch pipeline:
+   the same splitting and ordering events, in the same order, across a
+   create and two updates. *)
+let test_provenance_parity () =
+  let module Provenance = Olayout_telemetry.Provenance in
+  let prog = Olayout_codegen.Binary.prog (Helpers.random_program 13) in
+  let p0 = random_profile prog 31 and p1 = random_profile prog 32 in
+  let p2 = random_profile prog 33 in
+  let recorded passes f =
+    Provenance.reset ();
+    Provenance.set_enabled true;
+    Fun.protect
+      ~finally:(fun () ->
+        Provenance.set_enabled false;
+        Provenance.reset ())
+      (fun () ->
+        f ();
+        List.filter
+          (fun (e : Provenance.event) -> List.mem e.Provenance.pv_pass passes)
+          (Provenance.events ()))
+  in
+  List.iter
+    (fun (algo, passes) ->
+      let memo =
+        recorded passes (fun () ->
+            let m = Incremental.create algo p0 in
+            ignore (Incremental.update m p1 : Placement.t);
+            ignore (Incremental.update m p2 : Placement.t))
+      in
+      let scratch =
+        recorded passes (fun () ->
+            List.iter (fun p -> ignore (Incremental.scratch algo p : Placement.t)) [ p0; p1; p2 ])
+      in
+      let name = algo_name algo in
+      List.iter
+        (fun pass ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %s events recorded" name pass)
+            true
+            (List.exists (fun (e : Provenance.event) -> e.Provenance.pv_pass = pass) memo))
+        passes;
+      Alcotest.(check int) (name ^ ": event count") (List.length scratch) (List.length memo);
+      Alcotest.(check bool) (name ^ ": same events, same order") true (memo = scratch))
+    [
+      (Incremental.Combo Spike.All, [ "splitting"; "pettis_hansen" ]);
+      (Incremental.Temporal (tgraph prog 21), [ "splitting"; "temporal_order" ]);
+    ]
 
 let test_driver_gauges () =
   ignore (Lazy.force results);
@@ -433,6 +523,7 @@ let suite =
         test_equivalence_property;
       Alcotest.test_case "empty delta skips passes" `Quick test_empty_delta_skips;
       Alcotest.test_case "work accounting" `Quick test_work_accounting;
+      Alcotest.test_case "provenance parity" `Quick test_provenance_parity;
       Alcotest.test_case "cadence sweep curve" `Slow test_driver_curve;
       Alcotest.test_case "combined >= 2x work gate" `Slow test_combined_work_gate;
       Alcotest.test_case "quick-context equivalence" `Slow
