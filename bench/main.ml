@@ -1,12 +1,10 @@
 (* The benchmark harness: regenerates every table and figure of the paper's
-   evaluation (one experiment per figure; see DESIGN.md for the index), then
-   runs Bechamel microbenchmarks of the optimizer passes themselves.
+   evaluation (one experiment per figure; see DESIGN.md for the index).
 
    Usage:
      dune exec bench/main.exe                 # full reproduction (~minutes)
      dune exec bench/main.exe -- --quick      # reduced transaction counts
      dune exec bench/main.exe -- --only fig4,fig15
-     dune exec bench/main.exe -- --no-micro   # skip pass microbenchmarks
      dune exec bench/main.exe -- --trace-stats  # per-figure replay/live attribution
      dune exec bench/main.exe -- --bench-json   # write BENCH_<scale>.json summary
      dune exec bench/main.exe -- --diagnose     # write DIAG_<scale>.json miss diagnostics
@@ -27,10 +25,6 @@
 module Context = Olayout_harness.Context
 module Report = Olayout_harness.Report
 module Spike = Olayout_core.Spike
-module Placement = Olayout_core.Placement
-module Chaining = Olayout_core.Chaining
-module Splitting = Olayout_core.Splitting
-module Pettis_hansen = Olayout_core.Pettis_hansen
 module Telemetry = Olayout_telemetry.Telemetry
 module Json = Olayout_telemetry.Json
 module Bench_artifact = Olayout_telemetry.Bench_artifact
@@ -44,7 +38,6 @@ module Pool = Olayout_par.Pool
 type options = {
   quick : bool;
   only : string list option;
-  micro : bool;
   trace_stats : bool;
   telemetry_out : string option;
   bench_json : bool;
@@ -67,7 +60,7 @@ type options = {
 }
 
 let flag_summary =
-  "--quick, --no-micro, --trace-stats, --bench-json, --diagnose, \
+  "--quick, --trace-stats, --bench-json, --diagnose, \
    --telemetry-summary, --only IDS, --telemetry-out FILE, --baseline FILE, \
    --gate, --tolerance FRACTION, --compare-out FILE, --chrome-trace FILE, \
    -j/--jobs N|auto, --retain-mb MB, --bench-json-out FILE, \
@@ -82,7 +75,7 @@ let usage_error fmt =
     fmt
 
 let parse_args () =
-  let quick = ref false and only = ref None and micro = ref true in
+  let quick = ref false and only = ref None in
   let trace_stats = ref false in
   let telemetry_out = ref None in
   let bench_json = ref false and telemetry_summary = ref false in
@@ -102,9 +95,6 @@ let parse_args () =
     | [] -> ()
     | "--quick" :: rest ->
         quick := true;
-        go rest
-    | "--no-micro" :: rest ->
-        micro := false;
         go rest
     | "--trace-stats" :: rest ->
         trace_stats := true;
@@ -229,7 +219,6 @@ let parse_args () =
   {
     quick = !quick;
     only = !only;
-    micro = !micro;
     trace_stats = !trace_stats;
     telemetry_out = !telemetry_out;
     bench_json = !bench_json;
@@ -250,102 +239,6 @@ let parse_args () =
     drift_out = !drift_out;
     relayout_out = !relayout_out;
   }
-
-(* --- Bechamel microbenchmarks of the layout passes --- *)
-
-let microbench ctx =
-  let open Bechamel in
-  let profile = Context.app_profile ctx in
-  let prog = Olayout_profile.Profile.prog profile in
-  let chained = lazy (Splitting.fine_grain profile) in
-  (* A canned trace slice for simulator-throughput measurement. *)
-  let runs =
-    lazy
-      (let placement = Placement.original prog in
-       let acc = ref [] and n = ref 0 in
-       let m =
-         Olayout_exec.Render.merger ~emit:(fun r ->
-             if !n < 50_000 then begin
-               incr n;
-               acc := r :: !acc
-             end)
-       in
-       let walk = Olayout_exec.Walk.create ~prog ~rng:(Olayout_util.Rng.create 123) in
-       Olayout_exec.Walk.add_sink walk
-         (Olayout_exec.Render.sink
-            (Olayout_exec.Render.create ~placement ~owner:Olayout_exec.Run.App m));
-       while !n < 50_000 do
-         for p = 0 to Olayout_ir.Prog.n_procs prog - 1 do
-           Olayout_exec.Walk.call walk p
-         done
-       done;
-       Array.of_list !acc)
-  in
-  let sim_cache =
-    lazy
-      (Olayout_cachesim.Icache.create
-         (Olayout_cachesim.Icache.config ~size_kb:64 ~line:128 ~assoc:2 ()))
-  in
-  let trace =
-    lazy
-      (let emit, t = Olayout_exec.Trace.record () in
-       Array.iter emit (Lazy.force runs);
-       t)
-  in
-  let tests =
-    Test.make_grouped ~name:"layout passes"
-      [
-        Test.make ~name:"chaining (whole binary)"
-          (Staged.stage (fun () -> ignore (Chaining.segments_one_per_proc profile)));
-        Test.make ~name:"fine-grain splitting"
-          (Staged.stage (fun () -> ignore (Splitting.fine_grain profile)));
-        Test.make ~name:"hot/cold splitting"
-          (Staged.stage (fun () -> ignore (Splitting.hot_cold profile)));
-        Test.make ~name:"pettis-hansen ordering"
-          (Staged.stage (fun () ->
-               ignore (Pettis_hansen.order profile (Lazy.force chained))));
-        Test.make ~name:"placement (address assignment)"
-          (Staged.stage (fun () ->
-               ignore (Placement.of_segments ~align:4 prog (Lazy.force chained))));
-        Test.make ~name:"full pipeline (all)"
-          (Staged.stage (fun () -> ignore (Spike.optimize profile Spike.All)));
-        Test.make ~name:"icache sim (50k-run trace slice)"
-          (Staged.stage (fun () ->
-               let cache = Lazy.force sim_cache in
-               Array.iter
-                 (fun r -> Olayout_cachesim.Icache.access_run cache r)
-                 (Lazy.force runs)));
-        Test.make ~name:"trace decode+replay (50k runs)"
-          (Staged.stage (fun () ->
-               let n = ref 0 in
-               Olayout_exec.Trace.replay (Lazy.force trace) (fun _ -> incr n)));
-        Test.make ~name:"trace replay into icache (50k runs)"
-          (Staged.stage (fun () ->
-               let cache = Lazy.force sim_cache in
-               Olayout_exec.Trace.replay (Lazy.force trace)
-                 (Olayout_cachesim.Icache.access_run cache)));
-      ]
-  in
-  let benchmark () =
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-    in
-    let instances = Toolkit.Instance.[ monotonic_clock ] in
-    let cfg =
-      Benchmark.cfg ~limit:1000 ~quota:(Time.second 2.0) ~stabilize:false ()
-    in
-    let raw = Benchmark.all cfg instances tests in
-    Analyze.all ols Toolkit.Instance.monotonic_clock raw
-  in
-  Format.printf "@.### microbenchmarks - optimizer pass cost on the OLTP binary@.";
-  Format.printf "%-50s %14s@." "pass" "ns/run";
-  let results = benchmark () in
-  Hashtbl.iter
-    (fun name result ->
-      match Analyze.OLS.estimates result with
-      | Some [ est ] -> Format.printf "%-50s %14.0f@." name est
-      | Some _ | None -> Format.printf "%-50s %14s@." name "-")
-    results
 
 (* The --chrome-trace export converts the telemetry JSONL stream; when the
    user did not ask to keep that stream, route it through a temp file. *)
@@ -415,8 +308,6 @@ let () =
                 Printf.eprintf "bench: --only: %s\n" msg;
                 exit 2
             in
-            if opts.micro then
-              Telemetry.span "bench.micro" (fun () -> microbench ctx);
             (ctx, figures)))
   in
   Format.printf "@.bench total: %.1fs@." total_seconds;

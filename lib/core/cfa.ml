@@ -2,60 +2,48 @@ open Olayout_ir
 module Profile = Olayout_profile.Profile
 module Footprint = Olayout_metrics.Footprint
 
-let segment_heat profile (seg : Segment.t) =
-  List.fold_left
-    (fun acc b -> acc + Profile.block_count profile ~proc:seg.proc ~block:b)
-    0 seg.blocks
-
-let segment_bytes prog (seg : Segment.t) =
-  let p = Prog.proc prog seg.proc in
-  List.fold_left
-    (fun acc b ->
-      (* Conservative source-order size; the placement recomputes exactly. *)
-      let blk = Proc.block p b in
-      acc + ((blk.Block.body + 2) * Block.bytes_per_instr))
-    0 seg.blocks
-
 let is_power_of_two n = n > 0 && n land (n - 1) = 0
 
-let place profile ~segments ~cache_bytes ~cfa_fraction =
+let place profile rows ~order ~cache_bytes ~cfa_fraction =
   if not (is_power_of_two cache_bytes) then
     invalid_arg "Cfa.place: cache_bytes must be a power of two";
   if cfa_fraction <= 0.0 || cfa_fraction >= 1.0 then
     invalid_arg "Cfa.place: cfa_fraction must be in (0,1)";
   let prog = Profile.prog profile in
   let cfa_bytes = int_of_float (float_of_int cache_bytes *. cfa_fraction) in
+  let segs = Placement.numbered rows in
+  let heat = Array.map (Segment.heat profile) segs in
   (* Hottest segments first. *)
-  let ranked =
-    List.stable_sort
-      (fun s1 s2 -> compare (segment_heat profile s2) (segment_heat profile s1))
-      segments
-  in
+  let ranked = Array.copy order in
+  Array.stable_sort (fun g1 g2 -> compare heat.(g2) heat.(g1)) ranked;
   (* Greedily take hot segments while they fit in the protected area. *)
-  let rec split_fill acc used = function
-    | [] -> (List.rev acc, [])
-    | seg :: rest ->
-        let sz = segment_bytes prog seg in
-        if used + sz <= cfa_bytes && segment_heat profile seg > 0 then
-          split_fill (seg :: acc) (used + sz) rest
-        else (List.rev acc, seg :: rest)
-  in
-  let protected_segs, others = split_fill [] 0 ranked in
-  let base = prog.Prog.base_addr in
-  let n_protected = List.length protected_segs in
-  let counter = ref 0 in
-  let addr_of _seg a =
-    incr counter;
-    if !counter <= n_protected then a
-    else begin
-      (* Skip addresses whose cache set falls inside the protected range.
-         Sufficient because placement never emits a single block bigger than
-         the unprotected window (checked by construction of our programs). *)
-      let offset_in_cache = (a - base) land (cache_bytes - 1) in
-      if offset_in_cache < cfa_bytes then a + (cfa_bytes - offset_in_cache) else a
+  let protected_ = Array.make (Array.length segs) false in
+  let rec fill k used =
+    if k < Array.length ranked then begin
+      let g = ranked.(k) in
+      let sz = Segment.max_bytes prog segs.(g) in
+      if used + sz <= cfa_bytes && heat.(g) > 0 then begin
+        protected_.(g) <- true;
+        fill (k + 1) (used + sz)
+      end
     end
   in
-  Placement.of_segments_at ~align:4 prog ~addr_of (protected_segs @ others)
+  fill 0 0;
+  let bytes = Array.concat (Array.to_list (Array.map (fun r -> r.Placement.seg_bytes) rows)) in
+  let base = prog.Prog.base_addr in
+  let offset a = (a - base) land (cache_bytes - 1) in
+  let addr_of g a =
+    if protected_.(g) then a
+    else begin
+      (* Skip addresses whose cache set falls inside the protected range;
+         a segment whose encoded bytes would run past the end of the
+         cache-sized period, onto the next period's protected sets, starts
+         after those sets instead. *)
+      let a = if offset a < cfa_bytes then a + (cfa_bytes - offset a) else a in
+      if offset a + bytes.(g) > cache_bytes then a + (cache_bytes - offset a) + cfa_bytes else a
+    end
+  in
+  Placement.of_rows ~align:4 ~addr_of prog rows ~order:ranked
 
 let hot_bytes_needed profile ~coverage =
   let prog = Profile.prog profile in

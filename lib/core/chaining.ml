@@ -167,10 +167,3 @@ let chain s profile =
     !acc
   in
   blocks entry_head :: List.map (fun (_, a) -> blocks a) rest
-
-let chain_proc profile pid = chain (shape (Profile.prog profile) pid) profile
-
-let segments_one_per_proc profile =
-  let prog = Profile.prog profile in
-  List.init (Prog.n_procs prog) (fun pid ->
-      { Segment.proc = pid; blocks = List.concat (chain_proc profile pid) })

@@ -14,11 +14,6 @@
 
 open Olayout_ir
 
-val chain_proc : Olayout_profile.Profile.t -> int -> Block.id list list
-(** [chain_proc profile pid] returns the chains for procedure [pid], in
-    final emission order.  Every block of the procedure appears in exactly
-    one chain; call glue is preserved. *)
-
 type shape
 (** What chaining needs from the program alone: a procedure's atoms and
     its candidate edges.  A memo that chains the same procedure under many
@@ -27,9 +22,6 @@ type shape
 val shape : Prog.t -> int -> shape
 
 val chain : shape -> Olayout_profile.Profile.t -> Block.id list list
-(** [chain (shape prog pid) profile] is [chain_proc profile pid]. *)
-
-val segments_one_per_proc : Olayout_profile.Profile.t -> Segment.t list
-(** Chain every procedure and concatenate each procedure's chains into a
-    single segment (chaining without splitting), procedures in original
-    order. *)
+(** [chain (shape prog pid) profile] returns the chains for procedure
+    [pid], in final emission order.  Every block of the procedure appears
+    in exactly one chain; call glue is preserved. *)

@@ -1,32 +1,20 @@
-open Olayout_ir
 module Profile = Olayout_profile.Profile
 module Provenance = Olayout_telemetry.Provenance
 
 let line_bytes = 64
+let max_gap_lines = 16
 
-let segment_heat profile (seg : Segment.t) =
-  List.fold_left
-    (fun acc b -> acc + Profile.block_count profile ~proc:seg.proc ~block:b)
-    0 seg.blocks
-
-(* Conservative encoded size (placement may elide branches, never grow
-   beyond body + 2 per block). *)
-let segment_bytes prog (seg : Segment.t) =
-  let p = Prog.proc prog seg.proc in
-  List.fold_left
-    (fun acc b -> acc + (((Proc.block p b).Block.body + 2) * Block.bytes_per_instr))
-    0 seg.blocks
-
-let place profile ~segments ~cache_bytes ?(max_gap_lines = 16) () =
+let place profile rows ~order ~cache_bytes =
   if cache_bytes <= 0 || cache_bytes land (cache_bytes - 1) <> 0 then
     invalid_arg "Coloring.place: cache_bytes must be a power of two";
   let prog = Profile.prog profile in
+  let segs = Placement.numbered rows in
   let n_colors = cache_bytes / line_bytes in
   let heat_of_color = Array.make n_colors 0.0 in
-  let base = prog.Prog.base_addr in
+  let base = prog.Olayout_ir.Prog.base_addr in
   let color_of addr = (addr - base) / line_bytes mod n_colors in
-  (* Score of placing [bytes] of heat [h] at [addr]: total heat already on
-     the covered colors. *)
+  (* Score of placing [bytes] at [addr]: total heat already on the covered
+     colors. *)
   let span_score addr bytes =
     let first = color_of addr in
     let lines = max 1 ((bytes + line_bytes - 1) / line_bytes) in
@@ -45,9 +33,10 @@ let place profile ~segments ~cache_bytes ?(max_gap_lines = 16) () =
     done
   in
   let prov = Provenance.enabled () in
-  let addr_of seg cursor =
-    let heat = float_of_int (segment_heat profile seg) in
-    let bytes = segment_bytes prog seg in
+  let addr_of g cursor =
+    let seg = segs.(g) in
+    let heat = float_of_int (Segment.heat profile seg) in
+    let bytes = Segment.max_bytes prog seg in
     if heat = 0.0 then cursor
     else begin
       (* Try gaps of 0..max_gap_lines lines; pick the least-contended. *)
@@ -74,4 +63,4 @@ let place profile ~segments ~cache_bytes ?(max_gap_lines = 16) () =
       !best
     end
   in
-  Placement.of_segments_at ~align:4 prog ~addr_of segments
+  Placement.of_rows ~align:4 ~addr_of prog rows ~order

@@ -10,15 +10,14 @@
     implementation against Pettis-Hansen on equal (chained + split)
     segments. *)
 
+val max_gap_lines : int
+(** The widest gap a hot segment may be shifted by: 16 cache lines. *)
+
 val place :
-  Olayout_profile.Profile.t ->
-  segments:Segment.t list ->
-  cache_bytes:int ->
-  ?max_gap_lines:int ->
-  unit ->
-  Placement.t
-(** Place [segments] in the given order, shifting each segment by up to
-    [max_gap_lines] cache lines (default 16) to the start offset whose
-    colors carry the least already-placed execution heat.  Cold segments
-    (zero heat) are packed without gaps.  [cache_bytes] must be a power of
-    two. *)
+  Olayout_profile.Profile.t -> Placement.rows array -> order:int array -> cache_bytes:int -> Placement.t
+(** Place the segments of [rows] in [order] (segment numbers, as in
+    {!Placement.of_rows}), shifting each hot segment by up to
+    {!max_gap_lines} cache lines to the start whose colors carry the least
+    already-placed execution heat.  A segment's heat is
+    {!Segment.heat} and its size {!Segment.max_bytes}.  Cold segments (zero
+    heat) are packed without gaps.  [cache_bytes] must be a power of two. *)

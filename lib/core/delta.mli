@@ -3,7 +3,7 @@
     The incremental re-layout engine's first half (ROADMAP item 4): diff
     two profiles of the same program into the set of procedures whose
     block/arm weight vectors changed.  The granularity matches what the
-    per-procedure passes consume — {!Chaining.chain_proc} reads only the
+    per-procedure passes consume — {!Chaining.chain} reads only the
     procedure's own profile rows, so a clean procedure's chains (and the
     splitting segments derived from them) are reusable bit-for-bit, which
     is the invariant {!Incremental} builds its equivalence guarantee on. *)

@@ -1,25 +1,21 @@
-(** Delta-driven incremental layout: memoized pipeline re-runs over dirty
+(** Delta-driven incremental layout: memoized re-layout over dirty
     procedures only (ROADMAP item 4's engine half).
 
-    A memo pairs the profile a layout was last built from with each
-    procedure's segments, encoded segment-relative
-    ({!Placement.rows}), and the finished placement.  {!update} diffs the
-    new profile against the memo ({!Delta}), rebuilds the entries of dirty
-    procedures only, then re-runs the global passes (Pettis-Hansen /
-    temporal order / coloring / address assignment) over every entry;
-    Pettis-Hansen visits only the weighted segments and address assignment
-    is one prefix sum over segment sizes.  An empty delta — or a
-    profile-insensitive algorithm ([Combo Base]) — returns the memoized
-    placement with every pass skipped.
+    A memo pairs the profile a layout was last built from with
+    {!Spike}'s per-procedure memo and the finished placement.  {!update}
+    diffs the new profile against the memo ({!Delta}) and has
+    {!Spike.rebuild} redo only the dirty procedures before the order and
+    the placer run again; Pettis-Hansen visits only the weighted segments
+    and address assignment is one prefix sum over segment sizes.  An empty
+    delta — or a profile-insensitive algorithm ([Combo Base]) — returns
+    the memoized placement with every pass skipped.
 
     {b Equivalence guarantee}: the incremental result is byte-identical
     ({!Placement.equal}) to a from-scratch build on the new profile
-    ({!scratch}), because chaining is a pure function of a procedure's own
-    profile rows, segments are numbered procedure by procedure exactly as
-    the from-scratch segment list orders them, and the global passes are
-    pure functions of (profile, segments).  The test suite asserts this,
-    including under randomized profile deltas and along a chain of real
-    re-layout ticks.
+    ({!scratch}) by construction — {!scratch} is {!Spike.build}, a rebuild
+    of an empty memo with every procedure dirty, and a procedure's memo
+    entry depends on its own profile rows alone.  The test suite asserts
+    it, and holds both to a list-based reference pipeline.
 
     Work is booked into the [relayout.*] counters: [pass_invocations]
     (per-procedure chaining invocations actually performed plus global
@@ -29,21 +25,21 @@
     [full_builds] / [updates].  Drivers snapshot {!work_counters} around
     their layout work and publish the deltas as gauges. *)
 
-type algo =
-  | Combo of Spike.combo  (** The six Spike pipeline combinations. *)
+(** {!Spike.algo}: every layout a driver builds. *)
+type algo = Spike.algo =
+  | Combo of Spike.combo
   | Temporal of Olayout_profile.Temporal.t
-      (** Chaining + splitting + temporal ordering (Gloy et al.), as in the
-          [temporal] figure. *)
-  | Colored of { cache_bytes : int; max_gap_lines : int option }
-      (** Chaining + splitting + Pettis-Hansen + cache-line coloring, as in
-          the [coloring] figure ([max_gap_lines = None] uses the pass
-          default). *)
+  | Temporal_procs of Olayout_profile.Temporal.t
+  | Colored of { cache_bytes : int }
+  | Colored_procs of { cache_bytes : int }
+  | Hot_cold
+  | Cfa of { cache_bytes : int; cfa_fraction : float }
+  | Hot_aligned
 
 type t
 
 val create : algo -> Olayout_profile.Profile.t -> t
-(** Full build (counted as [relayout.full_builds]); the memo's initial
-    placement equals [scratch algo profile]. *)
+(** Full build (counted as [relayout.full_builds]): {!Spike.memoize}. *)
 
 val update : t -> Olayout_profile.Profile.t -> Placement.t
 (** Re-layout to a new profile, reusing memoized chains for procedures the
@@ -57,9 +53,8 @@ val profile : t -> Olayout_profile.Profile.t
 val algo : t -> algo
 
 val scratch : algo -> Olayout_profile.Profile.t -> Placement.t
-(** The from-scratch reference pipeline (exactly what the existing figure
-    drivers run: {!Spike.optimize}, the temporal-order recipe, the colored
-    recipe).  Exposed for the equivalence tests. *)
+(** The from-scratch build, {!Spike.build}; books no [relayout.*]
+    counter.  Exposed for the equivalence tests and the benchmark. *)
 
 (** {1 Work accounting} *)
 

@@ -108,16 +108,6 @@ let pair_weights_of profile ~seg_of =
   done;
   !pairs
 
-let pair_weights profile segments =
-  let prog = Profile.prog profile in
-  let seg_of =
-    Array.map (fun (p : Proc.t) -> Array.make (Proc.n_blocks p) (-1)) prog.Prog.procs
-  in
-  List.iteri
-    (fun i (seg : Segment.t) -> List.iter (fun b -> seg_of.(seg.proc).(b) <- i) seg.blocks)
-    segments;
-  pair_weights_of profile ~seg_of:(fun proc block -> seg_of.(proc).(block))
-
 (* Union-find root, compressing the path it walks. *)
 let rec find parent x =
   let p = parent.(x) in
@@ -362,35 +352,3 @@ let order_indices bf ?(pass = "pettis_hansen") ~n ~weights ~heat ~hot ~proc_of (
           group_heat.(s) <- 0.0;
           adj.(s) <- none)
         !touched)
-
-(* The list front ends: fresh buffers per call, every segment's heat read
-   once. *)
-let order_weighted ?pass ~weights ~heat segments =
-  let seg_arr = Array.of_list segments in
-  let n = Array.length seg_arr in
-  let heats =
-    Array.init n (fun i ->
-        let h = heat i in
-        if not (h >= 0.0) then invalid_arg "Pettis_hansen: heats must be non-negative";
-        h)
-  in
-  let order =
-    order_indices (buffers ()) ?pass ~n ~weights
-      ~heat:(fun i -> heats.(i))
-      ~hot:(fun f ->
-        for i = 0 to n - 1 do
-          f i
-        done)
-      ~proc_of:(fun i -> seg_arr.(i).Segment.proc)
-      ()
-  in
-  Array.fold_right (fun i acc -> seg_arr.(i) :: acc) order []
-
-let order profile segments =
-  let seg_arr = Array.of_list segments in
-  let heat i =
-    let seg = seg_arr.(i) in
-    float_of_int
-      (Profile.block_count profile ~proc:seg.Segment.proc ~block:(Segment.head seg))
-  in
-  order_weighted ~weights:(pair_weights profile segments) ~heat segments

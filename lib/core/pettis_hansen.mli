@@ -10,40 +10,12 @@
     final group orderings concatenate hottest-first; segments never reached
     during profiling keep their original relative order at the end. *)
 
+(** {1 The engine over segment numbers}
 
-val order : Olayout_profile.Profile.t -> Segment.t list -> Segment.t list
-(** Reorder segments; the result is a permutation of the input. *)
-
-val order_weighted :
-  ?pass:string ->
-  weights:((int * int) * float) list ->
-  heat:(int -> float) ->
-  Segment.t list ->
-  Segment.t list
-(** The closest-is-best engine with externally supplied affinities:
-    [weights] are undirected pair weights over input segment indices,
-    [heat i] ranks groups for final emission.  {!order} is this engine with
-    profiled call/branch weights; {!Temporal_order.order} feeds it a
-    temporal-relationship graph instead (Gloy et al.).
-
-    While [Olayout_telemetry.Provenance] is enabled, every greedy merge
-    and every final ordering rank is recorded under the [pass] label
-    (default ["pettis_hansen"]; {!Temporal_order.order} passes
-    ["temporal_order"]).
-    @raise Invalid_argument when a heat is negative or NaN (heats are
-    execution counts). *)
-
-val pair_weights :
-  Olayout_profile.Profile.t -> Segment.t list -> ((int * int) * float) list
-(** The undirected segment-graph weights (by input segment index), exposed
-    for tests and for diagnostics; only positive-weight pairs appear. *)
-
-(** {1 The engine over segment indices}
-
-    {!order} and {!order_weighted} are front ends to this one engine.
-    {!Incremental} calls it directly, numbering segments procedure-major
-    (the order a procedure-by-procedure segment list would have), so that
-    weight ties break exactly as they do for that list. *)
+    {!Spike} numbers segments procedure-major (procedure [p]'s segment [i]
+    is [base.(p) + i]); the numbers are the tie order.  The same engine
+    orders by temporal affinity ({!Temporal_order}) under the pass label
+    ["temporal_order"]. *)
 
 type buffers
 (** Per-segment working state (group ends, links, union-find parents,
@@ -56,8 +28,10 @@ val buffers : unit -> buffers
 
 val pair_weights_of :
   Olayout_profile.Profile.t -> seg_of:(int -> int -> int) -> ((int * int) * float) list
-(** {!pair_weights} with the segment of each block given as
-    [seg_of proc block]; sorted by pair. *)
+(** The undirected segment-graph weights, the segment of each block given
+    as [seg_of proc block]: call-site executions to the callee's entry
+    segment plus intra-procedure branches that cross segments.  Only
+    positive-weight pairs appear, sorted by pair. *)
 
 val order_indices :
   buffers ->
@@ -73,4 +47,8 @@ val order_indices :
     [heat i] must be non-negative; it is read for the weighted segments and
     for those [hot] yields, which must include every segment whose heat is
     above zero (more is allowed).  [proc_of i] names segment [i]'s
-    procedure in provenance events. *)
+    procedure in provenance events.
+
+    While [Olayout_telemetry.Provenance] is enabled, every greedy merge
+    and every final ordering rank is recorded under the [pass] label
+    (default ["pettis_hansen"]). *)

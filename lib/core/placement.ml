@@ -10,9 +10,6 @@ type t = {
   segments : Segment.t list;
 }
 
-let shape prog v =
-  Array.map (fun (p : Proc.t) -> Array.make (Proc.n_blocks p) v) prog.Prog.procs
-
 let align_up a alignment = (a + alignment - 1) / alignment * alignment
 
 (* Encoded terminator instrs for block [b] when block [next] (-1: none) is
@@ -27,59 +24,9 @@ let term_instrs (b : Block.t) next =
   | Block.Call _ | Block.Ijump _ | Block.Ret -> 1
   | Block.Halt -> 0
 
-(* Walk one segment's blocks with each one's encoded size (instrs,
-   terminator included) and the terminator instrs executed on arms 0 and
-   1: a conditional branch costs one on the taken arm, and its fall path
-   also executes the companion branch; other terminators execute what
-   they encode.  A segment's encoding depends on its own block order
-   alone. *)
-let iter_encoded (p : Proc.t) blocks f =
-  let rec go = function
-    | [] -> ()
-    | b :: rest ->
-        let blk = Proc.block p b in
-        let t = term_instrs blk (match rest with nb :: _ -> nb | [] -> -1) in
-        let e0 = match blk.Block.term with Block.Cond _ -> 1 | _ -> t in
-        f b (blk.Block.body + t) e0 t;
-        go rest
-  in
-  go blocks
-
 let check_align align =
   if align < Block.bytes_per_instr || align mod Block.bytes_per_instr <> 0 then
-    invalid_arg "Placement.of_segments: bad alignment"
-
-let of_segments_at ?(align = 16) prog ~addr_of segments =
-  check_align align;
-  Segment.check_cover prog segments;
-  let addr = shape prog 0 in
-  let static_sz = shape prog 0 in
-  let extra0 = shape prog 0 in
-  let extra1 = shape prog 0 in
-  let cursor = ref prog.Prog.base_addr in
-  List.iter
-    (fun (seg : Segment.t) ->
-      let start = addr_of seg (align_up !cursor align) in
-      if start < !cursor then invalid_arg "Placement: addr_of moved backwards";
-      if start mod Block.bytes_per_instr <> 0 then
-        invalid_arg "Placement: addr_of returned unaligned address";
-      cursor := start;
-      iter_encoded (Prog.proc prog seg.proc) seg.blocks (fun b sz e0 e1 ->
-          addr.(seg.proc).(b) <- !cursor;
-          static_sz.(seg.proc).(b) <- sz;
-          extra0.(seg.proc).(b) <- e0;
-          extra1.(seg.proc).(b) <- e1;
-          cursor := !cursor + (sz * Block.bytes_per_instr)))
-    segments;
-  {
-    prog;
-    addr;
-    static_sz;
-    extra0;
-    extra1;
-    text_bytes = !cursor - prog.Prog.base_addr;
-    segments;
-  }
+    invalid_arg "Placement: bad alignment"
 
 type rows = {
   proc : int;
@@ -92,25 +39,29 @@ type rows = {
   seg_bytes : int array;
 }
 
+(* Each block's encoded size (instrs, terminator included) and the
+   terminator instrs executed on arms 0 and 1: a conditional branch costs
+   one on the taken arm, and its fall path also executes the companion
+   branch; other terminators execute what they encode.  A segment's
+   encoding depends on its own block order alone. *)
 let encode prog pid segments =
   let seg_of = Segment.index prog pid segments in
   let n = Array.length seg_of in
   let offset = Array.make n 0 and size = Array.make n 0 in
   let exec0 = Array.make n 0 and exec1 = Array.make n 0 in
   let p = Prog.proc prog pid in
-  let seg_bytes =
-    Array.map
-      (fun (seg : Segment.t) ->
-        let cursor = ref 0 in
-        iter_encoded p seg.blocks (fun b sz e0 e1 ->
-            offset.(b) <- !cursor;
-            size.(b) <- sz;
-            exec0.(b) <- e0;
-            exec1.(b) <- e1;
-            cursor := !cursor + (sz * Block.bytes_per_instr));
-        !cursor)
-      segments
+  let rec go cursor = function
+    | [] -> cursor
+    | b :: rest ->
+        let blk = Proc.block p b in
+        let t = term_instrs blk (match rest with nb :: _ -> nb | [] -> -1) in
+        offset.(b) <- cursor;
+        size.(b) <- blk.Block.body + t;
+        exec0.(b) <- (match blk.Block.term with Block.Cond _ -> 1 | _ -> t);
+        exec1.(b) <- t;
+        go (cursor + (size.(b) * Block.bytes_per_instr)) rest
   in
+  let seg_bytes = Array.map (fun (seg : Segment.t) -> go 0 seg.blocks) segments in
   { proc = pid; segs = segments; seg_of; offset; size; exec0; exec1; seg_bytes }
 
 let numbering rows =
@@ -118,7 +69,9 @@ let numbering rows =
   Array.iteri (fun p r -> base.(p + 1) <- base.(p) + Array.length r.segs) rows;
   base
 
-let of_rows ?(align = 16) prog rows ~order =
+let numbered rows = Array.concat (Array.to_list (Array.map (fun r -> r.segs) rows))
+
+let of_rows ?(align = 16) ?(addr_of = fun _ a -> a) prog rows ~order =
   check_align align;
   if Array.length rows <> Prog.n_procs prog then
     invalid_arg "Placement.of_rows: one row set per procedure";
@@ -129,8 +82,9 @@ let of_rows ?(align = 16) prog rows ~order =
   let n = base.(Array.length rows) in
   if Array.length order <> n then invalid_arg "Placement.of_rows: order is not a permutation";
   let bytes = Array.concat (Array.to_list (Array.map (fun r -> r.seg_bytes) rows)) in
-  (* One prefix sum over the segment sizes, in order, starts every segment;
-     a segment met twice (hence one never met) is refused.  A block's
+  (* The one loop that assigns addresses: a prefix sum over the segment
+     sizes, in order, with each start aligned, then moved by [addr_of]; a
+     segment met twice (hence one never met) is refused.  A block's
      address is its segment's start plus its offset. *)
   let start = Array.make n (-1) in
   let cursor = ref prog.Prog.base_addr in
@@ -138,7 +92,10 @@ let of_rows ?(align = 16) prog rows ~order =
     let g = order.(k) in
     if g < 0 || g >= n || start.(g) >= 0 then
       invalid_arg "Placement.of_rows: order is not a permutation";
-    let s = align_up !cursor align in
+    let s = addr_of g (align_up !cursor align) in
+    if s < !cursor then invalid_arg "Placement: addr_of moved backwards";
+    if s mod Block.bytes_per_instr <> 0 then
+      invalid_arg "Placement: addr_of returned unaligned address";
     start.(g) <- s;
     cursor := s + bytes.(g)
   done;
@@ -153,7 +110,7 @@ let of_rows ?(align = 16) prog rows ~order =
         a)
       rows
   in
-  let segs = Array.concat (Array.to_list (Array.map (fun r -> r.segs) rows)) in
+  let segs = numbered rows in
   let segments = ref [] in
   for k = n - 1 downto 0 do
     segments := segs.(order.(k)) :: !segments
@@ -167,6 +124,29 @@ let of_rows ?(align = 16) prog rows ~order =
     text_bytes = !cursor - prog.Prog.base_addr;
     segments = !segments;
   }
+
+(* The list constructors: encode every procedure's segments, number them
+   procedure-major, and lay them out in list order. *)
+let of_segments_at ?align prog ~addr_of segments =
+  let by_proc = Array.make (Prog.n_procs prog) [] in
+  List.iter
+    (fun (seg : Segment.t) ->
+      if seg.proc < 0 || seg.proc >= Array.length by_proc then
+        invalid_arg (Printf.sprintf "Placement: segment of p%d out of range" seg.proc);
+      by_proc.(seg.proc) <- seg :: by_proc.(seg.proc))
+    segments;
+  let rows = Array.mapi (fun pid segs -> encode prog pid (Array.of_list (List.rev segs))) by_proc in
+  let next = numbering rows in
+  let order =
+    List.map
+      (fun (seg : Segment.t) ->
+        let g = next.(seg.proc) in
+        next.(seg.proc) <- g + 1;
+        g)
+      segments
+  in
+  let segs = numbered rows in
+  of_rows ?align prog rows ~order:(Array.of_list order) ~addr_of:(fun g a -> addr_of segs.(g) a)
 
 let of_segments ?align prog segments =
   of_segments_at ?align prog ~addr_of:(fun _ a -> a) segments

@@ -24,15 +24,15 @@ type t
 val of_segments : ?align:int -> Prog.t -> Segment.t list -> t
 (** Lay out [segments] in order starting at [prog.base_addr].  Each segment
     start is aligned to [align] bytes (default 16, typical compiler
-    procedure alignment; pass 4 for fully packed optimized layouts).
-    Verifies the segments cover the program exactly (see
-    {!Segment.check_cover}). *)
+    procedure alignment; pass 4 for fully packed optimized layouts).  A
+    wrapper over {!of_rows}: it encodes every procedure's segments, which
+    checks that they cover the program exactly ({!Segment.index}). *)
 
 val of_segments_at :
   ?align:int -> Prog.t -> addr_of:(Segment.t -> int -> int) -> Segment.t list -> t
-(** Generalized constructor used by the CFA optimization: [addr_of seg a]
-    returns the placement address for segment [seg] when the next free byte
-    is [a] (it must return a value [>= a], 4-byte aligned). *)
+(** {!of_segments} with a start rule: [addr_of seg a] returns segment
+    [seg]'s address when the next aligned free byte is [a] (see
+    {!of_rows}). *)
 
 (** {1 Segment-relative placement}
 
@@ -54,22 +54,28 @@ type rows = private {
 }
 
 val encode : Prog.t -> int -> Segment.t array -> rows
-(** [encode prog pid segments] encodes all of procedure [pid]'s segments.
-    Checks the procedure's share of {!Segment.check_cover}
-    ({!Segment.index}). *)
+(** [encode prog pid segments] encodes all of procedure [pid]'s segments,
+    which must partition its blocks ({!Segment.index}). *)
 
 val numbering : rows array -> int array
 (** [base]: [base.(p)] is the number of procedure [p]'s first segment;
     [base.(n_procs)] is the segment count. *)
 
-val of_rows : ?align:int -> Prog.t -> rows array -> order:int array -> t
+val numbered : rows array -> Segment.t array
+(** Every segment of [rows], indexed by its number. *)
+
+val of_rows :
+  ?align:int -> ?addr_of:(int -> int -> int) -> Prog.t -> rows array -> order:int array -> t
 (** Lay out the segments of [rows] (procedure [p]'s at index [p]) in [order], a
-    permutation of their numbers, each start aligned to [align] bytes
-    (default 16): one prefix sum over the segment sizes.  Equal to
-    {!of_segments} on the same segments in the same order; its size and
-    terminator rows are [rows]' own arrays, shared, not copied.
-    @raise Invalid_argument unless [order] is a permutation and [rows]
-    holds each procedure's rows at its index. *)
+    permutation of their numbers: one prefix sum over the segment sizes.
+    Each start is the next free byte aligned to [align] bytes (default 16),
+    moved by the start rule: [addr_of g a] is segment [g]'s address when
+    that aligned byte is [a] (default [a]; it must not lie below the next
+    free byte and must be 4-byte aligned).  This is the only loop that
+    assigns addresses; its size and terminator rows are [rows]' own arrays,
+    shared, not copied.
+    @raise Invalid_argument unless [order] is a permutation, [rows] holds
+    each procedure's rows at its index and [addr_of] keeps its contract. *)
 
 val original : ?align:int -> Prog.t -> t
 (** The compiler's source-order layout: one segment per procedure, original

@@ -28,9 +28,9 @@ let index prog pid segments =
         | [] -> ()
         | b :: rest ->
             if b < 0 || b >= Proc.n_blocks p then
-              invalid_arg (Printf.sprintf "Segment.check_cover: p%d b%d out of range" pid b);
+              invalid_arg (Printf.sprintf "Segment.index: p%d b%d out of range" pid b);
             if seg_of.(b) >= 0 then
-              invalid_arg (Printf.sprintf "Segment.check_cover: p%d b%d placed twice" pid b);
+              invalid_arg (Printf.sprintf "Segment.index: p%d b%d placed twice" pid b);
             seg_of.(b) <- i;
             (match (Proc.block p b).Block.term with
             | Block.Call { ret; _ } -> (
@@ -39,7 +39,7 @@ let index prog pid segments =
                 | _ ->
                     invalid_arg
                       (Printf.sprintf
-                         "Segment.check_cover: p%d b%d call not glued to its return block" pid
+                         "Segment.index: p%d b%d call not glued to its return block" pid
                          b))
             | _ -> ());
             go rest
@@ -49,11 +49,17 @@ let index prog pid segments =
   Array.iteri
     (fun bid i ->
       if i < 0 then
-        invalid_arg (Printf.sprintf "Segment.check_cover: p%d b%d never placed" pid bid))
+        invalid_arg (Printf.sprintf "Segment.index: p%d b%d never placed" pid bid))
     seg_of;
   seg_of
 
-let check_cover prog segments =
-  let by_proc = Array.make (Prog.n_procs prog) [] in
-  List.iter (fun seg -> by_proc.(seg.proc) <- seg :: by_proc.(seg.proc)) (List.rev segments);
-  Array.iteri (fun pid segs -> ignore (index prog pid (Array.of_list segs))) by_proc
+let heat profile t =
+  List.fold_left
+    (fun acc b -> acc + Olayout_profile.Profile.block_count profile ~proc:t.proc ~block:b)
+    0 t.blocks
+
+let max_bytes prog t =
+  let p = Prog.proc prog t.proc in
+  List.fold_left
+    (fun acc b -> acc + (((Proc.block p b).Block.body + 2) * Block.bytes_per_instr))
+    0 t.blocks

@@ -20,16 +20,19 @@ val n_blocks : t -> int
 val contains_entry : Proc.t -> t -> bool
 (** Does this segment hold the procedure's entry block? *)
 
-val check_cover : Prog.t -> t list -> unit
-(** Verify that the segments partition the program's blocks exactly: every
-    block of every procedure appears in exactly one segment, and call-return
-    glue pairs stay adjacent within a segment.
-    @raise Invalid_argument otherwise. *)
-
 val index : Prog.t -> int -> t array -> int array
 (** [index prog pid segments]: the block -> segment map of one procedure,
     [segments] being all of procedure [pid]'s segments; entry [b] is the
-    position in [segments] of the segment holding block [b].  Checks the
-    procedure's share of {!check_cover}: the segments belong to [pid] and
-    partition its blocks, with call glue intact.
+    position in [segments] of the segment holding block [b].  Checks that
+    the segments belong to [pid] and partition its blocks exactly (every
+    block in exactly one segment), with each call block immediately
+    followed by its return block.
     @raise Invalid_argument otherwise. *)
+
+val heat : Olayout_profile.Profile.t -> t -> int
+(** Total profiled executions of the segment's blocks. *)
+
+val max_bytes : Prog.t -> t -> int
+(** An upper bound on the segment's encoded size: every block's body plus
+    two terminator instructions.  The address-aware placers (coloring, the
+    conflict-free area) size segments with it before any is encoded. *)

@@ -1,5 +1,6 @@
 open Olayout_ir
 module Profile = Olayout_profile.Profile
+module Tgraph = Olayout_profile.Temporal
 module Telemetry = Olayout_telemetry.Telemetry
 module Provenance = Olayout_telemetry.Provenance
 
@@ -17,30 +18,196 @@ let combo_name = function
   | Chain_porder -> "chain+porder"
   | All -> "all"
 
-let proc_segments prog =
-  Array.to_list (Array.map Segment.of_proc prog.Prog.procs)
+type algo =
+  | Combo of combo
+  | Temporal of Tgraph.t
+  | Temporal_procs of Tgraph.t
+  | Colored of { cache_bytes : int }
+  | Colored_procs of { cache_bytes : int }
+  | Hot_cold
+  | Cfa of { cache_bytes : int; cfa_fraction : float }
+  | Hot_aligned
 
-(* Each pass of the pipeline runs inside a telemetry span, so per-figure and
-   whole-run pass timings fall out of the span aggregates (the bench
-   artifact's "passes" section). *)
+(* A layout's three parts.  The segment stage turns each procedure into
+   segments: whole, in source order; its chains concatenated; one segment
+   per chain (fine-grain splitting); or hot and cold.  The order is source
+   order, Pettis-Hansen over the call/branch graph, or closest-is-best over
+   a temporal graph.  The placer assigns addresses: packed at an
+   alignment, colored, a conflict-free area, or hot segments line-aligned. *)
+type stage = Whole | Joined | Fine_grain | Hot_and_cold
+type order = Source | Calls | Affinity of Tgraph.t
+type placer = Packed of int | Colored_gaps of int | Reserved of int * float | Line_aligned
+
+let recipe = function
+  | Combo Base -> (Whole, Source, Packed 16)
+  | Combo Porder -> (Whole, Calls, Packed 4)
+  | Combo Chain -> (Joined, Source, Packed 4)
+  | Combo Chain_split -> (Fine_grain, Source, Packed 4)
+  | Combo Chain_porder -> (Joined, Calls, Packed 4)
+  | Combo All -> (Fine_grain, Calls, Packed 4)
+  | Temporal t -> (Fine_grain, Affinity t, Packed 4)
+  | Temporal_procs t -> (Whole, Affinity t, Packed 4)
+  | Colored { cache_bytes } -> (Fine_grain, Calls, Colored_gaps cache_bytes)
+  | Colored_procs { cache_bytes } -> (Whole, Calls, Colored_gaps cache_bytes)
+  | Hot_cold -> (Hot_and_cold, Calls, Packed 4)
+  | Cfa { cache_bytes; cfa_fraction } -> (Fine_grain, Calls, Reserved (cache_bytes, cfa_fraction))
+  | Hot_aligned -> (Fine_grain, Calls, Line_aligned)
+
+let chained algo = match recipe algo with Whole, _, _ -> false | _ -> true
+let ordered algo = match recipe algo with _, Source, _ -> false | _ -> true
+
+(* Each pass runs inside a telemetry span, so per-figure and whole-run
+   pass timings fall out of the span aggregates (the bench artifact's
+   "passes" section). *)
 let chaining_span f = Telemetry.span "chaining" f
-let splitting_span f = Telemetry.span "splitting" f
-let porder_span f = Telemetry.span "pettis_hansen" f
 let placement_span f = Telemetry.span "placement" f
 
-let segments_for profile = function
-  | Base -> proc_segments (Profile.prog profile)
-  | Porder ->
-      porder_span (fun () ->
-          Pettis_hansen.order profile (proc_segments (Profile.prog profile)))
-  | Chain -> chaining_span (fun () -> Chaining.segments_one_per_proc profile)
-  | Chain_split -> splitting_span (fun () -> Splitting.fine_grain profile)
-  | Chain_porder ->
-      let chained = chaining_span (fun () -> Chaining.segments_one_per_proc profile) in
-      porder_span (fun () -> Pettis_hansen.order profile chained)
-  | All ->
-      let split = splitting_span (fun () -> Splitting.fine_grain profile) in
-      porder_span (fun () -> Pettis_hansen.order profile split)
+(* The memo: per procedure, its segments encoded segment-relative and the
+   local segments whose head block has a count (the ordering passes' hot
+   singletons).  Both depend only on the procedure's own rows of the
+   profile, so a rebuild redoes only the procedures it is told are dirty.
+   Segment [i] of procedure [p] is numbered [base.(p) + i]
+   (Placement.numbering): procedure-major, the order ties break in. *)
+type memo = {
+  algo : algo;
+  mutable shapes : Chaining.shape array;  (* per procedure, once chained *)
+  rows : Placement.rows array;
+  hot : int list array;
+  ph : Pettis_hansen.buffers;
+}
+
+let head_count profile (seg : Segment.t) =
+  Profile.block_count profile ~proc:seg.Segment.proc ~block:(Segment.head seg)
+
+(* One procedure's segments from its chains (unused by [Whole]). *)
+let segments stage profile prog pid chains =
+  let mk blocks = { Segment.proc = pid; blocks } in
+  match stage with
+  | Whole -> [| Segment.of_proc (Prog.proc prog pid) |]
+  | Joined -> [| mk (List.concat chains) |]
+  | Fine_grain -> Array.of_list (List.map mk chains)
+  | Hot_and_cold -> Array.of_list (List.map mk (Splitting.hot_cold profile pid chains))
+
+(* Which procedure owns segment [g]: the last [p] with [base.(p) <= g]. *)
+let owner base g =
+  let lo = ref 0 and hi = ref (Array.length base - 2) in
+  while !lo < !hi do
+    let mid = (!lo + !hi + 1) / 2 in
+    if base.(mid) <= g then lo := mid else hi := mid - 1
+  done;
+  !lo
+
+(* The whole-program passes over every entry: the segment order, then
+   addresses.  [order_indices] reads heat only for the weighted segments
+   and the hot singletons, so its cost follows the weighted subgraph. *)
+let layout m profile order placer =
+  let prog = Profile.prog profile in
+  let rows = m.rows in
+  let base = Placement.numbering rows in
+  let n = base.(Array.length rows) in
+  let segment g =
+    let p = owner base g in
+    rows.(p).Placement.segs.(g - base.(p))
+  in
+  let run ?pass weights =
+    Pettis_hansen.order_indices m.ph ?pass ~n ~weights
+      ~heat:(fun g -> float_of_int (head_count profile (segment g)))
+      ~hot:(fun f -> Array.iteri (fun p segs -> List.iter (fun i -> f (base.(p) + i)) segs) m.hot)
+      ~proc_of:(owner base) ()
+  in
+  let order =
+    match order with
+    | Source -> Array.init n Fun.id
+    | Calls ->
+        Telemetry.span "pettis_hansen" (fun () ->
+            run
+              (Pettis_hansen.pair_weights_of profile ~seg_of:(fun p b ->
+                   base.(p) + rows.(p).Placement.seg_of.(b))))
+    | Affinity temporal ->
+        (* Each procedure's affinities attach to its hottest segment, the
+           first on a tie. *)
+        let rep p =
+          let segs = rows.(p).Placement.segs in
+          let best = ref 0 in
+          Array.iteri
+            (fun i seg -> if head_count profile seg > head_count profile segs.(!best) then best := i)
+            segs;
+          Some (base.(p) + !best)
+        in
+        Telemetry.span "temporal_order" (fun () ->
+            run ~pass:"temporal_order" (Temporal_order.weights_by temporal ~rep))
+  in
+  match placer with
+  | Packed align -> placement_span (fun () -> Placement.of_rows ~align prog rows ~order)
+  | Colored_gaps cache_bytes ->
+      Telemetry.span "coloring" (fun () -> Coloring.place profile rows ~order ~cache_bytes)
+  | Reserved (cache_bytes, cfa_fraction) ->
+      Telemetry.span "cfa" (fun () -> Cfa.place profile rows ~order ~cache_bytes ~cfa_fraction)
+  | Line_aligned ->
+      (* Classic hot-target alignment: a segment whose head runs more than
+         about once per measured transaction starts on a 64-byte line;
+         padding costs capacity and gains fetch efficiency. *)
+      let threshold = max 1 (Profile.total_block_events profile / 100_000) in
+      placement_span (fun () ->
+          Placement.of_rows ~align:4 prog rows ~order ~addr_of:(fun g a ->
+              if head_count profile (segment g) > threshold then (a + 63) land lnot 63 else a))
+
+let rebuild m profile ~dirty =
+  let prog = Profile.prog profile in
+  let stage, order, placer = recipe m.algo in
+  let chains =
+    match stage with
+    | Whole -> List.map (fun pid -> (pid, [])) dirty
+    | Joined | Fine_grain | Hot_and_cold ->
+        chaining_span (fun () ->
+            if Array.length m.shapes = 0 then
+              m.shapes <- Array.init (Prog.n_procs prog) (Chaining.shape prog);
+            List.map (fun pid -> (pid, Chaining.chain m.shapes.(pid) profile)) dirty)
+  in
+  let fill () =
+    List.iter
+      (fun (pid, chains) ->
+        let r = Placement.encode prog pid (segments stage profile prog pid chains) in
+        m.rows.(pid) <- r;
+        m.hot.(pid) <-
+          List.filter
+            (fun i -> head_count profile r.Placement.segs.(i) > 0)
+            (List.init (Array.length r.Placement.segs) Fun.id))
+      chains
+  in
+  (match stage with
+  | Whole -> fill ()
+  | Joined -> chaining_span fill
+  | Fine_grain ->
+      Telemetry.span "splitting" (fun () ->
+          fill ();
+          Splitting.record_cuts m.rows)
+  | Hot_and_cold ->
+      Telemetry.span "hot_cold" (fun () ->
+          fill ();
+          Splitting.record_cuts m.rows));
+  layout m profile order placer
+
+(* The from-scratch build is a rebuild of an empty memo with every
+   procedure dirty: each placeholder entry is replaced before [layout]
+   reads it. *)
+let memoize algo profile =
+  let prog = Profile.prog profile in
+  let n = Prog.n_procs prog in
+  let placeholder = Placement.encode prog 0 [| Segment.of_proc (Prog.proc prog 0) |] in
+  let m =
+    {
+      algo;
+      shapes = [||];
+      rows = Array.make n placeholder;
+      hot = Array.make n [];
+      ph = Pettis_hansen.buffers ();
+    }
+  in
+  let placement = rebuild m profile ~dirty:(List.init n Fun.id) in
+  (m, placement)
+
+let build algo profile = snd (memoize algo profile)
 
 (* The closing provenance event of the pipeline: where each procedure
    ended up under this combo.  [rank] is the position of the procedure's
@@ -73,35 +240,9 @@ let record_placement profile combo placement =
       ]
   done
 
-let optimize ?align profile combo =
+let optimize profile combo =
   Telemetry.incr c_optimize;
   Telemetry.span "optimize" (fun () ->
-      let align =
-        match (align, combo) with
-        | Some a, _ -> a
-        | None, Base -> 16
-        | None, (Porder | Chain | Chain_split | Chain_porder | All) -> 4
-      in
-      let segments = segments_for profile combo in
-      let placement =
-        placement_span (fun () ->
-            Placement.of_segments ~align (Profile.prog profile) segments)
-      in
+      let placement = build (Combo combo) profile in
       if Provenance.enabled () then record_placement profile combo placement;
       placement)
-
-let hot_cold_all ?threshold profile =
-  Telemetry.span "optimize" (fun () ->
-      let split =
-        Telemetry.span "hot_cold" (fun () -> Splitting.hot_cold ?threshold profile)
-      in
-      let segments = porder_span (fun () -> Pettis_hansen.order profile split) in
-      placement_span (fun () ->
-          Placement.of_segments ~align:4 (Profile.prog profile) segments))
-
-let cfa_all profile ~cache_bytes ~cfa_fraction =
-  Telemetry.span "optimize" (fun () ->
-      let split = splitting_span (fun () -> Splitting.fine_grain profile) in
-      let segments = porder_span (fun () -> Pettis_hansen.order profile split) in
-      Telemetry.span "cfa" (fun () ->
-          Cfa.place profile ~segments ~cache_bytes ~cfa_fraction))

@@ -7,26 +7,11 @@
     so they stop conflicting.  The [temporal] report experiment compares
     the two orderings. *)
 
-val order :
-  Olayout_profile.Temporal.t ->
-  heat:(Segment.t -> float) ->
-  Segment.t list ->
-  Segment.t list
-(** Reorder segments (a permutation).  Pair affinity is the temporal
-    weight of the segments' owning procedures; when several segments share
-    an owner the procedure's affinities attach to its hottest segment. *)
-
-val pair_weights :
-  Olayout_profile.Temporal.t ->
-  heat:(Segment.t -> float) ->
-  Segment.t list ->
-  ((int * int) * float) list
-(** The weights {!order} hands the merge engine, by input segment index;
-    exposed for tests. *)
-
 val weights_by :
   Olayout_profile.Temporal.t -> rep:(int -> int option) -> ((int * int) * float) list
 (** The temporal graph's pairs moved onto segments: procedure [p]'s
     affinities attach to segment [rep p] (pairs with an unrepresented
-    procedure are dropped).  {!pair_weights} is this with each procedure's
-    hottest segment, the first on a tie. *)
+    procedure are dropped).  The graph is procedure-granular, as in Gloy
+    et al.; {!Spike} represents each procedure by its hottest segment, the
+    first on a tie, since expanding to all segment pairs would both dilute
+    the weights and blow the merge graph up quadratically. *)

@@ -106,14 +106,9 @@ let rationale_of prog ~self events =
   | [] -> ());
   (match find "splitting" with
   | e :: _ -> (
-      match
-        ( Provenance.int_field e "segments",
-          Provenance.int_field e "hot_blocks",
-          Provenance.int_field e "cold_blocks" )
-      with
-      | Some s, Some h, Some c -> say "%d segments (%d hot/%d cold)" s h c
-      | Some s, _, _ -> say "%d segments cut" s
-      | _ -> ())
+      match Provenance.int_field e "segments" with
+      | Some s -> say "%d segments cut" s
+      | None -> ())
   | [] -> ());
   List.iter
     (fun pass ->

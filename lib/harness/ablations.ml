@@ -4,11 +4,11 @@ module Spike = Olayout_core.Spike
 module Cfa = Olayout_core.Cfa
 module Timing = Olayout_perf.Timing
 module Machine = Olayout_perf.Machine
-module Profile = Olayout_profile.Profile
 module Sampler = Olayout_profile.Sampler
 module Server = Olayout_oltp.Server
 module Workload = Olayout_oltp.Workload
 module Binary = Olayout_codegen.Binary
+module Telemetry = Olayout_telemetry.Telemetry
 
 type result = {
   kernel_base_misses : int;
@@ -71,36 +71,17 @@ let sampled_placement ctx =
   in
   Spike.optimize (Sampler.to_profile sampler) Spike.All
 
-(* Classic hot-target alignment: segments whose entry is hot start on a
-   cache-line boundary (padding costs capacity, gains fetch efficiency). *)
-let hot_aligned_placement ctx =
-  let profile = Context.app_profile ctx in
-  let prog = Profile.prog profile in
-  let segments =
-    Olayout_core.Pettis_hansen.order profile (Olayout_core.Splitting.fine_grain profile)
-  in
-  let hot_threshold =
-    (* roughly: executed more than once per measured transaction *)
-    max 1 (Profile.total_block_events profile / 100_000)
-  in
-  Olayout_core.Placement.of_segments_at ~align:4 prog
-    ~addr_of:(fun seg a ->
-      let count =
-        Profile.block_count profile ~proc:seg.Olayout_core.Segment.proc
-          ~block:(Olayout_core.Segment.head seg)
-      in
-      if count > hot_threshold then (a + 63) land lnot 63 else a)
-    segments
-
 let run ctx =
   let kernel_base_misses, kernel_opt_misses, kernel_base_cycles, kernel_opt_cycles =
     kernel_ablation ctx
   in
   let profile = Context.app_profile ctx in
-  let cfa_placement = Spike.cfa_all profile ~cache_bytes:(64 * 1024) ~cfa_fraction:0.5 in
-  let hotcold_placement = Spike.hot_cold_all profile in
+  let cfa_placement =
+    Spike.build (Spike.Cfa { cache_bytes = 64 * 1024; cfa_fraction = 0.5 }) profile
+  in
+  let hotcold_placement = Spike.build Spike.Hot_cold profile in
   let sampled = sampled_placement ctx in
-  let hot_aligned = hot_aligned_placement ctx in
+  let hot_aligned = Spike.build Spike.Hot_aligned profile in
   let c_cfa = cache_64 () and c_all = cache_64 () in
   let c_hc64 = cache_64 () and c_hc128 = cache_128 () in
   let c_fine128 = cache_128 () in
@@ -124,22 +105,43 @@ let run ctx =
         ]
       ()
   in
-  {
-    kernel_base_misses;
-    kernel_opt_misses;
-    kernel_base_cycles;
-    kernel_opt_cycles;
-    cfa_misses = Icache.misses c_cfa;
-    all_misses_64k = Icache.misses c_all;
-    hot_90_bytes = Cfa.hot_bytes_needed profile ~coverage:0.9;
-    hotcold_64k = Icache.misses c_hc64;
-    hotcold_128k = Icache.misses c_hc128;
-    fine_64k = Icache.misses c_all;
-    fine_128k = Icache.misses c_fine128;
-    sampled_misses = Icache.misses c_sampled;
-    exact_misses = Icache.misses c_all;
-    hot_aligned_misses = Icache.misses c_aligned;
-  }
+  let r =
+    {
+      kernel_base_misses;
+      kernel_opt_misses;
+      kernel_base_cycles;
+      kernel_opt_cycles;
+      cfa_misses = Icache.misses c_cfa;
+      all_misses_64k = Icache.misses c_all;
+      hot_90_bytes = Cfa.hot_bytes_needed profile ~coverage:0.9;
+      hotcold_64k = Icache.misses c_hc64;
+      hotcold_128k = Icache.misses c_hc128;
+      fine_64k = Icache.misses c_all;
+      fine_128k = Icache.misses c_fine128;
+      sampled_misses = Icache.misses c_sampled;
+      exact_misses = Icache.misses c_all;
+      hot_aligned_misses = Icache.misses c_aligned;
+    }
+  in
+  (* One gauge per distinct table number: [fine_64k] and [exact_misses]
+     are the [all] layout's [all_misses_64k]. *)
+  List.iter
+    (fun (row, v) -> Telemetry.set_gauge (Telemetry.gauge ("fig.ablations." ^ row)) v)
+    [
+      ("kernel_base_misses", float_of_int r.kernel_base_misses);
+      ("kernel_opt_misses", float_of_int r.kernel_opt_misses);
+      ("kernel_base_cycles", r.kernel_base_cycles);
+      ("kernel_opt_cycles", r.kernel_opt_cycles);
+      ("cfa_misses", float_of_int r.cfa_misses);
+      ("all_misses_64k", float_of_int r.all_misses_64k);
+      ("hot_90_bytes", float_of_int r.hot_90_bytes);
+      ("hotcold_64k", float_of_int r.hotcold_64k);
+      ("hotcold_128k", float_of_int r.hotcold_128k);
+      ("fine_128k", float_of_int r.fine_128k);
+      ("sampled_misses", float_of_int r.sampled_misses);
+      ("hot_aligned_misses", float_of_int r.hot_aligned_misses);
+    ];
+  r
 
 let tables r =
   let tbl =

@@ -1,12 +1,7 @@
 module Icache = Olayout_cachesim.Icache
 module Run = Olayout_exec.Run
 module Spike = Olayout_core.Spike
-module Segment = Olayout_core.Segment
-module Coloring = Olayout_core.Coloring
-module Pettis_hansen = Olayout_core.Pettis_hansen
-module Splitting = Olayout_core.Splitting
-module Placement = Olayout_core.Placement
-module Profile = Olayout_profile.Profile
+module Telemetry = Olayout_telemetry.Telemetry
 
 type result = { base : int; coloring_only : int; all : int; all_plus_coloring : int }
 
@@ -14,20 +9,10 @@ let cache_bytes = 64 * 1024
 
 let run ctx =
   let profile = Context.app_profile ctx in
-  let prog = Profile.prog profile in
-  (* Placement-only: whole procedures, Pettis-Hansen order, colored gaps. *)
-  let proc_segments =
-    Pettis_hansen.order profile
-      (Array.to_list (Array.map Segment.of_proc prog.Olayout_ir.Prog.procs))
-  in
-  let coloring_only =
-    Coloring.place profile ~segments:proc_segments ~cache_bytes ()
-  in
-  (* Full pipeline segments, with and without colored gaps. *)
-  let all_segments = Pettis_hansen.order profile (Splitting.fine_grain profile) in
-  let all_plus_coloring =
-    Coloring.place profile ~segments:all_segments ~cache_bytes ()
-  in
+  (* Placement-only: whole procedures, Pettis-Hansen order, colored gaps;
+     and the full pipeline's segments with colored gaps. *)
+  let coloring_only = Spike.build (Spike.Colored_procs { cache_bytes }) profile in
+  let all_plus_coloring = Spike.build (Spike.Colored { cache_bytes }) profile in
   let mk () = Icache.create (Icache.config ~size_kb:64 ~line:64 ~assoc:1 ()) in
   let c_base = mk () and c_color = mk () and c_all = mk () and c_both = mk () in
   let app_only c run = if run.Run.owner = Run.App then Icache.access_run c run in
@@ -42,12 +27,24 @@ let run ctx =
         ]
       ()
   in
-  {
-    base = Icache.misses c_base;
-    coloring_only = Icache.misses c_color;
-    all = Icache.misses c_all;
-    all_plus_coloring = Icache.misses c_both;
-  }
+  let r =
+    {
+      base = Icache.misses c_base;
+      coloring_only = Icache.misses c_color;
+      all = Icache.misses c_all;
+      all_plus_coloring = Icache.misses c_both;
+    }
+  in
+  List.iter
+    (fun (row, m) ->
+      Telemetry.set_gauge (Telemetry.gauge ("fig.coloring." ^ row)) (float_of_int m))
+    [
+      ("base", r.base);
+      ("coloring_only", r.coloring_only);
+      ("all", r.all);
+      ("all_plus_coloring", r.all_plus_coloring);
+    ];
+  r
 
 let tables r =
   let tbl =

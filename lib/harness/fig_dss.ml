@@ -5,6 +5,7 @@ module Run = Olayout_exec.Run
 module Profile = Olayout_profile.Profile
 module Binary = Olayout_codegen.Binary
 module Footprint = Olayout_metrics.Footprint
+module Telemetry = Olayout_telemetry.Telemetry
 open Olayout_ir
 
 type row = { size_kb : int; base : int; optimized : int }
@@ -55,15 +56,26 @@ let run ctx =
       ~renders:[ (Spike.Base, app_only oltp_base); (Spike.All, app_only oltp_opt) ]
       ()
   in
-  {
-    footprint_kb = Footprint.executed_footprint_bytes fp / 1024;
-    rows =
-      List.map2
-        (fun (kb, b) (_, o) -> { size_kb = kb; base = Icache.misses b; optimized = Icache.misses o })
-        cb co;
-    oltp_ratio_64k =
-      float_of_int (Icache.misses oltp_opt) /. float_of_int (max 1 (Icache.misses oltp_base));
-  }
+  let r =
+    {
+      footprint_kb = Footprint.executed_footprint_bytes fp / 1024;
+      rows =
+        List.map2
+          (fun (kb, b) (_, o) -> { size_kb = kb; base = Icache.misses b; optimized = Icache.misses o })
+          cb co;
+      oltp_ratio_64k =
+        float_of_int (Icache.misses oltp_opt) /. float_of_int (max 1 (Icache.misses oltp_base));
+    }
+  in
+  let gauge row v = Telemetry.set_gauge (Telemetry.gauge ("fig.dss." ^ row)) v in
+  List.iter
+    (fun row ->
+      gauge (Printf.sprintf "base_%dk" row.size_kb) (float_of_int row.base);
+      gauge (Printf.sprintf "optimized_%dk" row.size_kb) (float_of_int row.optimized))
+    r.rows;
+  gauge "footprint_kb" (float_of_int r.footprint_kb);
+  gauge "oltp_ratio_64k" r.oltp_ratio_64k;
+  r
 
 let tables r =
   let tbl =

@@ -3,6 +3,7 @@ module Spike = Olayout_core.Spike
 module Placement = Olayout_core.Placement
 module Cfa = Olayout_core.Cfa
 module Profile = Olayout_profile.Profile
+module Telemetry = Olayout_telemetry.Telemetry
 
 type result = {
   kernel_base : int;
@@ -46,12 +47,23 @@ let run ctx =
      Pettis-Hansen; cap the displacement inside the cache. *)
   let hot = Cfa.hot_bytes_needed (Context.app_profile ctx) ~coverage:0.9 in
   let offset = min hot (cache_bytes - (16 * 1024)) land lnot 63 in
-  {
-    kernel_base = measure_with ctx (Context.kernel_base ctx);
-    kernel_opt = measure_with ctx (Context.kernel_optimized ctx);
-    kernel_joint = measure_with ctx (shifted_kernel ctx ~offset);
-    offset_bytes = offset;
-  }
+  let r =
+    {
+      kernel_base = measure_with ctx (Context.kernel_base ctx);
+      kernel_opt = measure_with ctx (Context.kernel_optimized ctx);
+      kernel_joint = measure_with ctx (shifted_kernel ctx ~offset);
+      offset_bytes = offset;
+    }
+  in
+  List.iter
+    (fun (row, v) -> Telemetry.set_gauge (Telemetry.gauge ("fig.joint." ^ row)) (float_of_int v))
+    [
+      ("kernel_base", r.kernel_base);
+      ("kernel_opt", r.kernel_opt);
+      ("kernel_joint", r.kernel_joint);
+      ("offset_bytes", r.offset_bytes);
+    ];
+  r
 
 let tables r =
   let tbl =

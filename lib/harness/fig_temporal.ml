@@ -1,16 +1,11 @@
 module Icache = Olayout_cachesim.Icache
 module Run = Olayout_exec.Run
 module Spike = Olayout_core.Spike
-module Segment = Olayout_core.Segment
-module Splitting = Olayout_core.Splitting
-module Pettis_hansen = Olayout_core.Pettis_hansen
-module Temporal_order = Olayout_core.Temporal_order
-module Placement = Olayout_core.Placement
-module Profile = Olayout_profile.Profile
 module Temporal = Olayout_profile.Temporal
 module Workload = Olayout_oltp.Workload
 module Server = Olayout_oltp.Server
 module Binary = Olayout_codegen.Binary
+module Telemetry = Olayout_telemetry.Telemetry
 
 type result = {
   base_64 : int;
@@ -40,22 +35,14 @@ let record_temporal ctx =
 
 let run ctx =
   let profile = Context.app_profile ctx in
-  let prog = Profile.prog profile in
   let temporal = record_temporal ctx in
-  let seg_heat (seg : Segment.t) =
-    float_of_int (Profile.block_count profile ~proc:seg.Segment.proc ~block:(Segment.head seg))
-  in
-  let proc_segments = Array.to_list (Array.map Segment.of_proc prog.Olayout_ir.Prog.procs) in
-  let split_segments = Splitting.fine_grain profile in
   let placements =
     [
       Context.placement ctx Spike.Base;
-      Placement.of_segments ~align:4 prog (Pettis_hansen.order profile proc_segments);
-      Placement.of_segments ~align:4 prog
-        (Temporal_order.order temporal ~heat:seg_heat proc_segments);
+      Spike.build (Spike.Combo Spike.Porder) profile;
+      Spike.build (Spike.Temporal_procs temporal) profile;
       Context.placement ctx Spike.All;
-      Placement.of_segments ~align:4 prog
-        (Temporal_order.order temporal ~heat:seg_heat split_segments);
+      Spike.build (Spike.Temporal temporal) profile;
     ]
   in
   let caches =
@@ -78,7 +65,18 @@ let run ctx =
       ~renders:(List.map2 (fun p c -> (p, app_only c)) placements caches)
       ()
   in
-  match List.map (fun (c64, c128) -> (Icache.misses c64, Icache.misses c128)) caches with
+  let misses = List.map (fun (c64, c128) -> (Icache.misses c64, Icache.misses c128)) caches in
+  List.iter2
+    (fun row (m64, m128) ->
+      List.iter
+        (fun (kb, m) ->
+          Telemetry.set_gauge
+            (Telemetry.gauge (Printf.sprintf "fig.temporal.%s_%dk" row kb))
+            (float_of_int m))
+        [ (64, m64); (128, m128) ])
+    [ "base"; "porder"; "temporal_procs"; "all"; "all_temporal" ]
+    misses;
+  match misses with
   | [ (b64, b128); (p64, p128); (t64, t128); (a64, a128); (at64, at128) ] ->
       {
         base_64 = b64;

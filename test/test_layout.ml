@@ -3,7 +3,6 @@
 
 open Olayout_ir
 module Chaining = Olayout_core.Chaining
-module Splitting = Olayout_core.Splitting
 module Pettis_hansen = Olayout_core.Pettis_hansen
 module Segment = Olayout_core.Segment
 module Placement = Olayout_core.Placement
@@ -12,6 +11,8 @@ module Cfa = Olayout_core.Cfa
 module Profile = Olayout_profile.Profile
 
 let b = Helpers.block
+let chain_proc profile pid = Chaining.chain (Chaining.shape (Profile.prog profile) pid) profile
+let built_segments algo profile = Placement.segments (Spike.build algo profile)
 
 let test_segment_module () =
   let prog = Helpers.call_prog () in
@@ -32,9 +33,9 @@ let test_spike_ablation_pipelines () =
   let built = Helpers.random_program 8 in
   let prog = Olayout_codegen.Binary.prog built in
   let profile = Helpers.walked_profile prog in
-  let hc = Spike.hot_cold_all profile in
+  let hc = Spike.build Spike.Hot_cold profile in
   Alcotest.(check bool) "hot/cold placement built" true (Placement.program_instrs hc > 0);
-  let cfa = Spike.cfa_all profile ~cache_bytes:(16 * 1024) ~cfa_fraction:0.25 in
+  let cfa = Spike.build (Spike.Cfa { cache_bytes = 16 * 1024; cfa_fraction = 0.25 }) profile in
   Alcotest.(check bool) "cfa placement built" true (Placement.program_instrs cfa > 0);
   (* The CFA layout reserves space: it can only be as large or larger. *)
   let all = Spike.optimize profile Spike.All in
@@ -68,7 +69,7 @@ let test_chaining_hot_path () =
   for _ = 1 to 100 do
     Profile.record profile ~proc:0 ~block:3 ~arm:0
   done;
-  let chains = Chaining.chain_proc profile 0 in
+  let chains = chain_proc profile 0 in
   Alcotest.(check bool) "partition" true (chains_partition prog 0 chains);
   let first = List.hd chains in
   (* Hot path 0 -> 2 -> 3 chained together, entry first. *)
@@ -78,7 +79,7 @@ let test_chaining_hot_path () =
 let test_chaining_call_glue () =
   let prog = Helpers.call_prog () in
   let profile = Helpers.uniform_profile prog 10 in
-  let chains = Chaining.chain_proc profile 0 in
+  let chains = chain_proc profile 0 in
   Alcotest.(check bool) "partition" true (chains_partition prog 0 chains);
   (* Call blocks stay glued to their return continuations. *)
   let rec glued = function
@@ -104,7 +105,7 @@ let test_chaining_loop_rotation () =
   done;
   Profile.record profile ~proc:0 ~block:1 ~arm:0;
   Profile.record profile ~proc:0 ~block:3 ~arm:0;
-  let chains = Chaining.chain_proc profile 0 in
+  let chains = chain_proc profile 0 in
   Alcotest.(check bool) "partition" true (chains_partition prog 0 chains);
   (* The heaviest edges are 1->2 (9) and 2->1 (9); chaining links one of
      them; the other would close a cycle and must be skipped. *)
@@ -125,7 +126,7 @@ let test_chaining_deterministic () =
   let built = Helpers.random_program 11 in
   let prog = Olayout_codegen.Binary.prog built in
   let profile = Helpers.walked_profile prog in
-  let c1 = Chaining.chain_proc profile 1 and c2 = Chaining.chain_proc profile 1 in
+  let c1 = chain_proc profile 1 and c2 = chain_proc profile 1 in
   Alcotest.(check bool) "same chains" true (c1 = c2)
 
 let qcheck_chaining_partitions =
@@ -135,15 +136,15 @@ let qcheck_chaining_partitions =
       let prog = Olayout_codegen.Binary.prog built in
       let profile = Helpers.walked_profile ~calls:10 prog in
       List.for_all
-        (fun pid -> chains_partition prog pid (Chaining.chain_proc profile pid))
+        (fun pid -> chains_partition prog pid (chain_proc profile pid))
         (List.init (Prog.n_procs prog) (fun i -> i)))
 
 let test_fine_grain_segments_end_unconditionally () =
   let built = Helpers.random_program 4 in
   let prog = Olayout_codegen.Binary.prog built in
   let profile = Helpers.walked_profile ~calls:10 prog in
-  let segments = Splitting.fine_grain profile in
-  Segment.check_cover prog segments;
+  let segments = built_segments (Spike.Combo Spike.Chain_split) profile in
+  Layout_reference.check_cover prog segments;
   (* Build the placement: within a segment no block other than the last may
      end with Ret (an unconditional transfer mid-segment would have been a
      chain break). *)
@@ -165,8 +166,8 @@ let test_hot_cold_split () =
   let built = Helpers.random_program 6 in
   let prog = Olayout_codegen.Binary.prog built in
   let profile = Helpers.walked_profile ~calls:5 prog in
-  let segments = Splitting.hot_cold profile in
-  Segment.check_cover prog segments;
+  let segments = built_segments Spike.Hot_cold profile in
+  Layout_reference.check_cover prog segments;
   (* At most two segments per procedure. *)
   let per_proc = Hashtbl.create 8 in
   List.iter
@@ -212,8 +213,7 @@ let test_ph_simple_order () =
     Profile.record profile ~proc:0 ~block:1 ~arm:0;
     Profile.record profile ~proc:2 ~block:0 ~arm:0
   done;
-  let segments = List.map Segment.of_proc (Array.to_list prog.Prog.procs) in
-  let ordered = Pettis_hansen.order profile segments in
+  let ordered = built_segments (Spike.Combo Spike.Porder) profile in
   let procs_in_order = List.map (fun (s : Segment.t) -> s.proc) ordered in
   Alcotest.(check int) "permutation size" 3 (List.length procs_in_order);
   let rec adjacent x y = function
@@ -231,8 +231,8 @@ let test_ph_pair_weights () =
   for _ = 1 to 4 do
     Profile.record profile ~proc:0 ~block:1 ~arm:0
   done;
-  let segments = List.map Segment.of_proc (Array.to_list prog.Prog.procs) in
-  let weights = Pettis_hansen.pair_weights profile segments in
+  (* One segment per procedure: segment p is procedure p. *)
+  let weights = Pettis_hansen.pair_weights_of profile ~seg_of:(fun p _ -> p) in
   (* Two call sites 0->1 with counts 7 and 4 merge into one 11-weight edge;
      intra-proc glue edges stay inside one segment and do not count. *)
   Alcotest.(check (list (pair (pair int int) (float 1e-9)))) "weights" [ ((0, 1), 11.0) ]
@@ -244,9 +244,9 @@ let test_ph_permutation_random () =
       let built = Helpers.random_program seed in
       let prog = Olayout_codegen.Binary.prog built in
       let profile = Helpers.walked_profile ~calls:10 prog in
-      let segments = Splitting.fine_grain profile in
-      let ordered = Pettis_hansen.order profile segments in
-      Segment.check_cover prog ordered;
+      let segments = built_segments (Spike.Combo Spike.Chain_split) profile in
+      let ordered = built_segments (Spike.Combo Spike.All) profile in
+      Layout_reference.check_cover prog ordered;
       Alcotest.(check int) "same segment count" (List.length segments)
         (List.length ordered))
     [ 7; 8; 9 ]
@@ -257,26 +257,21 @@ let test_ph_cold_keeps_order () =
   let prog = Olayout_codegen.Binary.prog built in
   let profile = Profile.create prog in
   let segments = List.map Segment.of_proc (Array.to_list prog.Prog.procs) in
-  let ordered = Pettis_hansen.order profile segments in
+  let ordered = built_segments (Spike.Combo Spike.Porder) profile in
   Alcotest.(check (list int)) "input order kept"
     (List.map (fun (s : Segment.t) -> s.proc) segments)
     (List.map (fun (s : Segment.t) -> s.proc) ordered)
 
 let test_order_weighted_explicit () =
   (* Three segments; explicit weights force 0-2 adjacency. *)
-  let built = Helpers.random_program 20 in
-  let prog = Olayout_codegen.Binary.prog built in
-  let segments =
-    List.filteri (fun i _ -> i < 3)
-      (Array.to_list (Array.map Segment.of_proc prog.Prog.procs))
+  let procs =
+    Array.to_list
+      (Pettis_hansen.order_indices (Pettis_hansen.buffers ()) ~n:3
+         ~weights:[ ((0, 2), 10.0); ((0, 1), 1.0) ]
+         ~heat:(fun _ -> 1.0)
+         ~hot:(fun f -> List.iter f [ 0; 1; 2 ])
+         ~proc_of:Fun.id ())
   in
-  let ordered =
-    Pettis_hansen.order_weighted
-      ~weights:[ ((0, 2), 10.0); ((0, 1), 1.0) ]
-      ~heat:(fun _ -> 1.0)
-      segments
-  in
-  let procs = List.map (fun (s : Segment.t) -> s.proc) ordered in
   let rec adjacent x y = function
     | a :: (c :: _ as rest) -> (a = x && c = y) || (a = y && c = x) || adjacent x y rest
     | _ -> false
@@ -295,11 +290,8 @@ let test_temporal_order_permutation () =
     Olayout_profile.Temporal.sink temporal ~proc:1
       ~block:(Prog.proc prog 1).Proc.entry ~arm:0
   done;
-  let segments = Array.to_list (Array.map Segment.of_proc prog.Prog.procs) in
-  let ordered =
-    Olayout_core.Temporal_order.order temporal ~heat:(fun _ -> 0.0) segments
-  in
-  Segment.check_cover prog ordered;
+  let ordered = built_segments (Spike.Temporal_procs temporal) (Profile.create prog) in
+  Layout_reference.check_cover prog ordered;
   let procs = List.map (fun (s : Segment.t) -> s.proc) ordered in
   let rec adjacent x y = function
     | a :: (c :: _ as rest) -> (a = x && c = y) || (a = y && c = x) || adjacent x y rest
@@ -353,15 +345,49 @@ let test_spike_hot_code_first () =
   Alcotest.(check bool) "hot entry in first half" true
     (entry_addr - prog.Prog.base_addr < (text_end - prog.Prog.base_addr) / 2)
 
+(* The conflict-free area's promise: the hottest segments fill the first
+   [cfa_fraction] of the cache from the text base, and no byte of any other
+   segment maps to those cache sets — in any cache-sized period of the
+   text, however the segment lines up with the period's end.  Small caches
+   make the text span many periods, so segments meet period ends often.
+   (A segment larger than the unprotected window cannot keep the promise;
+   the random programs have none, as the last check asserts.) *)
 let test_cfa_protected_region () =
-  let built = Helpers.random_program 10 in
-  let prog = Olayout_codegen.Binary.prog built in
+  List.iter
+    (fun (seed, cache_bytes) ->
+      let prog = Olayout_codegen.Binary.prog (Helpers.random_program seed) in
+      let profile = Helpers.walked_profile ~calls:20 ~seed prog in
+      let cfa_bytes = cache_bytes / 2 in
+      let pl = Spike.build (Spike.Cfa { cache_bytes; cfa_fraction = 0.5 }) profile in
+      let base = prog.Prog.base_addr in
+      let protected_bytes = ref 0 and periods = ref 0 and crossing = ref 0 and too_big = ref 0 in
+      List.iter
+        (fun (seg : Segment.t) ->
+          let addr b = Placement.block_addr pl ~proc:seg.proc ~block:b in
+          let start = addr (Segment.head seg) in
+          let stop =
+            List.fold_left
+              (fun acc b ->
+                max acc (addr b + (Placement.static_instrs pl ~proc:seg.proc ~block:b * 4)))
+              start seg.blocks
+          in
+          if start - base < cfa_bytes then protected_bytes := max !protected_bytes (stop - base)
+          else begin
+            if stop - start > cache_bytes - cfa_bytes then incr too_big;
+            let offset = (start - base) land (cache_bytes - 1) in
+            periods := max !periods ((stop - base) / cache_bytes);
+            if offset < cfa_bytes || offset + (stop - start) > cache_bytes then incr crossing
+          end)
+        (Placement.segments pl);
+      let what = Printf.sprintf "program %d, %d-byte cache" seed cache_bytes in
+      Alcotest.(check bool) (what ^ ": hot code fills the protected area only") true
+        (!protected_bytes > 0 && !protected_bytes <= cfa_bytes);
+      Alcotest.(check bool) (what ^ ": text spans several cache periods") true (!periods >= 3);
+      Alcotest.(check int) (what ^ ": segments wider than the window") 0 !too_big;
+      Alcotest.(check int) (what ^ ": unprotected segments on protected sets") 0 !crossing)
+    [ (10, 1024); (10, 2048); (61, 1024); (62, 2048) ];
+  let prog = Olayout_codegen.Binary.prog (Helpers.random_program 10) in
   let profile = Helpers.walked_profile prog in
-  let cache_bytes = 16 * 1024 in
-  let segments = Splitting.fine_grain profile in
-  let pl = Cfa.place profile ~segments ~cache_bytes ~cfa_fraction:0.25 in
-  (* Hot-first ordering: the first placed segment starts at the base. *)
-  Alcotest.(check bool) "placement built" true (Placement.text_bytes pl > 0);
   (* hot_bytes_needed grows with coverage. *)
   let h50 = Cfa.hot_bytes_needed profile ~coverage:0.5 in
   let h90 = Cfa.hot_bytes_needed profile ~coverage:0.9 in
@@ -371,21 +397,20 @@ let test_coloring_cover_and_gaps () =
   let built = Helpers.random_program 14 in
   let prog = Olayout_codegen.Binary.prog built in
   let profile = Helpers.walked_profile prog in
-  let segments = Splitting.fine_grain profile in
-  let pl =
-    Olayout_core.Coloring.place profile ~segments ~cache_bytes:(8 * 1024)
-      ~max_gap_lines:8 ()
-  in
+  let pl = Spike.build (Spike.Colored { cache_bytes = 8 * 1024 }) profile in
   (* Cover is validated internally; the layout must not balloon: gaps are
      bounded by max_gap_lines per hot segment. *)
-  let packed = Placement.of_segments ~align:4 prog segments in
+  let packed = Spike.build (Spike.Combo Spike.All) profile in
+  Alcotest.(check bool) "same order as all" true
+    (Placement.segments packed = Placement.segments pl);
   let budget =
-    Placement.text_bytes packed + (List.length segments * (8 + 1) * 64)
+    Placement.text_bytes packed
+    + (List.length (Placement.segments pl) * (Olayout_core.Coloring.max_gap_lines + 1) * 64)
   in
   Alcotest.(check bool) "bounded expansion" true (Placement.text_bytes pl <= budget);
   Alcotest.(check bool) "rejects non-pow2 cache" true
     (try
-       ignore (Olayout_core.Coloring.place profile ~segments ~cache_bytes:3000 ());
+       ignore (Spike.build (Spike.Colored { cache_bytes = 3000 }) profile);
        false
      with Invalid_argument _ -> true)
 
@@ -409,11 +434,13 @@ let test_coloring_spreads_hot_segments () =
     Profile.record profile ~proc:0 ~block:0 ~arm:0;
     Profile.record profile ~proc:2 ~block:0 ~arm:0
   done;
-  let segments = List.map Segment.of_proc (Array.to_list prog.Prog.procs) in
-  (* Packed: hot_b starts at (63+1)*4 + 192*4 = 1024 -> same color as hot_a
-     in a 1KB cache. *)
+  let rows =
+    Array.map (fun p -> Placement.encode prog p.Proc.id [| Segment.of_proc p |]) prog.Prog.procs
+  in
+  (* Packed in source order: hot_b starts at (63+1)*4 + 192*4 = 1024 ->
+     same color as hot_a in a 1KB cache. *)
   let colored =
-    Olayout_core.Coloring.place profile ~segments ~cache_bytes:1024 ~max_gap_lines:8 ()
+    Olayout_core.Coloring.place profile rows ~order:[| 0; 1; 2 |] ~cache_bytes:1024
   in
   let color addr = addr mod 1024 / 64 in
   let a = Placement.block_addr colored ~proc:0 ~block:0 in
@@ -423,12 +450,14 @@ let test_coloring_spreads_hot_segments () =
 let test_cfa_rejects_bad_args () =
   let built = Helpers.random_program 10 in
   let profile = Helpers.walked_profile (Olayout_codegen.Binary.prog built) in
-  let segments = Splitting.fine_grain profile in
-  Alcotest.(check bool) "non-pow2 rejected" true
-    (try
-       ignore (Cfa.place profile ~segments ~cache_bytes:10_000 ~cfa_fraction:0.5);
-       false
-     with Invalid_argument _ -> true)
+  let rejected cache_bytes cfa_fraction =
+    try
+      ignore (Spike.build (Spike.Cfa { cache_bytes; cfa_fraction }) profile);
+      false
+    with Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "non-pow2 rejected" true (rejected 10_000 0.5);
+  Alcotest.(check bool) "fraction outside (0,1) rejected" true (rejected 16_384 1.0)
 
 (* Chaining against its list-based oracle: the same chains, the same
    number of linked edges and of chains formed, for every procedure of
@@ -454,7 +483,7 @@ let test_chaining_oracle () =
             let was_enabled = Telemetry.enabled () in
             Telemetry.set_enabled true;
             let l0 = counter "core.chain_edges_linked" and c0 = counter "core.chains_formed" in
-            let got = Chaining.chain_proc profile pid in
+            let got = chain_proc profile pid in
             let l1 = counter "core.chain_edges_linked" and c1 = counter "core.chains_formed" in
             Telemetry.set_enabled was_enabled;
             Alcotest.(check (list (list int))) (name ^ ": chains") want got;

@@ -13,8 +13,6 @@ module Provenance = Olayout_telemetry.Provenance
 module Segment = Olayout_core.Segment
 module Pettis_hansen = Olayout_core.Pettis_hansen
 module Temporal_order = Olayout_core.Temporal_order
-module Chaining = Olayout_core.Chaining
-module Splitting = Olayout_core.Splitting
 
 (* Run [f] with provenance on; its result and the events it recorded. *)
 let recorded f =
@@ -27,6 +25,29 @@ let recorded f =
     (fun () ->
       let r = f () in
       (r, Provenance.events ()))
+
+(* The production engine over a segment list: segment [i] is numbered [i],
+   every segment's heat is read. *)
+let engine_order ?pass ~weights ~heat segments =
+  let seg_arr = Array.of_list segments in
+  let n = Array.length seg_arr in
+  Pettis_hansen.order_indices (Pettis_hansen.buffers ()) ?pass ~n ~weights ~heat
+    ~hot:(fun f ->
+      for i = 0 to n - 1 do
+        f i
+      done)
+    ~proc_of:(fun i -> seg_arr.(i).Segment.proc)
+    ()
+  |> Array.to_list
+  |> List.map (Array.get seg_arr)
+
+(* The production pair weights over a segment list. *)
+let engine_weights profile segments =
+  let seg_of = Hashtbl.create 256 in
+  List.iteri
+    (fun i (seg : Segment.t) -> List.iter (fun b -> Hashtbl.replace seg_of (seg.proc, b) i) seg.blocks)
+    segments;
+  Pettis_hansen.pair_weights_of profile ~seg_of:(fun p b -> Hashtbl.find seg_of (p, b))
 
 let check_same what ~engine ~oracle =
   let got, got_events = recorded engine in
@@ -62,17 +83,16 @@ let qcheck_tie_heavy =
       let segments, weights, heat = tie_heavy_graph seed in
       check_same
         (Printf.sprintf "graph %d" seed)
-        ~engine:(fun () -> Pettis_hansen.order_weighted ~weights ~heat segments)
+        ~engine:(fun () -> engine_order ~weights ~heat segments)
         ~oracle:(fun () -> Ph_reference.order_weighted ~weights ~heat segments);
       true)
 
 let recipes =
   [
-    ("one per procedure", fun profile ->
-        Array.to_list (Array.map Segment.of_proc (Profile.prog profile).Prog.procs));
-    ("chained", Chaining.segments_one_per_proc);
-    ("fine-grain", Splitting.fine_grain);
-    ("hot/cold", fun profile -> Splitting.hot_cold profile);
+    ("one per procedure", Layout_reference.whole);
+    ("chained", Layout_reference.joined);
+    ("fine-grain", Layout_reference.fine_grain);
+    ("hot/cold", Layout_reference.hot_cold);
   ]
 
 let test_profiles_every_recipe () =
@@ -92,9 +112,9 @@ let test_profiles_every_recipe () =
           let weights = Ph_reference.pair_weights profile segments in
           Alcotest.(check (list (pair (pair int int) (float 0.0))))
             (what ^ ": pair weights") weights
-            (Pettis_hansen.pair_weights profile segments);
+            (engine_weights profile segments);
           check_same what
-            ~engine:(fun () -> Pettis_hansen.order profile segments)
+            ~engine:(fun () -> engine_order ~weights ~heat segments)
             ~oracle:(fun () -> Ph_reference.order_weighted ~weights ~heat segments))
         recipes)
     (List.init 12 (fun i -> 30 + i))
@@ -114,19 +134,28 @@ let test_temporal_order () =
           Olayout_exec.Walk.call walk p
         done
       done;
-      let segments = Splitting.fine_grain profile in
-      let heat (seg : Segment.t) =
-        float_of_int (Profile.block_count profile ~proc:seg.Segment.proc ~block:(Segment.head seg))
-      in
+      let segments = Layout_reference.fine_grain profile in
       let seg_arr = Array.of_list segments in
+      let heat i = Layout_reference.head_heat profile seg_arr.(i) in
+      (* The production representative: each procedure's hottest segment,
+         the first on a tie. *)
+      let rep p =
+        let best = ref None in
+        Array.iteri
+          (fun i (seg : Segment.t) ->
+            if seg.proc = p then
+              match !best with
+              | Some j when heat j >= heat i -> ()
+              | Some _ | None -> best := Some i)
+          seg_arr;
+        !best
+      in
       check_same
         (Printf.sprintf "temporal %d" seed)
-        ~engine:(fun () -> Temporal_order.order temporal ~heat segments)
-        ~oracle:(fun () ->
-          Ph_reference.order_weighted ~pass:"temporal_order"
-            ~weights:(Temporal_order.pair_weights temporal ~heat segments)
-            ~heat:(fun i -> heat seg_arr.(i))
-            segments))
+        ~engine:(fun () ->
+          engine_order ~pass:"temporal_order" ~weights:(Temporal_order.weights_by temporal ~rep)
+            ~heat segments)
+        ~oracle:(fun () -> Layout_reference.temporal_order temporal profile segments))
     [ 3; 4; 5; 6; 7; 8 ]
 
 let suite =

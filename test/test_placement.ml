@@ -160,17 +160,17 @@ let test_long_branches () =
   Alcotest.(check bool) "tiny reach flags branches" true
     (Placement.long_branches near ~max_displacement:8 () > 0)
 
-(* Segment-relative placement against the list constructor: encoding each
-   procedure's segments once and laying them out by one prefix sum gives
-   the placement [of_segments] gives for the same segments in the same
-   order, at either alignment; an order that is not a permutation is
-   refused. *)
+(* Segment-relative placement against the list constructor and the
+   reference cursor loop: encoding each procedure's segments once and
+   laying them out by one prefix sum gives the placement [of_segments] and
+   the list-based reference give for the same segments in the same order,
+   at either alignment; an order that is not a permutation is refused. *)
 let test_of_rows_matches_of_segments () =
   List.iter
     (fun seed ->
       let prog = Olayout_codegen.Binary.prog (Helpers.random_program seed) in
       let profile = Helpers.walked_profile ~calls:20 ~seed prog in
-      let segments = Array.of_list (Olayout_core.Splitting.fine_grain profile) in
+      let segments = Array.of_list (Layout_reference.fine_grain profile) in
       let rows =
         Array.init (Prog.n_procs prog) (fun pid ->
             Placement.encode prog pid
@@ -188,13 +188,16 @@ let test_of_rows_matches_of_segments () =
       done;
       List.iter
         (fun align ->
-          let want =
-            Placement.of_segments ~align prog (Array.to_list (Array.map (Array.get segments) order))
-          in
+          let listed = Array.to_list (Array.map (Array.get segments) order) in
+          let want = Placement.of_segments ~align prog listed in
+          let got = Placement.of_rows ~align prog rows ~order in
           Alcotest.(check bool)
             (Printf.sprintf "program %d, align %d: same placement" seed align)
+            true (Placement.equal want got);
+          Alcotest.(check bool)
+            (Printf.sprintf "program %d, align %d: = reference" seed align)
             true
-            (Placement.equal want (Placement.of_rows ~align prog rows ~order)))
+            (Layout_reference.matches (Layout_reference.place ~align prog listed) got))
         [ 4; 16 ];
       if n > 1 then begin
         let dup = Array.copy order in

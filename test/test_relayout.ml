@@ -125,13 +125,29 @@ let algos prog =
   List.map (fun c -> Incremental.Combo c) Spike.all_combos
   @ [
       Incremental.Temporal (tgraph prog 21);
-      Incremental.Colored { cache_bytes = 64 * 1024; max_gap_lines = None };
+      Incremental.Temporal_procs (tgraph prog 21);
+      Incremental.Colored { cache_bytes = 64 * 1024 };
+      Incremental.Colored_procs { cache_bytes = 64 * 1024 };
+      Incremental.Hot_cold;
     ]
 
 let algo_name = function
   | Incremental.Combo c -> Spike.combo_name c
   | Incremental.Temporal _ -> "temporal"
+  | Incremental.Temporal_procs _ -> "temporal procs"
   | Incremental.Colored _ -> "colored"
+  | Incremental.Colored_procs _ -> "colored procs"
+  | Incremental.Hot_cold -> "hot/cold"
+  | Incremental.Cfa _ -> "cfa"
+  | Incremental.Hot_aligned -> "hot-aligned"
+
+(* [update] equals [scratch], which shares its engine; both must also
+   agree with the list-based reference pipeline, which does not. *)
+let check_placement what algo profile placement =
+  Alcotest.(check bool) (what ^ " = scratch") true
+    (Placement.equal placement (Incremental.scratch algo profile));
+  Alcotest.(check bool) (what ^ " = reference") true
+    (Layout_reference.agrees algo profile placement)
 
 let check_chain prog algo profiles =
   match profiles with
@@ -139,23 +155,44 @@ let check_chain prog algo profiles =
   | base :: updates ->
       ignore prog;
       let memo = Incremental.create algo base in
-      Alcotest.(check bool)
-        (algo_name algo ^ " full build = scratch")
-        true
-        (Placement.equal (Incremental.placement memo)
-           (Incremental.scratch algo base));
+      check_placement (algo_name algo ^ " full build") algo base (Incremental.placement memo);
       List.iteri
         (fun i p ->
-          let incr = Incremental.update memo p in
-          Alcotest.(check bool)
-            (Printf.sprintf "%s update %d = scratch" (algo_name algo) i)
-            true
-            (Placement.equal incr (Incremental.scratch algo p)))
+          check_placement
+            (Printf.sprintf "%s update %d" (algo_name algo) i)
+            algo p (Incremental.update memo p))
         updates
+
+(* Windows of one walk cut it mid-call: a window can count a call block
+   but not its return block, the case hot/cold splitting promotes call
+   glue for. *)
+let window_profiles prog seed =
+  let wp = Windowed.create ~window:300 prog in
+  let walk = Walk.create ~prog ~rng:(Rng.create seed) in
+  Walk.add_sink walk (Windowed.sink wp);
+  for _ = 1 to 4 do
+    for p = 0 to Prog.n_procs prog - 1 do
+      Walk.call walk p
+    done
+  done;
+  List.init (Windowed.windows wp - 1) (fun k -> Windowed.merged wp ~lo:k ~hi:(k + 1))
+
+let cuts_a_call profile =
+  let prog = Profile.prog profile in
+  let hot proc block = Profile.block_count profile ~proc ~block > 0 in
+  let cut = ref false in
+  Prog.iter_blocks prog (fun p b ->
+      match b.Block.term with
+      | Block.Call { ret; _ } -> if hot p.Proc.id b.Block.id <> hot p.Proc.id ret then cut := true
+      | _ -> ());
+  !cut
 
 let test_equivalence_all_algos () =
   let prog = Olayout_codegen.Binary.prog (Helpers.random_program 12) in
-  let profiles = List.map (random_profile prog) [ 100; 101; 102; 103 ] in
+  let windows = window_profiles prog 104 in
+  Alcotest.(check bool) "some window cuts a call from its return" true
+    (List.exists cuts_a_call windows);
+  let profiles = List.map (random_profile prog) [ 100; 101; 102; 103 ] @ windows in
   List.iter (fun algo -> check_chain prog algo profiles) (algos prog)
 
 (* The randomized acceptance property: across programs, seeds and update
@@ -340,10 +377,7 @@ let test_driver_equivalence_at_scale () =
     for k = 1 to ticks do
       let p = Windowed.merged wp ~lo:((k - 1) * cadence) ~hi:(k * cadence) in
       let next = Incremental.update memo p in
-      Alcotest.(check bool)
-        (Printf.sprintf "cadence %d tick %d = scratch" cadence k)
-        true
-        (Placement.equal next (Incremental.scratch algo p));
+      check_placement (Printf.sprintf "cadence %d tick %d" cadence k) algo p next;
       let counts = segment_counts next and hot = hot_procs p in
       if counts <> !prev_counts then incr shifted;
       if hot <> !prev_hot then incr moved;
@@ -390,6 +424,12 @@ let test_provenance_parity () =
         recorded passes (fun () ->
             List.iter (fun p -> ignore (Incremental.scratch algo p : Placement.t)) [ p0; p1; p2 ])
       in
+      let reference =
+        recorded passes (fun () ->
+            List.iter
+              (fun p -> ignore (Layout_reference.ordered algo p : Olayout_core.Segment.t list))
+              [ p0; p1; p2 ])
+      in
       let name = algo_name algo in
       List.iter
         (fun pass ->
@@ -399,7 +439,8 @@ let test_provenance_parity () =
             (List.exists (fun (e : Provenance.event) -> e.Provenance.pv_pass = pass) memo))
         passes;
       Alcotest.(check int) (name ^ ": event count") (List.length scratch) (List.length memo);
-      Alcotest.(check bool) (name ^ ": same events, same order") true (memo = scratch))
+      Alcotest.(check bool) (name ^ ": same events, same order") true (memo = scratch);
+      Alcotest.(check bool) (name ^ ": reference events, same order") true (memo = reference))
     [
       (Incremental.Combo Spike.All, [ "splitting"; "pettis_hansen" ]);
       (Incremental.Temporal (tgraph prog 21), [ "splitting"; "temporal_order" ]);
