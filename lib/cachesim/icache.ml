@@ -71,14 +71,23 @@ type t = {
 
 let owner_code = function Run.App -> 0 | Run.Kernel -> 1
 
-let create ?(track_usage = false) ?on_miss ?on_evict ?(prefetch_next = 0) cfg =
+let sets ~caller cfg =
+  let fail msg = invalid_arg (caller ^ ": " ^ msg) in
   if not (is_pow2 cfg.size_bytes && is_pow2 cfg.line_bytes) then
-    invalid_arg "Icache.create: size and line must be powers of two";
-  if cfg.line_bytes < 4 then
-    invalid_arg "Icache.create: line must hold at least one 4-byte instruction";
+    fail "size and line must be powers of two";
+  if cfg.line_bytes < 4 then fail "line must hold at least one 4-byte instruction";
   if cfg.assoc < 1 || cfg.size_bytes < cfg.line_bytes * cfg.assoc then
-    invalid_arg "Icache.create: bad associativity";
+    fail "bad associativity";
+  (* Both engines map lines to sets by bit selection. *)
   let n_sets = cfg.size_bytes / (cfg.line_bytes * cfg.assoc) in
+  if n_sets * cfg.line_bytes * cfg.assoc <> cfg.size_bytes || not (is_pow2 n_sets) then
+    fail
+      (Printf.sprintf "%s has %d / (%d x %d) sets, not a power of two" cfg.name
+         cfg.size_bytes cfg.line_bytes cfg.assoc);
+  n_sets
+
+let create ?(track_usage = false) ?on_miss ?on_evict ?(prefetch_next = 0) cfg =
+  let n_sets = sets ~caller:"Icache.create" cfg in
   let words_per_line = cfg.line_bytes / 4 in
   if track_usage && words_per_line > 62 then
     invalid_arg "Icache.create: usage tracking limited to <= 248-byte lines";

@@ -17,13 +17,20 @@
 
 type config = { name : string; size_bytes : int; line_bytes : int; assoc : int }
 (** [size_bytes], [line_bytes] powers of two; [assoc >= 1];
-    [size_bytes >= line_bytes * assoc]. *)
+    [size_bytes >= line_bytes * assoc]; a power-of-two set count
+    [size_bytes / (line_bytes * assoc)]. *)
 
 val config : ?name:string -> size_kb:int -> line:int -> assoc:int -> unit -> config
 (** Convenience constructor; derives a descriptive name when absent.
     @raise Invalid_argument on non-positive [size_kb] or [line], or
     [assoc < 1] — geometry errors are reported where the configuration is
     written, not later when a cache is created from it. *)
+
+val sets : caller:string -> config -> int
+(** The set count of a valid geometry (see {!config}).
+    @raise Invalid_argument, prefixed with [caller], on bad geometry —
+    including a set count that is not a power of two, which bit-selection
+    set mapping cannot index. *)
 
 type t
 
@@ -51,7 +58,8 @@ val create :
     (not counted as misses; their evictions are accounted normally).  The
     paper's §6 argues layout optimizations make such prefetching more
     effective by lengthening sequential runs — the [prefetch] bench
-    verifies that.  Default 0 (off). *)
+    verifies that.  Default 0 (off).
+    @raise Invalid_argument on bad geometry (see {!sets}). *)
 
 val access_run : t -> Olayout_exec.Run.t -> unit
 (** Fetch a run through the cache. *)

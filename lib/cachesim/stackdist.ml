@@ -7,314 +7,155 @@ let c_accesses = Telemetry.counter "cachesim.stackdist.accesses"
 let c_misses = Telemetry.counter "cachesim.stackdist.misses"
 let c_walk_steps = Telemetry.counter "cachesim.stackdist.walk_steps"
 
-type slot = {
-  cfg : Icache.config;
-  set_bits : int;
-  assoc : int;
-  mutable misses : int;
-  mutable cold : int;
-}
-
-(* One per distinct [set_bits] in a group.  A direct-mapped query
-   ([q_cap = 1]) only asks "was any other congruent line touched since?",
-   which one timestamp per [2^q_bits]-set answers in O(1); wider
-   associativities ([q_cap > 1]) count entries on the recency lists. *)
-type query = {
-  q_bits : int;
-  q_cap : int;  (* largest associativity among the query's slots *)
-  q_newest : int array;  (* q_cap = 1: set -> time of its newest touch *)
+(* One set count of a group.  Each set keeps its [depth] most recent
+   distinct lines, newest first, where [depth] is the largest associativity
+   swept at this set count: a line found at depth [p] hits exactly the
+   configurations with more than [p] ways.  A line beyond the stack is
+   booked at depth [depth], which every configuration here misses. *)
+type level = {
+  mask : int;  (* sets - 1 *)
+  depth : int;
+  stack : int array;  (* set * depth + i -> the set's i-th most recent line; -1 empty *)
+  hist : int array;  (* depth -> references found there *)
+  miss_at : int array;  (* depth -> configurations at this set count that miss there *)
 }
 
 type group = {
   line_shift : int;
-  slots : slot array;
-  dm_queries : query array;  (* q_cap = 1 *)
-  assoc_queries : query array;  (* q_cap > 1 *)
-  counts : int array;  (* per-reference scratch, indexed by set_bits *)
-  (* Per-line state, direct-indexed by line number through a two-level
-     paged map (kernel text sits at 0x8000_0000 — a flat array would span
-     the whole address space, a hashtable costs a hashed probe per touch
-     per group).  Value 0 = never referenced (the compulsory-miss test);
-     otherwise, in a group without associativity queries, the line's last
-     reference time, else its recency-list node + 1. *)
-  mutable pages : int array array;
-  (* Recency lists, only when [assoc_queries] is non-empty: one
-     newest-first intrusive list per set at [list_mask + 1] sets — the
-     finest granularity any associativity query needs.  Lines are never
-     evicted: the structure is the full reference history. *)
-  list_mask : int;  (* -1 when no assoc queries *)
-  heads : int array;
-  mutable prev : int array;
-  mutable next : int array;
-  mutable node_time : int array;
-  mutable n_nodes : int;
-  mutable time : int;
+  levels : level array;  (* increasing set count *)
+  (* Lines referenced so far, as a paged bit set: kernel text sits at
+     0x8000_0000, so a flat one would span the address space. *)
+  mutable seen : Bytes.t array;
+  mutable cold : int;
   mutable accesses : int;
-  (* Telemetry batches, flushed once per run. *)
-  mutable pending_misses : int;
-  mutable pending_steps : int;
 }
 
+type slot = { cfg : Icache.config; group : int; level : level }
 type t = { groups : group array; ordered : slot array }
 
 let log2 n =
   let rec go n acc = if n <= 1 then acc else go (n lsr 1) (acc + 1) in
   go n 0
 
-let is_pow2 n = n > 0 && n land (n - 1) = 0
-
-let validate (cfg : Icache.config) =
-  if not (is_pow2 cfg.Icache.size_bytes && is_pow2 cfg.Icache.line_bytes) then
-    invalid_arg "Stackdist.create: size and line must be powers of two";
-  if cfg.Icache.line_bytes < 4 then
-    invalid_arg "Stackdist.create: line must hold at least one 4-byte instruction";
-  if cfg.Icache.assoc < 1 || cfg.Icache.size_bytes < cfg.Icache.line_bytes * cfg.Icache.assoc
-  then invalid_arg "Stackdist.create: bad associativity"
-
 let create configs =
-  List.iter validate configs;
-  let ordered =
-    Array.of_list
-      (List.map
-         (fun (cfg : Icache.config) ->
-           {
-             cfg;
-             set_bits = log2 (cfg.Icache.size_bytes / (cfg.Icache.line_bytes * cfg.Icache.assoc));
-             assoc = cfg.Icache.assoc;
-             misses = 0;
-             cold = 0;
-           })
-         configs)
+  let sized = List.map (fun cfg -> (cfg, Icache.sets ~caller:"Stackdist.create" cfg)) configs in
+  let line_of ((c : Icache.config), _) = c.Icache.line_bytes in
+  let line_sizes = Array.of_list (List.sort_uniq compare (List.map line_of sized)) in
+  let group_of line_bytes =
+    let mine = List.filter (fun c -> line_of c = line_bytes) sized in
+    let level sets =
+      let assocs =
+        List.filter_map
+          (fun ((c : Icache.config), n) -> if n = sets then Some c.Icache.assoc else None)
+          mine
+      in
+      let depth = List.fold_left max 1 assocs in
+      {
+        mask = sets - 1;
+        depth;
+        stack = Array.make (sets * depth) (-1);
+        hist = Array.make (depth + 1) 0;
+        miss_at =
+          Array.init (depth + 1) (fun p -> List.length (List.filter (fun a -> a <= p) assocs));
+      }
+    in
+    {
+      line_shift = log2 line_bytes;
+      levels = Array.of_list (List.map level (List.sort_uniq compare (List.map snd mine)));
+      seen = [||];
+      cold = 0;
+      accesses = 0;
+    }
   in
-  let line_sizes =
-    List.sort_uniq compare (List.map (fun (c : Icache.config) -> c.Icache.line_bytes) configs)
+  let groups = Array.map group_of line_sizes in
+  let slot (((cfg : Icache.config), sets) as c) =
+    let group = Option.get (Array.find_index (fun l -> l = line_of c) line_sizes) in
+    let level = Option.get (Array.find_opt (fun lv -> lv.mask = sets - 1) groups.(group).levels) in
+    { cfg; group; level }
   in
-  let groups =
-    Array.of_list
-      (List.map
-         (fun line_bytes ->
-           let slots =
-             Array.of_list
-               (List.filter
-                  (fun s -> s.cfg.Icache.line_bytes = line_bytes)
-                  (Array.to_list ordered))
-           in
-           let max_bits = Array.fold_left (fun m s -> max m s.set_bits) 0 slots in
-           let queries =
-             Array.to_list slots
-             |> List.map (fun s -> s.set_bits)
-             |> List.sort_uniq compare
-             |> List.map (fun j ->
-                    let cap =
-                      Array.fold_left
-                        (fun m s -> if s.set_bits = j then max m s.assoc else m)
-                        1 slots
-                    in
-                    {
-                      q_bits = j;
-                      q_cap = cap;
-                      q_newest = (if cap = 1 then Array.make (1 lsl j) 0 else [||]);
-                    })
-           in
-           let dm, assoc = List.partition (fun q -> q.q_cap = 1) queries in
-           let list_bits =
-             List.fold_left (fun m q -> max m q.q_bits) (-1) assoc
-           in
-           {
-             line_shift = log2 line_bytes;
-             slots;
-             dm_queries = Array.of_list dm;
-             assoc_queries = Array.of_list assoc;
-             counts = Array.make (max_bits + 1) 0;
-             pages = Array.make 64 [||];
-             list_mask = (if list_bits < 0 then -1 else (1 lsl list_bits) - 1);
-             heads = (if list_bits < 0 then [||] else Array.make (1 lsl list_bits) (-1));
-             prev = Array.make 1024 (-1);
-             next = Array.make 1024 (-1);
-             node_time = Array.make 1024 0;
-             n_nodes = 0;
-             time = 0;
-             accesses = 0;
-             pending_misses = 0;
-             pending_steps = 0;
-           })
-         line_sizes)
-  in
-  { groups; ordered }
-
-(* --- paged per-line state ---------------------------------------------- *)
-
-let page_bits = 12
-let page_mask = (1 lsl page_bits) - 1
-
-let page_get g line =
-  let p = line lsr page_bits in
-  if p >= Array.length g.pages then 0
-  else
-    let pg = Array.unsafe_get g.pages p in
-    if Array.length pg = 0 then 0 else Array.unsafe_get pg (line land page_mask)
-
-let page_set g line v =
-  let p = line lsr page_bits in
-  if p >= Array.length g.pages then begin
-    let cap = ref (Array.length g.pages * 2) in
-    while p >= !cap do
-      cap := !cap * 2
-    done;
-    let b = Array.make !cap [||] in
-    Array.blit g.pages 0 b 0 (Array.length g.pages);
-    g.pages <- b
-  end;
-  let pg = g.pages.(p) in
-  let pg =
-    if Array.length pg = 0 then begin
-      let a = Array.make (1 lsl page_bits) 0 in
-      g.pages.(p) <- a;
-      a
-    end
-    else pg
-  in
-  pg.(line land page_mask) <- v
-
-(* --- recency-list maintenance (associativity queries only) ------------- *)
-
-let grow g =
-  let cap = Array.length g.prev in
-  let extend a fill =
-    let b = Array.make (cap * 2) fill in
-    Array.blit a 0 b 0 cap;
-    b
-  in
-  g.prev <- extend g.prev (-1);
-  g.next <- extend g.next (-1);
-  g.node_time <- extend g.node_time 0
-
-let unlink g set node =
-  let p = g.prev.(node) and n = g.next.(node) in
-  if p >= 0 then g.next.(p) <- n else g.heads.(set) <- n;
-  if n >= 0 then g.prev.(n) <- p
-
-let push_front g set node =
-  g.prev.(node) <- -1;
-  g.next.(node) <- g.heads.(set);
-  if g.heads.(set) >= 0 then g.prev.(g.heads.(set)) <- node;
-  g.heads.(set) <- node
-
-(* --- one line reference ------------------------------------------------ *)
-
-(* A line never referenced before misses in every configuration, whatever
-   its geometry — no counting needed. *)
-let touch_cold g line t =
-  let slots = g.slots in
-  for i = 0 to Array.length slots - 1 do
-    let s = Array.unsafe_get slots i in
-    s.misses <- s.misses + 1;
-    s.cold <- s.cold + 1
-  done;
-  g.pending_misses <- g.pending_misses + Array.length slots;
-  let dq = g.dm_queries in
-  for i = 0 to Array.length dq - 1 do
-    let q = Array.unsafe_get dq i in
-    q.q_newest.(line land ((1 lsl q.q_bits) - 1)) <- t
-  done;
-  if g.list_mask >= 0 then begin
-    if g.n_nodes = Array.length g.prev then grow g;
-    let n = g.n_nodes in
-    g.n_nodes <- n + 1;
-    g.node_time.(n) <- t;
-    push_front g (line land g.list_mask) n;
-    page_set g line (n + 1)
-  end
-  else page_set g line t
-
-(* Count conflicts since the line's previous reference at [t_x] and settle
-   every slot.  A config with [2^j] sets misses iff at least [assoc]
-   distinct congruent lines were referenced since:
-
-   - direct-mapped queries read one timestamp: [q_newest.(set)] was last
-     written at [t_x] by this very line, so it exceeds [t_x] iff some
-     other congruent line touched the set since;
-   - associativity queries count recency-list entries newer than [t_x]
-     across the congruent finest lists (each list is newest-first, so the
-     scan stops at the first stale entry — the referenced line itself
-     never counts — and the whole query stops at its associativity cap). *)
-let touch_warm g line t_x t =
-  let steps = ref 0 in
-  let dq = g.dm_queries in
-  for i = 0 to Array.length dq - 1 do
-    let q = Array.unsafe_get dq i in
-    let idx = line land ((1 lsl q.q_bits) - 1) in
-    g.counts.(q.q_bits) <- (if q.q_newest.(idx) > t_x then 1 else 0);
-    q.q_newest.(idx) <- t;
-    incr steps
-  done;
-  let aq = g.assoc_queries in
-  for i = 0 to Array.length aq - 1 do
-    let q = Array.unsafe_get aq i in
-    let stride = 1 lsl q.q_bits in
-    let base = line land (stride - 1) in
-    let count = ref 0 in
-    let s' = ref base in
-    while !s' <= g.list_mask && !count < q.q_cap do
-      incr steps;
-      let nd = ref g.heads.(!s') in
-      while !nd >= 0 && g.node_time.(!nd) > t_x && !count < q.q_cap do
-        incr count;
-        nd := g.next.(!nd)
-      done;
-      s' := !s' + stride
-    done;
-    g.counts.(q.q_bits) <- !count
-  done;
-  g.pending_steps <- g.pending_steps + !steps;
-  let slots = g.slots in
-  let nmiss = ref 0 in
-  for i = 0 to Array.length slots - 1 do
-    let s = Array.unsafe_get slots i in
-    if g.counts.(s.set_bits) >= s.assoc then begin
-      s.misses <- s.misses + 1;
-      incr nmiss
-    end
-  done;
-  g.pending_misses <- g.pending_misses + !nmiss
-
-let touch_line g line =
-  g.accesses <- g.accesses + 1;
-  g.time <- g.time + 1;
-  let t = g.time in
-  let v = page_get g line in
-  if v = 0 then touch_cold g line t
-  else if g.list_mask < 0 then begin
-    touch_warm g line v t;
-    page_set g line t
-  end
-  else begin
-    let n = v - 1 in
-    touch_warm g line g.node_time.(n) t;
-    (* Relocate to MRU of its finest set. *)
-    let set = line land g.list_mask in
-    unlink g set n;
-    push_front g set n;
-    g.node_time.(n) <- t
-  end
+  { groups; ordered = Array.of_list (List.map slot sized) }
 
 (* --- run feeding ------------------------------------------------------- *)
 
+let seen_page_bits = 15
+
+(* Marks [line] seen; true iff it was not before. *)
+let first_reference g line =
+  let p = line lsr seen_page_bits in
+  if p >= Array.length g.seen then begin
+    let b = Array.make (max (p + 1) (2 * Array.length g.seen)) Bytes.empty in
+    Array.blit g.seen 0 b 0 (Array.length g.seen);
+    g.seen <- b
+  end;
+  if Bytes.length g.seen.(p) = 0 then g.seen.(p) <- Bytes.make (1 lsl (seen_page_bits - 3)) '\000';
+  let page = g.seen.(p) in
+  let i = (line land ((1 lsl seen_page_bits) - 1)) lsr 3 and bit = 1 lsl (line land 7) in
+  let byte = Char.code (Bytes.get page i) in
+  byte land bit = 0
+  && begin
+       Bytes.set page i (Char.chr (byte lor bit));
+       true
+     end
+
+(* Each line of the run visits the set counts in increasing order, moves
+   to the front of its set's stack at each and books the depth it was
+   found at.  With bit-selection mapping a set at [2^(j+1)] sets holds a
+   subset of the lines congruent at [2^j], so a line that is already most
+   recent at one set count is most recent at every larger one: the walk
+   stops there, and no later stack changes.  [walk_steps] counts stack
+   entries compared. *)
 let feed_group g (r : Run.t) =
   let first = r.addr lsr g.line_shift
   and last = (r.addr + (r.len * 4) - 1) lsr g.line_shift in
+  let levels = g.levels in
+  let n = Array.length levels in
+  let steps = ref 0 and misses = ref 0 in
   for line = first to last do
-    touch_line g line
+    let i = ref 0 and found = ref false in
+    while !i < n do
+      let lv = Array.unsafe_get levels !i in
+      let d = lv.depth and st = lv.stack in
+      let base = (line land lv.mask) * d in
+      if Array.unsafe_get st base = line then begin
+        incr steps;
+        found := true;
+        i := n
+      end
+      else if d = 1 then begin
+        (* A direct-mapped set count: the stack is a tag array. *)
+        incr steps;
+        Array.unsafe_set st base line;
+        Array.unsafe_set lv.hist 1 (Array.unsafe_get lv.hist 1 + 1);
+        misses := !misses + Array.unsafe_get lv.miss_at 1;
+        incr i
+      end
+      else begin
+        let p = ref 1 in
+        while !p < d && Array.unsafe_get st (base + !p) <> line do
+          incr p
+        done;
+        let p = !p in
+        if p < d then begin
+          found := true;
+          steps := !steps + p + 1
+        end
+        else steps := !steps + d;
+        for k = min p (d - 1) downto 1 do
+          Array.unsafe_set st (base + k) (Array.unsafe_get st (base + k - 1))
+        done;
+        Array.unsafe_set st base line;
+        Array.unsafe_set lv.hist p (Array.unsafe_get lv.hist p + 1);
+        misses := !misses + Array.unsafe_get lv.miss_at p;
+        incr i
+      end
+    done;
+    (* A line in no stack may still have been referenced, long ago. *)
+    if (not !found) && first_reference g line then g.cold <- g.cold + 1
   done;
+  g.accesses <- g.accesses + (last - first + 1);
   Telemetry.add c_accesses (last - first + 1);
-  if g.pending_misses > 0 then begin
-    Telemetry.add c_misses g.pending_misses;
-    g.pending_misses <- 0
-  end;
-  if g.pending_steps > 0 then begin
-    Telemetry.add c_walk_steps g.pending_steps;
-    g.pending_steps <- 0
-  end
+  if !misses > 0 then Telemetry.add c_misses !misses;
+  if !steps > 0 then Telemetry.add c_walk_steps !steps
 
 let access_run_group t i r = feed_group t.groups.(i) r
 let access_run t r = Array.iter (fun g -> feed_group g r) t.groups
@@ -338,9 +179,18 @@ let find t name =
         (Printf.sprintf "Stackdist: no cache configuration %S (available: %s)" name
            (if available = "" then "none" else available))
 
-let misses t name = (find t name).misses
-let cold_misses t name = (find t name).cold
-let misses_by_config t = Array.to_list (Array.map (fun s -> (s.cfg, s.misses)) t.ordered)
+(* A configuration with [a] ways misses every reference found at depth
+   [a] or deeper. *)
+let slot_misses s =
+  let m = ref 0 in
+  for p = s.cfg.Icache.assoc to s.level.depth do
+    m := !m + s.level.hist.(p)
+  done;
+  !m
+
+let misses t name = slot_misses (find t name)
+let cold_misses t name = t.groups.((find t name).group).cold
+let misses_by_config t = Array.to_list (Array.map (fun s -> (s.cfg, slot_misses s)) t.ordered)
 
 (* --- probes ------------------------------------------------------------ *)
 
@@ -350,12 +200,6 @@ let misses_by_config t = Array.to_list (Array.map (fun s -> (s.cfg, s.misses)) t
 type probe = slot
 
 let probe t name = find t name
-let probe_misses (p : probe) = p.misses
+let probe_misses = slot_misses
 let probe_line_shift (p : probe) = log2 p.cfg.Icache.line_bytes
-
-let probe_group t name =
-  let shift = log2 (find t name).cfg.Icache.line_bytes in
-  let idx = ref (-1) in
-  Array.iteri (fun i g -> if g.line_shift = shift then idx := i) t.groups;
-  assert (!idx >= 0);
-  !idx
+let probe_group t name = (find t name).group

@@ -2,44 +2,35 @@
 
     Mattson's stack algorithm, generalized to set-associative caches with
     bit-selection set mapping (Hill & Smith's "all-associativity"
-    simulation): configurations are grouped by line size, and one LRU
-    distance stack per group answers hit/miss for {e every} cache size and
-    associativity sharing that line size in a single pass over the trace.
+    simulation): configurations are grouped by line size, and one pass per
+    group answers hit/miss for {e every} cache size and associativity
+    sharing that line size.
 
-    The key identity: for a reference to line [L] under a cache with [2^j]
-    sets and associativity [a] (true per-set LRU), the access hits iff [L]
-    has been referenced before and fewer than [a] {e distinct} lines whose
-    low [j] address bits match [L]'s have been referenced since — i.e. the
-    number of more-recently-used set conflicts is below the set capacity.
-    Both this engine and {!Icache} implement exact per-set LRU, so their
-    miss counts are {e byte-identical}, not approximate; the regression
-    gate relies on that.
+    The key identity: under a cache with [2^j] sets and associativity [a]
+    (true per-set LRU), a reference to line [L] hits iff [L] has been
+    referenced before and fewer than [a] {e distinct} lines congruent to
+    [L] (the same low [j] bits) have been referenced since — its depth in
+    its set's LRU stack is below [a].  Both this engine and {!Icache} implement exact
+    per-set LRU, so their miss counts are {e byte-identical}, not
+    approximate; the regression gate relies on that.
+
+    Per (line size, set count) the engine keeps one LRU stack per set,
+    truncated to the largest associativity swept at that set count (a
+    direct-mapped set count keeps a plain tag array), and a histogram of
+    the depths references found their line at; a line absent from the
+    stack is booked at its full depth.  A configuration's misses are read
+    off its set count's histogram: [misses a] is the sum of [hist p] over
+    depths [p >= a].  A reference visits the set counts in increasing
+    order and stops at the first where the line is already most recent:
+    with power-of-two set counts and bit selection, a line most recent
+    among a set's lines is most recent in every finer set holding it, so
+    no later stack changes.  That makes a reference cost a few array
+    probes.  Compulsory misses come from a paged bit set of lines seen,
+    consulted only for a line that no stack holds.
 
     A fully-associative configuration ([2^0] sets, [a] = capacity in
     lines) degenerates to the classic Mattson stack — the same oracle as
     {!Olayout_diag.Shadow}, which this engine subsumes.
-
-    Each group keeps its reference history {e set-refined}, with two
-    representations chosen per index width.  Direct-mapped widths need
-    only the question "was any {e other} congruent line referenced
-    since?", which one newest-touch timestamp per set answers in O(1):
-    the slot was last written by the referenced line itself, so a newer
-    stamp proves a conflict.  Wider associativities keep one
-    newest-first recency list per set at the finest granularity any of
-    them needs; a reference's conflict count for [j] index bits is the
-    number of list entries newer than the line's previous reference
-    across the congruent finest lists — each list is scanned only past
-    the timestamp, and the scan stops outright once the count reaches
-    the width's largest associativity.  Per-line state (last reference
-    time or list node) lives in a two-level paged array indexed by line
-    number, so the hot path is branch-and-index with no hashing or
-    allocation.  That bounds the per-reference work by the number of
-    distinct index widths (plus one list hop per associativity way),
-    {e independent of stack depth} — naive single-stack Mattson walks
-    are linear in the stack distance, which for the capacity-dominated
-    OLTP traces means scanning most of the footprint on every deep
-    re-reference.  First-ever references skip counting entirely (every
-    configuration misses).
 
     Not modelled (use {!Icache} where a figure needs them): per-stream
     owner attribution, the displacement/interference matrix, word-usage
@@ -48,17 +39,16 @@
     Telemetry (process-global, aggregated over every instance):
     [cachesim.stackdist.accesses] (line touches per group),
     [cachesim.stackdist.misses] (per-configuration miss events) and
-    [cachesim.stackdist.walk_steps] (conflict-counting probes —
-    timestamp checks plus recency-list hops, the engine's work
-    metric). *)
+    [cachesim.stackdist.walk_steps] (stack entries compared, the engine's
+    work metric). *)
 
 type t
 
 val create : Icache.config list -> t
 (** One simulation over the given configurations, grouped by line size.
-    Geometry validation matches {!Icache.create}: sizes and lines must be
-    powers of two, lines at least 4 bytes, [size_bytes >= line * assoc].
-    @raise Invalid_argument on bad geometry. *)
+    Geometry validation is {!Icache.sets}, as in {!Icache.create}.
+    @raise Invalid_argument on bad geometry, such as a set count that is
+    not a power of two. *)
 
 val access_run : t -> Olayout_exec.Run.t -> unit
 (** Fetch a run through every group (hence every configuration). *)

@@ -66,24 +66,30 @@ let record () =
   let t = create () in
   ((fun r -> append t r), t)
 
+(* Both varints decode inline: a local decoding closure would capture [pos]
+   and be allocated once per record. *)
 let replay t f =
   let prev_end = ref 0 in
   let consume buf len =
     let pos = ref 0 in
     while !pos < len do
-      let varint () =
-        let v = ref 0 and shift = ref 0 and more = ref true in
-        while !more do
-          let b = Char.code (Bytes.unsafe_get buf !pos) in
-          incr pos;
-          v := !v lor ((b land 0x7f) lsl !shift);
-          shift := !shift + 7;
-          if b < 0x80 then more := false
-        done;
-        !v
-      in
-      let k = varint () in
-      let zig = varint () in
+      let k = ref 0 and shift = ref 0 and b = ref 0x80 in
+      while !b >= 0x80 do
+        b := Char.code (Bytes.unsafe_get buf !pos);
+        incr pos;
+        k := !k lor ((!b land 0x7f) lsl !shift);
+        shift := !shift + 7
+      done;
+      let zig = ref 0 in
+      shift := 0;
+      b := 0x80;
+      while !b >= 0x80 do
+        b := Char.code (Bytes.unsafe_get buf !pos);
+        incr pos;
+        zig := !zig lor ((!b land 0x7f) lsl !shift);
+        shift := !shift + 7
+      done;
+      let k = !k and zig = !zig in
       let delta = (zig lsr 1) lxor (- (zig land 1)) in
       let owner = if k land 1 = 0 then Run.App else Run.Kernel in
       let len = k lsr 1 in

@@ -310,7 +310,16 @@ let test_bad_configs () =
            ignore (Icache.create (Icache.config ~size_kb ~line ~assoc ()));
            false
          with Invalid_argument _ -> true))
-    [ (3, 64, 1); (1, 48, 1); (1, 64, 0); (1, 2048, 1); (1, 0, 1); (1, 2, 1); (0, 64, 1) ]
+    [ (3, 64, 1); (1, 48, 1); (1, 64, 0); (1, 2048, 1); (1, 0, 1); (1, 2, 1); (0, 64, 1);
+      (1, 64, 3) ];
+  (* 1KB / (64B x 3 ways) is no power-of-two set count: bit selection
+     cannot index it, so the cache refuses it and says why. *)
+  Alcotest.(check string) "3-way names its set count"
+    "Icache.create: 1KB/64B/3-way has 1024 / (64 x 3) sets, not a power of two"
+    (try
+       ignore (Icache.create (Icache.config ~size_kb:1 ~line:64 ~assoc:3 ()));
+       ""
+     with Invalid_argument msg -> msg)
 
 (* --- reference model cross-check --- *)
 

@@ -1,7 +1,8 @@
 (* Tests for the stack-distance all-associativity engine: unit checks of
    the per-set LRU identity, the fully-associative degenerate case vs the
-   diagnostics Shadow LRU, a randomized exact-equality cross-check against
-   Icache over mixed geometries, and the engine-selecting Battery API. *)
+   diagnostics Shadow LRU, randomized exact-equality cross-checks against
+   Icache over mixed and sweep-shaped geometries, group-by-group feeding,
+   per-run probe deltas, and the engine-selecting Battery API. *)
 
 module Icache = Olayout_cachesim.Icache
 module Stackdist = Olayout_cachesim.Stackdist
@@ -97,7 +98,7 @@ let test_bad_configs () =
            ignore (Stackdist.create [ cfg ~size_kb ~line ~assoc () ]);
            false
          with Invalid_argument _ -> true))
-    [ (3, 64, 1); (1, 48, 1); (1, 2048, 1); (1, 2, 1) ]
+    [ (3, 64, 1); (1, 48, 1); (1, 2048, 1); (1, 2, 1); (1, 64, 3) ]
 
 (* --- fully-associative degenerate case = the diagnostics Shadow LRU --- *)
 
@@ -160,6 +161,102 @@ let qcheck_matches_icache =
         caches
         (Stackdist.misses_by_config sd))
 
+(* --- a sweep-shaped grid ------------------------------------------------ *)
+
+(* Like the figures' grids: several set counts per line size, different
+   associativities at one set count, a direct-mapped-only group, and one
+   fully associative configuration. *)
+let sweep_grid =
+  [
+    cfg ~size_kb:1 ~line:32 ~assoc:1 ();
+    cfg ~size_kb:2 ~line:32 ~assoc:2 ();
+    cfg ~size_kb:4 ~line:32 ~assoc:4 ();
+    cfg ~size_kb:2 ~line:32 ~assoc:1 ();
+    cfg ~size_kb:4 ~line:32 ~assoc:2 ();
+    cfg ~size_kb:8 ~line:32 ~assoc:1 ();
+    cfg ~size_kb:2 ~line:128 ~assoc:16 ();
+    cfg ~size_kb:2 ~line:128 ~assoc:1 ();
+    cfg ~size_kb:2 ~line:128 ~assoc:2 ();
+    cfg ~size_kb:4 ~line:128 ~assoc:4 ();
+    cfg ~size_kb:4 ~line:128 ~assoc:2 ();
+    cfg ~size_kb:8 ~line:128 ~assoc:8 ();
+    cfg ~size_kb:16 ~line:128 ~assoc:1 ();
+    cfg ~size_kb:1 ~line:16 ~assoc:1 ();
+    cfg ~size_kb:4 ~line:16 ~assoc:1 ();
+  ]
+
+(* [n] runs from a seeded generator: application text near 0, kernel text
+   at 0x8000_0000, and runs that start on the previous run's last line. *)
+let sweep_runs ~seed n =
+  let state = ref seed in
+  let rand m =
+    state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;
+    !state mod m
+  in
+  let prev = ref (app_run 0 1) in
+  List.init n (fun _ ->
+      let run =
+        match rand 4 with
+        | 0 -> { !prev with Run.addr = Run.end_addr !prev - 4; len = 1 + rand 8 }
+        | 1 -> { Run.owner = Run.Kernel; addr = 0x8000_0000 + (rand 4096 * 4); len = 1 + rand 24 }
+        | _ -> app_run (rand 4096 * 4) (1 + rand 24)
+      in
+      prev := run;
+      run)
+
+let results sd =
+  List.map
+    (fun ((c : Icache.config), m) ->
+      (c.Icache.name, m, Stackdist.cold_misses sd c.Icache.name))
+    (Stackdist.misses_by_config sd)
+
+let qcheck_sweep_grid =
+  QCheck.Test.make ~name:"sweep grid = icache (randomized)" ~count:30
+    QCheck.(pair small_nat (int_range 1 3000))
+    (fun (seed, n) ->
+      let sd = Stackdist.create sweep_grid in
+      let caches = List.map Icache.create sweep_grid in
+      List.iter
+        (fun run ->
+          Stackdist.access_run sd run;
+          List.iter (fun c -> Icache.access_run c run) caches)
+        (sweep_runs ~seed n);
+      results sd
+      = List.map
+          (fun c -> ((Icache.cfg c).Icache.name, Icache.misses c, Icache.cold_misses c))
+          caches)
+
+let test_group_by_group_feed () =
+  let runs = sweep_runs ~seed:7 4000 in
+  let whole = Stackdist.create sweep_grid and by_group = Stackdist.create sweep_grid in
+  List.iter (Stackdist.access_run whole) runs;
+  for g = 0 to Stackdist.n_groups by_group - 1 do
+    List.iter (Stackdist.access_run_group by_group g) runs
+  done;
+  Alcotest.(check int) "three groups" 3 (Stackdist.n_groups whole);
+  Alcotest.(check int) "accesses" (Stackdist.accesses whole) (Stackdist.accesses by_group);
+  Alcotest.(check (list (triple string int int))) "misses and cold" (results whole)
+    (results by_group)
+
+(* The timeline contract: a probe's miss count moves, run by run, exactly
+   as an icache's does. *)
+let test_probe_deltas () =
+  let sd = Stackdist.create sweep_grid in
+  let probes = List.map (fun (c : Icache.config) -> Stackdist.probe sd c.Icache.name) sweep_grid in
+  let caches = List.map Icache.create sweep_grid in
+  List.iteri
+    (fun i run ->
+      let before = List.map Stackdist.probe_misses probes
+      and before_i = List.map Icache.misses caches in
+      Stackdist.access_run sd run;
+      List.iter (fun c -> Icache.access_run c run) caches;
+      let delta now was = List.map2 ( - ) now was in
+      Alcotest.(check (list int))
+        (Printf.sprintf "run %d deltas" i)
+        (delta (List.map Icache.misses caches) before_i)
+        (delta (List.map Stackdist.probe_misses probes) before))
+    (sweep_runs ~seed:11 3000)
+
 (* --- the engine-selecting Battery API ---------------------------------- *)
 
 let test_battery_engines_agree () =
@@ -218,4 +315,7 @@ let suite =
       Alcotest.test_case "battery stackdist restrictions" `Quick
         test_battery_stackdist_restrictions;
       QCheck_alcotest.to_alcotest qcheck_matches_icache;
+      QCheck_alcotest.to_alcotest qcheck_sweep_grid;
+      Alcotest.test_case "group-by-group feed = access_run" `Quick test_group_by_group_feed;
+      Alcotest.test_case "probe deltas = icache per run" `Quick test_probe_deltas;
     ] )
