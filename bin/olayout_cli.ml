@@ -1,20 +1,14 @@
-(* olayout: command-line front end for the code-layout reproduction.
+(* olayout: the command-line front end and the one driver of the
+   reproduction.  [olayout report] regenerates the paper's figures; with
+   [--out DIR] it also writes every run artifact (Olayout_harness.Artifacts)
+   and, with [--baseline FILE], gates the run's BENCH artifact against a
+   saved one.
 
-   Subcommands:
-     inspect      - build the synthetic binaries and show their structure
-     optimize     - run the profiling phase and compare layout combinations
-     simulate     - run the OLTP workload through a custom instruction cache
-     report       - regenerate the paper's figures (same engine as bench/)
-     timeline     - windowed metric series over the simulated instruction stream
-     explain      - per-procedure layout scorecards (decisions, moves, regret)
-     drift        - workload-drift observatory: divergence series + staleness matrix
-     relayout     - closed-loop incremental re-layout: miss rate vs cadence
-     compare      - diff two bench/diag artifacts, gate on deterministic drift
-     chrome-trace - telemetry JSONL -> Perfetto-loadable trace-event JSON
-
-   Running with no arguments (or "help") prints a one-line overview of
-   every subcommand; an unknown subcommand names the valid set and exits
-   with the usage status 2. *)
+   The subcommands are listed once, in [subcommands] at the bottom; running
+   with no arguments (or "help") prints their one-line overview.  Bad input
+   (an unknown subcommand, a flag cmdliner cannot parse, an argument a
+   driver rejects with Invalid_argument) prints one "olayout: <message>"
+   line and exits 2; a failed gate or an unreadable artifact exits 1. *)
 
 open Cmdliner
 module Context = Olayout_harness.Context
@@ -31,6 +25,8 @@ module Run = Olayout_exec.Run
 module Prog = Olayout_ir.Prog
 module Proc = Olayout_ir.Proc
 module Block = Olayout_ir.Block
+module Json = Olayout_telemetry.Json
+module Diagnose = Olayout_harness.Diagnose
 
 let seed_arg =
   Arg.(value & opt int 7 & info [ "seed" ] ~docv:"SEED" ~doc:"Workload/binary seed.")
@@ -38,25 +34,37 @@ let seed_arg =
 let quick_arg =
   Arg.(value & flag & info [ "quick" ] ~doc:"Reduced transaction counts (fast, noisier).")
 
-let combo_conv =
-  let parse s =
-    match
-      List.find_opt (fun c -> Spike.combo_name c = s) Spike.all_combos
-    with
-    | Some c -> Ok c
-    | None ->
-        Error
-          (`Msg
-            (Printf.sprintf "unknown combo %S (expected: %s)" s
-               (String.concat ", " (List.map Spike.combo_name Spike.all_combos))))
-  in
-  Arg.conv (parse, fun ppf c -> Format.pp_print_string ppf (Spike.combo_name c))
+let combo_conv ?(optimized = false) () =
+  Arg.enum
+    (List.filter_map
+       (fun c ->
+         if optimized && c = Spike.Base then None else Some (Spike.combo_name c, c))
+       Spike.all_combos)
 
 let combo_arg_value =
   Arg.(
-    value & opt combo_conv Spike.All
+    value & opt (combo_conv ()) Spike.All
     & info [ "combo" ] ~docv:"COMBO" ~doc:"Layout combination to inspect.")
 
+(* Integer flags with a lower bound: a value below it is a parse error,
+   reported before any workload is built. *)
+let at_least lo =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= lo -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected an integer >= %d, got %S" lo s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+(* One subcommand: its name and one-line doc feed both cmdliner and the
+   overview; [man] is the longer description its --help shows. *)
+type sub = { name : string; doc : string; man : string; term : int Term.t }
+
+let sub ?(man = "") name doc term = { name; doc; man; term }
+
+let engine_conv = Arg.enum [ ("icache", `Icache); ("stackdist", `Stackdist) ]
+let scale_of quick = if quick then Context.Quick else Context.Full
+let scale_name quick = if quick then "quick" else "full"
 
 (* --- inspect --- *)
 
@@ -90,8 +98,7 @@ let inspect seed =
   0
 
 let inspect_cmd =
-  Cmd.v
-    (Cmd.info "inspect" ~doc:"Show the synthetic OLTP and kernel binaries.")
+  sub "inspect" "build the synthetic binaries and show their structure"
     Term.(const inspect $ seed_arg)
 
 (* --- profile: train and save --- *)
@@ -112,8 +119,7 @@ let profile_cmd =
       value & opt string "oltp.profile"
       & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Where to save the profile.")
   in
-  Cmd.v
-    (Cmd.info "profile" ~doc:"Run the training phase and save the profile to a file.")
+  sub "profile" "run the training phase and save the profile to a file"
     Term.(const profile_cmd_run $ seed_arg $ quick_arg $ out_arg)
 
 (* Load a saved profile or train a fresh one. *)
@@ -156,8 +162,7 @@ let disasm_cmd =
   let summary_arg =
     Arg.(value & flag & info [ "summary" ] ~doc:"Print the segment map first.")
   in
-  Cmd.v
-    (Cmd.info "disasm" ~doc:"List placed code with addresses and branch targets.")
+  sub "disasm" "list placed code with addresses and branch targets"
     Term.(
       const disasm $ seed_arg $ quick_arg $ profile_file_arg $ combo_arg_value $ procs_arg
       $ summary_arg)
@@ -190,22 +195,19 @@ let optimize seed quick profile_file =
   0
 
 let optimize_cmd =
-  Cmd.v
-    (Cmd.info "optimize" ~doc:"Profile the workload and compare layout combinations.")
+  sub "optimize" "profile the workload and compare layout combinations"
     Term.(const optimize $ seed_arg $ quick_arg $ profile_file_arg)
 
 (* --- simulate --- *)
 
 let simulate seed quick size_kb line assoc combos app_only =
+  let config = Icache.config ~size_kb ~line ~assoc () in
+  ignore (Icache.sets ~caller:"simulate" config);
   let txns = if quick then 150 else 1000 in
   let w = Workload.create ~seed () in
   let profile, _ = Workload.train w ~txns:(if quick then 200 else 2000) () in
   let kernel_base = Workload.base_kernel w in
-  let caches =
-    List.map
-      (fun combo -> (combo, Icache.create (Icache.config ~size_kb ~line ~assoc ())))
-      combos
-  in
+  let caches = List.map (fun combo -> (combo, Icache.create config)) combos in
   let renders =
     List.map
       (fun (combo, cache) ->
@@ -262,14 +264,13 @@ let simulate_cmd =
   let combos_arg =
     Arg.(
       value
-      & opt (list combo_conv) [ Spike.Base; Spike.All ]
+      & opt (list (combo_conv ())) [ Spike.Base; Spike.All ]
       & info [ "combos" ] ~docv:"COMBOS" ~doc:"Comma-separated layout combinations.")
   in
   let app_only_arg =
     Arg.(value & flag & info [ "app-only" ] ~doc:"Filter out the kernel stream.")
   in
-  Cmd.v
-    (Cmd.info "simulate" ~doc:"Run the OLTP workload through an instruction cache.")
+  sub "simulate" "run the OLTP workload through an instruction cache"
     Term.(
       const simulate $ seed_arg $ quick_arg $ size_arg $ line_arg $ assoc_arg $ combos_arg
       $ app_only_arg)
@@ -318,613 +319,241 @@ let trace_cmd =
   let max_arg =
     Arg.(value & opt int 200_000 & info [ "max-runs" ] ~docv:"N" ~doc:"Stop after N fetch runs.")
   in
-  Cmd.v
-    (Cmd.info "trace" ~doc:"Dump the instruction-fetch trace under a layout.")
+  sub "trace" "dump the instruction-fetch trace under a layout"
     Term.(
       const trace $ seed_arg $ quick_arg $ profile_file_arg $ combo_arg_value $ out_arg
       $ max_arg)
 
-(* --- diagnose --- *)
+(* --- the five single-artifact subcommands --- *)
 
-let diagnose seed quick figure combo top out telemetry =
-  let scale = if quick then Context.Quick else Context.Full in
-  match Olayout_harness.Diagnose.preset_of_figure figure with
-  | exception Invalid_argument msg ->
-      Printf.eprintf "olayout: %s\n" msg;
-      1
-  | preset ->
-      let ctx = Context.create ~scale ~seed () in
-      let c_misses = Telemetry.counter "cachesim.icache_misses" in
-      let before = Telemetry.value c_misses in
-      let d = Olayout_harness.Diagnose.run ~combo ctx preset in
-      let delta = Telemetry.value c_misses - before in
-      List.iter
-        (fun tbl -> Table.print Format.std_formatter tbl)
-        (Olayout_harness.Diagnose.tables ~top ~combo preset d);
-      Option.iter
-        (fun path ->
-          Olayout_harness.Diagnose.write_artifact ~path
-            ~scale:(if quick then "quick" else "full")
-            ~combo ~preset ~icache_misses_delta:delta d;
-          Format.printf "diagnostics artifact written to %s@." path)
-        out;
-      if telemetry then Telemetry.pp_summary Format.std_formatter ();
-      0
+(* diagnose, timeline, explain, drift and relayout share one shape: build a
+   context at the chosen scale and seed, run one driver over a figure's
+   cache geometry under a layout combination, print its console report and,
+   with -o FILE, write its artifact.  [kind] carries the subcommand's own
+   flags and returns the artifact document. *)
+type common = {
+  quick : bool;
+  seed : int;
+  preset : Diagnose.preset;
+  combo : Spike.combo;
+}
 
-let diagnose_cmd =
+let context ?engine c = Context.create ~scale:(scale_of c.quick) ~seed:c.seed ?engine ()
+
+let artifact_sub ~name ~doc ~man ~schema ~figure_doc ~combo ~combo_doc kind =
   let figure_arg =
     Arg.(
-      value & opt string "fig4"
+      value
+      & opt
+          (enum (List.map (fun p -> (p.Diagnose.fig, p)) Diagnose.presets))
+          (Diagnose.preset_of_figure "fig4")
       & info [ "figure" ] ~docv:"ID"
           ~doc:
-            (Printf.sprintf
-               "Figure geometry to diagnose (%s): runs the workload through that \
-                figure's cache with miss classification, per-segment attribution \
-                and conflict matrices."
+            (Printf.sprintf "%s (%s)." figure_doc
                (String.concat ", "
-                  (List.map
-                     (fun p -> p.Olayout_harness.Diagnose.fig)
-                     Olayout_harness.Diagnose.presets))))
+                  (List.map (fun p -> p.Diagnose.fig) Diagnose.presets))))
   in
-  let top_arg =
+  (* Only diagnose and timeline look at the base layout itself; the others
+     explain or rebuild an optimized one. *)
+  let combo_arg =
     Arg.(
-      value & opt int 10
-      & info [ "top" ] ~docv:"N" ~doc:"Rows per attribution table.")
+      value
+      & opt (combo_conv ~optimized:(combo <> Spike.Base) ()) combo
+      & info [ "combo" ] ~docv:"COMBO" ~doc:combo_doc)
   in
   let out_arg =
     Arg.(
       value
       & opt (some string) None
       & info [ "o"; "output" ] ~docv:"FILE"
-          ~doc:"Also write the machine-readable DIAG artifact to $(docv).")
+          ~doc:(Printf.sprintf "Also write the %s artifact to $(docv)." schema))
   in
+  let run quick seed preset combo produce out =
+    let doc = produce { quick; seed; preset; combo } in
+    Option.iter
+      (fun path ->
+        Json.write_file path doc;
+        Format.printf "%s artifact written to %s@." name path)
+      out;
+    0
+  in
+  sub ~man name doc
+    Term.(const run $ quick_arg $ seed_arg $ figure_arg $ combo_arg $ kind $ out_arg)
+
+let top_arg ~default ~doc =
+  Arg.(value & opt (at_least 1) default & info [ "top" ] ~docv:"N" ~doc)
+
+let print_tables = List.iter (Table.print Format.std_formatter)
+
+let diagnose_cmd =
   let telemetry_arg =
     Arg.(
       value & flag
       & info [ "telemetry" ] ~doc:"Print the telemetry summary after the report.")
   in
-  (* Unlike [disasm]/[simulate], diagnosing defaults to the unoptimized
-     layout: the point is to see the conflicts the optimizations remove. *)
-  let base_combo_arg =
-    Arg.(
-      value & opt combo_conv Spike.Base
-      & info [ "combo" ] ~docv:"COMBO" ~doc:"Layout combination to diagnose.")
+  let diagnose top telemetry c =
+    let ctx = context c in
+    let c_misses = Telemetry.counter "cachesim.icache_misses" in
+    let before = Telemetry.value c_misses in
+    let d = Diagnose.run ~combo:c.combo ctx c.preset in
+    let icache_misses_delta = Telemetry.value c_misses - before in
+    print_tables (Diagnose.tables ~top ~combo:c.combo c.preset d);
+    if telemetry then Telemetry.pp_summary Format.std_formatter ();
+    Diagnose.artifact_json ~scale:(scale_name c.quick) ~combo:c.combo
+      ~preset:c.preset ~icache_misses_delta d
   in
-  Cmd.v
-    (Cmd.info "diagnose"
-       ~doc:
-         "Classify instruction-cache misses (compulsory/capacity/conflict) and \
-          attribute them to code segments.")
+  artifact_sub ~name:"diagnose"
+    ~doc:"classify i-cache misses and attribute them to code segments"
+    ~man:
+      "Runs the workload through the figure's cache with miss classification \
+       (compulsory/capacity/conflict), per-segment attribution and conflict \
+       matrices."
+    ~schema:Diagnose.artifact_schema ~figure_doc:"Figure geometry to diagnose"
+    ~combo:Spike.Base
+    ~combo_doc:
+      "Layout combination to diagnose (default the unoptimized base: the point \
+       is to see the conflicts the optimizations remove)."
     Term.(
-      const diagnose $ seed_arg $ quick_arg $ figure_arg $ base_combo_arg $ top_arg
-      $ out_arg $ telemetry_arg)
-
-(* --- timeline --- *)
-
-(* --window takes a raw string so zero, negative and non-numeric widths all
-   get the same rejection (mirrors bench's --timeline-window validation and
-   its usage exit code 2) instead of cmdliner's int parse accepting 0. *)
-let timeline seed quick figure combo window engine out =
-  let module Timeline = Olayout_telemetry.Timeline in
-  let window =
-    match window with
-    | None -> Ok None
-    | Some s -> (
-        match int_of_string_opt s with
-        | Some w when w >= 1 -> Ok (Some w)
-        | Some _ | None -> Error s)
-  in
-  match window with
-  | Error s ->
-      Printf.eprintf
-        "olayout: --window expects a positive instruction count, got %S\n" s;
-      2
-  | Ok window -> (
-  match Olayout_harness.Diagnose.preset_of_figure figure with
-  | exception Invalid_argument msg ->
-      Printf.eprintf "olayout: %s\n" msg;
-      1
-  | preset ->
-      (* Enabled before the context exists: the simulators capture their
-         series handles at construction. *)
-      Timeline.set_enabled true;
-      Timeline.set_window
-        (match window with
-        | Some w -> w
-        | None -> if quick then 65_536 else 524_288);
-      let scale = if quick then Context.Quick else Context.Full in
-      let ctx = Context.create ~scale ~seed ~engine () in
-      Olayout_harness.Phase_timeline.run ~combo ~engine ctx preset;
-      Format.printf "%a" Timeline.pp_summary ();
-      Option.iter
-        (fun path ->
-          Timeline.write_artifact ~path
-            ~scale:(if quick then "quick" else "full");
-          Format.printf "timeline artifact written to %s@." path)
-        out;
-      0)
+      const diagnose
+      $ top_arg ~default:10 ~doc:"Rows per attribution table."
+      $ telemetry_arg)
 
 let timeline_cmd =
-  let figure_arg =
-    Arg.(
-      value & opt string "fig4"
-      & info [ "figure" ] ~docv:"ID"
-          ~doc:
-            (Printf.sprintf
-               "Figure geometry to trace over the instruction clock (%s)."
-               (String.concat ", "
-                  (List.map
-                     (fun p -> p.Olayout_harness.Diagnose.fig)
-                     Olayout_harness.Diagnose.presets))))
-  in
+  let module Timeline = Olayout_telemetry.Timeline in
   let window_arg =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some (at_least 1)) None
       & info [ "window" ] ~docv:"INSTRS"
           ~doc:
             "Window width in simulated instructions (default 65536 with \
              $(b,--quick), 524288 otherwise).")
   in
   let engine_arg =
-    let engine_conv =
-      Arg.enum [ ("icache", `Icache); ("stackdist", `Stackdist) ]
-    in
     Arg.(
-      value
-      & opt engine_conv `Stackdist
+      value & opt engine_conv `Stackdist
       & info [ "engine" ] ~docv:"ENGINE"
           ~doc:
             "Sweep backend feeding the cachesim series; both engines produce \
              byte-identical series.")
   in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE"
-          ~doc:"Also write the olayout-timeline/v1 artifact to $(docv).")
+  let timeline window engine c =
+    (* Enabled before the context exists: the simulators capture their
+       series handles at construction. *)
+    Timeline.set_enabled true;
+    Timeline.set_window
+      (match window with Some w -> w | None -> if c.quick then 65_536 else 524_288);
+    let ctx = context ~engine c in
+    Olayout_harness.Phase_timeline.run ~combo:c.combo ~engine ctx c.preset;
+    Format.printf "%a" Timeline.pp_summary ();
+    Timeline.to_json ~scale:(scale_name c.quick)
   in
-  let base_combo_arg =
-    Arg.(
-      value & opt combo_conv Spike.Base
-      & info [ "combo" ] ~docv:"COMBO"
-          ~doc:"Layout combination to trace (default the unoptimized base).")
-  in
-  Cmd.v
-    (Cmd.info "timeline"
-       ~doc:
-         "Windowed metric series over the simulated instruction stream: \
-          per-window cache misses, working set and transaction mix for one \
-          figure geometry, printed as sparklines.")
-    Term.(
-      const timeline $ seed_arg $ quick_arg $ figure_arg $ base_combo_arg
-      $ window_arg $ engine_arg $ out_arg)
-
-(* --- explain --- *)
-
-let explain seed quick figure combo top out =
-  let module Explain = Olayout_harness.Explain in
-  match Olayout_harness.Diagnose.preset_of_figure figure with
-  | exception Invalid_argument msg ->
-      Printf.eprintf "olayout: %s\n" msg;
-      1
-  | preset -> (
-      let scale = if quick then Context.Quick else Context.Full in
-      let ctx = Context.create ~scale ~seed () in
-      match Explain.run ~combo ctx preset with
-      | exception Invalid_argument msg ->
-          Printf.eprintf "olayout: %s\n" msg;
-          1
-      | r ->
-          List.iter
-            (fun tbl -> Table.print Format.std_formatter tbl)
-            (Explain.tables ~top r);
-          Option.iter
-            (fun path ->
-              Explain.write_artifact ~path
-                ~scale:(if quick then "quick" else "full")
-                r;
-              Format.printf "explain artifact written to %s@." path)
-            out;
-          0)
+  artifact_sub ~name:"timeline"
+    ~doc:"windowed metric series over the simulated instruction clock"
+    ~man:
+      "Per-window cache misses, working set and transaction mix for one figure \
+       geometry, printed as sparklines."
+    ~schema:Timeline.artifact_schema
+    ~figure_doc:"Figure geometry to trace over the instruction clock"
+    ~combo:Spike.Base
+    ~combo_doc:"Layout combination to trace (default the unoptimized base)."
+    Term.(const timeline $ window_arg $ engine_arg)
 
 let explain_cmd =
-  let figure_arg =
-    Arg.(
-      value & opt string "fig4"
-      & info [ "figure" ] ~docv:"ID"
-          ~doc:
-            (Printf.sprintf
-               "Cache geometry the scorecard measures under (%s)."
-               (String.concat ", "
-                  (List.map
-                     (fun p -> p.Olayout_harness.Diagnose.fig)
-                     Olayout_harness.Diagnose.presets))))
+  let module Explain = Olayout_harness.Explain in
+  let explain top c =
+    let r = Explain.run ~combo:c.combo (context c) c.preset in
+    print_tables (Explain.tables ~top r);
+    Explain.artifact_json ~scale:(scale_name c.quick) r
   in
-  let top_arg =
-    Arg.(
-      value & opt int 10
-      & info [ "top" ] ~docv:"N" ~doc:"Scorecard rows to print.")
-  in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE"
-          ~doc:"Also write the olayout-explain/v1 artifact to $(docv).")
-  in
-  let opt_combo_arg =
-    Arg.(
-      value & opt combo_conv Spike.All
-      & info [ "combo" ] ~docv:"COMBO"
-          ~doc:
-            "Optimized layout to explain against base (any combo except \
-             $(b,base)).")
-  in
-  Cmd.v
-    (Cmd.info "explain"
-       ~doc:
-         "Per-procedure layout scorecards: what each optimization pass \
-          decided, where every procedure moved, and what that did to its \
-          miss count (base vs optimized, ranked by layout regret).")
-    Term.(
-      const explain $ seed_arg $ quick_arg $ figure_arg $ opt_combo_arg
-      $ top_arg $ out_arg)
-
-(* --- drift --- *)
-
-(* --windows takes a raw string so zero, one, negative and non-numeric
-   phase counts all get the same rejection and the usage exit code 2
-   (mirrors timeline's --window validation). *)
-let drift seed quick figure combo windows top out =
-  let module Drift = Olayout_harness.Drift in
-  let windows =
-    match windows with
-    | None -> Ok Drift.default_phases
-    | Some s -> (
-        match int_of_string_opt s with
-        | Some w when w >= 2 -> Ok w
-        | Some _ | None -> Error s)
-  in
-  match windows with
-  | Error s ->
-      Printf.eprintf
-        "olayout: --windows expects at least 2 profile phases, got %S\n" s;
-      2
-  | Ok phases -> (
-      match Olayout_harness.Diagnose.preset_of_figure figure with
-      | exception Invalid_argument msg ->
-          Printf.eprintf "olayout: %s\n" msg;
-          1
-      | preset -> (
-          let scale = if quick then Context.Quick else Context.Full in
-          let ctx = Context.create ~scale ~seed () in
-          match Drift.run ~combo ~phases ~top ctx preset with
-          | exception Invalid_argument msg ->
-              Printf.eprintf "olayout: %s\n" msg;
-              1
-          | r ->
-              Drift.Observatory.pp Format.std_formatter r;
-              Option.iter
-                (fun path ->
-                  Drift.write_artifact ~path
-                    ~scale:(if quick then "quick" else "full")
-                    r;
-                  Format.printf "drift artifact written to %s@." path)
-                out;
-              0))
+  artifact_sub ~name:"explain"
+    ~doc:"per-procedure layout scorecards (decisions, moves, regret)"
+    ~man:
+      "What each optimization pass decided, where every procedure moved, and \
+       what that did to its miss count (base vs optimized, ranked by layout \
+       regret)."
+    ~schema:Explain.artifact_schema
+    ~figure_doc:"Cache geometry the scorecard measures under" ~combo:Spike.All
+    ~combo_doc:"Optimized layout to explain against base (any combo except $(b,base))."
+    Term.(const explain $ top_arg ~default:10 ~doc:"Scorecard rows to print.")
 
 let drift_cmd =
-  let figure_arg =
-    Arg.(
-      value & opt string "fig4"
-      & info [ "figure" ] ~docv:"ID"
-          ~doc:
-            (Printf.sprintf
-               "Cache geometry the staleness matrix replays under (%s)."
-               (String.concat ", "
-                  (List.map
-                     (fun p -> p.Olayout_harness.Diagnose.fig)
-                     Olayout_harness.Diagnose.presets))))
-  in
+  let module Drift = Olayout_harness.Drift in
   let windows_arg =
     Arg.(
       value
-      & opt (some string) None
+      & opt (at_least 2) Drift.default_phases
       & info [ "windows" ] ~docv:"N"
           ~doc:
-            "Profile phases in the staleness matrix (default 4, at least 2): \
-             the mix-shift schedule rotates through $(docv) slots and one \
-             layout is derived per phase.")
+            "Profile phases in the staleness matrix (at least 2): the \
+             mix-shift schedule rotates through $(docv) slots and one layout \
+             is derived per phase.")
   in
-  let top_arg =
-    Arg.(
-      value & opt int 8
-      & info [ "top" ] ~docv:"K"
-          ~doc:"Hot-set size for the Jaccard and rank-churn series.")
+  let drift phases top c =
+    let r = Drift.run ~combo:c.combo ~phases ~top (context c) c.preset in
+    Drift.Observatory.pp Format.std_formatter r;
+    Drift.Observatory.to_json ~scale:(scale_name c.quick) r
   in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE"
-          ~doc:"Also write the olayout-drift/v1 artifact to $(docv).")
-  in
-  let opt_combo_arg =
-    Arg.(
-      value & opt combo_conv Spike.All
-      & info [ "combo" ] ~docv:"COMBO"
-          ~doc:
-            "Layout algorithm applied per phase (any combo except $(b,base)).")
-  in
-  Cmd.v
-    (Cmd.info "drift"
-       ~doc:
-         "Workload-drift observatory: run the OLTP server under a \
-          deterministic mid-run mix shift, chart per-window profile \
-          divergence as sparklines, and replay every (phase layout, phase \
-          slice) pairing into a layout-staleness heatmap.")
+  artifact_sub ~name:"drift"
+    ~doc:"workload-drift observatory: divergence series + staleness matrix"
+    ~man:
+      "Runs the OLTP server under a deterministic mid-run mix shift, charts \
+       per-window profile divergence as sparklines, and replays every (phase \
+       layout, phase slice) pairing into a layout-staleness heatmap."
+    ~schema:Drift.Observatory.artifact_schema
+    ~figure_doc:"Cache geometry the staleness matrix replays under" ~combo:Spike.All
+    ~combo_doc:"Layout algorithm applied per phase (any combo except $(b,base))."
     Term.(
-      const drift $ seed_arg $ quick_arg $ figure_arg $ opt_combo_arg
-      $ windows_arg $ top_arg $ out_arg)
-
-(* --- relayout --- *)
-
-(* --cadences takes one raw comma-separated string so empty, zero, negative
-   and non-numeric entries all get the same rejection and the usage exit
-   code 2 (mirrors drift's --windows validation); --slots likewise. *)
-let relayout seed quick figure combo cadences slots out =
-  let module Relayout = Olayout_harness.Relayout in
-  let cadences =
-    match cadences with
-    | None -> Ok Relayout.default_cadences
-    | Some s -> (
-        let parsed =
-          List.map int_of_string_opt (String.split_on_char ',' s)
-        in
-        match
-          List.for_all (function Some c -> c >= 1 | None -> false) parsed
-        with
-        | true -> Ok (List.filter_map Fun.id parsed)
-        | false -> Error s)
-  in
-  let slots =
-    match slots with
-    | None -> Ok Relayout.default_slots
-    | Some s -> (
-        match int_of_string_opt s with
-        | Some v when v >= 2 -> Ok v
-        | Some _ | None -> Error s)
-  in
-  match (cadences, slots) with
-  | Error s, _ ->
-      Printf.eprintf
-        "olayout: --cadences expects comma-separated window counts >= 1, got \
-         %S\n"
-        s;
-      2
-  | _, Error s ->
-      Printf.eprintf
-        "olayout: --slots expects at least 2 schedule slots, got %S\n" s;
-      2
-  | Ok cadences, Ok slots -> (
-      match Olayout_harness.Diagnose.preset_of_figure figure with
-      | exception Invalid_argument msg ->
-          Printf.eprintf "olayout: %s\n" msg;
-          1
-      | preset -> (
-          let scale = if quick then Context.Quick else Context.Full in
-          let ctx = Context.create ~scale ~seed () in
-          match Relayout.run ~combo ~cadences ~slots ctx preset with
-          | exception Invalid_argument msg ->
-              Printf.eprintf "olayout: %s\n" msg;
-              1
-          | r ->
-              Relayout.Closedloop.pp Format.std_formatter r;
-              Option.iter
-                (fun path ->
-                  Relayout.write_artifact ~path
-                    ~scale:(if quick then "quick" else "full")
-                    r;
-                  Format.printf "relayout artifact written to %s@." path)
-                out;
-              0))
+      const drift $ windows_arg
+      $ top_arg ~default:Drift.default_top
+          ~doc:"Hot-set size for the Jaccard and rank-churn series.")
 
 let relayout_cmd =
-  let figure_arg =
-    Arg.(
-      value & opt string "fig4"
-      & info [ "figure" ] ~docv:"ID"
-          ~doc:
-            (Printf.sprintf
-               "Cache geometry the cadence sweep replays under (%s)."
-               (String.concat ", "
-                  (List.map
-                     (fun p -> p.Olayout_harness.Diagnose.fig)
-                     Olayout_harness.Diagnose.presets))))
-  in
+  let module Relayout = Olayout_harness.Relayout in
   let cadences_arg =
     Arg.(
       value
-      & opt (some string) None
+      & opt (list (at_least 1)) Relayout.default_cadences
       & info [ "cadences" ] ~docv:"N,N,..."
           ~doc:
-            "Re-layout cadences to sweep, in windows between ticks (default \
-             1,2,4,8); a static never-re-layout row is always included.")
+            "Re-layout cadences to sweep, in windows between ticks; a static \
+             never-re-layout row is always included.")
   in
   let slots_arg =
     Arg.(
       value
-      & opt (some string) None
+      & opt (at_least 2) Relayout.default_slots
       & info [ "slots" ] ~docv:"N"
-          ~doc:
-            "Mix-shift schedule slots the replayed run rotates through \
-             (default 4, at least 2).")
+          ~doc:"Mix-shift schedule slots the replayed run rotates through.")
   in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE"
-          ~doc:"Also write the olayout-relayout/v1 artifact to $(docv).")
+  let relayout cadences slots c =
+    if cadences = [] then invalid_arg "--cadences needs at least one cadence";
+    let r = Relayout.run ~combo:c.combo ~cadences ~slots (context c) c.preset in
+    Relayout.Closedloop.pp Format.std_formatter r;
+    Relayout.Closedloop.to_json ~scale:(scale_name c.quick) r
   in
-  let opt_combo_arg =
-    Arg.(
-      value & opt combo_conv Spike.All
-      & info [ "combo" ] ~docv:"COMBO"
-          ~doc:
-            "Layout algorithm the loop re-runs per tick (any combo except \
-             $(b,base)).")
-  in
-  Cmd.v
-    (Cmd.info "relayout"
-       ~doc:
-         "Closed-loop incremental re-layout: replay a drifting transaction \
-          mix under a layout that is rebuilt from the profile delta every N \
-          windows, charting miss rate against re-layout cadence (the cache \
-          persists across ticks, so re-layout disruption counts) and \
-          reporting the break-even cadence and the incremental engine's \
-          work savings.")
-    Term.(
-      const relayout $ seed_arg $ quick_arg $ figure_arg $ opt_combo_arg
-      $ cadences_arg $ slots_arg $ out_arg)
-
-(* --- report --- *)
-
-let report seed quick only trace_stats telemetry telemetry_out jobs retain_mb engine =
-  Option.iter Telemetry.open_jsonl_file telemetry_out;
-  let scale = if quick then Context.Quick else Context.Full in
-  let ctx = Context.create ~scale ~seed ~engine () in
-  let selection = match only with [] -> Report.All | ids -> Report.Only ids in
-  let module Pool = Olayout_par.Pool in
-  let pool =
-    match jobs with
-    | None | Some 1 -> None
-    | Some 0 -> Some (Pool.create ())
-    | Some j -> Some (Pool.create ~jobs:j ())
-  in
-  let code =
-    Fun.protect
-      ~finally:(fun () -> Option.iter Pool.shutdown pool)
-      (fun () ->
-        match
-          Report.run ~selection ~trace_stats ?pool ?retain_mb ctx
-            Format.std_formatter
-        with
-        | (_ : Report.figure_stat list) -> 0
-        | exception Invalid_argument msg ->
-            (* The message already lists the valid experiment ids. *)
-            Printf.eprintf "olayout: %s\n" msg;
-            1)
-  in
-  if telemetry then Telemetry.pp_summary Format.std_formatter ();
-  Telemetry.close_jsonl ();
-  code
-
-let report_cmd =
-  let only_arg =
-    Arg.(
-      value & opt (list string) []
-      & info [ "only" ] ~docv:"IDS"
-          ~doc:
-            (Printf.sprintf "Experiments to run (default all): %s."
-               (String.concat ", " Report.experiment_ids)))
-  in
-  let trace_stats_arg =
-    Arg.(
-      value & flag
-      & info [ "trace-stats" ]
-          ~doc:
-            "Print per-figure trace capture/replay statistics (runs and \
-             instructions replayed vs simulated live, replay throughput) and \
-             a trace-cache summary.")
-  in
-  let telemetry_arg =
-    Arg.(
-      value & flag
-      & info [ "telemetry" ]
-          ~doc:
-            "After the report, print the telemetry summary: span aggregates \
-             (count, total and max wall seconds per span path) and the \
-             counter/gauge/histogram registry.")
-  in
-  let telemetry_out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "telemetry-out" ] ~docv:"FILE"
-          ~doc:
-            "Stream telemetry as JSONL to $(docv): one JSON object per span \
-             completion, then a final registry dump.")
-  in
-  let jobs_conv =
-    let parse s =
-      match s with
-      | "auto" -> Ok 0
-      | _ -> (
-          match int_of_string_opt s with
-          | Some j when j >= 1 -> Ok j
-          | Some _ | None ->
-              Error
-                (`Msg
-                  (Printf.sprintf
-                     "expected a positive domain count or \"auto\", got %S" s)))
-    in
-    Arg.conv
-      ( parse,
-        fun ppf j ->
-          Format.pp_print_string ppf (if j = 0 then "auto" else string_of_int j) )
-  in
-  let jobs_arg =
-    Arg.(
-      value
-      & opt (some jobs_conv) None
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:
-            "Run replay-only figures on $(docv) domains (\"auto\" sizes by the \
-             machine).  Deterministic counters are identical to the serial \
-             run; only wall-clock and the par.* metrics change.")
-  in
-  let retain_mb_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "retain-mb" ] ~docv:"MB"
-          ~doc:
-            "Bound trace-cache residency: after each figure, drop recorded \
-             streams with no remaining consumer, largest first, while the \
-             cache exceeds $(docv) MiB.")
-  in
-  let engine_arg =
-    let engine_conv =
-      Arg.enum [ ("icache", `Icache); ("stackdist", `Stackdist) ]
-    in
-    Arg.(
-      value
-      & opt engine_conv `Stackdist
-      & info [ "engine" ] ~docv:"ENGINE"
-          ~doc:
-            "Battery backend for the sweep figures (fig4/5, fig6, fig7): \
-             $(b,stackdist) (default) computes every geometry's misses in \
-             one stack-distance pass per line size; $(b,icache) simulates \
-             one full cache per configuration.  Miss counts are identical; \
-             only the cachesim.* counters and wall-clock differ.")
-  in
-  Cmd.v
-    (Cmd.info "report" ~doc:"Regenerate the paper's figures.")
-    Term.(
-      const report $ seed_arg $ quick_arg $ only_arg $ trace_stats_arg
-      $ telemetry_arg $ telemetry_out_arg $ jobs_arg $ retain_mb_arg
-      $ engine_arg)
+  artifact_sub ~name:"relayout"
+    ~doc:"closed-loop incremental re-layout: miss rate vs cadence"
+    ~man:
+      "Replays a drifting transaction mix under a layout rebuilt from the \
+       profile delta every N windows, charting miss rate against re-layout \
+       cadence (the cache persists across ticks, so re-layout disruption \
+       counts) and reporting the break-even cadence and the incremental \
+       engine's work savings."
+    ~schema:Relayout.Closedloop.artifact_schema
+    ~figure_doc:"Cache geometry the cadence sweep replays under" ~combo:Spike.All
+    ~combo_doc:"Layout algorithm the loop re-runs per tick (any combo except $(b,base))."
+    Term.(const relayout $ cadences_arg $ slots_arg)
 
 (* --- compare: diff two run artifacts --- *)
 
-let compare_artifacts old_path new_path tolerance gate gate_timing out fidelity
-    ignore_prefixes =
+(* Shared by [compare] and the driver's baseline gate: load both artifacts,
+   print the diff, write the olayout-compare/v1 verdict to [out] and return
+   the exit code (1 on a failed gate or an unreadable artifact). *)
+let compare_and_gate ~old_path ~new_path ?tolerance ?(ignore_prefixes = [])
+    ~gate ?(gate_timing = false) ~fidelity ~out () =
   let module Artifact = Olayout_regress.Artifact in
   let module Diff = Olayout_regress.Diff in
-  let module Fidelity = Olayout_regress.Fidelity in
   match
     let old_art = Artifact.load_file old_path in
     let new_art = Artifact.load_file new_path in
@@ -935,32 +564,27 @@ let compare_artifacts old_path new_path tolerance gate gate_timing out fidelity
       1
   | d ->
       Format.printf "%a" Diff.pp d;
-      let fid =
-        (* Fidelity scores the *new* side; only bench artifacts carry the
-           fig.* gauges the claims read. *)
-        if fidelity then Some (Fidelity.of_artifact d.Diff.new_art) else None
-      in
-      Option.iter (fun f -> Format.printf "%a" Fidelity.pp f) fid;
+      let fidelity = Option.map (fun f -> f d.Diff.new_art) fidelity in
+      Option.iter (fun f -> Format.printf "%a" Olayout_regress.Fidelity.pp f) fidelity;
       let failures = Diff.gate_failures ~timing:gate_timing d in
       let gate_failed = gate && failures <> [] in
       Option.iter
         (fun path ->
-          let oc = open_out path in
-          Olayout_telemetry.Json.output oc
-            (Diff.to_json ?fidelity:fid ~gated:gate ~gate_failed d);
-          output_char oc '\n';
-          close_out oc;
+          Json.write_file path (Diff.to_json ?fidelity ~gated:gate ~gate_failed d);
           Format.printf "compare artifact written to %s@." path)
         out;
       if gate_failed then begin
+        let value = function Some v -> Printf.sprintf "%.12g" v | None -> "absent" in
         List.iter
           (fun (e : Diff.entry) ->
-            Printf.eprintf "olayout: gate: %s in %s\n"
+            Printf.eprintf "olayout: gate: %s in %s (%s -> %s)\n"
               (match e.Diff.e_status with
               | Diff.Drift -> "deterministic drift"
               | _ -> "timing drift beyond tolerance")
-              e.Diff.e_path)
+              e.Diff.e_path (value e.Diff.e_old) (value e.Diff.e_new))
           failures;
+        Printf.eprintf "olayout: gate failed: %d metric(s) drifted from %s\n"
+          (List.length failures) old_path;
         1
       end
       else 0
@@ -990,8 +614,7 @@ let compare_cmd =
   let gate_arg =
     Arg.(
       value & flag
-      & info [ "gate" ]
-          ~doc:"Exit non-zero when any deterministic metric drifted.")
+      & info [ "gate" ] ~doc:"Exit non-zero when any deterministic metric drifted.")
   in
   let gate_timing_arg =
     Arg.(
@@ -1027,105 +650,300 @@ let compare_cmd =
              $(b,--ignore counters.cachesim.) to gate two engines' artifacts \
              on everything except their engine-specific simulator counters.")
   in
-  Cmd.v
-    (Cmd.info "compare"
-       ~doc:
-         "Diff two run artifacts: deterministic metrics (simulation counters) \
-          gate on exact equality, timing metrics on a relative tolerance.")
+  let compare old_path new_path tolerance gate gate_timing out fidelity
+      ignore_prefixes =
+    (* Fidelity scores the *new* side; only bench artifacts carry the fig.*
+       gauges the claims read. *)
+    compare_and_gate ~old_path ~new_path ?tolerance ~ignore_prefixes ~gate
+      ~gate_timing
+      ~fidelity:(if fidelity then Some Olayout_regress.Fidelity.of_artifact else None)
+      ~out ()
+  in
+  sub "compare" "diff two run artifacts, gate on deterministic drift"
+    ~man:
+      "Deterministic metrics (simulation counters) gate on exact equality, \
+       timing metrics on a relative tolerance."
     Term.(
-      const compare_artifacts $ old_arg $ new_arg $ tolerance_arg $ gate_arg
+      const compare $ old_arg $ new_arg $ tolerance_arg $ gate_arg
       $ gate_timing_arg $ out_arg $ fidelity_arg $ ignore_arg)
 
-(* --- chrome-trace: telemetry JSONL -> trace-event JSON --- *)
+(* --- report: the driver --- *)
 
-let chrome_trace src dst =
-  let module Chrome_trace = Olayout_regress.Chrome_trace in
-  match Chrome_trace.convert ~src ~dst with
-  | () ->
-      Format.printf
-        "chrome trace written to %s (open in https://ui.perfetto.dev or \
-         chrome://tracing)@."
-        dst;
-      0
-  | exception Chrome_trace.Convert_error msg ->
-      Printf.eprintf "olayout: chrome-trace: %s\n" msg;
-      1
+let rec mkdir_p dir =
+  if not (Sys.file_exists dir) then begin
+    mkdir_p (Filename.dirname dir);
+    Sys.mkdir dir 0o755
+  end
 
-let chrome_trace_cmd =
-  let src_arg =
+let report seed quick only trace_stats telemetry jobs retain_mb engine baseline
+    timeline_window out =
+  let module Artifacts = Olayout_harness.Artifacts in
+  let module Timeline = Olayout_telemetry.Timeline in
+  let module Fidelity = Olayout_regress.Fidelity in
+  let module Pool = Olayout_par.Pool in
+  if out = None && baseline <> None then
+    invalid_arg
+      "--baseline needs --out DIR: the gate reads the BENCH artifact written there";
+  if out = None && timeline_window <> None then
+    invalid_arg "--timeline-window only applies with --out DIR";
+  let scale = scale_name quick in
+  Option.iter mkdir_p out;
+  (* The telemetry JSONL stream backs the TRACE export.  Its counter tracks
+     are cumulative simulated i-cache misses (both engines) and the
+     trace-cache footprint, sampled at span completion. *)
+  let jsonl =
+    Option.map (fun dir -> Artifacts.path ~dir ~scale ~ext:"jsonl" "TELEMETRY") out
+  in
+  Option.iter
+    (fun path ->
+      Telemetry.open_jsonl_file path;
+      Telemetry.watch_counter (Telemetry.counter "cachesim.icache_misses");
+      Telemetry.watch_counter (Telemetry.counter "cachesim.stackdist.misses");
+      Telemetry.watch_gauge (Telemetry.gauge "context.trace_cache_bytes"))
+    jsonl;
+  (* Timeline instrumentation is decided before any producer is built: the
+     simulators capture their series handles at construction. *)
+  if out <> None then begin
+    Timeline.set_enabled true;
+    Timeline.set_window
+      (match timeline_window with Some w -> w | None -> if quick then 65_536 else 524_288)
+  end;
+  Format.printf
+    "olayout report: reproducing Ramirez et al., ISCA 2001 (%s scale, %s sweep engine)@."
+    scale (Olayout_cachesim.Battery.engine_name engine);
+  let pool =
+    match jobs with
+    | None | Some 1 -> None
+    | Some 0 -> Some (Pool.create ())
+    | Some j -> Some (Pool.create ~jobs:j ())
+  in
+  Option.iter
+    (fun p -> Format.printf "parallel schedule: %d domains@." (Pool.jobs p))
+    pool;
+  let (ctx, result), total_seconds =
+    Fun.protect
+      ~finally:(fun () -> Option.iter Pool.shutdown pool)
+      (fun () ->
+        Telemetry.timed "bench.total" (fun () ->
+            let ctx, setup_seconds =
+              Telemetry.timed "bench.setup" (fun () ->
+                  Context.create ~scale:(scale_of quick) ~seed ~engine ())
+            in
+            Format.printf "workload built and profiled in %.1fs@." setup_seconds;
+            let selection = if only = [] then Report.All else Report.Only only in
+            ( ctx,
+              Report.run ~selection ~trace_stats ?pool ?retain_mb ctx
+                Format.std_formatter )))
+  in
+  Format.printf "@.total: %.1fs@." total_seconds;
+  (* Resource headlines: peak trace-cache residency and the schedule's
+     speedup estimate (serial estimate / wall; 1.00 for a serial run). *)
+  Format.printf "trace cache peak: %.1f MiB; parallel speedup: %.2fx@."
+    (Telemetry.gauge_value (Telemetry.gauge "context.trace_peak_bytes") /. 1048576.0)
+    (Telemetry.gauge_value (Telemetry.gauge "par.speedup"));
+  (* Score the paper's claims before any artifact snapshot, so the
+     fidelity.* gauges land in BENCH as gated metrics. *)
+  let fidelity = Fidelity.of_registry () in
+  Fidelity.publish_gauges fidelity;
+  Format.printf "%a" Fidelity.pp fidelity;
+  Option.iter
+    (fun dir ->
+      Artifacts.write_all ~dir Format.std_formatter
+        { Artifacts.ctx; scale; total_seconds; report = result })
+    out;
+  if telemetry then Telemetry.pp_summary Format.std_formatter ();
+  Telemetry.close_jsonl ();
+  match out with
+  | None -> 0
+  | Some dir -> (
+      let src = Option.get jsonl and dst = Artifacts.path ~dir ~scale "TRACE" in
+      match Olayout_regress.Chrome_trace.convert ~src ~dst with
+      | exception Olayout_regress.Chrome_trace.Convert_error msg ->
+          Printf.eprintf "olayout: TRACE: %s\n" msg;
+          1
+      | () -> (
+          Format.printf "TRACE written to %s (load in Perfetto)@." dst;
+          (* The gate runs last, so every artifact is on disk even when it
+             trips; both sides load from disk, so the fresh metrics go
+             through the same writer precision as the baseline's. *)
+          match baseline with
+          | None -> 0
+          | Some old_path ->
+              compare_and_gate ~old_path ~new_path:(Artifacts.path ~dir ~scale "BENCH")
+                ~gate:true ~fidelity:(Some (fun _ -> fidelity))
+                ~out:(Some (Artifacts.path ~dir ~scale "COMPARE"))
+                ()))
+
+let report_cmd =
+  let only_arg =
     Arg.(
-      required
-      & pos 0 (some file) None
-      & info [] ~docv:"JSONL"
+      value
+      & opt (list (enum (List.map (fun id -> (id, id)) Report.experiment_ids))) []
+      & info [ "only" ] ~docv:"IDS"
           ~doc:
-            "Telemetry JSONL stream (written by $(b,report --telemetry-out) \
-             or $(b,bench --telemetry-out)).")
+            (Printf.sprintf "Experiments to run (default all): %s."
+               (String.concat ", " Report.experiment_ids)))
   in
-  let dst_arg =
+  let trace_stats_arg =
     Arg.(
-      value & opt string "trace.json"
-      & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Output trace-event file.")
+      value & flag
+      & info [ "trace-stats" ]
+          ~doc:
+            "Print per-figure trace capture/replay statistics (runs and \
+             instructions replayed vs simulated live, replay throughput) and \
+             a trace-cache summary.")
   in
-  Cmd.v
-    (Cmd.info "chrome-trace"
-       ~doc:
-         "Convert a telemetry JSONL stream into a Chrome trace-event file: one \
-          track per figure phase, counter tracks for watched instruments.")
-    Term.(const chrome_trace $ src_arg $ dst_arg)
+  let telemetry_arg =
+    Arg.(
+      value & flag
+      & info [ "telemetry" ]
+          ~doc:
+            "After the report, print the telemetry summary: span aggregates \
+             (count, total and max wall seconds per span path) and the \
+             counter/gauge/histogram registry.")
+  in
+  let jobs_conv =
+    let parse = function
+      | "auto" -> Ok 0
+      | s -> (
+          match int_of_string_opt s with
+          | Some j when j >= 1 -> Ok j
+          | _ ->
+              Error
+                (`Msg
+                  (Printf.sprintf
+                     "expected a positive domain count or \"auto\", got %S" s)))
+    in
+    Arg.conv
+      ( parse,
+        fun ppf j ->
+          Format.pp_print_string ppf (if j = 0 then "auto" else string_of_int j) )
+  in
+  let jobs_arg =
+    Arg.(
+      value
+      & opt (some jobs_conv) None
+      & info [ "j"; "jobs" ] ~docv:"N"
+          ~doc:
+            "Run replay-only figures on $(docv) domains (\"auto\" sizes by the \
+             machine).  Deterministic counters are identical to the serial \
+             run; only wall-clock and the par.* metrics change.")
+  in
+  let retain_mb_arg =
+    Arg.(
+      value
+      & opt (some (at_least 0)) None
+      & info [ "retain-mb" ] ~docv:"MB"
+          ~doc:
+            "Bound trace-cache residency: after each figure, drop recorded \
+             streams with no remaining consumer, largest first, while the \
+             cache exceeds $(docv) MiB.")
+  in
+  let engine_arg =
+    Arg.(
+      value & opt engine_conv `Stackdist
+      & info [ "engine" ] ~docv:"ENGINE"
+          ~doc:
+            "Battery backend for the sweep figures (fig4/5, fig6, fig7): \
+             $(b,stackdist) (default) computes every geometry's misses in \
+             one stack-distance pass per line size; $(b,icache) simulates \
+             one full cache per configuration.  Miss counts are identical; \
+             only the cachesim.* counters and wall-clock differ.")
+  in
+  let baseline_arg =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "baseline" ] ~docv:"FILE"
+          ~doc:
+            "Gate the run's BENCH artifact against $(docv) (a saved \
+             olayout-bench/v1 artifact; needs $(b,--out)): print the diff, \
+             write COMPARE_<scale>.json and exit 1 when a deterministic \
+             metric drifted.")
+  in
+  let timeline_window_arg =
+    Arg.(
+      value
+      & opt (some (at_least 1)) None
+      & info [ "timeline-window" ] ~docv:"INSTRS"
+          ~doc:
+            "TIMELINE window width in simulated instructions (default 65536 \
+             with $(b,--quick), 524288 otherwise; needs $(b,--out)).")
+  in
+  let out_arg =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "out" ] ~docv:"DIR"
+          ~doc:
+            "Write every run artifact into $(docv), as <KIND>_<scale>.json: \
+             BENCH, TIMELINE, EXPLAIN, DRIFT and RELAYOUT (when their \
+             experiments ran), DIAG, the Perfetto TRACE and the TELEMETRY \
+             JSONL stream it is built from.  Turns on the timeline \
+             instrumentation.")
+  in
+  sub "report" "regenerate the paper's figures (and, with --out, every artifact)"
+    Term.(
+      const report $ seed_arg $ quick_arg $ only_arg $ trace_stats_arg
+      $ telemetry_arg $ jobs_arg $ retain_mb_arg $ engine_arg $ baseline_arg
+      $ timeline_window_arg $ out_arg)
 
 (* --- entry point --- *)
 
-(* One line per subcommand, in the order they appear in the group. *)
-let overview =
+let subcommands =
   [
-    ("inspect", "build the synthetic binaries and show their structure");
-    ("profile", "run the training phase and save the profile to a file");
-    ("disasm", "list placed code with addresses and branch targets");
-    ("optimize", "profile the workload and compare layout combinations");
-    ("simulate", "run the OLTP workload through an instruction cache");
-    ("trace", "dump the instruction-fetch trace under a layout");
-    ("diagnose", "classify i-cache misses and attribute them to code segments");
-    ("timeline", "windowed metric series over the simulated instruction clock");
-    ("explain", "per-procedure layout scorecards (decisions, moves, regret)");
-    ("drift", "workload-drift observatory: divergence series + staleness matrix");
-    ("relayout", "closed-loop incremental re-layout: miss rate vs cadence");
-    ("report", "regenerate the paper's figures");
-    ("compare", "diff two run artifacts, gate on deterministic drift");
-    ("chrome-trace", "telemetry JSONL -> Perfetto-loadable trace-event JSON");
-    ("help", "show this overview");
+    inspect_cmd; profile_cmd; disasm_cmd; optimize_cmd; simulate_cmd; trace_cmd;
+    diagnose_cmd; timeline_cmd; explain_cmd; drift_cmd; relayout_cmd; report_cmd;
+    compare_cmd;
   ]
 
 let print_overview () =
   print_endline "olayout — code layout optimizations for transaction processing workloads";
   print_newline ();
-  List.iter (fun (name, doc) -> Printf.printf "  %-13s %s\n" name doc) overview;
+  List.iter (fun s -> Printf.printf "  %-13s %s\n" s.name s.doc) subcommands;
+  Printf.printf "  %-13s %s\n" "help" "show this overview";
   print_newline ();
   print_endline "Run 'olayout SUBCOMMAND --help' for that subcommand's flags."
 
+let usage_error msg =
+  prerr_endline ("olayout: " ^ msg);
+  exit 2
+
 let () =
-  (* Subcommand dispatch runs before cmdliner: bare "olayout" and
-     "olayout help" print the overview, and a misspelled subcommand names
-     the valid set on stderr with the usage exit code instead of
-     cmdliner's terse unknown-command error. *)
+  let names = List.map (fun s -> s.name) subcommands in
+  (* Bare "olayout" and "olayout help" print the overview; a misspelled
+     subcommand names the valid set. *)
   (match Array.to_list Sys.argv with
   | _ :: ([] | "help" :: _) ->
       print_overview ();
       exit 0
-  | _ :: cmd :: _
-    when String.length cmd > 0
-         && cmd.[0] <> '-'
-         && not (List.mem_assoc cmd overview) ->
-      Printf.eprintf "olayout: unknown subcommand %S (valid: %s)\n" cmd
-        (String.concat ", "
-           (List.map fst (List.filter (fun (n, _) -> n <> "help") overview)));
-      exit 2
+  | _ :: cmd :: _ when cmd <> "" && cmd.[0] <> '-' && not (List.mem cmd names) ->
+      usage_error
+        (Printf.sprintf "unknown subcommand %S (valid: %s)" cmd
+           (String.concat ", " names))
   | _ -> ());
+  let cmds =
+    List.map
+      (fun s ->
+        let man = if s.man = "" then [] else [ `S Manpage.s_description; `P s.man ] in
+        Cmd.v (Cmd.info s.name ~doc:s.doc ~man) s.term)
+      subcommands
+  in
   let doc = "code layout optimizations for transaction processing workloads" in
-  exit
-    (Cmd.eval'
-       (Cmd.group (Cmd.info "olayout" ~doc)
-          [
-            inspect_cmd; profile_cmd; disasm_cmd; optimize_cmd; simulate_cmd; trace_cmd;
-            diagnose_cmd; timeline_cmd; explain_cmd; drift_cmd; relayout_cmd;
-            report_cmd; compare_cmd; chrome_trace_cmd;
-          ]))
+  (* cmdliner reports a parse error as "olayout: <message>" followed by
+     usage lines; keep the first line only, unwrapped. *)
+  let err = Buffer.create 256 in
+  let err_ppf = Format.formatter_of_buffer err in
+  Format.pp_set_margin err_ppf 1_000_000;
+  let group = Cmd.group (Cmd.info "olayout" ~doc) cmds in
+  match Cmd.eval_value ~catch:false ~err:err_ppf group with
+  | Ok (`Ok code) -> exit code
+  | Ok (`Help | `Version) -> exit 0
+  | Error _ ->
+      Format.pp_print_flush err_ppf ();
+      prerr_endline (List.hd (String.split_on_char '\n' (Buffer.contents err)));
+      exit 2
+  | exception Invalid_argument msg -> usage_error msg
+  | exception Sys_error msg ->
+      prerr_endline ("olayout: " ^ msg);
+      exit 1

@@ -7,7 +7,7 @@ module Json = Olayout_telemetry.Json
 
 (* Aggregated over every diagnosed cache in the process, mirroring the
    cachesim.* convention: the classification totals show up in
-   --telemetry-summary and the JSONL registry dump. *)
+   [report --telemetry] and the JSONL registry dump. *)
 let c_compulsory = Telemetry.counter "diag.compulsory_misses"
 let c_capacity = Telemetry.counter "diag.capacity_misses"
 let c_conflict = Telemetry.counter "diag.conflict_misses"

@@ -18,7 +18,7 @@
     (evictor segment, victim segment) conflict matrix — the "killer pairs"
     whose separation a layout fix should target.  Classification totals
     also feed the process-wide [diag.*] telemetry counters, so they appear
-    in [--telemetry-summary] and in the JSONL sink. *)
+    in [report --telemetry] and in the JSONL sink. *)
 
 module Icache = Olayout_cachesim.Icache
 module Histogram = Olayout_metrics.Histogram

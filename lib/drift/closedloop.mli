@@ -76,8 +76,6 @@ val to_json : scale:string -> t -> Olayout_telemetry.Json.t
     path as deterministic; the document carries no timestamp, argv or
     engine name. *)
 
-val write_artifact : path:string -> scale:string -> t -> unit
-
 (** {1 Publication} *)
 
 val publish_gauges : t -> unit

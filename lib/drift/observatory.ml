@@ -172,12 +172,6 @@ let to_json ~scale t =
           ] );
     ]
 
-let write_artifact ~path ~scale t =
-  let oc = open_out path in
-  Json.output oc (to_json ~scale t);
-  output_char oc '\n';
-  close_out oc
-
 (* --- gauges ------------------------------------------------------------ *)
 
 (* Published into the global registry so the BENCH artifact carries them

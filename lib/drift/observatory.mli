@@ -79,8 +79,6 @@ val to_json : scale:string -> t -> Olayout_telemetry.Json.t
     as deterministic; the document carries no timestamp, argv or engine
     name. *)
 
-val write_artifact : path:string -> scale:string -> t -> unit
-
 (** {1 Publication} *)
 
 val publish_gauges : t -> unit

@@ -172,22 +172,15 @@ let tables ?(top = 10) ~combo preset d =
   ]
 
 let artifact_schema = "olayout-diag/v1"
-let default_path ~scale = Printf.sprintf "DIAG_%s.json" scale
 
-let write_artifact ~path ~scale ~combo ~preset ~icache_misses_delta d =
-  let doc =
-    Json.Object
-      [
-        ("schema", Json.String artifact_schema);
-        ("scale", Json.String scale);
-        ("figure", Json.String preset.fig);
-        ("what", Json.String preset.what);
-        ("combo", Json.String (Spike.combo_name combo));
-        ("icache_misses_counter_delta", Json.Int icache_misses_delta);
-        ("diag", Diag.json ~top:20 d);
-      ]
-  in
-  let oc = open_out path in
-  Json.output oc doc;
-  output_char oc '\n';
-  close_out oc
+let artifact_json ~scale ~combo ~preset ~icache_misses_delta d =
+  Json.Object
+    [
+      ("schema", Json.String artifact_schema);
+      ("scale", Json.String scale);
+      ("figure", Json.String preset.fig);
+      ("what", Json.String preset.what);
+      ("combo", Json.String (Spike.combo_name combo));
+      ("icache_misses_counter_delta", Json.Int icache_misses_delta);
+      ("diag", Diag.json ~top:20 d);
+    ]

@@ -2,10 +2,11 @@
     workload with a {!Olayout_diag.Diag}-wrapped icache and report where
     the misses come from.
 
-    Backs [olayout diagnose] and [bench --diagnose].  Replay-compatible:
-    the diagnosed cache consumes only the rendered run stream, so once a
-    figure has recorded the (combo, kernel, txns) trace the diagnosis
-    replays it instead of re-walking the server. *)
+    Backs [olayout diagnose] and the DIAG artifact of [olayout report
+    --out].  Replay-compatible: the diagnosed cache consumes only the
+    rendered run stream, so once a figure has recorded the (combo, kernel,
+    txns) trace the diagnosis replays it instead of re-walking the
+    server. *)
 
 module Diag = Olayout_diag.Diag
 module Spike = Olayout_core.Spike
@@ -40,18 +41,14 @@ val tables : ?top:int -> combo:Spike.combo -> preset -> Diag.t -> Table.t list
 
 val artifact_schema : string
 
-val default_path : scale:string -> string
-(** [DIAG_<scale>.json]. *)
-
-val write_artifact :
-  path:string ->
+val artifact_json :
   scale:string ->
   combo:Spike.combo ->
   preset:preset ->
   icache_misses_delta:int ->
   Diag.t ->
-  unit
-(** Write the machine-readable diagnostics artifact.
+  Olayout_telemetry.Json.t
+(** The machine-readable diagnostics artifact.
     [icache_misses_delta] is the change of the process-wide
     [cachesim.icache_misses] counter across the diagnosed measurement; for
     a single diagnosed cache it equals the classification total, and the

@@ -42,9 +42,6 @@ let default_window = 65536
 let default_phases = 4
 let default_top = 8
 
-let last_result : Observatory.t option ref = ref None
-let last () = !last_result
-
 let run ?(combo = Spike.All) ?(phases = default_phases)
     ?(window = default_window) ?(top = default_top) ctx preset =
   if combo = Spike.Base then
@@ -173,7 +170,6 @@ let run ?(combo = Spike.All) ?(phases = default_phases)
       in
       Observatory.publish_gauges r;
       Observatory.publish_timeline r;
-      last_result := Some r;
       r)
 
 (* --- report tables ----------------------------------------------------- *)
@@ -245,10 +241,3 @@ let matrix_table r =
   tbl
 
 let tables r = [ series_table r; matrix_table r ]
-
-(* --- artifact ---------------------------------------------------------- *)
-
-let artifact_schema = Observatory.artifact_schema
-let default_path ~scale = Printf.sprintf "DRIFT_%s.json" scale
-let artifact_json ~scale r = Observatory.to_json ~scale r
-let write_artifact ~path ~scale r = Observatory.write_artifact ~path ~scale r

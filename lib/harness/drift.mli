@@ -35,18 +35,10 @@ val run :
     {!default_window}, [top] 8.  [phases] is clamped to the number of
     captured windows.  Publishes the [drift.*] gauges and (while the
     timeline subsystem is enabled) the [drift.*] instruction-clock series
-    as side effects, and caches the result for {!last}.
+    as side effects.  The DRIFT artifact is [Observatory.to_json] of the
+    result.
     @raise Invalid_argument for [combo = Base] (all matrix rows would be
     the source-order layout), [phases < 2], [window < 1] or [top < 1]. *)
 
-val last : unit -> Observatory.t option
-(** The most recent {!run} result in this process (the bench reuses the
-    report experiment's run for [--drift-out] instead of re-running). *)
-
 val tables : Observatory.t -> Table.t list
 (** Report rendering: divergence sparkline table + staleness matrix. *)
-
-val artifact_schema : string
-val default_path : scale:string -> string
-val artifact_json : scale:string -> Observatory.t -> Olayout_telemetry.Json.t
-val write_artifact : path:string -> scale:string -> Observatory.t -> unit

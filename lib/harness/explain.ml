@@ -147,7 +147,6 @@ let scorecard_table ~top r =
 let tables ?(top = 10) r = [ summary_table r; scorecard_table ~top r ]
 
 let artifact_schema = "olayout-explain/v1"
-let default_path ~scale = Printf.sprintf "EXPLAIN_%s.json" scale
 
 (* All numeric content nests under "explain" so every flattened metric
    path classifies as Deterministic in Diff (head segment "explain").
@@ -163,9 +162,3 @@ let artifact_json ~scale r =
       ("combo", Json.String (Spike.combo_name r.ex_combo));
       ("explain", Scorecard.json ~top:20 r.ex_rows);
     ]
-
-let write_artifact ~path ~scale r =
-  let oc = open_out path in
-  Json.output oc (artifact_json ~scale r);
-  output_char oc '\n';
-  close_out oc

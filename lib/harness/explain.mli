@@ -12,7 +12,7 @@
     The whole computation is deterministic and runs on the dispatching
     domain (the pipeline re-run is pure; the diagnosis replays cached
     traces through the icache backend regardless of the context's sweep
-    engine), so {!write_artifact} output is byte-identical at any [-j]
+    engine), so {!artifact_json} output is byte-identical at any [-j]
     and under either engine — CI compares the legs with [cmp]. *)
 
 type result = {
@@ -41,13 +41,8 @@ val tables : ?top:int -> result -> Table.t list
 val artifact_schema : string
 (** ["olayout-explain/v1"]. *)
 
-val default_path : scale:string -> string
-(** ["EXPLAIN_<scale>.json"]. *)
-
 val artifact_json : scale:string -> result -> Olayout_telemetry.Json.t
-
-val write_artifact : path:string -> scale:string -> result -> unit
-(** Write the scorecard artifact: schema/scale/figure/combo header
-    strings plus every metric nested under an ["explain"] object (so
+(** The scorecard artifact: schema/scale/figure/combo header strings plus
+    every metric nested under an ["explain"] object (so
     {!Olayout_regress.Diff} classifies the paths as deterministic).  No
-    timestamp or argv — the bytes must match across bench legs. *)
+    timestamp or argv — the bytes must match across run legs. *)

@@ -15,7 +15,7 @@ type result = {
 let run ctx =
   (* Record the measurement streams this figure declares (report.ml): the
      figure itself only reads the training profile, but fronting the
-     recording here attributes the live walk to fig3's figure_stat and
+     recording here attributes the live walk to fig3's figure row and
      lets every later sweep figure replay from the cache. *)
   ignore (Context.traces_for ctx [ Spike.Base; Spike.All ]);
   let profile = Context.app_profile ctx in

@@ -1,5 +1,5 @@
 (* Phase-resolved timeline measurement for one figure geometry — the CLI
-   [timeline] subcommand's engine ([bench --timeline-out] covers the whole
+   [timeline] subcommand's engine ([report --out] covers the whole
    report instead).  One measurement stream runs through the preset's
    cache while the timeline subsystem folds every producer onto the
    simulated instruction clock:

@@ -58,9 +58,6 @@ let push v x =
   v.a.(v.n) <- x;
   v.n <- v.n + 1
 
-let last_result : Closedloop.t option ref = ref None
-let last () = !last_result
-
 let run ?(combo = Spike.All) ?(cadences = default_cadences)
     ?(window = default_window) ?(slots = default_slots) ctx preset =
   if combo = Spike.Base then
@@ -192,7 +189,6 @@ let run ?(combo = Spike.All) ?(cadences = default_cadences)
       in
       Closedloop.publish_gauges r;
       Closedloop.publish_timeline r;
-      last_result := Some r;
       r)
 
 (* --- report tables ----------------------------------------------------- *)
@@ -258,10 +254,3 @@ let series_table r =
   tbl
 
 let tables r = [ curve_table r; series_table r ]
-
-(* --- artifact ---------------------------------------------------------- *)
-
-let artifact_schema = Closedloop.artifact_schema
-let default_path ~scale = Printf.sprintf "RELAYOUT_%s.json" scale
-let artifact_json ~scale r = Closedloop.to_json ~scale r
-let write_artifact ~path ~scale r = Closedloop.write_artifact ~path ~scale r

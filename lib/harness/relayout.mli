@@ -44,14 +44,5 @@ val run :
     @raise Invalid_argument for [combo = Base], an empty or non-positive
     cadence list, [window < 1] or [slots < 2]. *)
 
-val last : unit -> Closedloop.t option
-(** The most recent {!run} result, for artifact reuse (the bench emits the
-    RELAYOUT artifact from the report's experiment run when present). *)
-
 val tables : Closedloop.t -> Table.t list
 (** Cadence-sweep curve and per-window miss sparklines for the report. *)
-
-val artifact_schema : string
-val default_path : scale:string -> string
-val artifact_json : scale:string -> Closedloop.t -> Olayout_telemetry.Json.t
-val write_artifact : path:string -> scale:string -> Closedloop.t -> unit

@@ -1,6 +1,9 @@
 module Pool = Olayout_par.Pool
 module Spike = Olayout_core.Spike
 module Telemetry = Olayout_telemetry.Telemetry
+module Bench_artifact = Olayout_telemetry.Bench_artifact
+module Observatory = Olayout_drift.Observatory
+module Closedloop = Olayout_drift.Closedloop
 
 type selection = All | Only of string list
 
@@ -19,13 +22,22 @@ type stream = Spike.combo * [ `Base | `Optimized ]
      wasteful for live ones (they re-record).
    - [e_live]: the figure observes or mutates the walk itself (block sinks,
      data refs, context switches, ad-hoc placements, own server runs) and
-     must execute on the dispatching domain. *)
+     must execute on the dispatching domain.
+
+   [e_run] also receives the run's [products]: the drift and relayout
+   experiments leave their results there for {!result}.  Both are live, so
+   they only ever write it from the dispatching domain. *)
+type products = {
+  mutable p_drift : Observatory.t option;
+  mutable p_relayout : Closedloop.t option;
+}
+
 type experiment = {
   e_id : string;
   e_desc : string;
   e_live : bool;
   e_streams : stream list;
-  e_run : Pool.t option -> Context.t -> Table.t list;
+  e_run : products -> Pool.t option -> Context.t -> Table.t list;
 }
 
 let app c = (c, `Base)
@@ -41,130 +53,130 @@ let experiments : experiment list =
       e_live = false;
       (* Fig 3 computes from the training profile, but it also records the
          (Base, All) streams up front: the recording walk is attributed to
-         its figure_stat (it used to land on fig4, leaving fig3 reporting
+         its figure row (it used to land on fig4, leaving fig3 reporting
          runs_live = 0) and every later sweep figure replays + schedules
          onto the pool from the start. *)
       e_streams = base_all;
-      e_run = (fun _ ctx -> Fig_footprint.tables (Fig_footprint.run ctx));
+      e_run = (fun _ _ ctx -> Fig_footprint.tables (Fig_footprint.run ctx));
     };
     {
       e_id = "fig4";
       e_desc = "cache/line sweep (figs 4-5)";
       e_live = false;
       e_streams = base_all;
-      e_run = (fun pool ctx -> Fig_line_sweep.tables (Fig_line_sweep.run ?pool ctx));
+      e_run = (fun _ pool ctx -> Fig_line_sweep.tables (Fig_line_sweep.run ?pool ctx));
     };
     {
       e_id = "fig6";
       e_desc = "associativity";
       e_live = false;
       e_streams = base_all;
-      e_run = (fun pool ctx -> Fig_assoc.tables (Fig_assoc.run ?pool ctx));
+      e_run = (fun _ pool ctx -> Fig_assoc.tables (Fig_assoc.run ?pool ctx));
     };
     {
       e_id = "fig7";
       e_desc = "optimization combinations";
       e_live = false;
       e_streams = all_combos;
-      e_run = (fun pool ctx -> Fig_combos.tables (Fig_combos.run ?pool ctx));
+      e_run = (fun _ pool ctx -> Fig_combos.tables (Fig_combos.run ?pool ctx));
     };
     {
       e_id = "fig8";
       e_desc = "sequence lengths";
       e_live = false;
       e_streams = base_all;
-      e_run = (fun _ ctx -> Fig_sequences.tables (Fig_sequences.run ctx));
+      e_run = (fun _ _ ctx -> Fig_sequences.tables (Fig_sequences.run ctx));
     };
     {
       e_id = "fig9";
       e_desc = "line usage (figs 9-11)";
       e_live = false;
       e_streams = base_all;
-      e_run = (fun _ ctx -> Fig_usage.tables (Fig_usage.run ctx));
+      e_run = (fun _ _ ctx -> Fig_usage.tables (Fig_usage.run ctx));
     };
     {
       e_id = "fig12";
       e_desc = "combined app+OS (figs 12-13)";
       e_live = false;
       e_streams = base_all;
-      e_run = (fun _ ctx -> Fig_combined.tables (Fig_combined.run ctx));
+      e_run = (fun _ _ ctx -> Fig_combined.tables (Fig_combined.run ctx));
     };
     {
       e_id = "fig14";
       e_desc = "iTLB and L2";
       e_live = true;
       e_streams = base_all;
-      e_run = (fun _ ctx -> Fig_memsys.tables (Fig_memsys.run ctx));
+      e_run = (fun _ _ ctx -> Fig_memsys.tables (Fig_memsys.run ctx));
     };
     {
       e_id = "fig15";
       e_desc = "execution time";
       e_live = false;
       e_streams = all_combos;
-      e_run = (fun _ ctx -> Fig_exec_time.tables (Fig_exec_time.run ctx));
+      e_run = (fun _ _ ctx -> Fig_exec_time.tables (Fig_exec_time.run ctx));
     };
     {
       e_id = "intext";
       e_desc = "in-text measurements";
       e_live = false;
       e_streams = base_all;
-      e_run = (fun _ ctx -> Intext.tables (Intext.run ctx));
+      e_run = (fun _ _ ctx -> Intext.tables (Intext.run ctx));
     };
     {
       e_id = "ablations";
       e_desc = "design ablations";
       e_live = true;
       e_streams = [ app Spike.All; kern Spike.All ];
-      e_run = (fun _ ctx -> Ablations.tables (Ablations.run ctx));
+      e_run = (fun _ _ ctx -> Ablations.tables (Ablations.run ctx));
     };
     {
       e_id = "prefetch";
       e_desc = "extension: stream-buffer prefetch";
       e_live = false;
       e_streams = base_all;
-      e_run = (fun _ ctx -> Fig_prefetch.tables (Fig_prefetch.run ctx));
+      e_run = (fun _ _ ctx -> Fig_prefetch.tables (Fig_prefetch.run ctx));
     };
     {
       e_id = "joint";
       e_desc = "extension: joint app+kernel layout";
       e_live = true;
       e_streams = [ app Spike.All; kern Spike.All ];
-      e_run = (fun _ ctx -> Fig_joint.tables (Fig_joint.run ctx));
+      e_run = (fun _ _ ctx -> Fig_joint.tables (Fig_joint.run ctx));
     };
     {
       e_id = "bpred";
       e_desc = "extension: branch prediction";
       e_live = true;
       e_streams = [];
-      e_run = (fun _ ctx -> Fig_bpred.tables (Fig_bpred.run ctx));
+      e_run = (fun _ _ ctx -> Fig_bpred.tables (Fig_bpred.run ctx));
     };
     {
       e_id = "coloring";
       e_desc = "extension: cache-line coloring";
       e_live = true;
       e_streams = base_all;
-      e_run = (fun _ ctx -> Fig_coloring.tables (Fig_coloring.run ctx));
+      e_run = (fun _ _ ctx -> Fig_coloring.tables (Fig_coloring.run ctx));
     };
     {
       e_id = "dss";
       e_desc = "extension: DSS contrast workload";
       e_live = true;
       e_streams = base_all;
-      e_run = (fun _ ctx -> Fig_dss.tables (Fig_dss.run ctx));
+      e_run = (fun _ _ ctx -> Fig_dss.tables (Fig_dss.run ctx));
     };
     {
       e_id = "multiproc";
       e_desc = "extension: per-CPU caches";
       e_live = true;
       e_streams = base_all;
-      e_run = (fun _ ctx -> Fig_multiproc.tables (Fig_multiproc.run ctx));
+      e_run = (fun _ _ ctx -> Fig_multiproc.tables (Fig_multiproc.run ctx));
     };
     {
       e_id = "temporal";
       e_desc = "extension: temporal ordering (Gloy et al.)";
       e_live = true;
       e_streams = base_all;
-      e_run = (fun _ ctx -> Fig_temporal.tables (Fig_temporal.run ctx));
+      e_run = (fun _ _ ctx -> Fig_temporal.tables (Fig_temporal.run ctx));
     };
     {
       e_id = "drift";
@@ -175,8 +187,10 @@ let experiments : experiment list =
       e_live = true;
       e_streams = [];
       e_run =
-        (fun _ ctx ->
-          Drift.tables (Drift.run ctx (Diagnose.preset_of_figure "fig4")));
+        (fun out _ ctx ->
+          let r = Drift.run ctx (Diagnose.preset_of_figure "fig4") in
+          out.p_drift <- Some r;
+          Drift.tables r);
     };
     {
       e_id = "relayout";
@@ -187,23 +201,19 @@ let experiments : experiment list =
       e_live = true;
       e_streams = [];
       e_run =
-        (fun _ ctx ->
-          Relayout.tables (Relayout.run ctx (Diagnose.preset_of_figure "fig4")));
+        (fun out _ ctx ->
+          let r = Relayout.run ctx (Diagnose.preset_of_figure "fig4") in
+          out.p_relayout <- Some r;
+          Relayout.tables r);
     };
   ]
 
 let experiment_ids = List.map (fun e -> e.e_id) experiments
 
-type figure_stat = {
-  fig_id : string;
-  fig_desc : string;
-  fig_seconds : float;
-  fig_live_runs : int;
-  fig_replayed_runs : int;
-  fig_live_instrs : int;
-  fig_replayed_instrs : int;
-  fig_live_executions : int;
-  fig_replayed_traces : int;
+type result = {
+  figures : Bench_artifact.figure list;
+  drift : Observatory.t option;
+  relayout : Closedloop.t option;
 }
 
 let mruns_per_s runs seconds =
@@ -352,7 +362,7 @@ let apply_retention ctx r i =
    so the report reads identically to a serial run. *)
 type completed = {
   c_output : string;
-  c_stat : figure_stat;
+  c_stat : Bench_artifact.figure;
   c_trace_delta : Context.trace_stats * Context.trace_stats;
 }
 
@@ -385,24 +395,26 @@ let stats_of_snapshot snap =
 
 let stat_of_deltas e seconds (s0 : Context.trace_stats) (s1 : Context.trace_stats) =
   {
-    fig_id = e.e_id;
-    fig_desc = e.e_desc;
-    fig_seconds = seconds;
-    fig_live_runs = s1.Context.live_runs - s0.Context.live_runs;
-    fig_replayed_runs = s1.Context.replayed_runs - s0.Context.replayed_runs;
-    fig_live_instrs = s1.Context.live_instrs - s0.Context.live_instrs;
-    fig_replayed_instrs = s1.Context.replayed_instrs - s0.Context.replayed_instrs;
-    fig_live_executions = s1.Context.live_executions - s0.Context.live_executions;
-    fig_replayed_traces = s1.Context.replayed_traces - s0.Context.replayed_traces;
+    Bench_artifact.id = e.e_id;
+    desc = e.e_desc;
+    seconds;
+    runs_live = s1.Context.live_runs - s0.Context.live_runs;
+    runs_replayed = s1.Context.replayed_runs - s0.Context.replayed_runs;
+    instrs_live = s1.Context.live_instrs - s0.Context.live_instrs;
+    instrs_replayed = s1.Context.replayed_instrs - s0.Context.replayed_instrs;
+    live_executions = s1.Context.live_executions - s0.Context.live_executions;
+    traces_replayed = s1.Context.replayed_traces - s0.Context.replayed_traces;
   }
 
 (* Render one figure's report block (header, tables, timing line) while
    running it under its span; returns the text and the timing. *)
-let render_figure pool ctx e =
+let render_figure out pool ctx e =
   let buf = Buffer.create 4096 in
   let bppf = Format.formatter_of_buffer buf in
   Format.fprintf bppf "@.### %s — %s@." e.e_id e.e_desc;
-  let tables, seconds = Telemetry.timed ("report." ^ e.e_id) (fun () -> e.e_run pool ctx) in
+  let tables, seconds =
+    Telemetry.timed ("report." ^ e.e_id) (fun () -> e.e_run out pool ctx)
+  in
   List.iter (fun tbl -> Table.print bppf tbl) tables;
   Format.fprintf bppf "  (%s took %.1fs)@." e.e_id seconds;
   Format.pp_print_flush bppf ();
@@ -423,6 +435,7 @@ let publish_par_gauges pool ~serial_estimate ~wall =
 let run ?(selection = All) ?(trace_stats = false) ?pool ?retain_mb ctx ppf =
   let t_start = Unix.gettimeofday () in
   let selected = select selection in
+  let out = { p_drift = None; p_relayout = None } in
   let jobs = match pool with Some p -> Pool.jobs p | None -> 1 in
   let scheduled = schedule selected in
   let retention = retention_of ~retain_mb scheduled in
@@ -430,7 +443,7 @@ let run ?(selection = All) ?(trace_stats = false) ?pool ?retain_mb ctx ppf =
     Format.pp_print_string ppf done_.c_output;
     (if trace_stats then
        let s0, s1 = done_.c_trace_delta in
-       print_figure_trace_stats ppf done_.c_stat.fig_id s0 s1);
+       print_figure_trace_stats ppf done_.c_stat.Bench_artifact.id s0 s1);
     (match retention with Some r -> apply_retention ctx r i | None -> ());
     done_.c_stat
   in
@@ -441,7 +454,7 @@ let run ?(selection = All) ?(trace_stats = false) ?pool ?retain_mb ctx ppf =
       List.mapi
         (fun i (e, _) ->
           let s0 = Context.trace_stats ctx in
-          let output, seconds = render_figure None ctx e in
+          let output, seconds = render_figure out None ctx e in
           let s1 = Context.trace_stats ctx in
           finish_figure i
             {
@@ -458,10 +471,11 @@ let run ?(selection = All) ?(trace_stats = false) ?pool ?retain_mb ctx ppf =
       let pending =
         List.map
           (fun (e, parallel) ->
-            if parallel then `Fut (e, Pool.submit p (fun () -> render_figure pool ctx e))
+            if parallel then
+              `Fut (e, Pool.submit p (fun () -> render_figure out pool ctx e))
             else begin
               let s0 = Context.trace_stats ctx in
-              let output, seconds = render_figure pool ctx e in
+              let output, seconds = render_figure out pool ctx e in
               let s1 = Context.trace_stats ctx in
               `Done
                 {
@@ -499,7 +513,7 @@ let run ?(selection = All) ?(trace_stats = false) ?pool ?retain_mb ctx ppf =
   if trace_stats then Table.print ppf (trace_summary_table (Context.trace_stats ctx));
   let wall = Unix.gettimeofday () -. t_start in
   let serial_estimate =
-    List.fold_left (fun acc f -> acc +. f.fig_seconds) 0.0 figures
+    List.fold_left (fun acc f -> acc +. f.Bench_artifact.seconds) 0.0 figures
   in
   publish_par_gauges pool ~serial_estimate ~wall;
-  figures
+  { figures; drift = out.p_drift; relayout = out.p_relayout }

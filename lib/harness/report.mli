@@ -11,19 +11,16 @@ type selection =
 
 val experiment_ids : string list
 
-type figure_stat = {
-  fig_id : string;
-  fig_desc : string;
-  fig_seconds : float;  (** wall-clock, measured by the figure's span *)
-  fig_live_runs : int;
-  fig_replayed_runs : int;
-  fig_live_instrs : int;
-  fig_replayed_instrs : int;
-  fig_live_executions : int;
-  fig_replayed_traces : int;
+type result = {
+  figures : Olayout_telemetry.Bench_artifact.figure list;
+      (** One per executed experiment, in list order: wall seconds from
+          the figure's span and the trace-cache counter deltas around it
+          — the [figures] section of [BENCH_<scale>.json]. *)
+  drift : Olayout_drift.Observatory.t option;
+      (** The [drift] experiment's result, when it ran. *)
+  relayout : Olayout_drift.Closedloop.t option;
+      (** The [relayout] experiment's result, when it ran. *)
 }
-(** Per-figure telemetry deltas (the counters around the figure's span);
-    the raw material of the [BENCH_<scale>.json] artifact. *)
 
 val run :
   ?selection:selection ->
@@ -32,10 +29,9 @@ val run :
   ?retain_mb:int ->
   Context.t ->
   Format.formatter ->
-  figure_stat list
+  result
 (** Executes the selected experiments and prints each experiment's tables
-    (with wall-clock timings) in list order, returning one {!figure_stat}
-    per executed experiment.  Each figure runs inside a telemetry span
+    (with wall-clock timings) in list order, returning their {!result}.  Each figure runs inside a telemetry span
     named [report.<id>], so span aggregates (and the JSONL sink, when
     attached) carry the same timings.  With [trace_stats] (default false),
     also prints one line per figure attributing its instruction streams to

@@ -1,4 +1,5 @@
 module Telemetry = Olayout_telemetry.Telemetry
+module Shadow = Olayout_telemetry.Shadow
 
 (* A task is fully packaged at submission: running it executes the user
    thunk under an isolated telemetry shadow and stores the outcome in its
@@ -91,7 +92,7 @@ let create ?jobs () =
   if j > 1 then begin
     (* Parallel mode is on before any worker exists, so workers always see
        it; it stays on until after the last worker has joined. *)
-    Telemetry.set_parallel true;
+    Shadow.set_parallel true;
     p.domains <- List.init (j - 1) (fun _ -> Domain.spawn (fun () -> worker p))
   end;
   p
@@ -103,7 +104,7 @@ let shutdown p =
         Condition.broadcast p.work);
     List.iter Domain.join p.domains;
     p.domains <- [];
-    Telemetry.set_parallel false
+    Shadow.set_parallel false
   end
 
 (* --- submission ------------------------------------------------------ *)

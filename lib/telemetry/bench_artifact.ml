@@ -105,8 +105,8 @@ let passes_json () =
 (* Per-series timeline summaries (window width, window count, total) go
    through the baseline gate like any other deterministic metric; the full
    window arrays live in the dedicated TIMELINE artifact.  Absent entirely
-   when the timeline subsystem is disabled, so baselines recorded without
-   [--timeline-out] keep diffing clean. *)
+   when the timeline subsystem is disabled, so runs without the
+   instrumentation ([report] without [--out]) keep diffing clean. *)
 let timeline_json () =
   if not (Timeline.enabled ()) then []
   else
@@ -173,10 +173,3 @@ let json ~scale ~total_seconds ~trace_cache_bytes ~figures =
     ]
     @ timeline_json ())
 
-let default_path ~scale = Printf.sprintf "BENCH_%s.json" scale
-
-let write ~path ~scale ~total_seconds ~trace_cache_bytes ~figures =
-  let oc = open_out path in
-  Json.output oc (json ~scale ~total_seconds ~trace_cache_bytes ~figures);
-  output_char oc '\n';
-  close_out oc

@@ -16,8 +16,8 @@ type figure = {
   traces_replayed : int;
 }
 
-val default_path : scale:string -> string
-(** [BENCH_<scale>.json]. *)
+val schema : string
+(** ["olayout-bench/v1"]. *)
 
 val json :
   scale:string ->
@@ -27,11 +27,3 @@ val json :
   Json.t
 (** Build the artifact from the figure records plus the current telemetry
     registry and GC state. *)
-
-val write :
-  path:string ->
-  scale:string ->
-  total_seconds:float ->
-  trace_cache_bytes:int ->
-  figures:figure list ->
-  unit

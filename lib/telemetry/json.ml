@@ -69,6 +69,14 @@ let to_string j =
 
 let output oc j = Stdlib.output_string oc (to_string j)
 
+let write_file path j =
+  let oc = open_out path in
+  Fun.protect
+    ~finally:(fun () -> close_out oc)
+    (fun () ->
+      output oc j;
+      output_char oc '\n')
+
 (* --- decoder ---------------------------------------------------------- *)
 
 (* Started as the validating reader in test/helpers.ml; promoted here once

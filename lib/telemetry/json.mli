@@ -23,6 +23,10 @@ val to_string : t -> string
 
 val output : out_channel -> t -> unit
 
+val write_file : string -> t -> unit
+(** [write_file path doc] writes [doc] and a trailing newline to [path]
+    (truncating) — the one writer behind every JSON artifact. *)
+
 (** {1 Decoding} *)
 
 exception Parse_error of string

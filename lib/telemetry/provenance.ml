@@ -8,13 +8,12 @@
    subject procedure id so the explain layer can join them with the
    per-segment miss attribution of lib/diag.
 
-   The module mirrors Timeline's parallel discipline without depending on
-   Telemetry (Telemetry drives this module, not the reverse): a
-   one-ref-read [par_mode] check guards a [Domain.DLS] shadow lookup,
-   events recorded inside a pool task buffer in a per-task shadow, and
-   [Isolated.merge] appends them to the global log in task-submission
-   order — called by [Telemetry.Isolated.merge] — so the event order (and
-   hence the explain artifact) is byte-identical at any -j.
+   Parallel writes follow Telemetry's discipline through the shared
+   [Shadow] flag and slot: events recorded inside a pool task buffer in a
+   per-task shadow, and [merge] appends them to the global log in
+   task-submission order — called by [Telemetry.Isolated.merge] — so the
+   event order (and hence the explain artifact) is byte-identical at any
+   -j.
 
    The whole subsystem is off by default: [record] starts with a single
    flag check, and instrumented passes are expected to guard their own
@@ -44,17 +43,11 @@ let events () = Mutex.protect mu (fun () -> List.rev !events_rev)
 
 (* --- domain-local shadows -------------------------------------------- *)
 
-let par_mode = ref false
-let set_parallel b = par_mode := b
-
 type shadow = { mutable sh_rev : event list }
 
 let make_shadow () = { sh_rev = [] }
-
-let dls_slot : shadow option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let active () = if !par_mode then !(Domain.DLS.get dls_slot) else None
+let slot : shadow Shadow.slot = Shadow.slot ()
+let active () = if !Shadow.parallel then Shadow.installed slot else None
 
 let record ~pass ~subject fields =
   if !enabled_ref then begin
@@ -64,24 +57,12 @@ let record ~pass ~subject fields =
     | Some sh -> sh.sh_rev <- ev :: sh.sh_rev
   end
 
-module Isolated = struct
-  let install sh =
-    let slot = Domain.DLS.get dls_slot in
-    let prev = !slot in
-    slot := Some sh;
-    prev
-
-  let restore prev =
-    let slot = Domain.DLS.get dls_slot in
-    slot := prev
-
-  let merge sh =
-    (* Both lists are newest-first, so prepending the shadow's reversed
-       buffer keeps the merged log in global-then-shadow chronological
-       order.  Clearing makes an accidental re-merge a no-op. *)
-    Mutex.protect mu (fun () -> events_rev := sh.sh_rev @ !events_rev);
-    sh.sh_rev <- []
-end
+(* Both lists are newest-first, so prepending the shadow's reversed buffer
+   keeps the merged log in global-then-shadow chronological order.
+   Clearing makes an accidental re-merge a no-op. *)
+let merge sh =
+  Mutex.protect mu (fun () -> events_rev := sh.sh_rev @ !events_rev);
+  sh.sh_rev <- []
 
 (* --- field access ------------------------------------------------------ *)
 

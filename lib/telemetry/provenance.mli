@@ -7,7 +7,7 @@
     procedure, the hot/cold split point, the color a segment landed on and
     the final placement rank and address.  The explain layer joins these
     events with per-segment miss attribution into the per-procedure layout
-    scorecard ([olayout explain], [bench --explain-out]).
+    scorecard ([olayout explain], [olayout report --out]).
 
     Events are keyed by a [subject] procedure id and carry a flat list of
     named fields.  The log preserves record order; under a Domain pool,
@@ -61,25 +61,17 @@ val string_field : event -> string -> string option
 (** {1 Parallel capture}
 
     Driven exclusively by [Telemetry.Isolated]: [capture] installs a fresh
-    provenance shadow alongside the telemetry one and [merge] appends its
-    events in task-submission order.  Producers never call these. *)
-
-val set_parallel : bool -> unit
+    provenance shadow in {!slot} alongside the telemetry one and [merge]
+    appends its events in task-submission order.  Producers never call
+    these. *)
 
 type shadow
 
 val make_shadow : unit -> shadow
+val slot : shadow Shadow.slot
 
-module Isolated : sig
-  val install : shadow -> shadow option
-  (** Make [shadow] the domain's active provenance shadow; returns the
-      previously active one for {!restore}. *)
-
-  val restore : shadow option -> unit
-
-  val merge : shadow -> unit
-  (** Append the shadow's events to the global log and clear it. *)
-end
+val merge : shadow -> unit
+(** Append the shadow's events to the global log and clear it. *)
 
 (** {1 JSONL events} *)
 

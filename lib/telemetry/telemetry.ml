@@ -8,7 +8,7 @@
      increment and nothing else on the serial path;
    - spans are coarse (per figure, per optimizer pass, per replay batch) and
      have a disabled path that is a direct tail call to the thunk;
-   - under a Domain pool ({!set_parallel}), instruments written inside
+   - under a Domain pool ([Shadow.parallel]), instruments written inside
      {!Isolated.capture} accumulate into a domain-local shadow registry
      (dense arrays indexed by handle id), merged into the global registry
      deterministically — in submission order, names sorted within each
@@ -78,22 +78,10 @@ let make_shadow stack =
     s_pv = Provenance.make_shadow ();
   }
 
-(* True only while a pool with worker domains is live; checked (one ref
-   read) before the DLS lookup so the serial fast path is unchanged.
-   Timeline and Provenance keep their own flags (each has its own DLS
-   slot); flip all three here so producers of any kind see the same
-   mode. *)
-let par_mode = ref false
-
-let set_parallel b =
-  par_mode := b;
-  Timeline.set_parallel b;
-  Provenance.set_parallel b
-
-let dls_slot : shadow option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let shadow () = if !par_mode then !(Domain.DLS.get dls_slot) else None
+(* The parallel flag is one ref read before the slot lookup, so the
+   serial fast path is a single load. *)
+let slot : shadow Shadow.slot = Shadow.slot ()
+let shadow () = if !Shadow.parallel then Shadow.installed slot else None
 let in_isolated () = shadow () <> None
 
 let grow_int a n =
@@ -394,19 +382,11 @@ module Isolated = struct
   type snapshot = shadow
 
   let capture ~inherit_spans f =
-    let slot = Domain.DLS.get dls_slot in
-    let prev = !slot in
     let s = make_shadow inherit_spans in
-    slot := Some s;
-    let tl_prev = Timeline.Isolated.install s.s_tl in
-    let pv_prev = Provenance.Isolated.install s.s_pv in
     let v =
-      Fun.protect
-        ~finally:(fun () ->
-          Provenance.Isolated.restore pv_prev;
-          Timeline.Isolated.restore tl_prev;
-          slot := prev)
-        f
+      Shadow.within slot s (fun () ->
+          Shadow.within Timeline.slot s.s_tl (fun () ->
+              Shadow.within Provenance.slot s.s_pv f))
     in
     (v, s)
 
@@ -451,8 +431,8 @@ module Isolated = struct
                g.a_count <- g.a_count + a.a_count;
                g.a_total <- g.a_total +. a.a_total;
                if a.a_max > g.a_max then g.a_max <- a.a_max));
-    Timeline.Isolated.merge s.s_tl;
-    Provenance.Isolated.merge s.s_pv;
+    Timeline.merge s.s_tl;
+    Provenance.merge s.s_pv;
     List.iter jsonl_write (List.rev s.s_events);
     s.s_events <- []
 

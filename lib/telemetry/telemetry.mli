@@ -24,9 +24,9 @@
 
     The registry is process-global.  On the serial path every write is a
     direct memory update, exactly as before.  Under a Domain work pool
-    ({!set_parallel}), writes made inside {!Isolated.capture} land in a
-    domain-local shadow registry (dense arrays indexed by handle id,
-    resolved through [Domain.DLS]); {!Isolated.merge} folds a shadow into
+    ({!Shadow.set_parallel}), writes made inside {!Isolated.capture} land
+    in a domain-local shadow registry (dense arrays indexed by handle id,
+    resolved through a {!Shadow.slot}); {!Isolated.merge} folds a shadow into
     the global registry deterministically — snapshots merged in submission
     order, instrument names sorted within each snapshot — so a parallel
     run reproduces the serial counter values bit-for-bit. *)
@@ -103,11 +103,6 @@ val current_span_stack : unit -> string list
     {!Isolated.capture} and merges the snapshots back in submission order,
     which keeps deterministic counters identical between [-j 1] and
     [-j N]. *)
-
-val set_parallel : bool -> unit
-(** Flip the parallel-mode flag (set by the pool while worker domains are
-    live).  While off — the default — the shadow lookup is skipped entirely
-    and every instrument write takes the original single-threaded path. *)
 
 val in_isolated : unit -> bool
 (** True while executing inside {!Isolated.capture} (i.e. inside a pool

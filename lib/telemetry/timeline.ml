@@ -8,13 +8,12 @@
    are producer-local cumulative instruction counts, so a producer never
    needs a global clock.
 
-   The module mirrors Telemetry's parallel discipline without depending on
-   it (Telemetry drives this module, not the reverse): a one-ref-read
-   [par_mode] check guards a [Domain.DLS] shadow lookup, writes inside a
-   pool task land in per-task shadow rows, and [Isolated.merge] folds them
-   into the global registry under the registry mutex — called by
-   [Telemetry.Isolated.merge] in task-submission order, which makes Sample
-   (last-write-wins) windows deterministic too.
+   Parallel writes follow Telemetry's discipline through the shared
+   [Shadow] flag and slot: writes inside a pool task land in per-task
+   shadow rows, and [merge] folds them into the global registry under the
+   registry mutex — called by [Telemetry.Isolated.merge] in
+   task-submission order, which makes Sample (last-write-wins) windows
+   deterministic too.
 
    The whole subsystem is off by default: [add]/[sample] start with a
    single flag check and producers are expected to skip their bookkeeping
@@ -173,17 +172,11 @@ let reset () = Mutex.protect mu (fun () -> clear_locked ())
 
 (* --- domain-local shadows -------------------------------------------- *)
 
-let par_mode = ref false
-let set_parallel b = par_mode := b
-
 type shadow = { mutable rows : Series.t option array }
 
 let make_shadow () = { rows = [||] }
-
-let dls_slot : shadow option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let active () = if !par_mode then !(Domain.DLS.get dls_slot) else None
+let slot : shadow Shadow.slot = Shadow.slot ()
+let active () = if !Shadow.parallel then Shadow.installed slot else None
 
 let shadow_row sh (s : series) =
   if s.ts_id >= Array.length sh.rows then begin
@@ -212,32 +205,20 @@ let sample s ~pos v =
     | None -> Series.sample s.ts_data ~pos v
     | Some sh -> Series.sample (shadow_row sh s) ~pos v
 
-module Isolated = struct
-  let install sh =
-    let slot = Domain.DLS.get dls_slot in
-    let prev = !slot in
-    slot := Some sh;
-    prev
-
-  let restore prev =
-    let slot = Domain.DLS.get dls_slot in
-    slot := prev
-
-  let merge sh =
-    Mutex.protect mu (fun () ->
-        Array.iteri
-          (fun id row ->
-            match row with
-            | None -> ()
-            | Some row -> (
-                match !by_id.(id) with
-                | Some s -> Series.merge_into s.ts_data row
-                | None -> ()))
-          sh.rows);
-    (* A snapshot merges at most once (Pool guarantees it); clearing makes
-       an accidental re-merge a no-op instead of a double count. *)
-    Array.fill sh.rows 0 (Array.length sh.rows) None
-end
+let merge sh =
+  Mutex.protect mu (fun () ->
+      Array.iteri
+        (fun id row ->
+          match row with
+          | None -> ()
+          | Some row -> (
+              match !by_id.(id) with
+              | Some s -> Series.merge_into s.ts_data row
+              | None -> ()))
+        sh.rows);
+  (* A snapshot merges at most once (Pool guarantees it); clearing makes
+     an accidental re-merge a no-op instead of a double count. *)
+  Array.fill sh.rows 0 (Array.length sh.rows) None
 
 (* --- reporting -------------------------------------------------------- *)
 
@@ -265,13 +246,15 @@ let dump () =
 let json_values values =
   Json.Array (Array.to_list (Array.map (fun v -> Json.Int v) values))
 
+let artifact_schema = "olayout-timeline/v1"
+
 (* The document deliberately carries no timestamp or argv: two runs of the
    same seeded workload must produce byte-identical files (the CI legs
    [cmp] them across -j and across engines). *)
 let to_json ~scale =
   Json.Object
     [
-      ("schema", Json.String "olayout-timeline/v1");
+      ("schema", Json.String artifact_schema);
       ("scale", Json.String scale);
       ("window_instrs", Json.Int !window_ref);
       ( "series",
@@ -288,12 +271,6 @@ let to_json ~scale =
                  ])
              (dump ())) );
     ]
-
-let write_artifact ~path ~scale =
-  let oc = open_out path in
-  Json.output oc (to_json ~scale);
-  output_char oc '\n';
-  close_out oc
 
 let events () =
   dump ()

@@ -107,26 +107,17 @@ val reset : unit -> unit
 (** {1 Parallel capture}
 
     Driven exclusively by [Telemetry.Isolated]: [capture] installs a fresh
-    timeline shadow alongside the telemetry one and [merge] folds it back
-    in task-submission order.  Producers never call these. *)
-
-val set_parallel : bool -> unit
+    timeline shadow in {!slot} alongside the telemetry one and [merge]
+    folds it back in task-submission order.  Producers never call these. *)
 
 type shadow
 
 val make_shadow : unit -> shadow
+val slot : shadow Shadow.slot
 
-module Isolated : sig
-  val install : shadow -> shadow option
-  (** Make [shadow] the domain's active timeline shadow; returns the
-      previously active one for {!restore}. *)
-
-  val restore : shadow option -> unit
-
-  val merge : shadow -> unit
-  (** Fold the shadow's rows into the global registry ([Delta] windows
-      add, [Sample] windows overwrite) and clear it. *)
-end
+val merge : shadow -> unit
+(** Fold the shadow's rows into the global registry ([Delta] windows
+    add, [Sample] windows overwrite) and clear it. *)
 
 (** {1 Reporting} *)
 
@@ -141,12 +132,12 @@ val dump : unit -> dump list
 (** Every registered series (including never-written ones, whose
     [d_values] is empty), sorted by name. *)
 
+val artifact_schema : string
+(** ["olayout-timeline/v1"]. *)
+
 val to_json : scale:string -> Json.t
 (** The [olayout-timeline/v1] document.  Carries no timestamp or argv so
     two runs of the same seeded workload are byte-identical. *)
-
-val write_artifact : path:string -> scale:string -> unit
-(** Write {!to_json} (plus a trailing newline) to [path]. *)
 
 val events : unit -> Json.t list
 (** One [{"ev":"timeline",...}] JSONL event per non-empty series —

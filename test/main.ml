@@ -28,4 +28,5 @@ let () =
       Test_par.suite;
       Test_regress.suite;
       Test_properties.suite;
+      Test_cli.suite;
     ]

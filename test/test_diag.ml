@@ -283,8 +283,9 @@ let test_diagnose_artifact_parses () =
   let d = Diagnose.run ~combo ctx preset in
   let delta = Telemetry.value c - before in
   let path = Filename.temp_file "olayout_diag" ".json" in
-  Diagnose.write_artifact ~path ~scale:"quick" ~combo ~preset
-    ~icache_misses_delta:delta d;
+  Json.write_file path
+    (Diagnose.artifact_json ~scale:"quick" ~combo ~preset
+       ~icache_misses_delta:delta d);
   let contents =
     let ic = open_in_bin path in
     let s = really_input_string ic (in_channel_length ic) in

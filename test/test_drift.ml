@@ -18,6 +18,7 @@ module Observatory = Olayout_drift.Observatory
 module Context = Olayout_harness.Context
 module Diagnose = Olayout_harness.Diagnose
 module Drift = Olayout_harness.Drift
+module Report = Olayout_harness.Report
 module Telemetry = Olayout_telemetry.Telemetry
 module Json = Olayout_telemetry.Json
 module Artifact = Olayout_regress.Artifact
@@ -181,7 +182,14 @@ let test_scheduled_server_runs () =
 
 (* --- the drift driver -------------------------------------------------- *)
 
-let result = lazy (Drift.run (Lazy.force ctx) (Diagnose.preset_of_figure "fig4"))
+(* The drift experiment through the report driver, which returns its
+   result for the DRIFT artifact. *)
+let report =
+  lazy
+    (Report.run ~selection:(Report.Only [ "drift" ]) (Lazy.force ctx)
+       (Format.make_formatter (fun _ _ _ -> ()) ignore))
+
+let result = lazy (Option.get (Lazy.force report).Report.drift)
 
 let test_driver_matrix () =
   let r = Lazy.force result in
@@ -252,7 +260,8 @@ let test_driver_gauges () =
       "drift.staleness_diag_max_mpki_x100";
       "drift.staleness_offdiag_max_mpki_x100";
     ];
-  Alcotest.(check bool) "last () caches the result" true (Drift.last () <> None)
+  Alcotest.(check bool) "Report.run returns the result" true
+    ((Lazy.force report).Report.drift <> None)
 
 let test_driver_validation () =
   let ctx = Lazy.force ctx in
@@ -275,7 +284,7 @@ let test_artifact () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Drift.write_artifact ~path ~scale:"quick" r;
+      Json.write_file path (Observatory.to_json ~scale:"quick" r);
       let art = Artifact.load_file path in
       Alcotest.(check string) "schema" "olayout-drift/v1" art.Artifact.schema;
       Alcotest.(check string) "scale" "quick" art.Artifact.scale;
@@ -294,7 +303,7 @@ let test_artifact () =
             (Diff.classify p = Diff.Deterministic))
         art.Artifact.metrics);
   let fields =
-    match Drift.artifact_json ~scale:"quick" r with
+    match Observatory.to_json ~scale:"quick" r with
     | Json.Object fs -> List.map fst fs
     | _ -> []
   in
@@ -309,7 +318,7 @@ let test_repeatable_bytes () =
   let ctx = Lazy.force ctx in
   let doc () =
     Json.to_string
-      (Drift.artifact_json ~scale:"quick"
+      (Observatory.to_json ~scale:"quick"
          (Drift.run ctx (Diagnose.preset_of_figure "fig4")))
   in
   Alcotest.(check string) "byte-identical re-run" (doc ()) (doc ())

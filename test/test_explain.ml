@@ -12,6 +12,7 @@
 
 module Provenance = Olayout_telemetry.Provenance
 module Telemetry = Olayout_telemetry.Telemetry
+module Shadow = Olayout_telemetry.Shadow
 module Json = Olayout_telemetry.Json
 module Context = Olayout_harness.Context
 module Diagnose = Olayout_harness.Diagnose
@@ -70,31 +71,29 @@ let test_record_order_and_fields () =
 let test_shadow_merge () =
   with_provenance (fun () ->
       Provenance.record ~pass:"chaining" ~subject:0 [ ("atoms", Provenance.Int 1) ];
-      Provenance.set_parallel true;
+      Shadow.set_parallel true;
       Fun.protect
-        ~finally:(fun () -> Provenance.set_parallel false)
+        ~finally:(fun () -> Shadow.set_parallel false)
         (fun () ->
           let sh_a = Provenance.make_shadow () in
           let sh_b = Provenance.make_shadow () in
-          let prev = Provenance.Isolated.install sh_a in
-          Provenance.record ~pass:"chaining" ~subject:1
-            [ ("atoms", Provenance.Int 2) ];
-          Provenance.Isolated.restore prev;
-          let prev = Provenance.Isolated.install sh_b in
-          Provenance.record ~pass:"chaining" ~subject:2
-            [ ("atoms", Provenance.Int 3) ];
-          Provenance.Isolated.restore prev;
+          Shadow.within Provenance.slot sh_a (fun () ->
+              Provenance.record ~pass:"chaining" ~subject:1
+                [ ("atoms", Provenance.Int 2) ]);
+          Shadow.within Provenance.slot sh_b (fun () ->
+              Provenance.record ~pass:"chaining" ~subject:2
+                [ ("atoms", Provenance.Int 3) ]);
           Alcotest.(check int) "shadowed events not yet global" 1
             (List.length (Provenance.events ()));
           (* Submission order, regardless of which recorded first. *)
-          Provenance.Isolated.merge sh_b;
-          Provenance.Isolated.merge sh_a;
+          Provenance.merge sh_b;
+          Provenance.merge sh_a;
           Alcotest.(check (list int)) "merge in submission order" [ 0; 2; 1 ]
             (List.map
                (fun e -> e.Provenance.pv_subject)
                (Provenance.events ()));
           (* A merged shadow is cleared: merging again adds nothing. *)
-          Provenance.Isolated.merge sh_b;
+          Provenance.merge sh_b;
           Alcotest.(check int) "merge clears the shadow" 3
             (List.length (Provenance.events ()))))
 
@@ -169,7 +168,7 @@ let test_artifact () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Explain.write_artifact ~path ~scale:"quick" r;
+      Json.write_file path (Explain.artifact_json ~scale:"quick" r);
       let art = Artifact.load_file path in
       Alcotest.(check string) "schema" "olayout-explain/v1" art.Artifact.schema;
       Alcotest.(check string) "scale" "quick" art.Artifact.scale;

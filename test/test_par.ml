@@ -263,9 +263,7 @@ let report_deltas ~pool ids =
   let null_ppf = Format.make_formatter (fun _ _ _ -> ()) (fun () -> ()) in
   let c_before = Telemetry.counters () in
   let h_before = Telemetry.histograms () in
-  let stats =
-    Report.run ~selection:(Report.Only ids) ?pool ctx null_ppf
-  in
+  let report = Report.run ~selection:(Report.Only ids) ?pool ctx null_ppf in
   let counters = counter_deltas c_before (Telemetry.counters ()) in
   let histograms = histogram_deltas h_before (Telemetry.histograms ()) in
   let gauges =
@@ -274,15 +272,15 @@ let report_deltas ~pool ids =
   in
   let attribution =
     List.map
-      (fun (f : Report.figure_stat) ->
-        ( f.fig_id,
-          ( f.fig_live_runs,
-            f.fig_replayed_runs,
-            f.fig_live_instrs,
-            f.fig_replayed_instrs,
-            f.fig_live_executions,
-            f.fig_replayed_traces ) ))
-      stats
+      (fun (f : Olayout_telemetry.Bench_artifact.figure) ->
+        ( f.id,
+          ( f.runs_live,
+            f.runs_replayed,
+            f.instrs_live,
+            f.instrs_replayed,
+            f.live_executions,
+            f.traces_replayed ) ))
+      report.Report.figures
   in
   (counters, histograms, gauges, attribution)
 

@@ -147,7 +147,8 @@ let test_artifact_real_roundtrip () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Bench_artifact.write ~path ~scale:"quick" ~total_seconds:1.0
+      Json.write_file path
+      @@ Bench_artifact.json ~scale:"quick" ~total_seconds:1.0
         ~trace_cache_bytes:4096
         ~figures:
           [
@@ -538,6 +539,21 @@ let test_chrome_trace_errors () =
           Alcotest.(check bool) "error names the missing fields" true
             (String.length msg > 0))
 
+(* Every artifact kind the report driver writes has its own file stem and
+   a schema the loader accepts. *)
+let test_artifact_kinds () =
+  let module Artifacts = Olayout_harness.Artifacts in
+  let stems = List.map (fun k -> k.Artifacts.stem) Artifacts.kinds in
+  Alcotest.(check (list string))
+    "unique stems" (List.sort_uniq compare stems) (List.sort compare stems);
+  List.iter
+    (fun k ->
+      Alcotest.(check bool)
+        (k.Artifacts.stem ^ " schema " ^ k.Artifacts.schema ^ " is known")
+        true
+        (List.mem k.Artifacts.schema Artifact.known_schemas))
+    Artifacts.kinds
+
 let suite =
   ( "regress",
     [
@@ -545,6 +561,8 @@ let suite =
       Alcotest.test_case "json decoder rejects garbage" `Quick test_decoder_errors;
       Alcotest.test_case "artifact flattening" `Quick test_artifact_flatten;
       Alcotest.test_case "artifact schema errors" `Quick test_artifact_schema_errors;
+      Alcotest.test_case "artifact kinds: unique stems, known schemas" `Quick
+        test_artifact_kinds;
       Alcotest.test_case "bench artifact round-trip" `Quick
         test_artifact_real_roundtrip;
       Alcotest.test_case "deterministic vs timing classification" `Quick

@@ -20,6 +20,7 @@ module Closedloop = Olayout_drift.Closedloop
 module Context = Olayout_harness.Context
 module Diagnose = Olayout_harness.Diagnose
 module Drift = Olayout_harness.Drift
+module Report = Olayout_harness.Report
 module Relayout = Olayout_harness.Relayout
 module Telemetry = Olayout_telemetry.Telemetry
 module Json = Olayout_telemetry.Json
@@ -268,18 +269,25 @@ let test_work_accounting () =
 
 let ctx = lazy (Context.create ~scale:Context.Quick ())
 
-(* Both closed-loop drivers over one context, with the combined layout
-   work attributed (the ISSUE's acceptance gate measures drift's staleness
-   matrix plus the relayout loop together). *)
-let results =
+(* Both closed-loop drivers over one context, run as the report's drift
+   and relayout experiments (which return their results for the DRIFT and
+   RELAYOUT artifacts), with the combined layout work attributed: the work
+   gate measures drift's staleness matrix plus the relayout loop
+   together. *)
+let report =
   lazy
     (let c = Lazy.force ctx in
-     let preset = Diagnose.preset_of_figure "fig4" in
      let w0 = Incremental.work_counters () in
-     let d = Drift.run c preset in
-     let r = Relayout.run c preset in
-     let w = Incremental.work_sub (Incremental.work_counters ()) w0 in
-     (d, r, w))
+     let report =
+       Report.run ~selection:(Report.Only [ "drift"; "relayout" ]) c
+         (Format.make_formatter (fun _ _ _ -> ()) ignore)
+     in
+     (report, Incremental.work_sub (Incremental.work_counters ()) w0))
+
+let results =
+  lazy
+    (let report, w = Lazy.force report in
+     (Option.get report.Report.drift, Option.get report.Report.relayout, w))
 
 let test_driver_curve () =
   let _, r, _ = Lazy.force results in
@@ -469,7 +477,8 @@ let test_driver_gauges () =
       "drift.relayout_scratch_invocations";
       "drift.relayout_work_ratio_x100";
     ];
-  Alcotest.(check bool) "last () caches the result" true (Relayout.last () <> None)
+  Alcotest.(check bool) "Report.run returns the result" true
+    ((fst (Lazy.force report)).Report.relayout <> None)
 
 let test_driver_validation () =
   let c = Lazy.force ctx in
@@ -512,7 +521,7 @@ let test_artifact () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Relayout.write_artifact ~path ~scale:"quick" r;
+      Json.write_file path (Closedloop.to_json ~scale:"quick" r);
       let art = Artifact.load_file path in
       Alcotest.(check string) "schema" "olayout-relayout/v1" art.Artifact.schema;
       Alcotest.(check string) "scale" "quick" art.Artifact.scale;
@@ -529,7 +538,7 @@ let test_artifact () =
             (Diff.classify p = Diff.Deterministic))
         art.Artifact.metrics);
   let fields =
-    match Relayout.artifact_json ~scale:"quick" r with
+    match Closedloop.to_json ~scale:"quick" r with
     | Json.Object fs -> List.map fst fs
     | _ -> []
   in
@@ -545,7 +554,7 @@ let test_repeatable_bytes () =
   ignore (Lazy.force results);
   let doc () =
     Json.to_string
-      (Relayout.artifact_json ~scale:"quick"
+      (Closedloop.to_json ~scale:"quick"
          (Relayout.run c (Diagnose.preset_of_figure "fig4")))
   in
   Alcotest.(check string) "byte-identical re-run" (doc ()) (doc ())

@@ -10,6 +10,7 @@
 
 module Telemetry = Olayout_telemetry.Telemetry
 module Bench_artifact = Olayout_telemetry.Bench_artifact
+module Json = Olayout_telemetry.Json
 module Context = Olayout_harness.Context
 module Report = Olayout_harness.Report
 module Spike = Olayout_core.Spike
@@ -167,29 +168,14 @@ let test_counter_determinism () =
 let test_bench_artifact () =
   let ctx = Context.create ~scale:Context.Quick () in
   let selected = [ "fig3"; "fig8" ] in
-  let stats =
-    Report.run ~selection:(Report.Only selected) ctx null_ppf
-  in
   let figures =
-    List.map
-      (fun (f : Report.figure_stat) ->
-        {
-          Bench_artifact.id = f.fig_id;
-          desc = f.fig_desc;
-          seconds = f.fig_seconds;
-          runs_live = f.fig_live_runs;
-          runs_replayed = f.fig_replayed_runs;
-          instrs_live = f.fig_live_instrs;
-          instrs_replayed = f.fig_replayed_instrs;
-          live_executions = f.fig_live_executions;
-          traces_replayed = f.fig_replayed_traces;
-        })
-      stats
+    (Report.run ~selection:(Report.Only selected) ctx null_ppf).Report.figures
   in
   let path = Filename.temp_file "olayout_bench" ".json" in
   let trace = Context.trace_stats ctx in
-  Bench_artifact.write ~path ~scale:"quick" ~total_seconds:1.0
-    ~trace_cache_bytes:trace.Context.trace_bytes ~figures;
+  Json.write_file path
+    (Bench_artifact.json ~scale:"quick" ~total_seconds:1.0
+       ~trace_cache_bytes:trace.Context.trace_bytes ~figures);
   let ic = open_in_bin path in
   let raw = really_input_string ic (in_channel_length ic) in
   close_in ic;

@@ -179,7 +179,7 @@ let test_artifact () =
       Fun.protect
         ~finally:(fun () -> Sys.remove path)
         (fun () ->
-          Timeline.write_artifact ~path ~scale:"quick";
+          Json.write_file path (Timeline.to_json ~scale:"quick");
           let art = Artifact.load_file path in
           Alcotest.(check string) "schema" "olayout-timeline/v1" art.Artifact.schema;
           Alcotest.(check string) "scale" "quick" art.Artifact.scale;
