@@ -686,6 +686,7 @@ let report seed quick only trace_stats telemetry jobs retain_mb engine baseline
       "--baseline needs --out DIR: the gate reads the BENCH artifact written there";
   if out = None && timeline_window <> None then
     invalid_arg "--timeline-window only applies with --out DIR";
+  if only = Some [] then invalid_arg "--only needs at least one experiment id";
   let scale = scale_name quick in
   Option.iter mkdir_p out;
   (* The telemetry JSONL stream backs the TRACE export.  Its counter tracks
@@ -730,7 +731,9 @@ let report seed quick only trace_stats telemetry jobs retain_mb engine baseline
                   Context.create ~scale:(scale_of quick) ~seed ~engine ())
             in
             Format.printf "workload built and profiled in %.1fs@." setup_seconds;
-            let selection = if only = [] then Report.All else Report.Only only in
+            let selection =
+              match only with None -> Report.All | Some ids -> Report.Only ids
+            in
             ( ctx,
               Report.run ~selection ~trace_stats ?pool ?retain_mb ctx
                 Format.std_formatter )))
@@ -778,7 +781,7 @@ let report_cmd =
   let only_arg =
     Arg.(
       value
-      & opt (list (enum (List.map (fun id -> (id, id)) Report.experiment_ids))) []
+      & opt (some (list (enum (List.map (fun id -> (id, id)) Report.experiment_ids)))) None
       & info [ "only" ] ~docv:"IDS"
           ~doc:
             (Printf.sprintf "Experiments to run (default all): %s."

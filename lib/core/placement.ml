@@ -4,8 +4,8 @@ type t = {
   prog : Prog.t;
   addr : int array array;
   static_sz : int array array;  (* encoded instrs incl. terminator *)
-  extra0 : int array array;     (* executed terminator instrs, arm 0 *)
-  extra1 : int array array;     (* executed terminator instrs, arm 1 *)
+  exec0 : int array array;      (* executed instrs, arm 0 (body + terminator) *)
+  exec1 : int array array;      (* executed instrs, arm 1 (body + terminator) *)
   text_bytes : int;
   segments : Segment.t list;
 }
@@ -39,11 +39,12 @@ type rows = {
   seg_bytes : int array;
 }
 
-(* Each block's encoded size (instrs, terminator included) and the
-   terminator instrs executed on arms 0 and 1: a conditional branch costs
-   one on the taken arm, and its fall path also executes the companion
-   branch; other terminators execute what they encode.  A segment's
-   encoding depends on its own block order alone. *)
+(* Each block's encoded size (instrs, terminator included) and the instrs
+   it executes on arms 0 and 1, body included (the render path reads them
+   once per block event): a conditional branch costs one terminator
+   instruction on the taken arm, and its fall path also executes the
+   companion branch; other terminators execute what they encode.  A
+   segment's encoding depends on its own block order alone. *)
 let encode prog pid segments =
   let seg_of = Segment.index prog pid segments in
   let n = Array.length seg_of in
@@ -57,8 +58,8 @@ let encode prog pid segments =
         let t = term_instrs blk (match rest with nb :: _ -> nb | [] -> -1) in
         offset.(b) <- cursor;
         size.(b) <- blk.Block.body + t;
-        exec0.(b) <- (match blk.Block.term with Block.Cond _ -> 1 | _ -> t);
-        exec1.(b) <- t;
+        exec0.(b) <- blk.Block.body + (match blk.Block.term with Block.Cond _ -> 1 | _ -> t);
+        exec1.(b) <- blk.Block.body + t;
         go (cursor + (size.(b) * Block.bytes_per_instr)) rest
   in
   let seg_bytes = Array.map (fun (seg : Segment.t) -> go 0 seg.blocks) segments in
@@ -119,8 +120,8 @@ let of_rows ?(align = 16) ?(addr_of = fun _ a -> a) prog rows ~order =
     prog;
     addr;
     static_sz = Array.map (fun r -> r.size) rows;
-    extra0 = Array.map (fun r -> r.exec0) rows;
-    extra1 = Array.map (fun r -> r.exec1) rows;
+    exec0 = Array.map (fun r -> r.exec0) rows;
+    exec1 = Array.map (fun r -> r.exec1) rows;
     text_bytes = !cursor - prog.Prog.base_addr;
     segments = !segments;
   }
@@ -159,15 +160,11 @@ let prog t = t.prog
 let block_addr t ~proc ~block = t.addr.(proc).(block)
 let static_instrs t ~proc ~block = t.static_sz.(proc).(block)
 
-let exec_instrs t ~proc ~block ~arm =
-  let p = Prog.proc t.prog proc in
-  let b = Proc.block p block in
-  let extra =
-    if arm = 0 then t.extra0.(proc).(block)
-    else if arm = 1 then t.extra1.(proc).(block)
-    else 1 (* ijump arms beyond the first two always execute the jump *)
-  in
-  b.Block.body + extra
+let exec_instrs (t : t) ~proc ~block ~arm =
+  if arm = 0 then t.exec0.(proc).(block)
+  else if arm = 1 then t.exec1.(proc).(block)
+  else (* ijump arms beyond the first two always execute the jump *)
+    (Proc.block (Prog.proc t.prog proc) block).Block.body + 1
 
 let text_bytes t = t.text_bytes
 
@@ -179,12 +176,12 @@ let segments t = t.segments
 (* Byte-for-byte layout identity: every address, encoded size, executed
    terminator cost and the segment order itself.  The incremental engine's
    equivalence guarantee is asserted through this. *)
-let equal a b =
+let equal (a : t) (b : t) =
   a.text_bytes = b.text_bytes
   && a.addr = b.addr
   && a.static_sz = b.static_sz
-  && a.extra0 = b.extra0
-  && a.extra1 = b.extra1
+  && a.exec0 = b.exec0
+  && a.exec1 = b.exec1
   && a.segments = b.segments
 
 let long_branches t ?(max_displacement = 0x10_0000) () =

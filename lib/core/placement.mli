@@ -48,8 +48,8 @@ type rows = private {
   seg_of : int array;  (** block -> local segment *)
   offset : int array;  (** block -> byte offset within its segment *)
   size : int array;  (** block -> encoded instrs, terminator included *)
-  exec0 : int array;  (** block -> executed terminator instrs, arm 0 *)
-  exec1 : int array;  (** block -> executed terminator instrs, arm 1 *)
+  exec0 : int array;  (** block -> executed instrs, arm 0 (body + terminator) *)
+  exec1 : int array;  (** block -> executed instrs, arm 1 (body + terminator) *)
   seg_bytes : int array;  (** local segment -> encoded bytes *)
 }
 

@@ -62,6 +62,8 @@ let create buffer disk hooks ?(max_keys = 256) () =
   Buffer.with_page buffer root ~dirty:true (fun p -> init_node p leaf_kind);
   { buffer; disk; hooks; max_keys; root; height = 1; entries = 0 }
 
+let clone t buffer disk hooks = { t with buffer; disk; hooks }
+
 (* First index whose key is >= [key]. *)
 let lower_bound p n key =
   let lo = ref 0 and hi = ref n in

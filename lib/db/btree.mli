@@ -15,6 +15,10 @@ val create : Buffer.t -> Disk.t -> Hooks.t -> ?max_keys:int -> unit -> t
 (** [max_keys] is the per-node key capacity (default 256; lower it in tests
     to force deep trees).  Must be in [4, 511] and even. *)
 
+val clone : t -> Buffer.t -> Disk.t -> Hooks.t -> t
+(** The same tree (root, height, entry count) over a clone of its pool and
+    disk. *)
+
 val search : t -> int64 -> Heap.rid option
 (** Point lookup; reports [Btree_search] with the descent depth. *)
 

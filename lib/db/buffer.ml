@@ -1,6 +1,7 @@
 type frame = {
   mutable page_no : int;  (* -1 = empty *)
   mutable contents : Page.t;
+  mutable shared : bool;  (* contents also belong to another pool or the disk *)
   mutable pins : int;
   mutable dirty : bool;
   mutable last_use : int;
@@ -19,13 +20,16 @@ type t = {
 
 let create ?(before_page_write = fun () -> ()) disk hooks ~frames =
   if frames < 1 then invalid_arg "Buffer.create: need at least one frame";
+  (* Empty frames share one page: a miss replaces a frame's contents before
+     anything reads or writes them. *)
+  let empty = Page.create () in
   {
     disk;
     hooks;
     before_page_write;
     frames =
       Array.init frames (fun _ ->
-          { page_no = -1; contents = Page.create (); pins = 0; dirty = false; last_use = 0 });
+          { page_no = -1; contents = empty; shared = true; pins = 0; dirty = false; last_use = 0 });
     table = Hashtbl.create (2 * frames);
     clock = 0;
     hits = 0;
@@ -68,6 +72,12 @@ let pin t page_no =
       t.hooks.Hooks.on_op Hooks.Buffer_hit;
       f.pins <- f.pins + 1;
       f.last_use <- t.clock;
+      (* Copy on first pin: whoever else holds the contents never sees
+         this pool's writes. *)
+      if f.shared then begin
+        f.contents <- Page.copy f.contents;
+        f.shared <- false
+      end;
       f.contents
   | None ->
       t.misses <- t.misses + 1;
@@ -76,6 +86,7 @@ let pin t page_no =
       evict t idx;
       let f = t.frames.(idx) in
       f.contents <- Disk.read t.disk page_no;
+      f.shared <- false;
       f.page_no <- page_no;
       f.pins <- 1;
       f.dirty <- false;
@@ -115,6 +126,33 @@ let flush_all t =
         f.dirty <- false
       end)
     t.frames
+
+let freeze t =
+  if Array.exists (fun f -> f.pins > 0) t.frames then
+    invalid_arg "Buffer.freeze: a frame is pinned";
+  flush_all t;
+  Array.iter
+    (fun f ->
+      if f.page_no >= 0 then
+        Option.iter (fun img -> f.contents <- img) (Disk.stored t.disk f.page_no);
+      f.shared <- true)
+    t.frames
+
+let clone t ?(before_page_write = fun () -> ()) disk hooks =
+  (* A pin unshares its frame, so every frame still shared means no frame
+     has been pinned, or written, since [freeze]. *)
+  if not (Array.for_all (fun f -> f.shared) t.frames) then
+    invalid_arg "Buffer.clone: pool not frozen";
+  {
+    disk;
+    hooks;
+    before_page_write;
+    frames = Array.map (fun f -> { f with shared = true }) t.frames;
+    table = Hashtbl.copy t.table;
+    clock = t.clock;
+    hits = t.hits;
+    misses = t.misses;
+  }
 
 let hits t = t.hits
 let misses t = t.misses

@@ -15,7 +15,8 @@ val create : ?before_page_write:(unit -> unit) -> Disk.t -> Hooks.t -> frames:in
 
 val pin : t -> int -> Page.t
 (** [pin t page] fixes [page] in the pool and returns its frame contents
-    (shared, mutable — callers update in place and call {!mark_dirty}).
+    (mutable — callers update in place and call {!mark_dirty}; never
+    shared with another pool or the disk).
     Reports [Buffer_hit]/[Buffer_miss] and a [Page_touch].
     @raise Failure when every frame is pinned. *)
 
@@ -31,6 +32,23 @@ val with_page : t -> int -> ?dirty:bool -> (Page.t -> 'a) -> 'a
 
 val flush_all : t -> unit
 (** Write back every dirty resident page. *)
+
+val freeze : t -> unit
+(** Make [t] a source for {!clone}: flush, then let every resident frame
+    hold its page's stored disk image itself ({!Disk.stored}) instead of a
+    copy of it, so the pool costs one copy of each page, not two.  Frames
+    are then shared: a pin copies its frame first, so the disk image is
+    never written through.
+    @raise Invalid_argument if a frame is pinned. *)
+
+val clone : t -> ?before_page_write:(unit -> unit) -> Disk.t -> Hooks.t -> t
+(** A pool over [disk] in frozen [t]'s exact state: the same resident pages
+    in the same frames, LRU clock and ages, hit and miss counts.  Each
+    frame shares [t]'s contents until its first pin, which copies them, so
+    cloning only reads [t] and no clone sees another's writes.  [disk]
+    should be a {!Disk.clone} of [t]'s disk.
+    @raise Invalid_argument if a frame of [t] has been pinned since
+    {!freeze} (since {!create}, for a pool never frozen). *)
 
 val hits : t -> int
 val misses : t -> int

@@ -44,11 +44,9 @@ let write t page p =
 let reads t = t.reads
 let writes t = t.writes
 
-let crash_copy t =
-  {
-    hooks = Hooks.null;
-    pages = Array.map (Option.map Bytes.copy) t.pages;
-    used = t.used;
-    reads = 0;
-    writes = 0;
-  }
+let stored t page =
+  check t page "stored";
+  Option.map Page.of_bytes t.pages.(page)
+
+let clone t hooks = { t with hooks; pages = Array.copy t.pages }
+let crash_copy t = { (clone t Hooks.null) with reads = 0; writes = 0 }

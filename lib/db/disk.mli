@@ -21,6 +21,17 @@ val write : t -> int -> Page.t -> unit
 val reads : t -> int
 val writes : t -> int
 
+val stored : t -> int -> Page.t option
+(** The stored image itself, not a copy, and no I/O counted ([None] for a
+    never-written page).  Stored images are never changed in place — a
+    {!write} stores a new copy — so it may be shared, but must not be
+    written. *)
+
+val clone : t -> Hooks.t -> t
+(** An independent device in [t]'s current state — same pages (their
+    images shared, see {!stored}), same I/O counters — reporting to
+    [hooks]. *)
+
 val crash_copy : t -> t
 (** An independent copy of the current on-device state (the recovery tests'
     "surviving disk"): same pages, fresh I/O counters, null hooks. *)

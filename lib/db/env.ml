@@ -7,16 +7,23 @@ type t = {
   txns : Txn.manager;
 }
 
-let create ?(frames = 2048) hooks =
-  let disk = Disk.create hooks in
+let make hooks disk buffer =
   let wal = Wal.create hooks in
   (* Write-ahead rule: log records are forced before any dirty page. *)
-  let buffer =
-    Buffer.create ~before_page_write:(fun () -> Wal.force wal) disk hooks ~frames
-  in
+  let buffer = buffer ~before_page_write:(fun () -> Wal.force wal) in
   let locks = Lock.create hooks in
   let txns = Txn.manager wal locks hooks in
   { hooks; disk; buffer; wal; locks; txns }
+
+let create ?(frames = 2048) hooks =
+  let disk = Disk.create hooks in
+  make hooks disk (fun ~before_page_write ->
+      Buffer.create ~before_page_write disk hooks ~frames)
+
+let clone t hooks =
+  let disk = Disk.clone t.disk hooks in
+  make hooks disk (fun ~before_page_write ->
+      Buffer.clone t.buffer ~before_page_write disk hooks)
 
 let checkpoint t =
   (* Flush every dirty page (each flush forces the log first), force the

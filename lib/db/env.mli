@@ -13,6 +13,13 @@ type t = {
 val create : ?frames:int -> Hooks.t -> t
 (** [frames] is the buffer pool size in pages (default 2048 = 16 MB). *)
 
+val clone : t -> Hooks.t -> t
+(** An independent environment reporting to [hooks], whose disk and buffer
+    pool start in [t]'s exact state ({!Disk.clone}, {!Buffer.clone}), with
+    a fresh log, lock table and transaction manager.  Meant for a quiescent
+    [t] — no active transaction, no log record — whose log, locks and
+    transactions are then in their initial state anyway. *)
+
 val checkpoint : t -> int
 (** Flush all dirty pages (write-ahead rule respected), force the log and
     truncate it up to the oldest LSN still needed (the oldest active

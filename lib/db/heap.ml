@@ -9,6 +9,7 @@ type t = {
 }
 
 let create buffer disk hooks = { buffer; disk; hooks; rev_pages = []; n_pages = 0 }
+let clone t buffer disk hooks = { t with buffer; disk; hooks }
 
 let add_page t =
   let page = Disk.allocate t.disk in

@@ -10,6 +10,10 @@ type t
 
 val create : Buffer.t -> Disk.t -> Hooks.t -> t
 
+val clone : t -> Buffer.t -> Disk.t -> Hooks.t -> t
+(** The same heap file (its pages, in order) over a clone of its pool and
+    disk. *)
+
 val insert : t -> bytes -> rid
 (** Store a record.  @raise Invalid_argument if it exceeds a page. *)
 

@@ -27,6 +27,7 @@ let of_bytes b =
   b
 
 let to_bytes p = p
+let copy = Bytes.copy
 
 let slot_off p i = get16 p (header_bytes + (slot_bytes * i))
 let slot_len p i = get16 p (header_bytes + (slot_bytes * i) + 2)

@@ -22,6 +22,8 @@ val of_bytes : bytes -> t
 val to_bytes : t -> bytes
 (** The backing image (not a copy). *)
 
+val copy : t -> t
+
 val n_slots : t -> int
 
 val free_space : t -> int

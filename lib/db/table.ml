@@ -21,6 +21,14 @@ let create (env : Env.t) ~id ~name ~schema ~indexed ~key_field =
     rows = 0;
   }
 
+let clone t (env : Env.t) =
+  let { Env.buffer; disk; hooks; _ } = env in
+  {
+    t with
+    heap = Heap.clone t.heap buffer disk hooks;
+    index = Option.map (fun ix -> Btree.clone ix buffer disk hooks) t.index;
+  }
+
 let id t = t.id
 let name t = t.name
 let schema t = t.schema

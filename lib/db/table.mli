@@ -7,6 +7,10 @@ val create :
   Env.t -> id:int -> name:string -> schema:Record.schema -> indexed:bool -> key_field:int -> t
 (** [indexed] builds a B+tree on field [key_field]. *)
 
+val clone : t -> Env.t -> t
+(** The same table (heap, index, row count) in [env], a clone of its
+    environment ({!Env.clone}). *)
+
 val id : t -> int
 val name : t -> string
 val schema : t -> Record.schema

@@ -35,7 +35,7 @@ type t = {
 let env t = t.env
 let config t = t.cfg
 
-let setup ?(config = default_config) hooks =
+let load ?(config = default_config) hooks =
   let env = Env.create ~frames:config.buffer_frames hooks in
   let mk id name schema indexed =
     Table.create env ~id ~name ~schema ~indexed ~key_field:0
@@ -64,6 +64,37 @@ let setup ?(config = default_config) hooks =
   done;
   Buffer.flush_all env.Env.buffer;
   t
+
+(* The bulk-loaded database of each config, loaded once with null hooks and
+   frozen: its frames hold the disk's own page images, so it costs one copy
+   of the pages.  Nothing writes it afterwards — every {!setup} clones it,
+   and a clone copies a page the first time it pins it — so it lives as
+   long as the process and is shared by every domain. *)
+let images : (config, t) Hashtbl.t = Hashtbl.create 4
+let images_mu = Mutex.create ()
+
+let image config =
+  Mutex.protect images_mu (fun () ->
+      match Hashtbl.find_opt images config with
+      | Some img -> img
+      | None ->
+          let img = load ~config Hooks.null in
+          Buffer.freeze img.env.Env.buffer;
+          Hashtbl.add images config img;
+          img)
+
+let setup ?(config = default_config) hooks =
+  let img = image config in
+  let env = Env.clone img.env hooks in
+  {
+    env;
+    cfg = config;
+    accounts = Table.clone img.accounts env;
+    tellers = Table.clone img.tellers env;
+    branches = Table.clone img.branches env;
+    history = Table.clone img.history env;
+    timestamp = img.timestamp;
+  }
 
 type input = { aid : int; tid : int; bid : int; delta : int }
 

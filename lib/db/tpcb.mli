@@ -28,8 +28,17 @@ val env : t -> Env.t
 val config : t -> config
 
 val setup : ?config:config -> Hooks.t -> t
-(** Create and bulk-load the database (no WAL traffic; mirrors the paper's
-    pre-profiling warm-up). *)
+(** A freshly bulk-loaded database reporting to [hooks] (the load itself
+    has no WAL traffic; it mirrors the paper's pre-profiling warm-up).
+    The load runs once per [config], into an image kept for the life of
+    the process; each call returns an independent database over that
+    image, in exactly the state {!load} would leave, without repeating the
+    load or reporting its events.  Safe to call from any domain. *)
+
+val load : ?config:config -> Hooks.t -> t
+(** Bulk-load a database from scratch, reporting the load's own events to
+    [hooks]: what {!setup}'s image is built from, and the reference the
+    tests compare {!setup} against. *)
 
 type input = { aid : int; tid : int; bid : int; delta : int }
 

@@ -17,7 +17,11 @@ val feed : merger -> Run.owner -> addr:int -> len:int -> unit
     run when contiguous and same-owner. *)
 
 val flush : merger -> unit
-(** Emit any pending run (call at end of trace and at context switches). *)
+(** Emit any pending run (call at end of trace and at context switches).
+    Also publishes the [exec.runs_rendered], [exec.instrs_rendered] and
+    [exec.run_len] telemetry for every run emitted since the previous
+    flush: the merger counts locally, so a run still pending or emitted
+    after the last flush is not yet in the registry. *)
 
 type t
 
@@ -25,4 +29,4 @@ val create : placement:Olayout_core.Placement.t -> owner:Run.owner -> merger -> 
 
 val sink : t -> Walk.sink
 (** Walker sink rendering each block event to its fetch run under the
-    placement. *)
+    placement: one closure, built once per call. *)

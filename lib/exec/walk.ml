@@ -37,77 +37,85 @@ let frozen_sinks t =
 
 let max_depth = 64
 
+(* A loop hint of the episode's top-level procedure: [left] more choices of
+   [block]'s more probable arm before it takes the other one and rearms to
+   [trips]. *)
+type hint = { block : Block.id; trips : int; mutable left : int }
+
+let no_hints : hint array = [||]
+
+(* Scanned from the end, so the last hint given for a block wins. *)
+let rec find_hint hints bid i =
+  if i < 0 || hints.(i).block = bid then i else find_hint hints bid (i - 1)
+
+let record t sinks pid (b : Block.t) arm =
+  t.blocks <- t.blocks + 1;
+  t.instrs <- t.instrs + Block.source_instrs b;
+  for i = 0 to Array.length sinks - 1 do
+    sinks.(i) ~proc:pid ~block:b.Block.id ~arm
+  done
+
+(* Iterative within a procedure; recursive only across call depth.  The
+   per-block loop allocates nothing: the cursor is an int (-1 once the
+   procedure returns) and the sinks run from a [for] loop. *)
+let rec walk_proc t sinks pid depth hints =
+  if depth > max_depth then invalid_arg "Walk.call: call depth exceeded (recursion?)";
+  let p = Prog.proc t.prog pid in
+  let current = ref p.Proc.entry in
+  while !current >= 0 do
+    let bid = !current in
+    let b = Proc.block p bid in
+    match b.Block.term with
+    | Block.Fall d | Block.Jump d ->
+        record t sinks pid b 0;
+        current := d
+    | Block.Cond { taken; fall; p_taken } ->
+        let h = find_hint hints bid (Array.length hints - 1) in
+        let choose_taken =
+          if h >= 0 then begin
+            let h = hints.(h) in
+            let hot_is_taken = p_taken >= 0.5 in
+            if h.left > 0 then begin
+              h.left <- h.left - 1;
+              hot_is_taken
+            end
+            else begin
+              h.left <- h.trips;
+              not hot_is_taken
+            end
+          end
+          else Rng.bool t.rng p_taken
+        in
+        if choose_taken then begin
+          record t sinks pid b 0;
+          current := taken
+        end
+        else begin
+          record t sinks pid b 1;
+          current := fall
+        end
+    | Block.Call { callee; ret } ->
+        record t sinks pid b 0;
+        walk_proc t sinks callee (depth + 1) no_hints;
+        current := ret
+    | Block.Ijump targets ->
+        let arm = Rng.weighted_index t.rng targets in
+        record t sinks pid b arm;
+        current := fst targets.(arm)
+    | Block.Ret | Block.Halt ->
+        record t sinks pid b 0;
+        current := -1
+  done
+
 let call t ?(hints = []) pid =
   let sinks = frozen_sinks t in
-  let hint_tbl =
+  let hints =
     match hints with
-    | [] -> None
-    | hs ->
-        let tbl = Hashtbl.create 8 in
-        List.iter (fun (b, n) -> Hashtbl.replace tbl b (ref n, n)) hs;
-        Some tbl
-  in
-  (* Iterative within a procedure; recursive only across call depth. *)
-  let rec walk_proc pid depth hint_tbl =
-    if depth > max_depth then invalid_arg "Walk.call: call depth exceeded (recursion?)";
-    let p = Prog.proc t.prog pid in
-    let record (b : Block.t) arm =
-      t.blocks <- t.blocks + 1;
-      t.instrs <- t.instrs + Block.source_instrs b;
-      Array.iter (fun sink -> sink ~proc:pid ~block:b.Block.id ~arm) sinks
-    in
-    let current = ref (Some p.Proc.entry) in
-    while !current <> None do
-      let bid = match !current with Some b -> b | None -> assert false in
-      let b = Proc.block p bid in
-      match b.Block.term with
-      | Block.Fall d | Block.Jump d ->
-          record b 0;
-          current := Some d
-      | Block.Cond { taken; fall; p_taken } ->
-          let hinted =
-            match hint_tbl with
-            | Some tbl -> Hashtbl.find_opt tbl bid
-            | None -> None
-          in
-          let choose_taken =
-            match hinted with
-            | Some (remaining, reset) ->
-                let hot_is_taken = p_taken >= 0.5 in
-                if !remaining > 0 then begin
-                  decr remaining;
-                  hot_is_taken
-                end
-                else begin
-                  remaining := reset;
-                  not hot_is_taken
-                end
-            | None -> Rng.bool t.rng p_taken
-          in
-          if choose_taken then begin
-            record b 0;
-            current := Some taken
-          end
-          else begin
-            record b 1;
-            current := Some fall
-          end
-      | Block.Call { callee; ret } ->
-          record b 0;
-          walk_proc callee (depth + 1) None;
-          current := Some ret
-      | Block.Ijump targets ->
-          let weighted = Array.mapi (fun i (_, w) -> (i, w)) targets in
-          let arm = Rng.pick_weighted t.rng weighted in
-          record b arm;
-          current := Some (fst targets.(arm))
-      | Block.Ret | Block.Halt ->
-          record b 0;
-          current := None
-    done
+    | [] -> no_hints
+    | hs -> Array.of_list (List.map (fun (block, n) -> { block; trips = n; left = n }) hs)
   in
   let blocks0 = t.blocks and instrs0 = t.instrs in
-  walk_proc pid 0 hint_tbl;
+  walk_proc t sinks pid 0 hints;
   Telemetry.incr c_calls;
   let d_blocks = t.blocks - blocks0 in
   Telemetry.add c_blocks d_blocks;

@@ -199,6 +199,19 @@ let observe h v =
       let row = shadow_hist_row s h.h_id in
       row.(b) <- row.(b) + 1
 
+type tally = int array
+
+let tally () = Array.make max_buckets 0
+
+let tally_observe t v =
+  let b = bucket_of v in
+  t.(b) <- t.(b) + 1
+
+let publish_tally h t =
+  let dst = match shadow () with None -> h.h_buckets | Some s -> shadow_hist_row s h.h_id in
+  Array.iteri (fun i n -> dst.(i) <- dst.(i) + n) t;
+  Array.fill t 0 max_buckets 0
+
 let bucket_lower i = if i = 0 then 0 else 1 lsl (i - 1)
 
 let histogram_buckets h =

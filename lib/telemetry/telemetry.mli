@@ -70,6 +70,17 @@ val observe : histogram -> int -> unit
 val histogram_buckets : histogram -> (int * int) list
 (** Non-empty buckets as [(bucket floor, count)], ascending. *)
 
+type tally
+(** Histogram observations collected privately, one array write each, for
+    a hot loop to publish in one step. *)
+
+val tally : unit -> tally
+val tally_observe : tally -> int -> unit
+
+val publish_tally : histogram -> tally -> unit
+(** Add the tally's observations to the histogram, exactly as if each had
+    been {!observe}d there, and empty the tally. *)
+
 (** {1 Spans} *)
 
 val span : string -> (unit -> 'a) -> 'a

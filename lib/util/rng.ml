@@ -1,29 +1,38 @@
-type t = { mutable state : int64 }
+(* The state lives unboxed in 8 bytes: a mutable [int64] field would box
+   every new state, one allocation per draw on the walker's per-block
+   path. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 s;
+  t
 
-let copy t = { state = t.state }
+let create seed = of_state (Int64.of_int seed)
 
-(* SplitMix64 output function. *)
-let next_raw t =
-  t.state <- Int64.add t.state golden_gamma;
-  let z = t.state in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+let copy = Bytes.copy
+
+(* SplitMix64 output function.  Inlined, so callers that consume the result
+   unboxed ([float], [bool], [int]) allocate nothing. *)
+let[@inline] next_raw t =
+  let s = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 s;
+  let z = Int64.mul (Int64.logxor s (Int64.shift_right_logical s 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let int64 = next_raw
+let int64 t = next_raw t
 
-let split t = { state = next_raw t }
+let split t = of_state (next_raw t)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   (* Modulo bias is negligible for the bounds used here (all << 2^62). *)
   Int64.to_int (Int64.rem (Int64.shift_right_logical (next_raw t) 1) (Int64.of_int bound))
 
-let float t =
+let[@inline] float t =
   (* 53 high bits to a double in [0,1). *)
   let bits = Int64.shift_right_logical (next_raw t) 11 in
   Int64.to_float bits *. (1.0 /. 9007199254740992.0)
@@ -42,18 +51,24 @@ let pick t arr =
   if Array.length arr = 0 then invalid_arg "Rng.pick: empty array";
   arr.(int t (Array.length arr))
 
-let pick_weighted t arr =
-  let total = Array.fold_left (fun acc (_, w) -> acc +. w) 0.0 arr in
-  if total <= 0.0 then invalid_arg "Rng.pick_weighted: non-positive total weight";
-  let x = float t *. total in
+let weighted_index t arr =
   let n = Array.length arr in
-  let rec go i acc =
-    if i = n - 1 then fst arr.(i)
-    else
-      let acc = acc +. snd arr.(i) in
-      if x < acc then fst arr.(i) else go (i + 1) acc
-  in
-  go 0 0.0
+  let total = ref 0.0 in
+  for i = 0 to n - 1 do
+    total := !total +. snd arr.(i)
+  done;
+  if !total <= 0.0 then invalid_arg "Rng.pick_weighted: non-positive total weight";
+  let x = float t *. !total in
+  (* The first index whose running weight exceeds [x]; the last one takes
+     whatever rounding leaves over. *)
+  let i = ref 0 and acc = ref (snd arr.(0)) in
+  while !i < n - 1 && not (x < !acc) do
+    incr i;
+    acc := !acc +. snd arr.(!i)
+  done;
+  !i
+
+let pick_weighted t arr = fst arr.(weighted_index t arr)
 
 let shuffle t arr =
   for i = Array.length arr - 1 downto 1 do

@@ -44,5 +44,9 @@ val pick : t -> 'a array -> 'a
 val pick_weighted : t -> ('a * float) array -> 'a
 (** Weighted choice; weights must be non-negative with a positive sum. *)
 
+val weighted_index : t -> ('a * float) array -> int
+(** The index {!pick_weighted} would choose, from the same draw; allocates
+    nothing. *)
+
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)

@@ -37,6 +37,7 @@ let suite =
       case "unknown subcommand" [ "nope" ];
       case "report --engine foo" [ "report"; "--engine"; "foo" ];
       case "report --only nope" [ "report"; "--only"; "nope" ];
+      case "report --only= (no ids)" [ "report"; "--quick"; "--only=" ];
       case "diagnose --figure nope" [ "diagnose"; "--figure"; "nope" ];
       case "simulate --line 48" [ "simulate"; "--line"; "48" ];
       case "simulate --assoc 3" [ "simulate"; "--assoc"; "3" ];

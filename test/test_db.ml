@@ -544,6 +544,99 @@ let test_tpcb_gen_input_ranges () =
   let frac = float_of_int !local /. float_of_int n in
   Alcotest.(check bool) "85% local rule" true (abs_float (frac -. 0.85) < 0.04)
 
+(* ---------- database image ---------- *)
+
+(* [Tpcb.setup] clones a per-config image instead of repeating the bulk
+   load; [Tpcb.load] is the from-scratch reference.  A database is driven
+   with hooks recording every op after its set-up. *)
+type twin = { db : Tpcb.t; ops : Hooks.op list ref }
+
+let recorded make =
+  let ops = ref [] in
+  let db = make { Hooks.on_op = (fun op -> ops := op :: !ops) } in
+  ops := [];
+  { db; ops }
+
+let imaged config = recorded (Tpcb.setup ~config)
+let fresh config = recorded (Tpcb.load ~config)
+
+let run_txns tw rng n =
+  for _ = 1 to n do
+    match Tpcb.run tw.db ~wait:(fun _ -> Alcotest.fail "serial: no waits") (Tpcb.gen_input tw.db rng) with
+    | `Committed -> ()
+    | `Aborted -> Alcotest.fail "aborted"
+  done
+
+let stats db =
+  let e = Tpcb.env db in
+  [
+    ("buffer hits", Buffer.hits e.Env.buffer);
+    ("buffer misses", Buffer.misses e.Env.buffer);
+    ("resident", Buffer.resident e.Env.buffer);
+    ("disk reads", Disk.reads e.Env.disk);
+    ("disk writes", Disk.writes e.Env.disk);
+    ("disk pages", Disk.n_pages e.Env.disk);
+    ("log bytes", Wal.appended_bytes e.Env.wal);
+    ("log forces", Wal.forces e.Env.wal);
+    ("history rows", Tpcb.history_rows db);
+  ]
+
+let page_images db =
+  let d = (Tpcb.env db).Env.disk in
+  List.init (Disk.n_pages d) (fun p -> Option.map Page.to_bytes (Disk.stored d p))
+
+(* Every balance, read through each database's own pool in the same
+   order, so the reads leave both in the same state. *)
+let balances db =
+  let c = Tpcb.config db in
+  let all n f = List.init n f in
+  ( all (c.Tpcb.branches * c.Tpcb.accounts_per_branch) (Tpcb.account_balance db),
+    all (c.Tpcb.branches * c.Tpcb.tellers_per_branch) (Tpcb.teller_balance db),
+    all c.Tpcb.branches (Tpcb.branch_balance db) )
+
+let check_same what (a : twin) (b : twin) =
+  let msg m = Printf.sprintf "%s: %s" what m in
+  let ops_a = List.rev !(a.ops) and ops_b = List.rev !(b.ops) in
+  Alcotest.(check int) (msg "op count") (List.length ops_b) (List.length ops_a);
+  List.iteri
+    (fun i (x, y) ->
+      if x <> y then
+        Alcotest.failf "%s: op %d is %s, reference %s" what i (Hooks.op_name x) (Hooks.op_name y))
+    (List.combine ops_a ops_b);
+  Alcotest.(check (list (pair string int))) (msg "stats") (stats b.db) (stats a.db);
+  Alcotest.(check (list (option bytes_t))) (msg "disk page images") (page_images b.db)
+    (page_images a.db);
+  Alcotest.(check bool) (msg "balances") true (balances a.db = balances b.db);
+  Alcotest.(check bool) (msg "consistent") true (Tpcb.check_consistency a.db = Ok ())
+
+let image_equals_fresh_load config () =
+  let n = 300 in
+  (* The same seeded transactions on an image-built database and on a
+     from-scratch load. *)
+  let a = imaged config and r = fresh config in
+  run_txns a (Rng.create 1) n;
+  run_txns r (Rng.create 1) n;
+  check_same "first setup" a r;
+  (* [a] has written pages and evicted frames: a later setup must still
+     see the untouched image. *)
+  let b = imaged config and r = fresh config in
+  run_txns b (Rng.create 2) n;
+  run_txns r (Rng.create 2) n;
+  check_same "setup after writes" b r;
+  (* Two databases over the image, alive at once, transactions
+     interleaved. *)
+  let c1 = imaged config and c2 = imaged config in
+  let rng1 = Rng.create 3 and rng2 = Rng.create 4 in
+  for _ = 1 to n do
+    run_txns c1 rng1 1;
+    run_txns c2 rng2 1
+  done;
+  let r1 = fresh config and r2 = fresh config in
+  run_txns r1 (Rng.create 3) n;
+  run_txns r2 (Rng.create 4) n;
+  check_same "interleaved, first" c1 r1;
+  check_same "interleaved, second" c2 r2
+
 (* ---------- crash recovery ---------- *)
 
 module Recovery = Olayout_db.Recovery
@@ -779,4 +872,9 @@ let suite =
       Alcotest.test_case "tpcb serial consistency" `Quick test_tpcb_serial_run_consistent;
       Alcotest.test_case "tpcb input generation" `Quick test_tpcb_gen_input_ranges;
       Alcotest.test_case "tpcb data pages" `Quick test_tpcb_data_pages;
+      Alcotest.test_case "tpcb image = fresh load (default config)" `Quick
+        (image_equals_fresh_load Tpcb.default_config);
+      Alcotest.test_case "tpcb image = fresh load (pool smaller than tables)" `Quick
+        (image_equals_fresh_load
+           { Tpcb.branches = 4; tellers_per_branch = 10; accounts_per_branch = 2000; buffer_frames = 64 });
     ] )
