@@ -117,8 +117,10 @@ let access_run t run =
    stackdist engine — so every mutable simulator is touched by exactly one
    domain and no merge of simulator state is needed.  Shard telemetry
    (cachesim.* counters) merges in shard order via [Pool.map], keeping the
-   totals identical to a serial replay.  Falls back to one serial pass at
-   [jobs = 1], from inside another pool task, or for a single unit. *)
+   totals identical to a serial replay; stackdist groups book theirs
+   while fed and publish them once, at the end of their shard's task.
+   Falls back to one serial pass at [jobs = 1], from inside another pool
+   task, or for a single unit. *)
 let shard_replay ?pool n feed =
   if n > 0 then
     match pool with
@@ -165,9 +167,8 @@ let access_trace ?pool ?(keep = fun (_ : Olayout_exec.Run.t) -> true) t trace =
   | Stack sd ->
       shard_replay ?pool (Stackdist.n_groups sd) (fun (lo, hi) ->
           replay_shard trace keep (tl_for t lo hi) (fun run ->
-              for g = lo to hi do
-                Stackdist.access_run_group sd g run
-              done))
+              Stackdist.access_groups sd ~lo ~hi run);
+          Stackdist.publish_groups sd ~lo ~hi)
 
 let flush_residents t =
   match t.backend with

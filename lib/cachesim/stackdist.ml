@@ -28,6 +28,11 @@ type group = {
   mutable seen : Bytes.t array;
   mutable cold : int;
   mutable accesses : int;
+  (* The telemetry counters' increments since the group's last
+     [publish_groups]: feeding a run makes no call into the registry. *)
+  mutable new_accesses : int;
+  mutable new_misses : int;
+  mutable new_steps : int;
 }
 
 type slot = { cfg : Icache.config; group : int; level : level }
@@ -65,6 +70,9 @@ let create configs =
       seen = [||];
       cold = 0;
       accesses = 0;
+      new_accesses = 0;
+      new_misses = 0;
+      new_steps = 0;
     }
   in
   let groups = Array.map group_of line_sizes in
@@ -83,7 +91,8 @@ let seen_page_bits = 15
 let first_reference g line =
   let p = line lsr seen_page_bits in
   if p >= Array.length g.seen then begin
-    let b = Array.make (max (p + 1) (2 * Array.length g.seen)) Bytes.empty in
+    let doubled = 2 * Array.length g.seen in
+    let b = Array.make (if p < doubled then doubled else p + 1) Bytes.empty in
     Array.blit g.seen 0 b 0 (Array.length g.seen);
     g.seen <- b
   end;
@@ -93,7 +102,7 @@ let first_reference g line =
   let byte = Char.code (Bytes.get page i) in
   byte land bit = 0
   && begin
-       Bytes.set page i (Char.chr (byte lor bit));
+       Bytes.set page i (Char.unsafe_chr (byte lor bit));
        true
      end
 
@@ -103,7 +112,8 @@ let first_reference g line =
    subset of the lines congruent at [2^j], so a line that is already most
    recent at one set count is most recent at every larger one: the walk
    stops there, and no later stack changes.  [walk_steps] counts stack
-   entries compared. *)
+   entries compared.  Per line and set count, nothing here calls out of
+   this module. *)
 let feed_group g (r : Run.t) =
   let first = r.addr lsr g.line_shift
   and last = (r.addr + (r.len * 4) - 1) lsr g.line_shift in
@@ -140,7 +150,7 @@ let feed_group g (r : Run.t) =
           steps := !steps + p + 1
         end
         else steps := !steps + d;
-        for k = min p (d - 1) downto 1 do
+        for k = (if p < d then p else d - 1) downto 1 do
           Array.unsafe_set st (base + k) (Array.unsafe_get st (base + k - 1))
         done;
         Array.unsafe_set st base line;
@@ -153,13 +163,33 @@ let feed_group g (r : Run.t) =
     if (not !found) && first_reference g line then g.cold <- g.cold + 1
   done;
   g.accesses <- g.accesses + (last - first + 1);
-  Telemetry.add c_accesses (last - first + 1);
-  if !misses > 0 then Telemetry.add c_misses !misses;
-  if !steps > 0 then Telemetry.add c_walk_steps !steps
+  g.new_accesses <- g.new_accesses + (last - first + 1);
+  g.new_misses <- g.new_misses + !misses;
+  g.new_steps <- g.new_steps + !steps
 
-let access_run_group t i r = feed_group t.groups.(i) r
-let access_run t r = Array.iter (fun g -> feed_group g r) t.groups
+let access_groups t ~lo ~hi r =
+  for i = lo to hi do
+    feed_group t.groups.(i) r
+  done
+
+let publish_groups t ~lo ~hi =
+  for i = lo to hi do
+    let g = t.groups.(i) in
+    Telemetry.add c_accesses g.new_accesses;
+    if g.new_misses > 0 then Telemetry.add c_misses g.new_misses;
+    if g.new_steps > 0 then Telemetry.add c_walk_steps g.new_steps;
+    g.new_accesses <- 0;
+    g.new_misses <- 0;
+    g.new_steps <- 0
+  done
+
 let n_groups t = Array.length t.groups
+
+let access_run t r =
+  let hi = n_groups t - 1 in
+  access_groups t ~lo:0 ~hi r;
+  publish_groups t ~lo:0 ~hi
+
 let accesses t = Array.fold_left (fun acc g -> acc + g.accesses) 0 t.groups
 
 (* --- results ----------------------------------------------------------- *)

@@ -40,7 +40,9 @@
     [cachesim.stackdist.accesses] (line touches per group),
     [cachesim.stackdist.misses] (per-configuration miss events) and
     [cachesim.stackdist.walk_steps] (stack entries compared, the engine's
-    work metric). *)
+    work metric).  Groups book them as they are fed and publish them in
+    one step per {!access_run} call or per {!publish_groups}, so the
+    per-line loop never calls the registry. *)
 
 type t
 
@@ -51,16 +53,24 @@ val create : Icache.config list -> t
     not a power of two. *)
 
 val access_run : t -> Olayout_exec.Run.t -> unit
-(** Fetch a run through every group (hence every configuration). *)
+(** Fetch a run through every group (hence every configuration), then
+    {!publish_groups} them all. *)
 
 val n_groups : t -> int
 (** Number of distinct line sizes — the unit of parallel sharding. *)
 
-val access_run_group : t -> int -> Olayout_exec.Run.t -> unit
-(** Fetch a run through one group only.  Feeding each group index the full
-    trace (in any interleaving across groups, each group in trace order)
-    is equivalent to {!access_run}; {!Battery} uses this to own each group
-    on exactly one domain. *)
+val access_groups : t -> lo:int -> hi:int -> Olayout_exec.Run.t -> unit
+(** Fetch a run through groups [lo..hi] only, booking the telemetry
+    counters in those groups: they reach the registry at
+    {!publish_groups}.  Feeding each group index the full trace (in any
+    interleaving across groups, each group in trace order), then
+    publishing every group, is equivalent to {!access_run}; {!Battery}
+    uses this to own each group range on exactly one domain. *)
+
+val publish_groups : t -> lo:int -> hi:int -> unit
+(** Add the counters booked by groups [lo..hi] since their last publish
+    to [cachesim.stackdist.*]; call it on the domain that fed them, so a
+    pool task's share merges in submission order. *)
 
 val accesses : t -> int
 (** Total line touches across all groups (one per line per group, the
@@ -99,5 +109,5 @@ val probe_line_shift : probe -> int
 (** [log2 line_bytes] of the probed configuration. *)
 
 val probe_group : t -> string -> int
-(** The group index ({!access_run_group}) that simulates the named
+(** The group index ({!access_groups}) that simulates the named
     configuration — i.e. the shard whose feed updates its probe. *)

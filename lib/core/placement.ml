@@ -166,6 +166,7 @@ let exec_instrs (t : t) ~proc ~block ~arm =
   else (* ijump arms beyond the first two always execute the jump *)
     (Proc.block (Prog.proc t.prog proc) block).Block.body + 1
 
+let fetch_rows t = (t.addr, t.exec0, t.exec1)
 let text_bytes t = t.text_bytes
 
 let program_instrs t =

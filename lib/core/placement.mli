@@ -94,6 +94,12 @@ val exec_instrs : t -> proc:int -> block:int -> arm:int -> int
 (** Number of instructions fetched when this block executes and leaves via
     [arm] (body plus 0, 1 or 2 terminator instructions). *)
 
+val fetch_rows : t -> int array array * int array array * int array array
+(** [(addr, exec0, exec1)]: {!block_addr} and arms 0 and 1 of
+    {!exec_instrs} as the placement's own rows, indexed
+    [.(proc).(block)] and shared, not copied, so a per-block loop reads
+    them without a call.  Callers must not write them. *)
+
 val text_bytes : t -> int
 (** Total extent of the text section (including alignment padding). *)
 

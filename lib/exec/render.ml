@@ -19,11 +19,18 @@ type merger = {
 let merger ~emit =
   { emit; owner = Run.App; addr = -1; len = 0; runs = 0; instrs = 0; run_len = Telemetry.tally () }
 
+(* Number of significant bits: a positive run length's tally bucket
+   before the clamp ([Telemetry.tally]). *)
+let rec bits v acc = if v = 0 then acc else bits (v lsr 1) (acc + 1)
+
 let emit_pending m =
   if m.addr >= 0 && m.len > 0 then begin
     m.runs <- m.runs + 1;
     m.instrs <- m.instrs + m.len;
-    Telemetry.tally_observe m.run_len m.len;
+    let counts = (m.run_len :> int array) in
+    let b = bits m.len 0 and top = Array.length counts - 1 in
+    let b = if b < top then b else top in
+    counts.(b) <- counts.(b) + 1;
     m.emit { Run.owner = m.owner; addr = m.addr; len = m.len }
   end;
   m.addr <- -1;
@@ -52,9 +59,16 @@ type t = { placement : Placement.t; owner : Run.owner; m : merger }
 
 let create ~placement ~owner m = { placement; owner; m }
 
+(* The placement's rows are fetched once per sink, so a block event reads
+   arrays and calls nothing outside this module; only an indirect jump's
+   third or later arm asks [Placement]. *)
 let sink t =
   let { placement; owner; m } = t in
+  let addrs, exec0, exec1 = Placement.fetch_rows placement in
   fun ~proc ~block ~arm ->
-    let addr = Placement.block_addr placement ~proc ~block in
-    let len = Placement.exec_instrs placement ~proc ~block ~arm in
-    feed m owner ~addr ~len
+    let len =
+      if arm = 0 then exec0.(proc).(block)
+      else if arm = 1 then exec1.(proc).(block)
+      else Placement.exec_instrs placement ~proc ~block ~arm
+    in
+    feed m owner ~addr:addrs.(proc).(block) ~len

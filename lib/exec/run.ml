@@ -2,4 +2,3 @@ type owner = App | Kernel
 type t = { owner : owner; addr : int; len : int }
 
 let owner_name = function App -> "application" | Kernel -> "kernel"
-let end_addr t = t.addr + (t.len * 4)

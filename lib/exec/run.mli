@@ -12,5 +12,3 @@ type t = { owner : owner; addr : int; len : int }
 (** [len] instructions fetched starting at byte address [addr]. *)
 
 val owner_name : owner -> string
-val end_addr : t -> int
-(** One past the last fetched byte. *)

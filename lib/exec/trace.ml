@@ -58,7 +58,7 @@ let append t (r : Run.t) =
   let delta = r.addr - t.prev_end in
   (* zigzag: small negative deltas also encode in one byte *)
   put t ((delta lsl 1) lxor (delta asr 62));
-  t.prev_end <- Run.end_addr r;
+  t.prev_end <- r.addr + (r.len * 4);
   t.runs <- t.runs + 1;
   t.instrs <- t.instrs + r.len
 

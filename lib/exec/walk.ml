@@ -12,7 +12,7 @@ let c_dispatches = Telemetry.counter "exec.sink_dispatches"
 type sink = proc:int -> block:int -> arm:int -> unit
 
 type t = {
-  prog : Prog.t;
+  procs : Proc.t array;
   rng : Rng.t;
   mutable rev_sinks : sink list;  (* newest first: O(1) registration *)
   mutable sinks : sink array;     (* frozen registration-order view *)
@@ -22,7 +22,15 @@ type t = {
 }
 
 let create ~prog ~rng =
-  { prog; rng; rev_sinks = []; sinks = [||]; sinks_stale = false; instrs = 0; blocks = 0 }
+  {
+    procs = prog.Prog.procs;
+    rng;
+    rev_sinks = [];
+    sinks = [||];
+    sinks_stale = false;
+    instrs = 0;
+    blocks = 0;
+  }
 
 let add_sink t sink =
   t.rev_sinks <- sink :: t.rev_sinks;
@@ -48,23 +56,36 @@ let no_hints : hint array = [||]
 let rec find_hint hints bid i =
   if i < 0 || hints.(i).block = bid then i else find_hint hints bid (i - 1)
 
+(* [Block.source_instrs], read off the block here: a call into [Block]
+   per block is an indirect application, and a table of sizes allocated
+   per walker moves the heap's peak. *)
+let source_instrs (b : Block.t) =
+  b.body
+  +
+  match b.term with
+  | Block.Fall _ | Block.Halt -> 0
+  | Block.Jump _ | Block.Cond _ | Block.Call _ | Block.Ijump _ | Block.Ret -> 1
+
 let record t sinks pid (b : Block.t) arm =
   t.blocks <- t.blocks + 1;
-  t.instrs <- t.instrs + Block.source_instrs b;
+  t.instrs <- t.instrs + source_instrs b;
   for i = 0 to Array.length sinks - 1 do
     sinks.(i) ~proc:pid ~block:b.Block.id ~arm
   done
 
 (* Iterative within a procedure; recursive only across call depth.  The
-   per-block loop allocates nothing: the cursor is an int (-1 once the
-   procedure returns) and the sinks run from a [for] loop. *)
+   per-block loop allocates nothing and calls nothing outside this module
+   but the sinks and the RNG: the cursor is an int (-1 once the procedure
+   returns), blocks are read from the procedure's array, and the sinks
+   run from a [for] loop. *)
 let rec walk_proc t sinks pid depth hints =
   if depth > max_depth then invalid_arg "Walk.call: call depth exceeded (recursion?)";
-  let p = Prog.proc t.prog pid in
+  let p = t.procs.(pid) in
+  let blocks = p.Proc.blocks in
   let current = ref p.Proc.entry in
   while !current >= 0 do
     let bid = !current in
-    let b = Proc.block p bid in
+    let b = blocks.(bid) in
     match b.Block.term with
     | Block.Fall d | Block.Jump d ->
         record t sinks pid b 0;

@@ -62,27 +62,28 @@ let run ?(combo = Spike.All) ?(phases = default_phases)
       in
       let n = Windowed.windows wp in
       let phases = min phases (max 1 n) in
-      let profiles = Array.init n (Windowed.profile wp) in
       let points =
-        List.init n (fun w ->
-            let p = profiles.(w) in
-            let l1_prev, jac_prev, churn_prev =
-              if w = 0 then (0, 1000, 0)
-              else
-                ( Divergence.l1_edge_permille profiles.(w - 1) p,
-                  Divergence.hotset_jaccard_permille ~k:top profiles.(w - 1) p,
-                  Divergence.rank_churn_permille ~k:top profiles.(w - 1) p )
-            in
-            {
-              Observatory.p_window = w;
-              p_events = Profile.total_block_events p;
-              p_l1_vs_prev = l1_prev;
-              p_l1_vs_train = Divergence.l1_edge_permille train p;
-              p_jaccard_vs_prev = jac_prev;
-              p_jaccard_vs_train =
-                Divergence.hotset_jaccard_permille ~k:top train p;
-              p_churn_vs_prev = churn_prev;
-            })
+        Telemetry.span "divergence" (fun () ->
+            let profiles = Array.init n (Windowed.profile wp) in
+            List.init n (fun w ->
+                let p = profiles.(w) in
+                let l1_prev, jac_prev, churn_prev =
+                  if w = 0 then (0, 1000, 0)
+                  else
+                    ( Divergence.l1_edge_permille profiles.(w - 1) p,
+                      Divergence.hotset_jaccard_permille ~k:top profiles.(w - 1) p,
+                      Divergence.rank_churn_permille ~k:top profiles.(w - 1) p )
+                in
+                {
+                  Observatory.p_window = w;
+                  p_events = Profile.total_block_events p;
+                  p_l1_vs_prev = l1_prev;
+                  p_l1_vs_train = Divergence.l1_edge_permille train p;
+                  p_jaccard_vs_prev = jac_prev;
+                  p_jaccard_vs_train =
+                    Divergence.hotset_jaccard_permille ~k:top train p;
+                  p_churn_vs_prev = churn_prev;
+                }))
       in
       (* One layout per phase (merged window profiles), plus the context's
          training-profile layout as the reference row.  The phase layouts
@@ -91,8 +92,9 @@ let run ?(combo = Spike.All) ?(phases = default_phases)
          instead of N full pipelines; the relayout.* counters book both
          sides). *)
       let phase_profile =
-        Array.init phases (fun j ->
-            Windowed.merged wp ~lo:(j * n / phases) ~hi:((j + 1) * n / phases))
+        Telemetry.span "profile_merge" (fun () ->
+            Array.init phases (fun j ->
+                Windowed.merged wp ~lo:(j * n / phases) ~hi:((j + 1) * n / phases)))
       in
       let work0 = Incremental.work_counters () in
       let memo = Incremental.create (Incremental.Combo combo) train in
@@ -122,33 +124,32 @@ let run ?(combo = Spike.All) ?(phases = default_phases)
       in
       let engine = Context.engine ctx in
       let cells =
-        Array.map
-          (fun (_, trace) ->
-            let total = Trace.instrs trace in
-            let row =
-              Array.init phases (fun _ ->
-                  (Battery.create ~engine [ config ], ref 0))
-            in
-            let pos = ref 0 in
-            Trace.replay trace (fun run ->
-                let j =
-                  if total <= 0 then 0
-                  else min (phases - 1) (!pos * phases / total)
-                in
-                pos := !pos + run.Run.len;
-                if preset.Diagnose.combined || run.Run.owner = Run.App then begin
-                  let battery, fed = row.(j) in
-                  Battery.access_run battery run;
-                  fed := !fed + run.Run.len
-                end);
+        Telemetry.span "replay" (fun () ->
             Array.map
-              (fun (battery, fed) ->
-                {
-                  Observatory.misses = Battery.misses battery config.Icache.name;
-                  instrs = !fed;
-                })
-              row)
-          records
+              (fun (_, trace) ->
+                let total = Trace.instrs trace in
+                let row =
+                  Array.init phases (fun _ ->
+                      (Battery.create ~engine [ config ], ref 0))
+                in
+                let pos = ref 0 and last = phases - 1 in
+                Trace.replay trace (fun run ->
+                    let j = if total <= 0 then 0 else !pos * phases / total in
+                    let j = if j < last then j else last in
+                    pos := !pos + run.Run.len;
+                    if preset.Diagnose.combined || run.Run.owner = Run.App then begin
+                      let battery, fed = row.(j) in
+                      Battery.access_run battery run;
+                      fed := !fed + run.Run.len
+                    end);
+                Array.map
+                  (fun (battery, fed) ->
+                    {
+                      Observatory.misses = Battery.misses battery config.Icache.name;
+                      instrs = !fed;
+                    })
+                  row)
+              records)
       in
       let r =
         {

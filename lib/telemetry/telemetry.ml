@@ -188,7 +188,8 @@ let bucket_of v =
   else begin
     (* number of significant bits: 1 -> 1; 2,3 -> 2; 4..7 -> 3; ... *)
     let rec bits v acc = if v = 0 then acc else bits (v lsr 1) (acc + 1) in
-    min (bits v 0) (max_buckets - 1)
+    let b = bits v 0 and top = max_buckets - 1 in
+    if b < top then b else top
   end
 
 let observe h v =
@@ -202,10 +203,6 @@ let observe h v =
 type tally = int array
 
 let tally () = Array.make max_buckets 0
-
-let tally_observe t v =
-  let b = bucket_of v in
-  t.(b) <- t.(b) + 1
 
 let publish_tally h t =
   let dst = match shadow () with None -> h.h_buckets | Some s -> shadow_hist_row s h.h_id in

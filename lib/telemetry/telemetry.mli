@@ -70,12 +70,16 @@ val observe : histogram -> int -> unit
 val histogram_buckets : histogram -> (int * int) list
 (** Non-empty buckets as [(bucket floor, count)], ascending. *)
 
-type tally
+type tally = private int array
 (** Histogram observations collected privately, one array write each, for
-    a hot loop to publish in one step. *)
+    a hot loop to publish in one step.  Only {!tally} makes one, with one
+    slot per bucket; the loop books into [(t :> int array)] itself
+    ([Render]'s merger does), where slot [b] counts the observations in
+    bucket [b]: [0] for a value [<= 0], else the value's bit length,
+    clamped to the last slot. *)
 
 val tally : unit -> tally
-val tally_observe : tally -> int -> unit
+(** An empty tally. *)
 
 val publish_tally : histogram -> tally -> unit
 (** Add the tally's observations to the histogram, exactly as if each had

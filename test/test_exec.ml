@@ -9,6 +9,7 @@ module Seqstat = Olayout_exec.Seqstat
 module Trace = Olayout_exec.Trace
 module Placement = Olayout_core.Placement
 module Rng = Olayout_util.Rng
+module Telemetry = Olayout_telemetry.Telemetry
 
 let events_of_walk ?(hints = []) ?(seed = 3) prog pid =
   let events = ref [] in
@@ -68,7 +69,39 @@ let test_instr_counter () =
   Walk.call walk 0;
   (* 4 + 4 + (4+1 ret) *)
   Alcotest.(check int) "instrs" 13 (Walk.instrs_executed walk);
-  Alcotest.(check int) "blocks" 3 (Walk.blocks_executed walk)
+  Alcotest.(check int) "blocks" 3 (Walk.blocks_executed walk);
+  (* The walker sizes blocks without calling [Block.source_instrs]: one
+     block of every terminator kind pins its copy of the rule. *)
+  let b = Helpers.block in
+  let prog =
+    {
+      Prog.name = "terms";
+      base_addr = 0x1000;
+      procs =
+        [|
+          {
+            Proc.id = 0;
+            name = "main";
+            entry = 0;
+            blocks =
+              [|
+                b 0 1 (Block.Fall 1);
+                b 1 2 (Block.Jump 2);
+                b 2 3 (Block.Cond { taken = 3; fall = 3; p_taken = 0.5 });
+                b 3 4 (Block.Call { callee = 1; ret = 4 });
+                b 4 5 (Block.Ijump [| (5, 1.0); (5, 1.0); (5, 1.0) |]);
+                b 5 6 Block.Ret;
+              |];
+          };
+          { Proc.id = 1; name = "leaf"; entry = 0; blocks = [| b 0 7 Block.Halt |] };
+        |];
+    }
+  in
+  let walk = Walk.create ~prog ~rng:(Rng.create 2) in
+  Walk.call walk 0;
+  (* each block once: 1 + (2+1) + (3+1) + (4+1) + 7 + (5+1) + (6+1) *)
+  Alcotest.(check int) "blocks, every kind" 7 (Walk.blocks_executed walk);
+  Alcotest.(check int) "instrs, every kind" 33 (Walk.instrs_executed walk)
 
 let render_runs ?(segments = None) prog pid =
   let placement =
@@ -144,6 +177,81 @@ let test_block_path_placement_invariant () =
   (* Same events; totals may differ only via terminator encoding. *)
   let a = total_for None and b = total_for reordered in
   Alcotest.(check bool) "totals close" true (abs (a - b) <= List.length events)
+
+(* The merger buckets run lengths itself; its [exec.run_len] histogram
+   must read as if every emitted length had been observed. *)
+let test_merger_run_len_histogram () =
+  let buckets = Telemetry.histogram_buckets in
+  let run_len = Telemetry.histogram "exec.run_len" in
+  let before = buckets run_len in
+  let lens = ref [] in
+  let m = Render.merger ~emit:(fun r -> lens := r.Run.len :: !lens) in
+  List.iteri
+    (fun i len ->
+      (* Alternating owners: every feed is its own run. *)
+      Render.feed m (if i land 1 = 0 then Run.App else Run.Kernel) ~addr:0 ~len)
+    [ 1; 2; 3; 7; 8; 1000; 1 lsl 40; 1 lsl 61; max_int ];
+  Render.flush m;
+  let observed = Telemetry.histogram "tst.exec.run_len" in
+  List.iter (Telemetry.observe observed) !lens;
+  let delta =
+    List.filter_map
+      (fun (floor, n) ->
+        let was = Option.value ~default:0 (List.assoc_opt floor before) in
+        if n > was then Some (floor, n - was) else None)
+      (buckets run_len)
+  in
+  Alcotest.(check int) "nine runs" 9 (List.length !lens);
+  Alcotest.(check (list (pair int int))) "buckets" (buckets observed) delta
+
+(* A walk rendered under two placements allocates one four-word [Run.t]
+   per emitted run and nothing per block, beyond a constant per call; the
+   rendered instruction counts are the placements' own, every arm of an
+   indirect jump included, and the walker counts [Block.source_instrs]. *)
+let test_render_allocation () =
+  let prog = Olayout_codegen.Binary.prog (Helpers.random_program 41) in
+  let top = Prog.n_procs prog - 1 in
+  let walk = Walk.create ~prog ~rng:(Rng.create 8) in
+  let runs = ref 0 and instrs = [| 0; 0 |] and want = [| 0; 0 |] in
+  let placements = [| Placement.original prog; Placement.original ~align:64 prog |] in
+  let mergers =
+    Array.mapi
+      (fun i placement ->
+        let m =
+          Render.merger ~emit:(fun r ->
+              incr runs;
+              instrs.(i) <- instrs.(i) + r.Run.len)
+        in
+        Walk.add_sink walk (Render.sink (Render.create ~placement ~owner:Run.App m));
+        m)
+      placements
+  in
+  let wide = ref 0 and source = ref 0 in
+  Walk.add_sink walk (fun ~proc ~block ~arm ->
+      if arm >= 2 then incr wide;
+      source := !source + Block.source_instrs prog.Prog.procs.(proc).Proc.blocks.(block);
+      want.(0) <- want.(0) + Placement.exec_instrs placements.(0) ~proc ~block ~arm;
+      want.(1) <- want.(1) + Placement.exec_instrs placements.(1) ~proc ~block ~arm);
+  Walk.call walk top;
+  Alcotest.(check int) "source instructions" !source (Walk.instrs_executed walk);
+  let calls = 200 in
+  let runs0 = !runs and blocks0 = Walk.blocks_executed walk in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to calls do
+    Walk.call walk top
+  done;
+  let words = int_of_float (Gc.minor_words () -. w0) in
+  let runs = !runs - runs0 and blocks = Walk.blocks_executed walk - blocks0 in
+  Array.iter Render.flush mergers;
+  Alcotest.(check bool) "instructions rendered" true (instrs = want);
+  Alcotest.(check bool) (Printf.sprintf "%d events on arms >= 2" !wide) true (!wide > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d blocks per call" (blocks / calls))
+    true (blocks > 8 * calls);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d words for %d runs of %d blocks in %d calls" words runs blocks calls)
+    true
+    (words - (4 * runs) <= 2 * calls)
 
 let test_seqstat () =
   let s = Seqstat.create () in
@@ -313,6 +421,8 @@ let suite =
       Alcotest.test_case "call breaks runs" `Quick test_call_breaks_runs;
       Alcotest.test_case "merger owner switch" `Quick test_merger_owner_switch;
       Alcotest.test_case "merger gap breaks" `Quick test_merger_gap_breaks;
+      Alcotest.test_case "merger run_len histogram" `Quick test_merger_run_len_histogram;
+      Alcotest.test_case "render allocation" `Quick test_render_allocation;
       Alcotest.test_case "placement invariance" `Quick test_block_path_placement_invariant;
       Alcotest.test_case "seqstat" `Quick test_seqstat;
       Alcotest.test_case "seqstat cap" `Quick test_seqstat_cap;

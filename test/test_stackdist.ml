@@ -9,6 +9,9 @@ module Stackdist = Olayout_cachesim.Stackdist
 module Battery = Olayout_cachesim.Battery
 module Shadow = Olayout_diag.Shadow
 module Run = Olayout_exec.Run
+module Trace = Olayout_exec.Trace
+module Pool = Olayout_par.Pool
+module Telemetry = Olayout_telemetry.Telemetry
 
 let app_run addr len = { Run.owner = Run.App; addr; len }
 
@@ -197,7 +200,7 @@ let sweep_runs ~seed n =
   List.init n (fun _ ->
       let run =
         match rand 4 with
-        | 0 -> { !prev with Run.addr = Run.end_addr !prev - 4; len = 1 + rand 8 }
+        | 0 -> { !prev with Run.addr = !prev.Run.addr + ((!prev.Run.len - 1) * 4); len = 1 + rand 8 }
         | 1 -> { Run.owner = Run.Kernel; addr = 0x8000_0000 + (rand 4096 * 4); len = 1 + rand 24 }
         | _ -> app_run (rand 4096 * 4) (1 + rand 24)
       in
@@ -226,17 +229,88 @@ let qcheck_sweep_grid =
           (fun c -> ((Icache.cfg c).Icache.name, Icache.misses c, Icache.cold_misses c))
           caches)
 
+(* How much [f] moves the three process-wide stackdist counters. *)
+let counter_deltas f =
+  let read () =
+    List.map
+      (fun n -> Telemetry.value (Telemetry.counter ("cachesim.stackdist." ^ n)))
+      [ "accesses"; "misses"; "walk_steps" ]
+  in
+  let before = read () in
+  f ();
+  List.map2 ( - ) (read ()) before
+
 let test_group_by_group_feed () =
   let runs = sweep_runs ~seed:7 4000 in
   let whole = Stackdist.create sweep_grid and by_group = Stackdist.create sweep_grid in
-  List.iter (Stackdist.access_run whole) runs;
-  for g = 0 to Stackdist.n_groups by_group - 1 do
-    List.iter (Stackdist.access_run_group by_group g) runs
-  done;
+  let want = counter_deltas (fun () -> List.iter (Stackdist.access_run whole) runs) in
+  let got =
+    counter_deltas (fun () ->
+        for g = 0 to Stackdist.n_groups by_group - 1 do
+          (* Booked in the group, not yet in the registry. *)
+          Alcotest.(check (list int))
+            (Printf.sprintf "group %d unpublished" g)
+            [ 0; 0; 0 ]
+            (counter_deltas (fun () ->
+                 List.iter (Stackdist.access_groups by_group ~lo:g ~hi:g) runs));
+          Stackdist.publish_groups by_group ~lo:g ~hi:g
+        done)
+  in
   Alcotest.(check int) "three groups" 3 (Stackdist.n_groups whole);
   Alcotest.(check int) "accesses" (Stackdist.accesses whole) (Stackdist.accesses by_group);
   Alcotest.(check (list (triple string int int))) "misses and cold" (results whole)
-    (results by_group)
+    (results by_group);
+  Alcotest.(check bool) "counters moved" true (List.for_all (fun d -> d > 0) want);
+  Alcotest.(check (list int)) "counter deltas" want got
+
+(* A replayed trace publishes each shard's counters once, at the end of its
+   task: serially and through a pool, the totals are what per-run feeding
+   of the same kept runs books. *)
+let test_battery_trace_counters () =
+  let runs = sweep_runs ~seed:13 4000 in
+  let record, trace = Trace.record () in
+  List.iter record runs;
+  let keep (r : Run.t) = r.owner = Run.App in
+  let by_config b =
+    List.map (fun ((c : Icache.config), m) -> (c.Icache.name, m)) (Battery.misses_by_config b)
+  in
+  let per_run = Battery.create ~engine:`Stackdist sweep_grid in
+  let want =
+    counter_deltas (fun () ->
+        List.iter (fun r -> if keep r then Battery.access_run per_run r) runs)
+  in
+  let leg name pool =
+    let b = Battery.create ~engine:`Stackdist sweep_grid in
+    let got = counter_deltas (fun () -> Battery.access_trace ?pool ~keep b trace) in
+    Alcotest.(check (list int)) (name ^ ": counter deltas") want got;
+    Alcotest.(check (list (pair string int))) (name ^ ": misses") (by_config per_run)
+      (by_config b)
+  in
+  leg "serial" None;
+  let pool = Pool.create ~jobs:2 () in
+  Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () -> leg "2 jobs" (Some pool))
+
+(* Replay allocates only the runs it decodes (a [Run.t] is four words),
+   and per-run feeding allocates nothing.  Each battery is measured after a
+   warm-up pass, which allocates the first-touch bit set's pages. *)
+let test_battery_allocation () =
+  let runs = sweep_runs ~seed:17 20000 in
+  let record, trace = Trace.record () in
+  List.iter record runs;
+  let words f =
+    f ();
+    let w0 = Gc.minor_words () in
+    f ();
+    int_of_float (Gc.minor_words () -. w0)
+  in
+  let b = Battery.create ~engine:`Stackdist sweep_grid in
+  let replay = words (fun () -> Battery.access_trace b trace) - (4 * Trace.length trace) in
+  Alcotest.(check bool)
+    (Printf.sprintf "access_trace: %d words beyond the decoded runs" replay)
+    true (replay <= 64);
+  let arr = Array.of_list runs and b = Battery.create ~engine:`Stackdist sweep_grid in
+  let fed = words (fun () -> Array.iter (Battery.access_run b) arr) in
+  Alcotest.(check bool) (Printf.sprintf "access_run: %d words" fed) true (fed <= 64)
 
 (* The timeline contract: a probe's miss count moves, run by run, exactly
    as an icache's does. *)
@@ -318,4 +392,6 @@ let suite =
       QCheck_alcotest.to_alcotest qcheck_sweep_grid;
       Alcotest.test_case "group-by-group feed = access_run" `Quick test_group_by_group_feed;
       Alcotest.test_case "probe deltas = icache per run" `Quick test_probe_deltas;
+      Alcotest.test_case "battery trace counters = per-run" `Quick test_battery_trace_counters;
+      Alcotest.test_case "battery allocation" `Quick test_battery_allocation;
     ] )

@@ -53,11 +53,11 @@ let test_instruments () =
 
 let test_histogram_buckets () =
   let h = Telemetry.histogram "tst.hist" in
-  List.iter (Telemetry.observe h) [ 0; -3; 1; 2; 3; 5; 1024 ];
-  (* power-of-two buckets: <=0 | [1,2) | [2,4) | [4,8) | ... *)
+  List.iter (Telemetry.observe h) [ 0; -3; 1; 2; 3; 5; 1024; 1 lsl 61; max_int; min_int ];
+  (* power-of-two buckets: <=0 | [1,2) | [2,4) | [4,8) | ... | [2^61, max_int] *)
   Alcotest.(check (list (pair int int)))
     "bucket floors and counts"
-    [ (0, 2); (1, 1); (2, 2); (4, 1); (1024, 1) ]
+    [ (0, 3); (1, 1); (2, 2); (4, 1); (1024, 1); (1 lsl 61, 2) ]
     (Telemetry.histogram_buckets h)
 
 let test_span_nesting () =
