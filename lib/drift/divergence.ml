@@ -2,45 +2,58 @@ open Olayout_ir
 module Profile = Olayout_profile.Profile
 
 (* Pure divergence metrics between two execution profiles of the same
-   program.  Every metric is scale-invariant (each side is normalized by
-   its own mass first) so a 3-window slice compares meaningfully against a
-   full training profile, and every result is an integer permille so the
-   artifacts that carry them stay byte-deterministic across legs. *)
+   program, read through their summaries.  Every metric is scale-invariant
+   (each side is normalized by its own mass first) so a 3-window slice
+   compares meaningfully against a full training profile, and every result
+   is an integer permille so the artifacts that carry them stay
+   byte-deterministic across legs. *)
 
 let clamp_permille v = if v < 0 then 0 else if v > 1000 then 1000 else v
 
-(* Per-procedure dynamic-instruction weights under the source encoding:
-   the "procedure weight vector" of the hot-set and rank metrics. *)
-let proc_weights p =
+(* Everything the metrics read of a profile, from one pass over its
+   nonzero block counts, so a series summarizes each profile once.
+   [edges] aggregates caller->callee call-site counts, inserted in
+   procedure, block order (which fixes [l1_edge_permille]'s summation
+   order); [ranked] lists the procedures of nonzero dynamic-instruction
+   weight (source encoding) hottest first, ties toward the lower id so
+   the order never depends on sort internals. *)
+type summary = {
+  edges : (int * int, int) Hashtbl.t;
+  edge_total : int;
+  ranked : (int * int) list;
+}
+
+let summarize p =
   let prog = Profile.prog p in
-  Array.map
-    (fun (proc : Proc.t) ->
-      let acc = ref 0 in
-      Array.iter
-        (fun (b : Block.t) ->
-          let n = Profile.block_count p ~proc:proc.Proc.id ~block:b.Block.id in
-          if n > 0 then acc := !acc + (n * max 1 (Block.source_instrs b)))
-        proc.Proc.blocks;
-      !acc)
-    prog.Prog.procs
-
-(* Caller->callee edge weights, aggregated over call sites. *)
-let edge_weights p =
-  let tbl = Hashtbl.create 64 in
-  List.iter
-    (fun (caller, callee, count) ->
-      let key = (caller, callee) in
-      Hashtbl.replace tbl key (count + Option.value ~default:0 (Hashtbl.find_opt tbl key)))
-    (Profile.call_site_counts p);
-  tbl
-
-let table_total tbl = Hashtbl.fold (fun _ c acc -> acc + c) tbl 0
+  let weights = Array.make (Prog.n_procs prog) 0 in
+  let edges = Hashtbl.create 64 and edge_total = ref 0 in
+  Profile.iter_nonzero_blocks p (fun ~proc ~block n ->
+      if n > 0 then begin
+        let b = Proc.block (Prog.proc prog proc) block in
+        weights.(proc) <- weights.(proc) + (n * max 1 (Block.source_instrs b));
+        match b.Block.term with
+        | Block.Call { callee; _ } ->
+            let key = (proc, callee) in
+            Hashtbl.replace edges key (n + Option.value ~default:0 (Hashtbl.find_opt edges key));
+            edge_total := !edge_total + n
+        | _ -> ()
+      end);
+  let ranked = ref [] in
+  Array.iteri (fun id weight -> if weight > 0 then ranked := (id, weight) :: !ranked) weights;
+  {
+    edges;
+    edge_total = !edge_total;
+    ranked =
+      List.sort
+        (fun (ida, wa) (idb, wb) -> if wa <> wb then compare wb wa else compare ida idb)
+        !ranked;
+  }
 
 (* L1 distance between the two normalized edge-weight vectors, halved into
    [0, 1000] permille (0 = identical distributions, 1000 = disjoint). *)
 let l1_edge_permille a b =
-  let ea = edge_weights a and eb = edge_weights b in
-  let ta = table_total ea and tb = table_total eb in
+  let ea = a.edges and eb = b.edges in
+  let ta = a.edge_total and tb = b.edge_total in
   if ta = 0 && tb = 0 then 0
   else if ta = 0 || tb = 0 then 1000
   else begin
@@ -58,17 +71,7 @@ let l1_edge_permille a b =
     clamp_permille (int_of_float ((500.0 *. !sum) +. 0.5))
   end
 
-(* Procedures of nonzero weight ordered hottest-first; ties break toward
-   the lower procedure id so the ordering never depends on sort internals. *)
-let ranked_procs p =
-  let w = proc_weights p in
-  let procs = ref [] in
-  Array.iteri (fun id weight -> if weight > 0 then procs := (id, weight) :: !procs) w;
-  List.sort
-    (fun (ida, wa) (idb, wb) -> if wa <> wb then compare wb wa else compare ida idb)
-    !procs
-
-let top_k ~k p = List.filteri (fun i _ -> i < k) (ranked_procs p)
+let top_k ~k s = List.filteri (fun i _ -> i < k) s.ranked
 
 (* Jaccard similarity of the two top-[k] hot sets, in permille (1000 =
    identical hot sets). *)

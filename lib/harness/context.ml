@@ -1,28 +1,22 @@
 module Placement = Olayout_core.Placement
 module Profile = Olayout_profile.Profile
+module Windowed = Olayout_profile.Windowed
 module Spike = Olayout_core.Spike
 module Run = Olayout_exec.Run
 module Trace = Olayout_exec.Trace
 module Workload = Olayout_oltp.Workload
 module Server = Olayout_oltp.Server
+module Schedule = Olayout_oltp.Schedule
 module Telemetry = Olayout_telemetry.Telemetry
 
 type scale = Quick | Full
 
 (* A measurement execution's run stream is a deterministic function of the
-   app placement, the shared kernel placement, the transaction count and
-   the workload schedule (the block path never depends on placements; see
-   Server).  Traces are cached under that key and replayed for every later
-   figure that asks for the same stream.  [key_schedule] is the schedule's
-   canonical signature ("" for unscheduled runs), so the drift and relayout
-   drivers' mix-shift streams share the cache without poisoning the
-   unscheduled figures' entries. *)
-type trace_key = {
-  combo : Spike.combo;
-  kernel : int;
-  key_txns : int;
-  key_schedule : string;
-}
+   app placement, the shared kernel placement and the transaction count
+   (the block path never depends on placements; see Server).  Traces are
+   cached under that key and replayed for every later figure that asks for
+   the same stream. *)
+type trace_key = { combo : Spike.combo; kernel : int; key_txns : int }
 
 type trace_stats = {
   live_executions : int;
@@ -62,7 +56,9 @@ type t = {
   kernel_base : Placement.t;
   mutable kernel_optimized : Placement.t option;
   mutable traces : (trace_key * Trace.t) list;
-  mutable results : ((int * int * string) * Server.result) list;
+  mutable results : ((int * int) * Server.result) list;
+  (* Scheduled block paths, by (schedule signature, window). *)
+  mutable captures : ((string * int) * Windowed.t) list;
 }
 
 let train_txns = function Quick -> 150 | Full -> 2000
@@ -91,6 +87,7 @@ let create ?(scale = Full) ?(seed = 7) ?(engine = `Stackdist) () =
         kernel_optimized = None;
         traces = [];
         results = [];
+        captures = [];
       })
 
 let scale t = t.scale
@@ -183,16 +180,24 @@ let replay_into items =
       in
       Telemetry.add_gauge g_replay_seconds seconds
 
-let measure_raw t ?txns ?kernel_placement ?schedule ?on_data ?app_sinks ?on_switch
-    ~renders () =
+(* A live walk mutates shared context state (trace cache, result cache,
+   server RNG); it must never run on a pool worker.  The figure scheduler
+   keeps walk-observing figures serial — hitting this means a figure's
+   stream declaration is wrong. *)
+let live_execution run =
+  if Telemetry.in_isolated () then
+    failwith
+      "Context: live execution requested from inside a parallel task; \
+       this figure must be scheduled serially (it records or observes \
+       the walk)";
+  let result = Telemetry.span "context.live_execution" run in
+  Telemetry.incr c_live_executions;
+  result
+
+let measure_raw t ?txns ?kernel_placement ?on_data ?app_sinks ?on_switch ~renders () =
   let txns = match txns with Some n -> n | None -> measured_txns t in
   let kernel_placement =
     match kernel_placement with Some p -> p | None -> t.kernel_base
-  in
-  let key_schedule =
-    match schedule with
-    | None -> ""
-    | Some s -> Olayout_oltp.Schedule.signature s
   in
   (* Sinks observe the walk itself, not the rendered runs: their presence
      forces a live execution (replay has no block events to offer). *)
@@ -202,7 +207,7 @@ let measure_raw t ?txns ?kernel_placement ?schedule ?on_data ?app_sinks ?on_swit
     match kid with
     | Some kernel when txns = measured_txns t -> (
         match combo_of_placement t p with
-        | Some combo -> Some { combo; kernel; key_txns = txns; key_schedule }
+        | Some combo -> Some { combo; kernel; key_txns = txns }
         | None -> None)
     | _ -> None
   in
@@ -236,7 +241,7 @@ let measure_raw t ?txns ?kernel_placement ?schedule ?on_data ?app_sinks ?on_swit
   in
   let cached_result =
     match kid with
-    | Some k -> List.assoc_opt (k, txns, key_schedule) t.results
+    | Some k -> List.assoc_opt (k, txns) t.results
     | None -> None
   in
   match (live, needs_walk, cached_result) with
@@ -270,28 +275,12 @@ let measure_raw t ?txns ?kernel_placement ?schedule ?on_data ?app_sinks ?on_swit
             | `Replay _ -> assert false)
           live
       in
-      (* A live walk mutates shared context state (trace cache, result
-         cache, server RNG); it must never run on a pool worker.  The
-         figure scheduler keeps walk-observing figures serial — hitting
-         this means a figure's stream declaration is wrong. *)
-      if Telemetry.in_isolated () then
-        failwith
-          "Context: live execution requested from inside a parallel task; \
-           this figure must be scheduled serially (it records or observes \
-           the walk)";
       let result =
-        (* Scheduled walks keep the oltp.* timeline series quiet: those
-           series describe the unscheduled measurement stream, and a
-           mix-shift walk writing into the same windows would corrupt the
-           TIMELINE artifact (the reason the drift driver used to bypass
-           this path entirely). *)
-        Telemetry.span "context.live_execution" (fun () ->
-            Server.run ~app:(Workload.app t.workload)
-              ~kernel:(Workload.kernel t.workload) ~txns ~seed:1009 ?schedule
-              ~renders:render_specs ?on_data ?app_sinks ?on_switch
-              ~timeline:(schedule = None) ())
+        live_execution (fun () ->
+            Server.run ~app:(Workload.app t.workload) ~kernel:(Workload.kernel t.workload)
+              ~txns ~seed:1009 ~renders:render_specs ?on_data ?app_sinks ?on_switch
+              ~timeline:true ())
       in
-      Telemetry.incr c_live_executions;
       List.iter
         (fun (key, trace) ->
           t.traces <- (key, trace) :: t.traces;
@@ -299,22 +288,42 @@ let measure_raw t ?txns ?kernel_placement ?schedule ?on_data ?app_sinks ?on_swit
         !recorded;
       set_bytes_gauges t;
       (match kid with
-      | Some k when not (List.mem_assoc (k, txns, key_schedule) t.results) ->
-          t.results <- ((k, txns, key_schedule), result) :: t.results
+      | Some k when not (List.mem_assoc (k, txns) t.results) ->
+          t.results <- ((k, txns), result) :: t.results
       | _ -> ());
       replay_into replays;
       result
 
-let measure t ?txns ?kernel_placement ?schedule ?on_data ?app_sinks ?on_switch
-    ~renders () =
-  measure_raw t ?txns ?kernel_placement ?schedule ?on_data ?app_sinks ?on_switch
+let measure t ?txns ?kernel_placement ?on_data ?app_sinks ?on_switch ~renders () =
+  measure_raw t ?txns ?kernel_placement ?on_data ?app_sinks ?on_switch
     ~renders:(List.map (fun (combo, emit) -> (placement t combo, emit)) renders)
     ()
 
+(* The block path of a scheduled execution never depends on placements,
+   so one live walk serves every renderer and profiler of it: the drift
+   observatory's windows and staleness rows, and the re-layout loop. *)
+let scheduled_capture t schedule ~window =
+  let key = (Schedule.signature schedule, window) in
+  match List.assoc_opt key t.captures with
+  | Some capture -> capture
+  | None ->
+      let capture = Windowed.create ~window (Profile.prog t.app_profile) in
+      (* A mix-shift walk keeps the oltp.* timeline series quiet: they
+         describe the unscheduled measurement stream. *)
+      let (_ : Server.result) =
+        live_execution (fun () ->
+            Server.run ~app:(Workload.app t.workload) ~kernel:(Workload.kernel t.workload)
+              ~txns:(measured_txns t) ~seed:1009 ~schedule
+              ~app_sinks:[ Windowed.sink capture ]
+              ~kernel_sinks:[ Windowed.kernel_sink capture ]
+              ())
+      in
+      t.captures <- (key, capture) :: t.captures;
+      capture
+
 (* --- battery replay over the trace cache ------------------------------ *)
 
-let base_key t combo =
-  { combo; kernel = 0; key_txns = measured_txns t; key_schedule = "" }
+let base_key t combo = { combo; kernel = 0; key_txns = measured_txns t }
 
 let traces_for t combos =
   let missing =

@@ -84,7 +84,6 @@ val measure :
   t ->
   ?txns:int ->
   ?kernel_placement:Placement.t ->
-  ?schedule:Olayout_oltp.Schedule.t ->
   ?on_data:(int -> unit) ->
   ?app_sinks:Olayout_exec.Walk.sink list ->
   ?on_switch:(int -> unit) ->
@@ -99,19 +98,12 @@ val measure :
     uncached streams are simulated live and recorded for later figures.
     Passing [on_data], [app_sinks] or [on_switch] forces a live execution
     (those observe the walk, which a replay does not perform), but cached
-    render streams still replay and new ones are still recorded.
-
-    [schedule] runs the workload under a mid-run mix-shift (the drift and
-    relayout drivers); the schedule's signature is part of the trace-cache
-    key, so scheduled and unscheduled streams of the same combination
-    coexist in the cache.  Scheduled walks do not feed the oltp.* timeline
-    series (those describe the unscheduled measurement stream). *)
+    render streams still replay and new ones are still recorded. *)
 
 val measure_raw :
   t ->
   ?txns:int ->
   ?kernel_placement:Placement.t ->
-  ?schedule:Olayout_oltp.Schedule.t ->
   ?on_data:(int -> unit) ->
   ?app_sinks:Olayout_exec.Walk.sink list ->
   ?on_switch:(int -> unit) ->
@@ -121,6 +113,15 @@ val measure_raw :
 (** As {!measure} but with explicit application placements (for the CFA,
     hot/cold-splitting and profile-quality ablations, whose layouts are not
     {!Spike.combo} values). *)
+
+val scheduled_capture :
+  t -> Olayout_oltp.Schedule.t -> window:int -> Olayout_profile.Windowed.t
+(** The block path (application and kernel events) of the measurement
+    execution under a mid-run mix-shift [schedule], in windows of [window]
+    application instructions: the drift and relayout drivers' input.  The
+    first request per (schedule, window) walks the server live, without
+    feeding the oltp.* timeline series; later ones return the same capture,
+    which the caller must not record into. *)
 
 (** {1 Battery replay over the trace cache}
 

@@ -5,38 +5,34 @@ module Windowed = Olayout_profile.Windowed
 module Divergence = Olayout_drift.Divergence
 module Observatory = Olayout_drift.Observatory
 module Schedule = Olayout_oltp.Schedule
-module Server = Olayout_oltp.Server
-module Workload = Olayout_oltp.Workload
 module Battery = Olayout_cachesim.Battery
 module Icache = Olayout_cachesim.Icache
+module Render = Olayout_exec.Render
 module Trace = Olayout_exec.Trace
 module Run = Olayout_exec.Run
 module Telemetry = Olayout_telemetry.Telemetry
 module Timeline = Olayout_telemetry.Timeline
 
-(* The workload-drift observatory driver.
+(* The workload-drift observatory driver.  Everything reads one
+   deterministic mix-shift execution (Schedule.rotation, measurement
+   seed), captured once as its block path and shared with the relayout
+   driver (Context.scheduled_capture):
 
-   Two passes over one deterministic mix-shift schedule (Schedule.rotation),
-   both through Context.measure_raw with the measurement seed (the trace
-   cache keys streams by schedule signature, so scheduled streams share the
-   cache without touching the unscheduled figures' entries):
+   - the divergence series folds each window into a profile and compares
+     it with its predecessor and with the training profile;
+   - one layout per matrix phase is derived from the phase's merged window
+     profiles incrementally (one full build on the training profile, then
+     one profile-delta update per phase);
+   - each staleness-matrix row renders the whole path under its layout (a
+     phase layout, or the training layout for the reference row), its
+     application and kernel events through one run merger as the server's
+     own render sinks do.
 
-   - pass A profiles the scheduled run into per-window Profile.t slices
-     (Windowed) and derives one layout per matrix phase from the merged
-     window profiles — incrementally: one full pipeline build on the
-     training profile, then one profile-delta update per phase
-     (Incremental), instead of N full pipelines;
-   - pass B re-runs the identical execution once, rendering the same block
-     path under every phase layout at once (the render-sink design: the
-     block path never depends on placements), recording each stream.  The
-     training row renders the context's cached placement, so its scheduled
-     stream is recorded on the first run and replayed on later ones.
-
-   Each recorded stream is then sliced by its own instruction clock into
-   the N phases and every (layout row, phase slice) cell replays cold
-   through a one-configuration battery on the context's engine — both
-   engines produce byte-identical miss counts, so the olayout-drift/v1
-   document survives the cross-engine CI cmp. *)
+   Each row's stream is sliced by its own instruction clock into the N
+   phases, and every (row, phase) cell replays cold through a
+   one-configuration battery on the context's engine — both engines give
+   byte-identical miss counts, so the olayout-drift/v1 document survives
+   the cross-engine CI cmp. *)
 
 let default_window = 65536
 let default_phases = 4
@@ -52,38 +48,39 @@ let run ?(combo = Spike.All) ?(phases = default_phases)
   Telemetry.span "drift" (fun () ->
       let schedule = Schedule.rotation ~slots:phases in
       let train = Context.app_profile ctx in
-      (* Pass A: windowed profile capture.  Warmup transactions emit no
-         block events (walks observe the measured window only), so window 0
-         starts at measured position 0. *)
-      let wp = Windowed.create ~window (Profile.prog train) in
-      let (_ : Server.result) =
-        Context.measure_raw ctx ~schedule ~app_sinks:[ Windowed.sink wp ]
-          ~renders:[] ()
-      in
+      (* Warmup transactions emit no block events (walks observe the
+         measured window only), so window 0 starts at measured position
+         0. *)
+      let wp = Context.scheduled_capture ctx schedule ~window in
       let n = Windowed.windows wp in
       let phases = min phases (max 1 n) in
       let points =
         Telemetry.span "divergence" (fun () ->
-            let profiles = Array.init n (Windowed.profile wp) in
-            List.init n (fun w ->
-                let p = profiles.(w) in
-                let l1_prev, jac_prev, churn_prev =
-                  if w = 0 then (0, 1000, 0)
-                  else
-                    ( Divergence.l1_edge_permille profiles.(w - 1) p,
-                      Divergence.hotset_jaccard_permille ~k:top profiles.(w - 1) p,
-                      Divergence.rank_churn_permille ~k:top profiles.(w - 1) p )
-                in
-                {
-                  Observatory.p_window = w;
-                  p_events = Profile.total_block_events p;
-                  p_l1_vs_prev = l1_prev;
-                  p_l1_vs_train = Divergence.l1_edge_permille train p;
-                  p_jaccard_vs_prev = jac_prev;
-                  p_jaccard_vs_train =
-                    Divergence.hotset_jaccard_permille ~k:top train p;
-                  p_churn_vs_prev = churn_prev;
-                }))
+            (* Each profile is summarized once; only the previous window's
+               summary is held. *)
+            let train = Divergence.summarize train in
+            let prev = ref train in
+            Array.to_list
+              (Array.init n (fun w ->
+                   let p = Windowed.profile wp w in
+                   let s = Divergence.summarize p in
+                   let l1_prev, jac_prev, churn_prev =
+                     if w = 0 then (0, 1000, 0)
+                     else
+                       ( Divergence.l1_edge_permille !prev s,
+                         Divergence.hotset_jaccard_permille ~k:top !prev s,
+                         Divergence.rank_churn_permille ~k:top !prev s )
+                   in
+                   prev := s;
+                   {
+                     Observatory.p_window = w;
+                     p_events = Profile.total_block_events p;
+                     p_l1_vs_prev = l1_prev;
+                     p_l1_vs_train = Divergence.l1_edge_permille train s;
+                     p_jaccard_vs_prev = jac_prev;
+                     p_jaccard_vs_train = Divergence.hotset_jaccard_permille ~k:top train s;
+                     p_churn_vs_prev = churn_prev;
+                   })))
       in
       (* One layout per phase (merged window profiles), plus the context's
          training-profile layout as the reference row.  The phase layouts
@@ -103,30 +100,29 @@ let run ?(combo = Spike.All) ?(phases = default_phases)
         layouts.(j) <- Incremental.update memo phase_profile.(j)
       done;
       let work = Incremental.work_sub (Incremental.work_counters ()) work0 in
-      (* Pass B: identical execution, one stream per layout.  The train row
-         is the context's cached placement, so it replays from the trace
-         cache when present; phase-layout rows are run-local placements and
-         render live. *)
-      let records = Array.init (phases + 1) (fun _ -> Trace.record ()) in
-      let renders =
-        List.mapi
-          (fun i (emit, _) -> (layouts.(i), emit))
-          (Array.to_list records)
-      in
-      let (_ : Server.result) = Context.measure_raw ctx ~schedule ~renders () in
-      (* Staleness matrix: slice each stream by its own instruction clock
-         (placements change run lengths, so each row has its own phase
-         boundaries) and replay every slice cold through a fresh
-         one-configuration battery. *)
+      (* Staleness matrix: render each row's stream from the capture, slice
+         it by its own instruction clock (placements change run lengths,
+         so each row has its own phase boundaries) and replay every slice
+         cold through a fresh one-configuration battery. *)
       let config =
         Icache.config ~size_kb:preset.Diagnose.size_kb
           ~line:preset.Diagnose.line ~assoc:preset.Diagnose.assoc ()
       in
       let engine = Context.engine ctx in
+      let kernel = Context.kernel_base ctx in
       let cells =
         Telemetry.span "replay" (fun () ->
             Array.map
-              (fun (_, trace) ->
+              (fun placement ->
+                let emit, trace = Trace.record () in
+                let merger = Render.merger ~emit in
+                Windowed.replay wp ~lo:0 ~hi:n
+                  ~app:(Render.sink (Render.create ~placement ~owner:Run.App merger))
+                  ~kernel:
+                    (Some
+                       (Render.sink
+                          (Render.create ~placement:kernel ~owner:Run.Kernel merger)));
+                Render.flush merger;
                 let total = Trace.instrs trace in
                 let row =
                   Array.init phases (fun _ ->
@@ -149,7 +145,7 @@ let run ?(combo = Spike.All) ?(phases = default_phases)
                       instrs = !fed;
                     })
                   row)
-              records)
+              layouts)
       in
       let r =
         {

@@ -1,17 +1,15 @@
 (** Workload-drift observatory driver: windowed profile divergence and the
     layout-staleness matrix over a deterministic mid-run mix shift.
 
-    Runs the OLTP server twice under {!Olayout_oltp.Schedule.rotation} with
-    the measurement seed: pass A captures per-window profiles
-    ({!Olayout_profile.Windowed}) and derives one layout per matrix phase;
-    pass B renders the identical block path under every phase layout at
-    once, recording each stream.  Each stream is then sliced by its own
-    instruction clock and every (layout, phase) cell replays cold through
-    the preset's cache geometry on the context's engine.
-
-    The driver deliberately bypasses {!Context.measure}: the context trace
-    cache is keyed by (combo, kernel, txns) only, and a schedule-shaped
-    stream under that key would poison the other figures' replays. *)
+    Reads the context's capture of the measurement execution under
+    {!Olayout_oltp.Schedule.rotation} ({!Context.scheduled_capture}: one
+    live walk, shared with {!Relayout}).  The capture's windows fold into
+    profiles for the divergence series, and its phases' merged profiles
+    derive one layout per matrix phase.  Each matrix row renders the
+    captured block path under its layout (application and kernel events
+    through one run merger, as the live server renders), is sliced by its
+    own instruction clock, and every (layout, phase) cell replays cold
+    through the preset's cache geometry on the context's engine. *)
 
 module Spike = Olayout_core.Spike
 module Observatory = Olayout_drift.Observatory

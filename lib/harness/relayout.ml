@@ -1,11 +1,8 @@
 module Spike = Olayout_core.Spike
-module Placement = Olayout_core.Placement
 module Incremental = Olayout_core.Incremental
-module Profile = Olayout_profile.Profile
 module Windowed = Olayout_profile.Windowed
 module Closedloop = Olayout_drift.Closedloop
 module Schedule = Olayout_oltp.Schedule
-module Server = Olayout_oltp.Server
 module Battery = Olayout_cachesim.Battery
 module Icache = Olayout_cachesim.Icache
 module Render = Olayout_exec.Render
@@ -16,15 +13,12 @@ module Telemetry = Olayout_telemetry.Telemetry
    the layout pipeline to keep up with a drifting transaction mix, and when
    does re-laying-out stop paying for its own disruption?
 
-   One scheduled server execution (through the trace-cache-aware context
-   path, like Drift's) captures the application block path once: the
-   windowed profile slices and the raw (proc, block, arm) event sequence
-   with its window boundaries.  Everything after that is offline and
-   placement-independent — the block path never depends on layouts, so one
-   capture serves every cadence:
+   The input is the drift driver's capture of the scheduled execution's
+   block path (Context.scheduled_capture).  The block path never depends
+   on layouts, so one capture serves every cadence:
 
-   - the static row renders the whole stream under the context's training
-     layout;
+   - the static row renders the whole application stream under the
+     context's training layout;
    - each swept cadence re-renders the same stream window by window,
      re-laying-out every [cadence] windows via an Incremental memo fed the
      merged profile of the windows since the previous tick (what an online
@@ -43,21 +37,6 @@ let default_window = Drift.default_window
 let default_slots = Drift.default_phases
 let default_cadences = [ 1; 2; 4; 8 ]
 
-(* Growable int array: the captured event stream (three lanes) and the
-   per-window start indices. *)
-type vec = { mutable a : int array; mutable n : int }
-
-let vec () = { a = Array.make 4096 0; n = 0 }
-
-let push v x =
-  if v.n = Array.length v.a then begin
-    let b = Array.make (2 * v.n) 0 in
-    Array.blit v.a 0 b 0 v.n;
-    v.a <- b
-  end;
-  v.a.(v.n) <- x;
-  v.n <- v.n + 1
-
 let run ?(combo = Spike.All) ?(cadences = default_cadences)
     ?(window = default_window) ?(slots = default_slots) ctx preset =
   if combo = Spike.Base then
@@ -70,43 +49,9 @@ let run ?(combo = Spike.All) ?(cadences = default_cadences)
     cadences;
   let cadences = List.sort_uniq compare cadences in
   Telemetry.span "relayout" (fun () ->
-      let schedule = Schedule.rotation ~slots in
       let train = Context.app_profile ctx in
-      let prog = Profile.prog train in
-      (* Pass A: one scheduled execution captures the windowed profiles and
-         the raw application block path.  Window indexing replicates
-         Windowed's clock (events belong to the window of their start
-         position; positions advance by source-encoding size), so the event
-         slices line up with the profile slices exactly. *)
-      let wp = Windowed.create ~window prog in
-      let ep = vec () and eb = vec () and ea = vec () in
-      let starts = vec () in
-      let pos = ref 0 in
-      let capture ~proc ~block ~arm =
-        let w = !pos / window in
-        while starts.n <= w do
-          push starts ep.n
-        done;
-        push ep proc;
-        push eb block;
-        push ea arm;
-        let len =
-          Olayout_ir.Block.source_instrs
-            (Olayout_ir.Proc.block (Olayout_ir.Prog.proc prog proc) block)
-        in
-        pos := !pos + max len 1
-      in
-      let (_ : Server.result) =
-        Context.measure_raw ctx ~schedule
-          ~app_sinks:[ Windowed.sink wp; capture ]
-          ~renders:[] ()
-      in
+      let wp = Context.scheduled_capture ctx (Schedule.rotation ~slots) ~window in
       let n = Windowed.windows wp in
-      (* Every captured window has a start index; cap with a sentinel. *)
-      while starts.n < n do
-        push starts ep.n
-      done;
-      push starts ep.n;
       let config =
         Icache.config ~size_kb:preset.Diagnose.size_kb
           ~line:preset.Diagnose.line ~assoc:preset.Diagnose.assoc ()
@@ -157,10 +102,7 @@ let run ?(combo = Spike.All) ?(cadences = default_cadences)
           (* Render the window under the current placement; the merger
              feeds the battery as it goes. *)
           Telemetry.span "replay" (fun () ->
-              let sink = Render.sink !render in
-              for i = starts.a.(w) to starts.a.(w + 1) - 1 do
-                sink ~proc:ep.a.(i) ~block:eb.a.(i) ~arm:ea.a.(i)
-              done;
+              Windowed.replay wp ~lo:w ~hi:(w + 1) ~app:(Render.sink !render) ~kernel:None;
               Render.flush merger);
           let m = Battery.misses battery config.Icache.name in
           window_misses.(w) <- m - !prev;

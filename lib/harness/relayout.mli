@@ -2,14 +2,15 @@
     drifting mix-shift schedule under an evolving layout and sweep the
     re-layout cadence.
 
-    One scheduled server execution captures the application block path and
-    its windowed profile slices; the block path never depends on
-    placements, so each swept cadence re-renders the same capture offline —
-    re-laying-out every [cadence] windows through an
-    {!Olayout_core.Incremental} memo fed the merged profile of the windows
-    since the previous tick, with the instruction cache persisting across
-    ticks so re-layout disruption (post-move cold misses) is part of each
-    cadence's cost.  The static row replays the training layout throughout.
+    Reads the context's capture of the scheduled execution's block path
+    ({!Context.scheduled_capture}, shared with {!Drift}); the block path
+    never depends on placements, so each swept cadence re-renders the
+    same capture's application events offline — re-laying-out every
+    [cadence] windows through an {!Olayout_core.Incremental} memo fed the
+    merged profile of the windows since the previous tick, with the
+    instruction cache persisting across ticks so re-layout disruption
+    (post-move cold misses) is part of each cadence's cost.  The static
+    row replays the training layout throughout.
 
     The result is the miss-rate-vs-staleness curve and the break-even
     cadence of {!Olayout_drift.Closedloop}, byte-identical at any [-j] and

@@ -181,9 +181,8 @@ let experiments : experiment list =
     {
       e_id = "drift";
       e_desc = "extension: workload drift observatory";
-      (* Scheduled server runs share the trace cache (keyed by schedule
-         signature), but the first run of a fresh context still walks
-         live — and no unscheduled cached streams are consumed. *)
+      (* The first scheduled capture of a fresh context walks the server
+         live; no unscheduled cached streams are consumed. *)
       e_live = true;
       e_streams = [];
       e_run =
@@ -195,9 +194,8 @@ let experiments : experiment list =
     {
       e_id = "relayout";
       e_desc = "extension: closed-loop incremental re-layout";
-      (* Shares the drift experiment's scheduled stream through the trace
-         cache; the capture pass itself is live (app sinks observe the
-         walk). *)
+      (* Reads the drift experiment's memoized scheduled capture, or
+         walks it live when run alone. *)
       e_live = true;
       e_streams = [];
       e_run =

@@ -58,7 +58,7 @@ let slot_names t = Array.map phase_name t.slots
 
 (* Canonical identity string.  Two schedules with equal signatures assign
    every measured transaction identically, so the signature is a sound
-   trace-cache key component (Context keys scheduled streams by it). *)
+   memo key component (Context keys scheduled captures by it). *)
 let signature t =
   String.concat "+"
     (Array.to_list

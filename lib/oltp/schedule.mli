@@ -49,7 +49,8 @@ val slot_names : t -> string array
 val signature : t -> string
 (** Canonical identity, e.g. ["tpcb+scan24+skew0:80"].  Equal signatures
     imply identical transaction assignment, so the signature is the
-    schedule component of {!Olayout_harness.Context}'s trace-cache key. *)
+    schedule component of {!Olayout_harness.Context}'s scheduled-capture
+    key. *)
 
 val scan_rows_default : int
 (** Probe count of {!rotation}'s scan slots — sized so a scan's

@@ -21,8 +21,8 @@ let compute_shape prog =
       incr g);
   { block_off; arm_off }
 
-(* The shape of the program profiled last: a window sink creates one
-   profile per window of the same program. *)
+(* The shape of the program profiled last: a windowed capture folds one
+   profile per window range of the same program. *)
 let last_shape : (Prog.t * shape) option Atomic.t = Atomic.make None
 
 let shape_of prog =
@@ -98,6 +98,19 @@ let iter_nonzero_arms t f =
     end
   done
 
+let iter_nonzero_blocks t f =
+  let off = t.shape.block_off and blocks = t.blocks in
+  let proc = ref 0 in
+  for g = 0 to Array.length blocks - 1 do
+    let c = blocks.(g) in
+    if c <> 0 then begin
+      while off.(!proc + 1) <= g do
+        incr proc
+      done;
+      f ~proc:!proc ~block:(g - off.(!proc)) c
+    end
+  done
+
 let proc_entry_count t p = count t p (Prog.proc t.prog p).Proc.entry
 
 let dynamic_instrs t =
@@ -123,16 +136,6 @@ let proc_flow_edges t pid =
       done)
     p.blocks;
   List.rev !edges
-
-let call_site_counts t =
-  let acc = ref [] in
-  Prog.iter_blocks t.prog (fun p b ->
-      match b.Block.term with
-      | Block.Call { callee; _ } ->
-          let c = count t p.Proc.id b.Block.id in
-          if c > 0 then acc := (p.Proc.id, callee, c) :: !acc
-      | _ -> ());
-  List.rev !acc
 
 let estimate_arms t =
   let t' = { t with blocks = Array.copy t.blocks; arms = Array.make (Array.length t.arms) 0 } in
@@ -177,16 +180,6 @@ let scale a factor =
 let same_shape a b =
   a.shape == b.shape || a.prog == b.prog
   || (a.shape.block_off = b.shape.block_off && a.shape.arm_off = b.shape.arm_off)
-
-let merge_proc_into ~into t pid =
-  if not (same_shape into t) then invalid_arg "Profile.merge_proc_into: different programs";
-  let { block_off; arm_off } = t.shape in
-  for i = block_off.(pid) to block_off.(pid + 1) - 1 do
-    into.blocks.(i) <- into.blocks.(i) + t.blocks.(i)
-  done;
-  for i = arm_off.(block_off.(pid)) to arm_off.(block_off.(pid + 1)) - 1 do
-    into.arms.(i) <- into.arms.(i) + t.arms.(i)
-  done
 
 let merge a b =
   if not (same_shape a b) then invalid_arg "Profile.merge: different programs";

@@ -34,6 +34,10 @@ val iter_nonzero_arms : t -> (proc:int -> block:int -> arm:int -> int -> unit) -
     procedure, block, arm order.  One pass over the flat arm counts, so a
     sparse profile costs what it holds. *)
 
+val iter_nonzero_blocks : t -> (proc:int -> block:int -> int -> unit) -> unit
+(** [f ~proc ~block count] for every block whose count is nonzero, in
+    procedure, block order: one pass over the flat block counts. *)
+
 val proc_entry_count : t -> int -> int
 (** Executions of a procedure's entry block. *)
 
@@ -48,11 +52,6 @@ type flow_edge = { src : Block.id; arm : int; dst : Block.id; weight : float }
 val proc_flow_edges : t -> int -> flow_edge list
 (** All intra-procedure edges of one procedure with profiled weights. *)
 
-val call_site_counts : t -> (int * int * int) list
-(** [(caller, callee, count)] for every executed call site, where [count] is
-    the call-site block's execution count.  Multiple sites between the same
-    pair appear separately. *)
-
 val estimate_arms : t -> t
 (** Spike-style reconstruction of arm counts from block counts alone: each
     multi-way terminator's count is apportioned to its successors in
@@ -65,11 +64,6 @@ val scale : t -> float -> t
 
 val merge : t -> t -> t
 (** Pointwise sum of two profiles over the same program.
-    @raise Invalid_argument unless {!same_shape}. *)
-
-val merge_proc_into : into:t -> t -> int -> unit
-(** [merge_proc_into ~into p pid] adds procedure [pid]'s counts in [p] to
-    [into], in place.
     @raise Invalid_argument unless {!same_shape}. *)
 
 val same_shape : t -> t -> bool

@@ -1,22 +1,29 @@
 open Olayout_ir
 
-(* Windowed profile capture: one {!Profile.t} per fixed-width span of the
-   walked instruction stream, on the same producer-local clock as
-   {!Sampler} (positions advance by each block's source-encoding size, so
-   the windows line up with every other instruction-clock series).  The
-   sink is pure bookkeeping on the dispatching domain — drift analysis
-   runs over the finished windows after the walk, never inside it. *)
+(* Windowed capture of an execution's block path: every event, in
+   execution order, as one packed int, and a window as the index of its
+   first application event on {!Sampler}'s clock.  The sinks are pure
+   bookkeeping on the dispatching domain; profiles fold on demand. *)
 
-(* A window's profile and the procedures its sink recorded into. *)
-type slot = { profile : Profile.t; touched : bool array }
+(* An event packs (proc, block, arm, owner) into one int: three [bits]-wide
+   fields above an owner bit (0 = application, 1 = kernel). *)
+let bits = 20
+let mask = (1 lsl bits) - 1
+
+(* Events live in fixed-size chunks, so the capture grows without copying
+   and holds O(events) words. *)
+let chunk_bits = 12
+let chunk_size = 1 lsl chunk_bits
 
 type t = {
   prog : Prog.t;
   window : int;
-  mutable slots : slot option array;
+  mutable chunks : int array array;
+  mutable count : int;  (* events of both owners *)
+  mutable starts : int array;  (* event index of each window's first app event *)
   mutable n : int;  (* windows in use: highest written index + 1 *)
   mutable position : int;  (* source instructions observed so far *)
-  mutable events : int;
+  mutable events : int;  (* application events *)
 }
 
 let create ?window prog =
@@ -24,58 +31,68 @@ let create ?window prog =
     match window with Some w -> w | None -> Olayout_telemetry.Timeline.window ()
   in
   if window < 1 then invalid_arg "Windowed.create: window must be >= 1 instruction";
-  { prog; window; slots = [||]; n = 0; position = 0; events = 0 }
+  { prog; window; chunks = [||]; count = 0; starts = [||]; n = 0; position = 0; events = 0 }
 
-let ensure t w =
-  if w >= Array.length t.slots then begin
-    let cap = max (w + 1) (max 16 (2 * Array.length t.slots)) in
-    let p = Array.make cap None in
-    Array.blit t.slots 0 p 0 t.n;
-    t.slots <- p
-  end
+let append t ~owner ~proc ~block ~arm =
+  if (proc lor block lor arm) land lnot mask <> 0 then
+    invalid_arg
+      (Printf.sprintf "Windowed: event (%d, %d, %d) does not fit the capture" proc block arm);
+  let i = t.count in
+  let c = i lsr chunk_bits in
+  if c = Array.length t.chunks then t.chunks <- Array.append t.chunks (Array.make (max 16 c) [||]);
+  if i land (chunk_size - 1) = 0 then t.chunks.(c) <- Array.make chunk_size 0;
+  t.chunks.(c).(i land (chunk_size - 1)) <-
+    (((((proc lsl bits) lor block) lsl bits) lor arm) lsl 1) lor owner;
+  t.count <- i + 1
 
-(* The event is attributed to the window containing its *start* position
-   (matching Timeline.Series.add's convention for run deltas). *)
+(* Checked like {!Profile.record}: an event the program does not have is
+   rejected before it is recorded. *)
 let sink t ~proc ~block ~arm =
+  let procs = t.prog.Prog.procs in
+  let blocks = if proc >= 0 && proc < Array.length procs then procs.(proc).Proc.blocks else [||] in
+  if block < 0 || block >= Array.length blocks || arm < 0 || arm >= Block.arm_count blocks.(block)
+  then invalid_arg (Printf.sprintf "Windowed.sink: no event (%d, %d, %d) in the program" proc block arm);
+  let b = blocks.(block) in
+  (* The event opens the window containing its *start* position (matching
+     Timeline.Series.add's convention for run deltas); a window a block
+     jumps over starts where the next one does. *)
   let w = t.position / t.window in
-  ensure t w;
-  let slot =
-    match t.slots.(w) with
-    | Some s -> s
-    | None ->
-        let s =
-          { profile = Profile.create t.prog; touched = Array.make (Prog.n_procs t.prog) false }
-        in
-        t.slots.(w) <- Some s;
-        s
-  in
-  Profile.record slot.profile ~proc ~block ~arm;
-  slot.touched.(proc) <- true;
-  if w + 1 > t.n then t.n <- w + 1;
+  while t.n <= w do
+    if t.n = Array.length t.starts then
+      t.starts <- Array.append t.starts (Array.make (max 16 t.n) 0);
+    t.starts.(t.n) <- t.count;
+    t.n <- t.n + 1
+  done;
+  append t ~owner:0 ~proc ~block ~arm;
   t.events <- t.events + 1;
-  let len = Block.source_instrs (Proc.block (Prog.proc t.prog proc) block) in
-  t.position <- t.position + max len 1
+  t.position <- t.position + max (Block.source_instrs b) 1
+
+let kernel_sink t ~proc ~block ~arm = append t ~owner:1 ~proc ~block ~arm
 
 let window t = t.window
 let windows t = t.n
 let instrs t = t.position
 let events t = t.events
 
-let profile t w =
-  if w < 0 || w >= t.n then invalid_arg "Windowed.profile: window out of range";
-  match t.slots.(w) with Some s -> s.profile | None -> Profile.create t.prog
+(* The event indices of windows [lo, hi), clamped to the capture: kernel
+   events before the first application event belong to window 0, and
+   those after the last one to the last window. *)
+let first t w = if w <= 0 then 0 else if w >= t.n then t.count else t.starts.(w)
 
-(* Merge the half-open window range [lo, hi) into one profile (the
-   per-phase grouping of the staleness matrix), summing in place the
-   procedures each window touched: a window's other rows are zero. *)
+let replay t ~lo ~hi ~app ~kernel =
+  for i = first t lo to first t hi - 1 do
+    let e = t.chunks.(i lsr chunk_bits).(i land (chunk_size - 1)) in
+    let proc = e lsr (1 + (2 * bits)) and block = (e lsr (1 + bits)) land mask in
+    let arm = (e lsr 1) land mask in
+    if e land 1 = 0 then app ~proc ~block ~arm
+    else match kernel with Some k -> k ~proc ~block ~arm | None -> ()
+  done
+
 let merged t ~lo ~hi =
   let acc = Profile.create t.prog in
-  for w = max 0 lo to min t.n hi - 1 do
-    match t.slots.(w) with
-    | Some s ->
-        Array.iteri
-          (fun pid touched -> if touched then Profile.merge_proc_into ~into:acc s.profile pid)
-          s.touched
-    | None -> ()
-  done;
+  replay t ~lo ~hi ~app:(Profile.record acc) ~kernel:None;
   acc
+
+let profile t w =
+  if w < 0 || w >= t.n then invalid_arg "Windowed.profile: window out of range";
+  merged t ~lo:w ~hi:(w + 1)

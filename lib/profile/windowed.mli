@@ -1,43 +1,65 @@
-(** Windowed profile capture over the simulated instruction clock.
+(** Windowed capture of an execution's block path over the simulated
+    instruction clock.
 
-    Where {!Sampler} keeps one aggregate profile for a whole run, this sink
-    keeps a separate {!Profile.t} per fixed-width instruction window, so a
-    later analysis can ask how the procedure/edge weight vector *changed*
-    along the run (the drift observatory's input).  Positions are
-    producer-local source-instruction counts, exactly like {!Sampler}'s, so
-    the windows line up with every {!Olayout_telemetry.Timeline} series fed
-    by the same walk and the capture is byte-deterministic at any [-j]. *)
+    Where {!Sampler} keeps one aggregate profile for a whole run, this
+    capture records the path itself: every application and kernel event
+    [(proc, block, arm)] in execution order, one word each, cut into
+    fixed-width windows of application instructions.  A window range
+    folds into a profile ({!merged}: how the procedure/edge weight vector
+    {e changed} along the run, the drift observatory's input) or replays
+    into walk sinks ({!replay}: rendered under any placement, since the
+    block path never depends on placements).  Positions are producer-local
+    source-instruction counts, exactly like {!Sampler}'s, so the windows
+    line up with every {!Olayout_telemetry.Timeline} series fed by the
+    same walk and the capture is byte-deterministic at any [-j]. *)
 
 open Olayout_ir
 
 type t
 
 val create : ?window:int -> Prog.t -> t
-(** [window] defaults to {!Olayout_telemetry.Timeline.window}[ ()].
+(** An empty capture of the application program [prog].  [window]
+    defaults to {!Olayout_telemetry.Timeline.window}[ ()].
     @raise Invalid_argument when [window < 1]. *)
 
 val sink : t -> proc:int -> block:int -> arm:int -> unit
-(** The walk sink ({!Olayout_exec.Walk.sink}-shaped): records the block
-    event into the window containing its start position, then advances the
-    position by the block's source size. *)
+(** The application walk sink ({!Olayout_exec.Walk.sink}-shaped): records
+    the event in the window containing its start position, then advances
+    the position by the block's source size.
+    @raise Invalid_argument, recording nothing, when the event is out of
+    range for the program (as {!Profile.record}). *)
+
+val kernel_sink : t -> proc:int -> block:int -> arm:int -> unit
+(** The kernel walk sink: records the event in order without advancing
+    the clock.  Kernel events never enter a profile.
+    @raise Invalid_argument when a field is negative or above 2{^20} - 1. *)
 
 val window : t -> int
 val windows : t -> int
 (** Windows in use (highest written index + 1). *)
 
 val instrs : t -> int
-(** Total source instructions observed. *)
+(** Total application source instructions observed. *)
 
 val events : t -> int
-(** Total block events recorded across all windows. *)
+(** Total application events recorded. *)
 
-val profile : t -> int -> Profile.t
-(** The profile of one window (a zeroed profile for in-range windows that
-    saw no events).  It belongs to the capture: read it, do not record
-    into it ({!merged} sums only the procedures the sink recorded).
-    @raise Invalid_argument when the index is out of range. *)
+val replay :
+  t ->
+  lo:int ->
+  hi:int ->
+  app:(proc:int -> block:int -> arm:int -> unit) ->
+  kernel:(proc:int -> block:int -> arm:int -> unit) option ->
+  unit
+(** Feed the events of the windows in [\[lo, hi)], clamped to the captured
+    range, to [app] and (when given) [kernel] in recorded order.  A kernel
+    event belongs to the window of the application event before it, or to
+    window 0 before the first one. *)
 
 val merged : t -> lo:int -> hi:int -> Profile.t
-(** Pointwise sum of the windows in [\[lo, hi)], clamped to the captured
-    range.  Costs what the windows touched: each window adds only the
-    rows of the procedures its sink recorded into. *)
+(** A fresh profile of the application events in the windows
+    [\[lo, hi)], clamped to the captured range. *)
+
+val profile : t -> int -> Profile.t
+(** [merged] of one window (zeroed for an in-range window without events).
+    @raise Invalid_argument when the index is out of range. *)

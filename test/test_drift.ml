@@ -76,18 +76,31 @@ let test_windowed_conservation () =
   (* diamond blocks: b0 = 4 source instrs, b1 = 6 (see test_profile). *)
   let w = Windowed.create ~window:8 prog in
   let aggregate = Profile.create prog in
+  let fed = ref [] in
   let feed ~block ~arm =
     Windowed.sink w ~proc:0 ~block ~arm;
-    Profile.record aggregate ~proc:0 ~block ~arm
+    Profile.record aggregate ~proc:0 ~block ~arm;
+    fed := (`App, 0, block, arm) :: !fed
   in
+  (* Kernel events belong to another program: they are recorded in order
+     but neither advance the window clock nor enter any profile. *)
+  let kernel ~proc ~block ~arm =
+    Windowed.kernel_sink w ~proc ~block ~arm;
+    fed := (`Kernel, proc, block, arm) :: !fed
+  in
+  kernel ~proc:7 ~block:3 ~arm:1;
   feed ~block:0 ~arm:0;
   (* starts at 0 -> window 0; pos 4 *)
+  kernel ~proc:2 ~block:40 ~arm:0;
   feed ~block:0 ~arm:1;
   (* starts at 4 -> window 0; pos 8 *)
   feed ~block:1 ~arm:0;
   (* starts at 8 -> window 1; pos 14 *)
+  kernel ~proc:5 ~block:0 ~arm:2;
   feed ~block:0 ~arm:0;
   (* starts at 14 -> window 1; pos 18 *)
+  kernel ~proc:1 ~block:9 ~arm:0;
+  kernel ~proc:0 ~block:0 ~arm:0;
   Alcotest.(check int) "window width" 8 (Windowed.window w);
   Alcotest.(check int) "instrs observed" 18 (Windowed.instrs w);
   Alcotest.(check int) "events observed" 4 (Windowed.events w);
@@ -104,6 +117,46 @@ let test_windowed_conservation () =
   Alcotest.(check int) "merged dynamic instrs = aggregate"
     (Profile.dynamic_instrs aggregate)
     (Profile.dynamic_instrs merged);
+  Alcotest.(check bool) "merged = aggregate, row for row" true
+    (List.for_all (Profile.proc_equal aggregate merged) [ 0 ]);
+  (* Replay returns the recorded path: every event in order, kernel events
+     after the last application event included. *)
+  let replayed ~lo ~hi ~kernel =
+    let acc = ref [] in
+    Windowed.replay w ~lo ~hi
+      ~app:(fun ~proc ~block ~arm -> acc := (`App, proc, block, arm) :: !acc)
+      ~kernel:
+        (if kernel then Some (fun ~proc ~block ~arm -> acc := (`Kernel, proc, block, arm) :: !acc)
+         else None);
+    List.rev !acc
+  in
+  let recorded = List.rev !fed in
+  let event = Alcotest.testable (fun ppf (o, p, b, a) ->
+      Format.fprintf ppf "%s(%d, %d, %d)" (if o = `App then "app" else "kernel") p b a) ( = )
+  in
+  Alcotest.(check (list event)) "full replay" recorded (replayed ~lo:0 ~hi:2 ~kernel:true);
+  Alcotest.(check (list event)) "clamped full replay" recorded
+    (replayed ~lo:(-3) ~hi:99 ~kernel:true);
+  Alcotest.(check (list event)) "application events only"
+    (List.filter (fun (o, _, _, _) -> o = `App) recorded)
+    (replayed ~lo:0 ~hi:2 ~kernel:false);
+  (* A kernel event belongs to the window of the application event before
+     it. *)
+  Alcotest.(check (list event)) "window 1"
+    [ (`App, 0, 1, 0); (`Kernel, 5, 0, 2); (`App, 0, 0, 0); (`Kernel, 1, 9, 0); (`Kernel, 0, 0, 0) ]
+    (replayed ~lo:1 ~hi:2 ~kernel:true);
+  Alcotest.(check (list event)) "empty range" [] (replayed ~lo:1 ~hi:1 ~kernel:true);
+  (* Rejected events record nothing. *)
+  let raises f = match f () with exception Invalid_argument _ -> true | () -> false in
+  Alcotest.(check bool) "app block past the procedure rejected" true
+    (raises (fun () -> Windowed.sink w ~proc:0 ~block:4 ~arm:0));
+  Alcotest.(check bool) "app arm past the block rejected" true
+    (raises (fun () -> Windowed.sink w ~proc:0 ~block:0 ~arm:2));
+  Alcotest.(check bool) "negative kernel field rejected" true
+    (raises (fun () -> Windowed.kernel_sink w ~proc:(-1) ~block:0 ~arm:0));
+  Alcotest.(check (list event)) "rejected events not recorded" recorded
+    (replayed ~lo:0 ~hi:2 ~kernel:true);
+  Alcotest.(check int) "rejected events not counted" 4 (Windowed.events w);
   Alcotest.(check bool) "bad window rejected" true
     (match Windowed.profile w 99 with
     | exception Invalid_argument _ -> true
@@ -117,7 +170,7 @@ let call_profile records =
   List.iter (fun (block, n) ->
       for _ = 1 to n do Profile.record p ~proc:0 ~block ~arm:0 done)
     records;
-  p
+  Divergence.summarize p
 
 let test_divergence_identity () =
   let a = call_profile [ (0, 3); (1, 2) ] in

@@ -42,14 +42,53 @@ let test_flow_edges () =
   Alcotest.(check bool) "no ret edge" true
     (not (List.exists (fun (e : Profile.flow_edge) -> e.src = 3) edges))
 
+(* Call-site counts as the drift metrics read them: each executed call-site
+   block adds its count to its (caller, callee) pair, and nothing else adds
+   an edge.  Two sites 0->1 run once and twice against one site 0->2 run
+   three times, so the pairs weigh 3:3. *)
 let test_call_sites () =
-  let prog = Helpers.call_prog () in
-  let p = Profile.create prog in
-  Profile.record p ~proc:0 ~block:0 ~arm:0;
-  Profile.record p ~proc:0 ~block:1 ~arm:0;
-  Profile.record p ~proc:0 ~block:1 ~arm:0;
-  Alcotest.(check (list (triple int int int))) "call sites" [ (0, 1, 1); (0, 1, 2) ]
-    (Profile.call_site_counts p)
+  let module Divergence = Olayout_drift.Divergence in
+  let leaf id = { Proc.id; name = "leaf"; entry = 0; blocks = [| Helpers.block 0 5 Block.Ret |] } in
+  let prog =
+    {
+      Prog.name = "two callees";
+      base_addr = 0x1000;
+      procs =
+        [|
+          {
+            Proc.id = 0;
+            name = "caller";
+            entry = 0;
+            blocks =
+              [|
+                Helpers.block 0 2 (Block.Call { callee = 1; ret = 1 });
+                Helpers.block 1 3 (Block.Call { callee = 1; ret = 2 });
+                Helpers.block 2 1 (Block.Call { callee = 2; ret = 3 });
+                Helpers.block 3 1 Block.Ret;
+              |];
+          };
+          leaf 1;
+          leaf 2;
+        |];
+    }
+  in
+  let summary blocks =
+    let p = Profile.create prog in
+    List.iter
+      (fun (proc, block, n) ->
+        for _ = 1 to n do
+          Profile.record p ~proc ~block ~arm:0
+        done)
+      blocks;
+    Divergence.summarize p
+  in
+  let l1 = Divergence.l1_edge_permille in
+  let p = summary [ (0, 0, 1); (0, 1, 2); (0, 2, 3); (0, 3, 6); (1, 0, 3); (2, 0, 3) ] in
+  Alcotest.(check int) "sites of one pair add up" 0 (l1 p (summary [ (0, 0, 1); (0, 2, 1) ]));
+  Alcotest.(check int) "second 0->1 site counted" 250 (l1 p (summary [ (0, 0, 1); (0, 2, 3) ]));
+  let no_calls = summary [ (0, 3, 4); (1, 0, 2); (2, 0, 1) ] in
+  Alcotest.(check int) "returns add no edge" 0 (l1 no_calls (summary []));
+  Alcotest.(check int) "calls vs none" 1000 (l1 p no_calls)
 
 let test_estimate_arms () =
   let prog = Helpers.diamond_prog 0.5 in
@@ -208,11 +247,33 @@ let test_windowed_merged_is_fold () =
       Alcotest.(check int) (Printf.sprintf "events [%d, %d)" lo hi)
         (Profile.total_block_events !fold) (Profile.total_block_events merged))
     [ (0, n); (2, 5); (-3, 2); (n - 2, n + 10); (3, 3); (5, 2); (n + 1, n + 5); (-5, -1) ];
-  (* Summing in place leaves the windows themselves untouched. *)
+  (* Folding a range leaves the capture untouched. *)
   let before = Profile.total_block_events (Olayout_profile.Windowed.profile w 0) in
   ignore (Olayout_profile.Windowed.merged w ~lo:0 ~hi:n);
   Alcotest.(check int) "window 0 unchanged" before
     (Profile.total_block_events (Olayout_profile.Windowed.profile w 0))
+
+(* The capture is the block path, not a profile per window: over many
+   small windows it holds a few words per event, where one whole-program
+   profile per window would hold hundreds. *)
+let test_windowed_holds_events () =
+  let prog = Olayout_codegen.Binary.prog (Helpers.random_program 24) in
+  let w = Olayout_profile.Windowed.create ~window:16 prog in
+  let walk = Olayout_exec.Walk.create ~prog ~rng:(Olayout_util.Rng.create 24) in
+  Olayout_exec.Walk.add_sink walk (Olayout_profile.Windowed.sink w);
+  for _ = 1 to 40 do
+    for pid = 0 to Prog.n_procs prog - 1 do
+      Olayout_exec.Walk.call walk pid
+    done
+  done;
+  let events = Olayout_profile.Windowed.events w in
+  let windows = Olayout_profile.Windowed.windows w in
+  Alcotest.(check bool) (Printf.sprintf "many windows (%d)" windows) true (windows > 1000);
+  let words = Obj.reachable_words (Obj.repr w) - Obj.reachable_words (Obj.repr prog) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d words for %d events" words events)
+    true
+    (words < 4 * events)
 
 let test_proc_equal_last_arm () =
   let prog = Olayout_codegen.Binary.prog (Helpers.random_program 25) in
@@ -242,9 +303,6 @@ let test_shape_not_name () =
   Alcotest.(check bool) "shapes differ" false (Profile.same_shape a b);
   Alcotest.check_raises "merge" (Invalid_argument "Profile.merge: different programs")
     (fun () -> ignore (Profile.merge a b));
-  Alcotest.check_raises "merge_proc_into"
-    (Invalid_argument "Profile.merge_proc_into: different programs") (fun () ->
-      Profile.merge_proc_into ~into:a b 0);
   Alcotest.check_raises "Delta.diff"
     (Invalid_argument "Delta.diff: profiles of different programs") (fun () ->
       ignore (Olayout_core.Delta.diff a b));
@@ -319,6 +377,8 @@ let suite =
       Alcotest.test_case "temporal window" `Quick test_temporal_window_limits;
       Alcotest.test_case "flat bounds" `Quick test_flat_bounds;
       Alcotest.test_case "windowed merged is a fold" `Quick test_windowed_merged_is_fold;
+      Alcotest.test_case "windowed capture holds O(events) words" `Quick
+        test_windowed_holds_events;
       Alcotest.test_case "proc_equal sees one arm" `Quick test_proc_equal_last_arm;
       Alcotest.test_case "shape, not name" `Quick test_shape_not_name;
       QCheck_alcotest.to_alcotest qcheck_estimate_preserves_block_counts;

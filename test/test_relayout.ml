@@ -5,8 +5,9 @@
    and the temporal/colored recipes, including under randomized profile
    deltas (weight perturbations, edge deletions, newly-hot procedures) —
    the relayout.* work counters with the >= 2x combined work-savings
-   acceptance gate, trace-cache reuse of scheduled streams, and the
-   cadence-sweep driver with its olayout-relayout/v1 artifact. *)
+   acceptance gate, the scheduled capture both drivers share (one live
+   walk, rendering exactly as the live server does), and the cadence-sweep
+   driver with its olayout-relayout/v1 artifact. *)
 
 open Olayout_ir
 module Spike = Olayout_core.Spike
@@ -29,6 +30,12 @@ module Diff = Olayout_regress.Diff
 module Rng = Olayout_util.Rng
 module Walk = Olayout_exec.Walk
 module Windowed = Olayout_profile.Windowed
+module Render = Olayout_exec.Render
+module Run = Olayout_exec.Run
+module Trace = Olayout_exec.Trace
+module Schedule = Olayout_oltp.Schedule
+module Server = Olayout_oltp.Server
+module Workload = Olayout_oltp.Workload
 
 (* A profile from walking a random subset of procedures a random number of
    times: versus another seed this produces weight perturbations, deleted
@@ -269,25 +276,33 @@ let test_work_accounting () =
 
 let ctx = lazy (Context.create ~scale:Context.Quick ())
 
-(* Both closed-loop drivers over one context, run as the report's drift
-   and relayout experiments (which return their results for the DRIFT and
-   RELAYOUT artifacts), with the combined layout work attributed: the work
-   gate measures drift's staleness matrix plus the relayout loop
-   together. *)
+(* Both closed-loop drivers over one fresh context, run as the report's
+   drift and relayout experiments (which return their results for the
+   DRIFT and RELAYOUT artifacts), with the combined layout work and the
+   live server walks attributed: the work gate measures drift's staleness
+   matrix plus the relayout loop together. *)
 let report =
   lazy
     (let c = Lazy.force ctx in
      let w0 = Incremental.work_counters () in
+     let s0 = Context.trace_stats c in
      let report =
        Report.run ~selection:(Report.Only [ "drift"; "relayout" ]) c
          (Format.make_formatter (fun _ _ _ -> ()) ignore)
      in
-     (report, Incremental.work_sub (Incremental.work_counters ()) w0))
+     let s1 = Context.trace_stats c in
+     ( report,
+       Incremental.work_sub (Incremental.work_counters ()) w0,
+       s1.Context.live_executions - s0.Context.live_executions ))
 
 let results =
   lazy
-    (let report, w = Lazy.force report in
+    (let report, w, _ = Lazy.force report in
      (Option.get report.Report.drift, Option.get report.Report.relayout, w))
+
+let schedule = Schedule.rotation ~slots:Relayout.default_slots
+
+let capture c = Context.scheduled_capture c schedule ~window:Relayout.default_window
 
 let test_driver_curve () =
   let _, r, _ = Lazy.force results in
@@ -362,12 +377,7 @@ let test_driver_equivalence_at_scale () =
   ignore (Lazy.force results);
   let train = Context.app_profile c in
   let prog = Profile.prog train in
-  let wp = Windowed.create ~window:Relayout.default_window prog in
-  let (_ : Olayout_oltp.Server.result) =
-    Context.measure_raw c
-      ~schedule:(Olayout_oltp.Schedule.rotation ~slots:Relayout.default_slots)
-      ~app_sinks:[ Windowed.sink wp ] ~renders:[] ()
-  in
+  let wp = capture c in
   let algo = Incremental.Combo Spike.All in
   let shifted = ref 0 and moved = ref 0 in
   let segment_counts pl =
@@ -478,7 +488,8 @@ let test_driver_gauges () =
       "drift.relayout_work_ratio_x100";
     ];
   Alcotest.(check bool) "Report.run returns the result" true
-    ((fst (Lazy.force report)).Report.relayout <> None)
+    (let report, _, _ = Lazy.force report in
+     report.Report.relayout <> None)
 
 let test_driver_validation () =
   let c = Lazy.force ctx in
@@ -495,23 +506,82 @@ let test_driver_validation () =
   Alcotest.(check bool) "slots < 2 rejected" true
     (raises (fun () -> Relayout.run ~slots:1 c preset))
 
-(* --- trace-cache reuse of scheduled streams ----------------------------- *)
+(* --- the shared scheduled capture --------------------------------------- *)
+
+let test_one_scheduled_walk () =
+  (* The drift and relayout drivers read one memoized capture of the
+     scheduled execution: on a fresh context the pair walks the server
+     once. *)
+  let _, _, live = Lazy.force report in
+  Alcotest.(check int) "drift then relayout: one live execution" 1 live
 
 let test_scheduled_streams_share_cache () =
-  (* PR 9 bypassed the trace cache for scheduled runs; now the schedule
-     signature is part of the key, so a re-run of the drift driver replays
-     the recorded scheduled training-row stream instead of re-simulating
-     it. *)
+  (* A re-run of the drift driver renders every staleness row from the
+     memoized capture: it walks nothing. *)
   let c = Lazy.force ctx in
   ignore (Lazy.force results);
   let s0 = Context.trace_stats c in
   let (_ : Observatory.t) = Drift.run c (Diagnose.preset_of_figure "fig4") in
   let s1 = Context.trace_stats c in
-  Alcotest.(check bool)
-    (Printf.sprintf "scheduled stream replayed (%d -> %d)"
-       s0.Context.replayed_traces s1.Context.replayed_traces)
-    true
-    (s1.Context.replayed_traces > s0.Context.replayed_traces)
+  Alcotest.(check int) "second drift run: no live execution" s0.Context.live_executions
+    s1.Context.live_executions
+
+(* A rendered stream as (addr, len, owner) triples. *)
+let flat_runs trace =
+  let a = Array.make (3 * Trace.length trace) 0 and i = ref 0 in
+  Trace.replay trace (fun (r : Run.t) ->
+      a.(!i) <- r.Run.addr;
+      a.(!i + 1) <- r.Run.len;
+      a.(!i + 2) <- (if r.Run.owner = Run.App then 0 else 1);
+      i := !i + 3);
+  a
+
+let test_capture_renders_live () =
+  (* The oracle for rendering from the path: the memoized capture, with
+     application and kernel events through one merger per placement,
+     reproduces a live scheduled server run for run. *)
+  let c = Lazy.force ctx in
+  ignore (Lazy.force results);
+  let wp = capture c in
+  let kernel = Context.kernel_base c in
+  let placements = [ Context.placement c Spike.All; Context.placement c Spike.Base ] in
+  let live = List.map (fun _ -> Trace.record ()) placements in
+  let wl = Context.workload c in
+  let (_ : Server.result) =
+    Server.run ~app:(Workload.app wl) ~kernel:(Workload.kernel wl)
+      ~txns:(Context.measured_txns c) ~seed:1009 ~schedule
+      ~renders:
+        (List.map2
+           (fun app_placement (emit, _) ->
+             { Server.app_placement; kernel_placement = kernel; emit })
+           placements live)
+      ()
+  in
+  List.iter2
+    (fun (name, placement) (_, trace) ->
+      let expected = flat_runs trace in
+      let k = ref 0 and first_diff = ref None in
+      let merger =
+        Render.merger ~emit:(fun (r : Run.t) ->
+            let j = 3 * !k in
+            if
+              !first_diff = None
+              && (j >= Array.length expected
+                 || expected.(j) <> r.Run.addr
+                 || expected.(j + 1) <> r.Run.len
+                 || expected.(j + 2) <> if r.Run.owner = Run.App then 0 else 1)
+            then first_diff := Some !k;
+            incr k)
+      in
+      Windowed.replay wp ~lo:0 ~hi:(Windowed.windows wp)
+        ~app:(Render.sink (Render.create ~placement ~owner:Run.App merger))
+        ~kernel:(Some (Render.sink (Render.create ~placement:kernel ~owner:Run.Kernel merger)));
+      Render.flush merger;
+      Alcotest.(check bool) (name ^ ": live stream nonempty") true (Trace.length trace > 0);
+      Alcotest.(check (option int)) (name ^ ": first differing run") None !first_diff;
+      Alcotest.(check int) (name ^ ": runs") (Trace.length trace) !k)
+    [ ("all", List.nth placements 0); ("base", List.nth placements 1) ]
+    live
 
 (* --- artifact ---------------------------------------------------------- *)
 
@@ -557,7 +627,10 @@ let test_repeatable_bytes () =
       (Closedloop.to_json ~scale:"quick"
          (Relayout.run c (Diagnose.preset_of_figure "fig4")))
   in
-  Alcotest.(check string) "byte-identical re-run" (doc ()) (doc ())
+  let s0 = Context.trace_stats c in
+  Alcotest.(check string) "byte-identical re-run" (doc ()) (doc ());
+  Alcotest.(check int) "re-runs walk nothing" s0.Context.live_executions
+    (Context.trace_stats c).Context.live_executions
 
 let suite =
   ( "relayout",
@@ -580,8 +653,11 @@ let suite =
         test_driver_equivalence_at_scale;
       Alcotest.test_case "gauges published" `Slow test_driver_gauges;
       Alcotest.test_case "driver validation" `Slow test_driver_validation;
+      Alcotest.test_case "drift and relayout walk once" `Slow test_one_scheduled_walk;
       Alcotest.test_case "scheduled streams share the cache" `Slow
         test_scheduled_streams_share_cache;
+      Alcotest.test_case "scheduled capture renders as a live walk" `Slow
+        test_capture_renders_live;
       Alcotest.test_case "artifact shape + classification" `Slow test_artifact;
       Alcotest.test_case "byte-identical re-run" `Slow test_repeatable_bytes;
     ] )
