@@ -30,10 +30,6 @@ type t = { engine : engine; backend : backend; tl : tl option }
 
 let engine_name = function `Icache -> "icache" | `Stackdist -> "stackdist"
 
-let log2 n =
-  let rec go n acc = if n <= 1 then acc else go (n lsr 1) (acc + 1) in
-  go n 0
-
 let designate backend (name, prefix) =
   let tl_misses = Timeline.series (Printf.sprintf "cachesim.%s.misses" prefix) in
   let tl_accesses = Timeline.series (Printf.sprintf "cachesim.%s.accesses" prefix) in
@@ -50,7 +46,7 @@ let designate backend (name, prefix) =
             tl_accesses;
             tl_probe = P_cache c;
             tl_unit = i;
-            tl_shift = log2 (Icache.cfg c).Icache.line_bytes;
+            tl_shift = (Icache.lru c).Lru.shift;
             tl_pos = 0;
           }
       | None ->
@@ -93,7 +89,8 @@ let tl_misses_now tl =
   | P_stack p -> Stackdist.probe_misses p
 
 let tl_lines tl (run : Run.t) =
-  ((run.addr + (run.len * 4) - 1) lsr tl.tl_shift) - (run.addr lsr tl.tl_shift) + 1
+  if run.len <= 0 then 0
+  else ((run.addr + (run.len * 4) - 1) lsr tl.tl_shift) - (run.addr lsr tl.tl_shift) + 1
 
 let feed_all t run =
   match t.backend with

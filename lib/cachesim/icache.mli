@@ -36,15 +36,16 @@ type t
 
 val create :
   ?track_usage:bool ->
-  ?on_miss:(int -> Olayout_exec.Run.owner -> unit) ->
+  ?on_miss:(int -> unit) ->
   ?on_evict:(evictor:int -> victim:int -> unit) ->
   ?prefetch_next:int ->
   config ->
   t
-(** [track_usage] enables the Fig 9/10/11 instrumentation (line word masks,
-    per-word counters and lifetimes); only supported for lines of at most
-    248 bytes.  Default false.  [on_miss] is invoked with the missing line's
-    byte address on every miss — the hook that feeds a unified L2.
+(** A cache on the {!Lru} core.  [track_usage] enables the Fig 9/10/11
+    instrumentation (line word masks, per-word counters and lifetimes);
+    only supported for lines of at most 248 bytes.  Default false.
+    [on_miss] is invoked with the missing line's byte address on every
+    miss — the hook that feeds a unified L2.
 
     [on_evict] is invoked on every replacement of a valid line (demand
     misses and prefetch installs alike; cold fills into empty slots are not
@@ -62,7 +63,12 @@ val create :
     @raise Invalid_argument on bad geometry (see {!sets}). *)
 
 val access_run : t -> Olayout_exec.Run.t -> unit
-(** Fetch a run through the cache. *)
+(** Fetch a run through the cache, one access per line it touches (none
+    when [len <= 0]). *)
+
+val lru : t -> Lru.t
+(** The core.  Without usage tracking or prefetching, feeding it lines
+    ({!Lru.access}, then {!Lru.publish}) is what {!access_run} does. *)
 
 val flush_residents : t -> unit
 (** Account all still-resident lines as if replaced, so the usage histograms

@@ -23,10 +23,7 @@ type level = {
 type group = {
   line_shift : int;
   levels : level array;  (* increasing set count *)
-  (* Lines referenced so far, as a paged bit set: kernel text sits at
-     0x8000_0000, so a flat one would span the address space. *)
-  mutable seen : Bytes.t array;
-  mutable cold : int;
+  seen : Lru.seen;  (* lines referenced so far: its count is the cold misses *)
   mutable accesses : int;
   (* The telemetry counters' increments since the group's last
      [publish_groups]: feeding a run makes no call into the registry. *)
@@ -67,8 +64,7 @@ let create configs =
     {
       line_shift = log2 line_bytes;
       levels = Array.of_list (List.map level (List.sort_uniq compare (List.map snd mine)));
-      seen = [||];
-      cold = 0;
+      seen = Lru.seen ();
       accesses = 0;
       new_accesses = 0;
       new_misses = 0;
@@ -85,27 +81,6 @@ let create configs =
 
 (* --- run feeding ------------------------------------------------------- *)
 
-let seen_page_bits = 15
-
-(* Marks [line] seen; true iff it was not before. *)
-let first_reference g line =
-  let p = line lsr seen_page_bits in
-  if p >= Array.length g.seen then begin
-    let doubled = 2 * Array.length g.seen in
-    let b = Array.make (if p < doubled then doubled else p + 1) Bytes.empty in
-    Array.blit g.seen 0 b 0 (Array.length g.seen);
-    g.seen <- b
-  end;
-  if Bytes.length g.seen.(p) = 0 then g.seen.(p) <- Bytes.make (1 lsl (seen_page_bits - 3)) '\000';
-  let page = g.seen.(p) in
-  let i = (line land ((1 lsl seen_page_bits) - 1)) lsr 3 and bit = 1 lsl (line land 7) in
-  let byte = Char.code (Bytes.get page i) in
-  byte land bit = 0
-  && begin
-       Bytes.set page i (Char.unsafe_chr (byte lor bit));
-       true
-     end
-
 (* Each line of the run visits the set counts in increasing order, moves
    to the front of its set's stack at each and books the depth it was
    found at.  With bit-selection mapping a set at [2^(j+1)] sets holds a
@@ -113,7 +88,8 @@ let first_reference g line =
    recent at one set count is most recent at every larger one: the walk
    stops there, and no later stack changes.  [walk_steps] counts stack
    entries compared.  Per line and set count, nothing here calls out of
-   this module. *)
+   this module; per line, only the first-touch test of a line no stack
+   holds does. *)
 let feed_group g (r : Run.t) =
   let first = r.addr lsr g.line_shift
   and last = (r.addr + (r.len * 4) - 1) lsr g.line_shift in
@@ -160,17 +136,18 @@ let feed_group g (r : Run.t) =
       end
     done;
     (* A line in no stack may still have been referenced, long ago. *)
-    if (not !found) && first_reference g line then g.cold <- g.cold + 1
+    if not !found then ignore (Lru.first_reference g.seen line)
   done;
   g.accesses <- g.accesses + (last - first + 1);
   g.new_accesses <- g.new_accesses + (last - first + 1);
   g.new_misses <- g.new_misses + !misses;
   g.new_steps <- g.new_steps + !steps
 
-let access_groups t ~lo ~hi r =
-  for i = lo to hi do
-    feed_group t.groups.(i) r
-  done
+let access_groups t ~lo ~hi (r : Run.t) =
+  if r.len > 0 then
+    for i = lo to hi do
+      feed_group t.groups.(i) r
+    done
 
 let publish_groups t ~lo ~hi =
   for i = lo to hi do
@@ -219,7 +196,7 @@ let slot_misses s =
   !m
 
 let misses t name = slot_misses (find t name)
-let cold_misses t name = t.groups.((find t name).group).cold
+let cold_misses t name = Lru.seen_count t.groups.((find t name).group).seen
 let misses_by_config t = Array.to_list (Array.map (fun s -> (s.cfg, slot_misses s)) t.ordered)
 
 (* --- probes ------------------------------------------------------------ *)

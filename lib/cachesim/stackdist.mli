@@ -25,8 +25,8 @@
     with power-of-two set counts and bit selection, a line most recent
     among a set's lines is most recent in every finer set holding it, so
     no later stack changes.  That makes a reference cost a few array
-    probes.  Compulsory misses come from a paged bit set of lines seen,
-    consulted only for a line that no stack holds.
+    probes.  Compulsory misses come from a first-touch set of lines seen
+    ({!Lru.seen}), consulted only for a line that no stack holds.
 
     A fully-associative configuration ([2^0] sets, [a] = capacity in
     lines) degenerates to the classic Mattson stack — the same oracle as
@@ -54,7 +54,7 @@ val create : Icache.config list -> t
 
 val access_run : t -> Olayout_exec.Run.t -> unit
 (** Fetch a run through every group (hence every configuration), then
-    {!publish_groups} them all. *)
+    {!publish_groups} them all.  A run with [len <= 0] touches nothing. *)
 
 val n_groups : t -> int
 (** Number of distinct line sizes — the unit of parallel sharding. *)

@@ -1,4 +1,5 @@
 module Icache = Olayout_cachesim.Icache
+module Lru = Olayout_cachesim.Lru
 module Run = Olayout_exec.Run
 module Histogram = Olayout_metrics.Histogram
 module Telemetry = Olayout_telemetry.Telemetry
@@ -44,15 +45,10 @@ type conflict_pair = {
 type state = {
   resolver : Resolver.t;
   shadow : Shadow.t;
-  seen : (int, unit) Hashtbl.t;  (* lines ever demand-referenced *)
-  line_shift : int;
   line_bytes : int;
   set_mask : int;
-  mutable n_compulsory : int;
-  mutable n_capacity : int;
-  mutable n_conflict : int;
-  mutable n_evictions : int;
-  (* Per-segment tallies; index [n_segments] is the unresolved bucket. *)
+  (* Per-segment tallies; index [n_segments] is the unresolved bucket, so
+     each array sums to its class's total. *)
   seg_misses : int array;
   seg_compulsory : int array;
   seg_capacity : int array;
@@ -75,10 +71,6 @@ type tl = {
 
 type t = { ic : Icache.t; st : state; tl : tl option }
 
-let log2 n =
-  let rec go n acc = if n <= 1 then acc else go (n lsr 1) (acc + 1) in
-  go n 0
-
 (* Attribute a line to the segment owning its first mapped word (line
    starts can fall in alignment padding between segments). *)
 let resolve_line st addr =
@@ -100,14 +92,8 @@ let create ?timeline ~resolver (cfg : Icache.config) =
     {
       resolver;
       shadow = Shadow.create ~capacity:(cfg.Icache.size_bytes / cfg.Icache.line_bytes);
-      seen = Hashtbl.create 4096;
-      line_shift = log2 cfg.Icache.line_bytes;
       line_bytes = cfg.Icache.line_bytes;
       set_mask = n_sets - 1;
-      n_compulsory = 0;
-      n_capacity = 0;
-      n_conflict = 0;
-      n_evictions = 0;
       seg_misses = Array.make (n_segs + 1) 0;
       seg_compulsory = Array.make (n_segs + 1) 0;
       seg_capacity = Array.make (n_segs + 1) 0;
@@ -118,38 +104,13 @@ let create ?timeline ~resolver (cfg : Icache.config) =
       matrix = Hashtbl.create 1024;
     }
   in
-  let on_miss addr _owner =
-    (* Fires before the line is installed: [seen] and [shadow] still
-       describe the stream up to (not including) this reference. *)
-    let line = addr lsr st.line_shift in
-    let seg = seg_idx st (resolve_line st addr) in
-    st.seg_misses.(seg) <- st.seg_misses.(seg) + 1;
-    st.set_misses.(line land st.set_mask) <- st.set_misses.(line land st.set_mask) + 1;
-    if not (Hashtbl.mem st.seen line) then begin
-      st.n_compulsory <- st.n_compulsory + 1;
-      st.seg_compulsory.(seg) <- st.seg_compulsory.(seg) + 1;
-      Telemetry.incr c_compulsory;
-      Hashtbl.add st.seen line ()
-    end
-    else if Shadow.mem st.shadow line then begin
-      st.n_conflict <- st.n_conflict + 1;
-      st.seg_conflict.(seg) <- st.seg_conflict.(seg) + 1;
-      Telemetry.incr c_conflict
-    end
-    else begin
-      st.n_capacity <- st.n_capacity + 1;
-      st.seg_capacity.(seg) <- st.seg_capacity.(seg) + 1;
-      Telemetry.incr c_capacity
-    end
-  in
   let on_evict ~evictor ~victim =
     let eseg = seg_idx st (resolve_line st evictor) in
     let vseg = seg_idx st (resolve_line st victim) in
-    st.n_evictions <- st.n_evictions + 1;
     Telemetry.incr c_evictions;
     st.seg_caused.(eseg) <- st.seg_caused.(eseg) + 1;
     st.seg_suffered.(vseg) <- st.seg_suffered.(vseg) + 1;
-    let key = ((evictor lsr st.line_shift) land st.set_mask, eseg, vseg) in
+    let key = ((evictor / st.line_bytes) land st.set_mask, eseg, vseg) in
     match Hashtbl.find_opt st.matrix key with
     | Some r -> incr r
     | None -> Hashtbl.add st.matrix key (ref 1)
@@ -169,39 +130,60 @@ let create ?timeline ~resolver (cfg : Icache.config) =
           }
     | _ -> None
   in
-  { ic = Icache.create ~on_miss ~on_evict cfg; st; tl }
+  { ic = Icache.create ~on_evict cfg; st; tl }
 
 let icache t = t.ic
 
-(* Split a run into per-line sub-runs so the shadow cache interleaves with
-   the icache in stream order even across multi-line runs.  Each sub-run
-   touches exactly one line with the same word span the whole run would,
-   so the wrapped icache's counters equal an undiagnosed simulation's. *)
+(* Classify a demand miss on [line] before the shadow sees it, so the
+   shadow describes the stream strictly up to this reference. *)
+let classify st line ~compulsory =
+  let seg = seg_idx st (resolve_line st (line * st.line_bytes)) in
+  st.seg_misses.(seg) <- st.seg_misses.(seg) + 1;
+  st.set_misses.(line land st.set_mask) <- st.set_misses.(line land st.set_mask) + 1;
+  if compulsory then begin
+    st.seg_compulsory.(seg) <- st.seg_compulsory.(seg) + 1;
+    Telemetry.incr c_compulsory
+  end
+  else if Shadow.mem st.shadow line then begin
+    st.seg_conflict.(seg) <- st.seg_conflict.(seg) + 1;
+    Telemetry.incr c_conflict
+  end
+  else begin
+    st.seg_capacity.(seg) <- st.seg_capacity.(seg) + 1;
+    Telemetry.incr c_capacity
+  end
+
+(* Feed the wrapped cache's core (no usage, no prefetch) line by line, so
+   the shadow interleaves with it in stream order; a miss is compulsory
+   when the core's first-touch test found the line new. *)
 let access_run t (r : Run.t) =
-  let st = t.st in
-  let first = r.Run.addr and last = r.Run.addr + (r.Run.len * 4) - 1 in
-  let first_line = first lsr st.line_shift and last_line = last lsr st.line_shift in
-  for line = first_line to last_line do
-    let lo = max first (line lsl st.line_shift) in
-    let hi = min last (((line + 1) lsl st.line_shift) - 1) in
-    Icache.access_run t.ic
-      { Run.owner = r.Run.owner; addr = lo; len = ((hi - lo) / 4) + 1 };
-    Shadow.touch st.shadow line
-  done;
-  match t.tl with
-  | None -> ()
-  | Some tl ->
-      let pos = tl.tl_pos in
-      Timeline.sample tl.tl_ws ~pos (Shadow.size st.shadow);
-      Timeline.sample tl.tl_uniq ~pos (Hashtbl.length st.seen);
-      tl.tl_pos <- pos + r.Run.len
+  if r.len > 0 then begin
+    let st = t.st and c = Icache.lru t.ic in
+    let owner = Lru.owner_code r.owner in
+    for line = r.addr lsr c.shift to (r.addr + (r.len * 4) - 1) lsr c.shift do
+      let misses = c.misses and cold = c.cold in
+      ignore (Lru.access c owner line);
+      if c.misses > misses then classify st line ~compulsory:(c.cold > cold);
+      Shadow.touch st.shadow line
+    done;
+    Lru.publish c;
+    match t.tl with
+    | None -> ()
+    | Some tl ->
+        let pos = tl.tl_pos in
+        Timeline.sample tl.tl_ws ~pos (Shadow.size st.shadow);
+        Timeline.sample tl.tl_uniq ~pos (Icache.unique_lines t.ic);
+        tl.tl_pos <- pos + r.len
+  end
+
+let sum = Array.fold_left ( + ) 0
 
 let totals t =
   {
     total = Icache.misses t.ic;
-    compulsory = t.st.n_compulsory;
-    capacity = t.st.n_capacity;
-    conflict = t.st.n_conflict;
+    compulsory = Icache.cold_misses t.ic;
+    capacity = sum t.st.seg_capacity;
+    conflict = sum t.st.seg_conflict;
     cold = Icache.cold_misses t.ic;
   }
 
@@ -330,7 +312,7 @@ let json ?(top = 20) t =
             ("conflict", Json.Int tt.conflict);
             ("cold_fills", Json.Int tt.cold);
             ("accesses", Json.Int (Icache.accesses t.ic));
-            ("evictions", Json.Int t.st.n_evictions);
+            ("evictions", Json.Int (sum t.st.seg_caused));
           ] );
       ( "segments",
         Json.Array

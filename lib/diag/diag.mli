@@ -5,7 +5,8 @@
     fetch-run stream.  Every demand miss is classified into the standard
     three Cs:
 
-    - {e compulsory} — first reference to the line anywhere in the run;
+    - {e compulsory} — first reference to the line anywhere in the run,
+      as the wrapped cache's own first-touch test finds it;
     - {e conflict} — the line was resident in a same-capacity
       fully-associative LRU shadow cache ({!Shadow}) fed the same line
       stream, so only set contention evicted it: the kind of miss a
@@ -37,9 +38,11 @@ val create : ?timeline:string -> resolver:Resolver.t -> Icache.config -> t
     [diag.<prefix>.unique_lines]. *)
 
 val access_run : t -> Olayout_exec.Run.t -> unit
-(** Feed one fetch run: the wrapped icache sees exactly the line-touch
+(** Feed one fetch run, line by line into the wrapped icache's core and
+    then the shadow cache: the icache sees exactly the line-touch
     sequence a plain [Icache.access_run] would, and the shadow cache and
-    attribution tables observe the same stream. *)
+    attribution tables observe the same stream.  A run with [len <= 0]
+    touches nothing. *)
 
 val icache : t -> Icache.t
 (** The wrapped cache (for [misses], [cfg], usage counters...). *)
@@ -50,8 +53,8 @@ type totals = {
   capacity : int;
   conflict : int;
   cold : int;
-      (** installs into empty slots, the icache's own cold counter;
-          [cold <= compulsory] (a first reference can still evict). *)
+      (** the icache's own cold counter; equal to [compulsory], since both
+          come from its one first-touch set. *)
 }
 
 val totals : t -> totals

@@ -34,7 +34,7 @@ let mk_side () =
   in
   let l1i =
     Icache.create
-      ~on_miss:(fun addr _ ->
+      ~on_miss:(fun addr ->
         Cache.access board ~kind:Cache.Instr (Olayout_memsim.Phys.translate addr))
       (Icache.config ~name:"21164-8K" ~size_kb:8 ~line:32 ~assoc:1 ())
   in

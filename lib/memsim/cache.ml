@@ -1,3 +1,4 @@
+module Lru = Olayout_cachesim.Lru
 module Telemetry = Olayout_telemetry.Telemetry
 
 let c_accesses = Telemetry.counter "memsim.cache_accesses"
@@ -7,26 +8,9 @@ type kind = Instr | Data
 
 let kind_code = function Instr -> 0 | Data -> 1
 
-type t = {
-  name : string;
-  assoc : int;
-  line_shift : int;
-  set_mask : int;
-  tags : int array;
-  last_use : int array;
-  on_miss : (int -> unit) option;
-  on_evict : (evictor:int -> victim:int -> unit) option;
-  mutable clock : int;
-  mutable misses : int;
-  acc_kind : int array;
-  miss_kind : int array;
-}
+type t = { name : string; lru : Lru.t; acc_kind : int array }
 
-let log2 n =
-  let rec go n acc = if n <= 1 then acc else go (n lsr 1) (acc + 1) in
-  go n 0
-
-let create ?on_miss ?on_evict ~name ~size_bytes ~line_bytes ~assoc () =
+let create ?on_miss ~name ~size_bytes ~line_bytes ~assoc () =
   (* [0 land -1 = 0] would pass the power-of-two test below and then divide
      by zero computing the set count; reject non-positive sizes first. *)
   if line_bytes <= 0 then invalid_arg "Cache.create: line size must be positive";
@@ -37,61 +21,24 @@ let create ?on_miss ?on_evict ~name ~size_bytes ~line_bytes ~assoc () =
     invalid_arg "Cache.create: bad associativity";
   if size_bytes mod (line_bytes * assoc) <> 0 then
     invalid_arg "Cache.create: size not a multiple of line*assoc";
-  let n_sets = size_bytes / (line_bytes * assoc) in
-  if n_sets land (n_sets - 1) <> 0 then
+  let sets = size_bytes / (line_bytes * assoc) in
+  if sets land (sets - 1) <> 0 then
     invalid_arg "Cache.create: set count must be a power of two";
   {
     name;
-    assoc;
-    line_shift = log2 line_bytes;
-    set_mask = n_sets - 1;
-    tags = Array.make (n_sets * assoc) (-1);
-    last_use = Array.make (n_sets * assoc) 0;
-    on_miss;
-    on_evict;
-    clock = 0;
-    misses = 0;
+    lru =
+      Lru.create ?on_miss ~accesses:c_accesses ~misses:c_misses ~sets ~ways:assoc ~line_bytes ();
     acc_kind = Array.make 2 0;
-    miss_kind = Array.make 2 0;
   }
 
 let access t ~kind addr =
   let kind = kind_code kind in
-  t.clock <- t.clock + 1;
-  Telemetry.incr c_accesses;
   t.acc_kind.(kind) <- t.acc_kind.(kind) + 1;
-  let line = addr lsr t.line_shift in
-  let set = line land t.set_mask in
-  let base = set * t.assoc in
-  let way = ref (-1) in
-  for i = 0 to t.assoc - 1 do
-    if t.tags.(base + i) = line then way := i
-  done;
-  if !way >= 0 then t.last_use.(base + !way) <- t.clock
-  else begin
-    t.misses <- t.misses + 1;
-    Telemetry.incr c_misses;
-    t.miss_kind.(kind) <- t.miss_kind.(kind) + 1;
-    (match t.on_miss with Some f -> f addr | None -> ());
-    let victim = ref 0 in
-    for i = 0 to t.assoc - 1 do
-      if t.tags.(base + i) = -1 && t.tags.(base + !victim) <> -1 then victim := i
-      else if
-        t.tags.(base + i) <> -1 && t.tags.(base + !victim) <> -1
-        && t.last_use.(base + i) < t.last_use.(base + !victim)
-      then victim := i
-    done;
-    let old = t.tags.(base + !victim) in
-    if old <> -1 then
-      (match t.on_evict with
-      | Some f -> f ~evictor:(line lsl t.line_shift) ~victim:(old lsl t.line_shift)
-      | None -> ());
-    t.tags.(base + !victim) <- line;
-    t.last_use.(base + !victim) <- t.clock
-  end
+  ignore (Lru.access t.lru kind (addr lsr t.lru.shift));
+  Lru.publish t.lru
 
 let name t = t.name
-let accesses t = t.clock
-let misses t = t.misses
-let misses_kind t k = t.miss_kind.(kind_code k)
+let accesses t = t.lru.clock
+let misses t = t.lru.misses
+let misses_kind t k = t.lru.miss_of.(kind_code k)
 let accesses_kind t k = t.acc_kind.(kind_code k)

@@ -15,18 +15,15 @@ type t
 
 val create :
   ?on_miss:(int -> unit) ->
-  ?on_evict:(evictor:int -> victim:int -> unit) ->
   name:string ->
   size_bytes:int ->
   line_bytes:int ->
   assoc:int ->
   unit ->
   t
-(** [on_miss] fires with the missing byte address on every miss.
-    [on_evict] mirrors {!Olayout_cachesim.Icache.create}'s hook: it fires
-    on every replacement of a valid line with the byte addresses of the
-    incoming ([evictor]) and outgoing ([victim]) lines, so the diagnostics
-    layer can attribute L2 conflicts the same way it does L1I ones. *)
+(** A cache on the {!Olayout_cachesim.Lru} core, the access kind as its
+    owner code.  [on_miss] fires with the missing line's byte address on
+    every miss. *)
 
 val access : t -> kind:kind -> int -> unit
 (** [access t ~kind addr] looks up the line containing [addr]. *)

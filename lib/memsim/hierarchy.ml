@@ -44,7 +44,7 @@ let create ?timeline cfg =
   (* The unified L2 is physically indexed; L1s are virtually indexed. *)
   let l1i =
     Icache.create
-      ~on_miss:(fun addr _owner -> Cache.access l2 ~kind:Cache.Instr (Phys.translate addr))
+      ~on_miss:(fun addr -> Cache.access l2 ~kind:Cache.Instr (Phys.translate addr))
       cfg.l1i
   in
   let l1d =

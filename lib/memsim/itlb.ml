@@ -1,83 +1,17 @@
-module Run = Olayout_exec.Run
+module Lru = Olayout_cachesim.Lru
 module Telemetry = Olayout_telemetry.Telemetry
 
 let c_accesses = Telemetry.counter "memsim.itlb_accesses"
 let c_misses = Telemetry.counter "memsim.itlb_misses"
 
-type t = {
-  page_shift : int;
-  entries : int;
-  pages : int array;     (* entry -> page number; -1 empty *)
-  last_use : int array;
-  seen : (int, unit) Hashtbl.t;
-  mutable clock : int;
-  mutable misses : int;
-  mutable last_page : int;   (* fast path: consecutive fetches on one page *)
-  mutable last_entry : int;  (* entry holding last_page *)
-}
+type t = Lru.t
 
-let log2 n =
-  let rec go n acc = if n <= 1 then acc else go (n lsr 1) (acc + 1) in
-  go n 0
-
-let create ?(page_bytes = 8192) ~entries () =
+let create ~entries () =
   if entries < 1 then invalid_arg "Itlb.create: entries must be >= 1";
-  if page_bytes land (page_bytes - 1) <> 0 then
-    invalid_arg "Itlb.create: page size must be a power of two";
-  {
-    page_shift = log2 page_bytes;
-    entries;
-    pages = Array.make entries (-1);
-    last_use = Array.make entries 0;
-    seen = Hashtbl.create 256;
-    clock = 0;
-    misses = 0;
-    last_page = -1;
-    last_entry = -1;
-  }
+  Lru.create ~accesses:c_accesses ~misses:c_misses ~sets:1 ~ways:entries
+    ~line_bytes:Phys.page_bytes ()
 
-let touch t page =
-  t.clock <- t.clock + 1;
-  Telemetry.incr c_accesses;
-  if page = t.last_page then t.last_use.(t.last_entry) <- t.clock
-  else begin
-    let hit = ref (-1) in
-    for i = 0 to t.entries - 1 do
-      if t.pages.(i) = page then hit := i
-    done;
-    let entry =
-      if !hit >= 0 then begin
-        t.last_use.(!hit) <- t.clock;
-        !hit
-      end
-      else begin
-        t.misses <- t.misses + 1;
-        Telemetry.incr c_misses;
-        if not (Hashtbl.mem t.seen page) then Hashtbl.add t.seen page ();
-        let victim = ref 0 in
-        for i = 1 to t.entries - 1 do
-          if t.pages.(i) = -1 && t.pages.(!victim) <> -1 then victim := i
-          else if
-            t.pages.(i) <> -1 && t.pages.(!victim) <> -1
-            && t.last_use.(i) < t.last_use.(!victim)
-          then victim := i
-        done;
-        t.pages.(!victim) <- page;
-        t.last_use.(!victim) <- t.clock;
-        !victim
-      end
-    in
-    t.last_page <- page;
-    t.last_entry <- entry
-  end
-
-let access_run t (r : Run.t) =
-  let first = r.addr lsr t.page_shift
-  and last = (r.addr + (r.len * 4) - 1) lsr t.page_shift in
-  for page = first to last do
-    touch t page
-  done
-
-let accesses t = t.clock
-let misses t = t.misses
-let unique_pages t = Hashtbl.length t.seen
+let access_run = Lru.access_run
+let accesses (t : t) = t.clock
+let misses (t : t) = t.misses
+let unique_pages (t : t) = Lru.seen_count t.seen

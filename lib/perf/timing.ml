@@ -20,7 +20,7 @@ let create (m : Machine.t) =
   let l2_hits = ref 0 and l2_misses = ref 0 in
   let l1i =
     Icache.create
-      ~on_miss:(fun addr _owner ->
+      ~on_miss:(fun addr ->
         let addr = Olayout_memsim.Phys.translate addr in
         let before = Cache.misses l2 in
         Cache.access l2 ~kind:Cache.Instr addr;

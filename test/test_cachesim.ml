@@ -121,7 +121,7 @@ let test_on_miss_hook () =
   let missed = ref [] in
   let c =
     Icache.create
-      ~on_miss:(fun addr _owner -> missed := addr :: !missed)
+      ~on_miss:(fun addr -> missed := addr :: !missed)
       (Icache.config ~size_kb:1 ~line:64 ~assoc:1 ())
   in
   Icache.access_run c (app_run 100 1);
