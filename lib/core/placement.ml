@@ -2,13 +2,19 @@ open Olayout_ir
 
 type t = {
   prog : Prog.t;
-  addr : int array array;
-  static_sz : int array array;  (* encoded instrs incl. terminator *)
-  exec0 : int array array;      (* executed instrs, arm 0 (body + terminator) *)
-  exec1 : int array array;      (* executed instrs, arm 1 (body + terminator) *)
+  fetch : int array array;  (* fetch words, built by [of_rows] *)
   text_bytes : int;
   segments : Segment.t list;
 }
+
+(* A block's fetch word: its address above its executed instrs on arms 1
+   and 0, [exec_bits] bits each; arm 1 executes the whole encoded block.
+   12 bits hold 4,095 instructions, about 50 times the largest block body
+   the workloads generate; the address keeps the other 39 bits (512 GiB). *)
+let exec_bits = 12
+let exec_mask = (1 lsl exec_bits) - 1
+let addr_shift = 2 * exec_bits
+let addr_limit = 1 lsl (Sys.int_size - addr_shift)
 
 let align_up a alignment = (a + alignment - 1) / alignment * alignment
 
@@ -32,38 +38,35 @@ type rows = {
   proc : int;
   segs : Segment.t array;
   seg_of : int array;
-  offset : int array;
-  size : int array;
-  exec0 : int array;
-  exec1 : int array;
+  word : int array;
   seg_bytes : int array;
 }
 
-(* Each block's encoded size (instrs, terminator included) and the instrs
-   it executes on arms 0 and 1, body included (the render path reads them
-   once per block event): a conditional branch costs one terminator
-   instruction on the taken arm, and its fall path also executes the
-   companion branch; other terminators execute what they encode.  A
-   segment's encoding depends on its own block order alone. *)
+(* Each block's fetch word relative to its segment's start: its byte
+   offset there, its encoded size (instrs, terminator included), which is
+   what arm 1 executes, and the instrs arm 0 executes: a conditional
+   branch costs one terminator instruction on the taken arm, and its fall
+   path also executes the companion branch; other terminators execute what
+   they encode.  A segment's encoding depends on its own block order
+   alone. *)
 let encode prog pid segments =
   let seg_of = Segment.index prog pid segments in
-  let n = Array.length seg_of in
-  let offset = Array.make n 0 and size = Array.make n 0 in
-  let exec0 = Array.make n 0 and exec1 = Array.make n 0 in
+  let word = Array.make (Array.length seg_of) 0 in
   let p = Prog.proc prog pid in
   let rec go cursor = function
     | [] -> cursor
     | b :: rest ->
         let blk = Proc.block p b in
         let t = term_instrs blk (match rest with nb :: _ -> nb | [] -> -1) in
-        offset.(b) <- cursor;
-        size.(b) <- blk.Block.body + t;
-        exec0.(b) <- blk.Block.body + (match blk.Block.term with Block.Cond _ -> 1 | _ -> t);
-        exec1.(b) <- blk.Block.body + t;
-        go (cursor + (size.(b) * Block.bytes_per_instr)) rest
+        let size = blk.Block.body + t in
+        let exec0 = blk.Block.body + (match blk.Block.term with Block.Cond _ -> 1 | _ -> t) in
+        if size lsr exec_bits <> 0 then
+          invalid_arg (Printf.sprintf "Placement: p%d block %d: %d instrs overflow" pid b size);
+        word.(b) <- (cursor lsl addr_shift) lor (size lsl exec_bits) lor exec0;
+        go (cursor + (size * Block.bytes_per_instr)) rest
   in
   let seg_bytes = Array.map (fun (seg : Segment.t) -> go 0 seg.blocks) segments in
-  { proc = pid; segs = segments; seg_of; offset; size; exec0; exec1; seg_bytes }
+  { proc = pid; segs = segments; seg_of; word; seg_bytes }
 
 let numbering rows =
   let base = Array.make (Array.length rows + 1) 0 in
@@ -85,8 +88,9 @@ let of_rows ?(align = 16) ?(addr_of = fun _ a -> a) prog rows ~order =
   let bytes = Array.concat (Array.to_list (Array.map (fun r -> r.seg_bytes) rows)) in
   (* The one loop that assigns addresses: a prefix sum over the segment
      sizes, in order, with each start aligned, then moved by [addr_of]; a
-     segment met twice (hence one never met) is refused.  A block's
-     address is its segment's start plus its offset. *)
+     segment met twice (hence one never met), or one reaching past a fetch
+     word's address field, is refused.  A block's fetch word is its
+     segment's start added to its relative word. *)
   let start = Array.make n (-1) in
   let cursor = ref prog.Prog.base_addr in
   for k = 0 to n - 1 do
@@ -97,16 +101,18 @@ let of_rows ?(align = 16) ?(addr_of = fun _ a -> a) prog rows ~order =
     if s < !cursor then invalid_arg "Placement: addr_of moved backwards";
     if s mod Block.bytes_per_instr <> 0 then
       invalid_arg "Placement: addr_of returned unaligned address";
+    if s < 0 || s + bytes.(g) >= addr_limit then
+      invalid_arg (Printf.sprintf "Placement: segment at 0x%x past the address field" s);
     start.(g) <- s;
     cursor := s + bytes.(g)
   done;
-  let addr =
+  let fetch =
     Array.mapi
       (fun p r ->
-        let b0 = base.(p) and seg_of = r.seg_of and offset = r.offset in
+        let b0 = base.(p) and seg_of = r.seg_of and word = r.word in
         let a = Array.make (Array.length seg_of) 0 in
         for b = 0 to Array.length a - 1 do
-          a.(b) <- start.(b0 + seg_of.(b)) + offset.(b)
+          a.(b) <- (start.(b0 + seg_of.(b)) lsl addr_shift) + word.(b)
         done;
         a)
       rows
@@ -116,15 +122,7 @@ let of_rows ?(align = 16) ?(addr_of = fun _ a -> a) prog rows ~order =
   for k = n - 1 downto 0 do
     segments := segs.(order.(k)) :: !segments
   done;
-  {
-    prog;
-    addr;
-    static_sz = Array.map (fun r -> r.size) rows;
-    exec0 = Array.map (fun r -> r.exec0) rows;
-    exec1 = Array.map (fun r -> r.exec1) rows;
-    text_bytes = !cursor - prog.Prog.base_addr;
-    segments = !segments;
-  }
+  { prog; fetch; text_bytes = !cursor - prog.Prog.base_addr; segments = !segments }
 
 (* The list constructors: encode every procedure's segments, number them
    procedure-major, and lay them out in list order. *)
@@ -157,43 +155,38 @@ let original ?align prog =
     (Array.to_list (Array.map Segment.of_proc prog.Prog.procs))
 
 let prog t = t.prog
-let block_addr t ~proc ~block = t.addr.(proc).(block)
-let static_instrs t ~proc ~block = t.static_sz.(proc).(block)
+let block_addr t ~proc ~block = t.fetch.(proc).(block) lsr addr_shift
 
-let exec_instrs (t : t) ~proc ~block ~arm =
-  if arm = 0 then t.exec0.(proc).(block)
-  else if arm = 1 then t.exec1.(proc).(block)
-  else (* ijump arms beyond the first two always execute the jump *)
-    (Proc.block (Prog.proc t.prog proc) block).Block.body + 1
+let exec_instrs t ~proc ~block ~arm =
+  let w = t.fetch.(proc).(block) in
+  (if arm = 1 then w lsr exec_bits else w) land exec_mask
 
-let fetch_rows t = (t.addr, t.exec0, t.exec1)
+let static_instrs t ~proc ~block = exec_instrs t ~proc ~block ~arm:1
+
+let fetch_words t = t.fetch
 let text_bytes t = t.text_bytes
 
 let program_instrs t =
-  Array.fold_left (fun acc row -> Array.fold_left ( + ) acc row) 0 t.static_sz
+  let encoded acc w = acc + ((w lsr exec_bits) land exec_mask) in
+  Array.fold_left (fun acc row -> Array.fold_left encoded acc row) 0 t.fetch
 
 let segments t = t.segments
 
-(* Byte-for-byte layout identity: every address, encoded size, executed
-   terminator cost and the segment order itself.  The incremental engine's
-   equivalence guarantee is asserted through this. *)
+(* Byte-for-byte layout identity: every address, encoded size and executed
+   terminator cost (the fetch words) and the segment order itself.  The
+   incremental engine's equivalence guarantee is asserted through this. *)
 let equal (a : t) (b : t) =
-  a.text_bytes = b.text_bytes
-  && a.addr = b.addr
-  && a.static_sz = b.static_sz
-  && a.exec0 = b.exec0
-  && a.exec1 = b.exec1
-  && a.segments = b.segments
+  a.text_bytes = b.text_bytes && a.fetch = b.fetch && a.segments = b.segments
 
 let long_branches t ?(max_displacement = 0x10_0000) () =
   let count = ref 0 in
   let far pc target = abs (target - pc) > max_displacement in
   Prog.iter_blocks t.prog (fun p b ->
       let proc = p.Proc.id and block = b.Block.id in
-      let addr = t.addr.(proc).(block) in
-      let size = t.static_sz.(proc).(block) in
+      let addr = block_addr t ~proc ~block in
+      let size = static_instrs t ~proc ~block in
       let end_addr = addr + (size * Block.bytes_per_instr) in
-      let target d = t.addr.(proc).(d) in
+      let target d = block_addr t ~proc ~block:d in
       match b.Block.term with
       | Block.Jump d | Block.Fall d ->
           (* Encoded as a branch only when not adjacent. *)
@@ -217,11 +210,12 @@ let cond_branch t ~proc ~block ~arm =
   let p = Prog.proc t.prog proc in
   match (Proc.block p block).Block.term with
   | Block.Cond { taken; fall; _ } ->
-      let addr = t.addr.(proc).(block) in
+      let addr = block_addr t ~proc ~block in
       let body = (Proc.block p block).Block.body in
       let pc = addr + (body * Block.bytes_per_instr) in
-      let end_addr = addr + (t.static_sz.(proc).(block) * Block.bytes_per_instr) in
-      let taken_addr = t.addr.(proc).(taken) and fall_addr = t.addr.(proc).(fall) in
+      let end_addr = addr + (static_instrs t ~proc ~block * Block.bytes_per_instr) in
+      let taken_addr = block_addr t ~proc ~block:taken
+      and fall_addr = block_addr t ~proc ~block:fall in
       if taken_addr = end_addr then
         (* Inverted condition: the branch targets the original fall-through. *)
         Some (pc, fall_addr, arm = 1)
@@ -237,7 +231,7 @@ let iter_placed t f =
     (fun (seg : Segment.t) ->
       List.iter
         (fun b ->
-          f ~proc:seg.proc ~block:b ~addr:t.addr.(seg.proc).(b)
-            ~instrs:t.static_sz.(seg.proc).(b))
+          f ~proc:seg.proc ~block:b ~addr:(block_addr t ~proc:seg.proc ~block:b)
+            ~instrs:(static_instrs t ~proc:seg.proc ~block:b))
         seg.blocks)
     t.segments

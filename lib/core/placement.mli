@@ -46,16 +46,19 @@ type rows = private {
   proc : int;  (** the procedure *)
   segs : Segment.t array;  (** its segments, in local order *)
   seg_of : int array;  (** block -> local segment *)
-  offset : int array;  (** block -> byte offset within its segment *)
-  size : int array;  (** block -> encoded instrs, terminator included *)
-  exec0 : int array;  (** block -> executed instrs, arm 0 (body + terminator) *)
-  exec1 : int array;  (** block -> executed instrs, arm 1 (body + terminator) *)
+  word : int array;
+      (** block -> its fetch word relative to its segment ({!fetch_words}):
+          its byte offset within the segment, its encoded instrs
+          (terminator included, what arm 1 executes) and the instrs arm 0
+          executes *)
   seg_bytes : int array;  (** local segment -> encoded bytes *)
 }
 
 val encode : Prog.t -> int -> Segment.t array -> rows
 (** [encode prog pid segments] encodes all of procedure [pid]'s segments,
-    which must partition its blocks ({!Segment.index}). *)
+    which must partition its blocks ({!Segment.index}).
+    @raise Invalid_argument if a block's encoded size does not fit a fetch
+    word's field ({!exec_bits}). *)
 
 val numbering : rows array -> int array
 (** [base]: [base.(p)] is the number of procedure [p]'s first segment;
@@ -72,10 +75,12 @@ val of_rows :
     moved by the start rule: [addr_of g a] is segment [g]'s address when
     that aligned byte is [a] (default [a]; it must not lie below the next
     free byte and must be 4-byte aligned).  This is the only loop that
-    assigns addresses; its size and terminator rows are [rows]' own arrays,
-    shared, not copied.
+    assigns addresses: a block's fetch word ({!fetch_words}) is its
+    segment's start added to its relative word.
     @raise Invalid_argument unless [order] is a permutation, [rows] holds
-    each procedure's rows at its index and [addr_of] keeps its contract. *)
+    each procedure's rows at its index, [addr_of] keeps its contract and
+    every segment lies at a non-negative address and ends below
+    [2{^39}], the fetch word's address range. *)
 
 val original : ?align:int -> Prog.t -> t
 (** The compiler's source-order layout: one segment per procedure, original
@@ -92,13 +97,18 @@ val static_instrs : t -> proc:int -> block:int -> int
 
 val exec_instrs : t -> proc:int -> block:int -> arm:int -> int
 (** Number of instructions fetched when this block executes and leaves via
-    [arm] (body plus 0, 1 or 2 terminator instructions). *)
+    [arm] (body plus 0, 1 or 2 terminator instructions).  Only an indirect
+    jump has arms beyond 1, and each executes its jump as arm 0 does. *)
 
-val fetch_rows : t -> int array array * int array array * int array array
-(** [(addr, exec0, exec1)]: {!block_addr} and arms 0 and 1 of
-    {!exec_instrs} as the placement's own rows, indexed
-    [.(proc).(block)] and shared, not copied, so a per-block loop reads
-    them without a call.  Callers must not write them. *)
+val exec_bits : int
+(** Width of each executed-instruction field of a fetch word (12). *)
+
+val fetch_words : t -> int array array
+(** The placement's fetch words, indexed [.(proc).(block)] and shared, not
+    copied, so a per-block loop reads one int without a call: word [w]
+    holds {!block_addr} in [w lsr (2 * exec_bits)], and {!exec_instrs} on
+    arms 1 and 0 in the two [exec_bits]-wide fields below it.  Callers
+    must not write them. *)
 
 val text_bytes : t -> int
 (** Total extent of the text section (including alignment padding). *)

@@ -5,6 +5,11 @@ let c_runs = Telemetry.counter "exec.runs_rendered"
 let c_instrs = Telemetry.counter "exec.instrs_rendered"
 let h_run_len = Telemetry.histogram "exec.run_len"
 
+(* Runs shorter than [short] instructions, most of them, are counted per
+   length and bucketed into the tally at [flush]; a longer one is bucketed
+   as it is emitted. *)
+let short = 64
+
 type merger = {
   emit : Run.t -> unit;
   mutable owner : Run.owner;
@@ -13,31 +18,42 @@ type merger = {
   (* Emitted since the last [flush], published there. *)
   mutable runs : int;
   mutable instrs : int;
+  by_len : int array;  (* runs by length, below [short] *)
   run_len : Telemetry.tally;
 }
 
 let merger ~emit =
-  { emit; owner = Run.App; addr = -1; len = 0; runs = 0; instrs = 0; run_len = Telemetry.tally () }
+  let by_len = Array.make short 0 and run_len = Telemetry.tally () in
+  { emit; owner = Run.App; addr = -1; len = 0; runs = 0; instrs = 0; by_len; run_len }
 
 (* Number of significant bits: a positive run length's tally bucket
    before the clamp ([Telemetry.tally]). *)
 let rec bits v acc = if v = 0 then acc else bits (v lsr 1) (acc + 1)
 
+(* Books [n] runs of [len] instructions into the tally. *)
+let book (tally : Telemetry.tally) len n =
+  let counts = (tally :> int array) in
+  let b = bits len 0 and top = Array.length counts - 1 in
+  let b = if b < top then b else top in
+  counts.(b) <- counts.(b) + n
+
 let emit_pending m =
-  if m.addr >= 0 && m.len > 0 then begin
+  let len = m.len in
+  if m.addr >= 0 && len > 0 then begin
     m.runs <- m.runs + 1;
-    m.instrs <- m.instrs + m.len;
-    let counts = (m.run_len :> int array) in
-    let b = bits m.len 0 and top = Array.length counts - 1 in
-    let b = if b < top then b else top in
-    counts.(b) <- counts.(b) + 1;
-    m.emit { Run.owner = m.owner; addr = m.addr; len = m.len }
+    m.instrs <- m.instrs + len;
+    if len < short then m.by_len.(len) <- m.by_len.(len) + 1 else book m.run_len len 1;
+    m.emit { Run.owner = m.owner; addr = m.addr; len }
   end;
   m.addr <- -1;
   m.len <- 0
 
 let flush m =
   emit_pending m;
+  for len = 1 to short - 1 do
+    book m.run_len len m.by_len.(len);
+    m.by_len.(len) <- 0
+  done;
   Telemetry.add c_runs m.runs;
   Telemetry.add c_instrs m.instrs;
   Telemetry.publish_tally h_run_len m.run_len;
@@ -55,20 +71,16 @@ let feed m owner ~addr ~len =
       m.len <- len
     end
 
-type t = { placement : Placement.t; owner : Run.owner; m : merger }
+type t = { fetch : int array array; owner : Run.owner; m : merger }
 
-let create ~placement ~owner m = { placement; owner; m }
+let create ~placement ~owner m = { fetch = Placement.fetch_words placement; owner; m }
 
-(* The placement's rows are fetched once per sink, so a block event reads
-   arrays and calls nothing outside this module; only an indirect jump's
-   third or later arm asks [Placement]. *)
+(* A block event reads the block's fetch word and calls nothing outside
+   this module: the word's layout is read from [Placement] once per sink. *)
 let sink t =
-  let { placement; owner; m } = t in
-  let addrs, exec0, exec1 = Placement.fetch_rows placement in
+  let { fetch; owner; m } = t in
+  let bits = Placement.exec_bits in
+  let shift = 2 * bits and mask = (1 lsl bits) - 1 in
   fun ~proc ~block ~arm ->
-    let len =
-      if arm = 0 then exec0.(proc).(block)
-      else if arm = 1 then exec1.(proc).(block)
-      else Placement.exec_instrs placement ~proc ~block ~arm
-    in
-    feed m owner ~addr:addrs.(proc).(block) ~len
+    let w = fetch.(proc).(block) in
+    feed m owner ~addr:(w lsr shift) ~len:((if arm = 1 then w lsr bits else w) land mask)

@@ -32,20 +32,14 @@ let create () =
     prev_end = 0;
   }
 
-(* Unsigned LEB128 append; [v] must be non-negative. *)
-let put t v =
-  let v = ref v in
-  let more = ref true in
-  while !more do
-    let b = !v land 0x7f in
-    v := !v lsr 7;
-    if !v = 0 then begin
-      Bytes.unsafe_set t.cur t.pos (Char.unsafe_chr b);
-      more := false
-    end
-    else Bytes.unsafe_set t.cur t.pos (Char.unsafe_chr (b lor 0x80));
-    t.pos <- t.pos + 1
-  done
+(* Unsigned LEB128 of [v] at [pos] in [buf]; returns the next position.
+   [append] writes a one-byte varint itself. *)
+let rec put buf pos v =
+  if v lsr 7 = 0 then (Bytes.unsafe_set buf pos (Char.unsafe_chr v); pos + 1)
+  else begin
+    Bytes.unsafe_set buf pos (Char.unsafe_chr (v land 0x7f lor 0x80));
+    put buf (pos + 1) (v lsr 7)
+  end
 
 let append t (r : Run.t) =
   if t.pos > chunk_bytes - max_record_bytes then begin
@@ -53,14 +47,20 @@ let append t (r : Run.t) =
     t.cur <- Bytes.create chunk_bytes;
     t.pos <- 0
   end;
-  let owner_bit = match r.Run.owner with Run.App -> 0 | Run.Kernel -> 1 in
-  put t ((r.len lsl 1) lor owner_bit);
-  let delta = r.addr - t.prev_end in
+  let buf = t.cur and pos = t.pos and len = r.Run.len in
+  let k = (len lsl 1) lor match r.Run.owner with Run.App -> 0 | Run.Kernel -> 1 in
+  let delta = r.Run.addr - t.prev_end in
   (* zigzag: small negative deltas also encode in one byte *)
-  put t ((delta lsl 1) lxor (delta asr 62));
-  t.prev_end <- r.addr + (r.len * 4);
+  let zig = (delta lsl 1) lxor (delta asr 62) in
+  let pos =
+    if k lsr 7 = 0 then (Bytes.unsafe_set buf pos (Char.unsafe_chr k); pos + 1) else put buf pos k
+  in
+  t.pos <-
+    (if zig lsr 7 = 0 then (Bytes.unsafe_set buf pos (Char.unsafe_chr zig); pos + 1)
+     else put buf pos zig);
+  t.prev_end <- r.Run.addr + (len * 4);
   t.runs <- t.runs + 1;
-  t.instrs <- t.instrs + r.len
+  t.instrs <- t.instrs + len
 
 let record () =
   let t = create () in
@@ -100,6 +100,10 @@ let replay t f =
   in
   List.iter (fun (buf, len) -> consume buf len) (List.rev t.filled);
   consume t.cur t.pos
+
+let contents t =
+  let chunk (buf, len) = Bytes.sub_string buf 0 len in
+  String.concat "" (List.rev_map chunk ((t.cur, t.pos) :: t.filled))
 
 let length t = t.runs
 let instrs t = t.instrs

@@ -27,6 +27,9 @@ val replay : t -> (Run.t -> unit) -> unit
     byte-identical to the recorded stream, so feeding a fresh simulator
     yields exactly the counters a live execution would have produced. *)
 
+val contents : t -> string
+(** The encoded records, oldest first: the bytes {!replay} decodes. *)
+
 val length : t -> int
 (** Number of recorded runs. *)
 

@@ -14,34 +14,13 @@ type sink = proc:int -> block:int -> arm:int -> unit
 type t = {
   procs : Proc.t array;
   rng : Rng.t;
-  mutable rev_sinks : sink list;  (* newest first: O(1) registration *)
-  mutable sinks : sink array;     (* frozen registration-order view *)
-  mutable sinks_stale : bool;
+  mutable sinks : sink array;  (* registration order; replaced, never written *)
   mutable instrs : int;
   mutable blocks : int;
 }
 
-let create ~prog ~rng =
-  {
-    procs = prog.Prog.procs;
-    rng;
-    rev_sinks = [];
-    sinks = [||];
-    sinks_stale = false;
-    instrs = 0;
-    blocks = 0;
-  }
-
-let add_sink t sink =
-  t.rev_sinks <- sink :: t.rev_sinks;
-  t.sinks_stale <- true
-
-let frozen_sinks t =
-  if t.sinks_stale then begin
-    t.sinks <- Array.of_list (List.rev t.rev_sinks);
-    t.sinks_stale <- false
-  end;
-  t.sinks
+let create ~prog ~rng = { procs = prog.Prog.procs; rng; sinks = [||]; instrs = 0; blocks = 0 }
+let add_sink t sink = t.sinks <- Array.append t.sinks [| sink |]
 
 let max_depth = 64
 
@@ -56,28 +35,15 @@ let no_hints : hint array = [||]
 let rec find_hint hints bid i =
   if i < 0 || hints.(i).block = bid then i else find_hint hints bid (i - 1)
 
-(* [Block.source_instrs], read off the block here: a call into [Block]
-   per block is an indirect application, and a table of sizes allocated
-   per walker moves the heap's peak. *)
-let source_instrs (b : Block.t) =
-  b.body
-  +
-  match b.term with
-  | Block.Fall _ | Block.Halt -> 0
-  | Block.Jump _ | Block.Cond _ | Block.Call _ | Block.Ijump _ | Block.Ret -> 1
-
-let record t sinks pid (b : Block.t) arm =
-  t.blocks <- t.blocks + 1;
-  t.instrs <- t.instrs + source_instrs b;
-  for i = 0 to Array.length sinks - 1 do
-    sinks.(i) ~proc:pid ~block:b.Block.id ~arm
-  done
-
 (* Iterative within a procedure; recursive only across call depth.  The
    per-block loop allocates nothing and calls nothing outside this module
    but the sinks and the RNG: the cursor is an int (-1 once the procedure
-   returns), blocks are read from the procedure's array, and the sinks
-   run from a [for] loop. *)
+   returns), blocks are read from the procedure's array, and the [match]
+   works out the block's arm, successor, terminator source size (the rule
+   of [Block.source_instrs], read off the block here: a call into [Block]
+   per block is an indirect application) and callee, with no tuple
+   allocated, before the one place that counts the event and runs the
+   sinks. *)
 let rec walk_proc t sinks pid depth hints =
   if depth > max_depth then invalid_arg "Walk.call: call depth exceeded (recursion?)";
   let p = t.procs.(pid) in
@@ -86,50 +52,46 @@ let rec walk_proc t sinks pid depth hints =
   while !current >= 0 do
     let bid = !current in
     let b = blocks.(bid) in
-    match b.Block.term with
-    | Block.Fall d | Block.Jump d ->
-        record t sinks pid b 0;
-        current := d
-    | Block.Cond { taken; fall; p_taken } ->
-        let h = find_hint hints bid (Array.length hints - 1) in
-        let choose_taken =
-          if h >= 0 then begin
-            let h = hints.(h) in
-            let hot_is_taken = p_taken >= 0.5 in
-            if h.left > 0 then begin
-              h.left <- h.left - 1;
-              hot_is_taken
+    let arm, next, term, callee =
+      match b.Block.term with
+      | Block.Fall d -> (0, d, 0, -1)
+      | Block.Jump d -> (0, d, 1, -1)
+      | Block.Cond { taken; fall; p_taken } ->
+          let h = find_hint hints bid (Array.length hints - 1) in
+          let choose_taken =
+            if h >= 0 then begin
+              let h = hints.(h) in
+              let hot_is_taken = p_taken >= 0.5 in
+              if h.left > 0 then begin
+                h.left <- h.left - 1;
+                hot_is_taken
+              end
+              else begin
+                h.left <- h.trips;
+                not hot_is_taken
+              end
             end
-            else begin
-              h.left <- h.trips;
-              not hot_is_taken
-            end
-          end
-          else Rng.bool t.rng p_taken
-        in
-        if choose_taken then begin
-          record t sinks pid b 0;
-          current := taken
-        end
-        else begin
-          record t sinks pid b 1;
-          current := fall
-        end
-    | Block.Call { callee; ret } ->
-        record t sinks pid b 0;
-        walk_proc t sinks callee (depth + 1) no_hints;
-        current := ret
-    | Block.Ijump targets ->
-        let arm = Rng.weighted_index t.rng targets in
-        record t sinks pid b arm;
-        current := fst targets.(arm)
-    | Block.Ret | Block.Halt ->
-        record t sinks pid b 0;
-        current := -1
+            else Rng.bool t.rng p_taken
+          in
+          if choose_taken then (0, taken, 1, -1) else (1, fall, 1, -1)
+      | Block.Call { callee; ret } -> (0, ret, 1, callee)
+      | Block.Ijump targets ->
+          let arm = Rng.weighted_index t.rng targets in
+          (arm, fst targets.(arm), 1, -1)
+      | Block.Ret -> (0, -1, 1, -1)
+      | Block.Halt -> (0, -1, 0, -1)
+    in
+    t.blocks <- t.blocks + 1;
+    t.instrs <- t.instrs + b.Block.body + term;
+    for i = 0 to Array.length sinks - 1 do
+      sinks.(i) ~proc:pid ~block:bid ~arm
+    done;
+    if callee >= 0 then walk_proc t sinks callee (depth + 1) no_hints;
+    current := next
   done
 
 let call t ?(hints = []) pid =
-  let sinks = frozen_sinks t in
+  let sinks = t.sinks in
   let hints =
     match hints with
     | [] -> no_hints

@@ -46,13 +46,26 @@ let append t ~owner ~proc ~block ~arm =
   t.count <- i + 1
 
 (* Checked like {!Profile.record}: an event the program does not have is
-   rejected before it is recorded. *)
+   rejected before it is recorded.  The block's arm count and source size
+   ([Block.arm_count], [Block.source_instrs]) are read off its record here,
+   as the walker does: a call into [Block] per event is an indirect
+   application. *)
 let sink t ~proc ~block ~arm =
   let procs = t.prog.Prog.procs in
   let blocks = if proc >= 0 && proc < Array.length procs then procs.(proc).Proc.blocks else [||] in
-  if block < 0 || block >= Array.length blocks || arm < 0 || arm >= Block.arm_count blocks.(block)
-  then invalid_arg (Printf.sprintf "Windowed.sink: no event (%d, %d, %d) in the program" proc block arm);
-  let b = blocks.(block) in
+  let arms, size =
+    if block < 0 || block >= Array.length blocks then (0, 0)
+    else
+      let b = blocks.(block) in
+      match b.Block.term with
+      | Block.Fall _ | Block.Halt -> (1, b.body)
+      | Block.Jump _ | Block.Call _ | Block.Ret -> (1, b.body + 1)
+      | Block.Cond _ -> (2, b.body + 1)
+      | Block.Ijump targets -> (Array.length targets, b.body + 1)
+  in
+  if arm < 0 || arm >= arms then
+    invalid_arg
+      (Printf.sprintf "Windowed.sink: no event (%d, %d, %d) in the program" proc block arm);
   (* The event opens the window containing its *start* position (matching
      Timeline.Series.add's convention for run deltas); a window a block
      jumps over starts where the next one does. *)
@@ -65,7 +78,7 @@ let sink t ~proc ~block ~arm =
   done;
   append t ~owner:0 ~proc ~block ~arm;
   t.events <- t.events + 1;
-  t.position <- t.position + max (Block.source_instrs b) 1
+  t.position <- t.position + if size > 1 then size else 1
 
 let kernel_sink t ~proc ~block ~arm = append t ~owner:1 ~proc ~block ~arm
 

@@ -160,7 +160,38 @@ let test_windowed_conservation () =
   Alcotest.(check bool) "bad window rejected" true
     (match Windowed.profile w 99 with
     | exception Invalid_argument _ -> true
-    | _ -> false)
+    | _ -> false);
+  (* The sink's own copies of [Block.arm_count] and [Block.source_instrs]:
+     every arm of one block of each terminator kind advances the clock by
+     the block's source size, at least one, and the next arm is refused. *)
+  let open Olayout_ir in
+  let b = Helpers.block in
+  let blocks =
+    [|
+      b 0 0 (Block.Fall 1); b 1 2 (Block.Fall 2); b 2 2 (Block.Jump 3);
+      b 3 3 (Block.Cond { taken = 4; fall = 4; p_taken = 0.5 });
+      b 4 4 (Block.Call { callee = 0; ret = 5 });
+      b 5 5 (Block.Ijump [| (6, 1.0); (6, 1.0); (6, 1.0) |]); b 6 3 Block.Halt; b 7 6 Block.Ret;
+    |]
+  in
+  let kinds =
+    let main = { Proc.id = 0; name = "main"; entry = 0; blocks } in
+    { Prog.name = "kinds"; base_addr = 0x1000; procs = [| main |] }
+  in
+  let k = Windowed.create ~window:1_000 kinds in
+  let clock = ref 0 in
+  Array.iter
+    (fun (blk : Block.t) ->
+      let arms = Block.arm_count blk in
+      for arm = 0 to arms - 1 do
+        Windowed.sink k ~proc:0 ~block:blk.id ~arm;
+        clock := !clock + max 1 (Block.source_instrs blk)
+      done;
+      Alcotest.(check bool) (Printf.sprintf "block %d: arm %d refused" blk.id arms) true
+        (raises (fun () -> Windowed.sink k ~proc:0 ~block:blk.id ~arm:arms)))
+    blocks;
+  Alcotest.(check int) "clock, every kind" !clock (Windowed.instrs k);
+  Alcotest.(check int) "events, every kind" 11 (Windowed.events k)
 
 (* --- divergence metrics ------------------------------------------------ *)
 

@@ -103,6 +103,101 @@ let test_instr_counter () =
   Alcotest.(check int) "blocks, every kind" 7 (Walk.blocks_executed walk);
   Alcotest.(check int) "instrs, every kind" 33 (Walk.instrs_executed walk)
 
+(* A random program with every terminator kind: procedure [i] calls only
+   later procedures, edges go forward but for conditional back edges
+   (taken with probability at most 0.25), indirect jumps have two to five
+   arms, and exits are [Ret] or [Halt]. *)
+let random_cfg rng =
+  let n_procs = 2 + Rng.int rng 3 in
+  let procs =
+    Array.init n_procs (fun pid ->
+        let n = 2 + Rng.int rng 7 in
+        let later j = j + 1 + Rng.int rng (n - 1 - j) in
+        let term j =
+          if j = n - 1 then if Rng.bool rng 0.3 then Block.Halt else Block.Ret
+          else
+            match Rng.int rng 8 with
+            | 0 -> Block.Jump (later j)
+            | 1 -> Block.Cond { taken = later j; fall = j + 1; p_taken = Rng.float rng }
+            | 2 ->
+                let p_taken = 0.25 *. Rng.float rng in
+                Block.Cond { taken = Rng.int rng (j + 1); fall = j + 1; p_taken }
+            | 3 when pid < n_procs - 1 ->
+                Block.Call { callee = pid + 1 + Rng.int rng (n_procs - 1 - pid); ret = j + 1 }
+            | 4 ->
+                let arm _ = (later j, 0.1 +. Rng.float rng) in
+                Block.Ijump (Array.init (2 + Rng.int rng 4) arm)
+            | 5 -> Block.Ret
+            | 6 -> Block.Halt
+            | _ -> Block.Fall (j + 1)
+        in
+        let blocks = Array.init n (fun j -> Helpers.block j (Rng.int rng 6) (term j)) in
+        { Proc.id = pid; name = Printf.sprintf "p%d" pid; entry = 0; blocks })
+  in
+  { Prog.name = "cfg"; base_addr = 0x1000; procs }
+
+(* The walker against the reference walker it replaced: on random
+   programs, calls and loop hints (repeated blocks included), both send
+   every sink the same events, count the same blocks and instructions,
+   and leave the shared RNG to draw the same values next.  The programs
+   must reach every case: indirect-jump arms >= 2, calls, [Halt] and
+   hinted branches. *)
+let test_walker_reference () =
+  let wide = ref 0 and calls = ref 0 and halts = ref 0 and hinted = ref 0 in
+  for seed = 0 to 299 do
+    let rng = Rng.create seed in
+    let prog = random_cfg rng in
+    let walk_rng = Rng.create seed and reference_rng = Rng.create seed in
+    let walk = Walk.create ~prog ~rng:walk_rng in
+    let reference = Walk_reference.create ~prog ~rng:reference_rng in
+    let got = [| []; [] |] and want = [| []; [] |] in
+    for i = 0 to 1 do
+      Walk.add_sink walk (fun ~proc ~block ~arm -> got.(i) <- (proc, block, arm) :: got.(i));
+      Walk_reference.add_sink reference (fun ~proc ~block ~arm ->
+          want.(i) <- (proc, block, arm) :: want.(i))
+    done;
+    for call = 1 to 1 + Rng.int rng 6 do
+      let pid = Rng.int rng (Prog.n_procs prog) in
+      let p = Prog.proc prog pid in
+      (* At least one trip: a hint of 0 on a back edge whose exit is the
+         hot arm would loop forever, in either walker. *)
+      let hints =
+        List.init (Rng.int rng 4) (fun _ -> (Rng.int rng (Proc.n_blocks p), 1 + Rng.int rng 4))
+      in
+      Walk.call walk ~hints pid;
+      Walk_reference.call reference ~hints pid;
+      let where = Printf.sprintf "program %d, call %d" seed call in
+      Alcotest.(check int) (where ^ ": instrs") (Walk_reference.instrs_executed reference)
+        (Walk.instrs_executed walk);
+      Alcotest.(check int) (where ^ ": blocks") (Walk_reference.blocks_executed reference)
+        (Walk.blocks_executed walk);
+      List.iter
+        (fun (b, _) ->
+          match (Proc.block p b).Block.term with
+          | Block.Cond _ -> if List.exists (fun (_, q, _) -> q = b) got.(0) then incr hinted
+          | _ -> ())
+        hints
+    done;
+    let event = Alcotest.(triple int int int) in
+    Alcotest.(check (list event)) (Printf.sprintf "program %d: events" seed) want.(0) got.(0);
+    Alcotest.(check (list event)) (Printf.sprintf "program %d: second sink" seed) got.(0) got.(1);
+    let draws r = List.init 3 (fun _ -> Rng.int64 r) in
+    Alcotest.(check (list int64)) (Printf.sprintf "program %d: next draws" seed)
+      (draws reference_rng) (draws walk_rng);
+    List.iter
+      (fun (proc, block, arm) ->
+        if arm >= 2 then incr wide;
+        match (Proc.block (Prog.proc prog proc) block).Block.term with
+        | Block.Call _ -> incr calls
+        | Block.Halt -> incr halts
+        | _ -> ())
+      got.(0)
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d arms >= 2, %d calls, %d halts, %d hints" !wide !calls !halts !hinted)
+    true
+    (!wide > 0 && !calls > 0 && !halts > 0 && !hinted > 0)
+
 let render_runs ?(segments = None) prog pid =
   let placement =
     match segments with
@@ -178,31 +273,40 @@ let test_block_path_placement_invariant () =
   let a = total_for None and b = total_for reordered in
   Alcotest.(check bool) "totals close" true (abs (a - b) <= List.length events)
 
-(* The merger buckets run lengths itself; its [exec.run_len] histogram
-   must read as if every emitted length had been observed. *)
+(* The merger buckets run lengths itself, counting short runs by length
+   until [flush]; its [exec.run_len] histogram must read as if every
+   emitted length had been observed, and must not move before the flush.
+   A second batch after a flush books only its own runs. *)
 let test_merger_run_len_histogram () =
   let buckets = Telemetry.histogram_buckets in
   let run_len = Telemetry.histogram "exec.run_len" in
-  let before = buckets run_len in
   let lens = ref [] in
   let m = Render.merger ~emit:(fun r -> lens := r.Run.len :: !lens) in
-  List.iteri
-    (fun i len ->
-      (* Alternating owners: every feed is its own run. *)
-      Render.feed m (if i land 1 = 0 then Run.App else Run.Kernel) ~addr:0 ~len)
-    [ 1; 2; 3; 7; 8; 1000; 1 lsl 40; 1 lsl 61; max_int ];
-  Render.flush m;
-  let observed = Telemetry.histogram "tst.exec.run_len" in
-  List.iter (Telemetry.observe observed) !lens;
-  let delta =
-    List.filter_map
-      (fun (floor, n) ->
-        let was = Option.value ~default:0 (List.assoc_opt floor before) in
-        if n > was then Some (floor, n - was) else None)
-      (buckets run_len)
+  let batch name runs =
+    let before = buckets run_len in
+    lens := [];
+    List.iteri
+      (fun i len ->
+        (* Alternating owners: every feed is its own run. *)
+        Render.feed m (if i land 1 = 0 then Run.App else Run.Kernel) ~addr:0 ~len)
+      runs;
+    Alcotest.(check (list (pair int int))) (name ^ ": registry before flush") before
+      (buckets run_len);
+    Render.flush m;
+    let observed = Telemetry.histogram ("tst.exec.run_len." ^ name) in
+    List.iter (Telemetry.observe observed) !lens;
+    let delta =
+      List.filter_map
+        (fun (floor, n) ->
+          let was = Option.value ~default:0 (List.assoc_opt floor before) in
+          if n > was then Some (floor, n - was) else None)
+        (buckets run_len)
+    in
+    Alcotest.(check int) (name ^ ": runs") (List.length runs) (List.length !lens);
+    Alcotest.(check (list (pair int int))) (name ^ ": buckets") (buckets observed) delta
   in
-  Alcotest.(check int) "nine runs" 9 (List.length !lens);
-  Alcotest.(check (list (pair int int))) "buckets" (buckets observed) delta
+  batch "first" [ 1; 2; 3; 7; 8; 63; 64; 65; 1000; 1 lsl 40; 1 lsl 61; max_int ];
+  batch "second" [ 63; 63; 5; 64; 127; 128 ]
 
 (* A walk rendered under two placements allocates one four-word [Run.t]
    per emitted run and nothing per block, beyond a constant per call; the
@@ -252,6 +356,48 @@ let test_render_allocation () =
     (Printf.sprintf "%d words for %d runs of %d blocks in %d calls" words runs blocks calls)
     true
     (words - (4 * runs) <= 2 * calls)
+
+(* The sink's inline decode of the fetch word against the placement's
+   accessor: the rendered instructions are the events' summed
+   [exec_instrs], under every combo and under a diamond laid out one
+   block per segment, whose fall arm also executes a companion branch. *)
+let test_render_every_combo () =
+  let random = Olayout_codegen.Binary.prog (Helpers.random_program 43) in
+  let profile = Helpers.walked_profile ~calls:10 random in
+  let diamond = Helpers.diamond_prog 0.5 in
+  let apart =
+    Placement.of_segments diamond
+      (List.map (fun b -> { Olayout_core.Segment.proc = 0; blocks = [ b ] }) [ 0; 3; 1; 2 ])
+  in
+  let companions = ref 0 in
+  List.iter
+    (fun (name, prog, placement) ->
+      let got = ref 0 and want = ref 0 in
+      let m = Render.merger ~emit:(fun r -> got := !got + r.Run.len) in
+      let walk = Walk.create ~prog ~rng:(Rng.create 5) in
+      Walk.add_sink walk (Render.sink (Render.create ~placement ~owner:Run.App m));
+      Walk.add_sink walk (fun ~proc ~block ~arm ->
+          let n = Placement.exec_instrs placement ~proc ~block ~arm in
+          if arm = 1 && n <> Placement.exec_instrs placement ~proc ~block ~arm:0 then
+            incr companions;
+          want := !want + n);
+      for _ = 1 to 20 do
+        for pid = 0 to Prog.n_procs prog - 1 do
+          Walk.call walk pid
+        done
+      done;
+      Render.flush m;
+      Alcotest.(check int) name !want !got)
+    (("diamond apart", diamond, apart)
+    :: List.map
+         (fun combo ->
+           ( Olayout_core.Spike.combo_name combo,
+             random,
+             Olayout_core.Spike.optimize profile combo ))
+         Olayout_core.Spike.all_combos);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d fall arms with a companion branch" !companions)
+    true (!companions > 0)
 
 let test_seqstat () =
   let s = Seqstat.create () in
@@ -349,6 +495,89 @@ let test_trace_captures_merger_tail () =
   Alcotest.(check bool) "tail flushed" true
     (replayed t = [ { Run.owner = Run.App; addr = 0; len = 6 } ])
 
+(* The encoder as it was before [Trace.append] wrote one-byte varints
+   inline: the bytes a trace must keep. *)
+let reference_encoding runs =
+  let buf = Buffer.create 64 in
+  let put v =
+    let v = ref v and more = ref true in
+    while !more do
+      let b = !v land 0x7f in
+      v := !v lsr 7;
+      if !v = 0 then begin
+        Buffer.add_char buf (Char.unsafe_chr b);
+        more := false
+      end
+      else Buffer.add_char buf (Char.unsafe_chr (b lor 0x80))
+    done
+  in
+  let prev_end = ref 0 in
+  List.iter
+    (fun (r : Run.t) ->
+      put ((r.len lsl 1) lor match r.owner with Run.App -> 0 | Run.Kernel -> 1);
+      let delta = r.addr - !prev_end in
+      put ((delta lsl 1) lxor (delta asr 62));
+      prev_end := r.addr + (r.len * 4))
+    runs;
+  Buffer.contents buf
+
+(* A trace's bytes are the reference encoder's, at the one-byte/two-byte
+   edges of both varints (length field 63/64 either owner; zigzag deltas
+   -64, -65, 63 and 64), at large values and across chunk rollovers. *)
+let test_trace_bytes () =
+  let encoded runs =
+    let emit, t = Trace.record () in
+    List.iter emit runs;
+    Trace.contents t
+  in
+  (* One run from address 0: a length field (len * 2 + owner) and a
+     zigzag delta below 128 take one byte each, 128 or more two. *)
+  List.iter
+    (fun ((owner, len, addr), bytes) ->
+      Alcotest.(check int)
+        (Printf.sprintf "%s len %d, delta %d" (Run.owner_name owner) len addr)
+        bytes
+        (String.length (encoded [ { Run.owner; addr; len } ])))
+    [
+      ((Run.App, 63, 0), 2); ((Run.Kernel, 63, 0), 2); ((Run.App, 64, 0), 3);
+      ((Run.Kernel, 64, 0), 3); ((Run.App, 1, -64), 2); ((Run.App, 1, -65), 3);
+      ((Run.App, 1, 63), 2); ((Run.App, 1, 64), 3);
+    ];
+  (* The same edges mid-stream: each run starts [delta] bytes from the
+     previous run's end. *)
+  let edges =
+    let prev_end = ref 0 in
+    List.map
+      (fun (owner, len, delta) ->
+        let addr = !prev_end + delta in
+        prev_end := addr + (len * 4);
+        { Run.owner; addr; len })
+      [
+        (Run.App, 63, 0x1000); (Run.Kernel, 63, 63); (Run.App, 64, 64); (Run.Kernel, 64, -64);
+        (Run.App, 31, -65); (Run.App, 32, 63); (Run.Kernel, 1, 64); (Run.App, 65, -1);
+        (Run.App, 1 lsl 20, -(1 lsl 40)); (Run.Kernel, 8191, 1 lsl 45); (Run.App, 1, 0);
+      ]
+  in
+  Alcotest.(check string) "edges" (reference_encoding edges) (encoded edges);
+  Alcotest.(check bool) "edges replay" true
+    (let emit, t = Trace.record () in
+     List.iter emit edges;
+     replayed t = edges);
+  (* 90,000 runs of 3-4 bytes fill a 256 KiB chunk more than once. *)
+  let many =
+    List.init 90_000 (fun i ->
+        {
+          Run.owner = (if i mod 7 = 0 then Run.Kernel else Run.App);
+          addr = 0x10_0000 + ((i * 7919) land 0xff_ffff);
+          len = 1 + (i land 127);
+        })
+  in
+  let emit, t = Trace.record () in
+  List.iter emit many;
+  Alcotest.(check bool) "rolls over" true (Trace.memory_bytes t > 1 lsl 18);
+  Alcotest.(check bool) "rollover bytes" true (Trace.contents t = reference_encoding many);
+  Alcotest.(check bool) "rollover replay" true (replayed t = many)
+
 let test_sink_order () =
   (* Sinks fire in registration order, including sinks added between calls. *)
   let prog = Helpers.straight_prog 1 in
@@ -423,6 +652,7 @@ let suite =
       Alcotest.test_case "merger gap breaks" `Quick test_merger_gap_breaks;
       Alcotest.test_case "merger run_len histogram" `Quick test_merger_run_len_histogram;
       Alcotest.test_case "render allocation" `Quick test_render_allocation;
+      Alcotest.test_case "render = exec_instrs, every combo" `Quick test_render_every_combo;
       Alcotest.test_case "placement invariance" `Quick test_block_path_placement_invariant;
       Alcotest.test_case "seqstat" `Quick test_seqstat;
       Alcotest.test_case "seqstat cap" `Quick test_seqstat_cap;
@@ -430,7 +660,9 @@ let suite =
       Alcotest.test_case "trace roundtrip" `Quick test_trace_roundtrip;
       Alcotest.test_case "trace multi-chunk" `Quick test_trace_multi_chunk;
       Alcotest.test_case "trace merger tail" `Quick test_trace_captures_merger_tail;
+      Alcotest.test_case "trace bytes" `Quick test_trace_bytes;
       Alcotest.test_case "sink order" `Quick test_sink_order;
+      Alcotest.test_case "walker = reference walker" `Quick test_walker_reference;
       Alcotest.test_case "ijump distribution" `Quick test_ijump_distribution;
       Alcotest.test_case "listing renders" `Quick test_listing_renders;
     ] )

@@ -209,6 +209,125 @@ let test_of_rows_matches_of_segments () =
       end)
     (List.init 8 (fun i -> 40 + i))
 
+(* Each block's fetch word packs its address and its arm-0 and arm-1
+   executed instrs: under every combo the accessors read back the documented
+   word layout, and the word is the block's segment-relative word from the
+   rows of the placement's own segments, moved by the segment's start (its
+   head block sits at offset 0).  Every arm of an indirect jump executes its
+   body and the jump. *)
+let test_fetch_words () =
+  List.iter
+    (fun seed ->
+      let prog = Olayout_codegen.Binary.prog (Helpers.random_program seed) in
+      let profile = Helpers.walked_profile ~calls:10 ~seed prog in
+      List.iter
+        (fun combo ->
+          let pl = Olayout_core.Spike.optimize profile combo in
+          let segments = Placement.segments pl in
+          let rows =
+            Array.init (Prog.n_procs prog) (fun pid ->
+                Placement.encode prog pid
+                  (Array.of_list (List.filter (fun (s : Segment.t) -> s.proc = pid) segments)))
+          in
+          let words = Placement.fetch_words pl and bits = Placement.exec_bits in
+          let mask = (1 lsl bits) - 1 in
+          let ok = ref true in
+          List.iter
+            (fun (seg : Segment.t) ->
+              let proc = seg.proc and rel = rows.(seg.proc).Placement.word in
+              let start = Placement.block_addr pl ~proc ~block:(Segment.head seg) in
+              ok := !ok && rel.(Segment.head seg) lsr (2 * bits) = 0;
+              List.iter
+                (fun block ->
+                  let w = words.(proc).(block) in
+                  let body = (Proc.block (Prog.proc prog proc) block).Block.body in
+                  ok :=
+                    !ok
+                    && w = (start lsl (2 * bits)) + rel.(block)
+                    && Placement.block_addr pl ~proc ~block = w lsr (2 * bits)
+                    && Placement.exec_instrs pl ~proc ~block ~arm:0 = w land mask
+                    && Placement.exec_instrs pl ~proc ~block ~arm:1 = (w lsr bits) land mask
+                    && Placement.static_instrs pl ~proc ~block = (w lsr bits) land mask
+                    && Placement.exec_instrs pl ~proc ~block ~arm:0 >= body
+                    &&
+                    match (Proc.block (Prog.proc prog proc) block).Block.term with
+                    | Block.Ijump targets ->
+                        Array.for_all Fun.id
+                          (Array.mapi
+                             (fun arm _ -> Placement.exec_instrs pl ~proc ~block ~arm = body + 1)
+                             targets)
+                    | _ -> true)
+                seg.blocks)
+            segments;
+          Alcotest.(check bool)
+            (Printf.sprintf "program %d, %s" seed (Olayout_core.Spike.combo_name combo))
+            true !ok)
+        Olayout_core.Spike.all_combos)
+    [ 50; 51; 52 ]
+
+(* A block whose executed count or address does not fit its fetch word is
+   refused, never wrapped; the largest that fit are kept exactly. *)
+let test_fetch_word_bounds () =
+  let limit = 1 lsl Placement.exec_bits in
+  let refused f = match f () with exception Invalid_argument _ -> true | _ -> false in
+  let ret body = Helpers.prog_of_blocks "ret" [ b 0 body Block.Ret ] in
+  let pl = Placement.original (ret (limit - 2)) in
+  Alcotest.(check int) "largest count kept" (limit - 1)
+    (Placement.exec_instrs pl ~proc:0 ~block:0 ~arm:0);
+  Alcotest.(check bool) "count past the field refused" true
+    (refused (fun () -> Placement.original (ret (limit - 1))));
+  (* A conditional branch with neither successor adjacent executes two
+     terminator instrs on its fall arm only. *)
+  let cond body =
+    Helpers.prog_of_blocks "cond"
+      [
+        b 0 body (Block.Cond { taken = 2; fall = 2; p_taken = 0.5 });
+        b 1 1 Block.Ret;
+        b 2 1 Block.Ret;
+      ]
+  in
+  Alcotest.(check int) "fall arm at the limit" (limit - 1)
+    (Placement.exec_instrs (Placement.original (cond (limit - 3))) ~proc:0 ~block:0 ~arm:1);
+  Alcotest.(check bool) "fall arm past the field refused" true
+    (refused (fun () -> Placement.original (cond (limit - 2))));
+  (* A segment must end below the address field's limit. *)
+  let top = 1 lsl (Sys.int_size - (2 * Placement.exec_bits)) in
+  let at base = Helpers.prog_of_blocks ~base_addr:base "at" [ b 0 3 Block.Ret ] in
+  Alcotest.(check int) "highest address kept" (top - 32)
+    (Placement.block_addr (Placement.original (at (top - 32))) ~proc:0 ~block:0);
+  Alcotest.(check bool) "segment reaching the limit refused" true
+    (refused (fun () -> Placement.original (at (top - 16))));
+  Alcotest.(check bool) "address past the field refused" true
+    (refused (fun () -> Placement.original (at top)));
+  Alcotest.(check bool) "negative address refused" true
+    (refused (fun () -> Placement.original (at (-64))));
+  Alcotest.(check bool) "start rule past the field refused" true
+    (refused (fun () ->
+         Placement.of_segments_at (at 0x1000) ~addr_of:(fun _ _ -> top)
+           [ Segment.of_proc (Prog.proc (at 0x1000) 0) ]))
+
+(* [equal] compares fetch words: two placements that differ in one
+   block's address alone, with the same extent and segments, are told
+   apart.  The moved block's segment shifts inside the next one's
+   alignment padding. *)
+let test_equal_sees_one_address () =
+  let prog = Helpers.straight_prog 3 in
+  let segs = List.map (fun blk -> { Segment.proc = 0; blocks = [ blk ] }) [ 0; 1; 2 ] in
+  let place moved =
+    Placement.of_segments_at ~align:16 prog segs ~addr_of:(fun s a ->
+        if moved && s.Segment.blocks = [ 1 ] then a + 4 else a)
+  in
+  let a = place false and moved = place true in
+  Alcotest.(check bool) "equal to itself rebuilt" true (Placement.equal a (place false));
+  Alcotest.(check (list int)) "one address moved" [ 0; 4; 0 ]
+    (List.map
+       (fun block ->
+         Placement.block_addr moved ~proc:0 ~block - Placement.block_addr a ~proc:0 ~block)
+       [ 0; 1; 2 ]);
+  Alcotest.(check int) "same extent" (Placement.text_bytes a) (Placement.text_bytes moved);
+  Alcotest.(check bool) "same segments" true (Placement.segments a = Placement.segments moved);
+  Alcotest.(check bool) "told apart" false (Placement.equal a moved)
+
 let suite =
   ( "core.placement",
     [
@@ -223,4 +342,7 @@ let suite =
       Alcotest.test_case "cond branch outcomes" `Quick test_cond_branch_outcomes;
       Alcotest.test_case "long branches" `Quick test_long_branches;
       Alcotest.test_case "of_rows = of_segments" `Quick test_of_rows_matches_of_segments;
+      Alcotest.test_case "fetch words = encoded rows" `Quick test_fetch_words;
+      Alcotest.test_case "fetch word bounds" `Quick test_fetch_word_bounds;
+      Alcotest.test_case "equal sees one address" `Quick test_equal_sees_one_address;
     ] )
