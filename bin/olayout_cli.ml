@@ -491,7 +491,7 @@ let drift_cmd =
   in
   let drift phases top c =
     let r = Drift.run ~combo:c.combo ~phases ~top (context c) c.preset in
-    Drift.Observatory.pp Format.std_formatter r;
+    print_tables (Drift.tables r);
     Drift.Observatory.to_json ~scale:(scale_name c.quick) r
   in
   artifact_sub ~name:"drift"
@@ -499,7 +499,7 @@ let drift_cmd =
     ~man:
       "Runs the OLTP server under a deterministic mid-run mix shift, charts \
        per-window profile divergence as sparklines, and replays every (phase \
-       layout, phase slice) pairing into a layout-staleness heatmap."
+       layout, phase slice) pairing into a layout-staleness matrix."
     ~schema:Drift.Observatory.artifact_schema
     ~figure_doc:"Cache geometry the staleness matrix replays under" ~combo:Spike.All
     ~combo_doc:"Layout algorithm applied per phase (any combo except $(b,base))."
@@ -529,7 +529,7 @@ let relayout_cmd =
   let relayout cadences slots c =
     if cadences = [] then invalid_arg "--cadences needs at least one cadence";
     let r = Relayout.run ~combo:c.combo ~cadences ~slots (context c) c.preset in
-    Relayout.Closedloop.pp Format.std_formatter r;
+    print_tables (Relayout.tables r);
     Relayout.Closedloop.to_json ~scale:(scale_name c.quick) r
   in
   artifact_sub ~name:"relayout"
@@ -675,8 +675,8 @@ let rec mkdir_p dir =
     Sys.mkdir dir 0o755
   end
 
-let report seed quick only trace_stats telemetry jobs retain_mb engine baseline
-    timeline_window out =
+let report seed quick only trace_stats telemetry jobs engine baseline timeline_window
+    out =
   let module Artifacts = Olayout_harness.Artifacts in
   let module Timeline = Olayout_telemetry.Timeline in
   let module Fidelity = Olayout_regress.Fidelity in
@@ -735,8 +735,7 @@ let report seed quick only trace_stats telemetry jobs retain_mb engine baseline
               match only with None -> Report.All | Some ids -> Report.Only ids
             in
             ( ctx,
-              Report.run ~selection ~trace_stats ?pool ?retain_mb ctx
-                Format.std_formatter )))
+              Report.run ~selection ~trace_stats ?pool ctx Format.std_formatter )))
   in
   Format.printf "@.total: %.1fs@." total_seconds;
   (* Resource headlines: peak trace-cache residency and the schedule's
@@ -793,8 +792,8 @@ let report_cmd =
       & info [ "trace-stats" ]
           ~doc:
             "Print per-figure trace capture/replay statistics (runs and \
-             instructions replayed vs simulated live, replay throughput) and \
-             a trace-cache summary.")
+             instructions replayed vs rendered from the recorded path, \
+             replay throughput) and a trace-cache summary.")
   in
   let telemetry_arg =
     Arg.(
@@ -831,16 +830,6 @@ let report_cmd =
             "Run replay-only figures on $(docv) domains (\"auto\" sizes by the \
              machine).  Deterministic counters are identical to the serial \
              run; only wall-clock and the par.* metrics change.")
-  in
-  let retain_mb_arg =
-    Arg.(
-      value
-      & opt (some (at_least 0)) None
-      & info [ "retain-mb" ] ~docv:"MB"
-          ~doc:
-            "Bound trace-cache residency: after each figure, drop recorded \
-             streams with no remaining consumer, largest first, while the \
-             cache exceeds $(docv) MiB.")
   in
   let engine_arg =
     Arg.(
@@ -888,8 +877,8 @@ let report_cmd =
   sub "report" "regenerate the paper's figures (and, with --out, every artifact)"
     Term.(
       const report $ seed_arg $ quick_arg $ only_arg $ trace_stats_arg
-      $ telemetry_arg $ jobs_arg $ retain_mb_arg $ engine_arg $ baseline_arg
-      $ timeline_window_arg $ out_arg)
+      $ telemetry_arg $ jobs_arg $ engine_arg $ baseline_arg $ timeline_window_arg
+      $ out_arg)
 
 (* --- entry point --- *)
 

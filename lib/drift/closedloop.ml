@@ -2,7 +2,6 @@ module Json = Olayout_telemetry.Json
 module Telemetry = Olayout_telemetry.Telemetry
 module Timeline = Olayout_telemetry.Timeline
 module Incremental = Olayout_core.Incremental
-module Console = Olayout_util.Console
 
 (* The closed-loop re-layout result record: one cadence sweep of the online
    BOLT-style loop.  The harness driver (Olayout_harness.Relayout) replays
@@ -160,53 +159,3 @@ let publish_timeline t =
     feed "relayout.static_misses" t.r_static.c_window_misses;
     feed "relayout.best_misses" (best_point t).c_window_misses
   end
-
-(* --- console rendering ------------------------------------------------- *)
-
-let pp_curve ppf t =
-  Format.fprintf ppf
-    "@.### miss rate vs re-layout cadence (%s, %s layout; cache persists \
-     across ticks)@."
-    t.r_figure t.r_combo;
-  Format.fprintf ppf "%-10s %9s %9s %8s %8s %7s@." "cadence" "relayouts"
-    "misses" "mpki" "work_x" "vs stat";
-  let row name p =
-    let ratio = Observatory.work_ratio_x100 p.c_work in
-    let delta_permille =
-      if t.r_static.c_misses <= 0 then 0
-      else (p.c_misses - t.r_static.c_misses) * 1000 / t.r_static.c_misses
-    in
-    Format.fprintf ppf "%-10s %9d %9d %8.2f %8.2f %+6.1f%%@." name
-      p.c_relayouts p.c_misses
-      (float_of_int (mpki_x100 p) /. 100.0)
-      (float_of_int ratio /. 100.0)
-      (float_of_int delta_permille /. 10.0)
-  in
-  row "static" t.r_static;
-  List.iter (fun p -> row (Printf.sprintf "%d" p.c_cadence) p) t.r_points;
-  Format.fprintf ppf
-    "  best cadence %d (%.2f mpki, %+.1f%% misses vs static), break-even %d; \
-     incremental work %.2fx cheaper than scratch@."
-    (best_cadence t)
-    (float_of_int (best_mpki_x100 t) /. 100.0)
-    (-.(float_of_int (saved_misses_permille t) /. 10.0))
-    (break_even_cadence t)
-    (float_of_int (work_ratio_x100 t) /. 100.0)
-
-let pp_series ppf t =
-  Format.fprintf ppf "@.### per-window misses (window = %d instrs)@."
-    t.r_window_instrs;
-  let line name values =
-    Format.fprintf ppf "%-22s %9d %s@." name
-      (Array.fold_left ( + ) 0 values)
-      (Console.spark `Sum values)
-  in
-  Format.fprintf ppf "%-22s %9s %s@." "series" "total" "";
-  line "static_misses" t.r_static.c_window_misses;
-  line
-    (Printf.sprintf "cadence_%d_misses" (best_cadence t))
-    (best_point t).c_window_misses
-
-let pp ppf t =
-  pp_curve ppf t;
-  pp_series ppf t

@@ -1,6 +1,6 @@
 (** Closed-loop re-layout result record: the miss-rate-vs-cadence curve of
-    the online BOLT-style loop, plus artifact emission, gauge publication,
-    timeline mirroring and console rendering.
+    the online BOLT-style loop, plus artifact emission, gauge publication
+    and timeline mirroring ([Olayout_harness.Relayout.tables] prints it).
 
     The harness driver ({!Olayout_harness.Relayout}) replays one drift
     schedule under an evolving layout — rebuilt from the profile delta every
@@ -89,15 +89,3 @@ val publish_timeline : t -> unit
     series on the instruction clock ([relayout.static_misses],
     [relayout.best_misses]) — they reach the TIMELINE artifact and the
     Chrome-trace counter tracks. *)
-
-(** {1 Console rendering} *)
-
-val pp_curve : Format.formatter -> t -> unit
-(** The cadence table: relayouts, misses, mpki, incremental-work ratio and
-    miss delta vs static per swept cadence. *)
-
-val pp_series : Format.formatter -> t -> unit
-(** Per-window miss sparklines for the static layout and best cadence. *)
-
-val pp : Format.formatter -> t -> unit
-(** {!pp_curve} followed by {!pp_series}. *)

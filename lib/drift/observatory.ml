@@ -218,63 +218,3 @@ let publish_timeline t =
         Timeline.sample jac_train ~pos p.p_jaccard_vs_train)
       t.o_points
   end
-
-(* --- console rendering ------------------------------------------------- *)
-
-let shade = Olayout_util.Console.shade
-
-let pp_heatmap ppf t =
-  let n = phases t in
-  let vmax =
-    Array.fold_left
-      (fun acc row -> Array.fold_left (fun acc c -> max acc (mpki_x100 c)) acc row)
-      0 t.o_cells
-  in
-  Format.fprintf ppf
-    "@.### layout staleness (misses per 1k instrs; row = layout source, col = \
-     replayed phase)@.";
-  Format.fprintf ppf "%-10s" "layout";
-  for j = 0 to n - 1 do
-    Format.fprintf ppf "  %8s" (Printf.sprintf "p%d:%s" j t.o_phase_names.(j))
-  done;
-  Format.fprintf ppf "@.";
-  Array.iteri
-    (fun i row ->
-      Format.fprintf ppf "%-10s" t.o_rows.(i);
-      Array.iteri
-        (fun j c ->
-          let v = mpki_x100 c in
-          let mark = if i = j && i < n then "*" else " " in
-          Format.fprintf ppf "  %s%6.2f%s" (shade ~vmax v)
-            (float_of_int v /. 100.0)
-            mark)
-        row;
-      Format.fprintf ppf "@.")
-    t.o_cells;
-  Format.fprintf ppf
-    "  * = layout replaying its own phase; diag max %.2f vs off-diag max %.2f \
-     mpki@."
-    (float_of_int (diag_max_mpki_x100 t) /. 100.0)
-    (float_of_int (offdiag_max_mpki_x100 t) /. 100.0)
-
-let pp_series ppf t =
-  let arr f = Array.of_list (List.map f t.o_points) in
-  Format.fprintf ppf "@.### profile divergence (window = %d instrs, top-%d hot set)@."
-    t.o_window_instrs t.o_top_k;
-  let line name values =
-    Format.fprintf ppf "%-34s %5d %s@." name
-      (Array.fold_left max 0 values)
-      (Timeline.spark Timeline.Sample values)
-  in
-  Format.fprintf ppf "%-34s %5s %s@." "series" "max" "";
-  line "l1_vs_prev_permille" (arr (fun p -> p.p_l1_vs_prev));
-  line "l1_vs_train_permille" (arr (fun p -> p.p_l1_vs_train));
-  line "rank_churn_permille" (arr (fun p -> p.p_churn_vs_prev));
-  (* Jaccard is a similarity: plot drift = 1000 - similarity so every
-     sparkline reads "higher = more drift". *)
-  line "hotset_drift_permille (1000-jac)"
-    (arr (fun p -> 1000 - p.p_jaccard_vs_train))
-
-let pp ppf t =
-  pp_series ppf t;
-  pp_heatmap ppf t

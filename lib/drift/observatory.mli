@@ -1,6 +1,6 @@
 (** Drift-observatory result record: the per-window profile-divergence
-    series and the layout-staleness matrix, plus artifact emission, gauge
-    publication and console rendering.
+    series and the layout-staleness matrix, plus artifact emission and
+    gauge publication ([Olayout_harness.Drift.tables] prints it).
 
     Every numeric field is an integer (permille for ratios, raw
     misses/instrs for matrix cells) so the [olayout-drift/v1] document is
@@ -92,14 +92,3 @@ val publish_timeline : t -> unit
     ([drift.l1_vs_prev_permille], [drift.l1_vs_train_permille],
     [drift.jaccard_vs_train_permille]) — they reach the TIMELINE artifact
     and the Chrome-trace counter tracks. *)
-
-(** {1 Console rendering} *)
-
-val pp_series : Format.formatter -> t -> unit
-(** Divergence series as labelled sparklines (higher = more drift). *)
-
-val pp_heatmap : Format.formatter -> t -> unit
-(** Staleness matrix as a shaded mpki heatmap; [*] marks diagonal cells. *)
-
-val pp : Format.formatter -> t -> unit
-(** {!pp_series} followed by {!pp_heatmap}. *)

@@ -84,3 +84,9 @@ let sink t =
   fun ~proc ~block ~arm ->
     let w = fetch.(proc).(block) in
     feed m owner ~addr:(w lsr shift) ~len:((if arm = 1 then w lsr bits else w) land mask)
+
+let stream ~app ~kernel emit =
+  let m = merger ~emit in
+  ( m,
+    sink (create ~placement:app ~owner:Run.App m),
+    sink (create ~placement:kernel ~owner:Run.Kernel m) )

@@ -30,3 +30,13 @@ val create : placement:Olayout_core.Placement.t -> owner:Run.owner -> merger -> 
 val sink : t -> Walk.sink
 (** Walker sink rendering each block event to its fetch run under the
     placement: one closure, built once per call. *)
+
+val stream :
+  app:Olayout_core.Placement.t ->
+  kernel:Olayout_core.Placement.t ->
+  (Run.t -> unit) ->
+  merger * Walk.sink * Walk.sink
+(** One rendered run stream: a merger emitting to the given function, with
+    the application and kernel sinks that feed it, each rendering under
+    its program's placement.  Feed both from one execution (its walkers,
+    or a replay of its capture) and {!flush} the merger at the end. *)

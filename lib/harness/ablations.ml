@@ -5,9 +5,7 @@ module Cfa = Olayout_core.Cfa
 module Timing = Olayout_perf.Timing
 module Machine = Olayout_perf.Machine
 module Sampler = Olayout_profile.Sampler
-module Server = Olayout_oltp.Server
-module Workload = Olayout_oltp.Workload
-module Binary = Olayout_codegen.Binary
+module Profile = Olayout_profile.Profile
 module Telemetry = Olayout_telemetry.Telemetry
 
 type result = {
@@ -30,9 +28,6 @@ type result = {
 let cache_64 () = Icache.create (Icache.config ~size_kb:64 ~line:128 ~assoc:1 ())
 let cache_128 () = Icache.create (Icache.config ~size_kb:128 ~line:128 ~assoc:4 ())
 
-(* Replay-compatible where the stream is a context placement (Spike.All);
-   the ablation-specific placements simulate live and the kernel ablation's
-   optimized-kernel stream records for fig_joint to replay. *)
 let app_only cache = Context.app_only (Icache.access_run cache)
 
 (* The kernel ablation needs two *separate* runs: the kernel placement is
@@ -61,14 +56,9 @@ let kernel_ablation ctx =
 let sampled_placement ctx =
   (* Collect a PC-sampling profile on the training schedule, like the
      paper's DCPI alternative, and drive the full pipeline with it. *)
-  let w = Context.workload ctx in
-  let sampler = Sampler.create (Binary.prog (Workload.app w)) ~period:509 in
-  let txns = match Context.scale ctx with Context.Quick -> 150 | Context.Full -> 2000 in
-  let _ =
-    Server.run ~app:(Workload.app w) ~kernel:(Workload.kernel w) ~txns ~seed:1
-      ~app_sinks:[ (fun ~proc ~block ~arm -> Sampler.sink sampler ~proc ~block ~arm) ]
-      ()
-  in
+  let sampler = Sampler.create (Profile.prog (Context.app_profile ctx)) ~period:509 in
+  Context.training_run ctx
+    ~app_sinks:[ (fun ~proc ~block ~arm -> Sampler.sink sampler ~proc ~block ~arm) ];
   Spike.optimize (Sampler.to_profile sampler) Spike.All
 
 let run ctx =

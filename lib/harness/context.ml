@@ -3,6 +3,7 @@ module Profile = Olayout_profile.Profile
 module Windowed = Olayout_profile.Windowed
 module Spike = Olayout_core.Spike
 module Run = Olayout_exec.Run
+module Render = Olayout_exec.Render
 module Trace = Olayout_exec.Trace
 module Workload = Olayout_oltp.Workload
 module Server = Olayout_oltp.Server
@@ -11,11 +12,19 @@ module Telemetry = Olayout_telemetry.Telemetry
 
 type scale = Quick | Full
 
-(* A measurement execution's run stream is a deterministic function of the
-   app placement, the shared kernel placement and the transaction count
-   (the block path never depends on placements; see Server).  Traces are
-   cached under that key and replayed for every later figure that asks for
-   the same stream. *)
+(* An execution's block path never depends on placements (see Server), so
+   one recorded path serves every stream and observer of it.  The context
+   walks each execution it is asked for once, at the measurement seed,
+   keyed by its schedule (the signature; "" for the plain TPC-B mix),
+   transaction count and capture window. *)
+type execution_key = { schedule : string; txns : int; window : int }
+type execution = { path : Windowed.t; result : Server.result }
+
+(* A rendered stream is a deterministic function of the app placement, the
+   shared kernel placement and the execution.  The streams of context-owned
+   placements over the plain measurement execution are cached under that
+   key and replayed for every later figure that asks for the same stream:
+   decoding a recorded stream costs less than rendering it again. *)
 type trace_key = { combo : Spike.combo; kernel : int; key_txns : int }
 
 type trace_stats = {
@@ -56,16 +65,20 @@ type t = {
   kernel_base : Placement.t;
   mutable kernel_optimized : Placement.t option;
   mutable traces : (trace_key * Trace.t) list;
-  mutable results : ((int * int) * Server.result) list;
-  (* Scheduled block paths, by (schedule signature, window). *)
-  mutable captures : ((string * int) * Windowed.t) list;
+  mutable executions : (execution_key * execution) list;
 }
 
 let train_txns = function Quick -> 150 | Full -> 2000
 let measured_txns_of = function Quick -> 100 | Full -> 1000
+let training_seed = 1
+let measurement_seed = 1009
 
-(* Soft cap on resident trace memory: once exceeded, later streams are
-   simulated live instead of being recorded. *)
+(* The plain measurement execution is captured as one window: nothing
+   slices it. *)
+let whole = max_int
+
+(* Soft cap on resident trace memory: once exceeded, later streams render
+   from the recorded path every time instead of being recorded. *)
 let max_trace_cache_bytes = 1 lsl 30
 
 let create ?(scale = Full) ?(seed = 7) ?(engine = `Stackdist) () =
@@ -73,7 +86,7 @@ let create ?(scale = Full) ?(seed = 7) ?(engine = `Stackdist) () =
       let workload = Workload.create ~seed () in
       let app_profile, kernel_profile =
         Telemetry.span "context.train" (fun () ->
-            Workload.train workload ~txns:(train_txns scale) ~seed:1 ())
+            Workload.train workload ~txns:(train_txns scale) ~seed:training_seed ())
       in
       {
         scale;
@@ -86,8 +99,7 @@ let create ?(scale = Full) ?(seed = 7) ?(engine = `Stackdist) () =
         kernel_base = Workload.base_kernel workload;
         kernel_optimized = None;
         traces = [];
-        results = [];
-        captures = [];
+        executions = [];
       })
 
 let scale t = t.scale
@@ -119,6 +131,13 @@ let kernel_optimized t =
       p
 
 let measured_txns t = measured_txns_of t.scale
+
+let training_run t ~app_sinks =
+  let w = t.workload in
+  ignore
+    (Server.run ~app:(Workload.app w) ~kernel:(Workload.kernel w) ~txns:(train_txns t.scale)
+       ~seed:training_seed ~app_sinks ()
+      : Server.result)
 
 let app_only emit (run : Run.t) = if run.Run.owner = Run.App then emit run
 
@@ -164,6 +183,79 @@ let combo_of_placement t p =
   in
   go t.placements
 
+(* Context state (the execution memo and the trace cache) only changes on
+   the dispatching domain: the figure scheduler keeps figures that walk an
+   execution or record a stream serial, so hitting this means a figure's
+   stream declaration is wrong. *)
+let serial_only what =
+  if Telemetry.in_isolated () then
+    failwith
+      (Printf.sprintf
+         "Context: %s requested from inside a parallel task; this figure must \
+          be scheduled serially"
+         what)
+
+(* The one live walk of an execution.  It renders nothing: it records the
+   block path, the data references and the process switches, in the order
+   the walk makes them, for every stream and observer to replay.  Only the
+   plain measurement execution feeds the oltp.* timeline series. *)
+let execution t ?schedule ~window ~txns () =
+  let signature = match schedule with Some s -> Schedule.signature s | None -> "" in
+  let key = { schedule = signature; txns; window } in
+  match List.assoc_opt key t.executions with
+  | Some e -> e
+  | None ->
+      serial_only "a live execution";
+      let path = Windowed.create ~window (Profile.prog t.app_profile) in
+      let w = t.workload in
+      let result =
+        Telemetry.span "context.live_execution" (fun () ->
+            Server.run ~app:(Workload.app w) ~kernel:(Workload.kernel w) ~txns
+              ~seed:measurement_seed ?schedule ~app_sinks:[ Windowed.sink path ]
+              ~kernel_sinks:[ Windowed.kernel_sink path ] ~on_data:(Windowed.data_sink path)
+              ~on_switch:(Windowed.switch_sink path) ~timeline:(Option.is_none schedule) ())
+      in
+      Telemetry.incr c_live_executions;
+      let e = { path; result } in
+      t.executions <- (key, e) :: t.executions;
+      e
+
+(* One sink for a list of sinks, called in list order. *)
+let fan = function
+  | [] -> None
+  | [ s ] -> Some s
+  | sinks ->
+      let a = Array.of_list sinks in
+      Some
+        (fun ~proc ~block ~arm ->
+          for i = 0 to Array.length a - 1 do
+            a.(i) ~proc ~block ~arm
+          done)
+
+(* Render [streams] from the recorded path in one pass that also feeds the
+   observers: every event reaches each stream's render sink and then the
+   observers, in the order the live walk made those calls, so observers and
+   runs interleave exactly as they do in the walk. *)
+let render e ~kernel_placement ?on_data ?(app_sinks = []) ?on_switch streams =
+  let runs = ref 0 and instrs = ref 0 in
+  let rendered =
+    List.map
+      (fun (app, emit) ->
+        Render.stream ~app ~kernel:kernel_placement (fun (run : Run.t) ->
+            incr runs;
+            instrs := !instrs + run.Run.len;
+            emit run))
+      streams
+  in
+  let app = fan (List.map (fun (_, a, _) -> a) rendered @ app_sinks) in
+  let kernel = fan (List.map (fun (_, _, k) -> k) rendered) in
+  Windowed.replay e.path ~lo:0 ~hi:whole
+    ~app:(Option.value app ~default:(fun ~proc:_ ~block:_ ~arm:_ -> ()))
+    ?kernel ?data:on_data ?switch:on_switch ();
+  List.iter (fun (m, _, _) -> Render.flush m) rendered;
+  Telemetry.add c_live_runs !runs;
+  Telemetry.add c_live_instrs !instrs
+
 let replay_into items =
   match items with
   | [] -> ()
@@ -180,146 +272,66 @@ let replay_into items =
       in
       Telemetry.add_gauge g_replay_seconds seconds
 
-(* A live walk mutates shared context state (trace cache, result cache,
-   server RNG); it must never run on a pool worker.  The figure scheduler
-   keeps walk-observing figures serial — hitting this means a figure's
-   stream declaration is wrong. *)
-let live_execution run =
-  if Telemetry.in_isolated () then
-    failwith
-      "Context: live execution requested from inside a parallel task; \
-       this figure must be scheduled serially (it records or observes \
-       the walk)";
-  let result = Telemetry.span "context.live_execution" run in
-  Telemetry.incr c_live_executions;
-  result
-
 let measure_raw t ?txns ?kernel_placement ?on_data ?app_sinks ?on_switch ~renders () =
   let txns = match txns with Some n -> n | None -> measured_txns t in
   let kernel_placement =
     match kernel_placement with Some p -> p | None -> t.kernel_base
   in
-  (* Sinks observe the walk itself, not the rendered runs: their presence
-     forces a live execution (replay has no block events to offer). *)
-  let needs_walk = on_data <> None || app_sinks <> None || on_switch <> None in
-  let kid = kernel_id t kernel_placement in
+  let e = execution t ~window:whole ~txns () in
+  let observed =
+    Option.is_some on_data || Option.is_some app_sinks || Option.is_some on_switch
+  in
   let key_of p =
-    match kid with
-    | Some kernel when txns = measured_txns t -> (
-        match combo_of_placement t p with
-        | Some combo -> Some { combo; kernel; key_txns = txns }
-        | None -> None)
+    match (kernel_id t kernel_placement, combo_of_placement t p) with
+    | Some kernel, Some combo when txns = measured_txns t ->
+        Some { combo; kernel; key_txns = txns }
     | _ -> None
   in
-  (* Partition renders: cached streams replay, the rest run live (recording
-     any stream that can be keyed for later reuse). *)
-  let recording_keys = ref [] in
-  let classified =
-    List.map
-      (fun (p, emit) ->
-        match key_of p with
-        | Some key -> (
-            match List.assoc_opt key t.traces with
-            | Some trace -> `Replay (trace, emit)
-            | None ->
-                if
-                  List.mem key !recording_keys
-                  || trace_cache_bytes t > max_trace_cache_bytes
-                then `Live (p, emit)
-                else begin
-                  recording_keys := key :: !recording_keys;
-                  `Record (key, p, emit)
-                end)
-        | None -> `Live (p, emit))
-      renders
-  in
-  let replays =
-    List.filter_map (function `Replay r -> Some r | _ -> None) classified
-  in
-  let live =
-    List.filter_map (function `Replay _ -> None | c -> Some c) classified
-  in
-  let cached_result =
-    match kid with
-    | Some k -> List.assoc_opt (k, txns) t.results
-    | None -> None
-  in
-  match (live, needs_walk, cached_result) with
-  | [], false, Some result ->
-      (* Every requested stream is cached: pure replay, no server walk. *)
-      replay_into replays;
-      result
-  | _ ->
-      let count_live emit (run : Run.t) =
-        Telemetry.incr c_live_runs;
-        Telemetry.add c_live_instrs run.Run.len;
-        emit run
-      in
-      let recorded = ref [] in
-      let render_specs =
-        List.map
-          (function
-            | `Record (key, app_placement, emit) ->
-                let capture, trace = Trace.record () in
-                recorded := (key, trace) :: !recorded;
-                {
-                  Server.app_placement;
-                  kernel_placement;
-                  emit =
-                    count_live (fun run ->
-                        capture run;
-                        emit run);
-                }
-            | `Live (app_placement, emit) ->
-                { Server.app_placement; kernel_placement; emit = count_live emit }
-            | `Replay _ -> assert false)
-          live
-      in
-      let result =
-        live_execution (fun () ->
-            Server.run ~app:(Workload.app t.workload) ~kernel:(Workload.kernel t.workload)
-              ~txns ~seed:1009 ~renders:render_specs ?on_data ?app_sinks ?on_switch
-              ~timeline:true ())
-      in
-      List.iter
-        (fun (key, trace) ->
-          t.traces <- (key, trace) :: t.traces;
-          Telemetry.incr c_recorded)
-        !recorded;
-      set_bytes_gauges t;
-      (match kid with
-      | Some k when not (List.mem_assoc (k, txns) t.results) ->
-          t.results <- ((k, txns), result) :: t.results
-      | _ -> ());
-      replay_into replays;
-      result
+  (* A cached stream replays, unless observers watch this call: their calls
+     interleave with its runs only when it renders alongside them.  Every
+     other stream renders from the recorded path, and is recorded on the
+     way when it can be keyed and the cache has room. *)
+  let replays = ref [] and rendered = ref [] and recorded = ref [] in
+  List.iter
+    (fun (p, emit) ->
+      let key = key_of p in
+      let cached = Option.bind key (fun k -> List.assoc_opt k t.traces) in
+      match (cached, key) with
+      | Some trace, _ when not observed -> replays := (trace, emit) :: !replays
+      | None, Some k
+        when (not (List.mem_assoc k !recorded))
+             && trace_cache_bytes t <= max_trace_cache_bytes ->
+          serial_only "a stream recording";
+          let capture, trace = Trace.record () in
+          recorded := (k, trace) :: !recorded;
+          rendered :=
+            ( p,
+              fun run ->
+                capture run;
+                emit run )
+            :: !rendered
+      | _ -> rendered := (p, emit) :: !rendered)
+    renders;
+  if observed || !rendered <> [] then
+    render e ~kernel_placement ?on_data ?app_sinks ?on_switch (List.rev !rendered);
+  if !recorded <> [] then begin
+    List.iter
+      (fun (key, trace) ->
+        t.traces <- (key, trace) :: t.traces;
+        Telemetry.incr c_recorded)
+      !recorded;
+    set_bytes_gauges t
+  end;
+  replay_into (List.rev !replays);
+  e.result
 
 let measure t ?txns ?kernel_placement ?on_data ?app_sinks ?on_switch ~renders () =
   measure_raw t ?txns ?kernel_placement ?on_data ?app_sinks ?on_switch
     ~renders:(List.map (fun (combo, emit) -> (placement t combo, emit)) renders)
     ()
 
-(* The block path of a scheduled execution never depends on placements,
-   so one live walk serves every renderer and profiler of it: the drift
-   observatory's windows and staleness rows, and the re-layout loop. *)
 let scheduled_capture t schedule ~window =
-  let key = (Schedule.signature schedule, window) in
-  match List.assoc_opt key t.captures with
-  | Some capture -> capture
-  | None ->
-      let capture = Windowed.create ~window (Profile.prog t.app_profile) in
-      (* A mix-shift walk keeps the oltp.* timeline series quiet: they
-         describe the unscheduled measurement stream. *)
-      let (_ : Server.result) =
-        live_execution (fun () ->
-            Server.run ~app:(Workload.app t.workload) ~kernel:(Workload.kernel t.workload)
-              ~txns:(measured_txns t) ~seed:1009 ~schedule
-              ~app_sinks:[ Windowed.sink capture ]
-              ~kernel_sinks:[ Windowed.kernel_sink capture ]
-              ())
-      in
-      t.captures <- (key, capture) :: t.captures;
-      capture
+  (execution t ~schedule ~window ~txns:(measured_txns t) ()).path
 
 (* --- battery replay over the trace cache ------------------------------ *)
 
@@ -332,8 +344,9 @@ let traces_for t combos =
   (match missing with
   | [] -> ()
   | _ ->
-      (* One capture-only walk records every missing stream (unless the
-         byte cap refuses; callers then see [None] and fall back). *)
+      (* One pass over the recorded path renders and records every missing
+         stream (unless the byte cap refuses; callers then see [None] and
+         fall back). *)
       ignore
         (measure t ~renders:(List.map (fun c -> (c, fun (_ : Run.t) -> ())) missing) ()));
   List.map (fun c -> List.assoc_opt (base_key t c) t.traces) combos
@@ -353,27 +366,3 @@ let replay_battery t ?pool ?keep ~combo battery =
       in
       Telemetry.add_gauge g_replay_seconds seconds;
       true
-
-(* --- retention -------------------------------------------------------- *)
-
-let resident_traces t =
-  List.rev_map
-    (fun (key, tr) ->
-      ( (key.combo, (if key.kernel = 0 then `Base else `Optimized)),
-        Trace.memory_bytes tr ))
-    t.traces
-
-let drop_traces t ?(kernel = `Base) combo =
-  let k = match kernel with `Base -> 0 | `Optimized -> 1 in
-  let drop, keep =
-    List.partition (fun (key, _) -> key.combo = combo && key.kernel = k) t.traces
-  in
-  match drop with
-  | [] -> 0
-  | _ ->
-      let freed =
-        List.fold_left (fun acc (_, tr) -> acc + Trace.memory_bytes tr) 0 drop
-      in
-      t.traces <- keep;
-      Telemetry.set_gauge g_trace_bytes (float_of_int (trace_cache_bytes t));
-      freed

@@ -1,19 +1,21 @@
 (** Shared experiment context: binaries, training profiles, the placements
-    for every optimization combination — and the trace cache.
+    for every optimization combination — and the recorded executions.
 
     Building a context runs the profiling phase once; every figure then
-    reuses the same profiles and placements, and runs its own measurement
-    execution with a fresh seed (train seed 1, measurement seed 1009 —
-    the paper's 2000-transaction profile vs separate evaluation runs).
+    reuses the same profiles and placements, and measures on a separate
+    execution (train seed 1, measurement seed 1009 — the paper's
+    2000-transaction profile vs separate evaluation runs).
 
-    Measurement executions themselves are deduplicated the way the paper's
+    Measurement executions are deduplicated the way the paper's
     methodology does (§4: collect the trace once, run it through many
-    simulators): the first {!measure} of a given (combo, kernel placement,
-    transaction count) walks the OLTP server and records the rendered run
-    stream into an {!Olayout_exec.Trace.t}; every later figure asking for
-    the same stream gets a replay at memory speed.  Figures that need the
-    walk itself (block sinks, data references, switch observers) fall back
-    to live simulation transparently. *)
+    simulators).  The first request for an execution — keyed by schedule,
+    seed and transaction count — walks the OLTP server once and records
+    its path: every application and kernel block event, data reference and
+    process switch, in walk order ({!Olayout_profile.Windowed}).  Every
+    stream and observer of that execution is then served from the record:
+    a stream already in the trace cache replays at memory speed; any other
+    renders from the path, in one pass that also feeds the observers, so
+    observers and runs interleave exactly as they do in the walk. *)
 
 module Placement = Olayout_core.Placement
 module Profile = Olayout_profile.Profile
@@ -57,13 +59,19 @@ val kernel_optimized : t -> Placement.t
 
 val measured_txns : t -> int
 
+val training_run : t -> app_sinks:Olayout_exec.Walk.sink list -> unit
+(** Walk the training execution (the profiling phase's schedule: training
+    transaction count, seed 1) again, feeding its application events to
+    [app_sinks] — for profiles of other kinds than the context's exact one.
+    Not recorded: each call walks the server. *)
+
 val app_only : (Run.t -> unit) -> Run.t -> unit
 (** [app_only emit] is a render sink forwarding only application-owned runs
     to [emit] (the common "app stream" filter of the figure harnesses). *)
 
 type trace_stats = {
-  live_executions : int;  (** full OLTP server walks performed *)
-  live_runs : int;  (** runs emitted by live render sinks *)
+  live_executions : int;  (** measurement executions walked (and recorded) *)
+  live_runs : int;  (** runs rendered from a recorded path *)
   live_instrs : int;
   recorded_traces : int;
   replayed_traces : int;
@@ -90,15 +98,18 @@ val measure :
   renders:(Spike.combo * (Run.t -> unit)) list ->
   unit ->
   Olayout_oltp.Server.result
-(** Run one measurement execution rendering the same block path under every
-    requested combination.  All renders share the kernel placement
-    (default: the unoptimized kernel, as in the paper's main results).
+(** Serve one measurement execution's streams, every requested combination
+    rendered from the same block path.  All renders share the kernel
+    placement (default: the unoptimized kernel, as in the paper's main
+    results).
 
-    Streams already in the trace cache are replayed instead of simulated;
-    uncached streams are simulated live and recorded for later figures.
-    Passing [on_data], [app_sinks] or [on_switch] forces a live execution
-    (those observe the walk, which a replay does not perform), but cached
-    render streams still replay and new ones are still recorded. *)
+    A stream already in the trace cache replays, after the others; any
+    other renders from the recorded path (walking the server first, once
+    per execution) and is recorded for later figures when it can be keyed
+    (context-owned placements, the measured transaction count) and the
+    1 GiB cache cap leaves room.  [app_sinks], [on_data] and [on_switch]
+    are fed in the rendering pass, in the walk's order relative to the
+    runs; when any is given, cached streams render in that pass too. *)
 
 val measure_raw :
   t ->
@@ -116,27 +127,26 @@ val measure_raw :
 
 val scheduled_capture :
   t -> Olayout_oltp.Schedule.t -> window:int -> Olayout_profile.Windowed.t
-(** The block path (application and kernel events) of the measurement
-    execution under a mid-run mix-shift [schedule], in windows of [window]
-    application instructions: the drift and relayout drivers' input.  The
-    first request per (schedule, window) walks the server live, without
-    feeding the oltp.* timeline series; later ones return the same capture,
-    which the caller must not record into. *)
+(** The recorded path of the measurement execution under a mid-run
+    mix-shift [schedule], in windows of [window] application instructions:
+    the drift and relayout drivers' input.  The scheduled case of the same
+    memo {!measure} reads: the first request per (schedule, window) walks
+    the server, without feeding the oltp.* timeline series; later ones
+    return the same capture, which the caller must not record into. *)
 
 (** {1 Battery replay over the trace cache}
 
     The parallel engine's preferred path: fetch the recorded streams once,
     then shard the replay across a battery's configurations on the pool.
-    Live walks (and hence recordings) only ever happen on the dispatching
-    domain — {!measure} raises if a live execution is requested from inside
-    a pool task. *)
+    Walks and recordings only ever happen on the dispatching domain —
+    {!measure} raises if either is requested from inside a pool task. *)
 
 val traces_for :
   t -> Spike.combo list -> Olayout_exec.Trace.t option list
 (** The recorded base-kernel measurement stream for each combination, in
-    order.  Missing streams are recorded by one capture-only live walk
-    first; an entry is [None] only when the trace-cache byte cap refused
-    the recording (callers fall back to {!measure}). *)
+    order.  Missing streams are rendered from the recorded path and
+    recorded first; an entry is [None] only when the trace-cache byte cap
+    refused the recording (callers fall back to {!measure}). *)
 
 val replay_battery :
   t ->
@@ -151,22 +161,3 @@ val replay_battery :
     the one logical stream regardless of shard count, so deterministic
     counters match the serial path.  Returns [false] (doing nothing) when
     the stream is not cached. *)
-
-(** {1 Trace retention}
-
-    The cache only ever grew before this existed; with parallel replay the
-    peak matters, so the bench can release streams once their last
-    scheduled consumer has run ([--retain-mb]).  Peak residency is reported
-    as the [context.trace_peak_bytes] gauge. *)
-
-val resident_traces :
-  t -> ((Spike.combo * [ `Base | `Optimized ]) * int) list
-(** Currently resident streams (aggregated per combo/kernel, bytes), in
-    recording order. *)
-
-val drop_traces :
-  t -> ?kernel:[ `Base | `Optimized ] -> Spike.combo -> int
-(** Release every resident stream of the combo under the given kernel
-    (default [`Base], whatever the transaction count), returning the bytes
-    freed (0 when none was resident).  A later {!measure} of the same
-    stream simply re-records it. *)

@@ -3,10 +3,7 @@
     the misses come from.
 
     Backs [olayout diagnose] and the DIAG artifact of [olayout report
-    --out].  Replay-compatible: the diagnosed cache consumes only the
-    rendered run stream, so once a figure has recorded the (combo, kernel,
-    txns) trace the diagnosis replays it instead of re-walking the
-    server. *)
+    --out]. *)
 
 module Diag = Olayout_diag.Diag
 module Spike = Olayout_core.Spike

@@ -115,13 +115,8 @@ let run ?(combo = Spike.All) ?(phases = default_phases)
             Array.map
               (fun placement ->
                 let emit, trace = Trace.record () in
-                let merger = Render.merger ~emit in
-                Windowed.replay wp ~lo:0 ~hi:n
-                  ~app:(Render.sink (Render.create ~placement ~owner:Run.App merger))
-                  ~kernel:
-                    (Some
-                       (Render.sink
-                          (Render.create ~placement:kernel ~owner:Run.Kernel merger)));
+                let merger, app_sink, kernel_sink = Render.stream ~app:placement ~kernel emit in
+                Windowed.replay wp ~lo:0 ~hi:n ~app:app_sink ~kernel:kernel_sink ();
                 Render.flush merger;
                 let total = Trace.instrs trace in
                 let row =

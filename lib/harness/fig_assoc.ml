@@ -14,9 +14,8 @@ let configs =
       [ Icache.config ~size_kb ~line:128 ~assoc:1 (); Icache.config ~size_kb ~line:128 ~assoc:4 () ])
     sizes
 
-(* Replay-compatible: same (Base, All) streams as fig_line_sweep, so this
-   figure is served entirely from the context's trace cache — and the
-   replay shards across the pool's domains when one is given. *)
+(* The (Base, All) streams replay from the context's trace cache, sharded
+   across the pool's domains when one is given. *)
 let app_only battery = Context.app_only (Battery.access_run battery)
 let app_run (run : Run.t) = run.Run.owner = Run.App
 

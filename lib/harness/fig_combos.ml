@@ -13,10 +13,8 @@ let sizes = Fig_line_sweep.cache_sizes_kb
 
 let configs = List.map (fun size_kb -> Icache.config ~size_kb ~line:128 ~assoc:4 ()) sizes
 
-(* Replay-compatible: Base and All replay from the trace cache; the four
-   intermediate combos record on first use (reused by fig15).  Each
-   combo's battery replay shards across the pool's domains when one is
-   given. *)
+(* Each combo's stream replays from the context's trace cache, sharded
+   across the pool's domains when one is given. *)
 let app_only battery = Context.app_only (Battery.access_run battery)
 let app_run (run : Run.t) = run.Run.owner = Run.App
 

@@ -29,10 +29,6 @@ let shifted_kernel ctx ~offset =
       else a)
     (Placement.segments kopt)
 
-(* Replay-compatible for the context-owned kernels: the (All, base kernel)
-   and (All, optimized kernel) streams replay when an earlier figure (e.g.
-   the kernel ablation) recorded them; the shifted kernel is a one-shot
-   placement and always simulates live. *)
 let measure_with ctx kernel_placement =
   let c = Icache.create (Icache.config ~size_kb:128 ~line:128 ~assoc:4 ()) in
   let _ =

@@ -22,10 +22,8 @@ let configs =
     (fun size_kb -> List.map (fun line -> Icache.config ~size_kb ~line ~assoc:1 ()) line_sizes)
     cache_sizes_kb
 
-(* Replay-compatible: consumes only the rendered run stream, so after the
-   first figure records (Base, All) the measurement replays from the
-   context's trace cache — sharded across the pool's domains when one is
-   given. *)
+(* The (Base, All) streams replay from the context's trace cache, sharded
+   across the pool's domains when one is given. *)
 let app_only battery = Context.app_only (Battery.access_run battery)
 let app_run (run : Run.t) = run.Run.owner = Run.App
 

@@ -1,6 +1,7 @@
 module Hierarchy = Olayout_memsim.Hierarchy
 module Itlb = Olayout_memsim.Itlb
 module Spike = Olayout_core.Spike
+module Telemetry = Olayout_telemetry.Telemetry
 
 type side = {
   itlb : int;
@@ -35,7 +36,24 @@ let run ctx =
       code_pages = Itlb.unique_pages (Hierarchy.itlb h);
     }
   in
-  { base = side hb; optimized = side ho }
+  let r = { base = side hb; optimized = side ho } in
+  List.iter
+    (fun (name, s) ->
+      List.iter
+        (fun (row, v) ->
+          Telemetry.set_gauge
+            (Telemetry.gauge (Printf.sprintf "fig.fig14.%s.%s" name row))
+            (float_of_int v))
+        [
+          ("itlb", s.itlb);
+          ("l2_instr", s.l2_instr);
+          ("l2_data", s.l2_data);
+          ("l1i", s.l1i);
+          ("l1d", s.l1d);
+          ("code_pages", s.code_pages);
+        ])
+    [ ("base", r.base); ("optimized", r.optimized) ];
+  r
 
 let tables r =
   let tbl =

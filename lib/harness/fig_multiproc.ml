@@ -1,5 +1,6 @@
 module Icache = Olayout_cachesim.Icache
 module Spike = Olayout_core.Spike
+module Telemetry = Olayout_telemetry.Telemetry
 
 type row = { cpus : int; base_misses : int; opt_misses : int }
 
@@ -29,12 +30,21 @@ let run ctx =
       ()
   in
   let total bank = Array.fold_left (fun acc c -> acc + Icache.misses c) 0 bank in
-  {
-    rows =
-      List.map2
-        (fun (n, bb) (_, bo) -> { cpus = n; base_misses = total bb; opt_misses = total bo })
-        banks_base banks_opt;
-  }
+  let rows =
+    List.map2
+      (fun (n, bb) (_, bo) -> { cpus = n; base_misses = total bb; opt_misses = total bo })
+      banks_base banks_opt
+  in
+  List.iter
+    (fun row ->
+      List.iter
+        (fun (name, v) ->
+          Telemetry.set_gauge
+            (Telemetry.gauge (Printf.sprintf "fig.multiproc.%s_%dcpu" name row.cpus))
+            (float_of_int v))
+        [ ("base", row.base_misses); ("opt", row.opt_misses) ])
+    rows;
+  { rows }
 
 let tables r =
   let tbl =

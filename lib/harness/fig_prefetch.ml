@@ -20,7 +20,6 @@ let run ctx =
   in
   let base_caches = List.map (fun d -> (d, mk d)) depths in
   let opt_caches = List.map (fun d -> (d, mk d)) depths in
-  (* Replay-compatible: the (Base, All) streams come from the trace cache. *)
   let feed caches =
     Context.app_only (fun run -> List.iter (fun (_, c) -> Icache.access_run c run) caches)
   in

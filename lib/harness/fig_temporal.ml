@@ -2,9 +2,7 @@ module Icache = Olayout_cachesim.Icache
 module Run = Olayout_exec.Run
 module Spike = Olayout_core.Spike
 module Temporal = Olayout_profile.Temporal
-module Workload = Olayout_oltp.Workload
-module Server = Olayout_oltp.Server
-module Binary = Olayout_codegen.Binary
+module Profile = Olayout_profile.Profile
 module Telemetry = Olayout_telemetry.Telemetry
 
 type result = {
@@ -23,14 +21,9 @@ type result = {
 (* Record the temporal graph on the training schedule (same seed as the
    context's profile run). *)
 let record_temporal ctx =
-  let w = Context.workload ctx in
-  let temporal = Temporal.create (Binary.prog (Workload.app w)) () in
-  let txns = match Context.scale ctx with Context.Quick -> 150 | Context.Full -> 2000 in
-  let _ =
-    Server.run ~app:(Workload.app w) ~kernel:(Workload.kernel w) ~txns ~seed:1
-      ~app_sinks:[ (fun ~proc ~block ~arm -> Temporal.sink temporal ~proc ~block ~arm) ]
-      ()
-  in
+  let temporal = Temporal.create (Profile.prog (Context.app_profile ctx)) () in
+  Context.training_run ctx
+    ~app_sinks:[ (fun ~proc ~block ~arm -> Temporal.sink temporal ~proc ~block ~arm) ];
   temporal
 
 let run ctx =
@@ -52,9 +45,6 @@ let run ctx =
           Icache.create (Icache.config ~size_kb:128 ~line:128 ~assoc:1 ()) ))
       placements
   in
-  (* Replay-compatible: the Base and All placements are the context's
-     cached ones, so those two streams replay; the temporal/P-H variants
-     are figure-local placements and simulate live. *)
   let app_only (c64, c128) =
     Context.app_only (fun run ->
         Icache.access_run c64 run;

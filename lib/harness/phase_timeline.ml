@@ -9,8 +9,8 @@
    - [diag.<fig>.{working_set_lines,unique_lines}] — shadow-LRU working
      set sampled per fetch run;
    - [oltp.*] — transaction mix and app/kernel phase, recorded by the
-     server while the stream is simulated live (the first measurement of a
-     fresh context always is). *)
+     server during the context's one walk of the measurement execution
+     (the first measurement of a fresh context makes it). *)
 
 module Diag = Olayout_diag.Diag
 module Resolver = Olayout_diag.Resolver

@@ -102,7 +102,7 @@ let run ?(combo = Spike.All) ?(cadences = default_cadences)
           (* Render the window under the current placement; the merger
              feeds the battery as it goes. *)
           Telemetry.span "replay" (fun () ->
-              Windowed.replay wp ~lo:w ~hi:(w + 1) ~app:(Render.sink !render) ~kernel:None;
+              Windowed.replay wp ~lo:w ~hi:(w + 1) ~app:(Render.sink !render) ();
               Render.flush merger);
           let m = Battery.misses battery config.Icache.name in
           window_misses.(w) <- m - !prev;

@@ -14,15 +14,13 @@ type stream = Spike.combo * [ `Base | `Optimized ]
 (* Each experiment declares what it needs from the shared trace cache:
 
    - [e_streams]: the streams it consumes (recording them first if absent).
-     Drives both the parallel schedule (a figure is dispatched to the pool
-     only when every declared stream was provided by an earlier figure) and
-     trace retention (a stream is droppable after its last declared
-     consumer).  Under-declaring is a determinism bug for replay-only
-     figures (the worker guard in Context turns it into an error), merely
-     wasteful for live ones (they re-record).
-   - [e_live]: the figure observes or mutates the walk itself (block sinks,
-     data refs, context switches, ad-hoc placements, own server runs) and
-     must execute on the dispatching domain.
+     Drives the parallel schedule: a figure is dispatched to the pool only
+     when every declared stream was provided by an earlier figure.
+     Under-declaring is a determinism bug for replay-only figures (the
+     worker guard in Context turns it into an error).
+   - [e_live]: the figure walks the server (an execution's first request,
+     or the training run), or renders from a recorded path (observers,
+     ad-hoc placements), and runs on the dispatching domain.
 
    [e_run] also receives the run's [products]: the drift and relayout
    experiments leave their results there for {!result}.  Both are live, so
@@ -52,10 +50,9 @@ let experiments : experiment list =
       e_desc = "execution profile";
       e_live = false;
       (* Fig 3 computes from the training profile, but it also records the
-         (Base, All) streams up front: the recording walk is attributed to
-         its figure row (it used to land on fig4, leaving fig3 reporting
-         runs_live = 0) and every later sweep figure replays + schedules
-         onto the pool from the start. *)
+         (Base, All) streams up front: the measurement execution's walk and
+         their rendering are attributed to its figure row, and every later
+         sweep figure replays + schedules onto the pool from the start. *)
       e_streams = base_all;
       e_run = (fun _ _ ctx -> Fig_footprint.tables (Fig_footprint.run ctx));
     };
@@ -219,7 +216,7 @@ let mruns_per_s runs seconds =
   else Printf.sprintf "%.1f Mruns/s" (float_of_int runs /. seconds /. 1e6)
 
 (* One line per figure attributing its instruction streams to replay vs
-   live simulation (deltas of the context's cumulative counters). *)
+   rendering (deltas of the context's cumulative counters). *)
 let print_figure_trace_stats ppf id (s0 : Context.trace_stats)
     (s1 : Context.trace_stats) =
   let traces = s1.Context.replayed_traces - s0.Context.replayed_traces in
@@ -230,21 +227,21 @@ let print_figure_trace_stats ppf id (s0 : Context.trace_stats)
   let execs = s1.Context.live_executions - s0.Context.live_executions in
   if traces > 0 then
     Format.fprintf ppf
-      "  trace: %s served from replayed trace — %d trace(s), %s runs / %s instrs (%s); %s runs simulated live (%d execution(s))@."
+      "  trace: %s served from replayed trace — %d trace(s), %s runs / %s instrs (%s); %s runs rendered from the recorded path (%d execution(s) walked)@."
       id traces (Table.fmt_int runs) (Table.fmt_int instrs)
       (mruns_per_s runs seconds) (Table.fmt_int live_runs) execs
   else
     Format.fprintf ppf
-      "  trace: %s simulated live — %s runs (%d execution(s)), no replay@." id
+      "  trace: %s rendered from the recorded path — %s runs (%d execution(s) walked), no replay@." id
       (Table.fmt_int live_runs) execs
 
 let trace_summary_table (s : Context.trace_stats) =
   let tbl =
     Table.create ~title:"trace cache summary" ~columns:[ "metric"; "value" ]
   in
-  Table.add_row tbl [ "server executions (live)"; string_of_int s.Context.live_executions ];
-  Table.add_row tbl [ "runs simulated live"; Table.fmt_int s.Context.live_runs ];
-  Table.add_row tbl [ "instrs simulated live"; Table.fmt_int s.Context.live_instrs ];
+  Table.add_row tbl [ "server executions walked"; string_of_int s.Context.live_executions ];
+  Table.add_row tbl [ "runs rendered from paths"; Table.fmt_int s.Context.live_runs ];
+  Table.add_row tbl [ "instrs rendered from paths"; Table.fmt_int s.Context.live_instrs ];
   Table.add_row tbl [ "traces recorded"; string_of_int s.Context.recorded_traces ];
   Table.add_row tbl
     [
@@ -294,64 +291,6 @@ let schedule selected =
         e.e_streams;
       (e, parallel))
     selected
-
-(* --- retention -------------------------------------------------------- *)
-
-(* After figure [i] completes (in list order), every stream whose last
-   declared consumer is [i] becomes releasable; while the cache exceeds the
-   threshold, releasable streams are dropped largest-first.  Runs at the
-   same points in list order whether or not a pool is in use, so the
-   deterministic counters (and the peak gauge) cannot depend on -j. *)
-type retention = {
-  r_bytes : int;
-  r_last : (stream * int) list; (* stream -> last consumer index *)
-  mutable r_releasable : stream list;
-}
-
-let retention_of ~retain_mb scheduled =
-  match retain_mb with
-  | None -> None
-  | Some mb ->
-      let last = Hashtbl.create 16 in
-      List.iteri
-        (fun i (e, _) -> List.iter (fun s -> Hashtbl.replace last s i) e.e_streams)
-        scheduled;
-      Some
-        {
-          r_bytes = mb * 1024 * 1024;
-          r_last = Hashtbl.fold (fun s i acc -> (s, i) :: acc) last [];
-          r_releasable = [];
-        }
-
-let apply_retention ctx r i =
-  let freed_new =
-    List.filter_map (fun (s, last) -> if last = i then Some s else None) r.r_last
-  in
-  r.r_releasable <- r.r_releasable @ freed_new;
-  let resident = Context.resident_traces ctx in
-  let bytes () =
-    List.fold_left (fun acc (_, b) -> acc + b) 0 (Context.resident_traces ctx)
-  in
-  if bytes () > r.r_bytes then begin
-    let sized =
-      List.filter_map
-        (fun s ->
-          match List.assoc_opt s resident with
-          | Some b when b > 0 -> Some (s, b)
-          | _ -> None)
-        r.r_releasable
-      |> List.stable_sort (fun (_, a) (_, b) -> compare b a)
-    in
-    List.iter
-      (fun ((combo, kernel), _) ->
-        if bytes () > r.r_bytes then
-          ignore (Context.drop_traces ctx ~kernel combo))
-      sized;
-    r.r_releasable <-
-      List.filter
-        (fun s -> List.mem_assoc s (Context.resident_traces ctx))
-        r.r_releasable
-  end
 
 (* --- execution -------------------------------------------------------- *)
 
@@ -430,31 +369,29 @@ let publish_par_gauges pool ~serial_estimate ~wall =
     (Telemetry.gauge "par.speedup")
     (if wall > 0.0 then serial_estimate /. wall else 1.0)
 
-let run ?(selection = All) ?(trace_stats = false) ?pool ?retain_mb ctx ppf =
+let run ?(selection = All) ?(trace_stats = false) ?pool ctx ppf =
   let t_start = Unix.gettimeofday () in
   let selected = select selection in
   let out = { p_drift = None; p_relayout = None } in
   let jobs = match pool with Some p -> Pool.jobs p | None -> 1 in
   let scheduled = schedule selected in
-  let retention = retention_of ~retain_mb scheduled in
-  let finish_figure i (done_ : completed) =
+  let finish_figure (done_ : completed) =
     Format.pp_print_string ppf done_.c_output;
     (if trace_stats then
        let s0, s1 = done_.c_trace_delta in
        print_figure_trace_stats ppf done_.c_stat.Bench_artifact.id s0 s1);
-    (match retention with Some r -> apply_retention ctx r i | None -> ());
     done_.c_stat
   in
   let figures =
     if jobs = 1 then
       (* Serial: run, print and account each figure in order, exactly the
          pre-pool code path (modulo the per-figure output buffer). *)
-      List.mapi
-        (fun i (e, _) ->
+      List.map
+        (fun (e, _) ->
           let s0 = Context.trace_stats ctx in
           let output, seconds = render_figure out None ctx e in
           let s1 = Context.trace_stats ctx in
-          finish_figure i
+          finish_figure
             {
               c_output = output;
               c_stat = stat_of_deltas e seconds s0 s1;
@@ -488,10 +425,10 @@ let run ?(selection = All) ?(trace_stats = false) ?pool ?retain_mb ctx ppf =
          while blocked), merge its telemetry snapshot — submission order ==
          list order, so the merge order is deterministic — and emit its
          buffered report block. *)
-      List.mapi
-        (fun i pending ->
+      List.map
+        (fun pending ->
           match pending with
-          | `Done done_ -> finish_figure i done_
+          | `Done done_ -> finish_figure done_
           | `Fut (e, fut) ->
               let (output, seconds), snap = Pool.await_snapshot fut in
               let s1 =
@@ -499,7 +436,7 @@ let run ?(selection = All) ?(trace_stats = false) ?pool ?retain_mb ctx ppf =
                 | Some snap -> stats_of_snapshot snap
                 | None -> zero_stats
               in
-              finish_figure i
+              finish_figure
                 {
                   c_output = output;
                   c_stat = stat_of_deltas e seconds zero_stats s1;

@@ -26,7 +26,6 @@ val run :
   ?selection:selection ->
   ?trace_stats:bool ->
   ?pool:Olayout_par.Pool.t ->
-  ?retain_mb:int ->
   Context.t ->
   Format.formatter ->
   result
@@ -35,23 +34,21 @@ val run :
     named [report.<id>], so span aggregates (and the JSONL sink, when
     attached) carry the same timings.  With [trace_stats] (default false),
     also prints one line per figure attributing its instruction streams to
-    trace replay vs live simulation — runs/instrs replayed, replay
-    throughput in Mruns/s — and a final trace-cache summary table.
+    trace replay vs rendering from the recorded path — runs/instrs
+    replayed, replay throughput in Mruns/s — and a final trace-cache
+    summary table.
 
     With a [pool] of 2+ jobs, replay-only figures whose streams were
     recorded by an earlier figure run as a dependency-aware parallel
-    schedule on the pool's domains (live-walk figures stay on the
-    dispatching domain, serialized first so they populate the trace cache);
-    batteries additionally shard their replay across the pool.  Output
+    schedule on the pool's domains (figures that walk an execution, record
+    a stream or feed observers stay on the dispatching domain, so they
+    populate the trace cache); batteries additionally shard their replay
+    across the pool.  Output
     order, per-figure attribution and every deterministic counter are
     identical to the serial run: task telemetry is captured in isolation
     and merged in list order.  Publishes the [par.*] gauges, including
     [par.speedup] (summed per-figure seconds over report wall time).
-
-    [retain_mb] bounds trace-cache residency: after each figure (in list
-    order), streams whose last scheduled consumer has run are dropped
-    largest-first while the cache exceeds the threshold.  Peak residency is
-    tracked by the [context.trace_peak_bytes] gauge either way.
+    Peak trace-cache residency is the [context.trace_peak_bytes] gauge.
 
     @raise Invalid_argument on unknown experiment ids (the message lists
     the valid ids). *)

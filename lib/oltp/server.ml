@@ -61,12 +61,11 @@ let run ~app ~kernel ~txns ?(seed = 42) ?(processes = 8) ?(warmup = 50)
   let mergers =
     List.map
       (fun spec ->
-        let m = Render.merger ~emit:spec.emit in
-        Walk.add_sink app_walk
-          (Render.sink (Render.create ~placement:spec.app_placement ~owner:Run.App m));
-        Walk.add_sink kernel_walk
-          (Render.sink
-             (Render.create ~placement:spec.kernel_placement ~owner:Run.Kernel m));
+        let m, app, kernel =
+          Render.stream ~app:spec.app_placement ~kernel:spec.kernel_placement spec.emit
+        in
+        Walk.add_sink app_walk app;
+        Walk.add_sink kernel_walk kernel;
         m)
       renders
   in

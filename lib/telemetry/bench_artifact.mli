@@ -8,7 +8,7 @@ type figure = {
   id : string;
   desc : string;
   seconds : float;  (** wall-clock for the whole figure *)
-  runs_live : int;  (** fetch runs simulated live during the figure *)
+  runs_live : int;  (** fetch runs rendered from a recorded execution path *)
   runs_replayed : int;  (** fetch runs served from the trace cache *)
   instrs_live : int;
   instrs_replayed : int;

@@ -287,8 +287,8 @@ let events () =
 
 (* --- console sparklines ----------------------------------------------- *)
 
-(* Rendering lives in Olayout_util.Console (shared with the drift heatmap
-   and the relayout tables); this wrapper only maps the series kind to the
+(* Rendering lives in Olayout_util.Console (shared with the drift and
+   relayout tables); this wrapper only maps the series kind to the
    resampling rule: Delta buckets sum their windows (total work in the
    bucket's span), Sample buckets take the max (peaks survive
    downsampling). *)

@@ -1,8 +1,7 @@
-(* Shared console glyph rendering: Unicode sparklines and shaded heatmap
-   cells.  One implementation serves the timeline summary, the drift
-   observatory and the relayout loop (the `timeline`, `drift` and
-   `relayout` CLI subcommands) so the three renderings stay visually
-   consistent and the resampling rules live in one place. *)
+(* Shared console glyph rendering: Unicode sparklines.  One implementation
+   serves the timeline summary and the drift and relayout tables, so the
+   renderings stay visually consistent and the resampling rules live in
+   one place. *)
 
 let spark_glyphs =
   [| "\xe2\x96\x81"; "\xe2\x96\x82"; "\xe2\x96\x83"; "\xe2\x96\x84";
@@ -33,10 +32,3 @@ let spark ?(width = spark_width) mode values =
       acc;
     Buffer.contents buf
   end
-
-let shade_glyphs =
-  [| " "; "\xe2\x96\x91"; "\xe2\x96\x92"; "\xe2\x96\x93"; "\xe2\x96\x88" |]
-
-let shade ~vmax v =
-  if vmax <= 0 then shade_glyphs.(0)
-  else shade_glyphs.(min 4 (v * Array.length shade_glyphs / (vmax + 1)))

@@ -1,9 +1,6 @@
-(** Shared console glyph rendering for instruction-clock series.
-
-    The sparkline resampler and the five-level shade scale used by the
-    timeline summary, the drift observatory heatmap and the relayout
-    cadence tables (the [timeline] / [drift] / [relayout] CLI
-    subcommands). *)
+(** Shared console glyph rendering for instruction-clock series: the
+    sparkline resampler used by the timeline summary and the drift and
+    relayout tables. *)
 
 val spark_width : int
 (** Default sparkline width in glyph cells (60). *)
@@ -14,7 +11,3 @@ val spark : ?width:int -> [ `Sum | `Max ] -> int array -> string
     values (total work in the bucket's span — delta series); [`Max] buckets
     keep the peak (level series survive downsampling).  Empty input renders
     as [""]. *)
-
-val shade : vmax:int -> int -> string
-(** A five-level background shade for a heatmap cell holding [v] of scale
-    [vmax] (blank through full block). *)

@@ -88,6 +88,15 @@ let test_windowed_conservation () =
     Windowed.kernel_sink w ~proc ~block ~arm;
     fed := (`Kernel, proc, block, arm) :: !fed
   in
+  (* Data references and process switches are recorded in order too. *)
+  let data addr =
+    Windowed.data_sink w addr;
+    fed := (`Data, addr, 0, 0) :: !fed
+  and switch pid =
+    Windowed.switch_sink w pid;
+    fed := (`Switch, pid, 0, 0) :: !fed
+  in
+  switch 3;
   kernel ~proc:7 ~block:3 ~arm:1;
   feed ~block:0 ~arm:0;
   (* starts at 0 -> window 0; pos 4 *)
@@ -96,6 +105,7 @@ let test_windowed_conservation () =
   (* starts at 4 -> window 0; pos 8 *)
   feed ~block:1 ~arm:0;
   (* starts at 8 -> window 1; pos 14 *)
+  data 0x4000_0040;
   kernel ~proc:5 ~block:0 ~arm:2;
   feed ~block:0 ~arm:0;
   (* starts at 14 -> window 1; pos 18 *)
@@ -123,16 +133,19 @@ let test_windowed_conservation () =
      after the last application event included. *)
   let replayed ~lo ~hi ~kernel =
     let acc = ref [] in
+    let value tag = if kernel then Some (fun v -> acc := (tag, v, 0, 0) :: !acc) else None in
     Windowed.replay w ~lo ~hi
       ~app:(fun ~proc ~block ~arm -> acc := (`App, proc, block, arm) :: !acc)
-      ~kernel:
+      ?kernel:
         (if kernel then Some (fun ~proc ~block ~arm -> acc := (`Kernel, proc, block, arm) :: !acc)
-         else None);
+         else None)
+      ?data:(value `Data) ?switch:(value `Switch) ();
     List.rev !acc
   in
   let recorded = List.rev !fed in
   let event = Alcotest.testable (fun ppf (o, p, b, a) ->
-      Format.fprintf ppf "%s(%d, %d, %d)" (if o = `App then "app" else "kernel") p b a) ( = )
+      let name = match o with `App -> "app" | `Kernel -> "kernel" | `Data -> "data" | `Switch -> "switch" in
+      Format.fprintf ppf "%s(%d, %d, %d)" name p b a) ( = )
   in
   Alcotest.(check (list event)) "full replay" recorded (replayed ~lo:0 ~hi:2 ~kernel:true);
   Alcotest.(check (list event)) "clamped full replay" recorded
@@ -140,10 +153,13 @@ let test_windowed_conservation () =
   Alcotest.(check (list event)) "application events only"
     (List.filter (fun (o, _, _, _) -> o = `App) recorded)
     (replayed ~lo:0 ~hi:2 ~kernel:false);
-  (* A kernel event belongs to the window of the application event before
+  (* Any other event belongs to the window of the application event before
      it. *)
   Alcotest.(check (list event)) "window 1"
-    [ (`App, 0, 1, 0); (`Kernel, 5, 0, 2); (`App, 0, 0, 0); (`Kernel, 1, 9, 0); (`Kernel, 0, 0, 0) ]
+    [
+      (`App, 0, 1, 0); (`Data, 0x4000_0040, 0, 0); (`Kernel, 5, 0, 2); (`App, 0, 0, 0);
+      (`Kernel, 1, 9, 0); (`Kernel, 0, 0, 0);
+    ]
     (replayed ~lo:1 ~hi:2 ~kernel:true);
   Alcotest.(check (list event)) "empty range" [] (replayed ~lo:1 ~hi:1 ~kernel:true);
   (* Rejected events record nothing. *)
@@ -154,6 +170,10 @@ let test_windowed_conservation () =
     (raises (fun () -> Windowed.sink w ~proc:0 ~block:0 ~arm:2));
   Alcotest.(check bool) "negative kernel field rejected" true
     (raises (fun () -> Windowed.kernel_sink w ~proc:(-1) ~block:0 ~arm:0));
+  Alcotest.(check bool) "negative data address rejected" true
+    (raises (fun () -> Windowed.data_sink w (-1)));
+  Alcotest.(check bool) "process id past 60 bits rejected" true
+    (raises (fun () -> Windowed.switch_sink w (1 lsl 60)));
   Alcotest.(check (list event)) "rejected events not recorded" recorded
     (replayed ~lo:0 ~hi:2 ~kernel:true);
   Alcotest.(check int) "rejected events not counted" 4 (Windowed.events w);

@@ -191,6 +191,112 @@ let test_trace_replay_in_context () =
   Alcotest.(check bool) "replayed runs counted" true
     (s2.Context.replayed_runs > s1.Context.replayed_runs)
 
+(* The figures whose observers (process switches, data references) watch
+   the measurement execution read the same result whether or not an earlier
+   figure recorded their streams. *)
+let test_figure_order_independence () =
+  let module Multiproc = Olayout_harness.Fig_multiproc in
+  let module Memsys = Olayout_harness.Fig_memsys in
+  let ctx = Context.create ~scale:Context.Quick () in
+  let both () =
+    let multiproc = Multiproc.run ctx in
+    (multiproc, Memsys.run ctx)
+  in
+  let first = both () in
+  ignore (Context.traces_for ctx [ Spike.Base; Spike.All ]);
+  let again = both () in
+  Alcotest.(check bool) "multiproc rows equal" true (fst first = fst again);
+  Alcotest.(check bool) "fig14 sides equal" true (snd first = snd again);
+  (* Routing by the dispatched process spreads the runs over the CPUs. *)
+  match (fst again).Multiproc.rows with
+  | one :: rest ->
+      Alcotest.(check bool) "per-CPU rows differ from one CPU" true
+        (List.exists (fun r -> r.Multiproc.base_misses <> one.Multiproc.base_misses) rest)
+  | [] -> Alcotest.fail "no multiproc rows"
+
+(* Live reference walks of the context's measurement execution. *)
+let live_walk ctx ?on_data ?app_sinks ?on_switch renders =
+  let wl = Context.workload ctx in
+  ignore
+    (Olayout_oltp.Server.run ~app:(Olayout_oltp.Workload.app wl)
+       ~kernel:(Olayout_oltp.Workload.kernel wl) ~txns:(Context.measured_txns ctx) ~seed:1009
+       ~renders:
+         (List.map
+            (fun (app_placement, kernel_placement, emit) ->
+              { Olayout_oltp.Server.app_placement; kernel_placement; emit })
+            renders)
+       ?on_data ?app_sinks ?on_switch ()
+      : Olayout_oltp.Server.result)
+
+let test_context_renders_path () =
+  let module Trace = Olayout_exec.Trace in
+  let ctx = Context.create ~scale:Context.Quick () in
+  let kernel = Context.kernel_base ctx in
+  (* A kernel placement the context does not own: never cached. *)
+  let other_kernel = Spike.optimize (Context.kernel_profile ctx) Spike.Chain in
+  let streams =
+    List.map (fun combo -> (combo, kernel)) Spike.all_combos
+    @ [ (Spike.All, other_kernel) ]
+  in
+  let live = List.map (fun _ -> Trace.record ()) streams in
+  live_walk ctx
+    (List.map2
+       (fun (combo, k) (emit, _) -> (Context.placement ctx combo, k, emit))
+       streams live);
+  let walks () = (Context.trace_stats ctx).Context.live_executions in
+  let walks0 = walks () in
+  let served =
+    List.map
+      (fun (combo, k) ->
+        let emit, trace = Trace.record () in
+        ignore (Context.measure ctx ~kernel_placement:k ~renders:[ (combo, emit) ] ());
+        trace)
+      streams
+  in
+  List.iter2
+    (fun ((combo, k), (_, expected)) trace ->
+      let name =
+        Spike.combo_name combo ^ if k == kernel then "" else " / unowned kernel"
+      in
+      Alcotest.(check bool) (name ^ ": live stream nonempty") true (Trace.length expected > 0);
+      Alcotest.(check bool) (name ^ ": byte-identical") true
+        (Trace.contents expected = Trace.contents trace))
+    (List.combine streams live) served;
+  Alcotest.(check int) "one walk serves every stream" 1 (walks () - walks0)
+
+(* An order-sensitive digest of a call sequence. *)
+type digest = { mutable h : int; mutable calls : int }
+
+let mix d xs =
+  List.iter (fun x -> d.h <- ((d.h * 1_000_003) + x) land max_int) xs;
+  d.calls <- d.calls + 1
+
+let test_context_observer_order () =
+  let ctx = Context.create ~scale:Context.Quick () in
+  let kernel = Context.kernel_base ctx in
+  (* Base is cached first, Chain is not: a cached stream renders alongside
+     the observers as an uncached one does. *)
+  ignore (Context.traces_for ctx [ Spike.Base ]);
+  let combos = [ Spike.Base; Spike.Chain ] in
+  let observe d =
+    ( (fun ~proc ~block ~arm -> mix d [ 1; proc; block; arm ]),
+      (fun addr -> mix d [ 2; addr ]),
+      (fun pid -> mix d [ 3; pid ]),
+      List.mapi (fun i _ (r : Olayout_exec.Run.t) -> mix d [ 4 + i; r.addr; r.len ]) combos )
+  in
+  let live = { h = 0; calls = 0 } in
+  let app, data, switch, emits = observe live in
+  live_walk ctx ~on_data:data ~app_sinks:[ app ] ~on_switch:switch
+    (List.map2 (fun c emit -> (Context.placement ctx c, kernel, emit)) combos emits);
+  let served = { h = 0; calls = 0 } in
+  let app, data, switch, emits = observe served in
+  ignore
+    (Context.measure ctx ~on_data:data ~app_sinks:[ app ] ~on_switch:switch
+       ~renders:(List.combine combos emits) ());
+  Alcotest.(check bool) "live walk made calls" true (live.calls > 0);
+  Alcotest.(check int) "same number of calls" live.calls served.calls;
+  Alcotest.(check int) "same call order" live.h served.h
+
 let test_report_selection () =
   Alcotest.(check bool) "ids nonempty" true (Olayout_harness.Report.experiment_ids <> []);
   Alcotest.(check bool) "unknown id rejected" true
@@ -221,5 +327,9 @@ let suite =
       Alcotest.test_case "prefetch experiment" `Slow test_prefetch_experiment;
       Alcotest.test_case "joint experiment" `Slow test_joint_experiment;
       Alcotest.test_case "trace replay in context" `Slow test_trace_replay_in_context;
+      Alcotest.test_case "figures independent of order" `Slow test_figure_order_independence;
+      Alcotest.test_case "context renders from the recorded path" `Slow
+        test_context_renders_path;
+      Alcotest.test_case "context observers in walk order" `Slow test_context_observer_order;
       Alcotest.test_case "report selection" `Slow test_report_selection;
     ] )

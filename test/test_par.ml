@@ -178,30 +178,6 @@ let test_stackdist_battery_shards () =
         "icache sharded = stackdist sharded" serial
         (replay `Icache (Some p)))
 
-(* --- trace retention -------------------------------------------------- *)
-
-let test_retention () =
-  let ctx = Context.create ~scale:Context.Quick () in
-  (match Context.traces_for ctx [ Spike.Base; Spike.All ] with
-  | [ Some _; Some _ ] -> ()
-  | _ -> Alcotest.fail "expected both streams recorded");
-  Alcotest.(check bool) "streams resident" true
-    (List.length (Context.resident_traces ctx) >= 2);
-  let peak = Telemetry.gauge_value (Telemetry.gauge "context.trace_peak_bytes") in
-  Alcotest.(check bool) "peak gauge tracks recordings" true (peak > 0.0);
-  let freed = Context.drop_traces ctx Spike.Base in
-  Alcotest.(check bool) "drop frees bytes" true (freed > 0);
-  Alcotest.(check bool) "base stream gone" true
-    (not
-       (List.exists
-          (fun ((c, k), _) -> c = Spike.Base && k = `Base)
-          (Context.resident_traces ctx)));
-  let b = Battery.create [ Icache.config ~size_kb:8 ~line:32 ~assoc:1 () ] in
-  Alcotest.(check bool) "dropped stream not replayable" false
-    (Context.replay_battery ctx ~combo:Spike.Base b);
-  Alcotest.(check bool) "surviving stream replayable" true
-    (Context.replay_battery ctx ~combo:Spike.All b)
-
 (* --- the determinism property ----------------------------------------- *)
 
 let starts_with ~prefix s =
@@ -345,7 +321,6 @@ let suite =
       Alcotest.test_case "battery shard equivalence" `Slow test_battery_shards;
       Alcotest.test_case "stackdist shard + cross-engine equivalence" `Slow
         test_stackdist_battery_shards;
-      Alcotest.test_case "trace retention" `Slow test_retention;
       Alcotest.test_case "report determinism -j1 vs -j4" `Slow
         test_report_determinism;
       Alcotest.test_case "conflict-pair ranking -j1 vs -j4" `Slow

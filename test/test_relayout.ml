@@ -575,7 +575,8 @@ let test_capture_renders_live () =
       in
       Windowed.replay wp ~lo:0 ~hi:(Windowed.windows wp)
         ~app:(Render.sink (Render.create ~placement ~owner:Run.App merger))
-        ~kernel:(Some (Render.sink (Render.create ~placement:kernel ~owner:Run.Kernel merger)));
+        ~kernel:(Render.sink (Render.create ~placement:kernel ~owner:Run.Kernel merger))
+        ();
       Render.flush merger;
       Alcotest.(check bool) (name ^ ": live stream nonempty") true (Trace.length trace > 0);
       Alcotest.(check (option int)) (name ^ ": first differing run") None !first_diff;
