@@ -74,8 +74,8 @@ let create ?(track_usage = false) ?on_miss ?on_evict ?(prefetch_next = 0) cfg =
   {
     cfg;
     lru =
-      Lru.create ?on_miss ?on_evict ~accesses:c_accesses ~misses:c_misses ~sets:n_sets
-        ~ways:cfg.assoc ~line_bytes:cfg.line_bytes ();
+      Lru.create ?on_miss ?on_evict ~accesses:c_accesses ~misses:c_misses ~first_touch:true
+        ~sets:n_sets ~ways:cfg.assoc ~line_bytes:cfg.line_bytes ();
     words_per_line;
     usage =
       (if track_usage then

@@ -40,6 +40,7 @@ type t = {
   stamps : int array;
   owners : int array;
   seen : seen;
+  first_touch : bool;
   on_miss : (int -> unit) option;
   on_evict : (evictor:int -> victim:int -> unit) option;
   c_accesses : Telemetry.counter;
@@ -59,7 +60,7 @@ let log2 n =
   let rec go n acc = if n <= 1 then acc else go (n lsr 1) (acc + 1) in
   go n 0
 
-let create ?on_miss ?on_evict ~accesses ~misses ~sets ~ways ~line_bytes () =
+let create ?on_miss ?on_evict ~accesses ~misses ~first_touch ~sets ~ways ~line_bytes () =
   {
     ways;
     set_mask = sets - 1;
@@ -68,6 +69,7 @@ let create ?on_miss ?on_evict ~accesses ~misses ~sets ~ways ~line_bytes () =
     stamps = Array.make (sets * ways) 0;
     owners = Array.make (sets * ways) 0;
     seen = seen ();
+    first_touch;
     on_miss;
     on_evict;
     c_accesses = accesses;
@@ -109,7 +111,7 @@ let fill t slot owner key =
 let miss t owner key base =
   t.misses <- t.misses + 1;
   t.miss_of.(owner) <- t.miss_of.(owner) + 1;
-  if first_reference t.seen key then t.cold <- t.cold + 1;
+  if t.first_touch && first_reference t.seen key then t.cold <- t.cold + 1;
   (match t.on_miss with Some f -> f (key lsl t.shift) | None -> ());
   let slot = victim t base base (base + t.ways) in
   if t.tags.(slot) >= 0 then begin

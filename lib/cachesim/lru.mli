@@ -5,8 +5,9 @@
     touch) and an owner code (0 or 1, of the access that filled it).
 
     One victim rule: the first empty way in way order, else the oldest
-    stamp, the lowest way on a tie.  A miss marks its key in a first-touch
-    set ({!seen}); a first marking is a cold miss.  On a miss, [on_miss]
+    stamp, the lowest way on a tie.  In a core created with
+    [~first_touch:true], a miss marks its key in a first-touch set
+    ({!seen}); a first marking is a cold miss.  On a miss, [on_miss]
     fires before the victim is chosen, then [on_evict] if it held a line.
     The per-key loop ({!access_run}) calls nothing out of this module but
     the hooks, and books telemetry once per run.  Layers read the record;
@@ -32,6 +33,7 @@ type t = private {
   stamps : int array;
   owners : int array;
   seen : seen;
+  first_touch : bool;  (** misses mark [seen] and count [cold] *)
   on_miss : (int -> unit) option;
   on_evict : (evictor:int -> victim:int -> unit) option;
   c_accesses : Olayout_telemetry.Telemetry.counter;
@@ -52,12 +54,15 @@ val create :
   ?on_evict:(evictor:int -> victim:int -> unit) ->
   accesses:Olayout_telemetry.Telemetry.counter ->
   misses:Olayout_telemetry.Telemetry.counter ->
+  first_touch:bool ->
   sets:int ->
   ways:int ->
   line_bytes:int ->
   unit ->
   t
-(** An empty cache booking into the two counters.  The caller validates
+(** An empty cache booking into the two counters.  [first_touch] asks
+    for the first-touch set; a core whose owner never reads [seen] or
+    [cold] passes [false], and its set stays empty.  The caller validates
     the geometry: [sets] and [line_bytes] powers of two, [ways >= 1]. *)
 
 val owner_code : Olayout_exec.Run.owner -> int

@@ -10,7 +10,9 @@ module Profile = Olayout_profile.Profile
    chains are bitwise-reusable.  The global passes (Pettis-Hansen, temporal
    order, coloring, placement) read cross-procedure state and must re-run
    whenever the delta is non-empty; Incremental owns that decision.  The
-   diff is one pass over the flat profile rows, procedure by procedure. *)
+   diff compares the two profiles' rows procedure by procedure; a
+   procedure neither profile counted shares the zero rows in both and is
+   clean without a read. *)
 
 type t = { prog : Prog.t; dirty : bool array; n_dirty : int }
 

@@ -235,26 +235,28 @@ let fan = function
 (* Render [streams] from the recorded path in one pass that also feeds the
    observers: every event reaches each stream's render sink and then the
    observers, in the order the live walk made those calls, so observers and
-   runs interleave exactly as they do in the walk. *)
+   runs interleave exactly as they do in the walk.  The pass is timed as
+   [context.render], beside [context.replay] and [context.live_execution]. *)
 let render e ~kernel_placement ?on_data ?(app_sinks = []) ?on_switch streams =
-  let runs = ref 0 and instrs = ref 0 in
-  let rendered =
-    List.map
-      (fun (app, emit) ->
-        Render.stream ~app ~kernel:kernel_placement (fun (run : Run.t) ->
-            incr runs;
-            instrs := !instrs + run.Run.len;
-            emit run))
-      streams
-  in
-  let app = fan (List.map (fun (_, a, _) -> a) rendered @ app_sinks) in
-  let kernel = fan (List.map (fun (_, _, k) -> k) rendered) in
-  Windowed.replay e.path ~lo:0 ~hi:whole
-    ~app:(Option.value app ~default:(fun ~proc:_ ~block:_ ~arm:_ -> ()))
-    ?kernel ?data:on_data ?switch:on_switch ();
-  List.iter (fun (m, _, _) -> Render.flush m) rendered;
-  Telemetry.add c_live_runs !runs;
-  Telemetry.add c_live_instrs !instrs
+  Telemetry.span "context.render" (fun () ->
+      let runs = ref 0 and instrs = ref 0 in
+      let rendered =
+        List.map
+          (fun (app, emit) ->
+            Render.stream ~app ~kernel:kernel_placement (fun (run : Run.t) ->
+                incr runs;
+                instrs := !instrs + run.Run.len;
+                emit run))
+          streams
+      in
+      let app = fan (List.map (fun (_, a, _) -> a) rendered @ app_sinks) in
+      let kernel = fan (List.map (fun (_, _, k) -> k) rendered) in
+      Windowed.replay e.path ~lo:0 ~hi:whole
+        ~app:(Option.value app ~default:(fun ~proc:_ ~block:_ ~arm:_ -> ()))
+        ?kernel ?data:on_data ?switch:on_switch ();
+      List.iter (fun (m, _, _) -> Render.flush m) rendered;
+      Telemetry.add c_live_runs !runs;
+      Telemetry.add c_live_instrs !instrs)
 
 let replay_into items =
   match items with

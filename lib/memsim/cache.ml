@@ -26,8 +26,11 @@ let create ?on_miss ~name ~size_bytes ~line_bytes ~assoc () =
     invalid_arg "Cache.create: set count must be a power of two";
   {
     name;
+    (* Nothing reads a physically indexed cache's first touches, and its
+       keys scatter over the physical space: no first-touch set. *)
     lru =
-      Lru.create ?on_miss ~accesses:c_accesses ~misses:c_misses ~sets ~ways:assoc ~line_bytes ();
+      Lru.create ?on_miss ~accesses:c_accesses ~misses:c_misses ~first_touch:false ~sets
+        ~ways:assoc ~line_bytes ();
     acc_kind = Array.make 2 0;
   }
 

@@ -8,7 +8,7 @@ type t = Lru.t
 
 let create ~entries () =
   if entries < 1 then invalid_arg "Itlb.create: entries must be >= 1";
-  Lru.create ~accesses:c_accesses ~misses:c_misses ~sets:1 ~ways:entries
+  Lru.create ~accesses:c_accesses ~misses:c_misses ~first_touch:true ~sets:1 ~ways:entries
     ~line_bytes:Phys.page_bytes ()
 
 let access_run = Lru.access_run

@@ -11,7 +11,9 @@ open Olayout_ir
 type t
 
 val create : Prog.t -> t
-(** Zeroed profile shaped like [prog]. *)
+(** Zeroed profile shaped like [prog].  A procedure's count rows are
+    allocated when it is first counted, so a profile holds only the
+    procedures it counted. *)
 
 val prog : t -> Prog.t
 
@@ -31,12 +33,14 @@ val arm_count : t -> proc:int -> block:int -> arm:int -> int
 
 val iter_nonzero_arms : t -> (proc:int -> block:int -> arm:int -> int -> unit) -> unit
 (** [f ~proc ~block ~arm count] for every arm whose count is nonzero, in
-    procedure, block, arm order.  One pass over the flat arm counts, so a
-    sparse profile costs what it holds. *)
+    procedure, block, arm order.  One pass over the arm row of each
+    procedure the profile counted; a procedure nothing counted is skipped
+    without a read, so a sparse profile costs what it holds. *)
 
 val iter_nonzero_blocks : t -> (proc:int -> block:int -> int -> unit) -> unit
 (** [f ~proc ~block count] for every block whose count is nonzero, in
-    procedure, block order: one pass over the flat block counts. *)
+    procedure, block order: one pass over the block row of each procedure
+    the profile counted. *)
 
 val proc_entry_count : t -> int -> int
 (** Executions of a procedure's entry block. *)
@@ -79,7 +83,7 @@ val proc_equal : t -> t -> int -> bool
     counts for procedure [pid]?  The per-procedure identity test behind
     {!Olayout_core.Delta}'s dirty set — per-procedure layout passes read
     only that procedure's rows, so row equality implies identical pass
-    output. *)
+    output.  A procedure neither profile counted is equal without a read. *)
 
 (** {2 Persistence}
 

@@ -190,7 +190,7 @@ let test_profile_io_mismatch () =
            false
          with Failure _ -> true))
 
-(* --- flat storage: bounds, sums, per-procedure identity ---------------- *)
+(* --- row storage: bounds, sums, per-procedure identity ----------------- *)
 
 let raises_invalid f = match f () with exception Invalid_argument _ -> true | _ -> false
 
@@ -328,6 +328,196 @@ let qcheck_estimate_preserves_block_counts =
           then ok := false);
       !ok)
 
+(* --- per-procedure rows against a dense reference ------------------------
+
+   A dense mirror of a profile — every block count and every arm count, per
+   procedure, none of it shared — kept beside each live profile while random
+   operations run.  Procedures a profile has not counted share read-only
+   zero rows, so the property checks every live profile after every step:
+   a write into one result must leave every other profile as it was. *)
+
+type dense = { d_blocks : int array array; d_arms : int array array array }
+
+let dense_zero prog =
+  {
+    d_blocks = Array.map (fun p -> Array.make (Proc.n_blocks p) 0) prog.Prog.procs;
+    d_arms =
+      Array.map
+        (fun (p : Proc.t) -> Array.map (fun b -> Array.make (Block.arm_count b) 0) p.blocks)
+        prog.Prog.procs;
+  }
+
+let dense_map f d =
+  {
+    d_blocks = Array.map (Array.map f) d.d_blocks;
+    d_arms = Array.map (Array.map (Array.map f)) d.d_arms;
+  }
+
+let dense_sum a b =
+  {
+    d_blocks = Array.map2 (Array.map2 ( + )) a.d_blocks b.d_blocks;
+    d_arms = Array.map2 (Array.map2 (Array.map2 ( + ))) a.d_arms b.d_arms;
+  }
+
+(* Spike's estimate over the dense mirror: a block's count apportioned to
+   its arms by the successors' counts, leftovers to the first heaviest,
+   a uniform split when every successor is cold. *)
+let dense_estimate prog d =
+  let e = dense_map Fun.id d in
+  Array.iteri
+    (fun pid (p : Proc.t) ->
+      Array.iter
+        (fun (b : Block.t) ->
+          let c = d.d_blocks.(pid).(b.id) and arms = e.d_arms.(pid).(b.id) in
+          let n = Array.length arms in
+          let succ =
+            Array.init n (fun arm ->
+                match Block.arm_target b arm with Some t -> d.d_blocks.(pid).(t) | None -> 0)
+          in
+          let total = Array.fold_left ( + ) 0 succ in
+          if n = 1 then arms.(0) <- c
+          else if total = 0 then Array.fill arms 0 n (c / n)
+          else begin
+            Array.iteri (fun arm s -> arms.(arm) <- c * s / total) succ;
+            let best = ref 0 in
+            Array.iteri (fun arm s -> if s > succ.(!best) then best := arm) succ;
+            arms.(!best) <- arms.(!best) + c - Array.fold_left ( + ) 0 arms
+          end)
+        p.blocks)
+    prog.Prog.procs;
+  e
+
+(* The mirror's nonzero block and arm counts, in procedure, block, arm
+   order. *)
+let dense_nonzero d =
+  let blocks = ref [] and arms = ref [] in
+  Array.iteri
+    (fun proc row ->
+      Array.iteri
+        (fun block c ->
+          if c <> 0 then blocks := (proc, block, 0, c) :: !blocks;
+          Array.iteri
+            (fun arm c -> if c <> 0 then arms := (proc, block, arm, c) :: !arms)
+            d.d_arms.(proc).(block))
+        row)
+    d.d_blocks;
+  (List.rev !blocks, List.rev !arms)
+
+(* Every count, both nonzero iterations in order, and the event total. *)
+let agrees prog (p, d) =
+  let counts_ok = ref true in
+  Array.iteri
+    (fun pid (pr : Proc.t) ->
+      Array.iter
+        (fun (b : Block.t) ->
+          if Profile.block_count p ~proc:pid ~block:b.id <> d.d_blocks.(pid).(b.id) then
+            counts_ok := false;
+          Array.iteri
+            (fun arm c ->
+              if Profile.arm_count p ~proc:pid ~block:b.id ~arm <> c then counts_ok := false)
+            d.d_arms.(pid).(b.id))
+        pr.blocks)
+    prog.Prog.procs;
+  let blocks = ref [] and arms = ref [] in
+  Profile.iter_nonzero_blocks p (fun ~proc ~block c -> blocks := (proc, block, 0, c) :: !blocks);
+  Profile.iter_nonzero_arms p (fun ~proc ~block ~arm c -> arms := (proc, block, arm, c) :: !arms);
+  !counts_ok
+  && (List.rev !blocks, List.rev !arms) = dense_nonzero d
+  && Profile.total_block_events p = Array.fold_left (Array.fold_left ( + )) 0 d.d_blocks
+
+let qcheck_rows_match_dense =
+  QCheck.Test.make ~name:"per-procedure rows match a dense reference" ~count:25 QCheck.small_int
+    (fun seed ->
+      let prog = Olayout_codegen.Binary.prog (Helpers.random_program seed) in
+      let rng = Olayout_util.Rng.create (seed + 1) in
+      let pick n = Olayout_util.Rng.int rng n in
+      let procs = Prog.n_procs prog in
+      (* A capture whose window folds join the live set. *)
+      let w = Olayout_profile.Windowed.create ~window:16 prog in
+      let walk = Olayout_exec.Walk.create ~prog ~rng:(Olayout_util.Rng.create seed) in
+      Olayout_exec.Walk.add_sink walk (Olayout_profile.Windowed.sink w);
+      for _ = 1 to 2 do
+        Olayout_exec.Walk.call walk (pick procs)
+      done;
+      let windows = Olayout_profile.Windowed.windows w in
+      let fold () =
+        let lo = pick (windows + 1) in
+        let hi = lo + pick (windows + 2 - lo) in
+        let d = dense_zero prog in
+        Olayout_profile.Windowed.replay w ~lo ~hi
+          ~app:(fun ~proc ~block ~arm ->
+            d.d_blocks.(proc).(block) <- d.d_blocks.(proc).(block) + 1;
+            d.d_arms.(proc).(block).(arm) <- d.d_arms.(proc).(block).(arm) + 1)
+          ();
+        (Olayout_profile.Windowed.merged w ~lo ~hi, d)
+      in
+      let path = Filename.temp_file "olayout" ".profile" in
+      let roundtrip p =
+        Profile.save_file path p;
+        Profile.load_file prog path
+      in
+      let live = ref [| fold (); (Profile.create prog, dense_zero prog) |] in
+      let add x = live := Array.append !live [| x |] in
+      (* The newest profile half the time, so results get written into. *)
+      let any () =
+        let n = Array.length !live in
+        !live.(if Olayout_util.Rng.bool rng 0.5 then n - 1 else pick n)
+      in
+      let ok = ref true in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          for _ = 1 to 30 do
+            (match pick 8 with
+            | 0 -> add (Profile.create prog, dense_zero prog)
+            | 1 ->
+                (* A burst into one procedure, so others stay uncounted. *)
+                let p, d = any () and proc = pick procs in
+                let pr = Prog.proc prog proc in
+                for _ = 0 to pick 4 do
+                  let b = Proc.block pr (pick (Proc.n_blocks pr)) in
+                  let arm = pick (Block.arm_count b) in
+                  Profile.record p ~proc ~block:b.id ~arm;
+                  d.d_blocks.(proc).(b.id) <- d.d_blocks.(proc).(b.id) + 1;
+                  d.d_arms.(proc).(b.id).(arm) <- d.d_arms.(proc).(b.id).(arm) + 1
+                done
+            | 2 ->
+                (* Counts of 0 too: a written row that still reads zero. *)
+                let p, d = any () and proc = pick procs in
+                let block = pick (Proc.n_blocks (Prog.proc prog proc)) and count = pick 4 in
+                Profile.record_block p ~proc ~block ~count;
+                d.d_blocks.(proc).(block) <- d.d_blocks.(proc).(block) + count
+            | 3 ->
+                let (a, da), (b, db) = (any (), any ()) in
+                add (Profile.merge a b, dense_sum da db)
+            | 4 ->
+                let p, d = any () and factor = [| 0.0; 0.5; 1.0; 2.5 |].(pick 4) in
+                let f x = int_of_float (float x *. factor) in
+                add (Profile.scale p factor, dense_map f d)
+            | 5 ->
+                let p, d = any () in
+                add (Profile.estimate_arms p, dense_estimate prog d)
+            | 6 ->
+                let p, d = any () in
+                add (roundtrip p, dense_map Fun.id d)
+            | _ -> add (fold ()));
+            if not (Array.for_all (agrees prog) !live) then ok := false
+          done);
+      (* proc_equal against the reference, for every pair and procedure. *)
+      Array.iter
+        (fun (a, da) ->
+          Array.iter
+            (fun (b, db) ->
+              for pid = 0 to procs - 1 do
+                let want =
+                  da.d_blocks.(pid) = db.d_blocks.(pid) && da.d_arms.(pid) = db.d_arms.(pid)
+                in
+                if Profile.proc_equal a b pid <> want then ok := false
+              done)
+            !live)
+        !live;
+      !ok)
+
 module Temporal = Olayout_profile.Temporal
 
 let test_temporal_basics () =
@@ -382,4 +572,5 @@ let suite =
       Alcotest.test_case "proc_equal sees one arm" `Quick test_proc_equal_last_arm;
       Alcotest.test_case "shape, not name" `Quick test_shape_not_name;
       QCheck_alcotest.to_alcotest qcheck_estimate_preserves_block_counts;
+      QCheck_alcotest.to_alcotest qcheck_rows_match_dense;
     ] )
