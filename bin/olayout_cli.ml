@@ -173,8 +173,9 @@ let optimize seed quick profile_file =
   let w = Workload.create ~seed () in
   let profile = obtain_profile w ~quick profile_file in
   let tbl =
-    Table.create ~title:"layout combinations"
-      ~columns:[ "combo"; "text KB"; "instrs"; "vs base instrs"; "far branches" ]
+    Table.create ~id:"combos" ~title:"layout combinations"
+      ~columns:[ ("combo", "combo"); ("text_kb", "text KB"); ("instrs", "instrs");
+                 ("vs_base", "vs base instrs"); ("far_branches", "far branches") ]
   in
   let base_instrs =
     Placement.program_instrs (Spike.optimize profile Spike.Base)
@@ -182,13 +183,14 @@ let optimize seed quick profile_file =
   List.iter
     (fun combo ->
       let pl = Spike.optimize profile combo in
-      Table.add_row tbl
+      let id, name = Olayout_harness.Fig_combos.combo_column combo in
+      Table.add_row tbl ~id
         [
-          Spike.combo_name combo;
-          string_of_int (Placement.text_bytes pl / 1024);
-          Table.fmt_int (Placement.program_instrs pl);
-          Printf.sprintf "%+d" (Placement.program_instrs pl - base_instrs);
-          string_of_int (Placement.long_branches pl ());
+          Table.Text name;
+          Table.Int (Placement.text_bytes pl / 1024);
+          Table.Int (Placement.program_instrs pl);
+          Table.Text (Printf.sprintf "%+d" (Placement.program_instrs pl - base_instrs));
+          Table.Int (Placement.long_branches pl ());
         ])
     Spike.all_combos;
   Format.printf "%a@." Table.print tbl;
@@ -229,23 +231,24 @@ let simulate seed quick size_kb line assoc combos app_only =
     (Table.fmt_int (r.app_instrs + r.kernel_instrs))
     (if app_only then "application" else "combined");
   let tbl =
-    Table.create
+    Table.create ~id:"simulate"
       ~title:(Printf.sprintf "i-cache %dKB / %dB line / %d-way" size_kb line assoc)
-      ~columns:[ "combo"; "misses"; "miss per 1k instrs"; "vs base" ]
+      ~columns:[ ("combo", "combo"); ("misses", "misses"); ("mpki", "miss per 1k instrs");
+                 ("vs_base", "vs base") ]
   in
   let base_misses =
     match caches with (_, c) :: _ -> Icache.misses c | [] -> 0
   in
-  List.iter
-    (fun (combo, cache) ->
+  (* Rows are numbered: the combos are the user's list, repeats allowed. *)
+  List.iteri
+    (fun i (combo, cache) ->
       let m = Icache.misses cache in
-      Table.add_row tbl
+      Table.add_row tbl ~id:(string_of_int i)
         [
-          Spike.combo_name combo;
-          Table.fmt_int m;
-          Printf.sprintf "%.2f" (1000.0 *. float_of_int m /. float_of_int r.app_instrs);
-          (if base_misses = 0 then "-"
-           else Table.fmt_pct (float_of_int m /. float_of_int base_misses));
+          Table.Text (Spike.combo_name combo);
+          Table.Int m;
+          Table.Fixed (2, 1000.0 *. float_of_int m /. float_of_int r.app_instrs);
+          Table.pct m base_misses;
         ])
     caches;
   Format.printf "%a@." Table.print tbl;

@@ -6,7 +6,6 @@ module Timing = Olayout_perf.Timing
 module Machine = Olayout_perf.Machine
 module Sampler = Olayout_profile.Sampler
 module Profile = Olayout_profile.Profile
-module Telemetry = Olayout_telemetry.Telemetry
 
 type result = {
   kernel_base_misses : int;
@@ -24,6 +23,9 @@ type result = {
   exact_misses : int;
   hot_aligned_misses : int;
 }
+
+(* The CFA ablation reserves this share of a 64 KB cache. *)
+let cfa_reserved = 0.5
 
 let cache_64 () = Icache.create (Icache.config ~size_kb:64 ~line:128 ~assoc:1 ())
 let cache_128 () = Icache.create (Icache.config ~size_kb:128 ~line:128 ~assoc:4 ())
@@ -67,7 +69,7 @@ let run ctx =
   in
   let profile = Context.app_profile ctx in
   let cfa_placement =
-    Spike.build (Spike.Cfa { cache_bytes = 64 * 1024; cfa_fraction = 0.5 }) profile
+    Spike.build (Spike.Cfa { cache_bytes = 64 * 1024; cfa_fraction = cfa_reserved }) profile
   in
   let hotcold_placement = Spike.build Spike.Hot_cold profile in
   let sampled = sampled_placement ctx in
@@ -95,91 +97,49 @@ let run ctx =
         ]
       ()
   in
-  let r =
-    {
-      kernel_base_misses;
-      kernel_opt_misses;
-      kernel_base_cycles;
-      kernel_opt_cycles;
-      cfa_misses = Icache.misses c_cfa;
-      all_misses_64k = Icache.misses c_all;
-      hot_90_bytes = Cfa.hot_bytes_needed profile ~coverage:0.9;
-      hotcold_64k = Icache.misses c_hc64;
-      hotcold_128k = Icache.misses c_hc128;
-      fine_64k = Icache.misses c_all;
-      fine_128k = Icache.misses c_fine128;
-      sampled_misses = Icache.misses c_sampled;
-      exact_misses = Icache.misses c_all;
-      hot_aligned_misses = Icache.misses c_aligned;
-    }
-  in
-  (* One gauge per distinct table number: [fine_64k] and [exact_misses]
-     are the [all] layout's [all_misses_64k]. *)
-  List.iter
-    (fun (row, v) -> Telemetry.set_gauge (Telemetry.gauge ("fig.ablations." ^ row)) v)
-    [
-      ("kernel_base_misses", float_of_int r.kernel_base_misses);
-      ("kernel_opt_misses", float_of_int r.kernel_opt_misses);
-      ("kernel_base_cycles", r.kernel_base_cycles);
-      ("kernel_opt_cycles", r.kernel_opt_cycles);
-      ("cfa_misses", float_of_int r.cfa_misses);
-      ("all_misses_64k", float_of_int r.all_misses_64k);
-      ("hot_90_bytes", float_of_int r.hot_90_bytes);
-      ("hotcold_64k", float_of_int r.hotcold_64k);
-      ("hotcold_128k", float_of_int r.hotcold_128k);
-      ("fine_128k", float_of_int r.fine_128k);
-      ("sampled_misses", float_of_int r.sampled_misses);
-      ("hot_aligned_misses", float_of_int r.hot_aligned_misses);
-    ];
-  r
+  {
+    kernel_base_misses;
+    kernel_opt_misses;
+    kernel_base_cycles;
+    kernel_opt_cycles;
+    cfa_misses = Icache.misses c_cfa;
+    all_misses_64k = Icache.misses c_all;
+    hot_90_bytes = Cfa.hot_bytes_needed profile ~coverage:0.9;
+    hotcold_64k = Icache.misses c_hc64;
+    hotcold_128k = Icache.misses c_hc128;
+    fine_64k = Icache.misses c_all;
+    fine_128k = Icache.misses c_fine128;
+    sampled_misses = Icache.misses c_sampled;
+    exact_misses = Icache.misses c_all;
+    hot_aligned_misses = Icache.misses c_aligned;
+  }
 
 let tables r =
   let tbl =
-    Table.create ~title:"Ablations (design choices)"
-      ~columns:[ "experiment"; "variant"; "reference"; "outcome" ]
+    Table.create ~id:"ablations" ~title:"Ablations (design choices)"
+      ~columns:[ ("experiment", "experiment"); ("variant", "variant");
+                 ("reference", "reference"); ("outcome", "outcome") ]
   in
-  Table.add_row tbl
-    [
-      "optimize kernel layout too (64KB combined misses)";
-      Table.fmt_int r.kernel_opt_misses;
-      Table.fmt_int r.kernel_base_misses;
-      Printf.sprintf "cycles %.2f%% better (paper: ~3.5%%)"
-        (100.0 *. (1.0 -. (r.kernel_opt_cycles /. r.kernel_base_cycles)));
-    ];
-  Table.add_row tbl
-    [
-      "CFA reserved area (64KB cache, 50% reserved)";
-      Table.fmt_int r.cfa_misses;
-      Table.fmt_int r.all_misses_64k;
-      Printf.sprintf "hot 90%% of execution needs %d KB (paper: trace footprint too big; no gain)"
-        (r.hot_90_bytes / 1024);
-    ];
-  Table.add_row tbl
-    [
-      "hot/cold splitting (stock Spike), 64KB";
-      Table.fmt_int r.hotcold_64k;
-      Table.fmt_int r.fine_64k;
-      "fine-grain splitting is the reference";
-    ];
-  Table.add_row tbl
-    [
-      "hot/cold splitting (stock Spike), 128KB";
-      Table.fmt_int r.hotcold_128k;
-      Table.fmt_int r.fine_128k;
-      "";
-    ];
-  Table.add_row tbl
-    [
-      "sampling profile (DCPI-like, period 509), 64KB";
-      Table.fmt_int r.sampled_misses;
-      Table.fmt_int r.exact_misses;
-      "exact Pixie-like profile is the reference";
-    ];
-  Table.add_row tbl
-    [
-      "hot segments aligned to 64B lines, 64KB";
-      Table.fmt_int r.hot_aligned_misses;
-      Table.fmt_int r.exact_misses;
-      "alignment trades padding (capacity) for fetch efficiency";
-    ];
+  let row id name variant reference outcome =
+    Table.add_row tbl ~id [ Table.Text name; variant; reference; outcome ]
+  in
+  row "kernel" "optimize kernel layout too (64KB combined misses)" (Table.Int r.kernel_opt_misses)
+    (Table.Int r.kernel_base_misses) (Table.Text "paper: ~3.5% fewer cycles");
+  row "kernel_cycles" "optimize kernel layout too (21364-sim cycles; outcome = saving)"
+    (Table.Fixed (0, r.kernel_opt_cycles))
+    (Table.Fixed (0, r.kernel_base_cycles))
+    (Table.Pct (1.0 -. (r.kernel_opt_cycles /. r.kernel_base_cycles)));
+  row "cfa" "CFA reserved area (64KB cache, 50% reserved)" (Table.Int r.cfa_misses)
+    (Table.Int r.all_misses_64k) (Table.Text "paper: trace footprint too big; no gain");
+  row "cfa_hot" "CFA: bytes covering 90% of execution vs bytes reserved" (Table.Int r.hot_90_bytes)
+    (Table.Int (int_of_float (float_of_int (64 * 1024) *. cfa_reserved)))
+    (Table.Text "");
+  row "hotcold_64kb" "hot/cold splitting (stock Spike), 64KB" (Table.Int r.hotcold_64k)
+    (Table.Int r.fine_64k) (Table.Text "fine-grain splitting is the reference");
+  row "hotcold_128kb" "hot/cold splitting (stock Spike), 128KB" (Table.Int r.hotcold_128k)
+    (Table.Int r.fine_128k) (Table.Text "");
+  row "sampled" "sampling profile (DCPI-like, period 509), 64KB" (Table.Int r.sampled_misses)
+    (Table.Int r.exact_misses) (Table.Text "exact Pixie-like profile is the reference");
+  row "hot_aligned" "hot segments aligned to 64B lines, 64KB" (Table.Int r.hot_aligned_misses)
+    (Table.Int r.exact_misses) (Table.Text "alignment trades padding (capacity) for fetch efficiency");
   [ tbl ]

@@ -368,3 +368,13 @@ let replay_battery t ?pool ?keep ~combo battery =
       in
       Telemetry.add_gauge g_replay_seconds seconds;
       true
+
+let feed_app_batteries t ?pool batteries =
+  if List.for_all Option.is_some (traces_for t (List.map fst batteries)) then
+    List.iter
+      (fun (combo, b) -> ignore (replay_battery t ?pool ~keep:(fun r -> r.Run.owner = Run.App) ~combo b))
+      batteries
+  else
+    (* The byte cap refused a recording: render every stream instead. *)
+    let feed (combo, b) = (combo, app_only (Olayout_cachesim.Battery.access_run b)) in
+    ignore (measure t ~renders:(List.map feed batteries) ())

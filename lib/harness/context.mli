@@ -161,3 +161,9 @@ val replay_battery :
     the one logical stream regardless of shard count, so deterministic
     counters match the serial path.  Returns [false] (doing nothing) when
     the stream is not cached. *)
+
+val feed_app_batteries :
+  t -> ?pool:Olayout_par.Pool.t -> (Spike.combo * Olayout_cachesim.Battery.t) list -> unit
+(** Feed each battery its combination's application runs: {!replay_battery}
+    over {!traces_for} the combinations, or, when the byte cap refused a
+    recording, {!measure} every stream from the recorded path. *)

@@ -71,22 +71,20 @@ let run ?(combo = Spike.Base) ctx preset =
       let _ = Context.measure ctx ~renders:[ (combo, emit) ] () in
       d)
 
-let pct part whole =
-  if whole = 0 then "-" else Table.fmt_pct (float_of_int part /. float_of_int whole)
-
 let summary_table ~combo preset d =
   let t = Diag.totals d in
   let tbl =
-    Table.create
+    Table.create ~id:"diag_classes"
       ~title:
         (Printf.sprintf "miss classification: %s, %s layout (%s)" preset.fig
            (Spike.combo_name combo) preset.what)
-      ~columns:[ "class"; "misses"; "share" ]
+      ~columns:[ ("class", "class"); ("misses", "misses"); ("share", "share") ]
   in
-  Table.add_row tbl [ "compulsory"; Table.fmt_int t.Diag.compulsory; pct t.Diag.compulsory t.Diag.total ];
-  Table.add_row tbl [ "capacity"; Table.fmt_int t.Diag.capacity; pct t.Diag.capacity t.Diag.total ];
-  Table.add_row tbl [ "conflict"; Table.fmt_int t.Diag.conflict; pct t.Diag.conflict t.Diag.total ];
-  Table.add_row tbl [ "total"; Table.fmt_int t.Diag.total; "100.0%" ];
+  let row id misses share = Table.add_row tbl ~id [ Table.Text id; Table.Int misses; share ] in
+  row "compulsory" t.Diag.compulsory (Table.pct t.Diag.compulsory t.Diag.total);
+  row "capacity" t.Diag.capacity (Table.pct t.Diag.capacity t.Diag.total);
+  row "conflict" t.Diag.conflict (Table.pct t.Diag.conflict t.Diag.total);
+  row "total" t.Diag.total (Table.Pct 1.0);
   Table.add_note tbl
     (Printf.sprintf "cold fills %s; conflict = set contention a placement fix can remove"
        (Table.fmt_int t.Diag.cold));
@@ -97,46 +95,50 @@ let owner_name = function
   | Some Run.Kernel -> "kernel"
   | None -> "?"
 
+(* The segment and pair tables list measured entities: their rows are
+   numbered by rank. *)
 let segments_table ~top d =
   let t = Diag.totals d in
   let tbl =
-    Table.create
+    Table.create ~id:"diag_segments"
       ~title:(Printf.sprintf "top %d miss-attributed segments" top)
-      ~columns:
-        [ "segment"; "owner"; "misses"; "share"; "conflict"; "capacity"; "evicts"; "evicted" ]
+      ~columns:[ ("segment", "segment"); ("owner", "owner"); ("misses", "misses");
+                 ("share", "share"); ("conflict", "conflict"); ("capacity", "capacity");
+                 ("evicts", "evicts"); ("evicted", "evicted") ]
   in
-  List.iter
-    (fun (r : Diag.seg_row) ->
-      Table.add_row tbl
+  List.iteri
+    (fun i (r : Diag.seg_row) ->
+      Table.add_row tbl ~id:(string_of_int i)
         [
-          r.Diag.seg_name;
-          owner_name r.Diag.seg_owner;
-          Table.fmt_int r.Diag.seg_misses;
-          pct r.Diag.seg_misses t.Diag.total;
-          Table.fmt_int r.Diag.seg_conflict;
-          Table.fmt_int r.Diag.seg_capacity;
-          Table.fmt_int r.Diag.seg_evictions_caused;
-          Table.fmt_int r.Diag.seg_evictions_suffered;
+          Table.Text r.Diag.seg_name;
+          Table.Text (owner_name r.Diag.seg_owner);
+          Table.Int r.Diag.seg_misses;
+          Table.pct r.Diag.seg_misses t.Diag.total;
+          Table.Int r.Diag.seg_conflict;
+          Table.Int r.Diag.seg_capacity;
+          Table.Int r.Diag.seg_evictions_caused;
+          Table.Int r.Diag.seg_evictions_suffered;
         ])
     (Diag.by_segment ~top d);
   tbl
 
 let pairs_table ~top d =
   let tbl =
-    Table.create
+    Table.create ~id:"diag_pairs"
       ~title:(Printf.sprintf "top %d eviction conflict pairs (evictor -> victim)" top)
-      ~columns:[ "evictor"; "victim"; "evictions"; "sets"; "hot set"; "in hot set" ]
+      ~columns:[ ("evictor", "evictor"); ("victim", "victim"); ("evictions", "evictions");
+                 ("sets", "sets"); ("hot_set", "hot set"); ("in_hot_set", "in hot set") ]
   in
-  List.iter
-    (fun (p : Diag.conflict_pair) ->
-      Table.add_row tbl
+  List.iteri
+    (fun i (p : Diag.conflict_pair) ->
+      Table.add_row tbl ~id:(string_of_int i)
         [
-          p.Diag.cp_evictor;
-          p.Diag.cp_victim;
-          Table.fmt_int p.Diag.cp_count;
-          Table.fmt_int p.Diag.cp_sets;
-          string_of_int p.Diag.cp_hot_set;
-          Table.fmt_int p.Diag.cp_hot_count;
+          Table.Text p.Diag.cp_evictor;
+          Table.Text p.Diag.cp_victim;
+          Table.Int p.Diag.cp_count;
+          Table.Int p.Diag.cp_sets;
+          Table.Text (string_of_int p.Diag.cp_hot_set);
+          Table.Int p.Diag.cp_hot_count;
         ])
     (Diag.conflict_pairs ~top d);
   Table.add_note tbl
@@ -146,20 +148,21 @@ let pairs_table ~top d =
 let pressure_table ~top d =
   let h = Diag.set_pressure d in
   let tbl =
-    Table.create ~title:"per-set miss pressure"
-      ~columns:[ "metric"; "value" ]
+    Table.create ~id:"diag_pressure" ~title:"per-set miss pressure"
+      ~columns:[ ("metric", "metric"); ("value", "value") ]
   in
-  Table.add_row tbl [ "sets"; Table.fmt_int (Histogram.total h) ];
-  Table.add_row tbl [ "mean misses/set"; Printf.sprintf "%.1f" (Histogram.mean h) ];
-  Table.add_row tbl [ "max misses/set"; Table.fmt_int (Histogram.max_key h) ];
+  Table.add_row tbl ~id:"sets" [ Table.Text "sets"; Table.Int (Histogram.total h) ];
+  Table.add_row tbl ~id:"mean" [ Table.Text "mean misses/set"; Table.Fixed (1, Histogram.mean h) ];
+  Table.add_row tbl ~id:"max" [ Table.Text "max misses/set"; Table.Int (Histogram.max_key h) ];
   (match Diag.hot_sets ~top d with
   | [] -> ()
   | hot ->
-      Table.add_row tbl
+      Table.add_row tbl ~id:"hottest"
         [
-          "hottest sets";
-          String.concat ", "
-            (List.map (fun (s, m) -> Printf.sprintf "%d (%s)" s (Table.fmt_int m)) hot);
+          Table.Text "hottest sets";
+          Table.Text
+            (String.concat ", "
+               (List.map (fun (s, m) -> Printf.sprintf "%d (%s)" s (Table.fmt_int m)) hot));
         ]);
   tbl
 

@@ -166,34 +166,34 @@ let run ?(combo = Spike.All) ?(phases = default_phases)
 
 (* --- report tables ----------------------------------------------------- *)
 
-let fmt_mpki v = Printf.sprintf "%.2f" (float_of_int v /. 100.0)
+let mpki v = Table.Fixed (2, float_of_int v /. 100.0)
 
 let series_table r =
   let tbl =
-    Table.create
+    Table.create ~id:"drift_divergence"
       ~title:
         (Printf.sprintf
            "profile divergence: %s layout, %d windows x %d instrs (top-%d)"
            r.Observatory.o_combo
            (List.length r.Observatory.o_points)
            r.Observatory.o_window_instrs r.Observatory.o_top_k)
-      ~columns:[ "series"; "max"; "spark" ]
+      ~columns:[ ("series", "series"); ("max", "max"); ("spark", "spark") ]
   in
   let arr f =
     Array.of_list (List.map f r.Observatory.o_points)
   in
-  let line name values =
-    Table.add_row tbl
+  let line id values =
+    Table.add_row tbl ~id
       [
-        name;
-        string_of_int (Array.fold_left max 0 values);
-        Timeline.spark Timeline.Sample values;
+        Table.Text (id ^ "_permille");
+        Table.Int (Array.fold_left max 0 values);
+        Table.Text (Timeline.spark Timeline.Sample values);
       ]
   in
-  line "l1_vs_prev_permille" (arr (fun p -> p.Observatory.p_l1_vs_prev));
-  line "l1_vs_train_permille" (arr (fun p -> p.Observatory.p_l1_vs_train));
-  line "rank_churn_permille" (arr (fun p -> p.Observatory.p_churn_vs_prev));
-  line "hotset_drift_permille"
+  line "l1_vs_prev" (arr (fun p -> p.Observatory.p_l1_vs_prev));
+  line "l1_vs_train" (arr (fun p -> p.Observatory.p_l1_vs_train));
+  line "rank_churn" (arr (fun p -> p.Observatory.p_churn_vs_prev));
+  line "hotset_drift"
     (arr (fun p -> 1000 - p.Observatory.p_jaccard_vs_train));
   Table.add_note tbl
     "hotset_drift = 1000 - jaccard_vs_train, so every series reads higher = \
@@ -203,33 +203,40 @@ let series_table r =
 let matrix_table r =
   let n = Observatory.phases r in
   let tbl =
-    Table.create
+    Table.create ~id:"drift_staleness"
       ~title:
         (Printf.sprintf "layout staleness (%s, mpki): row = layout source, col \
                          = replayed phase"
            r.Observatory.o_figure)
       ~columns:
-        ("layout"
+        (("layout", "layout")
         :: List.init n (fun j ->
-               Printf.sprintf "p%d:%s" j r.Observatory.o_phase_names.(j)))
+               ( Printf.sprintf "p%d" j,
+                 Printf.sprintf "p%d:%s" j r.Observatory.o_phase_names.(j) )))
   in
   Array.iteri
     (fun i row ->
-      Table.add_row tbl
-        (r.Observatory.o_rows.(i)
+      Table.add_row tbl ~id:r.Observatory.o_rows.(i)
+        (Table.Text r.Observatory.o_rows.(i)
         :: Array.to_list
              (Array.mapi
                 (fun j c ->
-                  let s = fmt_mpki (Observatory.mpki_x100 c) in
-                  if i = j && i < n then s ^ "*" else s)
+                  let cell = mpki (Observatory.mpki_x100 c) in
+                  if i = j && i < n then Table.Mark (cell, "*") else cell)
                 row)))
     r.Observatory.o_cells;
-  Table.add_note tbl
-    (Printf.sprintf
-       "* = layout replaying its own phase; diag max %s vs off-diag max %s \
-        mpki (fresh cache per cell)"
-       (fmt_mpki (Observatory.diag_max_mpki_x100 r))
-       (fmt_mpki (Observatory.offdiag_max_mpki_x100 r)));
+  Table.add_note tbl "* = layout replaying its own phase (fresh cache per cell)";
   tbl
 
-let tables r = [ series_table r; matrix_table r ]
+let summary_table r =
+  let tbl =
+    Table.create ~id:"drift_summary" ~title:"layout staleness: own phase vs other phases"
+      ~columns:[ ("metric", "metric"); ("mpki", "mpki") ]
+  in
+  Table.add_row tbl ~id:"diag_max"
+    [ Table.Text "max over own phases (*)"; mpki (Observatory.diag_max_mpki_x100 r) ];
+  Table.add_row tbl ~id:"offdiag_max"
+    [ Table.Text "max over other phases"; mpki (Observatory.offdiag_max_mpki_x100 r) ];
+  tbl
+
+let tables r = [ series_table r; matrix_table r; summary_table r ]

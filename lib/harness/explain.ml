@@ -87,56 +87,54 @@ let run ?(combo = Spike.All) ctx preset =
 
 let fmt_delta n = if n > 0 then Printf.sprintf "+%s" (Table.fmt_int n) else Table.fmt_int n
 
+let misses_moved base opt =
+  Table.Text (Printf.sprintf "%s -> %s" (Table.fmt_int base) (Table.fmt_int opt))
+
 let summary_table r =
   let open Diagnose in
   let s = Scorecard.summarize r.ex_rows in
   let tbl =
-    Table.create
+    Table.create ~id:"explain_summary"
       ~title:
         (Printf.sprintf "layout scorecard: %s, base vs %s (%s)" r.ex_preset.fig
            (Spike.combo_name r.ex_combo) r.ex_preset.what)
-      ~columns:[ "metric"; "value" ]
+      ~columns:[ ("metric", "metric"); ("value", "value") ]
   in
-  Table.add_row tbl [ "procedures scored"; Table.fmt_int s.Scorecard.sm_procs ];
-  Table.add_row tbl [ "moved by the layout"; Table.fmt_int s.Scorecard.sm_moved ];
-  Table.add_row tbl
-    [
-      "app misses, base -> opt";
-      Printf.sprintf "%s -> %s"
-        (Table.fmt_int s.Scorecard.sm_base_misses)
-        (Table.fmt_int s.Scorecard.sm_opt_misses);
-    ];
-  Table.add_row tbl [ "procs improved"; Table.fmt_int s.Scorecard.sm_improved ];
-  Table.add_row tbl [ "procs regressed"; Table.fmt_int s.Scorecard.sm_regressed ];
-  Table.add_row tbl
-    [ "layout decisions recorded"; Table.fmt_int s.Scorecard.sm_decisions ];
+  let row id name cell = Table.add_row tbl ~id [ Table.Text name; cell ] in
+  row "procs" "procedures scored" (Table.Int s.Scorecard.sm_procs);
+  row "moved" "moved by the layout" (Table.Int s.Scorecard.sm_moved);
+  row "misses" "app misses, base -> opt"
+    (misses_moved s.Scorecard.sm_base_misses s.Scorecard.sm_opt_misses);
+  row "improved" "procs improved" (Table.Int s.Scorecard.sm_improved);
+  row "regressed" "procs regressed" (Table.Int s.Scorecard.sm_regressed);
+  row "decisions" "layout decisions recorded" (Table.Int s.Scorecard.sm_decisions);
   Table.add_note tbl
     "regret = opt misses - base misses per procedure; positive rows are where \
      the layout hurt";
   tbl
 
+(* Rows are numbered by regret rank. *)
 let scorecard_table ~top r =
   let tbl =
-    Table.create
+    Table.create ~id:"explain_scorecard"
       ~title:(Printf.sprintf "top %d procedures by layout regret" top)
-      ~columns:
-        [ "procedure"; "rank"; "moved B"; "misses base->opt"; "regret"; "top partner"; "why" ]
+      ~columns:[ ("procedure", "procedure"); ("rank", "rank"); ("moved", "moved B");
+                 ("misses", "misses base->opt"); ("regret", "regret"); ("partner", "top partner");
+                 ("why", "why") ]
   in
   List.iteri
     (fun i (row : Scorecard.row) ->
       if i < top then
-        Table.add_row tbl
+        Table.add_row tbl ~id:(string_of_int i)
           [
-            row.Scorecard.sc_name;
-            (if row.Scorecard.sc_rank >= 0 then string_of_int row.Scorecard.sc_rank
-             else "-");
-            fmt_delta row.Scorecard.sc_moved_bytes;
-            Printf.sprintf "%s -> %s"
-              (Table.fmt_int row.Scorecard.sc_base_misses)
-              (Table.fmt_int row.Scorecard.sc_opt_misses);
-            fmt_delta row.Scorecard.sc_regret;
-            (match row.Scorecard.sc_partner with Some p -> p | None -> "-");
-            row.Scorecard.sc_rationale;
+            Table.Text row.Scorecard.sc_name;
+            (if row.Scorecard.sc_rank >= 0 then Table.Text (string_of_int row.Scorecard.sc_rank)
+             else Table.No_data);
+            Table.Text (fmt_delta row.Scorecard.sc_moved_bytes);
+            misses_moved row.Scorecard.sc_base_misses row.Scorecard.sc_opt_misses;
+            Table.Text (fmt_delta row.Scorecard.sc_regret);
+            Table.Text (match row.Scorecard.sc_partner with Some p -> p | None -> "-");
+            Table.Text row.Scorecard.sc_rationale;
           ])
     r.ex_rows;
   Table.add_note tbl

@@ -2,9 +2,9 @@ module Bpred = Olayout_perf.Bpred
 module Placement = Olayout_core.Placement
 module Spike = Olayout_core.Spike
 
-type row = { policy : Bpred.policy; base_rate : float; opt_rate : float }
+type row = { policy : Bpred.policy; base : int * int; opt : int * int }
 
-type result = { branches : int; taken_base : float; taken_opt : float; rows : row list }
+type result = { branches : int; taken_base : int; taken_opt : int; rows : row list }
 
 let policies =
   [ Bpred.Static_not_taken; Bpred.Static_btfn; Bpred.Bimodal 12; Bpred.Gshare 12 ]
@@ -37,32 +37,43 @@ let run ctx =
   let total_branches =
     match preds_base with (_, p) :: _ -> Bpred.branches p | [] -> 0
   in
+  let counts p = (Bpred.mispredicts p, Bpred.branches p) in
   {
     branches = total_branches;
-    taken_base = float_of_int !taken_base /. float_of_int (max 1 total_branches);
-    taken_opt = float_of_int !taken_opt /. float_of_int (max 1 total_branches);
+    taken_base = !taken_base;
+    taken_opt = !taken_opt;
     rows =
       List.map2
-        (fun (policy, pb) (_, po) ->
-          { policy; base_rate = Bpred.rate pb; opt_rate = Bpred.rate po })
+        (fun (policy, pb) (_, po) -> { policy; base = counts pb; opt = counts po })
         preds_base preds_opt;
   }
 
+let policy_id = function
+  | Bpred.Static_not_taken -> "not_taken"
+  | Bpred.Static_btfn -> "btfn"
+  | Bpred.Bimodal bits -> Printf.sprintf "bimodal_%d" bits
+  | Bpred.Gshare bits -> Printf.sprintf "gshare_%d" bits
+
 let tables r =
   let tbl =
-    Table.create ~title:"Extension: branch prediction (application conditional branches)"
-      ~columns:[ "predictor"; "base mispredict"; "optimized mispredict" ]
+    Table.create ~id:"bpred" ~title:"Extension: branch prediction (application conditional branches)"
+      ~columns:[ ("predictor", "predictor"); ("base", "base mispredict");
+                 ("optimized", "optimized mispredict") ]
   in
+  let rate (mispredicts, branches) = Table.pct mispredicts branches in
   List.iter
     (fun row ->
-      Table.add_row tbl
-        [
-          Bpred.policy_name row.policy;
-          Table.fmt_pct row.base_rate;
-          Table.fmt_pct row.opt_rate;
-        ])
+      Table.add_row tbl ~id:(policy_id row.policy)
+        [ Table.Text (Bpred.policy_name row.policy); rate row.base; rate row.opt ])
     r.rows;
-  Table.add_note tbl
-    (Printf.sprintf "%s conditional branches; taken fraction %s -> %s (chaining biases not-taken, paper §2)"
-       (Table.fmt_int r.branches) (Table.fmt_pct r.taken_base) (Table.fmt_pct r.taken_opt));
-  [ tbl ]
+  let summary =
+    Table.create ~id:"bpred_summary" ~title:"Extension: branch prediction, taken branches"
+      ~columns:[ ("metric", "metric"); ("value", "value") ]
+  in
+  Table.add_row summary ~id:"branches" [ Table.Text "conditional branches"; Table.Int r.branches ];
+  Table.add_row summary ~id:"taken_base"
+    [ Table.Text "taken fraction, base"; Table.pct r.taken_base r.branches ];
+  Table.add_row summary ~id:"taken_opt"
+    [ Table.Text "taken fraction, optimized"; Table.pct r.taken_opt r.branches ];
+  Table.add_note summary "chaining biases not-taken, paper §2";
+  [ tbl; summary ]

@@ -9,11 +9,16 @@
 
 type row = {
   policy : Olayout_perf.Bpred.policy;
-  base_rate : float;  (** mispredicts per branch, baseline layout *)
-  opt_rate : float;
+  base : int * int;  (** (mispredicts, branches), baseline layout *)
+  opt : int * int;
 }
 
-type result = { branches : int; taken_base : float; taken_opt : float; rows : row list }
+type result = {
+  branches : int;  (** conditional branches executed *)
+  taken_base : int;  (** of them taken under the baseline layout *)
+  taken_opt : int;
+  rows : row list;
+}
 
 val run : Context.t -> result
 val tables : result -> Table.t list

@@ -1,7 +1,6 @@
 module Icache = Olayout_cachesim.Icache
 module Run = Olayout_exec.Run
 module Spike = Olayout_core.Spike
-module Telemetry = Olayout_telemetry.Telemetry
 
 type result = { base : int; coloring_only : int; all : int; all_plus_coloring : int }
 
@@ -27,38 +26,25 @@ let run ctx =
         ]
       ()
   in
-  let r =
-    {
-      base = Icache.misses c_base;
-      coloring_only = Icache.misses c_color;
-      all = Icache.misses c_all;
-      all_plus_coloring = Icache.misses c_both;
-    }
-  in
-  List.iter
-    (fun (row, m) ->
-      Telemetry.set_gauge (Telemetry.gauge ("fig.coloring." ^ row)) (float_of_int m))
-    [
-      ("base", r.base);
-      ("coloring_only", r.coloring_only);
-      ("all", r.all);
-      ("all_plus_coloring", r.all_plus_coloring);
-    ];
-  r
+  {
+    base = Icache.misses c_base;
+    coloring_only = Icache.misses c_color;
+    all = Icache.misses c_all;
+    all_plus_coloring = Icache.misses c_both;
+  }
 
 let tables r =
   let tbl =
-    Table.create ~title:"Extension: cache-line coloring (64KB direct-mapped, app stream)"
-      ~columns:[ "layout"; "misses"; "vs base" ]
+    Table.create ~id:"coloring" ~title:"Extension: cache-line coloring (64KB direct-mapped, app stream)"
+      ~columns:[ ("layout", "layout"); ("misses", "misses"); ("vs_base", "vs base") ]
   in
-  let row name m =
-    Table.add_row tbl
-      [ name; Table.fmt_int m; Table.fmt_pct (float_of_int m /. float_of_int (max 1 r.base)) ]
+  let row id name m =
+    Table.add_row tbl ~id [ Table.Text name; Table.Int m; Table.pct m r.base ]
   in
-  row "base (source order)" r.base;
-  row "coloring of whole procedures (placement only)" r.coloring_only;
-  row "chain+split+P-H (paper's all)" r.all;
-  row "all + colored gaps" r.all_plus_coloring;
+  row "base" "base (source order)" r.base;
+  row "coloring_only" "coloring of whole procedures (placement only)" r.coloring_only;
+  row "all" "chain+split+P-H (paper's all)" r.all;
+  row "all_plus_coloring" "all + colored gaps" r.all_plus_coloring;
   Table.add_note tbl
     "paper §6: placement-only schemes are ineffective for large-footprint OLTP; chaining and splitting do the heavy lifting";
   [ tbl ]

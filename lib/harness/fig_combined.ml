@@ -2,7 +2,6 @@ module Icache = Olayout_cachesim.Icache
 module Battery = Olayout_cachesim.Battery
 module Run = Olayout_exec.Run
 module Spike = Olayout_core.Spike
-module Telemetry = Olayout_telemetry.Telemetry
 
 type side = {
   combined : (int * int) list;
@@ -63,78 +62,83 @@ let run ctx =
       cold = Icache.cold_misses c128;
     }
   in
-  let r =
-    {
-      kernel_isolated = per_size k_iso Icache.misses;
-      base = side b_comb b_app;
-      optimized = side o_comb o_app;
-    }
-  in
-  (* Fidelity gauges: combined-stream optimized/base miss ratio at the
-     paper's 64-128 KB points (Fig 12's 45-60% reduction claim). *)
-  List.iter
-    (fun size_kb ->
-      let b = match List.assoc_opt size_kb r.base.combined with Some v -> v | None -> 0
-      and o =
-        match List.assoc_opt size_kb r.optimized.combined with Some v -> v | None -> 0
-      in
-      if b > 0 then
-        Telemetry.set_gauge
-          (Telemetry.gauge (Printf.sprintf "fig.fig12.opt_vs_base_%dk" size_kb))
-          (float_of_int o /. float_of_int b))
-    [ 64; 128 ];
-  r
+  {
+    kernel_isolated = per_size k_iso Icache.misses;
+    base = side b_comb b_app;
+    optimized = side o_comb o_app;
+  }
 
 let lookup rows s = match List.assoc_opt s rows with Some v -> v | None -> 0
 
-let fig12_table ~title r side =
+(* The optimized table adds each size's combined misses against the
+   baseline's: the paper's 45-60% reduction at 64-128 KB. *)
+let fig12_table ~id ~title ?vs r side =
+  let vs_column, vs_cell =
+    match vs with
+    | Some base ->
+        ( [ ("all_vs_base", "all vs base") ],
+          fun s -> [ Table.pct (lookup side.combined s) (lookup base.combined s) ] )
+    | None -> ([], fun _ -> [])
+  in
   let tbl =
-    Table.create ~title
+    Table.create ~id ~title
       ~columns:
-        [ "cache"; "all (combined)"; "app (combined)"; "kernel (combined)";
-          "app (isolated)"; "kernel (isolated)" ]
+        ([
+           ("cache", "cache");
+           ("all", "all (combined)");
+           ("app", "app (combined)");
+           ("kernel", "kernel (combined)");
+           ("app_isolated", "app (isolated)");
+           ("kernel_isolated", "kernel (isolated)");
+         ]
+        @ vs_column)
   in
   List.iter
     (fun s ->
-      Table.add_row tbl
-        [
-          Printf.sprintf "%dKB" s;
-          Table.fmt_int (lookup side.combined s);
-          Table.fmt_int (lookup side.combined_app_misses s);
-          Table.fmt_int (lookup side.combined_kernel_misses s);
-          Table.fmt_int (lookup side.app_isolated s);
-          Table.fmt_int (lookup r.kernel_isolated s);
-        ])
+      Fig_line_sweep.size_row tbl s
+        ([
+           Table.Int (lookup side.combined s);
+           Table.Int (lookup side.combined_app_misses s);
+           Table.Int (lookup side.combined_kernel_misses s);
+           Table.Int (lookup side.app_isolated s);
+           Table.Int (lookup r.kernel_isolated s);
+         ]
+        @ vs_cell s))
     sizes;
   tbl
 
-let fig13_table ~title side =
+let fig13_table ~id ~title side =
   let tbl =
-    Table.create ~title
-      ~columns:[ "missing stream"; "displaced app line"; "displaced kernel line"; "cold" ]
+    Table.create ~id ~title
+      ~columns:[ ("stream", "missing stream"); ("app_victim", "displaced app line");
+                 ("kernel_victim", "displaced kernel line"); ("cold", "cold") ]
   in
-  Table.add_row tbl
-    [ "application"; Table.fmt_int side.app_on_app; Table.fmt_int side.app_on_kernel; "" ];
-  Table.add_row tbl
-    [ "kernel"; Table.fmt_int side.kernel_on_app; Table.fmt_int side.kernel_on_kernel; "" ];
-  Table.add_row tbl
+  Table.add_row tbl ~id:"app"
+    [ Table.Text "application"; Table.Int side.app_on_app; Table.Int side.app_on_kernel; Table.Text "" ];
+  Table.add_row tbl ~id:"kernel"
+    [ Table.Text "kernel"; Table.Int side.kernel_on_app; Table.Int side.kernel_on_kernel; Table.Text "" ];
+  Table.add_row tbl ~id:"both"
     [
-      "both";
-      Table.fmt_int (side.app_on_app + side.kernel_on_app);
-      Table.fmt_int (side.app_on_kernel + side.kernel_on_kernel);
-      Table.fmt_int side.cold;
+      Table.Text "both";
+      Table.Int (side.app_on_app + side.kernel_on_app);
+      Table.Int (side.app_on_kernel + side.kernel_on_kernel);
+      Table.Int side.cold;
     ];
   tbl
 
 let tables r =
-  let t12a = fig12_table ~title:"Fig 12a: combined app+OS misses, baseline (128B, 4-way)" r r.base in
+  let t12a =
+    fig12_table ~id:"fig12a" ~title:"Fig 12a: combined app+OS misses, baseline (128B, 4-way)" r
+      r.base
+  in
   let t12b =
-    fig12_table ~title:"Fig 12b: combined app+OS misses, optimized (128B, 4-way)" r r.optimized
+    fig12_table ~id:"fig12b" ~title:"Fig 12b: combined app+OS misses, optimized (128B, 4-way)"
+      ~vs:r.base r r.optimized
   in
   Table.add_note t12b
     "paper: combined reduction 45-60% at 64-128KB vs 55-65% isolated (kernel interference constant)";
-  let t13a = fig13_table ~title:"Fig 13a: interference at 128KB, baseline" r.base in
-  let t13b = fig13_table ~title:"Fig 13b: interference at 128KB, optimized" r.optimized in
+  let t13a = fig13_table ~id:"fig13a" ~title:"Fig 13a: interference at 128KB, baseline" r.base in
+  let t13b = fig13_table ~id:"fig13b" ~title:"Fig 13b: interference at 128KB, optimized" r.optimized in
   Table.add_note t13b
     "paper: app misses mostly self-interference; kernel misses mostly caused by the application";
   [ t12a; t12b; t13a; t13b ]

@@ -14,4 +14,9 @@ type result = {
 }
 
 val run : ?pool:Olayout_par.Pool.t -> Context.t -> result
+
+val combo_column : Olayout_core.Spike.combo -> string * string
+(** A combination's (column id, heading): its name, with ['+'] written
+    ['_'] in the id. *)
+
 val tables : result -> Table.t list

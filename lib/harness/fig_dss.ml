@@ -5,12 +5,11 @@ module Run = Olayout_exec.Run
 module Profile = Olayout_profile.Profile
 module Binary = Olayout_codegen.Binary
 module Footprint = Olayout_metrics.Footprint
-module Telemetry = Olayout_telemetry.Telemetry
 open Olayout_ir
 
 type row = { size_kb : int; base : int; optimized : int }
 
-type result = { footprint_kb : int; rows : row list; oltp_ratio_64k : float }
+type result = { footprint_kb : int; rows : row list; oltp_64k : int * int }
 
 let sizes = [ 8; 16; 32; 64 ]
 
@@ -56,46 +55,34 @@ let run ctx =
       ~renders:[ (Spike.Base, app_only oltp_base); (Spike.All, app_only oltp_opt) ]
       ()
   in
-  let r =
-    {
-      footprint_kb = Footprint.executed_footprint_bytes fp / 1024;
-      rows =
-        List.map2
-          (fun (kb, b) (_, o) -> { size_kb = kb; base = Icache.misses b; optimized = Icache.misses o })
-          cb co;
-      oltp_ratio_64k =
-        float_of_int (Icache.misses oltp_opt) /. float_of_int (max 1 (Icache.misses oltp_base));
-    }
-  in
-  let gauge row v = Telemetry.set_gauge (Telemetry.gauge ("fig.dss." ^ row)) v in
-  List.iter
-    (fun row ->
-      gauge (Printf.sprintf "base_%dk" row.size_kb) (float_of_int row.base);
-      gauge (Printf.sprintf "optimized_%dk" row.size_kb) (float_of_int row.optimized))
-    r.rows;
-  gauge "footprint_kb" (float_of_int r.footprint_kb);
-  gauge "oltp_ratio_64k" r.oltp_ratio_64k;
-  r
+  {
+    footprint_kb = Footprint.executed_footprint_bytes fp / 1024;
+    rows =
+      List.map2
+        (fun (kb, b) (_, o) -> { size_kb = kb; base = Icache.misses b; optimized = Icache.misses o })
+        cb co;
+    oltp_64k = (Icache.misses oltp_opt, Icache.misses oltp_base);
+  }
 
 let tables r =
   let tbl =
-    Table.create ~title:"Extension: DSS workload under the same pipeline (128B lines, DM)"
-      ~columns:[ "cache"; "base misses"; "optimized"; "ratio" ]
+    Table.create ~id:"dss" ~title:"Extension: DSS workload under the same pipeline (128B lines, DM)"
+      ~columns:
+        [ ("cache", "cache"); ("base", "base misses"); ("optimized", "optimized"); ("ratio", "ratio") ]
   in
   List.iter
     (fun row ->
-      Table.add_row tbl
-        [
-          Printf.sprintf "%dKB" row.size_kb;
-          Table.fmt_int row.base;
-          Table.fmt_int row.optimized;
-          (if row.base = 0 then "-"
-           else Table.fmt_pct (float_of_int row.optimized /. float_of_int row.base));
-        ])
+      Fig_line_sweep.size_row tbl row.size_kb
+        [ Table.Int row.base; Table.Int row.optimized; Table.pct row.optimized row.base ])
     r.rows;
-  Table.add_note tbl
-    (Printf.sprintf
-       "DSS executed footprint only %d KB; at caches that hold it, layout stops mattering — vs OLTP's %s ratio at 64KB (paper: DSS has much better i-cache behaviour)"
-       r.footprint_kb
-       (Table.fmt_pct r.oltp_ratio_64k));
-  [ tbl ]
+  let summary =
+    Table.create ~id:"dss_summary" ~title:"Extension: DSS footprint and the OLTP contrast"
+      ~columns:[ ("metric", "metric"); ("value", "value") ]
+  in
+  Table.add_row summary ~id:"footprint_kb"
+    [ Table.Text "DSS executed footprint (KB)"; Table.Int r.footprint_kb ];
+  Table.add_row summary ~id:"oltp_ratio_64kb"
+    [ Table.Text "OLTP optimized/base misses at 64KB"; Table.pct (fst r.oltp_64k) (snd r.oltp_64k) ];
+  Table.add_note summary
+    "at caches that hold the DSS footprint, layout stops mattering (paper: DSS has much better i-cache behaviour)";
+  [ tbl; summary ]

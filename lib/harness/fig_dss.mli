@@ -11,7 +11,7 @@ type row = { size_kb : int; base : int; optimized : int }
 type result = {
   footprint_kb : int;  (** executed footprint of the DSS engine *)
   rows : row list;
-  oltp_ratio_64k : float;  (** OLTP's optimized/base ratio at 64 KB, for contrast *)
+  oltp_64k : int * int;  (** OLTP's (optimized, base) misses at 64 KB, for contrast *)
 }
 
 val run : Context.t -> result

@@ -1,14 +1,6 @@
 module Machine = Olayout_perf.Machine
 module Timing = Olayout_perf.Timing
 module Spike = Olayout_core.Spike
-module Telemetry = Olayout_telemetry.Telemetry
-
-(* "21264 (64KB, 2-way)" -> "21264": gauge names keep the stable model id,
-   not the descriptive geometry suffix. *)
-let machine_slug name =
-  match String.index_opt name ' ' with
-  | Some i -> String.sub name 0 i
-  | None -> name
 
 type result = {
   machines : Machine.t list;
@@ -17,72 +9,64 @@ type result = {
 }
 
 let run ctx =
-  let machines = Machine.all in
-  (* One timing model per (combo, machine); each render feeds its three. *)
+  let machines = Array.of_list Machine.all in
+  (* One timing model per (combo, machine); each render feeds its three
+     from an array, with no closure per run. *)
   let models =
-    List.map
-      (fun combo -> (combo, List.map (fun m -> (m, Timing.create m)) machines))
-      Spike.all_combos
+    List.map (fun combo -> (combo, Array.map Timing.create machines)) Spike.all_combos
   in
   let _ =
     Context.measure ctx
       ~renders:
         (List.map
-           (fun (combo, per_machine) ->
+           (fun (combo, timings) ->
              ( combo,
-               fun run -> List.iter (fun (_, t) -> Timing.fetch_run t run) per_machine ))
+               fun run ->
+                 for i = 0 to Array.length timings - 1 do
+                   Timing.fetch_run timings.(i) run
+                 done ))
            models)
       ()
   in
-  let cycles combo machine =
-    let per_machine = List.assoc combo models in
-    let t = List.assq machine per_machine in
-    Timing.cycles t
-  in
-  let rows =
-    List.map
-      (fun (m : Machine.t) ->
-        let base = cycles Spike.Base m in
-        ( m.Machine.name,
-          List.map (fun combo -> (combo, 100.0 *. cycles combo m /. base)) Spike.all_combos
-        ))
-      machines
-  in
-  let speedups =
-    List.map
-      (fun (m : Machine.t) ->
-        (m.Machine.name, cycles Spike.Base m /. cycles Spike.All m))
-      machines
-  in
-  (* Fidelity gauges: per-machine base->all speedup plus the spread across
-     machines (the paper's headline is the *consistency* across three
-     processor generations). *)
-  List.iter
-    (fun (name, speedup) ->
-      Telemetry.set_gauge
-        (Telemetry.gauge (Printf.sprintf "fig.fig15.speedup.%s" (machine_slug name)))
-        speedup)
-    speedups;
-  (match List.map snd speedups with
-  | [] -> ()
-  | s :: rest ->
-      let lo = List.fold_left min s rest and hi = List.fold_left max s rest in
-      Telemetry.set_gauge (Telemetry.gauge "fig.fig15.speedup_spread") (hi -. lo));
-  { machines; rows; speedups }
+  let cycles combo i = Timing.cycles (List.assoc combo models).(i) in
+  let per_machine f = List.mapi (fun i (m : Machine.t) -> (m.Machine.name, f i)) Machine.all in
+  {
+    machines = Machine.all;
+    rows =
+      per_machine (fun i ->
+          let base = cycles Spike.Base i in
+          List.map (fun combo -> (combo, 100.0 *. cycles combo i /. base)) Spike.all_combos);
+    speedups = per_machine (fun i -> cycles Spike.Base i /. cycles Spike.All i);
+  }
+
+(* "21364-sim (64KB, 2-way, 1GHz)" -> "21364_sim": a row id from the
+   model's name, not its geometry. *)
+let machine_id name =
+  let model = match String.index_opt name ' ' with Some i -> String.sub name 0 i | None -> name in
+  String.map (fun c -> if c = '-' then '_' else c) model
 
 let tables r =
   let tbl =
-    Table.create ~title:"Fig 15: relative execution time, non-idle cycles (base = 100)"
-      ~columns:("machine" :: List.map Spike.combo_name Spike.all_combos)
+    Table.create ~id:"fig15" ~title:"Fig 15: relative execution time, non-idle cycles (base = 100)"
+      ~columns:
+        ((("machine", "machine") :: List.map Fig_combos.combo_column Spike.all_combos)
+        @ [ ("speedup", "base->all speedup") ])
   in
-  List.iter
-    (fun (name, per_combo) ->
-      Table.add_row tbl
-        (name :: List.map (fun (_, pct) -> Printf.sprintf "%.1f" pct) per_combo))
-    r.rows;
-  List.iter
-    (fun (name, speedup) ->
-      Table.add_note tbl (Printf.sprintf "%s: %.2fx speedup base->all" name speedup))
-    r.speedups;
+  List.iter2
+    (fun (name, per_combo) (_, speedup) ->
+      Table.add_row tbl ~id:(machine_id name)
+        ((Table.Text name :: List.map (fun (_, pct) -> Table.Fixed (1, pct)) per_combo)
+        @ [ Table.Ratio speedup ]))
+    r.rows r.speedups;
+  (* The paper's headline is the speedup's consistency across three
+     processor generations. *)
+  (match List.map snd r.speedups with
+  | [] -> ()
+  | s :: rest ->
+      let lo = List.fold_left min s rest and hi = List.fold_left max s rest in
+      Table.add_row tbl ~id:"spread"
+        ((Table.Text "speedup spread (max - min)"
+         :: List.map (fun _ -> Table.Text "") Spike.all_combos)
+        @ [ Table.Ratio (hi -. lo) ]));
   Table.add_note tbl "paper: ~1.33x on 21264 and 21164 hardware, 1.37x on the simulated system";
   [ tbl ]

@@ -3,7 +3,6 @@ module Spike = Olayout_core.Spike
 module Placement = Olayout_core.Placement
 module Cfa = Olayout_core.Cfa
 module Profile = Olayout_profile.Profile
-module Telemetry = Olayout_telemetry.Telemetry
 
 type result = {
   kernel_base : int;
@@ -43,42 +42,26 @@ let run ctx =
      Pettis-Hansen; cap the displacement inside the cache. *)
   let hot = Cfa.hot_bytes_needed (Context.app_profile ctx) ~coverage:0.9 in
   let offset = min hot (cache_bytes - (16 * 1024)) land lnot 63 in
-  let r =
-    {
-      kernel_base = measure_with ctx (Context.kernel_base ctx);
-      kernel_opt = measure_with ctx (Context.kernel_optimized ctx);
-      kernel_joint = measure_with ctx (shifted_kernel ctx ~offset);
-      offset_bytes = offset;
-    }
-  in
-  List.iter
-    (fun (row, v) -> Telemetry.set_gauge (Telemetry.gauge ("fig.joint." ^ row)) (float_of_int v))
-    [
-      ("kernel_base", r.kernel_base);
-      ("kernel_opt", r.kernel_opt);
-      ("kernel_joint", r.kernel_joint);
-      ("offset_bytes", r.offset_bytes);
-    ];
-  r
+  {
+    kernel_base = measure_with ctx (Context.kernel_base ctx);
+    kernel_opt = measure_with ctx (Context.kernel_optimized ctx);
+    kernel_joint = measure_with ctx (shifted_kernel ctx ~offset);
+    offset_bytes = offset;
+  }
+
 
 let tables r =
   let tbl =
-    Table.create ~title:"Extension: joint app+kernel layout (128KB/128B/4-way, combined)"
-      ~columns:[ "kernel layout"; "combined misses"; "vs unoptimized kernel" ]
+    Table.create ~id:"joint" ~title:"Extension: joint app+kernel layout (128KB/128B/4-way, combined)"
+      ~columns:[ ("layout", "kernel layout"); ("misses", "combined misses");
+                 ("vs_base", "vs unoptimized kernel"); ("offset_bytes", "offset (bytes)") ]
   in
-  let row name misses =
-    Table.add_row tbl
-      [
-        name;
-        Table.fmt_int misses;
-        Table.fmt_pct (float_of_int misses /. float_of_int (max 1 r.kernel_base));
-      ]
+  let row id name misses offset =
+    Table.add_row tbl ~id [ Table.Text name; Table.Int misses; Table.pct misses r.kernel_base; offset ]
   in
-  row "unoptimized (paper's main setup)" r.kernel_base;
-  row "optimized independently (paper: ~3.5% runtime)" r.kernel_opt;
-  row
-    (Printf.sprintf "optimized + offset %d KB past app hot sets" (r.offset_bytes / 1024))
-    r.kernel_joint;
+  row "kernel_base" "unoptimized (paper's main setup)" r.kernel_base (Table.Text "");
+  row "kernel_opt" "optimized independently (paper: ~3.5% runtime)" r.kernel_opt (Table.Text "");
+  row "kernel_joint" "optimized + offset past app hot sets" r.kernel_joint (Table.Int r.offset_bytes);
   Table.add_note tbl
     "the paper left the joint optimization unstudied (\"may provide more synergistic gains\")";
   [ tbl ]

@@ -1,9 +1,6 @@
 module Icache = Olayout_cachesim.Icache
 module Battery = Olayout_cachesim.Battery
-module Pool = Olayout_par.Pool
-module Run = Olayout_exec.Run
 module Spike = Olayout_core.Spike
-module Telemetry = Olayout_telemetry.Telemetry
 
 let cache_sizes_kb = [ 32; 64; 128; 256; 512 ]
 let line_sizes = [ 16; 32; 64; 128; 256 ]
@@ -11,8 +8,8 @@ let n_lines = List.length line_sizes
 
 (* Misses indexed [size][line] in the order of the lists above — built once
    from the battery (whose config order is size-major, line-minor), so
-   table/gauge construction is O(1) per cell instead of an assoc-list scan
-   per lookup. *)
+   table construction is O(1) per cell instead of an assoc-list scan per
+   lookup. *)
 type grid = int array array
 
 type result = { base : grid; optimized : grid }
@@ -21,11 +18,6 @@ let configs =
   List.concat_map
     (fun size_kb -> List.map (fun line -> Icache.config ~size_kb ~line ~assoc:1 ()) line_sizes)
     cache_sizes_kb
-
-(* The (Base, All) streams replay from the context's trace cache, sharded
-   across the pool's domains when one is given. *)
-let app_only battery = Context.app_only (Battery.access_run battery)
-let app_run (run : Run.t) = run.Run.owner = Run.App
 
 let collect battery =
   let grid = Array.make_matrix (List.length cache_sizes_kb) n_lines 0 in
@@ -45,21 +37,6 @@ let index_of what xs v =
 let misses grid ~size_kb ~line =
   grid.(index_of "cache size" cache_sizes_kb size_kb).(index_of "line size" line_sizes line)
 
-(* Headline ratios published as gauges: they reach the bench artifact's
-   [gauges] section, where the fidelity scoreboard checks them against the
-   paper's Fig 5 claim.  A zero-miss baseline means "no data", not "ratio
-   0": the gauge is omitted so the scoreboard skips the claim (mirroring
-   the fig5 table's "-" cells) instead of failing it out-of-band. *)
-let publish_gauges r =
-  List.iter
-    (fun size_kb ->
-      let b = misses r.base ~size_kb ~line:128 in
-      if b > 0 then
-        Telemetry.set_gauge
-          (Telemetry.gauge (Printf.sprintf "fig.fig4.opt_vs_base_%dk" size_kb))
-          (float_of_int (misses r.optimized ~size_kb ~line:128) /. float_of_int b))
-    [ 64; 128 ]
-
 (* The paper's headline geometry (64KB, 128B lines, direct-mapped) carries
    the figure's timeline series: per-window miss/access deltas land under
    cachesim.base.* / cachesim.opt.* when the timeline layer is enabled. *)
@@ -69,55 +46,37 @@ let run ?pool ctx =
   let engine = Context.engine ctx in
   let b_base = Battery.create ~engine ~timeline:(headline, "base") configs
   and b_opt = Battery.create ~engine ~timeline:(headline, "opt") configs in
-  (match Context.traces_for ctx [ Spike.Base; Spike.All ] with
-  | [ Some _; Some _ ] ->
-      ignore (Context.replay_battery ctx ?pool ~keep:app_run ~combo:Spike.Base b_base);
-      ignore (Context.replay_battery ctx ?pool ~keep:app_run ~combo:Spike.All b_opt)
-  | _ ->
-      (* Trace-cache byte cap refused a recording: measure live, as before
-         the parallel engine existed. *)
-      ignore
-        (Context.measure ctx
-           ~renders:[ (Spike.Base, app_only b_base); (Spike.All, app_only b_opt) ]
-           ()));
-  let r = { base = collect b_base; optimized = collect b_opt } in
-  publish_gauges r;
-  r
+  Context.feed_app_batteries ctx ?pool [ (Spike.Base, b_base); (Spike.All, b_opt) ];
+  { base = collect b_base; optimized = collect b_opt }
 
-let grid_table ~title rows =
+let size_row tbl size_kb cells =
+  Table.add_row tbl ~id:(Printf.sprintf "%dkb" size_kb)
+    (Table.Text (Printf.sprintf "%dKB" size_kb) :: cells)
+
+let grid_table ~id ~title cell =
   let tbl =
-    Table.create ~title
+    Table.create ~id ~title
       ~columns:
-        ("cache \\ line" :: List.map (fun l -> string_of_int l ^ "B") line_sizes)
+        (("cache", "cache \\ line")
+        :: List.map (fun l -> (Printf.sprintf "%db" l, Printf.sprintf "%dB" l)) line_sizes)
   in
   List.iteri
-    (fun si size_kb ->
-      Table.add_row tbl
-        (Printf.sprintf "%dKB" size_kb
-        :: List.map (fun li -> Table.fmt_int rows.(si).(li)) (List.init n_lines Fun.id)))
+    (fun si size_kb -> size_row tbl size_kb (List.init n_lines (fun li -> cell si li)))
     cache_sizes_kb;
   tbl
 
 let tables r =
-  let fig4a = grid_table ~title:"Fig 4a: app i-cache misses, baseline (direct-mapped)" r.base in
-  let fig4b =
-    grid_table ~title:"Fig 4b: app i-cache misses, optimized (direct-mapped)" r.optimized
-  in
+  let misses grid si li = Table.Int grid.(si).(li) in
   let fig5 =
-    Table.create ~title:"Fig 5: relative misses, optimized/baseline (direct-mapped)"
-      ~columns:
-        ("cache \\ line" :: List.map (fun l -> string_of_int l ^ "B") line_sizes)
+    grid_table ~id:"fig5" ~title:"Fig 5: relative misses, optimized/baseline (direct-mapped)"
+      (fun si li -> Table.pct r.optimized.(si).(li) r.base.(si).(li))
   in
-  List.iteri
-    (fun si size_kb ->
-      Table.add_row fig5
-        (Printf.sprintf "%dKB" size_kb
-        :: List.map
-             (fun li ->
-               let b = r.base.(si).(li) and o = r.optimized.(si).(li) in
-               if b = 0 then "-" else Table.fmt_pct (float_of_int o /. float_of_int b))
-             (List.init n_lines Fun.id)))
-    cache_sizes_kb;
   Table.add_note fig5
     "paper: ~35-45% (i.e. 55-65% reduction) at 64-128KB; gains grow with line size";
-  [ fig4a; fig4b; fig5 ]
+  [
+    grid_table ~id:"fig4a" ~title:"Fig 4a: app i-cache misses, baseline (direct-mapped)"
+      (misses r.base);
+    grid_table ~id:"fig4b" ~title:"Fig 4b: app i-cache misses, optimized (direct-mapped)"
+      (misses r.optimized);
+    fig5;
+  ]

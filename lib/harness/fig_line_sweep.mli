@@ -24,4 +24,8 @@ val run : ?pool:Olayout_par.Pool.t -> Context.t -> result
 val misses : grid -> size_kb:int -> line:int -> int
 (** @raise Invalid_argument on a size or line value not in the sweep. *)
 
+val size_row : Table.t -> int -> Table.cell list -> unit
+(** [size_row tbl kb cells] adds the row [<kb>kb], labelled [<kb>KB] in
+    the first column: a cache-size row of Figs 4-7 and 12. *)
+
 val tables : result -> Table.t list

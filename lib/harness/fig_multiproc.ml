@@ -1,6 +1,5 @@
 module Icache = Olayout_cachesim.Icache
 module Spike = Olayout_core.Spike
-module Telemetry = Olayout_telemetry.Telemetry
 
 type row = { cpus : int; base_misses : int; opt_misses : int }
 
@@ -30,37 +29,28 @@ let run ctx =
       ()
   in
   let total bank = Array.fold_left (fun acc c -> acc + Icache.misses c) 0 bank in
-  let rows =
-    List.map2
-      (fun (n, bb) (_, bo) -> { cpus = n; base_misses = total bb; opt_misses = total bo })
-      banks_base banks_opt
-  in
-  List.iter
-    (fun row ->
-      List.iter
-        (fun (name, v) ->
-          Telemetry.set_gauge
-            (Telemetry.gauge (Printf.sprintf "fig.multiproc.%s_%dcpu" name row.cpus))
-            (float_of_int v))
-        [ ("base", row.base_misses); ("opt", row.opt_misses) ])
-    rows;
-  { rows }
+  {
+    rows =
+      List.map2
+        (fun (n, bb) (_, bo) -> { cpus = n; base_misses = total bb; opt_misses = total bo })
+        banks_base banks_opt;
+  }
 
 let tables r =
   let tbl =
-    Table.create
+    Table.create ~id:"multiproc"
       ~title:"Extension: per-CPU i-caches, 8 processes partitioned (64KB/128B/2-way each)"
-      ~columns:[ "CPUs"; "base misses (sum)"; "optimized (sum)"; "ratio" ]
+      ~columns:[ ("cpus", "CPUs"); ("base", "base misses (sum)"); ("opt", "optimized (sum)");
+                 ("ratio", "ratio") ]
   in
   List.iter
     (fun row ->
-      Table.add_row tbl
+      Table.add_row tbl ~id:(Printf.sprintf "%dcpu" row.cpus)
         [
-          string_of_int row.cpus;
-          Table.fmt_int row.base_misses;
-          Table.fmt_int row.opt_misses;
-          (if row.base_misses = 0 then "-"
-           else Table.fmt_pct (float_of_int row.opt_misses /. float_of_int row.base_misses));
+          Table.Text (string_of_int row.cpus);
+          Table.Int row.base_misses;
+          Table.Int row.opt_misses;
+          Table.pct row.opt_misses row.base_misses;
         ])
     r.rows;
   Table.add_note tbl

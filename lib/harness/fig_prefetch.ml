@@ -5,9 +5,9 @@ module Spike = Olayout_core.Spike
 type row = {
   prefetch : int;
   base_misses : int;
-  base_useful : float;
+  base_useful : int * int;
   opt_misses : int;
-  opt_useful : float;
+  opt_useful : int * int;
 }
 
 type result = { rows : row list }
@@ -28,10 +28,7 @@ let run ctx =
       ~renders:[ (Spike.Base, feed base_caches); (Spike.All, feed opt_caches) ]
       ()
   in
-  let useful c =
-    let fills = Icache.prefetch_fills c in
-    if fills = 0 then 0.0 else float_of_int (Icache.prefetch_hits c) /. float_of_int fills
-  in
+  let useful c = (Icache.prefetch_hits c, Icache.prefetch_fills c) in
   {
     rows =
       List.map
@@ -49,18 +46,23 @@ let run ctx =
 
 let tables r =
   let tbl =
-    Table.create ~title:"Extension: sequential prefetch (64KB/64B/2-way, app stream)"
-      ~columns:[ "prefetch depth"; "base misses"; "base useful"; "opt misses"; "opt useful" ]
+    Table.create ~id:"prefetch" ~title:"Extension: sequential prefetch (64KB/64B/2-way, app stream)"
+      ~columns:[ ("depth", "prefetch depth"); ("base_misses", "base misses");
+                 ("base_useful", "base useful"); ("opt_misses", "opt misses");
+                 ("opt_useful", "opt useful") ]
   in
+  (* Useful = prefetch hits per prefetch fill; no fills (depth 0) is no
+     data. *)
+  let useful (hits, fills) = Table.pct hits fills in
   List.iter
     (fun row ->
-      Table.add_row tbl
+      Table.add_row tbl ~id:(string_of_int row.prefetch)
         [
-          string_of_int row.prefetch;
-          Table.fmt_int row.base_misses;
-          (if row.prefetch = 0 then "-" else Table.fmt_pct row.base_useful);
-          Table.fmt_int row.opt_misses;
-          (if row.prefetch = 0 then "-" else Table.fmt_pct row.opt_useful);
+          Table.Text (string_of_int row.prefetch);
+          Table.Int row.base_misses;
+          useful row.base_useful;
+          Table.Int row.opt_misses;
+          useful row.opt_useful;
         ])
     r.rows;
   Table.add_note tbl

@@ -10,9 +10,9 @@
 type row = {
   prefetch : int;
   base_misses : int;
-  base_useful : float;  (** fraction of prefetched lines referenced *)
+  base_useful : int * int;  (** (prefetched lines referenced, lines prefetched) *)
   opt_misses : int;
-  opt_useful : float;
+  opt_useful : int * int;
 }
 
 type result = { rows : row list }

@@ -38,26 +38,28 @@ let run ctx =
 
 let tables r =
   let means =
-    Table.create ~title:"Fig 8a: average sequential run length (instructions)"
-      ~columns:[ "setup"; "average length" ]
+    Table.create ~id:"fig8a" ~title:"Fig 8a: average sequential run length (instructions)"
+      ~columns:[ ("setup", "setup"); ("length", "average length") ]
   in
-  Table.add_row means [ "dynamic basic block"; Printf.sprintf "%.1f" r.avg_block ];
-  Table.add_row means [ "base"; Printf.sprintf "%.1f" r.base_mean ];
-  Table.add_row means [ "optimized"; Printf.sprintf "%.1f" r.opt_mean ];
+  List.iter
+    (fun (id, label, v) -> Table.add_row means ~id [ Table.Text label; Table.Fixed (1, v) ])
+    [
+      ("block", "dynamic basic block", r.avg_block);
+      ("base", "base", r.base_mean);
+      ("optimized", "optimized", r.opt_mean);
+    ];
   Table.add_note means "paper: block ~5-6, base 7.3, optimized >10";
   let hist =
-    Table.create ~title:"Fig 8b: sequence-length distribution (fraction of sequences)"
-      ~columns:[ "length"; "base"; "optimized" ]
+    Table.create ~id:"fig8b" ~title:"Fig 8b: sequence-length distribution (fraction of sequences)"
+      ~columns:[ ("length", "length"); ("base", "base"); ("optimized", "optimized") ]
   in
   let lookup h k = match List.assoc_opt k h with Some f -> f | None -> 0.0 in
   for len = 1 to 33 do
-    hist
-    |> fun tbl ->
-    Table.add_row tbl
+    Table.add_row hist ~id:(string_of_int len)
       [
-        (if len = 33 then "33+" else string_of_int len);
-        Table.fmt_pct (lookup r.base_hist len);
-        Table.fmt_pct (lookup r.opt_hist len);
+        Table.Text (if len = 33 then "33+" else string_of_int len);
+        Table.Pct (lookup r.base_hist len);
+        Table.Pct (lookup r.opt_hist len);
       ]
   done;
   Table.add_note hist "paper: 1-instr sequences 21% -> 15%; optimized spike near 17";

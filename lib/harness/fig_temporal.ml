@@ -3,7 +3,6 @@ module Run = Olayout_exec.Run
 module Spike = Olayout_core.Spike
 module Temporal = Olayout_profile.Temporal
 module Profile = Olayout_profile.Profile
-module Telemetry = Olayout_telemetry.Telemetry
 
 type result = {
   base_64 : int;
@@ -56,16 +55,6 @@ let run ctx =
       ()
   in
   let misses = List.map (fun (c64, c128) -> (Icache.misses c64, Icache.misses c128)) caches in
-  List.iter2
-    (fun row (m64, m128) ->
-      List.iter
-        (fun (kb, m) ->
-          Telemetry.set_gauge
-            (Telemetry.gauge (Printf.sprintf "fig.temporal.%s_%dk" row kb))
-            (float_of_int m))
-        [ (64, m64); (128, m128) ])
-    [ "base"; "porder"; "temporal_procs"; "all"; "all_temporal" ]
-    misses;
   match misses with
   | [ (b64, b128); (p64, p128); (t64, t128); (a64, a128); (at64, at128) ] ->
       {
@@ -84,23 +73,19 @@ let run ctx =
 
 let tables r =
   let tbl =
-    Table.create ~title:"Extension: temporal ordering (Gloy et al.) vs Pettis-Hansen (DM, 128B)"
-      ~columns:[ "ordering"; "64KB misses"; "128KB misses"; "vs base @64KB" ]
+    Table.create ~id:"temporal"
+      ~title:"Extension: temporal ordering (Gloy et al.) vs Pettis-Hansen (DM, 128B)"
+      ~columns:[ ("ordering", "ordering"); ("misses_64kb", "64KB misses");
+                 ("misses_128kb", "128KB misses"); ("vs_base_64kb", "vs base @64KB") ]
   in
-  let row name m64 m128 =
-    Table.add_row tbl
-      [
-        name;
-        Table.fmt_int m64;
-        Table.fmt_int m128;
-        Table.fmt_pct (float_of_int m64 /. float_of_int (max 1 r.base_64));
-      ]
+  let row id name m64 m128 =
+    Table.add_row tbl ~id [ Table.Text name; Table.Int m64; Table.Int m128; Table.pct m64 r.base_64 ]
   in
-  row "base (source order)" r.base_64 r.base_128;
-  row "P-H, whole procedures (porder)" r.ph_procs_64 r.ph_procs_128;
-  row "temporal, whole procedures" r.temporal_procs_64 r.temporal_procs_128;
-  row "chain+split + P-H (all)" r.all_ph_64 r.all_ph_128;
-  row "chain+split + temporal" r.all_temporal_64 r.all_temporal_128;
+  row "base" "base (source order)" r.base_64 r.base_128;
+  row "porder" "P-H, whole procedures (porder)" r.ph_procs_64 r.ph_procs_128;
+  row "temporal_procs" "temporal, whole procedures" r.temporal_procs_64 r.temporal_procs_128;
+  row "all" "chain+split + P-H (all)" r.all_ph_64 r.all_ph_128;
+  row "all_temporal" "chain+split + temporal" r.all_temporal_64 r.all_temporal_128;
   Table.add_note tbl
     "paper §6: Gloy et al. add temporal information to placement but, like all placement-only schemes, need chaining/splitting to matter for OLTP";
   [ tbl ]

@@ -21,9 +21,13 @@ type result = {
   opt_life : histo;
   base_mean_life : float;
   opt_mean_life : float;
-  base_unused_frac : float;
-  opt_unused_frac : float;
+  base_unused : int * int;  (** (fetched words never used, words fetched) *)
+  opt_unused : int * int;
 }
+
+val unused_words : Olayout_cachesim.Icache.t -> int * int
+(** (fetched words never used, words fetched) of a usage-tracked cache
+    whose residents were flushed. *)
 
 val run : Context.t -> result
 val tables : result -> Table.t list

@@ -7,8 +7,8 @@ module Spike = Olayout_core.Spike
 type result = {
   base_lines_kb : int;
   opt_lines_kb : int;
-  base_unused : float;
-  opt_unused : float;
+  base_unused : int * int;
+  opt_unused : int * int;
   base_l1i_8k : int;
   opt_l1i_8k : int;
   base_itlb_48 : int;
@@ -55,16 +55,11 @@ let run ctx =
   let _ = Context.measure ctx ~renders:[ (Spike.Base, feed b); (Spike.All, feed o) ] () in
   Icache.flush_residents b.usage;
   Icache.flush_residents o.usage;
-  let unused side =
-    1.0
-    -. (float_of_int (Icache.words_used_total side.usage)
-       /. float_of_int (max 1 (Icache.instrs_fetched_into_cache side.usage)))
-  in
   {
     base_lines_kb = Icache.unique_lines b.usage * 128 / 1024;
     opt_lines_kb = Icache.unique_lines o.usage * 128 / 1024;
-    base_unused = unused b;
-    opt_unused = unused o;
+    base_unused = Fig_usage.unused_words b.usage;
+    opt_unused = Fig_usage.unused_words o.usage;
     base_l1i_8k = Icache.misses b.l1i;
     opt_l1i_8k = Icache.misses o.l1i;
     base_itlb_48 = Itlb.misses b.itlb;
@@ -75,48 +70,26 @@ let run ctx =
 
 let tables r =
   let tbl =
-    Table.create ~title:"In-text measurements (footprint; 21164 hardware counters)"
-      ~columns:[ "metric"; "base"; "optimized"; "change"; "paper" ]
+    Table.create ~id:"intext" ~title:"In-text measurements (footprint; 21164 hardware counters)"
+      ~columns:[ ("metric", "metric"); ("base", "base"); ("optimized", "optimized");
+                 ("change", "change"); ("paper", "paper") ]
   in
-  let pct b o = Printf.sprintf "%+.0f%%" (100.0 *. (float_of_int o /. float_of_int b -. 1.0)) in
-  Table.add_row tbl
+  let counts id name b o paper =
+    Table.add_row tbl ~id
+      [ Table.Text name; Table.Int b; Table.Int o; Table.change o b; Table.Text paper ]
+  in
+  counts "footprint_kb" "footprint in 128B lines (KB)" r.base_lines_kb r.opt_lines_kb
+    "500 -> 315 (-37%)";
+  let unused (n, d) = Table.pct n d in
+  Table.add_row tbl ~id:"unused"
     [
-      "footprint in 128B lines (KB)";
-      string_of_int r.base_lines_kb;
-      string_of_int r.opt_lines_kb;
-      pct r.base_lines_kb r.opt_lines_kb;
-      "500 -> 315 (-37%)";
+      Table.Text "fetched instrs never used";
+      unused r.base_unused;
+      unused r.opt_unused;
+      Table.Text "";
+      Table.Text "46% -> 21%";
     ];
-  Table.add_row tbl
-    [
-      "fetched instrs never used";
-      Table.fmt_pct r.base_unused;
-      Table.fmt_pct r.opt_unused;
-      "";
-      "46% -> 21%";
-    ];
-  Table.add_row tbl
-    [
-      "21164 L1I misses (8KB DM)";
-      Table.fmt_int r.base_l1i_8k;
-      Table.fmt_int r.opt_l1i_8k;
-      pct r.base_l1i_8k r.opt_l1i_8k;
-      "-28%";
-    ];
-  Table.add_row tbl
-    [
-      "21164 iTLB misses (48-entry)";
-      Table.fmt_int r.base_itlb_48;
-      Table.fmt_int r.opt_itlb_48;
-      pct r.base_itlb_48 r.opt_itlb_48;
-      "-43%";
-    ];
-  Table.add_row tbl
-    [
-      "board cache misses (2MB DM)";
-      Table.fmt_int r.base_board;
-      Table.fmt_int r.opt_board;
-      pct r.base_board r.opt_board;
-      "-39%";
-    ];
+  counts "l1i_8kb" "21164 L1I misses (8KB DM)" r.base_l1i_8k r.opt_l1i_8k "-28%";
+  counts "itlb_48" "21164 iTLB misses (48-entry)" r.base_itlb_48 r.opt_itlb_48 "-43%";
+  counts "board" "board cache misses (2MB DM)" r.base_board r.opt_board "-39%";
   [ tbl ]

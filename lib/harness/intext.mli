@@ -10,8 +10,8 @@
 type result = {
   base_lines_kb : int;
   opt_lines_kb : int;
-  base_unused : float;
-  opt_unused : float;
+  base_unused : int * int;  (** (fetched words never used, words fetched) *)
+  opt_unused : int * int;
   base_l1i_8k : int;
   opt_l1i_8k : int;
   base_itlb_48 : int;

@@ -135,64 +135,69 @@ let run ?(combo = Spike.All) ?(cadences = default_cadences)
 
 (* --- report tables ----------------------------------------------------- *)
 
-let fmt_x100 v = Printf.sprintf "%.2f" (float_of_int v /. 100.0)
+let x100 v = Table.Fixed (2, float_of_int v /. 100.0)
 
 let curve_table r =
   let tbl =
-    Table.create
+    Table.create ~id:"relayout_cadence"
       ~title:
         (Printf.sprintf
            "re-layout cadence sweep: %s layout, %d windows x %d instrs \
             (cache persists across ticks)"
            r.Closedloop.r_combo r.Closedloop.r_windows
            r.Closedloop.r_window_instrs)
-      ~columns:[ "cadence"; "relayouts"; "misses"; "mpki"; "work_x" ]
+      ~columns:[ ("cadence", "cadence"); ("relayouts", "relayouts"); ("misses", "misses");
+                 ("mpki", "mpki"); ("work_x", "work_x") ]
   in
-  let row name (p : Closedloop.point) =
-    Table.add_row tbl
+  let row id name (p : Closedloop.point) =
+    Table.add_row tbl ~id
       [
-        name;
-        string_of_int p.Closedloop.c_relayouts;
-        Table.fmt_int p.Closedloop.c_misses;
-        fmt_x100 (Closedloop.mpki_x100 p);
-        fmt_x100 (Olayout_drift.Observatory.work_ratio_x100 p.Closedloop.c_work);
+        Table.Text name;
+        Table.Int p.Closedloop.c_relayouts;
+        Table.Int p.Closedloop.c_misses;
+        x100 (Closedloop.mpki_x100 p);
+        x100 (Olayout_drift.Observatory.work_ratio_x100 p.Closedloop.c_work);
       ]
   in
-  row "static" r.Closedloop.r_static;
+  row "static" "static" r.Closedloop.r_static;
   List.iter
     (fun (p : Closedloop.point) ->
-      row (string_of_int p.Closedloop.c_cadence) p)
+      let cadence = string_of_int p.Closedloop.c_cadence in
+      row cadence cadence p)
     r.Closedloop.r_points;
-  Table.add_note tbl
-    (Printf.sprintf
-       "best cadence %d (%s mpki vs static %s), break-even %d; incremental \
-        work %sx cheaper than scratch"
-       (Closedloop.best_cadence r)
-       (fmt_x100 (Closedloop.best_mpki_x100 r))
-       (fmt_x100 (Closedloop.static_mpki_x100 r))
-       (Closedloop.break_even_cadence r)
-       (fmt_x100 (Closedloop.work_ratio_x100 r)));
+  tbl
+
+let summary_table r =
+  let tbl =
+    Table.create ~id:"relayout_summary" ~title:"re-layout cadence sweep: summary"
+      ~columns:[ ("metric", "metric"); ("value", "value") ]
+  in
+  let row id name cell = Table.add_row tbl ~id [ Table.Text name; cell ] in
+  row "best_cadence" "best cadence" (Table.Int (Closedloop.best_cadence r));
+  row "best_mpki" "best cadence's mpki" (x100 (Closedloop.best_mpki_x100 r));
+  row "break_even_cadence" "break-even cadence" (Table.Int (Closedloop.break_even_cadence r));
+  row "work_ratio" "scratch / incremental layout work" (x100 (Closedloop.work_ratio_x100 r));
   tbl
 
 let series_table r =
   let tbl =
-    Table.create
+    Table.create ~id:"relayout_series"
       ~title:"per-window misses under the evolving layout"
-      ~columns:[ "series"; "total"; "spark" ]
+      ~columns:[ ("series", "series"); ("total", "total"); ("spark", "spark") ]
   in
-  let line name values =
-    Table.add_row tbl
+  let line id name values =
+    Table.add_row tbl ~id
       [
-        name;
-        Table.fmt_int (Array.fold_left ( + ) 0 values);
-        Olayout_util.Console.spark `Sum values;
+        Table.Text name;
+        Table.Int (Array.fold_left ( + ) 0 values);
+        Table.Text (Olayout_util.Console.spark `Sum values);
       ]
   in
-  line "static_misses" r.Closedloop.r_static.Closedloop.c_window_misses;
+  line "static" "static_misses" r.Closedloop.r_static.Closedloop.c_window_misses;
   let best = Closedloop.best_point r in
-  line
+  line "best"
     (Printf.sprintf "cadence_%d_misses" best.Closedloop.c_cadence)
     best.Closedloop.c_window_misses;
   tbl
 
-let tables r = [ curve_table r; series_table r ]
+let tables r = [ curve_table r; summary_table r; series_table r ]

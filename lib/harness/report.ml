@@ -237,25 +237,21 @@ let print_figure_trace_stats ppf id (s0 : Context.trace_stats)
 
 let trace_summary_table (s : Context.trace_stats) =
   let tbl =
-    Table.create ~title:"trace cache summary" ~columns:[ "metric"; "value" ]
+    Table.create ~id:"trace_cache" ~title:"trace cache summary"
+      ~columns:[ ("metric", "metric"); ("value", "value") ]
   in
-  Table.add_row tbl [ "server executions walked"; string_of_int s.Context.live_executions ];
-  Table.add_row tbl [ "runs rendered from paths"; Table.fmt_int s.Context.live_runs ];
-  Table.add_row tbl [ "instrs rendered from paths"; Table.fmt_int s.Context.live_instrs ];
-  Table.add_row tbl [ "traces recorded"; string_of_int s.Context.recorded_traces ];
-  Table.add_row tbl
-    [
-      "trace cache footprint";
-      Printf.sprintf "%.1f MB" (float_of_int s.Context.trace_bytes /. 1048576.0);
-    ];
-  Table.add_row tbl [ "traces replayed"; string_of_int s.Context.replayed_traces ];
-  Table.add_row tbl [ "runs replayed"; Table.fmt_int s.Context.replayed_runs ];
-  Table.add_row tbl [ "instrs replayed"; Table.fmt_int s.Context.replayed_instrs ];
-  Table.add_row tbl
-    [
-      "replay throughput";
-      mruns_per_s s.Context.replayed_runs s.Context.replay_seconds;
-    ];
+  let row id name cell = Table.add_row tbl ~id [ Table.Text name; cell ] in
+  row "executions" "server executions walked" (Table.Int s.Context.live_executions);
+  row "live_runs" "runs rendered from paths" (Table.Int s.Context.live_runs);
+  row "live_instrs" "instrs rendered from paths" (Table.Int s.Context.live_instrs);
+  row "recorded" "traces recorded" (Table.Int s.Context.recorded_traces);
+  row "footprint" "trace cache footprint"
+    (Table.Text (Printf.sprintf "%.1f MB" (float_of_int s.Context.trace_bytes /. 1048576.0)));
+  row "replayed" "traces replayed" (Table.Int s.Context.replayed_traces);
+  row "replayed_runs" "runs replayed" (Table.Int s.Context.replayed_runs);
+  row "replayed_instrs" "instrs replayed" (Table.Int s.Context.replayed_instrs);
+  row "throughput" "replay throughput"
+    (Table.Text (mruns_per_s s.Context.replayed_runs s.Context.replay_seconds));
   tbl
 
 (* --- selection & schedule -------------------------------------------- *)
@@ -299,6 +295,7 @@ let schedule selected =
    so the report reads identically to a serial run. *)
 type completed = {
   c_output : string;
+  c_tables : Table.t list;
   c_stat : Bench_artifact.figure;
   c_trace_delta : Context.trace_stats * Context.trace_stats;
 }
@@ -344,7 +341,8 @@ let stat_of_deltas e seconds (s0 : Context.trace_stats) (s1 : Context.trace_stat
   }
 
 (* Render one figure's report block (header, tables, timing line) while
-   running it under its span; returns the text and the timing. *)
+   running it under its span; returns the text, the tables and the
+   timing. *)
 let render_figure out pool ctx e =
   let buf = Buffer.create 4096 in
   let bppf = Format.formatter_of_buffer buf in
@@ -355,7 +353,7 @@ let render_figure out pool ctx e =
   List.iter (fun tbl -> Table.print bppf tbl) tables;
   Format.fprintf bppf "  (%s took %.1fs)@." e.e_id seconds;
   Format.pp_print_flush bppf ();
-  (Buffer.contents buf, seconds)
+  (Buffer.contents buf, tables, seconds)
 
 let publish_par_gauges pool ~serial_estimate ~wall =
   (match pool with
@@ -375,7 +373,11 @@ let run ?(selection = All) ?(trace_stats = false) ?pool ctx ppf =
   let out = { p_drift = None; p_relayout = None } in
   let jobs = match pool with Some p -> Pool.jobs p | None -> 1 in
   let scheduled = schedule selected in
+  (* Every numeric cell is published as its fig.* gauge, on this domain,
+     in list order, whatever -j. *)
+  let publish = Table.publisher () in
   let finish_figure (done_ : completed) =
+    publish done_.c_tables;
     Format.pp_print_string ppf done_.c_output;
     (if trace_stats then
        let s0, s1 = done_.c_trace_delta in
@@ -389,11 +391,12 @@ let run ?(selection = All) ?(trace_stats = false) ?pool ctx ppf =
       List.map
         (fun (e, _) ->
           let s0 = Context.trace_stats ctx in
-          let output, seconds = render_figure out None ctx e in
+          let output, tables, seconds = render_figure out None ctx e in
           let s1 = Context.trace_stats ctx in
           finish_figure
             {
               c_output = output;
+              c_tables = tables;
               c_stat = stat_of_deltas e seconds s0 s1;
               c_trace_delta = (s0, s1);
             })
@@ -410,11 +413,12 @@ let run ?(selection = All) ?(trace_stats = false) ?pool ctx ppf =
               `Fut (e, Pool.submit p (fun () -> render_figure out pool ctx e))
             else begin
               let s0 = Context.trace_stats ctx in
-              let output, seconds = render_figure out pool ctx e in
+              let output, tables, seconds = render_figure out pool ctx e in
               let s1 = Context.trace_stats ctx in
               `Done
                 {
                   c_output = output;
+                  c_tables = tables;
                   c_stat = stat_of_deltas e seconds s0 s1;
                   c_trace_delta = (s0, s1);
                 }
@@ -430,7 +434,7 @@ let run ?(selection = All) ?(trace_stats = false) ?pool ctx ppf =
           match pending with
           | `Done done_ -> finish_figure done_
           | `Fut (e, fut) ->
-              let (output, seconds), snap = Pool.await_snapshot fut in
+              let (output, tables, seconds), snap = Pool.await_snapshot fut in
               let s1 =
                 match snap with
                 | Some snap -> stats_of_snapshot snap
@@ -439,6 +443,7 @@ let run ?(selection = All) ?(trace_stats = false) ?pool ctx ppf =
               finish_figure
                 {
                   c_output = output;
+                  c_tables = tables;
                   c_stat = stat_of_deltas e seconds zero_stats s1;
                   c_trace_delta = (zero_stats, s1);
                 })

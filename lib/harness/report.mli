@@ -46,7 +46,12 @@ val run :
     across the pool.  Output
     order, per-figure attribution and every deterministic counter are
     identical to the serial run: task telemetry is captured in isolation
-    and merged in list order.  Publishes the [par.*] gauges, including
+    and merged in list order.
+
+    Every numeric cell of each experiment's tables is published as the
+    gauge [fig.<table>.<row>.<col>] (see {!Table.gauges}) as the figure
+    is collected, on the calling domain in list order; a key published
+    twice raises [Invalid_argument].  Publishes the [par.*] gauges, including
     [par.speedup] (summed per-figure seconds over report wall time).
     Peak trace-cache residency is the [context.trace_peak_bytes] gauge.
 

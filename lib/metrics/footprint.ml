@@ -62,10 +62,14 @@ let captured_at t bytes =
   go 0 0.0
 
 let curve t ~points =
-  let maxb = t.executed_bytes in
-  let step = max 1 (maxb / max 1 points) in
-  let rec go b acc =
-    if b > maxb then List.rev ((maxb, captured_at t maxb) :: acc)
-    else go (b + step) ((b, captured_at t b) :: acc)
+  let maxb = t.executed_bytes and points = max 1 points in
+  (* Sample i covers i/points of the executed footprint; below [points]
+     bytes neighbouring samples round to one size and only the first
+     stays. *)
+  let rec go i prev acc =
+    if i > points then List.rev acc
+    else
+      let b = i * maxb / points in
+      if b = prev then go (i + 1) prev acc else go (i + 1) b ((b, captured_at t b) :: acc)
   in
-  go 0 []
+  go 0 (-1) []

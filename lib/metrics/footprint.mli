@@ -31,5 +31,8 @@ val captured_at : t -> int -> float
     the hottest [bytes] of code. *)
 
 val curve : t -> points:int -> (int * float) list
-(** [curve t ~points] samples the cumulative profile at [points] evenly
-    spaced footprint sizes, for plotting Figure 3. *)
+(** [curve t ~points] samples the cumulative profile at evenly spaced
+    footprint sizes, for plotting Figure 3: [i * executed / points] bytes
+    for [i] from 0 to [points].  The sizes strictly increase from 0 to the
+    executed footprint, so there are [min points executed + 1] samples
+    ([points] below 1 counts as 1). *)

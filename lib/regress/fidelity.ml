@@ -1,7 +1,7 @@
 (* Reproduction-fidelity scoreboard: the paper's figure-level headline
    claims (Fig 4-5, 6, 7, 12, 15 - the numbers the whole argument rests
-   on) encoded as checked bands over the fig.* gauges the harness figures
-   publish.  A run scores claim by claim, so drift away from the paper is
+   on) encoded as checked bands over the fig.<table>.<row>.<col> gauges
+   the report publishes from the figures' table cells.  A run scores claim by claim, so drift away from the paper is
    a first-class observable - in the compare artifact, in fidelity.*
    gauges, and on the console - rather than something a human re-reads
    out of the figure tables.
@@ -36,43 +36,43 @@ let claim ~id ~figure ~metric ~paper ~lo ~hi description =
 let claims =
   [
     claim ~id:"fig4.opt_vs_base_64k" ~figure:"fig4"
-      ~metric:"fig.fig4.opt_vs_base_64k" ~paper:0.40 ~lo:0.25 ~hi:0.70
+      ~metric:"fig.fig5.64kb.128b" ~paper:0.40 ~lo:0.25 ~hi:0.70
       "optimized/base app i-cache misses at 64KB/128B DM (paper: 55-65% reduction)";
     claim ~id:"fig4.opt_vs_base_128k" ~figure:"fig4"
-      ~metric:"fig.fig4.opt_vs_base_128k" ~paper:0.40 ~lo:0.15 ~hi:0.65
+      ~metric:"fig.fig5.128kb.128b" ~paper:0.40 ~lo:0.15 ~hi:0.65
       "optimized/base app i-cache misses at 128KB/128B DM";
     claim ~id:"fig6.assoc_buys_nothing" ~figure:"fig6"
-      ~metric:"fig.fig6.base_dm_vs_4way_64k" ~paper:1.0 ~lo:0.85 ~hi:1.15
+      ~metric:"fig.fig6.64kb.base_dm_vs_4way" ~paper:1.0 ~lo:0.85 ~hi:1.15
       "base DM/4-way misses at 64KB (paper: associativity adds little, capacity dominates)";
     claim ~id:"fig6.layout_beats_assoc" ~figure:"fig6"
-      ~metric:"fig.fig6.opt_dm_vs_base_4way_64k" ~paper:0.50 ~lo:0.25 ~hi:0.80
+      ~metric:"fig.fig6.64kb.opt_dm_vs_base_4way" ~paper:0.50 ~lo:0.25 ~hi:0.80
       "optimized-DM/base-4-way misses at 64KB (paper: layout is worth much more)";
     claim ~id:"fig7.porder_near_base" ~figure:"fig7"
-      ~metric:"fig.fig7.porder_vs_base_64k" ~paper:1.0 ~lo:0.80 ~hi:1.10
+      ~metric:"fig.fig7.vs_base_64kb.porder" ~paper:1.0 ~lo:0.80 ~hi:1.10
       "porder-alone/base misses at 64KB (paper: procedure ordering alone ~ base)";
     claim ~id:"fig7.chain_big_step" ~figure:"fig7"
-      ~metric:"fig.fig7.chain_vs_base_64k" ~paper:0.55 ~lo:0.35 ~hi:0.80
+      ~metric:"fig.fig7.vs_base_64kb.chain" ~paper:0.55 ~lo:0.35 ~hi:0.80
       "chain/base misses at 64KB (paper: basic-block chaining is the big step)";
-    claim ~id:"fig7.all_best" ~figure:"fig7" ~metric:"fig.fig7.all_vs_base_64k"
+    claim ~id:"fig7.all_best" ~figure:"fig7" ~metric:"fig.fig7.vs_base_64kb.all"
       ~paper:0.45 ~lo:0.25 ~hi:0.70
       "all/base misses at 64KB (paper: the full pipeline is the best combination)";
     claim ~id:"fig12.combined_64k" ~figure:"fig12"
-      ~metric:"fig.fig12.opt_vs_base_64k" ~paper:0.475 ~lo:0.30 ~hi:0.70
+      ~metric:"fig.fig12b.64kb.all_vs_base" ~paper:0.475 ~lo:0.30 ~hi:0.70
       "combined app+OS optimized/base misses at 64KB (paper: 45-60% reduction)";
     claim ~id:"fig12.combined_128k" ~figure:"fig12"
-      ~metric:"fig.fig12.opt_vs_base_128k" ~paper:0.475 ~lo:0.25 ~hi:0.65
+      ~metric:"fig.fig12b.128kb.all_vs_base" ~paper:0.475 ~lo:0.25 ~hi:0.65
       "combined app+OS optimized/base misses at 128KB";
     claim ~id:"fig15.speedup_21164" ~figure:"fig15"
-      ~metric:"fig.fig15.speedup.21164" ~paper:1.33 ~lo:1.10 ~hi:1.60
+      ~metric:"fig.fig15.21164.speedup" ~paper:1.33 ~lo:1.10 ~hi:1.60
       "base->all execution-time speedup on the 21164 model (paper: ~1.33x)";
     claim ~id:"fig15.speedup_21264" ~figure:"fig15"
-      ~metric:"fig.fig15.speedup.21264" ~paper:1.33 ~lo:1.10 ~hi:1.60
+      ~metric:"fig.fig15.21264.speedup" ~paper:1.33 ~lo:1.10 ~hi:1.60
       "base->all execution-time speedup on the 21264 model (paper: ~1.33x)";
     claim ~id:"fig15.speedup_21364" ~figure:"fig15"
-      ~metric:"fig.fig15.speedup.21364-sim" ~paper:1.37 ~lo:1.10 ~hi:1.60
+      ~metric:"fig.fig15.21364_sim.speedup" ~paper:1.37 ~lo:1.10 ~hi:1.60
       "base->all execution-time speedup on the simulated 21364 (paper: 1.37x)";
     claim ~id:"fig15.consistency" ~figure:"fig15"
-      ~metric:"fig.fig15.speedup_spread" ~paper:0.04 ~lo:0.0 ~hi:0.15
+      ~metric:"fig.fig15.spread.speedup" ~paper:0.04 ~lo:0.0 ~hi:0.15
       "speedup spread across the three machines (paper: consistent across generations)";
   ]
 

@@ -12,24 +12,74 @@ let contains hay needle =
   nn = 0 || go 0
 
 let test_table_formatting () =
-  let t = Table.create ~title:"demo" ~columns:[ "a"; "b" ] in
-  Table.add_row t [ "1"; "22" ];
+  let t = Table.create ~id:"demo" ~title:"demo" ~columns:[ ("a", "a"); ("b", "b") ] in
+  Table.add_row t ~id:"one" [ Table.Text "1"; Table.Text "22" ];
   Table.add_note t "a note";
   let rendered = Format.asprintf "%a" Table.print t in
   Alcotest.(check bool) "title" true (contains rendered "== demo ==");
   Alcotest.(check bool) "note" true (contains rendered "note: a note");
   Alcotest.(check bool) "wrong arity rejected" true
     (try
-       Table.add_row t [ "x" ];
+       Table.add_row t ~id:"two" [ Table.Text "x" ];
        false
      with Invalid_argument _ -> true)
 
+(* Each cell kind prints what the preformatted strings printed: the
+   thousands-separated integer, "%.1f%%" of a fraction, "%.2f", a fixed
+   "%.*f" and intext's "%+.0f%%" change. *)
 let test_formatters () =
+  let check name expect cell = Alcotest.(check string) name expect (Table.render cell) in
+  check "int" "1,234,567" (Table.Int 1234567);
+  check "int negative" "-1,234" (Table.Int (-1234));
+  check "int small" "42" (Table.Int 42);
   Alcotest.(check string) "fmt_int" "1,234,567" (Table.fmt_int 1234567);
-  Alcotest.(check string) "fmt_int negative" "-1,234" (Table.fmt_int (-1234));
-  Alcotest.(check string) "fmt_int small" "42" (Table.fmt_int 42);
-  Alcotest.(check string) "fmt_pct" "42.3%" (Table.fmt_pct 0.423);
-  Alcotest.(check string) "fmt_ratio" "0.42" (Table.fmt_ratio 0.42)
+  check "pct" "42.3%" (Table.Pct 0.423);
+  check "ratio" "0.42" (Table.Ratio 0.42);
+  check "fixed" (Printf.sprintf "%.1f" 7.25) (Table.Fixed (1, 7.25));
+  check "fixed 0" "8875" (Table.Fixed (0, 8874.6));
+  check "change down" "-37%" (Table.Change (-0.372));
+  check "change up" "+12%" (Table.Change 0.12);
+  check "mark" "10.25*" (Table.Mark (Table.Fixed (2, 10.25), "*"));
+  check "text" "base" (Table.Text "base");
+  check "no data" "-" Table.No_data;
+  check "pct of counts" (Printf.sprintf "%.1f%%" (100.0 *. (3.0 /. 7.0))) (Table.pct 3 7);
+  check "ratio of counts" (Printf.sprintf "%.2f" (3.0 /. 7.0)) (Table.ratio 3 7);
+  check "change of counts" "-16%" (Table.change 488 582)
+
+let one_row_table id cells =
+  let t =
+    Table.create ~id ~title:id ~columns:(List.mapi (fun i _ -> (Printf.sprintf "c%d" i, "c")) cells)
+  in
+  Table.add_row t ~id:"r" cells;
+  t
+
+let test_table_cells_publish () =
+  (* A zero denominator is no data: "-", and no gauge. *)
+  List.iter
+    (fun (name, cell) ->
+      Alcotest.(check string) (name ^ " prints -") "-" (Table.render cell);
+      Alcotest.(check int) (name ^ " publishes nothing") 0
+        (List.length (Table.gauges (one_row_table "zero" [ cell ]))))
+    [ ("pct", Table.pct 5 0); ("ratio", Table.ratio 5 0); ("change", Table.change 5 0) ];
+  Alcotest.(check int) "text publishes nothing" 0
+    (List.length (Table.gauges (one_row_table "text" [ Table.Text "12" ])));
+  Alcotest.(check (list (pair string (float 0.0))))
+    "numeric cells publish fig.<table>.<row>.<col>"
+    [ ("fig.t.r.c0", 1234.0); ("fig.t.r.c1", 0.5); ("fig.t.r.c2", 10.25) ]
+    (Table.gauges
+       (one_row_table "t"
+          [ Table.Int 1234; Table.pct 1 2; Table.Mark (Table.Fixed (2, 10.25), "*") ]));
+  let raises f = try f (); false with Invalid_argument _ -> true in
+  Alcotest.(check bool) "bad table id" true
+    (raises (fun () -> ignore (Table.create ~id:"Fig4" ~title:"" ~columns:[])));
+  Alcotest.(check bool) "bad column id" true
+    (raises (fun () -> ignore (Table.create ~id:"t" ~title:"" ~columns:[ ("64KB", "") ])));
+  Alcotest.(check bool) "repeated column id" true
+    (raises (fun () -> ignore (Table.create ~id:"t" ~title:"" ~columns:[ ("a", ""); ("a", "") ])));
+  let t = one_row_table "dup" [ Table.Int 1 ] in
+  Alcotest.(check bool) "bad row id" true (raises (fun () -> Table.add_row t ~id:"r-2" [ Table.Int 2 ]));
+  Alcotest.(check bool) "repeated row id" true
+    (raises (fun () -> Table.add_row t ~id:"r" [ Table.Int 2 ]))
 
 (* One shared Quick context: building it runs the training phase once. *)
 let ctx = lazy (Context.create ~scale:Context.Quick ())
@@ -154,8 +204,8 @@ let test_prefetch_experiment () =
     ((row 1).base_misses < (row 0).base_misses);
   Alcotest.(check bool) "prefetch reduces opt misses" true
     ((row 1).opt_misses < (row 0).opt_misses);
-  Alcotest.(check bool) "useful fractions sane" true
-    ((row 1).base_useful > 0.2 && (row 1).base_useful <= 1.0)
+  let hits, fills = (row 1).base_useful in
+  Alcotest.(check bool) "useful fractions sane" true (hits * 5 > fills && hits <= fills)
 
 let test_joint_experiment () =
   let r = Olayout_harness.Fig_joint.run (Lazy.force ctx) in
@@ -309,11 +359,43 @@ let test_report_selection () =
        false
      with Invalid_argument msg -> contains msg "valid ids")
 
+(* A report publishes every numeric cell of its tables.  Every key must
+   gate exactly (a key ending "_s" would become a warn-only timing metric),
+   and two cells may not publish one key. *)
+let test_report_publishes_cells () =
+  let module Diff = Olayout_regress.Diff in
+  let module Telemetry = Olayout_telemetry.Telemetry in
+  ignore
+    (Olayout_harness.Report.run
+       ~selection:(Olayout_harness.Report.Only [ "fig14"; "multiproc"; "joint" ])
+       (Lazy.force ctx)
+       (Format.make_formatter (fun _ _ _ -> ()) (fun () -> ())));
+  let published =
+    List.filter (fun (k, _) -> String.starts_with ~prefix:"fig." k) (Telemetry.gauges ())
+  in
+  List.iter
+    (fun key ->
+      Alcotest.(check bool) (key ^ " published") true (List.mem_assoc key published))
+    [ "fig.fig14.itlb.base"; "fig.multiproc.4cpu.ratio"; "fig.joint.kernel_joint.offset_bytes" ];
+  List.iter
+    (fun (key, _) ->
+      Alcotest.(check bool) (key ^ " gates exactly") true
+        (Diff.classify ("gauges." ^ key) = Diff.Deterministic))
+    published;
+  let publish = Table.publisher () in
+  publish [ one_row_table "twice" [ Table.Int 1 ] ];
+  Alcotest.(check bool) "a key published twice raises" true
+    (try
+       publish [ one_row_table "twice" [ Table.Int 2 ] ];
+       false
+     with Invalid_argument _ -> true)
+
 let suite =
   ( "harness",
     [
       Alcotest.test_case "table formatting" `Quick test_table_formatting;
       Alcotest.test_case "formatters" `Quick test_formatters;
+      Alcotest.test_case "table cells publish" `Quick test_table_cells_publish;
       Alcotest.test_case "context placements" `Slow test_context_placements;
       Alcotest.test_case "fig3 footprint" `Slow test_fig3;
       Alcotest.test_case "fig4 reduction band" `Slow test_fig4_reduction_band;
@@ -332,4 +414,5 @@ let suite =
         test_context_renders_path;
       Alcotest.test_case "context observers in walk order" `Slow test_context_observer_order;
       Alcotest.test_case "report selection" `Slow test_report_selection;
+      Alcotest.test_case "report publishes cells" `Slow test_report_publishes_cells;
     ] )

@@ -69,7 +69,25 @@ let test_footprint_curve_monotonic () =
   in
   Alcotest.(check bool) "curve monotone" true (mono curve);
   let _, last = List.nth curve (List.length curve - 1) in
-  Alcotest.(check (float 1e-6)) "curve ends at 1" 1.0 last
+  Alcotest.(check (float 1e-6)) "curve ends at 1" 1.0 last;
+  (* points + 1 strictly increasing sizes ending at the executed footprint,
+     also when the last step lands on it exactly (two 2,400-byte units). *)
+  let rec strict = function
+    | (b1, _) :: ((b2, _) :: _ as rest) -> b1 < b2 && strict rest
+    | _ -> true
+  in
+  List.iter
+    (fun (fp, points) ->
+      let curve = Footprint.curve fp ~points in
+      let executed = Footprint.executed_footprint_bytes fp in
+      Alcotest.(check int) "points + 1 samples" (points + 1) (List.length curve);
+      Alcotest.(check bool) "sizes strictly increase" true (strict curve);
+      Alcotest.(check int) "ends at the executed footprint" executed
+        (fst (List.nth curve points)))
+    [ (fp, 20); (Footprint.of_units [ (2400, 5); (2400, 1) ], 24) ];
+  let tiny = Footprint.of_units [ (3, 1) ] in
+  Alcotest.(check (list int)) "under points bytes: one sample per byte" [ 0; 1; 2; 3 ]
+    (List.map fst (Footprint.curve tiny ~points:24))
 
 let qcheck_footprint_consistent =
   QCheck.Test.make ~name:"footprint: captured_at inverts bytes_for_fraction" ~count:200

@@ -79,7 +79,7 @@ let mk_bench ?(schema = "olayout-bench/v1") ?(scale = "quick")
       ( "gauges",
         Json.Object
           [
-            ("fig.fig4.opt_vs_base_64k", Json.Float 0.485);
+            ("fig.fig5.64kb.128b", Json.Float 0.485);
             ("context.replay_seconds", Json.Float 0.07);
           ] );
       ( "figures",
@@ -197,7 +197,7 @@ let test_classification () =
     "figures.fig4.runs_live";
     "figures.fig4.traces_replayed";
     "trace_cache.runs_replayed";
-    "gauges.fig.fig4.opt_vs_base_64k";
+    "gauges.fig.fig5.64kb.128b";
     "gauges.fidelity.claims_passed";
     "spans.bench.total/report.fig4.count";
     "passes.chaining.count";
@@ -368,8 +368,8 @@ let test_fidelity_fixture () =
   (* in-band, out-of-band, missing: pass / fail / skipped *)
   let values =
     [
-      ("fig.fig4.opt_vs_base_64k", 0.48);
-      ("fig.fig4.opt_vs_base_128k", 0.95) (* far above the band: fail *);
+      ("fig.fig5.64kb.128b", 0.48);
+      ("fig.fig5.128kb.128b", 0.95) (* far above the band: fail *);
     ]
   in
   let r = Fidelity.evaluate ~lookup:(fun m -> List.assoc_opt m values) in
