@@ -227,8 +227,11 @@ let simulate seed quick size_kb line assoc combos app_only =
     Olayout_oltp.Server.run ~app:(Workload.app w) ~kernel:(Workload.kernel w) ~txns
       ~seed:(seed + 1000) ~renders ()
   in
+  (* The simulated stream's instructions: the header's count and every
+     row's mpki denominator. *)
+  let instrs = if app_only then r.app_instrs else r.app_instrs + r.kernel_instrs in
   Format.printf "%d transactions, %s instructions (%s stream)@." r.committed
-    (Table.fmt_int (r.app_instrs + r.kernel_instrs))
+    (Table.fmt_int instrs)
     (if app_only then "application" else "combined");
   let tbl =
     Table.create ~id:"simulate"
@@ -247,7 +250,7 @@ let simulate seed quick size_kb line assoc combos app_only =
         [
           Table.Text (Spike.combo_name combo);
           Table.Int m;
-          Table.Fixed (2, 1000.0 *. float_of_int m /. float_of_int r.app_instrs);
+          Table.Fixed (2, 1000.0 *. float_of_int m /. float_of_int instrs);
           Table.pct m base_misses;
         ])
     caches;
@@ -396,14 +399,11 @@ let diagnose_cmd =
   in
   let diagnose top telemetry c =
     let ctx = context c in
-    let c_misses = Telemetry.counter "cachesim.icache_misses" in
-    let before = Telemetry.value c_misses in
     let d = Diagnose.run ~combo:c.combo ctx c.preset in
-    let icache_misses_delta = Telemetry.value c_misses - before in
-    print_tables (Diagnose.tables ~top ~combo:c.combo c.preset d);
+    print_tables (Diagnose.tables ~top ~combo:c.combo c.preset d.Diagnose.diag);
     if telemetry then Telemetry.pp_summary Format.std_formatter ();
     Diagnose.artifact_json ~scale:(scale_name c.quick) ~combo:c.combo
-      ~preset:c.preset ~icache_misses_delta d
+      ~preset:c.preset d
   in
   artifact_sub ~name:"diagnose"
     ~doc:"classify i-cache misses and attribute them to code segments"

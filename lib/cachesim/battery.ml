@@ -1,4 +1,3 @@
-module Pool = Olayout_par.Pool
 module Trace = Olayout_exec.Trace
 module Run = Olayout_exec.Run
 module Timeline = Olayout_telemetry.Timeline
@@ -21,9 +20,8 @@ type tl = {
   tl_misses : Timeline.series;
   tl_accesses : Timeline.series;
   tl_probe : tl_probe;
-  tl_unit : int; (* cache index / stackdist group owning the probe *)
   tl_shift : int; (* log2 line_bytes of the designated configuration *)
-  mutable tl_pos : int; (* cumulative fed instructions ({!access_run} path) *)
+  mutable tl_pos : int; (* cumulative fed instructions *)
 }
 
 type t = { engine : engine; backend : backend; tl : tl option }
@@ -36,16 +34,13 @@ let designate backend (name, prefix) =
   match backend with
   | Caches caches -> (
       match
-        Array.to_seq caches
-        |> Seq.mapi (fun i c -> (i, c))
-        |> Seq.find (fun (_, c) -> String.equal (Icache.cfg c).Icache.name name)
+        Array.find_opt (fun c -> String.equal (Icache.cfg c).Icache.name name) caches
       with
-      | Some (i, c) ->
+      | Some c ->
           {
             tl_misses;
             tl_accesses;
             tl_probe = P_cache c;
-            tl_unit = i;
             tl_shift = (Icache.lru c).Lru.shift;
             tl_pos = 0;
           }
@@ -58,7 +53,6 @@ let designate backend (name, prefix) =
         tl_misses;
         tl_accesses;
         tl_probe = P_stack p;
-        tl_unit = Stackdist.probe_group sd name;
         tl_shift = Stackdist.probe_line_shift p;
         tl_pos = 0;
       }
@@ -92,6 +86,14 @@ let tl_lines tl (run : Run.t) =
   if run.len <= 0 then 0
   else ((run.addr + (run.len * 4) - 1) lsr tl.tl_shift) - (run.addr lsr tl.tl_shift) + 1
 
+(* Attribute the designated configuration's miss delta since [before] and
+   the run's line touches to the window holding the run's start. *)
+let book tl run before =
+  let pos = tl.tl_pos in
+  Timeline.add tl.tl_misses ~pos (tl_misses_now tl - before);
+  Timeline.add tl.tl_accesses ~pos (tl_lines tl run);
+  tl.tl_pos <- pos + run.Run.len
+
 let feed_all t run =
   match t.backend with
   | Caches caches -> Array.iter (fun c -> Icache.access_run c run) caches
@@ -103,69 +105,31 @@ let access_run t run =
   | Some tl ->
       let before = tl_misses_now tl in
       feed_all t run;
-      let pos = tl.tl_pos in
-      Timeline.add tl.tl_misses ~pos (tl_misses_now tl - before);
-      Timeline.add tl.tl_accesses ~pos (tl_lines tl run);
-      tl.tl_pos <- pos + run.Run.len
+      book tl run before
 
-(* Sharded replay: each shard replays the (immutable, post-record) trace
-   once and feeds a contiguous slice of the simulation — per-config caches
-   for the icache engine, per-line-size distance-stack groups for the
-   stackdist engine — so every mutable simulator is touched by exactly one
-   domain and no merge of simulator state is needed.  Shard telemetry
-   (cachesim.* counters) merges in shard order via [Pool.map], keeping the
-   totals identical to a serial replay; stackdist groups book theirs
-   while fed and publish them once, at the end of their shard's task.
-   Falls back to one serial pass at [jobs = 1], from inside another pool
-   task, or for a single unit. *)
-let shard_replay ?pool n feed =
-  if n > 0 then
-    match pool with
-    | Some p when Pool.jobs p > 1 && n > 1 ->
-        let shards = min (Pool.jobs p) n in
-        let ranges =
-          List.init shards (fun s -> (s * n / shards, (((s + 1) * n) / shards) - 1))
-        in
-        ignore (Pool.map p feed ranges)
-    | _ -> feed (0, n - 1)
-
-(* Only the shard owning the designated unit carries the timeline probe:
-   its position counter restarts at the battery's cumulative position and
-   advances per kept run, identically at any shard count (each shard
-   replays the full trace), so the series is byte-identical to serial. *)
-let tl_for t lo hi =
-  match t.tl with
-  | Some tl when tl.tl_unit >= lo && tl.tl_unit <= hi -> Some tl
-  | _ -> None
-
-let replay_shard trace keep tl feed =
-  match tl with
+(* One pass over the trace with the backend resolved once: stackdist
+   groups book their counters while fed and publish them once, at the
+   end. *)
+let access_trace ?(keep = fun (_ : Run.t) -> true) t trace =
+  let feed =
+    match t.backend with
+    | Caches caches ->
+        fun run ->
+          for i = 0 to Array.length caches - 1 do
+            Icache.access_run caches.(i) run
+          done
+    | Stack sd -> Stackdist.feed sd
+  in
+  (match t.tl with
   | None -> Trace.replay trace (fun run -> if keep run then feed run)
   | Some tl ->
-      let pos = ref tl.tl_pos in
       Trace.replay trace (fun run ->
           if keep run then begin
             let before = tl_misses_now tl in
             feed run;
-            Timeline.add tl.tl_misses ~pos:!pos (tl_misses_now tl - before);
-            Timeline.add tl.tl_accesses ~pos:!pos (tl_lines tl run);
-            pos := !pos + run.Run.len
-          end);
-      tl.tl_pos <- !pos
-
-let access_trace ?pool ?(keep = fun (_ : Olayout_exec.Run.t) -> true) t trace =
-  match t.backend with
-  | Caches caches ->
-      shard_replay ?pool (Array.length caches) (fun (lo, hi) ->
-          replay_shard trace keep (tl_for t lo hi) (fun run ->
-              for i = lo to hi do
-                Icache.access_run caches.(i) run
-              done))
-  | Stack sd ->
-      shard_replay ?pool (Stackdist.n_groups sd) (fun (lo, hi) ->
-          replay_shard trace keep (tl_for t lo hi) (fun run ->
-              Stackdist.access_groups sd ~lo ~hi run);
-          Stackdist.publish_groups sd ~lo ~hi)
+            book tl run before
+          end));
+  match t.backend with Stack sd -> Stackdist.publish sd | Caches _ -> ()
 
 let flush_residents t =
   match t.backend with

@@ -49,16 +49,10 @@ val create :
 val engine : t -> engine
 val access_run : t -> Olayout_exec.Run.t -> unit
 
-(** Replay a recorded trace through every configuration.  With a pool of
-    [jobs > 1], the simulation splits into [<= jobs] disjoint contiguous
-    shards replayed on separate domains — per-config caches for the
-    icache engine, per-line-size distance-stack groups for stackdist,
-    each owned by exactly one domain, per-shard telemetry merged in shard
-    order — producing byte-identical state to a serial replay.  [keep]
-    filters runs (e.g. application-owned only) before they reach the
-    simulators. *)
+(** Replay a recorded trace through every configuration, in one pass
+    over the trace.  [keep] filters runs (e.g. application-owned only)
+    before they reach the simulators. *)
 val access_trace :
-  ?pool:Olayout_par.Pool.t ->
   ?keep:(Olayout_exec.Run.t -> bool) ->
   t ->
   Olayout_exec.Trace.t ->

@@ -25,8 +25,8 @@ type group = {
   levels : level array;  (* increasing set count *)
   seen : Lru.seen;  (* lines referenced so far: its count is the cold misses *)
   mutable accesses : int;
-  (* The telemetry counters' increments since the group's last
-     [publish_groups]: feeding a run makes no call into the registry. *)
+  (* The telemetry counters' increments since the last [publish]:
+     feeding a run makes no call into the registry. *)
   mutable new_accesses : int;
   mutable new_misses : int;
   mutable new_steps : int;
@@ -143,14 +143,14 @@ let feed_group g (r : Run.t) =
   g.new_misses <- g.new_misses + !misses;
   g.new_steps <- g.new_steps + !steps
 
-let access_groups t ~lo ~hi (r : Run.t) =
+let feed t (r : Run.t) =
   if r.len > 0 then
-    for i = lo to hi do
+    for i = 0 to Array.length t.groups - 1 do
       feed_group t.groups.(i) r
     done
 
-let publish_groups t ~lo ~hi =
-  for i = lo to hi do
+let publish t =
+  for i = 0 to Array.length t.groups - 1 do
     let g = t.groups.(i) in
     Telemetry.add c_accesses g.new_accesses;
     if g.new_misses > 0 then Telemetry.add c_misses g.new_misses;
@@ -163,9 +163,8 @@ let publish_groups t ~lo ~hi =
 let n_groups t = Array.length t.groups
 
 let access_run t r =
-  let hi = n_groups t - 1 in
-  access_groups t ~lo:0 ~hi r;
-  publish_groups t ~lo:0 ~hi
+  feed t r;
+  publish t
 
 let accesses t = Array.fold_left (fun acc g -> acc + g.accesses) 0 t.groups
 
@@ -209,4 +208,3 @@ type probe = slot
 let probe t name = find t name
 let probe_misses = slot_misses
 let probe_line_shift (p : probe) = log2 p.cfg.Icache.line_bytes
-let probe_group t name = (find t name).group

@@ -40,9 +40,9 @@
     [cachesim.stackdist.accesses] (line touches per group),
     [cachesim.stackdist.misses] (per-configuration miss events) and
     [cachesim.stackdist.walk_steps] (stack entries compared, the engine's
-    work metric).  Groups book them as they are fed and publish them in
-    one step per {!access_run} call or per {!publish_groups}, so the
-    per-line loop never calls the registry. *)
+    work metric).  Groups book them as they are fed and {!publish} adds
+    them to the registry in one step, so the per-line loop never calls
+    the registry. *)
 
 type t
 
@@ -52,25 +52,21 @@ val create : Icache.config list -> t
     @raise Invalid_argument on bad geometry, such as a set count that is
     not a power of two. *)
 
+val feed : t -> Olayout_exec.Run.t -> unit
+(** Fetch a run through every group (hence every configuration), booking
+    the telemetry counters in the groups: they reach the registry at
+    {!publish}.  A run with [len <= 0] touches nothing. *)
+
+val publish : t -> unit
+(** Add the counters booked since the last publish to
+    [cachesim.stackdist.*].  Feeding a trace run by run and publishing
+    once at its end books what {!access_run} per run books. *)
+
 val access_run : t -> Olayout_exec.Run.t -> unit
-(** Fetch a run through every group (hence every configuration), then
-    {!publish_groups} them all.  A run with [len <= 0] touches nothing. *)
+(** {!feed} one run, then {!publish}. *)
 
 val n_groups : t -> int
-(** Number of distinct line sizes — the unit of parallel sharding. *)
-
-val access_groups : t -> lo:int -> hi:int -> Olayout_exec.Run.t -> unit
-(** Fetch a run through groups [lo..hi] only, booking the telemetry
-    counters in those groups: they reach the registry at
-    {!publish_groups}.  Feeding each group index the full trace (in any
-    interleaving across groups, each group in trace order), then
-    publishing every group, is equivalent to {!access_run}; {!Battery}
-    uses this to own each group range on exactly one domain. *)
-
-val publish_groups : t -> lo:int -> hi:int -> unit
-(** Add the counters booked by groups [lo..hi] since their last publish
-    to [cachesim.stackdist.*]; call it on the domain that fed them, so a
-    pool task's share merges in submission order. *)
+(** Number of distinct line sizes: one stack simulation each. *)
 
 val accesses : t -> int
 (** Total line touches across all groups (one per line per group, the
@@ -107,7 +103,3 @@ val probe_misses : probe -> int
 
 val probe_line_shift : probe -> int
 (** [log2 line_bytes] of the probed configuration. *)
-
-val probe_group : t -> string -> int
-(** The group index ({!access_groups}) that simulates the named
-    configuration — i.e. the shard whose feed updates its probe. *)

@@ -73,18 +73,10 @@ let kinds =
       schema = Diagnose.artifact_schema;
       produce =
         (fun ppf r ->
-          (* The icache-miss counter delta around the measurement lets a
-             reader check that the classification totals equal the run's
-             simulated misses (the diagnosed cache is the only one fed). *)
           let preset = headline () and combo = Spike.Base in
-          let c_misses = Telemetry.counter "cachesim.icache_misses" in
-          let before = Telemetry.value c_misses in
           let d = Diagnose.run ~combo r.ctx preset in
-          let icache_misses_delta = Telemetry.value c_misses - before in
-          print_tables ppf (Diagnose.tables ~top:10 ~combo preset d);
-          Some
-            (Diagnose.artifact_json ~scale:r.scale ~combo ~preset
-               ~icache_misses_delta d));
+          print_tables ppf (Diagnose.tables ~top:10 ~combo preset d.Diagnose.diag);
+          Some (Diagnose.artifact_json ~scale:r.scale ~combo ~preset d));
     };
   ]
 

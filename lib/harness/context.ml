@@ -353,15 +353,13 @@ let traces_for t combos =
         (measure t ~renders:(List.map (fun c -> (c, fun (_ : Run.t) -> ())) missing) ()));
   List.map (fun c -> List.assoc_opt (base_key t c) t.traces) combos
 
-let replay_battery t ?pool ?keep ~combo battery =
+let replay_battery t ?keep ~combo battery =
   match List.assoc_opt (base_key t combo) t.traces with
   | None -> false
   | Some trace ->
       let (), seconds =
         Telemetry.timed "context.replay" (fun () ->
-            Olayout_cachesim.Battery.access_trace ?pool ?keep battery trace;
-            (* One logical stream consumed, however many shards replayed
-               it: the deterministic counters must not depend on -j. *)
+            Olayout_cachesim.Battery.access_trace ?keep battery trace;
             Telemetry.incr c_replayed;
             Telemetry.add c_replayed_runs (Trace.length trace);
             Telemetry.add c_replayed_instrs (Trace.instrs trace))
@@ -369,10 +367,10 @@ let replay_battery t ?pool ?keep ~combo battery =
       Telemetry.add_gauge g_replay_seconds seconds;
       true
 
-let feed_app_batteries t ?pool batteries =
+let feed_app_batteries t batteries =
   if List.for_all Option.is_some (traces_for t (List.map fst batteries)) then
     List.iter
-      (fun (combo, b) -> ignore (replay_battery t ?pool ~keep:(fun r -> r.Run.owner = Run.App) ~combo b))
+      (fun (combo, b) -> ignore (replay_battery t ~keep:(fun r -> r.Run.owner = Run.App) ~combo b))
       batteries
   else
     (* The byte cap refused a recording: render every stream instead. *)

@@ -136,10 +136,10 @@ val scheduled_capture :
 
 (** {1 Battery replay over the trace cache}
 
-    The parallel engine's preferred path: fetch the recorded streams once,
-    then shard the replay across a battery's configurations on the pool.
-    Walks and recordings only ever happen on the dispatching domain —
-    {!measure} raises if either is requested from inside a pool task. *)
+    The sweep figures' path: fetch the recorded streams once, then replay
+    each through a battery.  Walks and recordings only ever happen on the
+    dispatching domain — {!measure} raises if either is requested from
+    inside a pool task. *)
 
 val traces_for :
   t -> Spike.combo list -> Olayout_exec.Trace.t option list
@@ -150,20 +150,17 @@ val traces_for :
 
 val replay_battery :
   t ->
-  ?pool:Olayout_par.Pool.t ->
   ?keep:(Run.t -> bool) ->
   combo:Spike.combo ->
   Olayout_cachesim.Battery.t ->
   bool
 (** Replay the cached (combo, base kernel, measured txns) stream through a
-    battery — sharded across the pool's domains when one is given (see
-    {!Olayout_cachesim.Battery.access_trace}).  Replay accounting counts
-    the one logical stream regardless of shard count, so deterministic
-    counters match the serial path.  Returns [false] (doing nothing) when
-    the stream is not cached. *)
+    battery ({!Olayout_cachesim.Battery.access_trace}), timed as
+    [context.replay].  Returns [false] (doing nothing) when the stream is
+    not cached. *)
 
 val feed_app_batteries :
-  t -> ?pool:Olayout_par.Pool.t -> (Spike.combo * Olayout_cachesim.Battery.t) list -> unit
+  t -> (Spike.combo * Olayout_cachesim.Battery.t) list -> unit
 (** Feed each battery its combination's application runs: {!replay_battery}
     over {!traces_for} the combinations, or, when the byte cap refused a
     recording, {!measure} every stream from the recorded path. *)

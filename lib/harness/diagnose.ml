@@ -52,6 +52,10 @@ let preset_of_figure id =
         (Printf.sprintf "unknown diagnosable figure %S (valid: %s)" id
            (String.concat ", " (List.map (fun p -> p.fig) presets)))
 
+type result = { diag : Diag.t; icache_misses_delta : int }
+
+let c_icache_misses = Telemetry.counter "cachesim.icache_misses"
+
 let run ?(combo = Spike.Base) ctx preset =
   Telemetry.span "diagnose" (fun () ->
       let resolver =
@@ -68,8 +72,9 @@ let run ?(combo = Spike.Base) ctx preset =
       let emit run =
         if preset.combined || run.Run.owner = Run.App then Diag.access_run d run
       in
+      let before = Telemetry.value c_icache_misses in
       let _ = Context.measure ctx ~renders:[ (combo, emit) ] () in
-      d)
+      { diag = d; icache_misses_delta = Telemetry.value c_icache_misses - before })
 
 let summary_table ~combo preset d =
   let t = Diag.totals d in
@@ -176,7 +181,7 @@ let tables ?(top = 10) ~combo preset d =
 
 let artifact_schema = "olayout-diag/v1"
 
-let artifact_json ~scale ~combo ~preset ~icache_misses_delta d =
+let artifact_json ~scale ~combo ~preset r =
   Json.Object
     [
       ("schema", Json.String artifact_schema);
@@ -184,6 +189,6 @@ let artifact_json ~scale ~combo ~preset ~icache_misses_delta d =
       ("figure", Json.String preset.fig);
       ("what", Json.String preset.what);
       ("combo", Json.String (Spike.combo_name combo));
-      ("icache_misses_counter_delta", Json.Int icache_misses_delta);
-      ("diag", Diag.json ~top:20 d);
+      ("icache_misses_counter_delta", Json.Int r.icache_misses_delta);
+      ("diag", Diag.json ~top:20 r.diag);
     ]

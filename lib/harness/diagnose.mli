@@ -26,7 +26,15 @@ val presets : preset list
 val preset_of_figure : string -> preset
 (** @raise Invalid_argument on unknown ids, listing the valid ones. *)
 
-val run : ?combo:Spike.combo -> Context.t -> preset -> Diag.t
+type result = {
+  diag : Diag.t;
+  icache_misses_delta : int;
+      (** The change of the process-wide [cachesim.icache_misses] counter
+          across the measurement: the diagnosed cache is the only one fed,
+          so it equals the classification total. *)
+}
+
+val run : ?combo:Spike.combo -> Context.t -> preset -> result
 (** Measure the context's workload through a diagnosed cache of the
     preset's geometry under [combo] (default [Base]: diagnosing the
     unoptimized layout shows the conflicts the optimizations remove). *)
@@ -39,14 +47,7 @@ val tables : ?top:int -> combo:Spike.combo -> preset -> Diag.t -> Table.t list
 val artifact_schema : string
 
 val artifact_json :
-  scale:string ->
-  combo:Spike.combo ->
-  preset:preset ->
-  icache_misses_delta:int ->
-  Diag.t ->
-  Olayout_telemetry.Json.t
-(** The machine-readable diagnostics artifact.
-    [icache_misses_delta] is the change of the process-wide
-    [cachesim.icache_misses] counter across the diagnosed measurement; for
-    a single diagnosed cache it equals the classification total, and the
-    artifact records both so CI can assert the equality. *)
+  scale:string -> combo:Spike.combo -> preset:preset -> result -> Olayout_telemetry.Json.t
+(** The machine-readable diagnostics artifact.  It records both the
+    classification total and [icache_misses_delta], so CI can assert
+    their equality. *)

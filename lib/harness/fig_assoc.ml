@@ -12,11 +12,11 @@ let configs =
       [ Icache.config ~size_kb ~line:128 ~assoc:1 (); Icache.config ~size_kb ~line:128 ~assoc:4 () ])
     sizes
 
-let run ?pool ctx =
+let run ctx =
   let engine = Context.engine ctx in
   let b_base = Battery.create ~engine configs
   and b_opt = Battery.create ~engine configs in
-  Context.feed_app_batteries ctx ?pool [ (Spike.Base, b_base); (Spike.All, b_opt) ];
+  Context.feed_app_batteries ctx [ (Spike.Base, b_base); (Spike.All, b_opt) ];
   let find battery size_kb assoc =
     Battery.misses battery (Icache.config ~size_kb ~line:128 ~assoc ()).Icache.name
   in

@@ -10,5 +10,5 @@ type result = {
       (** (size KB, base DM, base 4-way, opt DM, opt 4-way) *)
 }
 
-val run : ?pool:Olayout_par.Pool.t -> Context.t -> result
+val run : Context.t -> result
 val tables : result -> Table.t list

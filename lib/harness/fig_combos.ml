@@ -11,12 +11,12 @@ let sizes = Fig_line_sweep.cache_sizes_kb
 
 let configs = List.map (fun size_kb -> Icache.config ~size_kb ~line:128 ~assoc:4 ()) sizes
 
-let run ?pool ctx =
+let run ctx =
   let engine = Context.engine ctx in
   let batteries =
     List.map (fun combo -> (combo, Battery.create ~engine configs)) Spike.all_combos
   in
-  Context.feed_app_batteries ctx ?pool batteries;
+  Context.feed_app_batteries ctx batteries;
   let find b size_kb =
     Battery.misses b (Icache.config ~size_kb ~line:128 ~assoc:4 ()).Icache.name
   in

@@ -13,7 +13,7 @@ type result = {
       (** per cache size KB, misses per combo *)
 }
 
-val run : ?pool:Olayout_par.Pool.t -> Context.t -> result
+val run : Context.t -> result
 
 val combo_column : Olayout_core.Spike.combo -> string * string
 (** A combination's (column id, heading): its name, with ['+'] written

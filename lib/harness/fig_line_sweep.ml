@@ -42,11 +42,11 @@ let misses grid ~size_kb ~line =
    cachesim.base.* / cachesim.opt.* when the timeline layer is enabled. *)
 let headline = "64KB/128B/1-way"
 
-let run ?pool ctx =
+let run ctx =
   let engine = Context.engine ctx in
   let b_base = Battery.create ~engine ~timeline:(headline, "base") configs
   and b_opt = Battery.create ~engine ~timeline:(headline, "opt") configs in
-  Context.feed_app_batteries ctx ?pool [ (Spike.Base, b_base); (Spike.All, b_opt) ];
+  Context.feed_app_batteries ctx [ (Spike.Base, b_base); (Spike.All, b_opt) ];
   { base = collect b_base; optimized = collect b_opt }
 
 let size_row tbl size_kb cells =

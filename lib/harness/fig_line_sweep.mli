@@ -17,9 +17,9 @@ type grid
 type result = { base : grid; optimized : grid }
 
 (** Replays the cached (Base, All) streams through the two 25-config
-    batteries, sharded across the pool's domains when one is given; falls
-    back to a live measurement when the streams could not be recorded. *)
-val run : ?pool:Olayout_par.Pool.t -> Context.t -> result
+    batteries; falls back to rendering them from the recorded path when the
+    streams could not be recorded. *)
+val run : Context.t -> result
 
 val misses : grid -> size_kb:int -> line:int -> int
 (** @raise Invalid_argument on a size or line value not in the sweep. *)

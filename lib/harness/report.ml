@@ -35,7 +35,7 @@ type experiment = {
   e_desc : string;
   e_live : bool;
   e_streams : stream list;
-  e_run : products -> Pool.t option -> Context.t -> Table.t list;
+  e_run : products -> Context.t -> Table.t list;
 }
 
 let app c = (c, `Base)
@@ -54,126 +54,126 @@ let experiments : experiment list =
          their rendering are attributed to its figure row, and every later
          sweep figure replays + schedules onto the pool from the start. *)
       e_streams = base_all;
-      e_run = (fun _ _ ctx -> Fig_footprint.tables (Fig_footprint.run ctx));
+      e_run = (fun _ ctx -> Fig_footprint.tables (Fig_footprint.run ctx));
     };
     {
       e_id = "fig4";
       e_desc = "cache/line sweep (figs 4-5)";
       e_live = false;
       e_streams = base_all;
-      e_run = (fun _ pool ctx -> Fig_line_sweep.tables (Fig_line_sweep.run ?pool ctx));
+      e_run = (fun _ ctx -> Fig_line_sweep.tables (Fig_line_sweep.run ctx));
     };
     {
       e_id = "fig6";
       e_desc = "associativity";
       e_live = false;
       e_streams = base_all;
-      e_run = (fun _ pool ctx -> Fig_assoc.tables (Fig_assoc.run ?pool ctx));
+      e_run = (fun _ ctx -> Fig_assoc.tables (Fig_assoc.run ctx));
     };
     {
       e_id = "fig7";
       e_desc = "optimization combinations";
       e_live = false;
       e_streams = all_combos;
-      e_run = (fun _ pool ctx -> Fig_combos.tables (Fig_combos.run ?pool ctx));
+      e_run = (fun _ ctx -> Fig_combos.tables (Fig_combos.run ctx));
     };
     {
       e_id = "fig8";
       e_desc = "sequence lengths";
       e_live = false;
       e_streams = base_all;
-      e_run = (fun _ _ ctx -> Fig_sequences.tables (Fig_sequences.run ctx));
+      e_run = (fun _ ctx -> Fig_sequences.tables (Fig_sequences.run ctx));
     };
     {
       e_id = "fig9";
       e_desc = "line usage (figs 9-11)";
       e_live = false;
       e_streams = base_all;
-      e_run = (fun _ _ ctx -> Fig_usage.tables (Fig_usage.run ctx));
+      e_run = (fun _ ctx -> Fig_usage.tables (Fig_usage.run ctx));
     };
     {
       e_id = "fig12";
       e_desc = "combined app+OS (figs 12-13)";
       e_live = false;
       e_streams = base_all;
-      e_run = (fun _ _ ctx -> Fig_combined.tables (Fig_combined.run ctx));
+      e_run = (fun _ ctx -> Fig_combined.tables (Fig_combined.run ctx));
     };
     {
       e_id = "fig14";
       e_desc = "iTLB and L2";
       e_live = true;
       e_streams = base_all;
-      e_run = (fun _ _ ctx -> Fig_memsys.tables (Fig_memsys.run ctx));
+      e_run = (fun _ ctx -> Fig_memsys.tables (Fig_memsys.run ctx));
     };
     {
       e_id = "fig15";
       e_desc = "execution time";
       e_live = false;
       e_streams = all_combos;
-      e_run = (fun _ _ ctx -> Fig_exec_time.tables (Fig_exec_time.run ctx));
+      e_run = (fun _ ctx -> Fig_exec_time.tables (Fig_exec_time.run ctx));
     };
     {
       e_id = "intext";
       e_desc = "in-text measurements";
       e_live = false;
       e_streams = base_all;
-      e_run = (fun _ _ ctx -> Intext.tables (Intext.run ctx));
+      e_run = (fun _ ctx -> Intext.tables (Intext.run ctx));
     };
     {
       e_id = "ablations";
       e_desc = "design ablations";
       e_live = true;
       e_streams = [ app Spike.All; kern Spike.All ];
-      e_run = (fun _ _ ctx -> Ablations.tables (Ablations.run ctx));
+      e_run = (fun _ ctx -> Ablations.tables (Ablations.run ctx));
     };
     {
       e_id = "prefetch";
       e_desc = "extension: stream-buffer prefetch";
       e_live = false;
       e_streams = base_all;
-      e_run = (fun _ _ ctx -> Fig_prefetch.tables (Fig_prefetch.run ctx));
+      e_run = (fun _ ctx -> Fig_prefetch.tables (Fig_prefetch.run ctx));
     };
     {
       e_id = "joint";
       e_desc = "extension: joint app+kernel layout";
       e_live = true;
       e_streams = [ app Spike.All; kern Spike.All ];
-      e_run = (fun _ _ ctx -> Fig_joint.tables (Fig_joint.run ctx));
+      e_run = (fun _ ctx -> Fig_joint.tables (Fig_joint.run ctx));
     };
     {
       e_id = "bpred";
       e_desc = "extension: branch prediction";
       e_live = true;
       e_streams = [];
-      e_run = (fun _ _ ctx -> Fig_bpred.tables (Fig_bpred.run ctx));
+      e_run = (fun _ ctx -> Fig_bpred.tables (Fig_bpred.run ctx));
     };
     {
       e_id = "coloring";
       e_desc = "extension: cache-line coloring";
       e_live = true;
       e_streams = base_all;
-      e_run = (fun _ _ ctx -> Fig_coloring.tables (Fig_coloring.run ctx));
+      e_run = (fun _ ctx -> Fig_coloring.tables (Fig_coloring.run ctx));
     };
     {
       e_id = "dss";
       e_desc = "extension: DSS contrast workload";
       e_live = true;
       e_streams = base_all;
-      e_run = (fun _ _ ctx -> Fig_dss.tables (Fig_dss.run ctx));
+      e_run = (fun _ ctx -> Fig_dss.tables (Fig_dss.run ctx));
     };
     {
       e_id = "multiproc";
       e_desc = "extension: per-CPU caches";
       e_live = true;
       e_streams = base_all;
-      e_run = (fun _ _ ctx -> Fig_multiproc.tables (Fig_multiproc.run ctx));
+      e_run = (fun _ ctx -> Fig_multiproc.tables (Fig_multiproc.run ctx));
     };
     {
       e_id = "temporal";
       e_desc = "extension: temporal ordering (Gloy et al.)";
       e_live = true;
       e_streams = base_all;
-      e_run = (fun _ _ ctx -> Fig_temporal.tables (Fig_temporal.run ctx));
+      e_run = (fun _ ctx -> Fig_temporal.tables (Fig_temporal.run ctx));
     };
     {
       e_id = "drift";
@@ -183,7 +183,7 @@ let experiments : experiment list =
       e_live = true;
       e_streams = [];
       e_run =
-        (fun out _ ctx ->
+        (fun out ctx ->
           let r = Drift.run ctx (Diagnose.preset_of_figure "fig4") in
           out.p_drift <- Some r;
           Drift.tables r);
@@ -196,7 +196,7 @@ let experiments : experiment list =
       e_live = true;
       e_streams = [];
       e_run =
-        (fun out _ ctx ->
+        (fun out ctx ->
           let r = Relayout.run ctx (Diagnose.preset_of_figure "fig4") in
           out.p_relayout <- Some r;
           Relayout.tables r);
@@ -290,9 +290,9 @@ let schedule selected =
 
 (* --- execution -------------------------------------------------------- *)
 
-(* Everything needed to print and account one completed figure.  In
-   parallel mode output is buffered per figure and emitted in list order,
-   so the report reads identically to a serial run. *)
+(* Everything needed to print and account one completed figure.  Output
+   is buffered per figure and emitted in list order, so the report reads
+   identically at any -j. *)
 type completed = {
   c_output : string;
   c_tables : Table.t list;
@@ -327,28 +327,35 @@ let stats_of_snapshot snap =
     trace_bytes = 0;
   }
 
-let stat_of_deltas e seconds (s0 : Context.trace_stats) (s1 : Context.trace_stats) =
+let completed e (output, tables, seconds)
+    ((s0 : Context.trace_stats), (s1 : Context.trace_stats)) =
   {
-    Bench_artifact.id = e.e_id;
-    desc = e.e_desc;
-    seconds;
-    runs_live = s1.Context.live_runs - s0.Context.live_runs;
-    runs_replayed = s1.Context.replayed_runs - s0.Context.replayed_runs;
-    instrs_live = s1.Context.live_instrs - s0.Context.live_instrs;
-    instrs_replayed = s1.Context.replayed_instrs - s0.Context.replayed_instrs;
-    live_executions = s1.Context.live_executions - s0.Context.live_executions;
-    traces_replayed = s1.Context.replayed_traces - s0.Context.replayed_traces;
+    c_output = output;
+    c_tables = tables;
+    c_stat =
+      {
+        Bench_artifact.id = e.e_id;
+        desc = e.e_desc;
+        seconds;
+        runs_live = s1.Context.live_runs - s0.Context.live_runs;
+        runs_replayed = s1.Context.replayed_runs - s0.Context.replayed_runs;
+        instrs_live = s1.Context.live_instrs - s0.Context.live_instrs;
+        instrs_replayed = s1.Context.replayed_instrs - s0.Context.replayed_instrs;
+        live_executions = s1.Context.live_executions - s0.Context.live_executions;
+        traces_replayed = s1.Context.replayed_traces - s0.Context.replayed_traces;
+      };
+    c_trace_delta = (s0, s1);
   }
 
 (* Render one figure's report block (header, tables, timing line) while
    running it under its span; returns the text, the tables and the
    timing. *)
-let render_figure out pool ctx e =
+let render_figure out ctx e =
   let buf = Buffer.create 4096 in
   let bppf = Format.formatter_of_buffer buf in
   Format.fprintf bppf "@.### %s — %s@." e.e_id e.e_desc;
   let tables, seconds =
-    Telemetry.timed ("report." ^ e.e_id) (fun () -> e.e_run out pool ctx)
+    Telemetry.timed ("report." ^ e.e_id) (fun () -> e.e_run out ctx)
   in
   List.iter (fun tbl -> Table.print bppf tbl) tables;
   Format.fprintf bppf "  (%s took %.1fs)@." e.e_id seconds;
@@ -369,87 +376,51 @@ let publish_par_gauges pool ~serial_estimate ~wall =
 
 let run ?(selection = All) ?(trace_stats = false) ?pool ctx ppf =
   let t_start = Unix.gettimeofday () in
-  let selected = select selection in
   let out = { p_drift = None; p_relayout = None } in
-  let jobs = match pool with Some p -> Pool.jobs p | None -> 1 in
-  let scheduled = schedule selected in
   (* Every numeric cell is published as its fig.* gauge, on this domain,
      in list order, whatever -j. *)
   let publish = Table.publisher () in
-  let finish_figure (done_ : completed) =
-    publish done_.c_tables;
-    Format.pp_print_string ppf done_.c_output;
+  let figures = ref [] in
+  (* Print, publish and account one figure, awaiting it if it is a task:
+     tasks are awaited in submission order (list order), so their
+     snapshots merge in a deterministic order. *)
+  let collect started =
+    let c =
+      match started with
+      | `Ran c -> c
+      | `Task (e, fut) ->
+          let block, snap = Pool.await_snapshot fut in
+          let s1 = match snap with Some snap -> stats_of_snapshot snap | None -> zero_stats in
+          completed e block (zero_stats, s1)
+    in
+    publish c.c_tables;
+    Format.pp_print_string ppf c.c_output;
     (if trace_stats then
-       let s0, s1 = done_.c_trace_delta in
-       print_figure_trace_stats ppf done_.c_stat.Bench_artifact.id s0 s1);
-    done_.c_stat
+       let s0, s1 = c.c_trace_delta in
+       print_figure_trace_stats ppf c.c_stat.Bench_artifact.id s0 s1);
+    figures := c.c_stat :: !figures
   in
-  let figures =
-    if jobs = 1 then
-      (* Serial: run, print and account each figure in order, exactly the
-         pre-pool code path (modulo the per-figure output buffer). *)
-      List.map
-        (fun (e, _) ->
+  (* Figures started and not yet collected, in list order.  A figure the
+     pool may take is submitted; any other runs here, at its list
+     position, so every stream a task replays was recorded before the
+     task was submitted.  A figure is collected as soon as every figure
+     before it has been: a serial run prints figure by figure. *)
+  let backlog = Queue.create () in
+  List.iter
+    (fun (e, parallel) ->
+      (match pool with
+      | Some p when parallel && Pool.jobs p > 1 ->
+          Queue.add (`Task (e, Pool.submit p (fun () -> render_figure out ctx e))) backlog
+      | _ ->
           let s0 = Context.trace_stats ctx in
-          let output, tables, seconds = render_figure out None ctx e in
-          let s1 = Context.trace_stats ctx in
-          finish_figure
-            {
-              c_output = output;
-              c_tables = tables;
-              c_stat = stat_of_deltas e seconds s0 s1;
-              c_trace_delta = (s0, s1);
-            })
-        scheduled
-    else begin
-      let p = Option.get pool in
-      (* Dispatch pass: pool-eligible figures are submitted as tasks;
-         serial figures run here at their list position, so every stream a
-         dispatched task replays was recorded before the dispatch. *)
-      let pending =
-        List.map
-          (fun (e, parallel) ->
-            if parallel then
-              `Fut (e, Pool.submit p (fun () -> render_figure out pool ctx e))
-            else begin
-              let s0 = Context.trace_stats ctx in
-              let output, tables, seconds = render_figure out pool ctx e in
-              let s1 = Context.trace_stats ctx in
-              `Done
-                {
-                  c_output = output;
-                  c_tables = tables;
-                  c_stat = stat_of_deltas e seconds s0 s1;
-                  c_trace_delta = (s0, s1);
-                }
-            end)
-          scheduled
-      in
-      (* Collection pass, in list order: await each task (helping the pool
-         while blocked), merge its telemetry snapshot — submission order ==
-         list order, so the merge order is deterministic — and emit its
-         buffered report block. *)
-      List.map
-        (fun pending ->
-          match pending with
-          | `Done done_ -> finish_figure done_
-          | `Fut (e, fut) ->
-              let (output, tables, seconds), snap = Pool.await_snapshot fut in
-              let s1 =
-                match snap with
-                | Some snap -> stats_of_snapshot snap
-                | None -> zero_stats
-              in
-              finish_figure
-                {
-                  c_output = output;
-                  c_tables = tables;
-                  c_stat = stat_of_deltas e seconds zero_stats s1;
-                  c_trace_delta = (zero_stats, s1);
-                })
-        pending
-    end
-  in
+          let block = render_figure out ctx e in
+          Queue.add (`Ran (completed e block (s0, Context.trace_stats ctx))) backlog);
+      while (match Queue.peek_opt backlog with Some (`Ran _) -> true | _ -> false) do
+        collect (Queue.take backlog)
+      done)
+    (schedule (select selection));
+  Queue.iter collect backlog;
+  let figures = List.rev !figures in
   if trace_stats then Table.print ppf (trace_summary_table (Context.trace_stats ctx));
   let wall = Unix.gettimeofday () -. t_start in
   let serial_estimate =

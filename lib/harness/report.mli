@@ -39,11 +39,11 @@ val run :
     summary table.
 
     With a [pool] of 2+ jobs, replay-only figures whose streams were
-    recorded by an earlier figure run as a dependency-aware parallel
-    schedule on the pool's domains (figures that walk an execution, record
-    a stream or feed observers stay on the dispatching domain, so they
-    populate the trace cache); batteries additionally shard their replay
-    across the pool.  Output
+    recorded by an earlier figure run as pool tasks, one figure per task
+    (figures that walk an execution, record a stream or feed observers
+    run on the dispatching domain at their list position, so they
+    populate the trace cache).  A figure is printed once every figure
+    before it has been, so a serial run prints figure by figure.  Output
     order, per-figure attribution and every deterministic counter are
     identical to the serial run: task telemetry is captured in isolation
     and merged in list order.

@@ -10,12 +10,10 @@
     [jobs = N] — the property the regression gate enforces.
 
     At [jobs = 1] no domains are spawned, parallel mode stays off, and
-    {!map} is exactly [List.map]: the serial code path is unchanged.
+    {!submit} runs its thunk inline: the serial code path is unchanged.
 
-    Nesting degrades gracefully: {!map} or {!submit} called from inside a
-    pool task runs inline on the calling domain (inside that task's
-    shadow), so sharded battery replay inside a parallel figure cannot
-    deadlock the pool. *)
+    Tasks are submitted from the dispatching domain only: a task runs to
+    completion without submitting or awaiting others. *)
 
 type t
 
@@ -27,24 +25,15 @@ val create : ?jobs:int -> unit -> t
 val jobs : t -> int
 (** Degree of parallelism, including the dispatching domain. *)
 
-val in_task : unit -> bool
-(** True when the current domain is executing a pool task. *)
-
-val map : t -> ('a -> 'b) -> 'a list -> 'b list
-(** Parallel [List.map], preserving list order.  The dispatcher helps run
-    this map's own tasks while waiting.  All tasks settle before the call
-    returns; successful snapshots merge in submission order; if any task
-    raised, the exception of the {e first} (in list order) failed task is
-    re-raised with its backtrace, after the merge of the successes. *)
-
 type 'a future
 
 val submit : t -> (unit -> 'a) -> 'a future
-(** Enqueue one task.  From inside a pool task, or at [jobs = 1], the thunk
-    runs immediately on the calling domain and {!await} just returns. *)
+(** Enqueue one task.  At [jobs = 1] the thunk runs immediately on the
+    calling domain and {!await} just returns.
+    @raise Invalid_argument when called from inside a pool task. *)
 
 val await : 'a future -> 'a
-(** Block until the future settles, helping run {e any} queued task while
+(** Block until the future settles, helping run queued tasks while
     waiting.  On first await of a settled task, merges its telemetry
     snapshot (successes only) — so awaiting futures in submission order
     yields the serial merge order.  Re-raises the task's exception with its
@@ -60,7 +49,7 @@ val await_snapshot :
 type stats = {
   st_jobs : int;
   st_tasks : int;  (** tasks executed (workers + dispatcher helping) *)
-  st_helped : int;  (** tasks the dispatching domain stole while waiting *)
+  st_helped : int;  (** tasks the dispatching domain ran while waiting *)
   st_idle_s : float;  (** cumulative seconds workers spent waiting for work *)
 }
 

@@ -242,7 +242,7 @@ let test_diagnose_presets () =
 
 let test_diagnose_sum_invariant () =
   let ctx = Lazy.force ctx in
-  let d = Diagnose.run ~combo:Spike.Base ctx (Diagnose.preset_of_figure "fig4") in
+  let d = (Diagnose.run ~combo:Spike.Base ctx (Diagnose.preset_of_figure "fig4")).Diagnose.diag in
   let t = Diag.totals d in
   Alcotest.(check bool) "misses happened" true (t.Diag.total > 0);
   Alcotest.(check int) "classes partition the misses" t.Diag.total
@@ -263,7 +263,7 @@ let test_diagnose_replay_identical () =
   let ctx = Lazy.force ctx in
   let preset = Diagnose.preset_of_figure "fig6" in
   let snapshot () =
-    let d = Diagnose.run ~combo:Spike.Chain ctx preset in
+    let d = (Diagnose.run ~combo:Spike.Chain ctx preset).Diagnose.diag in
     (Diag.totals d, Diag.by_segment d, Diag.conflict_pairs d, Diag.hot_sets ~top:16 d)
   in
   let first = snapshot () in
@@ -278,14 +278,9 @@ let test_diagnose_artifact_parses () =
   let ctx = Lazy.force ctx in
   let preset = Diagnose.preset_of_figure "fig4" in
   let combo = Spike.Base in
-  let c = Telemetry.counter "cachesim.icache_misses" in
-  let before = Telemetry.value c in
-  let d = Diagnose.run ~combo ctx preset in
-  let delta = Telemetry.value c - before in
   let path = Filename.temp_file "olayout_diag" ".json" in
   Json.write_file path
-    (Diagnose.artifact_json ~scale:"quick" ~combo ~preset
-       ~icache_misses_delta:delta d);
+    (Diagnose.artifact_json ~scale:"quick" ~combo ~preset (Diagnose.run ~combo ctx preset));
   let contents =
     let ic = open_in_bin path in
     let s = really_input_string ic (in_channel_length ic) in

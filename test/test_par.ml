@@ -1,66 +1,23 @@
-(* Tests for the Domain work pool and the parallel simulation engine:
-   map ordering, exception propagation, nested fallback, telemetry
-   isolation/merge, battery shard equivalence, trace retention, and the
-   headline determinism property — a report run at jobs=4 produces exactly
-   the counter/histogram deltas of the serial run. *)
+(* Tests for the Domain work pool and the parallel report: inline
+   execution at jobs=1, telemetry isolation/merge and task failure, the
+   two battery engines' agreement over a replayed trace, and the headline
+   determinism property — a report run at jobs=4 produces exactly the
+   counter/histogram deltas and the printed text of the serial run. *)
 
 module Pool = Olayout_par.Pool
 module Telemetry = Olayout_telemetry.Telemetry
 module Battery = Olayout_cachesim.Battery
 module Icache = Olayout_cachesim.Icache
-module Histogram = Olayout_metrics.Histogram
 module Trace = Olayout_exec.Trace
 module Run = Olayout_exec.Run
 module Context = Olayout_harness.Context
 module Report = Olayout_harness.Report
-module Spike = Olayout_core.Spike
 
 let with_pool ?jobs f =
   let p = Pool.create ?jobs () in
   Fun.protect ~finally:(fun () -> Pool.shutdown p) (fun () -> f p)
 
 (* --- pool mechanics --------------------------------------------------- *)
-
-let test_map_order () =
-  with_pool ~jobs:4 (fun p ->
-      let xs = List.init 100 Fun.id in
-      Alcotest.(check (list int))
-        "order preserved"
-        (List.map (fun x -> x * x) xs)
-        (Pool.map p (fun x -> x * x) xs))
-
-let test_map_exception () =
-  with_pool ~jobs:4 (fun p ->
-      let raised =
-        try
-          ignore
-            (Pool.map p
-               (fun x ->
-                 if x = 3 then failwith "boom3"
-                 else if x = 7 then failwith "boom7"
-                 else x)
-               (List.init 10 Fun.id));
-          None
-        with Failure m -> Some m
-      in
-      Alcotest.(check (option string))
-        "first failure in list order" (Some "boom3") raised;
-      (* The pool survives a failed map. *)
-      Alcotest.(check (list int))
-        "pool usable after failure" [ 0; 2; 4 ]
-        (Pool.map p (fun x -> 2 * x) [ 0; 1; 2 ]))
-
-let test_nested_inline () =
-  with_pool ~jobs:4 (fun p ->
-      let fut =
-        Pool.submit p (fun () ->
-            let inside = Pool.in_task () in
-            (inside, Pool.map p (fun x -> x + 1) [ 1; 2; 3 ]))
-      in
-      let inside, nested = Pool.await fut in
-      Alcotest.(check bool) "in_task inside a task" true inside;
-      Alcotest.(check (list int)) "nested map runs inline" [ 2; 3; 4 ] nested);
-  Alcotest.(check bool) "not in_task outside" false (Pool.in_task ())
 
 let test_serial_pool () =
   with_pool ~jobs:1 (fun p ->
@@ -75,13 +32,35 @@ let test_telemetry_merge () =
   let h = Telemetry.histogram "test.par.hist" in
   let before = Telemetry.value c in
   with_pool ~jobs:4 (fun p ->
-      ignore
-        (Pool.map p
-           (fun x ->
-             Telemetry.add c x;
-             Telemetry.observe h x;
-             x)
-           (List.init 10 (fun i -> i + 1)));
+      let futs =
+        List.map
+          (fun x ->
+            Pool.submit p (fun () ->
+                Telemetry.add c x;
+                Telemetry.observe h x;
+                x))
+          (List.init 10 (fun i -> i + 1))
+      in
+      Alcotest.(check (list int)) "results in submission order"
+        (List.init 10 (fun i -> i + 1))
+        (List.map Pool.await futs);
+      (* A failed task re-raises at its await and its telemetry is
+         discarded; a task may not submit; the pool stays usable. *)
+      let failed =
+        Pool.submit p (fun () ->
+            Telemetry.add c 1000;
+            failwith "boom")
+      in
+      Alcotest.check_raises "task failure re-raised" (Failure "boom") (fun () ->
+          Pool.await failed);
+      Alcotest.(check bool) "submit from inside a task raises" true
+        (Pool.await
+           (Pool.submit p (fun () ->
+                match Pool.submit p (fun () -> ()) with
+                | _ -> false
+                | exception Invalid_argument _ -> true)));
+      Alcotest.(check int) "pool usable after a failure" 42
+        (Pool.await (Pool.submit p (fun () -> 42)));
       Pool.publish_stats p;
       Alcotest.(check (float 0.0))
         "par.jobs gauge" 4.0
@@ -94,7 +73,7 @@ let test_telemetry_merge () =
     (List.fold_left (fun acc (_, n) -> acc + n) 0 buckets);
   Alcotest.(check int) "top bucket" 3 (List.assoc 8 buckets)
 
-(* --- battery sharding ------------------------------------------------- *)
+(* --- battery engines over a replayed trace ---------------------------- *)
 
 (* A deterministic synthetic fetch trace: a handful of hot regions plus
    enough spread to give every configuration real misses, evictions and
@@ -123,60 +102,17 @@ let battery_configs =
     Icache.config ~name:"64k/128/2" ~size_kb:64 ~line:128 ~assoc:2 ();
   ]
 
-(* Every deterministic observable of one cache, including the full
-   displacement matrix and the usage histograms. *)
-let cache_fingerprint c =
-  let owners = [ Run.App; Run.Kernel ] in
-  ( ( Icache.accesses c,
-      Icache.misses c,
-      Icache.cold_misses c,
-      Icache.unique_lines c,
-      Icache.lines_filled c ),
-    List.concat_map
-      (fun m -> List.map (fun v -> Icache.displaced c ~miss:m ~victim:v) owners)
-      owners,
-    ( Histogram.to_sorted_list (Icache.words_used_histogram c),
-      Histogram.to_sorted_list (Icache.word_reuse_histogram c) ) )
-
-let test_battery_shards () =
-  let trace = synthetic_trace 100_000 in
-  let replay pool =
-    let b = Battery.create ~track_usage:true battery_configs in
-    Battery.access_trace ?pool ~keep:(fun r -> r.Run.owner = Run.App) b trace;
-    Battery.flush_residents b;
-    List.map cache_fingerprint (Battery.caches b)
-  in
-  let serial = replay None in
-  with_pool ~jobs:4 (fun p ->
-      let sharded = replay (Some p) in
-      List.iteri
-        (fun i (s, sh) ->
-          Alcotest.(check bool)
-            (Printf.sprintf "cache %d identical under sharding" i)
-            true (s = sh))
-        (List.combine serial sharded))
-
-(* The stackdist engine shards by line-size group instead of by cache;
-   serial, sharded and the icache engine must all agree on every miss
-   count, including under a keep filter. *)
-let test_stackdist_battery_shards () =
+(* Both engines must agree on every miss count of a replayed trace under
+   a keep filter. *)
+let test_cross_engine_trace () =
   let trace = synthetic_trace 100_000 in
   let keep (r : Run.t) = r.Run.owner = Run.App in
-  let replay engine pool =
+  let replay engine =
     let b = Battery.create ~engine battery_configs in
-    Battery.access_trace ?pool ~keep b trace;
+    Battery.access_trace ~keep b trace;
     List.map snd (Battery.misses_by_config b)
   in
-  let icache = replay `Icache None in
-  let serial = replay `Stackdist None in
-  Alcotest.(check (list int)) "stackdist = icache (serial)" icache serial;
-  with_pool ~jobs:4 (fun p ->
-      Alcotest.(check (list int))
-        "stackdist sharded = serial" serial
-        (replay `Stackdist (Some p));
-      Alcotest.(check (list int))
-        "icache sharded = stackdist sharded" serial
-        (replay `Icache (Some p)))
+  Alcotest.(check (list int)) "stackdist = icache" (replay `Icache) (replay `Stackdist)
 
 (* --- the determinism property ----------------------------------------- *)
 
@@ -232,14 +168,58 @@ let check_same kind pp serial parallel =
              n1 (pp v1) (pp v2)))
     serial parallel
 
+(* The printed report with each figure's wall-clock line,
+   "  (<id> took <t>s)", dropped. *)
+let untimed text =
+  let timing l = try Scanf.sscanf l "  (%s took %fs)%!" (fun _ _ -> true) with _ -> false in
+  String.split_on_char '\n' text |> List.filter (fun l -> not (timing l)) |> String.concat "\n"
+
+(* How many [report.<id>] spans have closed, per id of [ids]. *)
+let report_spans_closed ids =
+  let stats = Telemetry.span_stats () in
+  List.map
+    (fun id ->
+      match List.find_opt (fun s -> s.Telemetry.span_path = "report." ^ id) stats with
+      | Some s -> s.Telemetry.span_count
+      | None -> 0)
+    ids
+
+(* A formatter appending to [buf] that notes, as each figure's block
+   arrives (the chunk holding its "### <id> " header), the closed
+   [report.*] span counts of [ids] and the spans open on this domain. *)
+let recording_formatter ids buf arrivals =
+  let holds chunk header =
+    let n = String.length header in
+    let rec go i =
+      i + n <= String.length chunk && (String.sub chunk i n = header || go (i + 1))
+    in
+    go 0
+  in
+  Format.make_formatter
+    (fun s pos len ->
+      let chunk = String.sub s pos len in
+      Buffer.add_string buf chunk;
+      List.iter
+        (fun id ->
+          if holds chunk ("### " ^ id ^ " ") then
+            arrivals :=
+              (id, report_spans_closed ids, Telemetry.current_span_stack ()) :: !arrivals)
+        ids)
+    (fun () -> ())
+
 (* One report run over a fresh Quick context, returning the deterministic
-   counter/histogram deltas it produced and the final gauge values. *)
+   counter/histogram deltas it produced, the final gauge values, the
+   per-figure attribution, the printed text and the span state each
+   figure's block met at the formatter (see [check_streamed]). *)
 let report_deltas ~pool ids =
   let ctx = Context.create ~scale:Context.Quick () in
-  let null_ppf = Format.make_formatter (fun _ _ _ -> ()) (fun () -> ()) in
+  let buf = Buffer.create 65536 and arrivals = ref [] in
+  let ppf = recording_formatter ids buf arrivals in
+  let spans_before = report_spans_closed ids in
   let c_before = Telemetry.counters () in
   let h_before = Telemetry.histograms () in
-  let report = Report.run ~selection:(Report.Only ids) ?pool ctx null_ppf in
+  let report = Report.run ~selection:(Report.Only ids) ?pool ctx ppf in
+  Format.pp_print_flush ppf ();
   let counters = counter_deltas c_before (Telemetry.counters ()) in
   let histograms = histogram_deltas h_before (Telemetry.histograms ()) in
   let gauges =
@@ -258,14 +238,33 @@ let report_deltas ~pool ids =
             f.traces_replayed ) ))
       report.Report.figures
   in
-  (counters, histograms, gauges, attribution)
+  ( (counters, histograms, gauges, attribution),
+    Buffer.contents buf,
+    (spans_before, List.rev !arrivals) )
+
+(* A serial report streams: the i-th figure's block reaches the formatter
+   when exactly the figures up to the i-th have run, each under its
+   [report.<id>] span, and while no [report.*] span is open. *)
+let check_streamed ids (spans_before, arrivals) =
+  Alcotest.(check (list string)) "every block arrives once, in list order" ids
+    (List.map (fun (id, _, _) -> id) arrivals);
+  List.iteri
+    (fun i (id, closed, open_) ->
+      Alcotest.(check (list int))
+        (Printf.sprintf "%s's block follows its own span and precedes the next" id)
+        (List.mapi (fun k n -> if k <= i then n + 1 else n) spans_before)
+        closed;
+      Alcotest.(check (list string)) (id ^ ": no report span open at its block") []
+        (List.filter (fun p -> starts_with ~prefix:"report." p) open_))
+    arrivals
 
 let test_report_determinism () =
   (* fig4 is the provider (live walk, records Base and All streams); fig6,
      fig8 and fig9 consume them and run on the pool's domains at -j 4. *)
   let ids = [ "fig4"; "fig6"; "fig8"; "fig9" ] in
-  let sc, sh, sg, sa = report_deltas ~pool:None ids in
-  let pc, ph, pg, pa =
+  let (sc, sh, sg, sa), serial_text, streamed = report_deltas ~pool:None ids in
+  check_streamed ids streamed;
+  let (pc, ph, pg, pa), parallel_text, _ =
     with_pool ~jobs:4 (fun p -> report_deltas ~pool:(Some p) ids)
   in
   Alcotest.(check int) "same counter set" (List.length sc) (List.length pc);
@@ -282,7 +281,9 @@ let test_report_determinism () =
       Alcotest.(check bool)
         (Printf.sprintf "%s attribution identical" id1)
         true (a1 = a2))
-    sa pa
+    sa pa;
+  Alcotest.(check string) "printed report identical but for timing lines"
+    (untimed serial_text) (untimed parallel_text)
 
 (* Satellite of the report-determinism property, aimed at the diagnosis
    layer: the conflict-pair ranking fig4's diagnosis extracts from a run
@@ -295,7 +296,7 @@ let conflict_pairs_after ~pool =
   let ctx = Context.create ~scale:Context.Quick () in
   let null_ppf = Format.make_formatter (fun _ _ _ -> ()) (fun () -> ()) in
   ignore (Report.run ~selection:(Report.Only [ "fig4"; "fig6" ]) ?pool ctx null_ppf);
-  let d = Diagnose.run ctx (Diagnose.preset_of_figure "fig4") in
+  let d = (Diagnose.run ctx (Diagnose.preset_of_figure "fig4")).Diagnose.diag in
   List.map
     (fun (p : Diag.conflict_pair) ->
       (p.Diag.cp_evictor, p.Diag.cp_victim, p.Diag.cp_count, p.Diag.cp_sets))
@@ -313,14 +314,9 @@ let test_conflict_pairs_determinism () =
 let suite =
   ( "par",
     [
-      Alcotest.test_case "map order" `Quick test_map_order;
-      Alcotest.test_case "map exception" `Quick test_map_exception;
-      Alcotest.test_case "nested map inline" `Quick test_nested_inline;
       Alcotest.test_case "serial pool" `Quick test_serial_pool;
       Alcotest.test_case "telemetry merge" `Quick test_telemetry_merge;
-      Alcotest.test_case "battery shard equivalence" `Slow test_battery_shards;
-      Alcotest.test_case "stackdist shard + cross-engine equivalence" `Slow
-        test_stackdist_battery_shards;
+      Alcotest.test_case "cross-engine trace equivalence" `Slow test_cross_engine_trace;
       Alcotest.test_case "report determinism -j1 vs -j4" `Slow
         test_report_determinism;
       Alcotest.test_case "conflict-pair ranking -j1 vs -j4" `Slow

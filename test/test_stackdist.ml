@@ -1,7 +1,7 @@
 (* Tests for the stack-distance all-associativity engine: unit checks of
    the per-set LRU identity, the fully-associative degenerate case vs the
    diagnostics Shadow LRU, randomized exact-equality cross-checks against
-   Icache over mixed and sweep-shaped geometries, group-by-group feeding,
+   Icache over mixed and sweep-shaped geometries, feeding with one publish,
    per-run probe deltas, and the engine-selecting Battery API. *)
 
 module Icache = Olayout_cachesim.Icache
@@ -10,7 +10,6 @@ module Battery = Olayout_cachesim.Battery
 module Shadow = Olayout_diag.Shadow
 module Run = Olayout_exec.Run
 module Trace = Olayout_exec.Trace
-module Pool = Olayout_par.Pool
 module Telemetry = Olayout_telemetry.Telemetry
 
 let app_run addr len = { Run.owner = Run.App; addr; len }
@@ -240,32 +239,26 @@ let counter_deltas f =
   f ();
   List.map2 ( - ) (read ()) before
 
-let test_group_by_group_feed () =
+let test_feed_then_publish () =
   let runs = sweep_runs ~seed:7 4000 in
-  let whole = Stackdist.create sweep_grid and by_group = Stackdist.create sweep_grid in
-  let want = counter_deltas (fun () -> List.iter (Stackdist.access_run whole) runs) in
+  let per_run = Stackdist.create sweep_grid and fed = Stackdist.create sweep_grid in
+  let want = counter_deltas (fun () -> List.iter (Stackdist.access_run per_run) runs) in
   let got =
     counter_deltas (fun () ->
-        for g = 0 to Stackdist.n_groups by_group - 1 do
-          (* Booked in the group, not yet in the registry. *)
-          Alcotest.(check (list int))
-            (Printf.sprintf "group %d unpublished" g)
-            [ 0; 0; 0 ]
-            (counter_deltas (fun () ->
-                 List.iter (Stackdist.access_groups by_group ~lo:g ~hi:g) runs));
-          Stackdist.publish_groups by_group ~lo:g ~hi:g
-        done)
+        (* Booked in the groups, not yet in the registry. *)
+        Alcotest.(check (list int)) "unpublished while fed" [ 0; 0; 0 ]
+          (counter_deltas (fun () -> List.iter (Stackdist.feed fed) runs));
+        Stackdist.publish fed)
   in
-  Alcotest.(check int) "three groups" 3 (Stackdist.n_groups whole);
-  Alcotest.(check int) "accesses" (Stackdist.accesses whole) (Stackdist.accesses by_group);
-  Alcotest.(check (list (triple string int int))) "misses and cold" (results whole)
-    (results by_group);
+  Alcotest.(check int) "three groups" 3 (Stackdist.n_groups per_run);
+  Alcotest.(check int) "accesses" (Stackdist.accesses per_run) (Stackdist.accesses fed);
+  Alcotest.(check (list (triple string int int))) "misses and cold" (results per_run)
+    (results fed);
   Alcotest.(check bool) "counters moved" true (List.for_all (fun d -> d > 0) want);
   Alcotest.(check (list int)) "counter deltas" want got
 
-(* A replayed trace publishes each shard's counters once, at the end of its
-   task: serially and through a pool, the totals are what per-run feeding
-   of the same kept runs books. *)
+(* A replayed trace publishes its counters once, at the end: the totals
+   are what per-run feeding of the same kept runs books. *)
 let test_battery_trace_counters () =
   let runs = sweep_runs ~seed:13 4000 in
   let record, trace = Trace.record () in
@@ -279,16 +272,10 @@ let test_battery_trace_counters () =
     counter_deltas (fun () ->
         List.iter (fun r -> if keep r then Battery.access_run per_run r) runs)
   in
-  let leg name pool =
-    let b = Battery.create ~engine:`Stackdist sweep_grid in
-    let got = counter_deltas (fun () -> Battery.access_trace ?pool ~keep b trace) in
-    Alcotest.(check (list int)) (name ^ ": counter deltas") want got;
-    Alcotest.(check (list (pair string int))) (name ^ ": misses") (by_config per_run)
-      (by_config b)
-  in
-  leg "serial" None;
-  let pool = Pool.create ~jobs:2 () in
-  Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () -> leg "2 jobs" (Some pool))
+  let b = Battery.create ~engine:`Stackdist sweep_grid in
+  let got = counter_deltas (fun () -> Battery.access_trace ~keep b trace) in
+  Alcotest.(check (list int)) "counter deltas" want got;
+  Alcotest.(check (list (pair string int))) "misses" (by_config per_run) (by_config b)
 
 (* Replay allocates only the runs it decodes (a [Run.t] is four words),
    and per-run feeding allocates nothing.  Each battery is measured after a
@@ -390,7 +377,8 @@ let suite =
         test_battery_stackdist_restrictions;
       QCheck_alcotest.to_alcotest qcheck_matches_icache;
       QCheck_alcotest.to_alcotest qcheck_sweep_grid;
-      Alcotest.test_case "group-by-group feed = access_run" `Quick test_group_by_group_feed;
+      Alcotest.test_case "feed, then publish once, equals per-run access_run" `Quick
+        test_feed_then_publish;
       Alcotest.test_case "probe deltas = icache per run" `Quick test_probe_deltas;
       Alcotest.test_case "battery trace counters = per-run" `Quick test_battery_trace_counters;
       Alcotest.test_case "battery allocation" `Quick test_battery_allocation;

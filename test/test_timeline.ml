@@ -1,8 +1,8 @@
 (* Tests for the windowed instruction-clock timeline: series window
    arithmetic and edge cases, Delta/Sample semantics, the disabled fast
-   path, parallel-replay determinism (-j1 = -j4), cross-engine equality
-   (icache = stackdist), the olayout-timeline/v1 artifact, and the
-   sampler's windowed view.
+   path, a battery fed inside a pool task (-j4 = -j1), cross-engine
+   equality (icache = stackdist), the olayout-timeline/v1 artifact, and
+   the sampler's windowed view.
 
    The timeline registry is process-global, like the telemetry registry:
    every test that enables the subsystem restores the disabled default
@@ -126,12 +126,15 @@ let configs =
   ]
 
 (* Replay [trace] through a battery designating [prefix] for the
-   timeline, returning that prefix's (misses, accesses) window arrays. *)
-let run_battery ?pool ~engine ~prefix trace =
+   timeline. *)
+let feed_battery ~engine ~prefix trace =
   let b =
     Battery.create ~engine ~timeline:(designated.Icache.name, prefix) configs
   in
-  Battery.access_trace ?pool b trace;
+  Battery.access_trace b trace
+
+(* [prefix]'s (misses, accesses) window arrays. *)
+let series prefix =
   let values leaf =
     let name = Printf.sprintf "cachesim.%s.%s" prefix leaf in
     match List.find_opt (fun d -> d.Timeline.d_name = name) (Timeline.dump ()) with
@@ -140,20 +143,26 @@ let run_battery ?pool ~engine ~prefix trace =
   in
   (values "misses", values "accesses")
 
+let run_battery ~engine ~prefix trace =
+  feed_battery ~engine ~prefix trace;
+  series prefix
+
+(* fig4's timeline batteries at -j 2: created and fed inside a pool task,
+   their series merged when the task is awaited. *)
 let test_parallel_determinism () =
   let trace = synthetic_trace 60_000 in
   with_timeline ~window:4096 (fun () ->
       let serial = run_battery ~engine:`Stackdist ~prefix:"tst_j1" trace in
       Timeline.set_window 4096;
       (* clears between legs *)
-      let parallel =
-        let p = Pool.create ~jobs:4 () in
-        Fun.protect
-          ~finally:(fun () -> Pool.shutdown p)
-          (fun () -> run_battery ~pool:p ~engine:`Stackdist ~prefix:"tst_j4" trace)
-      in
+      let p = Pool.create ~jobs:4 () in
+      Fun.protect
+        ~finally:(fun () -> Pool.shutdown p)
+        (fun () ->
+          Pool.await
+            (Pool.submit p (fun () -> feed_battery ~engine:`Stackdist ~prefix:"tst_j4" trace)));
       Alcotest.(check (pair (array int) (array int)))
-        "-j4 series = serial series" serial parallel)
+        "-j4 series = serial series" serial (series "tst_j4"))
 
 let test_cross_engine () =
   let trace = synthetic_trace 60_000 in
