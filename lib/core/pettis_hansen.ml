@@ -5,54 +5,89 @@ module Provenance = Olayout_telemetry.Provenance
 
 let c_edges_merged = Telemetry.counter "core.ph_edges_merged"
 
-(* --- small array-based max-heap of (weight, a, b), lazily deleted --- *)
+(* --- array-based max-heap of (weight, a, b), lazily deleted: an entry
+   lives in three parallel arrays, so a push allocates nothing and a swap
+   writes no pointer --- *)
 module Heap = struct
-  type entry = { w : float; a : int; b : int }
-  type t = { mutable arr : entry array; mutable len : int }
+  type t = {
+    mutable w : float array;
+    mutable a : int array;
+    mutable b : int array;
+    mutable len : int;
+  }
 
-  let create () = { arr = Array.make 64 { w = 0.0; a = 0; b = 0 }; len = 0 }
+  let create () = { w = Array.make 64 0.0; a = Array.make 64 0; b = Array.make 64 0; len = 0 }
 
   let swap h i j =
-    let t = h.arr.(i) in
-    h.arr.(i) <- h.arr.(j);
-    h.arr.(j) <- t
+    let w = h.w.(i) and a = h.a.(i) and b = h.b.(i) in
+    h.w.(i) <- h.w.(j);
+    h.a.(i) <- h.a.(j);
+    h.b.(i) <- h.b.(j);
+    h.w.(j) <- w;
+    h.a.(j) <- a;
+    h.b.(j) <- b
 
-  let push h e =
-    if h.len = Array.length h.arr then begin
-      let bigger = Array.make (2 * h.len) e in
-      Array.blit h.arr 0 bigger 0 h.len;
-      h.arr <- bigger
-    end;
-    h.arr.(h.len) <- e;
+  let grow h =
+    let cap = 2 * h.len in
+    let w = Array.make cap 0.0 and a = Array.make cap 0 and b = Array.make cap 0 in
+    Array.blit h.w 0 w 0 h.len;
+    Array.blit h.a 0 a 0 h.len;
+    Array.blit h.b 0 b 0 h.len;
+    h.w <- w;
+    h.a <- a;
+    h.b <- b
+
+  (* Inlined, so the weight reaches the array unboxed. *)
+  let[@inline] push h w a b =
+    if h.len = Array.length h.w then grow h;
+    h.w.(h.len) <- w;
+    h.a.(h.len) <- a;
+    h.b.(h.len) <- b;
     h.len <- h.len + 1;
     let i = ref (h.len - 1) in
-    while !i > 0 && h.arr.((!i - 1) / 2).w < h.arr.(!i).w do
+    while !i > 0 && h.w.((!i - 1) / 2) < h.w.(!i) do
       swap h !i ((!i - 1) / 2);
       i := (!i - 1) / 2
     done
 
+  (* Drops the top entry, which the caller has read at index 0. *)
   let pop h =
-    if h.len = 0 then None
-    else begin
-      let top = h.arr.(0) in
-      h.len <- h.len - 1;
-      h.arr.(0) <- h.arr.(h.len);
-      let i = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let biggest = ref !i in
-        if l < h.len && h.arr.(l).w > h.arr.(!biggest).w then biggest := l;
-        if r < h.len && h.arr.(r).w > h.arr.(!biggest).w then biggest := r;
-        if !biggest = !i then continue := false
-        else begin
-          swap h !i !biggest;
-          i := !biggest
-        end
-      done;
-      Some top
-    end
+    h.len <- h.len - 1;
+    h.w.(0) <- h.w.(h.len);
+    h.a.(0) <- h.a.(h.len);
+    h.b.(0) <- h.b.(h.len);
+    let i = ref 0 in
+    let continue = ref true in
+    while !continue do
+      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
+      let biggest = ref !i in
+      if l < h.len && h.w.(l) > h.w.(!biggest) then biggest := l;
+      if r < h.len && h.w.(r) > h.w.(!biggest) then biggest := r;
+      if !biggest = !i then continue := false
+      else begin
+        swap h !i !biggest;
+        i := !biggest
+      end
+    done
 end
+
+(* The pair and adjacency tables.  [Hashtbl.Make] with [Hashtbl.hash]
+   gives each key the generic table's bucket, growth and iteration order,
+   which decide every weight tie, and compares keys without the
+   polymorphic [compare]. *)
+module Pairs = Hashtbl.Make (struct
+  type t = int * int
+
+  let equal ((a, b) : t) (c, d) = a = c && b = d
+  let hash = Hashtbl.hash
+end)
+
+module Adj = Hashtbl.Make (struct
+  type t = int
+
+  let equal (a : int) b = a = b
+  let hash = Hashtbl.hash
+end)
 
 (* The undirected pair weights from the profile, by segment index
    ([seg_of proc block]).  Only arms with nonzero counts can weigh
@@ -73,8 +108,8 @@ let pair_weights_of profile ~seg_of =
         cnt := grow cnt;
         cap := 2 * !cap
       end;
-      !lo.(!len) <- min a b;
-      !hi.(!len) <- max a b;
+      !lo.(!len) <- (if a < b then a else b);
+      !hi.(!len) <- (if a < b then b else a);
       !cnt.(!len) <- c;
       incr len
     end
@@ -120,9 +155,10 @@ let rec find parent x =
 
 (* The per-segment state of one run, kept between runs at its resting
    values: [head.(i) = tail.(i) = parent.(i) = i], no links, zero group
-   heat and the shared empty adjacency [none].  A run writes only the
-   segments that carry weight (and the hot singletons' heat), and puts
-   exactly those back, so it costs what the weighted subgraph costs. *)
+   heat and the shared empty adjacency [none], with the heap empty.  A
+   run writes only the segments that carry weight (and the hot
+   singletons' heat), and puts exactly those back, so it costs what the
+   weighted subgraph costs. *)
 type buffers = {
   mutable cap : int;
   mutable head : int array;
@@ -131,12 +167,13 @@ type buffers = {
   mutable link1 : int array;
   mutable parent : int array;
   mutable group_heat : float array;
-  mutable adj : (int, float) Hashtbl.t array;
-  none : (int, float) Hashtbl.t;
+  mutable adj : float Adj.t array;
+  none : float Adj.t;
+  heap : Heap.t;
 }
 
 let buffers () =
-  let none = Hashtbl.create 1 in
+  let none = Adj.create 1 in
   {
     cap = 0;
     head = [||];
@@ -147,6 +184,7 @@ let buffers () =
     group_heat = [||];
     adj = [||];
     none;
+    heap = Heap.create ();
   }
 
 let reserve bf n =
@@ -164,27 +202,27 @@ let reserve bf n =
 
 let order_indices bf ?(pass = "pettis_hansen") ~n ~weights ~heat ~hot ~proc_of () =
   reserve bf n;
-  let { head; tail; link0; link1; parent; group_heat; adj; none; cap = _ } = bf in
+  let { head; tail; link0; link1; parent; group_heat; adj; none; heap; cap = _ } = bf in
   (* Decision provenance is checked once per invocation; the merge loop
      pays nothing while the subsystem is disabled. *)
   let prov = Provenance.enabled () in
   let merge_step = ref 0 in
-  let wtbl : (int * int, float ref) Hashtbl.t = Hashtbl.create (List.length weights * 2) in
+  let wtbl : float ref Pairs.t = Pairs.create (List.length weights * 2) in
   List.iter
     (fun ((a, b), w) ->
       if a <> b && w > 0.0 then begin
         if a < 0 || b < 0 || a >= n || b >= n then
           invalid_arg "Pettis_hansen: pair weight on a segment out of range";
         let key = if a < b then (a, b) else (b, a) in
-        match Hashtbl.find_opt wtbl key with
+        match Pairs.find_opt wtbl key with
         | Some r -> r := !r +. w
-        | None -> Hashtbl.add wtbl key (ref w)
+        | None -> Pairs.add wtbl key (ref w)
       end)
     weights;
   let weights = wtbl in
   let original_w a b =
     let key = if a < b then (a, b) else (b, a) in
-    match Hashtbl.find_opt weights key with Some r -> !r | None -> 0.0
+    match Pairs.find_opt weights key with Some r -> !r | None -> 0.0
   in
   (* Segments written by this run, to be put back at rest. *)
   let touched = ref [] in
@@ -196,7 +234,7 @@ let order_indices bf ?(pass = "pettis_hansen") ~n ~weights ~heat ~hot ~proc_of (
      output. *)
   let adj_of x =
     if adj.(x) == none then begin
-      adj.(x) <- Hashtbl.create 4;
+      adj.(x) <- Adj.create 4;
       touched := x :: !touched
     end;
     adj.(x)
@@ -216,77 +254,76 @@ let order_indices bf ?(pass = "pettis_hansen") ~n ~weights ~heat ~hot ~proc_of (
       prev := c
     done
   in
-  let heap = Heap.create () in
   let current_weight a b =
-    match Hashtbl.find_opt adj.(a) b with Some w -> w | None -> 0.0
+    match Adj.find_opt adj.(a) b with Some w -> w | None -> 0.0
   in
-  let rec merge_loop () =
-    match Heap.pop heap with
-    | None -> ()
-    | Some { Heap.w; a; b } ->
-        let ra = find parent a and rb = find parent b in
-        if ra <> rb && w > 0.0 && a = ra && b = rb && current_weight ra rb = w then begin
-          (* Choose orientation: of the four end pairings, keep the one whose
-             touching endpoint segments have the heaviest original weight;
-             the first listed wins a tie.  Each pairing links end [x] of one
-             group to end [y] of the other and names the merged ends. *)
-          let ha = head.(ra) and ta = tail.(ra) and hb = head.(rb) and tb = tail.(rb) in
-          let best = ref (ta, hb, ha, tb) (* ra then rb *) in
-          let best_w = ref (original_w ta hb) in
-          let consider ((x, y, _, _) as pairing) =
-            let w' = original_w x y in
-            if w' > !best_w then begin
-              best := pairing;
-              best_w := w'
-            end
-          in
-          consider (ta, tb, ha, hb) (* ra then reversed rb *);
-          consider (ha, hb, ta, tb) (* reversed ra then rb *);
-          consider (tb, ha, hb, ta) (* rb then ra *);
-          let x, y, h, t = !best in
-          Telemetry.incr c_edges_merged;
-          if prov then begin
-            (* One event per merge, charged to the group being absorbed:
-               "this procedure was pulled next to that one by an edge of
-               this weight, at this point in the greedy order". *)
-            incr merge_step;
-            Provenance.record ~pass ~subject:(proc_of rb)
-              [
-                ("partner", Provenance.Int (proc_of ra));
-                ("weight", Provenance.Float w);
-                ("step", Provenance.Int !merge_step);
-              ]
-          end;
-          (* rb joins ra. *)
-          parent.(rb) <- ra;
-          link x y;
-          link y x;
-          head.(ra) <- h;
-          tail.(ra) <- t;
-          Hashtbl.remove adj.(ra) rb;
-          Hashtbl.remove adj.(rb) ra;
-          Hashtbl.iter
-            (fun other w' ->
-              let other = find parent other in
-              if other <> ra then begin
-                let updated = current_weight ra other +. w' in
-                Hashtbl.replace (adj_of ra) other updated;
-                Hashtbl.replace (adj_of other) ra updated;
-                Hashtbl.remove adj.(other) rb;
-                let x = min ra other and y = max ra other in
-                Heap.push heap { Heap.w = updated; a = x; b = y }
-              end)
-            adj.(rb);
-          adj.(rb) <- none
+  let merge_loop () =
+    while heap.Heap.len > 0 do
+      let w = heap.Heap.w.(0) and a = heap.Heap.a.(0) and b = heap.Heap.b.(0) in
+      Heap.pop heap;
+      let ra = find parent a and rb = find parent b in
+      if ra <> rb && w > 0.0 && a = ra && b = rb && current_weight ra rb = w then begin
+        (* Choose orientation: of the four end pairings, keep the one whose
+           touching endpoint segments have the heaviest original weight;
+           the first listed wins a tie.  Each pairing links end [x] of one
+           group to end [y] of the other and names the merged ends. *)
+        let ha = head.(ra) and ta = tail.(ra) and hb = head.(rb) and tb = tail.(rb) in
+        let best = ref (ta, hb, ha, tb) (* ra then rb *) in
+        let best_w = ref (original_w ta hb) in
+        let consider ((x, y, _, _) as pairing) =
+          let w' = original_w x y in
+          if w' > !best_w then begin
+            best := pairing;
+            best_w := w'
+          end
+        in
+        consider (ta, tb, ha, hb) (* ra then reversed rb *);
+        consider (ha, hb, ta, tb) (* reversed ra then rb *);
+        consider (tb, ha, hb, ta) (* rb then ra *);
+        let x, y, h, t = !best in
+        Telemetry.incr c_edges_merged;
+        if prov then begin
+          (* One event per merge, charged to the group being absorbed:
+             "this procedure was pulled next to that one by an edge of
+             this weight, at this point in the greedy order". *)
+          incr merge_step;
+          Provenance.record ~pass ~subject:(proc_of rb)
+            [
+              ("partner", Provenance.Int (proc_of ra));
+              ("weight", Provenance.Float w);
+              ("step", Provenance.Int !merge_step);
+            ]
         end;
-        merge_loop ()
+        (* rb joins ra. *)
+        parent.(rb) <- ra;
+        link x y;
+        link y x;
+        head.(ra) <- h;
+        tail.(ra) <- t;
+        Adj.remove adj.(ra) rb;
+        Adj.remove adj.(rb) ra;
+        Adj.iter
+          (fun other w' ->
+            let other = find parent other in
+            if other <> ra then begin
+              let updated = current_weight ra other +. w' in
+              Adj.replace (adj_of ra) other updated;
+              Adj.replace (adj_of other) ra updated;
+              Adj.remove adj.(other) rb;
+              if ra < other then Heap.push heap updated ra other
+              else Heap.push heap updated other ra
+            end)
+          adj.(rb);
+        adj.(rb) <- none
+      end
+    done
   in
   let run () =
-    Hashtbl.iter
+    Pairs.iter
       (fun (a, b) r ->
-        Hashtbl.replace (adj_of a) b !r;
-        Hashtbl.replace (adj_of b) a !r;
-        Heap.push heap { Heap.w = !r; a; b })
+        Adj.replace (adj_of a) b !r;
+        Adj.replace (adj_of b) a !r;
+        Heap.push heap !r a b)
       weights;
     merge_loop ();
     (* Emission: groups by heat descending, ties to the smaller
@@ -300,7 +337,8 @@ let order_indices bf ?(pass = "pettis_hansen") ~n ~weights ~heat ~hot ~proc_of (
     List.iter
       (fun s ->
         let r = find parent s in
-        group_heat.(r) <- max group_heat.(r) (heat s))
+        let h = heat s in
+        if h > group_heat.(r) then group_heat.(r) <- h)
       weighted;
     let hot_groups = ref (List.filter (fun s -> parent.(s) = s && group_heat.(s) > 0.0) weighted) in
     (* A weighted segment is either absorbed (its parent is another) or a
@@ -342,6 +380,7 @@ let order_indices bf ?(pass = "pettis_hansen") ~n ~weights ~heat ~hot ~proc_of (
     order
   in
   Fun.protect run ~finally:(fun () ->
+      heap.Heap.len <- 0;
       List.iter
         (fun s ->
           head.(s) <- s;

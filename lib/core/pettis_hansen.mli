@@ -19,7 +19,7 @@
 
 type buffers
 (** Per-segment working state (group ends, links, union-find parents,
-    adjacency tables), reused across runs.  A run writes only the segments
+    adjacency tables) and the merge heap, reused across runs.  A run writes only the segments
     that carry weight and puts them back at rest, so its cost follows the
     weighted subgraph, not the segment count.  One [buffers] must not be
     used by two runs at once. *)

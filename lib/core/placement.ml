@@ -1,12 +1,5 @@
 open Olayout_ir
 
-type t = {
-  prog : Prog.t;
-  fetch : int array array;  (* fetch words, built by [of_rows] *)
-  text_bytes : int;
-  segments : Segment.t list;
-}
-
 (* A block's fetch word: its address above its executed instrs on arms 1
    and 0, [exec_bits] bits each; arm 1 executes the whole encoded block.
    12 bits hold 4,095 instructions, about 50 times the largest block body
@@ -15,6 +8,19 @@ let exec_bits = 12
 let exec_mask = (1 lsl exec_bits) - 1
 let addr_shift = 2 * exec_bits
 let addr_limit = 1 lsl (Sys.int_size - addr_shift)
+let fields_mask = (1 lsl addr_shift) - 1
+
+(* A relative word keeps the two instruction fields and, above them, the
+   block's byte offset in its segment ([off_bits] bits, 4 MiB) and its
+   segment's local number (16 bits), with the sign bit set.  A fetch word
+   is negative only at an address of 2{^38} or more, and a placement
+   reaching that far never fills a row ([fillable]), so a negative word
+   always comes from a relative row.  The workloads' largest procedure
+   has 374 blocks and 11 KB. *)
+let off_bits = 22
+let off_mask = (1 lsl off_bits) - 1
+let seg_shift = addr_shift + off_bits
+let seg_limit = 1 lsl (Sys.int_size - 1 - seg_shift)
 
 let align_up a alignment = (a + alignment - 1) / alignment * alignment
 
@@ -42,18 +48,20 @@ type rows = {
   seg_bytes : int array;
 }
 
-(* Each block's fetch word relative to its segment's start: its byte
-   offset there, its encoded size (instrs, terminator included), which is
-   what arm 1 executes, and the instrs arm 0 executes: a conditional
-   branch costs one terminator instruction on the taken arm, and its fall
-   path also executes the companion branch; other terminators execute what
-   they encode.  A segment's encoding depends on its own block order
-   alone. *)
+(* Each block's fetch word relative to its segment's start: its local
+   segment and byte offset there, its encoded size (instrs, terminator
+   included), which is what arm 1 executes, and the instrs arm 0 executes:
+   a conditional branch costs one terminator instruction on the taken arm,
+   and its fall path also executes the companion branch; other terminators
+   execute what they encode.  A segment's encoding depends on its own
+   block order alone. *)
 let encode prog pid segments =
   let seg_of = Segment.index prog pid segments in
+  if Array.length segments > seg_limit then
+    invalid_arg (Printf.sprintf "Placement: p%d has over %d segments" pid seg_limit);
   let word = Array.make (Array.length seg_of) 0 in
   let p = Prog.proc prog pid in
-  let rec go cursor = function
+  let rec go tag cursor = function
     | [] -> cursor
     | b :: rest ->
         let blk = Proc.block p b in
@@ -62,10 +70,15 @@ let encode prog pid segments =
         let exec0 = blk.Block.body + (match blk.Block.term with Block.Cond _ -> 1 | _ -> t) in
         if size lsr exec_bits <> 0 then
           invalid_arg (Printf.sprintf "Placement: p%d block %d: %d instrs overflow" pid b size);
-        word.(b) <- (cursor lsl addr_shift) lor (size lsl exec_bits) lor exec0;
-        go (cursor + (size * Block.bytes_per_instr)) rest
+        if cursor lsr off_bits <> 0 then
+          invalid_arg
+            (Printf.sprintf "Placement: p%d block %d past its segment's offset field" pid b);
+        word.(b) <- tag lor (cursor lsl addr_shift) lor (size lsl exec_bits) lor exec0;
+        go tag (cursor + (size * Block.bytes_per_instr)) rest
   in
-  let seg_bytes = Array.map (fun (seg : Segment.t) -> go 0 seg.blocks) segments in
+  let seg_bytes =
+    Array.mapi (fun i (seg : Segment.t) -> go (min_int lor (i lsl seg_shift)) 0 seg.blocks) segments
+  in
   { proc = pid; segs = segments; seg_of; word; seg_bytes }
 
 let numbering rows =
@@ -75,54 +88,65 @@ let numbering rows =
 
 let numbered rows = Array.concat (Array.to_list (Array.map (fun r -> r.segs) rows))
 
+type t = {
+  prog : Prog.t;
+  text_bytes : int;
+  base : int array;  (* [numbering] of the rows *)
+  order : int array;  (* segment numbers in address order *)
+  start : int array;  (* segment number -> start address *)
+  segs : Segment.t array array;  (* procedure -> its segments *)
+  words : int array array;
+      (* procedure -> its relative row, until [fetch_word] fills the slot
+         with the procedure's fetch words *)
+  fillable : bool;  (* every fetch word is non-negative *)
+}
+
 let of_rows ?(align = 16) ?(addr_of = fun _ a -> a) prog rows ~order =
   check_align align;
-  if Array.length rows <> Prog.n_procs prog then
-    invalid_arg "Placement.of_rows: one row set per procedure";
-  Array.iteri
-    (fun p r -> if r.proc <> p then invalid_arg "Placement.of_rows: rows out of procedure order")
-    rows;
+  let n_procs = Array.length rows in
+  if n_procs <> Prog.n_procs prog then invalid_arg "Placement.of_rows: one row set per procedure";
   let base = numbering rows in
-  let n = base.(Array.length rows) in
+  let n = base.(n_procs) in
   if Array.length order <> n then invalid_arg "Placement.of_rows: order is not a permutation";
-  let bytes = Array.concat (Array.to_list (Array.map (fun r -> r.seg_bytes) rows)) in
+  (* [start] holds each segment's size complemented, negative, until the
+     segment is placed. *)
+  let start = Array.make n 0 in
+  for p = 0 to n_procs - 1 do
+    let r = rows.(p) and b0 = base.(p) in
+    if r.proc <> p then invalid_arg "Placement.of_rows: rows out of procedure order";
+    for i = 0 to Array.length r.seg_bytes - 1 do
+      start.(b0 + i) <- lnot r.seg_bytes.(i)
+    done
+  done;
   (* The one loop that assigns addresses: a prefix sum over the segment
      sizes, in order, with each start aligned, then moved by [addr_of]; a
      segment met twice (hence one never met), or one reaching past a fetch
-     word's address field, is refused.  A block's fetch word is its
-     segment's start added to its relative word. *)
-  let start = Array.make n (-1) in
+     word's address field, is refused. *)
   let cursor = ref prog.Prog.base_addr in
   for k = 0 to n - 1 do
     let g = order.(k) in
     if g < 0 || g >= n || start.(g) >= 0 then
       invalid_arg "Placement.of_rows: order is not a permutation";
+    let bytes = lnot start.(g) in
     let s = addr_of g (align_up !cursor align) in
     if s < !cursor then invalid_arg "Placement: addr_of moved backwards";
     if s mod Block.bytes_per_instr <> 0 then
       invalid_arg "Placement: addr_of returned unaligned address";
-    if s < 0 || s + bytes.(g) >= addr_limit then
+    if s < 0 || s + bytes >= addr_limit then
       invalid_arg (Printf.sprintf "Placement: segment at 0x%x past the address field" s);
     start.(g) <- s;
-    cursor := s + bytes.(g)
+    cursor := s + bytes
   done;
-  let fetch =
-    Array.mapi
-      (fun p r ->
-        let b0 = base.(p) and seg_of = r.seg_of and word = r.word in
-        let a = Array.make (Array.length seg_of) 0 in
-        for b = 0 to Array.length a - 1 do
-          a.(b) <- (start.(b0 + seg_of.(b)) lsl addr_shift) + word.(b)
-        done;
-        a)
-      rows
-  in
-  let segs = numbered rows in
-  let segments = ref [] in
-  for k = n - 1 downto 0 do
-    segments := segs.(order.(k)) :: !segments
-  done;
-  { prog; fetch; text_bytes = !cursor - prog.Prog.base_addr; segments = !segments }
+  {
+    prog;
+    text_bytes = !cursor - prog.Prog.base_addr;
+    base;
+    order;
+    start;
+    segs = Array.map (fun (r : rows) -> r.segs) rows;
+    words = Array.map (fun (r : rows) -> r.word) rows;
+    fillable = !cursor < addr_limit / 2;
+  }
 
 (* The list constructors: encode every procedure's segments, number them
    procedure-major, and lay them out in list order. *)
@@ -155,28 +179,83 @@ let original ?align prog =
     (Array.to_list (Array.map Segment.of_proc prog.Prog.procs))
 
 let prog t = t.prog
-let block_addr t ~proc ~block = t.fetch.(proc).(block) lsr addr_shift
 
+(* A fetch word from relative word [w] of a procedure whose first segment
+   is number [b0]: its segment's start added to its offset. *)
+let[@inline] absolute start b0 w =
+  let seg = (w lsr seg_shift) land (seg_limit - 1) in
+  ((start.(b0 + seg) + ((w lsr addr_shift) land off_mask)) lsl addr_shift)
+  lor (w land fields_mask)
+
+let word t p b =
+  let w = t.words.(p).(b) in
+  if w >= 0 then w else absolute t.start t.base.(p) w
+
+let fetch_rows t = t.words
+
+(* A fill builds the whole row, then publishes it with one store; two
+   domains that race store equal rows. *)
+let fill_row t p =
+  let row = t.words.(p) in
+  let n = Array.length row in
+  if t.fillable && n > 0 && row.(0) < 0 then begin
+    let filled = Array.make n 0 and start = t.start and b0 = t.base.(p) in
+    for b = 0 to n - 1 do
+      filled.(b) <- absolute start b0 row.(b)
+    done;
+    t.words.(p) <- filled
+  end
+
+let fetch_word t ~proc ~block =
+  fill_row t proc;
+  word t proc block
+
+let fill t =
+  for p = 0 to Array.length t.words - 1 do
+    fill_row t p
+  done
+
+let block_addr t ~proc ~block = word t proc block lsr addr_shift
+
+(* The instruction fields read the same in a relative word. *)
 let exec_instrs t ~proc ~block ~arm =
-  let w = t.fetch.(proc).(block) in
+  let w = t.words.(proc).(block) in
   (if arm = 1 then w lsr exec_bits else w) land exec_mask
 
 let static_instrs t ~proc ~block = exec_instrs t ~proc ~block ~arm:1
-
-let fetch_words t = t.fetch
 let text_bytes t = t.text_bytes
 
 let program_instrs t =
   let encoded acc w = acc + ((w lsr exec_bits) land exec_mask) in
-  Array.fold_left (fun acc row -> Array.fold_left encoded acc row) 0 t.fetch
+  Array.fold_left (fun acc row -> Array.fold_left encoded acc row) 0 t.words
 
-let segments t = t.segments
+(* Every segment, indexed by its number. *)
+let by_number t = Array.concat (Array.to_list t.segs)
+
+let segments t =
+  let segs = by_number t and order = t.order in
+  let acc = ref [] in
+  for k = Array.length order - 1 downto 0 do
+    acc := segs.(order.(k)) :: !acc
+  done;
+  !acc
 
 (* Byte-for-byte layout identity: every address, encoded size and executed
-   terminator cost (the fetch words) and the segment order itself.  The
-   incremental engine's equivalence guarantee is asserted through this. *)
+   terminator cost (the fetch words, filled or not) and the segment order
+   itself.  The incremental engine's equivalence guarantee is asserted
+   through this. *)
 let equal (a : t) (b : t) =
-  a.text_bytes = b.text_bytes && a.fetch = b.fetch && a.segments = b.segments
+  let same_words p row =
+    Array.length row = Array.length b.words.(p)
+    &&
+    let same = ref true in
+    Array.iteri (fun blk _ -> if word a p blk <> word b p blk then same := false) row;
+    !same
+  in
+  a.text_bytes = b.text_bytes
+  && Array.length a.words = Array.length b.words
+  && Array.for_all Fun.id (Array.mapi same_words a.words)
+  && segments a = segments b
 
 let long_branches t ?(max_displacement = 0x10_0000) () =
   let count = ref 0 in
@@ -227,11 +306,13 @@ let cond_branch t ~proc ~block ~arm =
       None
 
 let iter_placed t f =
-  List.iter
-    (fun (seg : Segment.t) ->
+  let segs = by_number t in
+  Array.iter
+    (fun g ->
+      let { Segment.proc; blocks } = segs.(g) in
       List.iter
-        (fun b ->
-          f ~proc:seg.proc ~block:b ~addr:(block_addr t ~proc:seg.proc ~block:b)
-            ~instrs:(static_instrs t ~proc:seg.proc ~block:b))
-        seg.blocks)
-    t.segments
+        (fun block ->
+          let w = word t proc block in
+          f ~proc ~block ~addr:(w lsr addr_shift) ~instrs:((w lsr exec_bits) land exec_mask))
+        blocks)
+    t.order

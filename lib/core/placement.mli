@@ -47,10 +47,11 @@ type rows = private {
   segs : Segment.t array;  (** its segments, in local order *)
   seg_of : int array;  (** block -> local segment *)
   word : int array;
-      (** block -> its fetch word relative to its segment ({!fetch_words}):
-          its byte offset within the segment, its encoded instrs
-          (terminator included, what arm 1 executes) and the instrs arm 0
-          executes *)
+      (** block -> its relative word: the two instruction fields of its
+          fetch word ({!fetch_rows}), its encoded instrs (terminator
+          included, what arm 1 executes) and the instrs arm 0 executes;
+          above them its byte offset within its segment and that
+          segment's local number.  Every relative word is negative. *)
   seg_bytes : int array;  (** local segment -> encoded bytes *)
 }
 
@@ -58,7 +59,8 @@ val encode : Prog.t -> int -> Segment.t array -> rows
 (** [encode prog pid segments] encodes all of procedure [pid]'s segments,
     which must partition its blocks ({!Segment.index}).
     @raise Invalid_argument if a block's encoded size does not fit a fetch
-    word's field ({!exec_bits}). *)
+    word's field ({!exec_bits}), a block starts 4 MiB or more into its
+    segment, or the procedure has more than 65,536 segments. *)
 
 val numbering : rows array -> int array
 (** [base]: [base.(p)] is the number of procedure [p]'s first segment;
@@ -75,8 +77,11 @@ val of_rows :
     moved by the start rule: [addr_of g a] is segment [g]'s address when
     that aligned byte is [a] (default [a]; it must not lie below the next
     free byte and must be 4-byte aligned).  This is the only loop that
-    assigns addresses: a block's fetch word ({!fetch_words}) is its
-    segment's start added to its relative word.
+    assigns addresses.  It writes one start per segment and keeps each
+    procedure's relative row, shared, not copied; a block's fetch word is
+    its segment's start added to its relative word, filled per procedure
+    on first use ({!fetch_word}).  [order] is kept too, so callers must
+    not write it afterwards.
     @raise Invalid_argument unless [order] is a permutation, [rows] holds
     each procedure's rows at its index, [addr_of] keeps its contract and
     every segment lies at a non-negative address and ends below
@@ -103,12 +108,23 @@ val exec_instrs : t -> proc:int -> block:int -> arm:int -> int
 val exec_bits : int
 (** Width of each executed-instruction field of a fetch word (12). *)
 
-val fetch_words : t -> int array array
-(** The placement's fetch words, indexed [.(proc).(block)] and shared, not
-    copied, so a per-block loop reads one int without a call: word [w]
-    holds {!block_addr} in [w lsr (2 * exec_bits)], and {!exec_instrs} on
-    arms 1 and 0 in the two [exec_bits]-wide fields below it.  Callers
-    must not write them. *)
+val fetch_rows : t -> int array array
+(** The placement's rows, indexed [.(proc).(block)] and shared, not
+    copied, so a per-block loop reads one int without a call.  A row
+    holds its procedure's relative words ({!rows}), each negative, until
+    {!fetch_word} fills it with the procedure's fetch words, each
+    non-negative: word [w] holds {!block_addr} in
+    [w lsr (2 * exec_bits)], and {!exec_instrs} on arms 1 and 0 in the
+    two [exec_bits]-wide fields below it.  Callers must not write them. *)
+
+val fetch_word : t -> proc:int -> block:int -> int
+(** The block's fetch word.  The first call for a procedure fills its row
+    of {!fetch_rows}: the whole row is built, then stored at once, so two
+    domains racing to fill it store equal rows.  A placement whose text
+    reaches [2{^38}] keeps its relative rows and computes each word. *)
+
+val fill : t -> unit
+(** Fill every procedure's row now, as {!fetch_word} would. *)
 
 val text_bytes : t -> int
 (** Total extent of the text section (including alignment padding). *)
@@ -117,13 +133,14 @@ val program_instrs : t -> int
 (** Total encoded instructions (excluding padding). *)
 
 val segments : t -> Segment.t list
-(** The segment order used to build this placement. *)
+(** The segment order used to build this placement, built on each call. *)
 
 val equal : t -> t -> bool
 (** Byte-for-byte layout identity: same block addresses, encoded sizes,
-    executed terminator costs, text extent and segment order.  Used to
-    assert {!Incremental}'s equivalence guarantee (incremental re-layout
-    produces exactly the from-scratch placement). *)
+    executed terminator costs, text extent and segment order, whichever
+    rows have been filled.  Used to assert {!Incremental}'s equivalence
+    guarantee (incremental re-layout produces exactly the from-scratch
+    placement). *)
 
 val iter_placed : t -> (proc:int -> block:int -> addr:int -> instrs:int -> unit) -> unit
 (** Iterate blocks in address order with their encoded sizes. *)

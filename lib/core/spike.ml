@@ -89,7 +89,7 @@ let segments stage profile prog pid chains =
   | Hot_and_cold -> Array.of_list (List.map mk (Splitting.hot_cold profile pid chains))
 
 (* Which procedure owns segment [g]: the last [p] with [base.(p) <= g]. *)
-let owner base g =
+let owner (base : int array) g =
   let lo = ref 0 and hi = ref (Array.length base - 2) in
   while !lo < !hi do
     let mid = (!lo + !hi + 1) / 2 in
@@ -207,7 +207,14 @@ let memoize algo profile =
   let placement = rebuild m profile ~dirty:(List.init n Fun.id) in
   (m, placement)
 
-let build algo profile = snd (memoize algo profile)
+(* No memo outlives a from-scratch build, so nothing else keeps its
+   relative rows: filling every row here lets them go at once and
+   allocates the fetch words together, not one procedure at a time among
+   the first render's garbage, which fragments the heap. *)
+let build algo profile =
+  let _, placement = memoize algo profile in
+  Placement.fill placement;
+  placement
 
 (* The closing provenance event of the pipeline: where each procedure
    ended up under this combo.  [rank] is the position of the procedure's

@@ -71,19 +71,36 @@ let feed m owner ~addr ~len =
       m.len <- len
     end
 
-type t = { fetch : int array array; owner : Run.owner; m : merger }
+type t = { placement : Placement.t; owner : Run.owner; m : merger }
 
-let create ~placement ~owner m = { fetch = Placement.fetch_words placement; owner; m }
+let create ~placement ~owner m = { placement; owner; m }
 
-(* A block event reads the block's fetch word and calls nothing outside
-   this module: the word's layout is read from [Placement] once per sink. *)
+(* A block's run from its fetch word [w]: arm 1 executes the encoded
+   block, arm 0 the field below it. *)
+let[@inline] feed_word m owner ~bits ~shift ~mask w ~arm =
+  feed m owner ~addr:(w lsr shift) ~len:((if arm = 1 then w lsr bits else w) land mask)
+
+(* A procedure's first event: fill its row, then feed the block. *)
+let feed_first t ~proc ~block ~arm =
+  let bits = Placement.exec_bits in
+  feed_word t.m t.owner ~bits ~shift:(2 * bits) ~mask:((1 lsl bits) - 1) ~arm
+    (Placement.fetch_word t.placement ~proc ~block)
+
+(* A block event reads its procedure's row and the block's word.  A
+   procedure's first event meets its relative row, whose words are
+   negative, and has [Placement.fetch_word] fill it; later events in it
+   call nothing outside this module (unless the text reaches 2^38, where
+   rows stay relative).  Both paths end in a tail call, so the common one
+   spills nothing.  The word's layout is read from [Placement] once per
+   sink. *)
 let sink t =
-  let { fetch; owner; m } = t in
+  let { placement; owner; m } = t in
+  let rows = Placement.fetch_rows placement in
   let bits = Placement.exec_bits in
   let shift = 2 * bits and mask = (1 lsl bits) - 1 in
   fun ~proc ~block ~arm ->
-    let w = fetch.(proc).(block) in
-    feed m owner ~addr:(w lsr shift) ~len:((if arm = 1 then w lsr bits else w) land mask)
+    let w = rows.(proc).(block) in
+    if w >= 0 then feed_word m owner ~bits ~shift ~mask w ~arm else feed_first t ~proc ~block ~arm
 
 let stream ~app ~kernel emit =
   let m = merger ~emit in

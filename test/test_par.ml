@@ -114,6 +114,56 @@ let test_cross_engine_trace () =
   in
   Alcotest.(check (list int)) "stackdist = icache" (replay `Icache) (replay `Stackdist)
 
+(* --- one placement rendered from two domains ---------------------------- *)
+
+(* A placement fills a procedure's fetch words the first time a render
+   meets it.  Two pool tasks render one fresh placement at once, each
+   feeding every block of every procedure in order, so each procedure's
+   first event is a race to fill it; they start together at a bounded
+   spin barrier (bounded, since one domain may run both tasks in turn).
+   Each must emit exactly the runs a serial render of another fresh
+   placement emits. *)
+let test_concurrent_fill () =
+  let prog = Olayout_codegen.Binary.prog (Helpers.random_program 21) in
+  let profile = Helpers.walked_profile ~calls:20 ~seed:21 prog in
+  let fresh () =
+    snd (Olayout_core.Spike.memoize (Olayout_core.Spike.Combo Olayout_core.Spike.All) profile)
+  in
+  let events =
+    Array.concat
+      (Array.to_list
+         (Array.map
+            (fun (p : Olayout_ir.Proc.t) ->
+              Array.init (Olayout_ir.Proc.n_blocks p) (fun b ->
+                  (p.Olayout_ir.Proc.id, b, b land 1)))
+            prog.Olayout_ir.Prog.procs))
+  in
+  let render ?(arrived = Atomic.make 2) placement =
+    Atomic.decr arrived;
+    let spins = ref 0 in
+    while Atomic.get arrived > 0 && !spins < 10_000_000 do
+      incr spins
+    done;
+    let runs = ref [] in
+    let m = Olayout_exec.Render.merger ~emit:(fun r -> runs := r :: !runs) in
+    let sink = Olayout_exec.Render.sink (Olayout_exec.Render.create ~placement ~owner:Run.App m) in
+    Array.iter (fun (proc, block, arm) -> sink ~proc ~block ~arm) events;
+    Olayout_exec.Render.flush m;
+    List.rev !runs
+  in
+  let serial = render (fresh ()) in
+  Alcotest.(check bool) "every block renders" true (List.length serial > 100);
+  with_pool ~jobs:2 (fun p ->
+      for round = 1 to 20 do
+        let placement = fresh () and arrived = Atomic.make 2 in
+        let a = Pool.submit p (fun () -> render ~arrived placement)
+        and b = Pool.submit p (fun () -> render ~arrived placement) in
+        Alcotest.(check bool) (Printf.sprintf "round %d: first task = serial" round) true
+          (Pool.await a = serial);
+        Alcotest.(check bool) (Printf.sprintf "round %d: second task = serial" round) true
+          (Pool.await b = serial)
+      done)
+
 (* --- the determinism property ----------------------------------------- *)
 
 let starts_with ~prefix s =
@@ -317,6 +367,7 @@ let suite =
       Alcotest.test_case "serial pool" `Quick test_serial_pool;
       Alcotest.test_case "telemetry merge" `Quick test_telemetry_merge;
       Alcotest.test_case "cross-engine trace equivalence" `Slow test_cross_engine_trace;
+      Alcotest.test_case "two domains fill one placement" `Quick test_concurrent_fill;
       Alcotest.test_case "report determinism -j1 vs -j4" `Slow
         test_report_determinism;
       Alcotest.test_case "conflict-pair ranking -j1 vs -j4" `Slow

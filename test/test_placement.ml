@@ -210,11 +210,15 @@ let test_of_rows_matches_of_segments () =
     (List.init 8 (fun i -> 40 + i))
 
 (* Each block's fetch word packs its address and its arm-0 and arm-1
-   executed instrs: under every combo the accessors read back the documented
-   word layout, and the word is the block's segment-relative word from the
-   rows of the placement's own segments, moved by the segment's start (its
-   head block sits at offset 0).  Every arm of an indirect jump executes its
-   body and the jump. *)
+   executed instrs.  Under every combo a memoized placement's rows start as
+   relative rows, each word negative and with the instruction fields
+   [encode] gives the placement's own segments; filling a
+   procedure's row writes, for each block, its segment's start plus its
+   byte offset there (the head block's is 0) above the relative word's
+   instruction fields, and [block_addr], [exec_instrs] and [static_instrs]
+   read the same values before and after the fill.  Every arm of an
+   indirect jump executes its body and the jump.  A from-scratch build
+   comes filled, and equal. *)
 let test_fetch_words () =
   List.iter
     (fun seed ->
@@ -222,43 +226,73 @@ let test_fetch_words () =
       let profile = Helpers.walked_profile ~calls:10 ~seed prog in
       List.iter
         (fun combo ->
-          let pl = Olayout_core.Spike.optimize profile combo in
+          let _, pl = Olayout_core.Spike.memoize (Olayout_core.Spike.Combo combo) profile in
+          let built = Olayout_core.Spike.optimize profile combo in
           let segments = Placement.segments pl in
           let rows =
             Array.init (Prog.n_procs prog) (fun pid ->
                 Placement.encode prog pid
                   (Array.of_list (List.filter (fun (s : Segment.t) -> s.proc = pid) segments)))
           in
-          let words = Placement.fetch_words pl and bits = Placement.exec_bits in
-          let mask = (1 lsl bits) - 1 in
+          let bits = Placement.exec_bits in
+          let mask = (1 lsl bits) - 1 and fields = (1 lsl (2 * bits)) - 1 in
+          let table = Placement.fetch_rows pl in
           let ok = ref true in
+          Array.iteri
+            (fun proc (r : Placement.rows) ->
+              ok :=
+                !ok
+                && Array.for_all2
+                     (fun w rel -> w < 0 && w land fields = rel land fields)
+                     table.(proc) r.Placement.word)
+            rows;
+          let read proc block =
+            ( Placement.block_addr pl ~proc ~block,
+              Placement.static_instrs pl ~proc ~block,
+              Placement.exec_instrs pl ~proc ~block ~arm:0,
+              Placement.exec_instrs pl ~proc ~block ~arm:1 )
+          in
+          let local = Array.make (Prog.n_procs prog) 0 in
           List.iter
             (fun (seg : Segment.t) ->
               let proc = seg.proc and rel = rows.(seg.proc).Placement.word in
+              let i = local.(proc) in
+              local.(proc) <- i + 1;
               let start = Placement.block_addr pl ~proc ~block:(Segment.head seg) in
-              ok := !ok && rel.(Segment.head seg) lsr (2 * bits) = 0;
+              let offset = ref 0 in
               List.iter
                 (fun block ->
-                  let w = words.(proc).(block) in
+                  let before = read proc block in
+                  let w = Placement.fetch_word pl ~proc ~block in
                   let body = (Proc.block (Prog.proc prog proc) block).Block.body in
                   ok :=
                     !ok
-                    && w = (start lsl (2 * bits)) + rel.(block)
+                    && rows.(proc).Placement.seg_of.(block) = i
+                    && w >= 0
+                    && (Placement.fetch_rows pl).(proc).(block) = w
+                    && w lsr (2 * bits) = start + !offset
+                    && w land fields = rel.(block) land fields
+                    && before = read proc block
                     && Placement.block_addr pl ~proc ~block = w lsr (2 * bits)
                     && Placement.exec_instrs pl ~proc ~block ~arm:0 = w land mask
                     && Placement.exec_instrs pl ~proc ~block ~arm:1 = (w lsr bits) land mask
                     && Placement.static_instrs pl ~proc ~block = (w lsr bits) land mask
                     && Placement.exec_instrs pl ~proc ~block ~arm:0 >= body
-                    &&
-                    match (Proc.block (Prog.proc prog proc) block).Block.term with
-                    | Block.Ijump targets ->
-                        Array.for_all Fun.id
-                          (Array.mapi
-                             (fun arm _ -> Placement.exec_instrs pl ~proc ~block ~arm = body + 1)
-                             targets)
-                    | _ -> true)
+                    && (match (Proc.block (Prog.proc prog proc) block).Block.term with
+                       | Block.Ijump targets ->
+                           Array.for_all Fun.id
+                             (Array.mapi
+                                (fun arm _ -> Placement.exec_instrs pl ~proc ~block ~arm = body + 1)
+                                targets)
+                       | _ -> true);
+                  offset :=
+                    !offset + (Placement.static_instrs pl ~proc ~block * Block.bytes_per_instr))
                 seg.blocks)
             segments;
+          ok :=
+            !ok
+            && Array.for_all (Array.for_all (fun w -> w >= 0)) (Placement.fetch_rows built)
+            && Placement.equal pl built;
           Alcotest.(check bool)
             (Printf.sprintf "program %d, %s" seed (Olayout_core.Spike.combo_name combo))
             true !ok)
@@ -295,6 +329,13 @@ let test_fetch_word_bounds () =
   let at base = Helpers.prog_of_blocks ~base_addr:base "at" [ b 0 3 Block.Ret ] in
   Alcotest.(check int) "highest address kept" (top - 32)
     (Placement.block_addr (Placement.original (at (top - 32))) ~proc:0 ~block:0);
+  (* A fetch word that high is negative, like a relative word, so such a
+     placement keeps its rows relative and computes each word. *)
+  let high = Placement.original (at (top - 32)) in
+  Alcotest.(check int) "highest fetch word" (top - 32)
+    (Placement.fetch_word high ~proc:0 ~block:0 lsr (2 * Placement.exec_bits));
+  Alcotest.(check bool) "high rows stay relative" true
+    (Array.for_all (fun w -> w < 0) (Placement.fetch_rows high).(0));
   Alcotest.(check bool) "segment reaching the limit refused" true
     (refused (fun () -> Placement.original (at (top - 16))));
   Alcotest.(check bool) "address past the field refused" true

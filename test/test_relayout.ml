@@ -272,6 +272,43 @@ let test_work_accounting () =
   Alcotest.(check bool) "strictly cheaper than scratch" true
     (w.Incremental.w_invocations < w.Incremental.w_scratch_invocations)
 
+(* A tick re-encodes only the procedures its delta dirtied: after an
+   update that dirties one procedure, every other procedure's relative
+   row is the previous placement's own array, shared, not copied.  A
+   render fills only the procedures it meets, in its own placement. *)
+let test_clean_rows_shared () =
+  let prog = Olayout_codegen.Binary.prog (Helpers.random_program 13) in
+  let base = Helpers.walked_profile ~calls:20 ~seed:5 prog in
+  let touched = Helpers.walked_profile ~calls:20 ~seed:5 prog in
+  Profile.record_block touched ~proc:1 ~block:0 ~count:3;
+  List.iter
+    (fun combo ->
+      let name = Spike.combo_name combo in
+      let memo = Incremental.create (Incremental.Combo combo) base in
+      let prev = Incremental.placement memo in
+      let before = Array.copy (Placement.fetch_rows prev) in
+      let next = Incremental.update memo touched in
+      let rows = Placement.fetch_rows next in
+      Array.iteri
+        (fun p row ->
+          if p <> 1 then
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: p%d row shared" name p)
+              true (row == before.(p)))
+        rows;
+      if combo <> Spike.Base then
+        Alcotest.(check bool) (name ^ ": dirty row re-encoded") true (rows.(1) != before.(1));
+      ignore (Placement.fetch_word next ~proc:0 ~block:0 : int);
+      Alcotest.(check bool) (name ^ ": met procedure filled") true
+        (rows.(0) != before.(0) && Array.for_all (fun w -> w >= 0) rows.(0));
+      Alcotest.(check bool) (name ^ ": other procedures left relative") true
+        (rows.(2) == before.(2));
+      if combo <> Spike.Base then
+        Alcotest.(check bool) (name ^ ": previous placement left relative") true
+          ((Placement.fetch_rows prev).(0) == before.(0)
+          && Array.for_all (fun w -> w < 0) before.(0)))
+    Spike.all_combos
+
 (* --- the drivers over a Quick context ----------------------------------- *)
 
 let ctx = lazy (Context.create ~scale:Context.Quick ())
@@ -647,6 +684,7 @@ let suite =
         test_equivalence_property;
       Alcotest.test_case "empty delta skips passes" `Quick test_empty_delta_skips;
       Alcotest.test_case "work accounting" `Quick test_work_accounting;
+      Alcotest.test_case "clean procedures share rows" `Quick test_clean_rows_shared;
       Alcotest.test_case "provenance parity" `Quick test_provenance_parity;
       Alcotest.test_case "cadence sweep curve" `Slow test_driver_curve;
       Alcotest.test_case "combined >= 2x work gate" `Slow test_combined_work_gate;
