@@ -21,7 +21,30 @@ type shape
 
 val shape : Prog.t -> int -> shape
 
-val chain : shape -> Olayout_profile.Profile.t -> Block.id list list
-(** [chain (shape prog pid) profile] returns the chains for procedure
-    [pid], in final emission order.  Every block of the procedure appears
-    in exactly one chain; call glue is preserved. *)
+type scratch
+(** Per-atom and per-edge working arrays, sized to the largest procedure
+    chained so far. *)
+
+(** Where {!chain} writes its chains, reused across calls as
+    {!Pettis_hansen.buffers} are.  After a call, chain [c] is the blocks
+    [order.(starts.(c))] to [order.(starts.(c + 1) - 1)], and
+    [heads.(c)] is its first block's count; the [k]-th procedure chained
+    owns chains [first.(k)] to [first.(k + 1) - 1], in emission order.
+    Callers must not write the arrays. *)
+type buffers = private {
+  mutable order : int array;  (** the blocks, chain after chain *)
+  mutable starts : int array;  (** chain -> position of its first block *)
+  mutable heads : int array;  (** chain -> its first block's count *)
+  mutable first : int array;  (** procedure -> its first chain *)
+  scratch : scratch;
+}
+
+val buffers : unit -> buffers
+
+val chain : buffers -> Olayout_profile.Profile.t -> shape list -> unit
+(** [chain b profile shapes] empties [b], then chains each procedure of
+    [shapes] in turn under [profile].  Every block of a procedure appears
+    in exactly one of its chains; call glue is preserved.  Each procedure
+    adds its linked edges to [core.chain_edges_linked] and its chains to
+    [core.chains_formed], and while provenance is enabled records one
+    ["chaining"] event. *)

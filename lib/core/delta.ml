@@ -5,9 +5,10 @@ module Profile = Olayout_profile.Profile
    profiles of the same program.  Dirtiness is conservative and exact at
    procedure granularity — a procedure is dirty iff any of its block or arm
    counts differ — which is precisely the granularity the per-procedure
-   pipeline passes consume: Chaining.chain reads only the procedure's
-   own rows (its arm counts and block counts), so a clean procedure's
-   chains are bitwise-reusable.  The global passes (Pettis-Hansen, temporal
+   pipeline passes consume: Chaining.chain writes each procedure's chains
+   into the memo's buffers from the procedure's own rows alone (its arm
+   counts and block counts), so a clean procedure's encoded chains are
+   bitwise-reusable.  The global passes (Pettis-Hansen, temporal
    order, coloring, placement) read cross-procedure state and must re-run
    whenever the delta is non-empty; Incremental owns that decision.  The
    diff compares the two profiles' rows procedure by procedure; a

@@ -3,10 +3,11 @@
     The incremental re-layout engine's first half (ROADMAP item 4): diff
     two profiles of the same program into the set of procedures whose
     block/arm weight vectors changed.  The granularity matches what the
-    per-procedure passes consume — {!Chaining.chain} reads only the
-    procedure's own profile rows, so a clean procedure's chains (and the
-    splitting segments derived from them) are reusable bit-for-bit, which
-    is the invariant {!Incremental} builds its equivalence guarantee on. *)
+    per-procedure passes consume — {!Chaining.chain} writes a procedure's
+    chains into the memo's buffers from its own profile rows alone, so a
+    clean procedure's chains (and the segments encoded from them) are
+    reusable bit-for-bit, which is the invariant {!Incremental} builds its
+    equivalence guarantee on. *)
 
 open Olayout_ir
 

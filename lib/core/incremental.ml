@@ -15,8 +15,11 @@ module Telemetry = Olayout_telemetry.Telemetry
    Equivalence guarantee: the result is byte-identical to a from-scratch
    build on the new profile, by construction: a from-scratch build is
    Spike's rebuild of an empty memo with every procedure dirty, and a
-   procedure's entry depends on its own profile rows alone.  The test
-   suite also holds both to the list-based reference pipeline.
+   procedure's entry depends on its own profile rows alone: Chaining.chain
+   writes the dirty procedures' block orders and chain starts into the
+   memo's buffers, and Placement.encode encodes each procedure's segments
+   from them in one pass.  The test suite also holds both to the
+   list-based reference pipeline.
 
    Work accounting: every memo operation also books what a from-scratch
    build of the same layout would have cost, so the relayout.* counters

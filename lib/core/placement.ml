@@ -48,38 +48,65 @@ type rows = {
   seg_bytes : int array;
 }
 
-(* Each block's fetch word relative to its segment's start: its local
-   segment and byte offset there, its encoded size (instrs, terminator
-   included), which is what arm 1 executes, and the instrs arm 0 executes:
-   a conditional branch costs one terminator instruction on the taken arm,
-   and its fall path also executes the companion branch; other terminators
-   execute what they encode.  A segment's encoding depends on its own
-   block order alone. *)
-let encode prog pid segments =
-  let seg_of = Segment.index prog pid segments in
-  if Array.length segments > seg_limit then
-    invalid_arg (Printf.sprintf "Placement: p%d has over %d segments" pid seg_limit);
-  let word = Array.make (Array.length seg_of) 0 in
+(* The one encoder.  Segment [i] of the procedure is
+   [blocks.(starts.(lo + i))] to [blocks.(starts.(lo + i + 1) - 1)].  One
+   pass over the blocks checks that the segments partition the
+   procedure's blocks with call glue intact and writes each block's fetch
+   word relative to its segment's start: its local segment and byte
+   offset there, its encoded size (instrs, terminator included), which is
+   what arm 1 executes, and the instrs arm 0 executes: a conditional
+   branch costs one terminator instruction on the taken arm, and its fall
+   path also executes the companion branch; other terminators execute
+   what they encode.  A segment's encoding depends on its own block order
+   alone. *)
+let encode prog pid ~blocks ~starts ~lo ~hi =
   let p = Prog.proc prog pid in
-  let rec go tag cursor = function
-    | [] -> cursor
-    | b :: rest ->
-        let blk = Proc.block p b in
-        let t = term_instrs blk (match rest with nb :: _ -> nb | [] -> -1) in
-        let size = blk.Block.body + t in
-        let exec0 = blk.Block.body + (match blk.Block.term with Block.Cond _ -> 1 | _ -> t) in
-        if size lsr exec_bits <> 0 then
-          invalid_arg (Printf.sprintf "Placement: p%d block %d: %d instrs overflow" pid b size);
-        if cursor lsr off_bits <> 0 then
-          invalid_arg
-            (Printf.sprintf "Placement: p%d block %d past its segment's offset field" pid b);
-        word.(b) <- tag lor (cursor lsl addr_shift) lor (size lsl exec_bits) lor exec0;
-        go tag (cursor + (size * Block.bytes_per_instr)) rest
+  let n = Proc.n_blocks p in
+  let bad fmt = Printf.ksprintf (fun msg -> invalid_arg ("Placement.encode: " ^ msg)) fmt in
+  if lo < 0 || hi < lo || hi >= Array.length starts then bad "p%d: segments %d to %d" pid lo hi;
+  if hi - lo > seg_limit then bad "p%d has over %d segments" pid seg_limit;
+  if starts.(lo) < 0 || starts.(hi) > Array.length blocks then
+    bad "p%d: segments past the block order" pid;
+  let seg_of = Array.make n (-1) and word = Array.make n 0 in
+  let seg_bytes = Array.make (hi - lo) 0 in
+  for i = 0 to hi - lo - 1 do
+    let first = starts.(lo + i) and last = starts.(lo + i + 1) - 1 in
+    if last < first then bad "p%d segment %d is empty" pid i;
+    let tag = min_int lor (i lsl seg_shift) in
+    let cursor = ref 0 in
+    for k = first to last do
+      let b = blocks.(k) in
+      if b < 0 || b >= n then bad "p%d b%d out of range" pid b;
+      if seg_of.(b) >= 0 then bad "p%d b%d placed twice" pid b;
+      seg_of.(b) <- i;
+      let blk = Proc.block p b in
+      let next = if k < last then blocks.(k + 1) else -1 in
+      (match blk.Block.term with
+      | Block.Call { ret; _ } when ret <> next ->
+          bad "p%d b%d call not glued to its return block" pid b
+      | _ -> ());
+      let t = term_instrs blk next in
+      let size = blk.Block.body + t in
+      let exec0 = blk.Block.body + (match blk.Block.term with Block.Cond _ -> 1 | _ -> t) in
+      if size lsr exec_bits <> 0 then bad "p%d block %d: %d instrs overflow" pid b size;
+      if !cursor lsr off_bits <> 0 then bad "p%d block %d past its segment's offset field" pid b;
+      word.(b) <- tag lor (!cursor lsl addr_shift) lor (size lsl exec_bits) lor exec0;
+      cursor := !cursor + (size * Block.bytes_per_instr)
+    done;
+    seg_bytes.(i) <- !cursor
+  done;
+  (* No block twice, so [n] placed every block. *)
+  if starts.(hi) - starts.(lo) <> n then
+    bad "p%d: %d of its %d blocks placed" pid (starts.(hi) - starts.(lo)) n;
+  let segs =
+    Array.init (hi - lo) (fun i ->
+        let acc = ref [] in
+        for k = starts.(lo + i + 1) - 1 downto starts.(lo + i) do
+          acc := blocks.(k) :: !acc
+        done;
+        { Segment.proc = pid; blocks = !acc })
   in
-  let seg_bytes =
-    Array.mapi (fun i (seg : Segment.t) -> go (min_int lor (i lsl seg_shift)) 0 seg.blocks) segments
-  in
-  { proc = pid; segs = segments; seg_of; word; seg_bytes }
+  { proc = pid; segs; seg_of; word; seg_bytes }
 
 let numbering rows =
   let base = Array.make (Array.length rows + 1) 0 in
@@ -148,8 +175,9 @@ let of_rows ?(align = 16) ?(addr_of = fun _ a -> a) prog rows ~order =
     fillable = !cursor < addr_limit / 2;
   }
 
-(* The list constructors: encode every procedure's segments, number them
-   procedure-major, and lay them out in list order. *)
+(* The list constructors: flatten each procedure's segments, in list
+   order, into one encoding, number them procedure-major, and lay them out
+   in list order. *)
 let of_segments_at ?align prog ~addr_of segments =
   let by_proc = Array.make (Prog.n_procs prog) [] in
   List.iter
@@ -158,7 +186,18 @@ let of_segments_at ?align prog ~addr_of segments =
         invalid_arg (Printf.sprintf "Placement: segment of p%d out of range" seg.proc);
       by_proc.(seg.proc) <- seg :: by_proc.(seg.proc))
     segments;
-  let rows = Array.mapi (fun pid segs -> encode prog pid (Array.of_list (List.rev segs))) by_proc in
+  let rows =
+    Array.mapi
+      (fun pid segs ->
+        let segs = List.rev segs and n = List.length segs in
+        let starts = Array.make (n + 1) 0 in
+        List.iteri
+          (fun i (seg : Segment.t) -> starts.(i + 1) <- starts.(i) + List.length seg.blocks)
+          segs;
+        let blocks = Array.of_list (List.concat_map (fun (seg : Segment.t) -> seg.blocks) segs) in
+        encode prog pid ~blocks ~starts ~lo:0 ~hi:n)
+      by_proc
+  in
   let next = numbering rows in
   let order =
     List.map

@@ -25,8 +25,10 @@ val of_segments : ?align:int -> Prog.t -> Segment.t list -> t
 (** Lay out [segments] in order starting at [prog.base_addr].  Each segment
     start is aligned to [align] bytes (default 16, typical compiler
     procedure alignment; pass 4 for fully packed optimized layouts).  A
-    wrapper over {!of_rows}: it encodes every procedure's segments, which
-    checks that they cover the program exactly ({!Segment.index}). *)
+    wrapper over {!of_rows}: it flattens each procedure's segments into
+    {!encode}, which checks that they cover the program exactly.
+    @raise Invalid_argument as {!encode} does, or on a segment of a
+    procedure the program does not have. *)
 
 val of_segments_at :
   ?align:int -> Prog.t -> addr_of:(Segment.t -> int -> int) -> Segment.t list -> t
@@ -55,12 +57,19 @@ type rows = private {
   seg_bytes : int array;  (** local segment -> encoded bytes *)
 }
 
-val encode : Prog.t -> int -> Segment.t array -> rows
-(** [encode prog pid segments] encodes all of procedure [pid]'s segments,
-    which must partition its blocks ({!Segment.index}).
-    @raise Invalid_argument if a block's encoded size does not fit a fetch
-    word's field ({!exec_bits}), a block starts 4 MiB or more into its
-    segment, or the procedure has more than 65,536 segments. *)
+val encode :
+  Prog.t -> int -> blocks:int array -> starts:int array -> lo:int -> hi:int -> rows
+(** [encode prog pid ~blocks ~starts ~lo ~hi] encodes procedure [pid] cut
+    into [hi - lo] segments: its local segment [i] is the blocks
+    [blocks.(starts.(lo + i))] to [blocks.(starts.(lo + i + 1) - 1)], in
+    that order.  The one pass that encodes them checks that they are
+    non-empty and partition the procedure's blocks (each block in range
+    and in exactly one segment), with each call block immediately followed
+    by its return block.  The arrays are read, not kept.
+    @raise Invalid_argument otherwise, or if [lo] to [hi] is not a range of
+    [starts], a block's encoded size does not fit a fetch word's field
+    ({!exec_bits}), a block starts 4 MiB or more into its segment, or the
+    procedure has more than 65,536 segments. *)
 
 val numbering : rows array -> int array
 (** [base]: [base.(p)] is the number of procedure [p]'s first segment;

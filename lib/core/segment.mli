@@ -20,15 +20,6 @@ val n_blocks : t -> int
 val contains_entry : Proc.t -> t -> bool
 (** Does this segment hold the procedure's entry block? *)
 
-val index : Prog.t -> int -> t array -> int array
-(** [index prog pid segments]: the block -> segment map of one procedure,
-    [segments] being all of procedure [pid]'s segments; entry [b] is the
-    position in [segments] of the segment holding block [b].  Checks that
-    the segments belong to [pid] and partition its blocks exactly (every
-    block in exactly one segment), with each call block immediately
-    followed by its return block.
-    @raise Invalid_argument otherwise. *)
-
 val heat : Olayout_profile.Profile.t -> t -> int
 (** Total profiled executions of the segment's blocks. *)
 

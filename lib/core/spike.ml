@@ -71,6 +71,7 @@ let placement_span f = Telemetry.span "placement" f
 type memo = {
   algo : algo;
   mutable shapes : Chaining.shape array;  (* per procedure, once chained *)
+  chains : Chaining.buffers;
   rows : Placement.rows array;
   hot : int list array;
   ph : Pettis_hansen.buffers;
@@ -79,14 +80,10 @@ type memo = {
 let head_count profile (seg : Segment.t) =
   Profile.block_count profile ~proc:seg.Segment.proc ~block:(Segment.head seg)
 
-(* One procedure's segments from its chains (unused by [Whole]). *)
-let segments stage profile prog pid chains =
-  let mk blocks = { Segment.proc = pid; blocks } in
-  match stage with
-  | Whole -> [| Segment.of_proc (Prog.proc prog pid) |]
-  | Joined -> [| mk (List.concat chains) |]
-  | Fine_grain -> Array.of_list (List.map mk chains)
-  | Hot_and_cold -> Array.of_list (List.map mk (Splitting.hot_cold profile pid chains))
+(* Procedure [pid] as one segment in source order. *)
+let whole prog pid =
+  let n = Proc.n_blocks (Prog.proc prog pid) in
+  Placement.encode prog pid ~blocks:(Array.init n Fun.id) ~starts:[| 0; n |] ~lo:0 ~hi:1
 
 (* Which procedure owns segment [g]: the last [p] with [base.(p) <= g]. *)
 let owner (base : int array) g =
@@ -152,29 +149,53 @@ let layout m profile order placer =
           Placement.of_rows ~align:4 prog rows ~order ~addr_of:(fun g a ->
               if head_count profile (segment g) > threshold then (a + 63) land lnot 63 else a))
 
+(* The chaining pass writes every dirty procedure's chains into the
+   memo's buffers; the segment stage then encodes each procedure's
+   segments from them: its chains joined into one, each chain on its own,
+   or hot and cold.  A chained procedure's hot segments follow from its
+   chains' head counts, which chaining reads. *)
 let rebuild m profile ~dirty =
   let prog = Profile.prog profile in
   let stage, order, placer = recipe m.algo in
-  let chains =
-    match stage with
-    | Whole -> List.map (fun pid -> (pid, [])) dirty
-    | Joined | Fine_grain | Hot_and_cold ->
-        chaining_span (fun () ->
-            if Array.length m.shapes = 0 then
-              m.shapes <- Array.init (Prog.n_procs prog) (Chaining.shape prog);
-            List.map (fun pid -> (pid, Chaining.chain m.shapes.(pid) profile)) dirty)
+  if chained m.algo then
+    chaining_span (fun () ->
+        if Array.length m.shapes = 0 then
+          m.shapes <- Array.init (Prog.n_procs prog) (Chaining.shape prog);
+        Chaining.chain m.chains profile (List.map (Array.get m.shapes) dirty));
+  let c = m.chains in
+  (* The [k]-th dirty procedure's chains are [c.first.(k)] to
+     [c.first.(k + 1) - 1]. *)
+  let encode k pid =
+    let lo = if chained m.algo then c.first.(k) else 0 in
+    let r =
+      match stage with
+      | Whole -> whole prog pid
+      | Joined ->
+          Placement.encode prog pid ~blocks:c.order
+            ~starts:[| c.starts.(lo); c.starts.(c.first.(k + 1)) |]
+            ~lo:0 ~hi:1
+      | Fine_grain ->
+          Placement.encode prog pid ~blocks:c.order ~starts:c.starts ~lo ~hi:c.first.(k + 1)
+      | Hot_and_cold ->
+          let hi = c.starts.(c.first.(k + 1)) in
+          let blocks, starts = Splitting.hot_cold profile pid c.order ~lo:c.starts.(lo) ~hi in
+          Placement.encode prog pid ~blocks ~starts ~lo:0 ~hi:(Array.length starts - 1)
+    in
+    (* A joined or fine-grain segment starts with a chain's first block,
+       whose count chaining read. *)
+    let hot i =
+      match stage with
+      | Joined | Fine_grain -> c.heads.(lo + i) > 0
+      | Whole | Hot_and_cold -> head_count profile r.Placement.segs.(i) > 0
+    in
+    let hots = ref [] in
+    for i = Array.length r.Placement.segs - 1 downto 0 do
+      if hot i then hots := i :: !hots
+    done;
+    m.rows.(pid) <- r;
+    m.hot.(pid) <- !hots
   in
-  let fill () =
-    List.iter
-      (fun (pid, chains) ->
-        let r = Placement.encode prog pid (segments stage profile prog pid chains) in
-        m.rows.(pid) <- r;
-        m.hot.(pid) <-
-          List.filter
-            (fun i -> head_count profile r.Placement.segs.(i) > 0)
-            (List.init (Array.length r.Placement.segs) Fun.id))
-      chains
-  in
+  let fill () = List.iteri encode dirty in
   (match stage with
   | Whole -> fill ()
   | Joined -> chaining_span fill
@@ -188,17 +209,20 @@ let rebuild m profile ~dirty =
           Splitting.record_cuts m.rows));
   layout m profile order placer
 
+let entry m p = (m.rows.(p), m.hot.(p))
+
 (* The from-scratch build is a rebuild of an empty memo with every
    procedure dirty: each placeholder entry is replaced before [layout]
    reads it. *)
 let memoize algo profile =
   let prog = Profile.prog profile in
   let n = Prog.n_procs prog in
-  let placeholder = Placement.encode prog 0 [| Segment.of_proc (Prog.proc prog 0) |] in
+  let placeholder = whole prog 0 in
   let m =
     {
       algo;
       shapes = [||];
+      chains = Chaining.buffers ();
       rows = Array.make n placeholder;
       hot = Array.make n [];
       ph = Pettis_hansen.buffers ();

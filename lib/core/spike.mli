@@ -72,10 +72,15 @@ val optimize : Olayout_profile.Profile.t -> combo -> Placement.t
 type memo
 (** Per procedure: its chaining shape, its segments encoded
     segment-relative ({!Placement.rows}) and its hot segments, plus the
-    Pettis-Hansen working buffers. *)
+    chaining and Pettis-Hansen working buffers. *)
 
 val memoize : algo -> Olayout_profile.Profile.t -> memo * Placement.t
 (** {!build}, keeping the memo. *)
+
+val entry : memo -> int -> Placement.rows * int list
+(** [entry m p]: procedure [p]'s encoded segments and its hot ones, the
+    local segments whose head block has a count, in order (the ordering
+    passes' hot singletons). *)
 
 val rebuild : memo -> Olayout_profile.Profile.t -> dirty:int list -> Placement.t
 (** Re-chain, re-cut and re-encode the [dirty] procedures under the new

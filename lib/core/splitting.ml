@@ -21,13 +21,13 @@ let record_cuts (rows : Placement.rows array) =
     rows;
   Telemetry.add c_segments !total
 
-let hot_cold profile pid chains =
+let hot_cold profile pid chained ~lo ~hi =
   let p = Prog.proc (Profile.prog profile) pid in
-  let chained = List.concat chains in
   let hot_block = Array.make (Proc.n_blocks p) false in
-  List.iter
-    (fun b -> if Profile.block_count profile ~proc:pid ~block:b > 0 then hot_block.(b) <- true)
-    chained;
+  for k = lo to hi - 1 do
+    let b = chained.(k) in
+    if Profile.block_count profile ~proc:pid ~block:b > 0 then hot_block.(b) <- true
+  done;
   (* Promote call glue: a call block and its return block share heat. *)
   let changed = ref true in
   while !changed do
@@ -44,5 +44,8 @@ let hot_cold profile pid chains =
         | _ -> ())
       p.blocks
   done;
-  let hot, cold = List.partition (fun b -> hot_block.(b)) chained in
-  List.filter (fun seg -> seg <> []) [ hot; cold ]
+  let hot, cold =
+    List.partition (fun b -> hot_block.(b)) (Array.to_list (Array.sub chained lo (hi - lo)))
+  in
+  let n_hot = List.length hot and n = hi - lo in
+  (Array.of_list (hot @ cold), if n_hot = 0 || n_hot = n then [| 0; n |] else [| 0; n_hot; n |])

@@ -18,9 +18,11 @@ val record_cuts : Placement.rows array -> unit
     (segments and blocks), in procedure order. *)
 
 val hot_cold :
-  Olayout_profile.Profile.t -> int -> Olayout_ir.Block.id list list -> Olayout_ir.Block.id list list
-(** [hot_cold profile pid chains]: stock-Spike splitting of procedure
-    [pid]'s chains into a hot segment (the chained blocks with a nonzero
-    profile count) and a cold one (the rest, in chained order); an empty
-    one is dropped.  A call block and its return glue move together: if
-    either is hot, both are. *)
+  Olayout_profile.Profile.t -> int -> int array -> lo:int -> hi:int -> int array * int array
+(** [hot_cold profile pid chained ~lo ~hi]: stock-Spike splitting of
+    procedure [pid]'s chained blocks [chained.(lo)] to [chained.(hi - 1)]
+    into a hot segment (the blocks with a nonzero profile count) and a
+    cold one (the rest), each in chained order; an empty one is dropped.
+    A call block and its return glue move together: if either is hot, both
+    are.  Returns the blocks, hot then cold, and the segment starts ending
+    with the block count, as {!Placement.encode} reads them. *)

@@ -160,3 +160,14 @@ let walked_profile ?(calls = 50) ?(seed = 5) built_or_prog =
     done
   done;
   profile
+
+(* Procedure [pid]'s rows from its segments, in order: the list form
+   flattened into the encoder. *)
+let encode_segments prog pid (segs : Olayout_core.Segment.t list) =
+  let starts = Array.make (List.length segs + 1) 0 in
+  List.iteri
+    (fun i (s : Olayout_core.Segment.t) -> starts.(i + 1) <- starts.(i) + List.length s.blocks)
+    segs;
+  let blocks = List.concat_map (fun (s : Olayout_core.Segment.t) -> s.blocks) segs in
+  Olayout_core.Placement.encode prog pid ~blocks:(Array.of_list blocks) ~starts ~lo:0
+    ~hi:(List.length segs)

@@ -11,7 +11,20 @@ module Cfa = Olayout_core.Cfa
 module Profile = Olayout_profile.Profile
 
 let b = Helpers.block
-let chain_proc profile pid = Chaining.chain (Chaining.shape (Profile.prog profile) pid) profile
+
+(* The chains of the [k]-th procedure [b] holds, as block lists. *)
+let chains_in (b : Chaining.buffers) k =
+  List.init
+    (b.first.(k + 1) - b.first.(k))
+    (fun i ->
+      let c = b.first.(k) + i in
+      List.init (b.starts.(c + 1) - b.starts.(c)) (fun j -> b.order.(b.starts.(c) + j)))
+
+let chain_proc profile pid =
+  let b = Chaining.buffers () in
+  Chaining.chain b profile [ Chaining.shape (Profile.prog profile) pid ];
+  chains_in b 0
+
 let built_segments algo profile = Placement.segments (Spike.build algo profile)
 
 let test_segment_module () =
@@ -435,7 +448,9 @@ let test_coloring_spreads_hot_segments () =
     Profile.record profile ~proc:2 ~block:0 ~arm:0
   done;
   let rows =
-    Array.map (fun p -> Placement.encode prog p.Proc.id [| Segment.of_proc p |]) prog.Prog.procs
+    Array.map
+      (fun p -> Helpers.encode_segments prog p.Proc.id [ Segment.of_proc p ])
+      prog.Prog.procs
   in
   (* Packed in source order: hot_b starts at (63+1)*4 + 192*4 = 1024 ->
      same color as hot_a in a 1KB cache. *)
@@ -459,43 +474,98 @@ let test_cfa_rejects_bad_args () =
   Alcotest.(check bool) "non-pow2 rejected" true (rejected 10_000 0.5);
   Alcotest.(check bool) "fraction outside (0,1) rejected" true (rejected 16_384 1.0)
 
-(* Chaining against its list-based oracle: the same chains, the same
-   number of linked edges and of chains formed, for every procedure of
-   random programs under dense, sparse and empty profiles (an empty
-   profile links every candidate edge at weight zero, in source/destination
-   order). *)
+(* Chaining against its list-based oracle, for every procedure of random
+   programs under dense, sparse and empty profiles (an empty profile links
+   every candidate edge at weight zero, in source/destination order): the
+   chains the buffers hold are the oracle's, each with its first block's
+   count, and so are the numbers of linked edges and of chains formed.
+   One buffer set serves every call, so state an earlier call left would
+   show; each profile also chains the whole program in one call, last
+   procedure first. *)
 let test_chaining_oracle () =
   let module Telemetry = Olayout_telemetry.Telemetry in
   let counter name = Option.value (List.assoc_opt name (Telemetry.counters ())) ~default:0 in
+  let b = Chaining.buffers () in
   List.iter
     (fun seed ->
       let prog = Olayout_codegen.Binary.prog (Helpers.random_program seed) in
+      let n = Prog.n_procs prog in
+      let shapes = Array.init n (Chaining.shape prog) in
       let sparse = Profile.create prog in
       let walk = Olayout_exec.Walk.create ~prog ~rng:(Olayout_util.Rng.create seed) in
       Olayout_exec.Walk.add_sink walk (fun ~proc ~block ~arm ->
           Profile.record sparse ~proc ~block ~arm);
-      Olayout_exec.Walk.call walk (seed mod Prog.n_procs prog);
+      Olayout_exec.Walk.call walk (seed mod n);
       List.iter
         (fun (what, profile) ->
-          for pid = 0 to Prog.n_procs prog - 1 do
+          let want = Array.init n (Chain_reference.chain_proc profile) in
+          let check_chains name k pid =
+            let chains = fst want.(pid) in
+            Alcotest.(check (list (list int))) (name ^ ": chains") chains (chains_in b k);
+            Alcotest.(check (list int))
+              (name ^ ": head counts")
+              (List.map (fun c -> Profile.block_count profile ~proc:pid ~block:(List.hd c)) chains)
+              (List.init (b.first.(k + 1) - b.first.(k)) (fun i -> b.heads.(b.first.(k) + i)))
+          in
+          for pid = 0 to n - 1 do
             let name = Printf.sprintf "program %d, %s profile, p%d" seed what pid in
-            let want, linked = Chain_reference.chain_proc profile pid in
             let was_enabled = Telemetry.enabled () in
             Telemetry.set_enabled true;
             let l0 = counter "core.chain_edges_linked" and c0 = counter "core.chains_formed" in
-            let got = chain_proc profile pid in
+            Chaining.chain b profile [ shapes.(pid) ];
             let l1 = counter "core.chain_edges_linked" and c1 = counter "core.chains_formed" in
             Telemetry.set_enabled was_enabled;
-            Alcotest.(check (list (list int))) (name ^ ": chains") want got;
-            Alcotest.(check int) (name ^ ": edges linked") linked (l1 - l0);
-            Alcotest.(check int) (name ^ ": chains formed") (List.length want) (c1 - c0)
-          done)
+            check_chains name 0 pid;
+            Alcotest.(check int) (name ^ ": edges linked") (snd want.(pid)) (l1 - l0);
+            Alcotest.(check int) (name ^ ": chains formed") (List.length (fst want.(pid))) (c1 - c0)
+          done;
+          let last_first = List.rev (List.init n Fun.id) in
+          Chaining.chain b profile (List.map (Array.get shapes) last_first);
+          List.iteri
+            (fun k pid ->
+              check_chains (Printf.sprintf "program %d, %s profile, all, p%d" seed what pid) k pid)
+            last_first)
         [
           ("dense", Helpers.walked_profile ~calls:(10 + seed) ~seed prog);
           ("sparse", sparse);
           ("empty", Profile.create prog);
         ])
     (List.init 16 (fun i -> 60 + i))
+
+(* Every stage's hot list, from a build and from a rebuild on another
+   profile, is exactly its procedure's local segments whose head block
+   has a count. *)
+let test_spike_hot_lists () =
+  List.iter
+    (fun seed ->
+      let prog = Olayout_codegen.Binary.prog (Helpers.random_program seed) in
+      let n = Prog.n_procs prog in
+      let profiles =
+        [ Helpers.walked_profile ~calls:5 ~seed prog; Profile.create prog;
+          Helpers.walked_profile ~calls:12 ~seed:(seed + 1) prog ]
+      in
+      List.iter
+        (fun algo ->
+          let m, _ = Spike.memoize algo (List.hd profiles) in
+          List.iteri
+            (fun i profile ->
+              if i > 0 then ignore (Spike.rebuild m profile ~dirty:(List.init n Fun.id));
+              for p = 0 to n - 1 do
+                let r, hot = Spike.entry m p in
+                let segs = r.Placement.segs in
+                Alcotest.(check (list int))
+                  (Printf.sprintf "program %d, profile %d, p%d" seed i p)
+                  (List.filter
+                     (fun s ->
+                       Profile.block_count profile ~proc:p ~block:(Segment.head segs.(s)) > 0)
+                     (List.init (Array.length segs) Fun.id))
+                  hot
+              done)
+            profiles)
+        [
+          Spike.Combo Spike.Porder; Spike.Combo Spike.Chain; Spike.Combo Spike.All; Spike.Hot_cold;
+        ])
+    [ 80; 81; 82 ]
 
 let suite =
   ( "core.layout",
@@ -508,6 +578,7 @@ let suite =
       Alcotest.test_case "chaining deterministic" `Quick test_chaining_deterministic;
       QCheck_alcotest.to_alcotest qcheck_chaining_partitions;
       Alcotest.test_case "chaining = list oracle" `Quick test_chaining_oracle;
+      Alcotest.test_case "spike hot lists" `Quick test_spike_hot_lists;
       Alcotest.test_case "fine-grain segments" `Quick test_fine_grain_segments_end_unconditionally;
       Alcotest.test_case "hot/cold split" `Quick test_hot_cold_split;
       Alcotest.test_case "P-H simple order" `Quick test_ph_simple_order;

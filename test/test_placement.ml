@@ -106,6 +106,32 @@ let test_call_glue_enforced () =
        false
      with Invalid_argument _ -> true)
 
+(* The encoder's other refusals, called directly: a block outside the
+   procedure, an empty segment and a segment range [starts] does not hold
+   or that runs past the block order; and the list constructor's refusal
+   of a segment naming a procedure the program does not have.  The same
+   cut, well formed, encodes. *)
+let test_encoder_refusals () =
+  let prog = Helpers.diamond_prog 0.5 in
+  let refused what f =
+    Alcotest.(check bool) what true
+      (match f () with exception Invalid_argument _ -> true | _ -> false)
+  in
+  let encode blocks starts ~lo ~hi () =
+    ignore (Placement.encode prog 0 ~blocks ~starts ~lo ~hi)
+  in
+  encode [| 0; 2; 3; 1 |] [| 0; 2; 4 |] ~lo:0 ~hi:2 ();
+  refused "block past the procedure" (encode [| 0; 1; 2; 4 |] [| 0; 4 |] ~lo:0 ~hi:1);
+  refused "negative block" (encode [| 0; 1; 2; -1 |] [| 0; 4 |] ~lo:0 ~hi:1);
+  refused "empty segment" (encode [| 0; 2; 3; 1 |] [| 0; 2; 2; 4 |] ~lo:0 ~hi:3);
+  refused "no segments" (encode [| 0; 2; 3; 1 |] [| 0 |] ~lo:0 ~hi:0);
+  refused "range outside the starts" (encode [| 0; 2; 3; 1 |] [| 0; 4 |] ~lo:0 ~hi:2);
+  refused "starts past the blocks" (encode [| 0; 2; 3 |] [| 0; 4 |] ~lo:0 ~hi:1);
+  refused "segment of an unknown procedure" (fun () ->
+      ignore
+        (Placement.of_segments prog
+           [ { Segment.proc = 0; blocks = [ 0; 1; 2; 3 ] }; { Segment.proc = 1; blocks = [ 0 ] } ]))
+
 let test_no_overlaps_random () =
   (* Blocks never overlap in any placement built from valid segments. *)
   List.iter
@@ -173,9 +199,8 @@ let test_of_rows_matches_of_segments () =
       let segments = Array.of_list (Layout_reference.fine_grain profile) in
       let rows =
         Array.init (Prog.n_procs prog) (fun pid ->
-            Placement.encode prog pid
-              (Array.of_list
-                 (List.filter (fun (s : Segment.t) -> s.proc = pid) (Array.to_list segments))))
+            Helpers.encode_segments prog pid
+              (List.filter (fun (s : Segment.t) -> s.proc = pid) (Array.to_list segments)))
       in
       let n = Array.length segments in
       let order = Array.init n Fun.id in
@@ -231,8 +256,8 @@ let test_fetch_words () =
           let segments = Placement.segments pl in
           let rows =
             Array.init (Prog.n_procs prog) (fun pid ->
-                Placement.encode prog pid
-                  (Array.of_list (List.filter (fun (s : Segment.t) -> s.proc = pid) segments)))
+                Helpers.encode_segments prog pid
+                  (List.filter (fun (s : Segment.t) -> s.proc = pid) segments))
           in
           let bits = Placement.exec_bits in
           let mask = (1 lsl bits) - 1 and fields = (1 lsl (2 * bits)) - 1 in
@@ -379,6 +404,7 @@ let suite =
       Alcotest.test_case "alignment padding" `Quick test_alignment_padding;
       Alcotest.test_case "cover validation" `Quick test_cover_validation;
       Alcotest.test_case "call glue enforced" `Quick test_call_glue_enforced;
+      Alcotest.test_case "encoder refusals" `Quick test_encoder_refusals;
       Alcotest.test_case "no overlaps (random)" `Quick test_no_overlaps_random;
       Alcotest.test_case "cond branch outcomes" `Quick test_cond_branch_outcomes;
       Alcotest.test_case "long branches" `Quick test_long_branches;
