@@ -1,5 +1,6 @@
 module Trace = Olayout_exec.Trace
 module Run = Olayout_exec.Run
+module Telemetry = Olayout_telemetry.Telemetry
 module Timeline = Olayout_telemetry.Timeline
 
 type engine = [ `Icache | `Stackdist ]
@@ -24,7 +25,9 @@ type tl = {
   mutable tl_pos : int; (* cumulative fed instructions *)
 }
 
-type t = { engine : engine; backend : backend; tl : tl option }
+(* [block] is the stackdist block replay's buffer, made by the first
+   replay that needs it: a battery fed run by run never allocates it. *)
+type t = { engine : engine; backend : backend; tl : tl option; mutable block : Trace.block option }
 
 let engine_name = function `Icache -> "icache" | `Stackdist -> "stackdist"
 
@@ -73,7 +76,7 @@ let create ?(engine = `Icache) ?track_usage ?timeline configs =
     | Some d when Timeline.enabled () -> Some (designate backend d)
     | _ -> None
   in
-  { engine; backend; tl }
+  { engine; backend; tl; block = None }
 
 let engine t = t.engine
 
@@ -107,29 +110,89 @@ let access_run t run =
       feed_all t run;
       book tl run before
 
+(* A stackdist battery without a timeline decodes and feeds a replay this
+   many runs at a time, each group taking the whole block before the next
+   (the sweep grid's 16 B group keeps 0.5 MB of tags).  Blocks of 128 to
+   4,096 runs fed the sweep grid equally fast on a 2 MB L2; the buffers a
+   battery keeps for them grow with the block, and a benchmark op makes a
+   battery, so the block is small. *)
+let block_runs = 1024
+
+(* Move the entries of [b] below [n] that [keep] takes to its front, in
+   order; their count. *)
+let kept keep (b : Trace.block) n =
+  let j = ref 0 in
+  for i = 0 to n - 1 do
+    let addr = b.addr.(i) and len = b.len.(i) in
+    if keep { Run.owner = b.owner.(i); addr; len } then begin
+      b.addr.(!j) <- addr;
+      b.len.(!j) <- len;
+      incr j
+    end
+  done;
+  !j
+
+(* Decode the trace a block at a time into the battery's block and feed
+   each block group by group.  A [Run.t] is built only for [keep].  With
+   spans on, the time between blocks is booked as two children of the
+   current span: [trace.decode] (decoding and [keep]) and
+   [stackdist.feed]. *)
+let feed_blocks ?keep t sd trace =
+  let b =
+    match t.block with
+    | Some b -> b
+    | None ->
+        let b = Trace.block block_runs in
+        t.block <- Some b;
+        b
+  in
+  let decoded n = match keep with None -> n | Some keep -> kept keep b n in
+  let feed n = Stackdist.feed_block sd ~addr:b.addr ~len:b.len n in
+  if not (Telemetry.enabled ()) then Trace.blocks trace b (fun n -> feed (decoded n))
+  else begin
+    (* seconds decoding, seconds feeding, and the end of the last feed *)
+    let clock = [| 0.; 0.; Unix.gettimeofday () |] in
+    Trace.blocks trace b (fun n ->
+        let n = decoded n in
+        let fed = Unix.gettimeofday () in
+        clock.(0) <- clock.(0) +. (fed -. clock.(2));
+        feed n;
+        clock.(2) <- Unix.gettimeofday ();
+        clock.(1) <- clock.(1) +. (clock.(2) -. fed));
+    Telemetry.add_span "trace.decode" (clock.(0) +. (Unix.gettimeofday () -. clock.(2)));
+    Telemetry.add_span "stackdist.feed" clock.(1)
+  end
+
 (* One pass over the trace with the backend resolved once: stackdist
    groups book their counters while fed and publish them once, at the
-   end. *)
-let access_trace ?(keep = fun (_ : Run.t) -> true) t trace =
-  let feed =
-    match t.backend with
-    | Caches caches ->
-        fun run ->
-          for i = 0 to Array.length caches - 1 do
-            Icache.access_run caches.(i) run
-          done
-    | Stack sd -> Stackdist.feed sd
-  in
-  (match t.tl with
-  | None -> Trace.replay trace (fun run -> if keep run then feed run)
-  | Some tl ->
-      Trace.replay trace (fun run ->
-          if keep run then begin
-            let before = tl_misses_now tl in
-            feed run;
-            book tl run before
-          end));
-  match t.backend with Stack sd -> Stackdist.publish sd | Caches _ -> ()
+   end.  A timeline needs each run's miss delta, so a designated battery
+   feeds run by run. *)
+let access_trace ?keep t trace =
+  let keep_run = match keep with Some keep -> keep | None -> fun (_ : Run.t) -> true in
+  match (t.backend, t.tl) with
+  | Stack sd, None ->
+      feed_blocks ?keep t sd trace;
+      Stackdist.publish sd
+  | backend, tl -> (
+      let feed =
+        match backend with
+        | Caches caches ->
+            fun run ->
+              for i = 0 to Array.length caches - 1 do
+                Icache.access_run caches.(i) run
+              done
+        | Stack sd -> Stackdist.feed sd
+      in
+      (match tl with
+      | None -> Trace.replay trace (fun run -> if keep_run run then feed run)
+      | Some tl ->
+          Trace.replay trace (fun run ->
+              if keep_run run then begin
+                let before = tl_misses_now tl in
+                feed run;
+                book tl run before
+              end));
+      match backend with Stack sd -> Stackdist.publish sd | Caches _ -> ())
 
 let flush_residents t =
   match t.backend with

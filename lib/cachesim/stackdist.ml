@@ -7,22 +7,32 @@ let c_accesses = Telemetry.counter "cachesim.stackdist.accesses"
 let c_misses = Telemetry.counter "cachesim.stackdist.misses"
 let c_walk_steps = Telemetry.counter "cachesim.stackdist.walk_steps"
 
-(* One set count of a group.  Each set keeps its [depth] most recent
-   distinct lines, newest first, where [depth] is the largest associativity
-   swept at this set count: a line found at depth [p] hits exactly the
-   configurations with more than [p] ways.  A line beyond the stack is
-   booked at depth [depth], which every configuration here misses. *)
-type level = {
-  mask : int;  (* sets - 1 *)
-  depth : int;
-  stack : int array;  (* set * depth + i -> the set's i-th most recent line; -1 empty *)
-  hist : int array;  (* depth -> references found there *)
-  miss_at : int array;  (* depth -> configurations at this set count that miss there *)
-}
-
+(* One line size.  Its set counts ("levels", increasing) lie flat in int
+   arrays indexed by level.  Level [l] has [masks.(l) + 1] sets; each keeps
+   its [d = depths.(l)] most recent distinct lines, newest first, from
+   [stack.(offsets.(l) + set * (d + 1))] (-1 empty), where the depth is the
+   largest associativity swept at this set count: a line found at depth [p]
+   hits exactly the configurations with more than [p] ways.  A line beyond
+   the stack is booked at depth [d], which every configuration here misses.
+   The slot after a set's stack is the walk's sentinel, but a set of depth
+   one is just a tag, at [offsets.(l) + set].
+   [hist.(hists.(l) + p)] counts the references found at depth [p], and
+   [miss_at.(hists.(l) + p)] is the number of configurations at this set
+   count that miss there.  Level 0 starts at offset 0. *)
 type group = {
   line_shift : int;
-  levels : level array;  (* increasing set count *)
+  direct : bool;  (* every level direct-mapped: [stack] is tag arrays *)
+  (* [masks.(0)] and the first level's set stride, read by the
+     most-recent test every touch makes *)
+  mask0 : int;
+  stride0 : int;
+  masks : int array;
+  depths : int array;
+  offsets : int array;
+  hists : int array;
+  stack : int array;
+  hist : int array;
+  miss_at : int array;
   seen : Lru.seen;  (* lines referenced so far: its count is the cold misses *)
   mutable accesses : int;
   (* The telemetry counters' increments since the last [publish]:
@@ -32,8 +42,14 @@ type group = {
   mutable new_steps : int;
 }
 
-type slot = { cfg : Icache.config; group : int; level : level }
-type t = { groups : group array; ordered : slot array }
+(* A configuration's result: its group, and the histogram entries of the
+   depths it misses at.  A configuration with [a] ways misses every
+   reference found at depth [a] or deeper. *)
+type slot = { cfg : Icache.config; group : int; hist : int array; from : int; upto : int }
+
+(* [lines] is the groups' shared buffer of a block's line touches (see
+   [expand]). *)
+type t = { groups : group array; ordered : slot array; mutable lines : int array }
 
 let log2 n =
   let rec go n acc = if n <= 1 then acc else go (n lsr 1) (acc + 1) in
@@ -45,25 +61,42 @@ let create configs =
   let line_sizes = Array.of_list (List.sort_uniq compare (List.map line_of sized)) in
   let group_of line_bytes =
     let mine = List.filter (fun c -> line_of c = line_bytes) sized in
-    let level sets =
-      let assocs =
-        List.filter_map
-          (fun ((c : Icache.config), n) -> if n = sets then Some c.Icache.assoc else None)
-          mine
-      in
-      let depth = List.fold_left max 1 assocs in
-      {
-        mask = sets - 1;
-        depth;
-        stack = Array.make (sets * depth) (-1);
-        hist = Array.make (depth + 1) 0;
-        miss_at =
-          Array.init (depth + 1) (fun p -> List.length (List.filter (fun a -> a <= p) assocs));
-      }
+    let sets = Array.of_list (List.sort_uniq compare (List.map snd mine)) in
+    let assocs l =
+      List.filter_map
+        (fun ((c : Icache.config), n) -> if n = sets.(l) then Some c.Icache.assoc else None)
+        mine
     in
+    let n = Array.length sets in
+    let depths = Array.init n (fun l -> List.fold_left max 1 (assocs l)) in
+    let direct = Array.for_all (fun d -> d = 1) depths in
+    let stride l = if depths.(l) = 1 then 1 else depths.(l) + 1 in
+    let offsets = Array.make (n + 1) 0 and hists = Array.make n 0 in
+    for l = 1 to n do
+      offsets.(l) <- offsets.(l - 1) + (sets.(l - 1) * stride (l - 1))
+    done;
+    for l = 1 to n - 1 do
+      hists.(l) <- hists.(l - 1) + depths.(l - 1) + 1
+    done;
+    let miss_at = Array.make (hists.(n - 1) + depths.(n - 1) + 1) 0 in
+    for l = 0 to n - 1 do
+      let assocs = assocs l in
+      for p = 0 to depths.(l) do
+        miss_at.(hists.(l) + p) <- List.length (List.filter (fun a -> a <= p) assocs)
+      done
+    done;
     {
       line_shift = log2 line_bytes;
-      levels = Array.of_list (List.map level (List.sort_uniq compare (List.map snd mine)));
+      direct;
+      mask0 = sets.(0) - 1;
+      stride0 = stride 0;
+      masks = Array.map (fun s -> s - 1) sets;
+      depths;
+      offsets = Array.sub offsets 0 n;
+      hists;
+      stack = Array.make offsets.(n) (-1);
+      hist = Array.make (Array.length miss_at) 0;
+      miss_at;
       seen = Lru.seen ();
       accesses = 0;
       new_accesses = 0;
@@ -74,79 +107,194 @@ let create configs =
   let groups = Array.map group_of line_sizes in
   let slot (((cfg : Icache.config), sets) as c) =
     let group = Option.get (Array.find_index (fun l -> l = line_of c) line_sizes) in
-    let level = Option.get (Array.find_opt (fun lv -> lv.mask = sets - 1) groups.(group).levels) in
-    { cfg; group; level }
+    let g = groups.(group) in
+    let level = Option.get (Array.find_index (fun m -> m = sets - 1) g.masks) in
+    let h = g.hists.(level) in
+    { cfg; group; hist = g.hist; from = h + cfg.Icache.assoc; upto = h + g.depths.(level) }
   in
-  { groups; ordered = Array.of_list (List.map slot sized) }
+  { groups; ordered = Array.of_list (List.map slot sized); lines = [||] }
 
 (* --- run feeding ------------------------------------------------------- *)
 
-(* Each line of the run visits the set counts in increasing order, moves
-   to the front of its set's stack at each and books the depth it was
-   found at.  With bit-selection mapping a set at [2^(j+1)] sets holds a
-   subset of the lines congruent at [2^j], so a line that is already most
+(* Each line a run touches visits the set counts in increasing order,
+   moves to the front of its set's stack at each and books the depth it
+   was found at.  With bit-selection mapping a set at [2^(j+1)] sets holds
+   a subset of the lines congruent at [2^j], so a line that is already most
    recent at one set count is most recent at every larger one: the walk
    stops there, and no later stack changes.  [walk_steps] counts stack
-   entries compared.  Per line and set count, nothing here calls out of
-   this module; per line, only the first-touch test of a line no stack
-   holds does. *)
-let feed_group g (r : Run.t) =
-  let first = r.addr lsr g.line_shift
-  and last = (r.addr + (r.len * 4) - 1) lsr g.line_shift in
-  let levels = g.levels in
-  let n = Array.length levels in
-  let steps = ref 0 and misses = ref 0 in
-  for line = first to last do
-    let i = ref 0 and found = ref false in
-    while !i < n do
-      let lv = Array.unsafe_get levels !i in
-      let d = lv.depth and st = lv.stack in
-      let base = (line land lv.mask) * d in
-      if Array.unsafe_get st base = line then begin
-        incr steps;
-        found := true;
-        i := n
-      end
-      else if d = 1 then begin
-        (* A direct-mapped set count: the stack is a tag array. *)
-        incr steps;
-        Array.unsafe_set st base line;
-        Array.unsafe_set lv.hist 1 (Array.unsafe_get lv.hist 1 + 1);
-        misses := !misses + Array.unsafe_get lv.miss_at 1;
-        incr i
+   entries compared.
+
+   The feeding loops make the first set count's most-recent test (one
+   step, booked per touch) and call a walk for the rest.  A walk books its
+   own steps and miss events in the group, and a line no stack holds takes
+   the first-touch test; per level, it calls nothing. *)
+
+(* The walk of a line whose first-level tag differs: a level is one tag
+   per set, and the line misses each level up to the first whose tag it
+   is. *)
+let walk_direct g line =
+  let stack = g.stack and hist = g.hist and miss_at = g.miss_at in
+  let levels = Array.length g.masks and h0 = Array.unsafe_get g.hists 0 + 1 in
+  Array.unsafe_set stack (line land g.mask0) line;
+  Array.unsafe_set hist h0 (Array.unsafe_get hist h0 + 1);
+  let misses = ref (Array.unsafe_get miss_at h0) and lv = ref 1 in
+  while !lv < levels do
+    let i = !lv in
+    let j = Array.unsafe_get g.offsets i + (line land Array.unsafe_get g.masks i) in
+    if Array.unsafe_get stack j = line then lv := levels + i
+    else begin
+      Array.unsafe_set stack j line;
+      let h = Array.unsafe_get g.hists i + 1 in
+      Array.unsafe_set hist h (Array.unsafe_get hist h + 1);
+      misses := !misses + Array.unsafe_get miss_at h;
+      lv := i + 1
+    end
+  done;
+  g.new_misses <- g.new_misses + !misses;
+  (* [lv] is [levels + i] when level [i] held the line. *)
+  if !lv = levels then begin
+    g.new_steps <- g.new_steps + levels - 1;
+    ignore (Lru.first_reference g.seen line)
+  end
+  else g.new_steps <- g.new_steps + !lv - levels
+
+(* The walk of a line that is not most recent at the first level. *)
+let walk_stacked g line =
+  let stack = g.stack and hist = g.hist and depths = g.depths in
+  let levels = Array.length depths in
+  let lv = ref 0 and found = ref false and steps = ref (-1) and misses = ref 0 in
+  while !lv < levels do
+    let i = !lv in
+    let d = Array.unsafe_get depths i and set = line land Array.unsafe_get g.masks i in
+    let p =
+      if d = 1 then begin
+        let j = Array.unsafe_get g.offsets i + set in
+        if Array.unsafe_get stack j = line then 0
+        else begin
+          Array.unsafe_set stack j line;
+          1
+        end
       end
       else begin
-        let p = ref 1 in
-        while !p < d && Array.unsafe_get st (base + !p) <> line do
-          incr p
+        (* Put the line in front and move each entry above it down one.
+           The sentinel stops the move at depth [d] when the stack lacks
+           the line, the last entry dropped over it. *)
+        let base = Array.unsafe_get g.offsets i + (set * (d + 1)) in
+        let moved = ref (Array.unsafe_get stack base) and p = ref 0 in
+        Array.unsafe_set stack base line;
+        Array.unsafe_set stack (base + d) line;
+        while !moved <> line do
+          incr p;
+          let next = Array.unsafe_get stack (base + !p) in
+          Array.unsafe_set stack (base + !p) !moved;
+          moved := next
         done;
-        let p = !p in
-        if p < d then begin
-          found := true;
-          steps := !steps + p + 1
-        end
-        else steps := !steps + d;
-        for k = (if p < d then p else d - 1) downto 1 do
-          Array.unsafe_set st (base + k) (Array.unsafe_get st (base + k - 1))
-        done;
-        Array.unsafe_set st base line;
-        Array.unsafe_set lv.hist p (Array.unsafe_get lv.hist p + 1);
-        misses := !misses + Array.unsafe_get lv.miss_at p;
-        incr i
+        !p
       end
-    done;
-    (* A line in no stack may still have been referenced, long ago. *)
-    if not !found then ignore (Lru.first_reference g.seen line)
+    in
+    if p = 0 then begin
+      incr steps;
+      lv := levels
+    end
+    else begin
+      if p < d then begin
+        found := true;
+        steps := !steps + p + 1
+      end
+      else steps := !steps + d;
+      let h = Array.unsafe_get g.hists i + p in
+      Array.unsafe_set hist h (Array.unsafe_get hist h + 1);
+      misses := !misses + Array.unsafe_get g.miss_at h;
+      lv := i + 1
+    end
   done;
-  g.accesses <- g.accesses + (last - first + 1);
-  g.new_accesses <- g.new_accesses + (last - first + 1);
   g.new_misses <- g.new_misses + !misses;
-  g.new_steps <- g.new_steps + !steps
+  g.new_steps <- g.new_steps + !steps;
+  (* A line in no stack may still have been referenced, long ago. *)
+  if not !found then ignore (Lru.first_reference g.seen line)
+
+let book g touches =
+  g.accesses <- g.accesses + touches;
+  g.new_accesses <- g.new_accesses + touches;
+  g.new_steps <- g.new_steps + touches
+
+(* Write the lines the runs [addr.(r)], [len.(r)], [r < n], touch at
+   [shift] to [t.lines], in order; their count.  A run of at most eight
+   lines writes eight entries and moves on by its own count, so the common
+   run takes no branch on its length; [t.lines] keeps seven spare entries
+   for that. *)
+let expand t shift addr len n =
+  let k = ref 0 in
+  for r = 0 to n - 1 do
+    let l = Array.unsafe_get len r in
+    if l > 0 then begin
+      let a = Array.unsafe_get addr r and k0 = !k in
+      let first = a lsr shift in
+      let c = ((a + (l * 4) - 1) lsr shift) - first + 1 in
+      if k0 + c + 7 > Array.length t.lines then begin
+        let lines = Array.make (max (k0 + c + 7) (max (2 * Array.length t.lines) (8 * n))) 0 in
+        Array.blit t.lines 0 lines 0 k0;
+        t.lines <- lines
+      end;
+      let lines = t.lines in
+      Array.unsafe_set lines k0 first;
+      Array.unsafe_set lines (k0 + 1) (first + 1);
+      Array.unsafe_set lines (k0 + 2) (first + 2);
+      Array.unsafe_set lines (k0 + 3) (first + 3);
+      Array.unsafe_set lines (k0 + 4) (first + 4);
+      Array.unsafe_set lines (k0 + 5) (first + 5);
+      Array.unsafe_set lines (k0 + 6) (first + 6);
+      Array.unsafe_set lines (k0 + 7) (first + 7);
+      for i = 8 to c - 1 do
+        Array.unsafe_set lines (k0 + i) (first + i)
+      done;
+      k := k0 + c
+    end
+  done;
+  !k
+
+(* A block feeds each group in turn all its line touches, so the group's
+   stacks stay in cache while it does.  Groups share no state, so this
+   leaves every count as feeding the runs one by one does.  Expanding the
+   runs first makes the touches one loop, with no exit branch per run to
+   mispredict. *)
+let feed_block t ~addr ~len n =
+  for i = 0 to Array.length t.groups - 1 do
+    let g = t.groups.(i) in
+    let touches = expand t g.line_shift addr len n in
+    let lines = t.lines and stack = g.stack and mask0 = g.mask0 in
+    if g.direct then
+      for k = 0 to touches - 1 do
+        let line = Array.unsafe_get lines k in
+        if Array.unsafe_get stack (line land mask0) <> line then walk_direct g line
+      done
+    else begin
+      let stride0 = g.stride0 in
+      for k = 0 to touches - 1 do
+        let line = Array.unsafe_get lines k in
+        if Array.unsafe_get stack ((line land mask0) * stride0) <> line then walk_stacked g line
+      done
+    end;
+    book g touches
+  done
 
 let feed t (r : Run.t) =
   if r.len > 0 then
     for i = 0 to Array.length t.groups - 1 do
-      feed_group t.groups.(i) r
+      let g = t.groups.(i) in
+      let first = r.addr lsr g.line_shift and last = (r.addr + (r.len * 4) - 1) lsr g.line_shift in
+      let stack = g.stack and mask0 = g.mask0 in
+      if g.direct then
+        for line = first to last do
+          if Array.unsafe_get stack (line land mask0) <> line then walk_direct g line
+        done
+      else begin
+        let stride0 = g.stride0 in
+        for line = first to last do
+          if Array.unsafe_get stack ((line land mask0) * stride0) <> line then walk_stacked g line
+        done
+      end;
+      book g (last - first + 1)
     done
 
 let publish t =
@@ -185,12 +333,10 @@ let find t name =
         (Printf.sprintf "Stackdist: no cache configuration %S (available: %s)" name
            (if available = "" then "none" else available))
 
-(* A configuration with [a] ways misses every reference found at depth
-   [a] or deeper. *)
 let slot_misses s =
   let m = ref 0 in
-  for p = s.cfg.Icache.assoc to s.level.depth do
-    m := !m + s.level.hist.(p)
+  for h = s.from to s.upto do
+    m := !m + s.hist.(h)
   done;
   !m
 

@@ -28,6 +28,16 @@
     probes.  Compulsory misses come from a first-touch set of lines seen
     ({!Lru.seen}), consulted only for a line that no stack holds.
 
+    A group keeps its set counts flat: one stack array and int arrays of
+    per-level offsets, masks, depths and histogram offsets.  Every touch
+    first tests whether its line is most recent at the smallest set count,
+    and only a line that is not walks the rest.  A group whose set counts
+    are all direct-mapped walks tag arrays; the others keep a sentinel slot
+    after each set's stack, which ends the move-to-front at the stack's
+    depth.  {!feed_block} feeds a block of runs one group at a time, so a
+    group's stacks stay in cache across the block; {!feed} feeds one run
+    through every group, for callers that read counts between runs.
+
     A fully-associative configuration ([2^0] sets, [a] = capacity in
     lines) degenerates to the classic Mattson stack — the same oracle as
     {!Olayout_diag.Shadow}, which this engine subsumes.
@@ -56,6 +66,14 @@ val feed : t -> Olayout_exec.Run.t -> unit
 (** Fetch a run through every group (hence every configuration), booking
     the telemetry counters in the groups: they reach the registry at
     {!publish}.  A run with [len <= 0] touches nothing. *)
+
+val feed_block : t -> addr:int array -> len:int array -> int -> unit
+(** [feed_block t ~addr ~len n] feeds the [n] runs starting at [addr.(i)]
+    with [len.(i)] instructions, for [i < n], one group at a time, so a
+    group's stacks stay in cache across the block.  Groups share no state,
+    so every count, and every telemetry counter booked, is what {!feed} of
+    the same runs in order gives.  An entry with [len.(i) <= 0] touches
+    nothing. *)
 
 val publish : t -> unit
 (** Add the counters booked since the last publish to

@@ -66,40 +66,106 @@ let record () =
   let t = create () in
   ((fun r -> append t r), t)
 
-(* Both varints decode inline: a local decoding closure would capture [pos]
-   and be allocated once per record. *)
+(* --- decoding ------------------------------------------------------- *)
+
+type block = { addr : int array; len : int array; owner : Run.owner array }
+
+let block n =
+  if n < 1 then invalid_arg "Trace.block: a block holds at least one run";
+  { addr = Array.make n 0; len = Array.make n 0; owner = Array.make n Run.App }
+
+(* The one varint decoder: the value at [pos], and how many bytes it took.
+   [put] writes the fewest bytes a value needs, so the count follows from
+   the value.  Most varints are one byte; both are inlined where records
+   are decoded. *)
+let[@inline] varint buf pos =
+  let b = Char.code (Bytes.unsafe_get buf pos) in
+  if b < 0x80 then b
+  else begin
+    let v = ref (b land 0x7f) and shift = ref 7 and p = ref pos and byte = ref b in
+    while !byte >= 0x80 do
+      incr p;
+      byte := Char.code (Bytes.unsafe_get buf !p);
+      v := !v lor ((!byte land 0x7f) lsl !shift);
+      shift := !shift + 7
+    done;
+    !v
+  end
+
+let[@inline] varint_bytes v =
+  if v < 0x80 then 1
+  else begin
+    let n = ref 1 and rest = ref (v lsr 7) in
+    while !rest <> 0 do
+      incr n;
+      rest := !rest lsr 7
+    done;
+    !n
+  end
+
+(* Where decoding stands: the next byte of the current chunk, the block
+   entries filled and the previous record's end address. *)
+type cursor = { mutable pos : int; mutable used : int; mutable prev_end : int }
+
+(* Records of [buf] from [c.pos] below [limit] into [b] from entry
+   [c.used], until the chunk ends or the block is full.  The loop calls
+   nothing, so its state stays in registers. *)
+let fill c b buf limit =
+  let cap = Array.length b.addr and addrs = b.addr and lens = b.len and owners = b.owner in
+  let pos = ref c.pos and n = ref c.used and prev_end = ref c.prev_end in
+  while !pos < limit && !n < cap do
+    let k = varint buf !pos in
+    pos := !pos + varint_bytes k;
+    let zig = varint buf !pos in
+    pos := !pos + varint_bytes zig;
+    let len = k lsr 1 and addr = !prev_end + ((zig lsr 1) lxor (- (zig land 1))) in
+    let i = !n in
+    Array.unsafe_set addrs i addr;
+    Array.unsafe_set lens i len;
+    Array.unsafe_set owners i (if k land 1 = 0 then Run.App else Run.Kernel);
+    prev_end := addr + (len * 4);
+    n := i + 1
+  done;
+  c.pos <- !pos;
+  c.used <- !n;
+  c.prev_end <- !prev_end
+
+(* Decode the chunks oldest first: [filled] lists them newest first. *)
+let rec fill_chunks c b f = function
+  | [] -> ()
+  | (buf, limit) :: older ->
+      fill_chunks c b f older;
+      c.pos <- 0;
+      while c.pos < limit do
+        fill c b buf limit;
+        if c.used = Array.length b.addr then begin
+          f c.used;
+          c.used <- 0
+        end
+      done
+
+let blocks t b f =
+  let c = { pos = 0; used = 0; prev_end = 0 } in
+  fill_chunks c b f ((t.cur, t.pos) :: t.filled);
+  if c.used > 0 then f c.used
+
+(* As [fill], a run at a time, into [f]; the previous chunk's end address
+   in, this one's out. *)
+let replay_chunk f prev_end (buf, limit) =
+  let pos = ref 0 and prev_end = ref prev_end in
+  while !pos < limit do
+    let k = varint buf !pos in
+    pos := !pos + varint_bytes k;
+    let zig = varint buf !pos in
+    pos := !pos + varint_bytes zig;
+    let len = k lsr 1 and addr = !prev_end + ((zig lsr 1) lxor (- (zig land 1))) in
+    f { Run.owner = (if k land 1 = 0 then Run.App else Run.Kernel); addr; len };
+    prev_end := addr + (len * 4)
+  done;
+  !prev_end
+
 let replay t f =
-  let prev_end = ref 0 in
-  let consume buf len =
-    let pos = ref 0 in
-    while !pos < len do
-      let k = ref 0 and shift = ref 0 and b = ref 0x80 in
-      while !b >= 0x80 do
-        b := Char.code (Bytes.unsafe_get buf !pos);
-        incr pos;
-        k := !k lor ((!b land 0x7f) lsl !shift);
-        shift := !shift + 7
-      done;
-      let zig = ref 0 in
-      shift := 0;
-      b := 0x80;
-      while !b >= 0x80 do
-        b := Char.code (Bytes.unsafe_get buf !pos);
-        incr pos;
-        zig := !zig lor ((!b land 0x7f) lsl !shift);
-        shift := !shift + 7
-      done;
-      let k = !k and zig = !zig in
-      let delta = (zig lsr 1) lxor (- (zig land 1)) in
-      let owner = if k land 1 = 0 then Run.App else Run.Kernel in
-      let len = k lsr 1 in
-      let addr = !prev_end + delta in
-      f { Run.owner; addr; len };
-      prev_end := addr + (len * 4)
-    done
-  in
-  List.iter (fun (buf, len) -> consume buf len) (List.rev t.filled);
-  consume t.cur t.pos
+  ignore (List.fold_left (replay_chunk f) 0 (List.rev ((t.cur, t.pos) :: t.filled)))
 
 let contents t =
   let chunk (buf, len) = Bytes.sub_string buf 0 len in

@@ -7,7 +7,11 @@
     start address, run length — in a delta/varint [Bytes] encoding
     (typically 2-5 bytes per run, no per-run heap allocation), so a whole
     measurement execution can be kept resident and replayed into any number
-    of simulators at memory speed instead of re-walking the OLTP server. *)
+    of simulators at memory speed instead of re-walking the OLTP server.
+
+    One decoder reads the records back: {!blocks} fills a caller's arrays
+    a block of runs at a time, and {!replay}, built on it, hands each run
+    to a callback as a {!Run.t}. *)
 
 type t
 
@@ -25,7 +29,31 @@ val record : unit -> (Run.t -> unit) * t
 val replay : t -> (Run.t -> unit) -> unit
 (** [replay t f] calls [f] on every recorded run, in order.  The runs are
     byte-identical to the recorded stream, so feeding a fresh simulator
-    yields exactly the counters a live execution would have produced. *)
+    yields exactly the counters a live execution would have produced.
+    It decodes through {!blocks}, a small block at a time, and allocates
+    one {!Run.t} per run. *)
+
+(** {1 Block decoding}
+
+    A consumer that reads runs as numbers, such as the stack-distance
+    engine, decodes a block of runs at a time into arrays it owns and
+    never builds a {!Run.t}. *)
+
+type block = { addr : int array; len : int array; owner : Run.owner array }
+(** Parallel arrays, one entry per run: start address, length in
+    instructions and owner.  Their common length is the block's
+    capacity. *)
+
+val block : int -> block
+(** [block n] holds [n] runs.
+    @raise Invalid_argument when [n < 1]. *)
+
+val blocks : t -> block -> (int -> unit) -> unit
+(** [blocks t b f] decodes every recorded run, in order, into [b]: each
+    time [b] is full it calls [f] with its capacity, and at the end it
+    calls [f n] with the [n > 0] runs left.  Entries [0 .. n-1] hold the
+    runs [f] is called for; [f] may overwrite them.  It allocates nothing
+    per run. *)
 
 val contents : t -> string
 (** The encoded records, oldest first: the bytes {!replay} decodes. *)

@@ -252,6 +252,15 @@ let trace_summary_table (s : Context.trace_stats) =
   row "replayed_instrs" "instrs replayed" (Table.Int s.Context.replayed_instrs);
   row "throughput" "replay throughput"
     (Table.Text (mruns_per_s s.Context.replayed_runs s.Context.replay_seconds));
+  (* The stack-distance engine's work, from the counters every fed group
+     publishes: replayed and rendered streams alike. *)
+  let stackdist n = Telemetry.value (Telemetry.counter ("cachesim.stackdist." ^ n)) in
+  let touches = stackdist "accesses" in
+  row "stackdist_touches" "stackdist line touches" (Table.Int touches);
+  row "stackdist_steps" "walk steps per touch"
+    (Table.Text
+       (if touches = 0 then "-"
+        else Printf.sprintf "%.3f" (float_of_int (stackdist "walk_steps") /. float_of_int touches)));
   tbl
 
 (* --- selection & schedule -------------------------------------------- *)

@@ -346,17 +346,20 @@ let record_span ~path ~name ~depth ~start ~dur =
   (match shadow () with
   | None -> Mutex.protect registry_mu (fun () -> agg_into spans_tbl path dur)
   | Some s -> agg_into s.s_spans path dur);
-  jsonl_emit
-    (Json.Object
-       [
-         ("ev", Json.String "span");
-         ("name", Json.String name);
-         ("path", Json.String path);
-         ("depth", Json.Int depth);
-         ("start_s", Json.Float start);
-         ("dur_s", Json.Float dur);
-       ]);
-  emit_samples (start +. dur)
+  (* The event is built only for a sink to write. *)
+  if !jsonl <> None then begin
+    jsonl_emit
+      (Json.Object
+         [
+           ("ev", Json.String "span");
+           ("name", Json.String name);
+           ("path", Json.String path);
+           ("depth", Json.Int depth);
+           ("start_s", Json.Float start);
+           ("dur_s", Json.Float dur);
+         ]);
+    emit_samples (start +. dur)
+  end
 
 let timed name f =
   if not !enabled_flag then begin
@@ -384,6 +387,14 @@ let timed name f =
   end
 
 let span name f = if not !enabled_flag then f () else fst (timed name f)
+
+let add_span name dur =
+  if !enabled_flag then begin
+    let st = stack_get () in
+    let path = match st with [] -> name | p :: _ -> p ^ "/" ^ name in
+    record_span ~path ~name ~depth:(List.length st) ~start:(now_rel () -. dur) ~dur
+  end
+
 let current_span_stack () = stack_get ()
 
 (* --- isolated capture & deterministic merge -------------------------- *)

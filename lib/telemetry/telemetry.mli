@@ -96,6 +96,12 @@ val timed : string -> (unit -> 'a) -> 'a * float
     measured even when telemetry is disabled (callers print it), but
     nothing is recorded then. *)
 
+val add_span : string -> float -> unit
+(** [add_span name seconds] books one completed span [name], nested in the
+    current span, that took [seconds] and ends now: for a loop that
+    times the phases it interleaves (a replay's decoding and feeding, a
+    block at a time) and books each once.  Nothing while disabled. *)
+
 type span_stat = {
   span_path : string;
   span_count : int;

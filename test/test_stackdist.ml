@@ -2,7 +2,8 @@
    the per-set LRU identity, the fully-associative degenerate case vs the
    diagnostics Shadow LRU, randomized exact-equality cross-checks against
    Icache over mixed and sweep-shaped geometries, feeding with one publish,
-   per-run probe deltas, and the engine-selecting Battery API. *)
+   block feeding against per-run feeding, per-run probe deltas, and the
+   engine-selecting Battery API. *)
 
 module Icache = Olayout_cachesim.Icache
 module Stackdist = Olayout_cachesim.Stackdist
@@ -277,27 +278,123 @@ let test_battery_trace_counters () =
   Alcotest.(check (list int)) "counter deltas" want got;
   Alcotest.(check (list (pair string int))) "misses" (by_config per_run) (by_config b)
 
-(* Replay allocates only the runs it decodes (a [Run.t] is four words),
-   and per-run feeding allocates nothing.  Each battery is measured after a
-   warm-up pass, which allocates the first-touch bit set's pages. *)
+(* Replay allocates only the runs it decodes for [keep] (a [Run.t] is four
+   words) plus a few words per trace, and per-run feeding allocates
+   nothing.  Words are counted in both heaps, minor plus major less
+   promoted: an array over 256 words goes straight to the major heap, which
+   the minor count does not see.  OCaml 5 updates the heap counters at
+   collections, and a major cycle ending mid-measure books words allocated
+   before it: a full major collection before and a minor one after keep
+   the count to the measured call.  Spans are off: with them on, a replay
+   also reads the clock twice per block (a boxed float each) and books its
+   decode and feed spans.  Each battery is measured after a warm-up pass,
+   which allocates its block buffers and the first-touch bit set's
+   pages. *)
 let test_battery_allocation () =
   let runs = sweep_runs ~seed:17 20000 in
   let record, trace = Trace.record () in
   List.iter record runs;
   let words f =
     f ();
-    let w0 = Gc.minor_words () in
+    Gc.full_major ();
+    let minor0 = Gc.minor_words () and s0 = Gc.quick_stat () in
     f ();
-    int_of_float (Gc.minor_words () -. w0)
+    Gc.minor ();
+    let minor1 = Gc.minor_words () and s1 = Gc.quick_stat () in
+    int_of_float
+      (minor1 -. minor0
+      +. (s1.Gc.major_words -. s0.Gc.major_words)
+      -. (s1.Gc.promoted_words -. s0.Gc.promoted_words))
   in
-  let b = Battery.create ~engine:`Stackdist sweep_grid in
-  let replay = words (fun () -> Battery.access_trace b trace) - (4 * Trace.length trace) in
-  Alcotest.(check bool)
-    (Printf.sprintf "access_trace: %d words beyond the decoded runs" replay)
-    true (replay <= 64);
-  let arr = Array.of_list runs and b = Battery.create ~engine:`Stackdist sweep_grid in
-  let fed = words (fun () -> Array.iter (Battery.access_run b) arr) in
-  Alcotest.(check bool) (Printf.sprintf "access_run: %d words" fed) true (fed <= 64)
+  let check what n = Alcotest.(check bool) (Printf.sprintf "%s: %d words" what n) true (n <= 64) in
+  let spans = Telemetry.enabled () in
+  Telemetry.set_enabled false;
+  Fun.protect
+    ~finally:(fun () -> Telemetry.set_enabled spans)
+    (fun () ->
+      let b = Battery.create ~engine:`Stackdist sweep_grid in
+      check "access_trace ~keep, beyond the decoded runs"
+        (words (fun () -> Battery.access_trace ~keep:(fun r -> r.Run.owner = Run.App) b trace)
+        - (4 * Trace.length trace));
+      let b = Battery.create ~engine:`Stackdist sweep_grid in
+      check "access_trace" (words (fun () -> Battery.access_trace b trace));
+      let arr = Array.of_list runs and b = Battery.create ~engine:`Stackdist sweep_grid in
+      check "access_run" (words (fun () -> Array.iter (Battery.access_run b) arr)))
+
+(* Feeding blocks group by group books what feeding the same runs one at a
+   time does, wherever the blocks end: blocks of one run, blocks that
+   divide the runs, a partial last block, and one block with room to
+   spare (its entries past the runs hold junk the feed must not read). *)
+let config_pool =
+  sweep_grid @ mixed_configs
+  @ [
+      (* three associativities at 64 sets of 32 B *)
+      cfg ~size_kb:2 ~line:32 ~assoc:1 ();
+      cfg ~size_kb:4 ~line:32 ~assoc:2 ();
+      cfg ~size_kb:8 ~line:32 ~assoc:4 ();
+      cfg ~size_kb:1 ~line:64 ~assoc:16 ();
+    ]
+
+let qcheck_block_feeding =
+  let run =
+    QCheck.Gen.(
+      map3
+        (fun kernel block len ->
+          if kernel then { Run.owner = Run.Kernel; addr = 0x8000_0000 + (block * 4); len }
+          else app_run (block * 4) len)
+        (map (fun k -> k = 0) (int_bound 4))
+        (int_range 0 6000) (int_range 0 40))
+  in
+  let gen =
+    QCheck.Gen.(
+      triple (list_size (int_range 1 6) (oneofl config_pool)) (list_size (int_range 1 600) run)
+        (int_range 2 50))
+  in
+  let print (configs, runs, b) =
+    Printf.sprintf "configs [%s], block %d, runs [%s]"
+      (String.concat "; " (List.map (fun (c : Icache.config) -> c.Icache.name) configs))
+      b
+      (String.concat ";"
+         (List.map (fun (r : Run.t) -> Printf.sprintf "(%d,%d)" r.Run.addr r.Run.len) runs))
+  in
+  QCheck.Test.make ~name:"block feeding = per-run feeding (counts, cold, counters)" ~count:60
+    (QCheck.make ~print gen) (fun (configs, runs, b) ->
+      let runs = Array.of_list runs in
+      let n = Array.length runs in
+      let outcome sd =
+        ( List.map
+            (fun ((c : Icache.config), m) -> (c.Icache.name, m, Stackdist.cold_misses sd c.Icache.name))
+            (Stackdist.misses_by_config sd),
+          Stackdist.accesses sd )
+      in
+      let per_run = Stackdist.create configs in
+      let want =
+        counter_deltas (fun () ->
+            Array.iter (Stackdist.feed per_run) runs;
+            Stackdist.publish per_run)
+      in
+      let by_blocks size =
+        let sd = Stackdist.create configs in
+        let cap = max size n in
+        let addr = Array.make cap (-7) and len = Array.make cap 3 in
+        let deltas =
+          counter_deltas (fun () ->
+              let i = ref 0 in
+              while !i < n do
+                let m = min size (n - !i) in
+                for j = 0 to m - 1 do
+                  addr.(j) <- runs.(!i + j).Run.addr;
+                  len.(j) <- runs.(!i + j).Run.len
+                done;
+                Stackdist.feed_block sd ~addr ~len m;
+                i := !i + m
+              done;
+              Stackdist.publish sd)
+        in
+        deltas = want && outcome sd = outcome per_run
+      in
+      let divisor = List.find (fun d -> n mod d = 0) [ 7; 5; 3; 2; n ] in
+      List.for_all by_blocks [ 1; divisor; b; n + 9 ])
 
 (* The timeline contract: a probe's miss count moves, run by run, exactly
    as an icache's does. *)
@@ -382,4 +479,5 @@ let suite =
       Alcotest.test_case "probe deltas = icache per run" `Quick test_probe_deltas;
       Alcotest.test_case "battery trace counters = per-run" `Quick test_battery_trace_counters;
       Alcotest.test_case "battery allocation" `Quick test_battery_allocation;
+      QCheck_alcotest.to_alcotest qcheck_block_feeding;
     ] )

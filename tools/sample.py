@@ -3,7 +3,7 @@
 
 Usage:
 
-    python3 tools/sample.py [--hz 500] [--top 30] -- PROGRAM [ARGS...]
+    python3 tools/sample.py [--hz 500] [--top 30] [--exclude PREFIX ...] -- PROGRAM [ARGS...]
 
 Starts PROGRAM as a child, attaches to it with PTRACE_SEIZE before it
 execs, and interrupts it HZ times a second to read its instruction pointer.
@@ -12,6 +12,12 @@ allowing for a PIE load base read from /proc/<pid>/maps, or to the name of
 the shared object it fell in.  The child's output passes through; the
 table of the TOP hottest symbols goes to standard error when it exits.
 Only the child's main thread is sampled, and only on x86-64 Linux.
+
+--exclude PREFIX (repeatable) sets aside the samples of every symbol whose
+name starts with PREFIX (OCaml symbols end in a numeric suffix, so give
+the name without it, e.g. camlDune__exe__Common.speed_probe_): they are
+counted on one "excluded" line, and every other share is a percentage of
+the samples left.
 """
 
 import argparse, bisect, collections, ctypes, os, platform, subprocess, sys, time
@@ -64,6 +70,8 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--hz", type=float, default=500.0)
     ap.add_argument("--top", type=int, default=30)
+    ap.add_argument("--exclude", action="append", default=[], metavar="PREFIX",
+                    help="set aside the samples of symbols starting with PREFIX (repeatable)")
     ap.add_argument("cmd", nargs=argparse.REMAINDER)
     args = ap.parse_args()
     cmd = args.cmd[1:] if args.cmd[:1] == ["--"] else args.cmd
@@ -108,8 +116,13 @@ def main():
         hits[name] += 1
         total += 1
     print("# %d samples at %g Hz of %s" % (total, args.hz, " ".join(cmd)), file=sys.stderr)
-    for name, n in hits.most_common(args.top):
-        print("%7d %6.2f%%  %s" % (n, 100.0 * n / max(total, 1), name), file=sys.stderr)
+    excluded = sum(n for name, n in hits.items() if name.startswith(tuple(args.exclude)))
+    if args.exclude:
+        print("%7d excluded  %s" % (excluded, " ".join(args.exclude)), file=sys.stderr)
+    kept = collections.Counter({name: n for name, n in hits.items()
+                                if not name.startswith(tuple(args.exclude))})
+    for name, n in kept.most_common(args.top):
+        print("%7d %6.2f%%  %s" % (n, 100.0 * n / max(total - excluded, 1), name), file=sys.stderr)
     return os.waitstatus_to_exitcode(status)
 
 
