@@ -9,16 +9,17 @@ let c_walk_steps = Telemetry.counter "cachesim.stackdist.walk_steps"
 
 (* One line size.  Its set counts ("levels", increasing) lie flat in int
    arrays indexed by level.  Level [l] has [masks.(l) + 1] sets; each keeps
-   its [d = depths.(l)] most recent distinct lines, newest first, from
-   [stack.(offsets.(l) + set * (d + 1))] (-1 empty), where the depth is the
-   largest associativity swept at this set count: a line found at depth [p]
-   hits exactly the configurations with more than [p] ways.  A line beyond
-   the stack is booked at depth [d], which every configuration here misses.
-   The slot after a set's stack is the walk's sentinel, but a set of depth
-   one is just a tag, at [offsets.(l) + set].
-   [hist.(hists.(l) + p)] counts the references found at depth [p], and
-   [miss_at.(hists.(l) + p)] is the number of configurations at this set
-   count that miss there.  Level 0 starts at offset 0. *)
+   its [d = depths.(l)] most recent distinct lines, newest first (-1
+   empty), where the depth is the largest associativity swept at this set
+   count: a line found at depth [p] hits exactly the configurations with
+   more than [p] ways.  A line beyond the stack is booked at depth [d],
+   which every configuration here misses.  A set's stack starts at
+   [stack.(offsets.(l) + set * (d + 1))] and is followed by one slot for
+   the walk's sentinel; a set of depth one is just a tag, at
+   [offsets.(l) + set].  [hist.(hists.(l) + p)] counts the references
+   found at depth [p], and [miss_at.(hists.(l) + p)] is the number of
+   configurations at this set count that miss there.  Level 0 starts at
+   offset 0. *)
 type group = {
   line_shift : int;
   direct : bool;  (* every level direct-mapped: [stack] is tag arrays *)

@@ -74,10 +74,10 @@ let block n =
   if n < 1 then invalid_arg "Trace.block: a block holds at least one run";
   { addr = Array.make n 0; len = Array.make n 0; owner = Array.make n Run.App }
 
-(* The one varint decoder: the value at [pos], and how many bytes it took.
-   [put] writes the fewest bytes a value needs, so the count follows from
-   the value.  Most varints are one byte; both are inlined where records
-   are decoded. *)
+(* The one varint decoder: the value at [pos], and how many bytes it took,
+   which follows from the value: it is the count [put] writes for it.
+   Most varints are one byte; both are inlined where records are
+   decoded. *)
 let[@inline] varint buf pos =
   let b = Char.code (Bytes.unsafe_get buf pos) in
   if b < 0x80 then b
@@ -93,15 +93,12 @@ let[@inline] varint buf pos =
   end
 
 let[@inline] varint_bytes v =
-  if v < 0x80 then 1
-  else begin
-    let n = ref 1 and rest = ref (v lsr 7) in
-    while !rest <> 0 do
-      incr n;
-      rest := !rest lsr 7
-    done;
-    !n
-  end
+  let n = ref 1 and rest = ref (v lsr 7) in
+  while !rest <> 0 do
+    incr n;
+    rest := !rest lsr 7
+  done;
+  !n
 
 (* Where decoding stands: the next byte of the current chunk, the block
    entries filled and the previous record's end address. *)

@@ -171,3 +171,20 @@ let encode_segments prog pid (segs : Olayout_core.Segment.t list) =
   let blocks = List.concat_map (fun (s : Olayout_core.Segment.t) -> s.blocks) segs in
   Olayout_core.Placement.encode prog pid ~blocks:(Array.of_list blocks) ~starts ~lo:0
     ~hi:(List.length segs)
+
+(* Words [f ()] allocates, in both heaps: minor plus major less promoted.
+   An array of more than 256 words goes straight to the major heap, which
+   [Gc.minor_words] alone does not see.  OCaml 5 updates the heap counters
+   at collections, and a major cycle ending mid-measure books words
+   allocated before it: a full major collection before and a minor one
+   after keep the count to [f]. *)
+let allocated_words f =
+  Gc.full_major ();
+  let minor0 = Gc.minor_words () and s0 = Gc.quick_stat () in
+  f ();
+  Gc.minor ();
+  let minor1 = Gc.minor_words () and s1 = Gc.quick_stat () in
+  int_of_float
+    (minor1 -. minor0
+    +. (s1.Gc.major_words -. s0.Gc.major_words)
+    -. (s1.Gc.promoted_words -. s0.Gc.promoted_words))

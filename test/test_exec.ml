@@ -439,6 +439,15 @@ let replayed t =
   Trace.replay t (fun r -> acc := r :: !acc);
   List.rev !acc
 
+(* The runs [Trace.blocks] decodes into blocks of [size]. *)
+let decoded_in_blocks size t =
+  let b = Trace.block size and acc = ref [] in
+  Trace.blocks t b (fun n ->
+      for i = 0 to n - 1 do
+        acc := { Run.owner = b.owner.(i); addr = b.addr.(i); len = b.len.(i) } :: !acc
+      done);
+  List.rev !acc
+
 let test_trace_roundtrip () =
   (* Mixed owners, forward and backward address deltas, large jumps. *)
   let runs =
@@ -460,6 +469,13 @@ let test_trace_roundtrip () =
   Alcotest.(check bool) "roundtrip exact" true (replayed t = runs);
   (* Replay is repeatable. *)
   Alcotest.(check bool) "replay twice" true (replayed t = runs);
+  List.iter
+    (fun size ->
+      Alcotest.(check bool)
+        (Printf.sprintf "blocks of %d" size)
+        true
+        (decoded_in_blocks size t = runs))
+    [ 1; 4; 5; 6; 100 ];
   Alcotest.(check bool) "footprint positive" true (Trace.memory_bytes t > 0)
 
 let test_trace_multi_chunk () =
@@ -481,7 +497,9 @@ let test_trace_multi_chunk () =
   done;
   Alcotest.(check int) "length" n (Trace.length t);
   Alcotest.(check bool) "spans chunks" true (Trace.memory_bytes t > 1 lsl 18);
-  Alcotest.(check bool) "roundtrip exact" true (replayed t = List.rev !expect)
+  Alcotest.(check bool) "roundtrip exact" true (replayed t = List.rev !expect);
+  (* A block boundary falls mid-chunk and a chunk ends mid-block. *)
+  Alcotest.(check bool) "blocks across chunks" true (decoded_in_blocks 1000 t = List.rev !expect)
 
 let test_trace_captures_merger_tail () =
   (* Recording through a merger: the trailing run only reaches the trace on

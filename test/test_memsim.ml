@@ -250,10 +250,10 @@ let test_zero_length_runs () =
            series))
 
 (* Replaying a recorded trace into a warm per-access simulator allocates
-   nothing beyond the runs it decodes (a [Run.t] is four words): each is
-   measured on a second replay, after the first allocated the first-touch
-   pages.  Usage-tracking caches are exempt: their histograms grow per
-   replacement. *)
+   nothing beyond the runs it decodes (a [Run.t] is four words), counted in
+   both heaps ([Helpers.allocated_words]): each is measured on a second
+   replay, after the first allocated the first-touch pages.  Usage-tracking
+   caches are exempt: their histograms grow per replacement. *)
 let test_replay_allocation () =
   let state = ref 11 in
   let rand m =
@@ -271,9 +271,9 @@ let test_replay_allocation () =
   List.iter
     (fun (name, feed) ->
       Trace.replay trace feed;
-      let w0 = Gc.minor_words () in
-      Trace.replay trace feed;
-      let extra = int_of_float (Gc.minor_words () -. w0) - (4 * Trace.length trace) in
+      let extra =
+        Helpers.allocated_words (fun () -> Trace.replay trace feed) - (4 * Trace.length trace)
+      in
       Alcotest.(check bool)
         (Printf.sprintf "%s: %d words beyond the decoded runs" name extra)
         true (extra <= 64))

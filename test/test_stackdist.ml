@@ -280,31 +280,18 @@ let test_battery_trace_counters () =
 
 (* Replay allocates only the runs it decodes for [keep] (a [Run.t] is four
    words) plus a few words per trace, and per-run feeding allocates
-   nothing.  Words are counted in both heaps, minor plus major less
-   promoted: an array over 256 words goes straight to the major heap, which
-   the minor count does not see.  OCaml 5 updates the heap counters at
-   collections, and a major cycle ending mid-measure books words allocated
-   before it: a full major collection before and a minor one after keep
-   the count to the measured call.  Spans are off: with them on, a replay
-   also reads the clock twice per block (a boxed float each) and books its
-   decode and feed spans.  Each battery is measured after a warm-up pass,
-   which allocates its block buffers and the first-touch bit set's
-   pages. *)
+   nothing, counted in both heaps ([Helpers.allocated_words]).  Spans are
+   off: with them on, a replay also reads the clock twice per block (a
+   boxed float each) and books its decode and feed spans.  Each battery is
+   measured after a warm-up pass, which allocates its block buffers and the
+   first-touch bit set's pages. *)
 let test_battery_allocation () =
   let runs = sweep_runs ~seed:17 20000 in
   let record, trace = Trace.record () in
   List.iter record runs;
   let words f =
     f ();
-    Gc.full_major ();
-    let minor0 = Gc.minor_words () and s0 = Gc.quick_stat () in
-    f ();
-    Gc.minor ();
-    let minor1 = Gc.minor_words () and s1 = Gc.quick_stat () in
-    int_of_float
-      (minor1 -. minor0
-      +. (s1.Gc.major_words -. s0.Gc.major_words)
-      -. (s1.Gc.promoted_words -. s0.Gc.promoted_words))
+    Helpers.allocated_words f
   in
   let check what n = Alcotest.(check bool) (Printf.sprintf "%s: %d words" what n) true (n <= 64) in
   let spans = Telemetry.enabled () in
