@@ -260,6 +260,10 @@ let expand t shift addr len n =
    runs first makes the touches one loop, with no exit branch per run to
    mispredict. *)
 let feed_block t ~addr ~len n =
+  if n < 0 || n > Array.length addr || n > Array.length len then
+    invalid_arg
+      (Printf.sprintf "Stackdist.feed_block: %d runs in arrays of %d and %d" n
+         (Array.length addr) (Array.length len));
   for i = 0 to Array.length t.groups - 1 do
     let g = t.groups.(i) in
     let touches = expand t g.line_shift addr len n in

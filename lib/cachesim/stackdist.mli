@@ -73,7 +73,9 @@ val feed_block : t -> addr:int array -> len:int array -> int -> unit
     group's stacks stay in cache across the block.  Groups share no state,
     so every count, and every telemetry counter booked, is what {!feed} of
     the same runs in order gives.  An entry with [len.(i) <= 0] touches
-    nothing. *)
+    nothing.
+    @raise Invalid_argument when [n] is negative or exceeds either
+    array's length. *)
 
 val publish : t -> unit
 (** Add the counters booked since the last publish to

@@ -103,6 +103,18 @@ let test_bad_configs () =
          with Invalid_argument _ -> true))
     [ (3, 64, 1); (1, 48, 1); (1, 2048, 1); (1, 2, 1); (1, 64, 3) ]
 
+let test_feed_block_bounds () =
+  let sd = Stackdist.create [ cfg ~size_kb:1 ~line:64 ~assoc:1 () ] in
+  let raises n =
+    try
+      Stackdist.feed_block sd ~addr:(Array.make 4 0) ~len:(Array.make 3 1) n;
+      false
+    with Invalid_argument _ -> true
+  in
+  Alcotest.(check (list bool)) "counts past an array, or negative, raise" [ true; true; false ]
+    [ raises 4; raises (-1); raises 3 ];
+  Alcotest.(check int) "three runs of one line, all at line 0" 3 (Stackdist.accesses sd)
+
 (* --- fully-associative degenerate case = the diagnostics Shadow LRU --- *)
 
 let test_fully_assoc_matches_shadow () =
@@ -467,4 +479,5 @@ let suite =
       Alcotest.test_case "battery trace counters = per-run" `Quick test_battery_trace_counters;
       Alcotest.test_case "battery allocation" `Quick test_battery_allocation;
       QCheck_alcotest.to_alcotest qcheck_block_feeding;
+      Alcotest.test_case "feed_block bounds" `Quick test_feed_block_bounds;
     ] )
