@@ -136,7 +136,8 @@ let kept keep (b : Trace.block) n =
    each block group by group.  A [Run.t] is built only for [keep].  With
    spans on, the time between blocks is booked as two children of the
    current span: [trace.decode] (decoding and [keep]) and
-   [stackdist.feed]. *)
+   [stackdist.feed].  [Unix.gettimeofday] is an unboxed primitive, so
+   reading it per block and summing in [clock] allocate nothing. *)
 let feed_blocks ?keep t sd trace =
   let b =
     match t.block with

@@ -194,6 +194,7 @@ let walk_stacked g line =
       end
     in
     if p = 0 then begin
+      found := true;
       incr steps;
       lv := levels
     end
@@ -223,7 +224,10 @@ let book g touches =
    [shift] to [t.lines], in order; their count.  A run of at most eight
    lines writes eight entries and moves on by its own count, so the common
    run takes no branch on its length; [t.lines] keeps seven spare entries
-   for that. *)
+   for that.  In the figs 4-7 streams 92.9% of application runs touch at
+   most eight 16 B lines and 99.97% at most eight 64 B lines, one to eight
+   in no predictable order: a plain loop per run, which mispredicts its
+   exit, made perfbench's sweep op 18% slower. *)
 let expand t shift addr len n =
   let k = ref 0 in
   for r = 0 to n - 1 do

@@ -9,9 +9,9 @@
     measurement execution can be kept resident and replayed into any number
     of simulators at memory speed instead of re-walking the OLTP server.
 
-    One decoder reads the records back: {!blocks} fills a caller's arrays
-    a block of runs at a time, and {!replay}, built on it, hands each run
-    to a callback as a {!Run.t}. *)
+    Two loops read the records back through one varint reader: {!blocks}
+    fills a caller's arrays a block of runs at a time, and {!replay}
+    decodes run by run and hands each run to a callback as a {!Run.t}. *)
 
 type t
 
@@ -30,7 +30,7 @@ val replay : t -> (Run.t -> unit) -> unit
 (** [replay t f] calls [f] on every recorded run, in order.  The runs are
     byte-identical to the recorded stream, so feeding a fresh simulator
     yields exactly the counters a live execution would have produced.
-    It decodes through {!blocks}, a small block at a time, and allocates
+    It shares {!blocks}' varint reader, decodes run by run and allocates
     one {!Run.t} per run. *)
 
 (** {1 Block decoding}
@@ -39,10 +39,11 @@ val replay : t -> (Run.t -> unit) -> unit
     engine, decodes a block of runs at a time into arrays it owns and
     never builds a {!Run.t}. *)
 
-type block = { addr : int array; len : int array; owner : Run.owner array }
+type block = private { addr : int array; len : int array; owner : Run.owner array }
 (** Parallel arrays, one entry per run: start address, length in
     instructions and owner.  Their common length is the block's
-    capacity. *)
+    capacity, at least one; only {!block} makes one, because {!blocks}
+    writes every array up to that length unchecked. *)
 
 val block : int -> block
 (** [block n] holds [n] runs.

@@ -178,7 +178,7 @@ let encode_segments prog pid (segs : Olayout_core.Segment.t list) =
    at collections, and a major cycle ending mid-measure books words
    allocated before it: a full major collection before and a minor one
    after keep the count to [f]. *)
-let allocated_words f =
+let heap_words f =
   Gc.full_major ();
   let minor0 = Gc.minor_words () and s0 = Gc.quick_stat () in
   f ();
@@ -188,3 +188,12 @@ let allocated_words f =
     (minor1 -. minor0
     +. (s1.Gc.major_words -. s0.Gc.major_words)
     -. (s1.Gc.promoted_words -. s0.Gc.promoted_words))
+
+(* What [heap_words] books of its own, the [Gc.quick_stat] records: the
+   count of a thunk that allocates nothing. *)
+let measuring_words = lazy (heap_words ignore)
+
+(* [heap_words f] less the measurement's own words: what [f] allocates. *)
+let allocated_words f =
+  let own = Lazy.force measuring_words in
+  heap_words f - own

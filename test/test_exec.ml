@@ -476,6 +476,9 @@ let test_trace_roundtrip () =
         true
         (decoded_in_blocks size t = runs))
     [ 1; 4; 5; 6; 100 ];
+  Alcotest.check_raises "a block of no runs"
+    (Invalid_argument "Trace.block: a block holds at least one run") (fun () ->
+      ignore (Trace.block 0));
   Alcotest.(check bool) "footprint positive" true (Trace.memory_bytes t > 0)
 
 let test_trace_multi_chunk () =

@@ -292,11 +292,14 @@ let test_battery_trace_counters () =
 
 (* Replay allocates only the runs it decodes for [keep] (a [Run.t] is four
    words) plus a few words per trace, and per-run feeding allocates
-   nothing, counted in both heaps ([Helpers.allocated_words]).  Spans are
-   off: with them on, a replay also reads the clock twice per block (a
-   boxed float each) and books its decode and feed spans.  Each battery is
-   measured after a warm-up pass, which allocates its block buffers and the
-   first-touch bit set's pages. *)
+   nothing, counted in both heaps ([Helpers.allocated_words]).  Replays
+   are measured with spans on, as the suite runs, and off: with spans on a
+   replay also reads the clock twice per block, which allocates nothing,
+   and books its decode and feed spans once per trace (about 30 words).
+   The trace's 20,000 runs are 20 blocks, so a boxed float per clock read
+   would add 80 words.  Each battery is measured after a warm-up pass,
+   which allocates its block buffers and the first-touch bit set's
+   pages. *)
 let test_battery_allocation () =
   let runs = sweep_runs ~seed:17 20000 in
   let record, trace = Trace.record () in
@@ -307,18 +310,23 @@ let test_battery_allocation () =
   in
   let check what n = Alcotest.(check bool) (Printf.sprintf "%s: %d words" what n) true (n <= 64) in
   let spans = Telemetry.enabled () in
-  Telemetry.set_enabled false;
   Fun.protect
     ~finally:(fun () -> Telemetry.set_enabled spans)
     (fun () ->
-      let b = Battery.create ~engine:`Stackdist sweep_grid in
-      check "access_trace ~keep, beyond the decoded runs"
-        (words (fun () -> Battery.access_trace ~keep:(fun r -> r.Run.owner = Run.App) b trace)
-        - (4 * Trace.length trace));
-      let b = Battery.create ~engine:`Stackdist sweep_grid in
-      check "access_trace" (words (fun () -> Battery.access_trace b trace));
-      let arr = Array.of_list runs and b = Battery.create ~engine:`Stackdist sweep_grid in
-      check "access_run" (words (fun () -> Array.iter (Battery.access_run b) arr)))
+      List.iter
+        (fun on ->
+          Telemetry.set_enabled on;
+          let mode = if on then "spans on" else "spans off" in
+          let b = Battery.create ~engine:`Stackdist sweep_grid in
+          check
+            (mode ^ ", access_trace ~keep, beyond the decoded runs")
+            (words (fun () -> Battery.access_trace ~keep:(fun r -> r.Run.owner = Run.App) b trace)
+            - (4 * Trace.length trace));
+          let b = Battery.create ~engine:`Stackdist sweep_grid in
+          check (mode ^ ", access_trace") (words (fun () -> Battery.access_trace b trace)))
+        [ true; false ]);
+  let arr = Array.of_list runs and b = Battery.create ~engine:`Stackdist sweep_grid in
+  check "access_run" (words (fun () -> Array.iter (Battery.access_run b) arr))
 
 (* Feeding blocks group by group books what feeding the same runs one at a
    time does, wherever the blocks end: blocks of one run, blocks that
