@@ -139,17 +139,22 @@ let profile_file_arg =
 
 let disasm seed quick profile_file combo procs summary =
   let w = Workload.create ~seed () in
+  (* Every name is checked against the app binary before training. *)
+  let procs =
+    List.map
+      (fun name ->
+        match Prog.find_proc (Binary.prog (Workload.app w)) name with
+        | Some p -> p
+        | None -> invalid_arg (Printf.sprintf "disasm: no such procedure %S" name))
+      procs
+  in
   let profile = obtain_profile w ~quick profile_file in
   let placement = Spike.optimize profile combo in
   if summary then Format.printf "%a@." Olayout_core.Listing.pp_summary placement;
   List.iter
-    (fun name ->
-      match Prog.find_proc (Binary.prog (Workload.app w)) name with
-      | Some p ->
-          Olayout_core.Listing.pp_proc ~profile Format.std_formatter placement
-            ~proc:p.Proc.id;
-          Format.print_newline ()
-      | None -> Format.printf "no such procedure: %s@." name)
+    (fun (p : Proc.t) ->
+      Olayout_core.Listing.pp_proc ~profile Format.std_formatter placement ~proc:p.Proc.id;
+      Format.print_newline ())
     procs;
   0
 
@@ -323,7 +328,9 @@ let trace_cmd =
     Arg.(value & opt string "trace.txt" & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Output file.")
   in
   let max_arg =
-    Arg.(value & opt int 200_000 & info [ "max-runs" ] ~docv:"N" ~doc:"Stop after N fetch runs.")
+    Arg.(
+      value & opt (at_least 0) 200_000
+      & info [ "max-runs" ] ~docv:"N" ~doc:"Stop after N fetch runs.")
   in
   sub "trace" "dump the instruction-fetch trace under a layout"
     Term.(

@@ -220,24 +220,25 @@ let book g touches =
   g.new_accesses <- g.new_accesses + touches;
   g.new_steps <- g.new_steps + touches
 
-(* Write the lines the runs [addr.(r)], [len.(r)], [r < n], touch at
-   [shift] to [t.lines], in order; their count.  A run of at most eight
+(* Write the lines the runs [addr.(r)], [len.(r)], [lo <= r < hi], touch
+   at [shift] to [t.lines], in order; their count.  A run of at most eight
    lines writes eight entries and moves on by its own count, so the common
    run takes no branch on its length; [t.lines] keeps seven spare entries
    for that.  In the figs 4-7 streams 92.9% of application runs touch at
    most eight 16 B lines and 99.97% at most eight 64 B lines, one to eight
    in no predictable order: a plain loop per run, which mispredicts its
    exit, made perfbench's sweep op 18% slower. *)
-let expand t shift addr len n =
+let expand t shift addr len lo hi =
   let k = ref 0 in
-  for r = 0 to n - 1 do
+  for r = lo to hi - 1 do
     let l = Array.unsafe_get len r in
     if l > 0 then begin
       let a = Array.unsafe_get addr r and k0 = !k in
       let first = a lsr shift in
       let c = ((a + (l * 4) - 1) lsr shift) - first + 1 in
       if k0 + c + 7 > Array.length t.lines then begin
-        let lines = Array.make (max (k0 + c + 7) (max (2 * Array.length t.lines) (8 * n))) 0 in
+        let grown = max (2 * Array.length t.lines) (8 * (hi - lo)) in
+        let lines = Array.make (max (k0 + c + 7) grown) 0 in
         Array.blit t.lines 0 lines 0 k0;
         t.lines <- lines
       end;
@@ -263,14 +264,14 @@ let expand t shift addr len n =
    leaves every count as feeding the runs one by one does.  Expanding the
    runs first makes the touches one loop, with no exit branch per run to
    mispredict. *)
-let feed_block t ~addr ~len n =
-  if n < 0 || n > Array.length addr || n > Array.length len then
+let feed_block t ~addr ~len ~lo ~hi =
+  if lo < 0 || lo > hi || hi > Array.length addr || hi > Array.length len then
     invalid_arg
-      (Printf.sprintf "Stackdist.feed_block: %d runs in arrays of %d and %d" n
+      (Printf.sprintf "Stackdist.feed_block: runs %d to %d of arrays of %d and %d" lo hi
          (Array.length addr) (Array.length len));
   for i = 0 to Array.length t.groups - 1 do
     let g = t.groups.(i) in
-    let touches = expand t g.line_shift addr len n in
+    let touches = expand t g.line_shift addr len lo hi in
     let lines = t.lines and stack = g.stack and mask0 = g.mask0 in
     if g.direct then
       for k = 0 to touches - 1 do
@@ -319,10 +320,6 @@ let publish t =
 
 let n_groups t = Array.length t.groups
 
-let access_run t r =
-  feed t r;
-  publish t
-
 let accesses t = Array.fold_left (fun acc g -> acc + g.accesses) 0 t.groups
 
 (* --- results ----------------------------------------------------------- *)
@@ -355,9 +352,9 @@ let misses_by_config t = Array.to_list (Array.map (fun s -> (s.cfg, slot_misses 
 
 (* --- probes ------------------------------------------------------------ *)
 
-(* A resolved handle onto one configuration's slot, for per-run polling
-   (the timeline instrumentation reads the cumulative miss count before
-   and after every fed run) without a name lookup on the hot path. *)
+(* A resolved handle onto one configuration's slot, for polling (the
+   timeline instrumentation reads the cumulative miss count before and
+   after every run or range of runs it feeds) without a name lookup. *)
 type probe = slot
 
 let probe t name = find t name

@@ -34,9 +34,10 @@
     and only a line that is not walks the rest.  A group whose set counts
     are all direct-mapped walks tag arrays; the others keep a sentinel slot
     after each set's stack, which ends the move-to-front at the stack's
-    depth.  {!feed_block} feeds a block of runs one group at a time, so a
-    group's stacks stay in cache across the block; {!feed} feeds one run
-    through every group, for callers that read counts between runs.
+    depth.  {!feed_block} feeds a range of a block of runs one group at a
+    time, so a group's stacks stay in cache across the range: it is what
+    a battery's trace replay calls.  {!feed} feeds one run through every
+    group, for a battery fed run by run.
 
     A fully-associative configuration ([2^0] sets, [a] = capacity in
     lines) degenerates to the classic Mattson stack — the same oracle as
@@ -67,23 +68,20 @@ val feed : t -> Olayout_exec.Run.t -> unit
     the telemetry counters in the groups: they reach the registry at
     {!publish}.  A run with [len <= 0] touches nothing. *)
 
-val feed_block : t -> addr:int array -> len:int array -> int -> unit
-(** [feed_block t ~addr ~len n] feeds the [n] runs starting at [addr.(i)]
-    with [len.(i)] instructions, for [i < n], one group at a time, so a
-    group's stacks stay in cache across the block.  Groups share no state,
-    so every count, and every telemetry counter booked, is what {!feed} of
-    the same runs in order gives.  An entry with [len.(i) <= 0] touches
-    nothing.
-    @raise Invalid_argument when [n] is negative or exceeds either
-    array's length. *)
+val feed_block : t -> addr:int array -> len:int array -> lo:int -> hi:int -> unit
+(** [feed_block t ~addr ~len ~lo ~hi] feeds the runs starting at
+    [addr.(i)] with [len.(i)] instructions, for [lo <= i < hi], one group
+    at a time, so a group's stacks stay in cache across the range.
+    Groups share no state, so every count, and every telemetry counter
+    booked, is what {!feed} of the same runs in order gives.  An entry
+    with [len.(i) <= 0] touches nothing.
+    @raise Invalid_argument when [lo] is negative, [lo > hi], or [hi]
+    exceeds either array's length. *)
 
 val publish : t -> unit
 (** Add the counters booked since the last publish to
-    [cachesim.stackdist.*].  Feeding a trace run by run and publishing
-    once at its end books what {!access_run} per run books. *)
-
-val access_run : t -> Olayout_exec.Run.t -> unit
-(** {!feed} one run, then {!publish}. *)
+    [cachesim.stackdist.*].  Feeding runs and publishing once at the end
+    books what publishing after every run books. *)
 
 val n_groups : t -> int
 (** Number of distinct line sizes: one stack simulation each. *)
@@ -110,8 +108,8 @@ val misses_by_config : t -> (Icache.config * int) list
 (** {1 Probes}
 
     A probe is a resolved handle onto one configuration's result slot, so
-    per-run polling (the timeline layer reads the cumulative miss count
-    around every fed run) skips the name lookup. *)
+    polling (the timeline layer reads the cumulative miss count around
+    every run or range of runs it feeds) skips the name lookup. *)
 
 type probe
 

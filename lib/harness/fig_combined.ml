@@ -1,5 +1,4 @@
 module Icache = Olayout_cachesim.Icache
-module Battery = Olayout_cachesim.Battery
 module Run = Olayout_exec.Run
 module Spike = Olayout_core.Spike
 
@@ -18,26 +17,28 @@ type side = {
 type result = { kernel_isolated : (int * int) list; base : side; optimized : side }
 
 let sizes = Fig_line_sweep.cache_sizes_kb
-let configs = List.map (fun size_kb -> Icache.config ~size_kb ~line:128 ~assoc:4 ()) sizes
 
-let find battery size_kb =
-  Battery.find battery (Icache.config ~size_kb ~line:128 ~assoc:4 ()).Icache.name
+(* One cache per size: the figure reads per-owner misses and the
+   displacement matrix, which only a full [Icache] keeps. *)
+let caches () =
+  List.map
+    (fun size_kb -> (size_kb, Icache.create (Icache.config ~size_kb ~line:128 ~assoc:4 ())))
+    sizes
 
-let per_size battery f = List.map (fun s -> (s, f (find battery s))) sizes
+let access caches run = List.iter (fun (_, c) -> Icache.access_run c run) caches
+let per_size caches f = List.map (fun (s, c) -> (s, f c)) caches
 
 let run ctx =
-  let mk () = Battery.create configs in
-  (* Per combo: a combined-stream battery and an app-isolated battery; the
+  (* Per combo: combined-stream caches and app-isolated caches; the
      kernel-isolated stream is the same under both combos.  Replay-
      compatible: both feeds consume only the rendered run stream. *)
-  let b_comb = mk () and b_app = mk () and o_comb = mk () and o_app = mk () in
-  let k_iso = mk () in
+  let b_comb = caches () and b_app = caches () and o_comb = caches () and o_app = caches () in
+  let k_iso = caches () in
   let feed comb app ~with_kernel run =
-    Battery.access_run comb run;
-    (match run.Run.owner with
-    | Run.App -> Battery.access_run app run
-    | Run.Kernel -> if with_kernel then Battery.access_run k_iso run);
-    ()
+    access comb run;
+    match run.Run.owner with
+    | Run.App -> access app run
+    | Run.Kernel -> if with_kernel then access k_iso run
   in
   let _ =
     Context.measure ctx
@@ -49,7 +50,7 @@ let run ctx =
       ()
   in
   let side comb app =
-    let c128 = find comb 128 in
+    let c128 = List.assoc 128 comb in
     {
       combined = per_size comb Icache.misses;
       app_isolated = per_size app Icache.misses;

@@ -237,18 +237,17 @@ let test_flush_excludes_pure_prefetch () =
 
 let test_battery () =
   let b =
-    Battery.create
+    Battery.create ~engine:`Icache
       [ Icache.config ~size_kb:1 ~line:64 ~assoc:1 (); Icache.config ~size_kb:2 ~line:64 ~assoc:1 () ]
   in
   Battery.access_run b (app_run 0 1);
   Battery.access_run b (app_run 1024 1);
   Battery.access_run b (app_run 0 1);
-  let c1 = Battery.find b "1KB/64B/1-way" and c2 = Battery.find b "2KB/64B/1-way" in
-  Alcotest.(check int) "1KB conflicts" 3 (Icache.misses c1);
-  Alcotest.(check int) "2KB fits" 2 (Icache.misses c2);
-  Alcotest.(check bool) "find missing raises with context" true
+  Alcotest.(check int) "1KB conflicts" 3 (Battery.misses b "1KB/64B/1-way");
+  Alcotest.(check int) "2KB fits" 2 (Battery.misses b "2KB/64B/1-way");
+  Alcotest.(check bool) "missing name raises with context" true
     (try
-       ignore (Battery.find b "nope");
+       ignore (Battery.misses b "nope");
        false
      with Invalid_argument msg ->
        (* the error names the request and the available configurations *)

@@ -87,6 +87,8 @@ let suite =
       case "simulate --assoc 3" [ "simulate"; "--assoc"; "3" ];
       case "--baseline without --out"
         [ "report"; "--quick"; "--baseline"; "bench/baselines/quick.json" ];
+      case "trace --max-runs=-1" [ "trace"; "--quick"; "--max-runs=-1" ];
+      case "disasm --procs nope" [ "disasm"; "--quick"; "--procs"; "nope" ];
       Alcotest.test_case "simulate mpki = misses per header instruction" `Quick
         simulate_mpki;
     ] )

@@ -21,17 +21,17 @@ let test_direct_mapped_conflict () =
   (* Mirrors the icache unit test: 1KB direct-mapped, 64B lines = 16 sets;
      addresses 0 and 1024 collide and ping-pong. *)
   let sd = Stackdist.create [ cfg ~name:"c" ~size_kb:1 ~line:64 ~assoc:1 () ] in
-  Stackdist.access_run sd (app_run 0 1);
-  Stackdist.access_run sd (app_run 1024 1);
-  Stackdist.access_run sd (app_run 0 1);
+  Stackdist.feed sd (app_run 0 1);
+  Stackdist.feed sd (app_run 1024 1);
+  Stackdist.feed sd (app_run 0 1);
   Alcotest.(check int) "ping-pong" 3 (Stackdist.misses sd "c");
   Alcotest.(check int) "two cold" 2 (Stackdist.cold_misses sd "c")
 
 let test_two_way_no_conflict () =
   let sd = Stackdist.create [ cfg ~name:"c" ~size_kb:1 ~line:64 ~assoc:2 () ] in
-  Stackdist.access_run sd (app_run 0 1);
-  Stackdist.access_run sd (app_run 1024 1);
-  Stackdist.access_run sd (app_run 0 1);
+  Stackdist.feed sd (app_run 0 1);
+  Stackdist.feed sd (app_run 1024 1);
+  Stackdist.feed sd (app_run 0 1);
   Alcotest.(check int) "both fit" 2 (Stackdist.misses sd "c")
 
 let test_one_pass_many_geometries () =
@@ -44,9 +44,9 @@ let test_one_pass_many_geometries () =
         cfg ~name:"big" ~size_kb:4 ~line:64 ~assoc:1 ();
       ]
   in
-  Stackdist.access_run sd (app_run 0 1);
-  Stackdist.access_run sd (app_run 1024 1);
-  Stackdist.access_run sd (app_run 0 1);
+  Stackdist.feed sd (app_run 0 1);
+  Stackdist.feed sd (app_run 1024 1);
+  Stackdist.feed sd (app_run 0 1);
   Alcotest.(check int) "dm conflicts" 3 (Stackdist.misses sd "dm");
   Alcotest.(check int) "2-way fits" 2 (Stackdist.misses sd "2way");
   Alcotest.(check int) "4KB has distinct sets" 2 (Stackdist.misses sd "big");
@@ -62,7 +62,7 @@ let test_one_pass_many_geometries () =
 let test_run_spanning_lines () =
   let sd = Stackdist.create [ cfg ~name:"c" ~size_kb:1 ~line:64 ~assoc:1 () ] in
   (* 40 instructions from 0: 160 bytes = lines 0,1,2 *)
-  Stackdist.access_run sd (app_run 0 40);
+  Stackdist.feed sd (app_run 0 40);
   Alcotest.(check int) "three lines missed" 3 (Stackdist.misses sd "c");
   Alcotest.(check int) "three accesses" 3 (Stackdist.accesses sd)
 
@@ -105,15 +105,23 @@ let test_bad_configs () =
 
 let test_feed_block_bounds () =
   let sd = Stackdist.create [ cfg ~size_kb:1 ~line:64 ~assoc:1 () ] in
-  let raises n =
+  let raises ~addrs ~lens lo hi =
     try
-      Stackdist.feed_block sd ~addr:(Array.make 4 0) ~len:(Array.make 3 1) n;
+      Stackdist.feed_block sd ~addr:(Array.make addrs 0) ~len:(Array.make lens 1) ~lo ~hi;
       false
     with Invalid_argument _ -> true
   in
-  Alcotest.(check (list bool)) "counts past an array, or negative, raise" [ true; true; false ]
-    [ raises 4; raises (-1); raises 3 ];
-  Alcotest.(check int) "three runs of one line, all at line 0" 3 (Stackdist.accesses sd)
+  Alcotest.(check (list bool))
+    "a negative lo, lo > hi, or hi past either array raises" [ true; true; true; true ]
+    [
+      raises ~addrs:4 ~lens:4 (-1) 2;
+      raises ~addrs:4 ~lens:4 3 2;
+      raises ~addrs:4 ~lens:3 0 4;
+      raises ~addrs:3 ~lens:4 1 4;
+    ];
+  Alcotest.(check (list bool)) "ranges within both arrays feed" [ false; false; false ]
+    [ raises ~addrs:4 ~lens:3 0 3; raises ~addrs:3 ~lens:4 1 3; raises ~addrs:4 ~lens:4 4 4 ];
+  Alcotest.(check int) "five runs of one line, all at line 0" 5 (Stackdist.accesses sd)
 
 (* --- fully-associative degenerate case = the diagnostics Shadow LRU --- *)
 
@@ -133,7 +141,7 @@ let test_fully_assoc_matches_shadow () =
     let line = rand 64 in
     if not (Shadow.mem sh line) then incr shadow_misses;
     Shadow.touch sh line;
-    Stackdist.access_run sd (app_run (line * 64) 1)
+    Stackdist.feed sd (app_run (line * 64) 1)
   done;
   Alcotest.(check int) "stackdist = shadow" !shadow_misses (Stackdist.misses sd "fa")
 
@@ -165,7 +173,7 @@ let qcheck_matches_icache =
       List.iter
         (fun (block, len) ->
           let run = app_run (block * 4) len in
-          Stackdist.access_run sd run;
+          Stackdist.feed sd run;
           List.iter (fun c -> Icache.access_run c run) caches)
         runs;
       List.for_all2
@@ -233,7 +241,7 @@ let qcheck_sweep_grid =
       let caches = List.map Icache.create sweep_grid in
       List.iter
         (fun run ->
-          Stackdist.access_run sd run;
+          Stackdist.feed sd run;
           List.iter (fun c -> Icache.access_run c run) caches)
         (sweep_runs ~seed n);
       results sd
@@ -255,7 +263,14 @@ let counter_deltas f =
 let test_feed_then_publish () =
   let runs = sweep_runs ~seed:7 4000 in
   let per_run = Stackdist.create sweep_grid and fed = Stackdist.create sweep_grid in
-  let want = counter_deltas (fun () -> List.iter (Stackdist.access_run per_run) runs) in
+  let want =
+    counter_deltas (fun () ->
+        List.iter
+          (fun r ->
+            Stackdist.feed per_run r;
+            Stackdist.publish per_run)
+          runs)
+  in
   let got =
     counter_deltas (fun () ->
         (* Booked in the groups, not yet in the registry. *)
@@ -293,9 +308,9 @@ let test_battery_trace_counters () =
 (* Replay allocates only the runs it decodes for [keep] (a [Run.t] is four
    words) plus a few words per trace, and per-run feeding allocates
    nothing, counted in both heaps ([Helpers.allocated_words]).  Replays
-   are measured with spans on, as the suite runs, and off: with spans on a
-   replay also reads the clock twice per block, which allocates nothing,
-   and books its decode and feed spans once per trace (about 30 words).
+   are measured with spans on, as the suite runs, and off: a replay reads
+   the clock twice per block, which allocates nothing, and with spans on
+   books its decode and feed spans once per trace (about 30 words).
    The trace's 20,000 runs are 20 blocks, so a boxed float per clock read
    would add 80 words.  Each battery is measured after a warm-up pass,
    which allocates its block buffers and the first-touch bit set's
@@ -331,7 +346,9 @@ let test_battery_allocation () =
 (* Feeding blocks group by group books what feeding the same runs one at a
    time does, wherever the blocks end: blocks of one run, blocks that
    divide the runs, a partial last block, and one block with room to
-   spare (its entries past the runs hold junk the feed must not read). *)
+   spare (its entries past the runs hold junk the feed must not read).
+   Each block size is fed from the arrays' start and from a range that
+   starts mid-array, after junk entries. *)
 let config_pool =
   sweep_grid @ mixed_configs
   @ [
@@ -354,18 +371,18 @@ let qcheck_block_feeding =
   in
   let gen =
     QCheck.Gen.(
-      triple (list_size (int_range 1 6) (oneofl config_pool)) (list_size (int_range 1 600) run)
-        (int_range 2 50))
+      quad (list_size (int_range 1 6) (oneofl config_pool)) (list_size (int_range 1 600) run)
+        (int_range 2 50) (int_range 1 20))
   in
-  let print (configs, runs, b) =
-    Printf.sprintf "configs [%s], block %d, runs [%s]"
+  let print (configs, runs, b, lo) =
+    Printf.sprintf "configs [%s], block %d, mid-array start %d, runs [%s]"
       (String.concat "; " (List.map (fun (c : Icache.config) -> c.Icache.name) configs))
-      b
+      b lo
       (String.concat ";"
          (List.map (fun (r : Run.t) -> Printf.sprintf "(%d,%d)" r.Run.addr r.Run.len) runs))
   in
   QCheck.Test.make ~name:"block feeding = per-run feeding (counts, cold, counters)" ~count:60
-    (QCheck.make ~print gen) (fun (configs, runs, b) ->
+    (QCheck.make ~print gen) (fun (configs, runs, b, lo) ->
       let runs = Array.of_list runs in
       let n = Array.length runs in
       let outcome sd =
@@ -380,9 +397,9 @@ let qcheck_block_feeding =
             Array.iter (Stackdist.feed per_run) runs;
             Stackdist.publish per_run)
       in
-      let by_blocks size =
+      let by_blocks (size, lo) =
         let sd = Stackdist.create configs in
-        let cap = max size n in
+        let cap = lo + max size n in
         let addr = Array.make cap (-7) and len = Array.make cap 3 in
         let deltas =
           counter_deltas (fun () ->
@@ -390,10 +407,10 @@ let qcheck_block_feeding =
               while !i < n do
                 let m = min size (n - !i) in
                 for j = 0 to m - 1 do
-                  addr.(j) <- runs.(!i + j).Run.addr;
-                  len.(j) <- runs.(!i + j).Run.len
+                  addr.(lo + j) <- runs.(!i + j).Run.addr;
+                  len.(lo + j) <- runs.(!i + j).Run.len
                 done;
-                Stackdist.feed_block sd ~addr ~len m;
+                Stackdist.feed_block sd ~addr ~len ~lo ~hi:(lo + m);
                 i := !i + m
               done;
               Stackdist.publish sd)
@@ -401,7 +418,8 @@ let qcheck_block_feeding =
         deltas = want && outcome sd = outcome per_run
       in
       let divisor = List.find (fun d -> n mod d = 0) [ 7; 5; 3; 2; n ] in
-      List.for_all by_blocks [ 1; divisor; b; n + 9 ])
+      List.for_all by_blocks
+        (List.concat_map (fun size -> [ (size, 0); (size, lo) ]) [ 1; divisor; b; n + 9 ]))
 
 (* The timeline contract: a probe's miss count moves, run by run, exactly
    as an icache's does. *)
@@ -413,7 +431,7 @@ let test_probe_deltas () =
     (fun i run ->
       let before = List.map Stackdist.probe_misses probes
       and before_i = List.map Icache.misses caches in
-      Stackdist.access_run sd run;
+      Stackdist.feed sd run;
       List.iter (fun c -> Icache.access_run c run) caches;
       let delta now was = List.map2 ( - ) now was in
       Alcotest.(check (list int))
@@ -435,7 +453,6 @@ let test_battery_engines_agree () =
   let bs = Battery.create ~engine:`Stackdist mixed_configs in
   feed bi;
   feed bs;
-  Alcotest.(check bool) "engine accessor" true (Battery.engine bs = `Stackdist);
   List.iter2
     (fun ((c : Icache.config), mi) (_, ms) ->
       Alcotest.(check int) (c.Icache.name ^ " misses agree") mi ms;
@@ -445,25 +462,6 @@ let test_battery_engines_agree () =
         (Battery.cold_misses bs c.Icache.name))
     (Battery.misses_by_config bi)
     (Battery.misses_by_config bs)
-
-let test_battery_stackdist_restrictions () =
-  let raises f =
-    try
-      f ();
-      false
-    with Invalid_argument _ -> true
-  in
-  let b = Battery.create ~engine:`Stackdist [ cfg ~size_kb:1 ~line:64 ~assoc:1 () ] in
-  Alcotest.(check bool) "caches raises" true (raises (fun () -> ignore (Battery.caches b)));
-  Alcotest.(check bool) "find raises" true
-    (raises (fun () -> ignore (Battery.find b "1KB/64B/1-way")));
-  Alcotest.(check bool) "track_usage raises" true
-    (raises (fun () ->
-         ignore
-           (Battery.create ~engine:`Stackdist ~track_usage:true
-              [ cfg ~size_kb:1 ~line:64 ~assoc:1 () ])));
-  (* flush_residents is a harmless no-op under stackdist. *)
-  Battery.flush_residents b
 
 let suite =
   ( "stackdist",
@@ -477,11 +475,9 @@ let suite =
       Alcotest.test_case "bad configs" `Quick test_bad_configs;
       Alcotest.test_case "fully-assoc = shadow LRU" `Quick test_fully_assoc_matches_shadow;
       Alcotest.test_case "battery engines agree" `Quick test_battery_engines_agree;
-      Alcotest.test_case "battery stackdist restrictions" `Quick
-        test_battery_stackdist_restrictions;
       QCheck_alcotest.to_alcotest qcheck_matches_icache;
       QCheck_alcotest.to_alcotest qcheck_sweep_grid;
-      Alcotest.test_case "feed, then publish once, equals per-run access_run" `Quick
+      Alcotest.test_case "feed, then publish once, equals per-run publish" `Quick
         test_feed_then_publish;
       Alcotest.test_case "probe deltas = icache per run" `Quick test_probe_deltas;
       Alcotest.test_case "battery trace counters = per-run" `Quick test_battery_trace_counters;

@@ -1,8 +1,9 @@
 (* Tests for the windowed instruction-clock timeline: series window
    arithmetic and edge cases, Delta/Sample semantics, the disabled fast
    path, a battery fed inside a pool task (-j4 = -j1), cross-engine
-   equality (icache = stackdist), the olayout-timeline/v1 artifact, and
-   the sampler's windowed view.
+   equality (icache = stackdist), a replay's window cut against booking
+   run by run, the designation check and the replay's spans, the
+   olayout-timeline/v1 artifact, and the sampler's windowed view.
 
    The timeline registry is process-global, like the telemetry registry:
    every test that enables the subsystem restores the disabled default
@@ -100,10 +101,11 @@ let test_registry () =
 
 (* A deterministic synthetic fetch trace with a few hot regions, enough
    spread for real misses under every engine, and length >> the test
-   window so many windows fill. *)
-let synthetic_trace n =
+   window so many windows fill.  Runs are [shortest] to 24 instructions
+   long. *)
+let synthetic_trace ?(seed = 987654321) ?(shortest = 1) n =
   let emit, t = Trace.record () in
-  let state = ref 987654321 in
+  let state = ref seed in
   let rand m =
     state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;
     !state mod m
@@ -111,7 +113,7 @@ let synthetic_trace n =
   for _ = 1 to n do
     let owner = if rand 4 = 0 then Run.Kernel else Run.App in
     let addr = (rand 3 * 0x20000) + (rand 1024 * 4) in
-    let len = 1 + rand 24 in
+    let len = shortest + rand (25 - shortest) in
     emit { Run.owner; addr; len }
   done;
   t
@@ -176,6 +178,91 @@ let test_cross_engine () =
       Alcotest.(check bool) "the workload actually misses" true
         (Array.fold_left ( + ) 0 misses > 0);
       Alcotest.(check bool) "several windows fill" true (Array.length misses > 3))
+
+(* The window cut's oracle: a designated battery's replay books exactly
+   the series and miss counts of the same kept runs fed one at a time
+   through [access_run], under both engines, with and without [keep], at a
+   window narrower than a decoded block's instructions and at one wider
+   (a block is 1,024 runs of 12 instructions on average here).  Runs of
+   no instructions are included. *)
+let qcheck_window_cut =
+  let app (r : Run.t) = r.owner = Run.App in
+  QCheck.Test.make ~name:"replayed series = series booked run by run" ~count:12
+    QCheck.(quad small_nat (int_range 1 5000) (int_range 1 3000) (int_range 20_000 1_000_000))
+    (fun (seed, n, narrow, wide) ->
+      let trace = synthetic_trace ~seed:(seed + 1) ~shortest:0 n in
+      with_timeline ~window:narrow (fun () ->
+          List.for_all
+            (fun window ->
+              Timeline.set_window window;
+              List.for_all
+                (fun (engine, keep) ->
+                  let prefix side =
+                    Printf.sprintf "tst_cut_%s_%s_%s" (Battery.engine_name engine)
+                      (if keep = None then "all" else "app")
+                      side
+                  in
+                  let battery side =
+                    Battery.create ~engine ~timeline:(designated.Icache.name, prefix side) configs
+                  in
+                  let replayed = battery "replayed" and per_run = battery "per_run" in
+                  Battery.access_trace ?keep replayed trace;
+                  let kept = Option.value keep ~default:(fun _ -> true) in
+                  Trace.replay trace (fun r -> if kept r then Battery.access_run per_run r);
+                  series (prefix "replayed") = series (prefix "per_run")
+                  && Battery.misses_by_config replayed = Battery.misses_by_config per_run)
+                [
+                  (`Icache, None); (`Icache, Some app); (`Stackdist, None); (`Stackdist, Some app);
+                ])
+            [ narrow; wide ]))
+
+(* A designation names a configuration of the battery whether or not
+   timelines are on: a misspelt name raises before any series is
+   registered. *)
+let test_unknown_designation () =
+  let check state =
+    List.iter
+      (fun engine ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s, timelines %s" (Battery.engine_name engine) state)
+          true
+          (raises (fun () ->
+               ignore (Battery.create ~engine ~timeline:("nope", "tst_misspelt") configs))))
+      [ `Icache; `Stackdist ]
+  in
+  check "off";
+  with_timeline ~window:4096 (fun () -> check "on");
+  Alcotest.(check bool) "no series registered" false
+    (List.exists
+       (fun d -> String.starts_with ~prefix:"cachesim.tst_misspelt." d.Timeline.d_name)
+       (Timeline.dump ()))
+
+(* With spans on, a designated battery's replay books its decoding and
+   its feeding once each under the current span, and nothing else, under
+   both engines. *)
+let test_replay_spans () =
+  let trace = synthetic_trace 5000 in
+  let spans = Telemetry.enabled () in
+  Telemetry.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Telemetry.set_enabled spans)
+    (fun () ->
+      with_timeline ~window:4096 (fun () ->
+          List.iter
+            (fun engine ->
+              let outer = "tst_replay_" ^ Battery.engine_name engine in
+              Telemetry.span outer (fun () ->
+                  feed_battery ~engine ~prefix:("tst_sp_" ^ Battery.engine_name engine) trace);
+              Alcotest.(check (list (pair string int)))
+                (outer ^ " children")
+                [ (outer ^ "/cachesim.feed", 1); (outer ^ "/trace.decode", 1) ]
+                (List.filter_map
+                   (fun (s : Telemetry.span_stat) ->
+                     if String.starts_with ~prefix:(outer ^ "/") s.span_path then
+                       Some (s.span_path, s.span_count)
+                     else None)
+                   (Telemetry.span_stats ())))
+            [ `Icache; `Stackdist ]))
 
 (* --- artifact + JSONL shape -------------------------------------------- *)
 
@@ -300,6 +387,9 @@ let suite =
       Alcotest.test_case "registry + disabled fast path" `Quick test_registry;
       Alcotest.test_case "parallel determinism" `Quick test_parallel_determinism;
       Alcotest.test_case "cross-engine equality" `Quick test_cross_engine;
+      QCheck_alcotest.to_alcotest qcheck_window_cut;
+      Alcotest.test_case "unknown designation raises" `Quick test_unknown_designation;
+      Alcotest.test_case "replay spans" `Quick test_replay_spans;
       Alcotest.test_case "artifact + events shape" `Quick test_artifact;
       Alcotest.test_case "sampler windowed view" `Quick test_sampler_windows;
       Alcotest.test_case "sampler window override" `Quick
